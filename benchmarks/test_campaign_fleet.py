@@ -83,14 +83,19 @@ def test_two_worker_fleet_survives_a_kill(tmp_path):
     victim = _spawn(["work", str(source), "--store", str(store),
                      "--worker", "victim", "--poll", "0.1",
                      "--timeout", "240", "--quiet"], cwd=str(tmp_path))
-    survivor = _spawn(["work", str(source), "--store", str(store),
-                       "--worker", "survivor", "--poll", "0.1",
-                       "--timeout", "240", "--quiet"], cwd=str(tmp_path))
+    survivor = None
     try:
         # Kill the victim the moment it has demonstrably done work (its
-        # first durable shard record), i.e. mid-lease.
+        # first durable shard record), i.e. mid-lease.  The survivor joins
+        # only then: booted alongside, whichever worker starts a few
+        # hundred ms earlier can drain the whole 6-point grid, and a
+        # victim that never got a lease leaves nothing to wait for.
         shard = store / "fleet-mini" / "shards" / "victim.jsonl"
         _wait_for_shard_record(str(shard))
+        survivor = _spawn(["work", str(source), "--store", str(store),
+                           "--worker", "survivor", "--poll", "0.1",
+                           "--timeout", "240", "--quiet"],
+                          cwd=str(tmp_path))
         os.kill(victim.pid, signal.SIGKILL)
 
         out, _ = serve.communicate(timeout=300)
@@ -104,7 +109,7 @@ def test_two_worker_fleet_survives_a_kill(tmp_path):
         assert survivor.returncode == 0, survivor_out
     finally:
         for process in (serve, victim, survivor):
-            if process.poll() is None:
+            if process is not None and process.poll() is None:
                 process.kill()
     victim.wait(timeout=30)
 

@@ -32,9 +32,9 @@ by a structural topology hash (:func:`topology_signature`):
   only re-composes the end-to-end properties — no Dijkstra runs;
 * **miss** — anything else computes from scratch and populates the cache.
 
-``REPRO_COLLAPSE_CACHE=<n>`` bounds the entry count (default 128, ``0``
-disables); :func:`clear_collapse_cache` drops everything (``repro campaign
-... --fresh`` calls it).  Telemetry counters ``collapse.memo_hits`` /
+The LRU holds 128 entries; ``collapse(memo=False)`` bypasses it and
+:func:`clear_collapse_cache` drops everything (``repro campaign ...
+--fresh`` calls it).  Telemetry counters ``collapse.memo_hits`` /
 ``collapse.memo_misses`` / ``collapse.incremental_recomputes`` /
 ``collapse.memo_invalidations`` expose the cache's behaviour; see
 ``docs/performance.md``.
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -56,12 +55,10 @@ from repro.topology.model import Link, Topology, TopologyError
 
 __all__ = ["CollapsedPath", "CollapsedTopology", "collapse",
            "topology_signature", "clear_collapse_cache",
-           "collapse_cache_stats", "COLLAPSE_CACHE_ENV_VAR"]
+           "collapse_cache_stats"]
 
-#: Environment variable bounding the memo cache entry count (default 128;
-#: ``0`` disables memoization entirely).
-COLLAPSE_CACHE_ENV_VAR = "REPRO_COLLAPSE_CACHE"
-_DEFAULT_CACHE_CAPACITY = 128
+#: Entry bound of the memo LRU.
+_CACHE_CAPACITY = 128
 
 
 @dataclass(frozen=True)
@@ -187,16 +184,6 @@ _cache: "OrderedDict[tuple, _CacheEntry]" = OrderedDict()
 _routing_index: Dict[tuple, tuple] = {}
 
 
-def _cache_capacity() -> int:
-    raw = os.environ.get(COLLAPSE_CACHE_ENV_VAR, "").strip()
-    if not raw:
-        return _DEFAULT_CACHE_CAPACITY
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return _DEFAULT_CACHE_CAPACITY
-
-
 def clear_collapse_cache() -> None:
     """Drop every memoized collapse (``campaign --fresh``, tests).
 
@@ -214,20 +201,17 @@ def clear_collapse_cache() -> None:
 def collapse_cache_stats() -> Dict[str, int]:
     """Current memo occupancy: ``{"entries": n, "capacity": max}``."""
     with _cache_lock:
-        return {"entries": len(_cache), "capacity": _cache_capacity()}
+        return {"entries": len(_cache), "capacity": _CACHE_CAPACITY}
 
 
 def _cache_store(key: tuple, routing_key: tuple,
                  entry: _CacheEntry) -> None:
-    capacity = _cache_capacity()
-    if capacity <= 0:
-        return
     evicted = 0
     with _cache_lock:
         _cache[key] = entry
         _cache.move_to_end(key)
         _routing_index[routing_key] = key
-        while len(_cache) > capacity:
+        while len(_cache) > _CACHE_CAPACITY:
             old_key, _ = _cache.popitem(last=False)
             evicted += 1
             for routing, target in list(_routing_index.items()):
@@ -285,7 +269,7 @@ def collapse(topology: Topology, *,
     ``O(pairs)`` assembly; memo hits are ``O(signature)`` = ``O(V + E)``,
     incremental reuses ``O(pairs × path length)``.
     """
-    if not memo or _cache_capacity() <= 0:
+    if not memo:
         return _collapse_full(topology, sources)
 
     recording = telemetry.enabled()

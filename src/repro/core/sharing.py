@@ -36,41 +36,33 @@ Solver backends
   structure every loop period; the fluid integrator every ``dt``).
 * **python** — the original dict-based progressive filler, dependency-free.
 
-Selection is automatic (numpy when importable, python otherwise) and can be
-forced with ``REPRO_ENGINE=numpy|python`` in the environment or
-:func:`set_solver_backend` in code.  In automatic mode, problems under
-``_VECTORIZE_MIN_FLOWS`` flows always take the python path — array setup
-costs more than the whole scalar solve there, and the emulation loop's
-per-pair solves are tiny; an explicit force is honoured at any size.  Both
-backends run the same progressive filling and agree within float round-off
-(< 1e-9 relative — enforced by ``tests/test_engine_fastpath.py`` and the
-benchmark checksum in ``BENCH_engine.json``); see ``docs/performance.md``.
+Selection is automatic, from what the code can observe: a solve of at
+least ``_VECTORIZE_MIN_FLOWS`` flows runs on numpy when numpy is
+importable, everything else on python — array setup costs more than the
+whole scalar solve below that size, and the emulation loop's per-pair
+solves are tiny.  Both backends run the same progressive filling and agree
+within float round-off (< 1e-9 relative — enforced by
+``tests/test_engine_fastpath.py`` and the benchmark checksum in
+``BENCH_engine.json``); see ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from repro import telemetry
 
 __all__ = ["FlowDemand", "LinkUsage", "rtt_aware_max_min",
-           "paper_two_step_shares", "solver_backend", "set_solver_backend",
-           "ENGINE_ENV_VAR"]
+           "paper_two_step_shares", "solver_backend"]
 
 _EPSILON = 1e-9
 
-#: Environment variable forcing the solver backend: ``numpy`` or ``python``
-#: (anything else, or unset, means auto-detect).
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Below this flow count, automatic backend selection stays on the python
-#: path: the measured crossover is ~8 flows (array construction dominates
-#: under it, vectorized rounds win above it).  Forcing numpy explicitly
-#: bypasses the threshold.
+#: Solves below this flow count stay on the python path: the measured
+#: crossover is ~8 flows (array construction dominates under it,
+#: vectorized rounds win above it).
 _VECTORIZE_MIN_FLOWS = 8
 
 
@@ -112,7 +104,6 @@ class LinkUsage:
 
 _np = None
 _np_probed = False
-_forced_backend: Optional[str] = None
 
 
 def _numpy():
@@ -128,60 +119,10 @@ def _numpy():
     return _np
 
 
-def set_solver_backend(name: Optional[str]) -> None:
-    """Force the :func:`rtt_aware_max_min` backend from code.
-
-    ``"numpy"`` or ``"python"`` forces that implementation; ``None`` (or
-    ``"auto"``) restores the default resolution: the ``REPRO_ENGINE``
-    environment variable if set, otherwise numpy when importable.  An
-    in-code force takes precedence over the environment.
-    """
-    global _forced_backend
-    if name not in (None, "auto", "numpy", "python"):
-        raise ValueError(f"unknown solver backend {name!r} "
-                         "(expected numpy, python or None/auto)")
-    _forced_backend = None if name in (None, "auto") else name
-
-
 def solver_backend() -> str:
-    """The backend the next :func:`rtt_aware_max_min` call will use.
-
-    Returns ``"numpy"`` or ``"python"``.  Raises :class:`RuntimeError` when
-    numpy is explicitly requested (via :func:`set_solver_backend` or
-    ``REPRO_ENGINE=numpy``) but not importable — an explicit override must
-    not silently degrade.
-    """
-    choice = _resolved_choice()
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if _numpy() is None:
-            raise RuntimeError(
-                "solver backend forced to numpy (REPRO_ENGINE or "
-                "set_solver_backend) but numpy is not importable; install "
-                "numpy or select the python backend")
-        return "numpy"
+    """The backend solves of ``_VECTORIZE_MIN_FLOWS`` flows or more run on:
+    ``"numpy"`` when it is importable, ``"python"`` otherwise."""
     return "numpy" if _numpy() is not None else "python"
-
-
-def _resolved_choice() -> str:
-    """``"numpy"``, ``"python"`` or ``"auto"`` after override resolution."""
-    return _forced_backend or \
-        os.environ.get(ENGINE_ENV_VAR, "").strip().lower() or "auto"
-
-
-def _dispatch_backend(flow_count: int) -> str:
-    """The backend for one concrete solve of ``flow_count`` flows.
-
-    Same as :func:`solver_backend` except that in automatic mode problems
-    below ``_VECTORIZE_MIN_FLOWS`` stay on the python path, where the
-    scalar solve beats numpy's array-setup cost.
-    """
-    backend = solver_backend()
-    if (backend == "numpy" and flow_count < _VECTORIZE_MIN_FLOWS
-            and _resolved_choice() != "numpy"):
-        return "python"
-    return backend
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +363,7 @@ def rtt_aware_max_min(flows: Sequence[FlowDemand],
         return {}
     recording = telemetry.enabled()
     started = telemetry.clock() if recording else 0.0
-    if _dispatch_backend(len(flows)) == "numpy":
+    if len(flows) >= _VECTORIZE_MIN_FLOWS and _numpy() is not None:
         allocation, iterations = _numpy_max_min(flows, capacities)
     else:
         allocation, iterations = _python_max_min(flows, capacities)

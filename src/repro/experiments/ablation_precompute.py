@@ -33,7 +33,8 @@ def build_schedule(topology) -> EventSchedule:
 
 
 def compute_results(size: int = SIZE) -> Dict[str, float]:
-    topology = scale_free(size, seed=17).compile().topology
+    builder = scale_free(size, seed=17)
+    topology = builder.compile().topology
     schedule = build_schedule(topology)
 
     # Offline pre-computation (what Kollaps does before the run).
@@ -41,7 +42,7 @@ def compute_results(size: int = SIZE) -> Dict[str, float]:
         plan = DynamicTopologyPlan(topology, schedule)
 
     # Per-event swap cost at runtime with the plan in hand.
-    engine = scenario_engine(topology, schedule, machines=2, seed=17,
+    engine = scenario_engine(builder, schedule, machines=2, seed=17,
                              enforce_bandwidth_sharing=False)
     with Stopwatch() as runtime:
         engine.run(until=schedule.horizon() + 0.1)

@@ -27,7 +27,7 @@ __all__ = ["Check", "ExperimentResult", "experiment", "registered",
            "format_table", "render_markdown"]
 
 
-def scenario_engine(source, schedule=None, *, backend: str = "kollaps",
+def scenario_engine(builder, schedule=None, *, backend: str = "kollaps",
                     machines: int = 1, seed: int = 0, placement=None,
                     backend_options=None, **tunables):
     """A live execution system via the Scenario API and backend registry.
@@ -36,21 +36,16 @@ def scenario_engine(source, schedule=None, *, backend: str = "kollaps",
     through this one helper, so all reproduction workloads flow through
     the unified :mod:`repro.scenario` choke point (validation included)
     *and* the :mod:`repro.scenario.backends` registry — no runner
-    constructs an engine or baseline class directly.  ``source`` is a
-    :class:`~repro.scenario.Scenario` builder (preferred — compiled once)
-    or a bare :class:`~repro.topology.model.Topology` (adopted via
-    ``Scenario.from_topology``).  ``backend`` selects the executing
-    system (default: the Kollaps engine); ``tunables`` are
+    constructs an engine or baseline class directly.  ``builder`` is a
+    :class:`~repro.scenario.Scenario`; ``schedule`` optionally adds
+    dynamic events to it.  ``backend`` selects the executing system
+    (default: the Kollaps engine); ``tunables`` are
     :class:`~repro.core.engine.EngineConfig` fields
     (``enforce_bandwidth_sharing``, ``congestion_sensitivity``, ...).
     """
-    from repro.scenario import Scenario, resolve_backend
-    if isinstance(source, Scenario):
-        builder = source
-        for event in (schedule or []):
-            builder.event(event)
-    else:
-        builder = Scenario.from_topology(source, schedule)
+    from repro.scenario import resolve_backend
+    for event in (schedule or []):
+        builder.event(event)
     builder.deploy(machines=machines, seed=seed, placement=placement,
                    **tunables)
     return resolve_backend(backend, **(backend_options or {})).prepare(

@@ -1,12 +1,13 @@
 """The fluent, validating :class:`Scenario` builder.
 
 One choke point for experiment assembly (the paper's single declarative
-description, §3): every front-end — the listing-style text language, the
-dict form, Modelnet XML, the programmatic topology generators and the
-THUNDERSTORM scenario scripts — *produces* a builder, and everything
-downstream (engine, deployment generator, CLI, experiment runners)
-consumes the :class:`~repro.scenario.compiled.CompiledScenario` the
-builder compiles to.
+description, §3): the programmatic topology generators build one
+directly, every description format (the listing-style text language, the
+dict form, Modelnet XML, ``.scn`` files) lowers to a ``.scn`` document
+that loads into one, and everything downstream (engine, deployment
+generator, CLI, experiment runners) consumes the
+:class:`~repro.scenario.compiled.CompiledScenario` the builder compiles
+to.
 
 The builder is deliberately declaration-order-free: links may reference
 services declared later, because all cross-referencing is validated in
@@ -240,33 +241,26 @@ class Scenario:
     @classmethod
     def from_text(cls, text: str) -> "Scenario":
         """Builder from the paper's listing-style description language."""
-        from repro.scenario.frontends import scenario_from_text
-        return scenario_from_text(text)
+        from repro.scenario import frontends
+        return frontends.scenario_from_scn(frontends.lower_text(text))
 
     @classmethod
     def from_dict(cls, description: Dict) -> "Scenario":
         """Builder from the dict form (what a YAML loader would give)."""
-        from repro.scenario.frontends import scenario_from_dict
-        return scenario_from_dict(description)
+        from repro.scenario import frontends
+        return frontends.scenario_from_scn(frontends.lower_dict(description))
 
     @classmethod
     def from_xml(cls, text: str) -> "Scenario":
         """Builder from a Modelnet-style XML topology."""
-        from repro.scenario.frontends import scenario_from_xml
-        return scenario_from_xml(text)
+        from repro.scenario import frontends
+        return frontends.scenario_from_scn(frontends.lower_xml(text))
 
     @classmethod
     def from_file(cls, path: str) -> "Scenario":
         """Builder from a description file, dispatched on suffix."""
         from repro.scenario.frontends import scenario_from_file
         return scenario_from_file(path)
-
-    @classmethod
-    def from_topology(cls, topology: Topology,
-                      schedule: Optional[EventSchedule] = None) -> "Scenario":
-        """Adopt an already-built :class:`Topology` (plus schedule)."""
-        from repro.scenario.frontends import scenario_from_topology
-        return scenario_from_topology(topology, schedule)
 
     # --------------------------------------------------------------- nodes
     def service(self, name: str, *, image: str = "scratch",

@@ -162,7 +162,7 @@ class CompiledScenario:
     def describe(self) -> str:
         """Round-trip to the listing-style text DSL (Listings 1 and 2).
 
-        ``parse_experiment_text(compiled.describe())`` reconstructs an
+        ``Scenario.from_text(compiled.describe())`` reconstructs an
         equivalent topology and schedule.
         """
         lines: List[str] = ["experiment:"]

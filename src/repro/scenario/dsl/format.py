@@ -11,8 +11,9 @@ fuzzed scenarios:
     ⇒ byte-identical ``describe()`` and ``path_table()``
 
 which makes the ``.scn`` file a faithful, reviewable artifact of the
-experiment — the choke point every front-end (text, dict, XML, topogen,
-THUNDERSTORM) exports into.
+experiment — and the choke point every description format passes
+through: text, dict and XML lower into a ``.scn`` document
+(:mod:`repro.scenario.frontends`) and load from there.
 
 Design notes:
 
@@ -100,7 +101,7 @@ def _link_out(spec: LinkSpec) -> Dict:
     if spec.up != float("inf"):
         out["up"] = spec.up
     if spec.down is not None:
-        out["down"] = spec.down
+        out["down"] = _rate_out(spec.down)
     if spec.jitter:
         out["jitter"] = spec.jitter
     if spec.loss:

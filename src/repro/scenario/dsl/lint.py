@@ -1,22 +1,19 @@
 """Scenario linting: aggregated, pointer-attached diagnostics.
 
-``lint_file`` accepts any scenario front-end format — ``.scn``
-documents, the listing-style text language, Modelnet XML, ``.py``
-modules — and returns every problem as a
-:class:`~repro.scenario.dsl.schema.Diagnostic`:
-
-* ``.scn`` files are schema-validated first (every error, with a
-  JSON-path pointer such as ``links[2].up``), then whole-program
-  compiled;
-* other formats are loaded and compiled, with
-  :class:`~repro.topology.model.TopologyError` /
-  :class:`~repro.topology.thunderstorm.ThunderstormError` /
-  :class:`~repro.units.UnitError` surfaced as diagnostics instead of
-  tracebacks;
-* scenarios that compile are additionally checked for semantic warnings
-  (isolated nodes, events scheduled past the configured duration) by
-  round-tripping through the ``.scn`` schema — the same warning logic
-  for every front-end.
+``lint_file`` accepts any description format — ``.scn`` documents, the
+listing-style text language, Modelnet XML, ``.py`` modules — and returns
+every problem as a :class:`~repro.scenario.dsl.schema.Diagnostic`.  There
+is one path for every format: the file is lowered to its ``.scn``
+document (:func:`repro.scenario.frontends.load_description`), the
+document is schema-validated (every error, with a JSON-path pointer such
+as ``links[2].up``, plus semantic warnings: isolated nodes, events
+scheduled past the configured duration), then whole-program compiled,
+with :class:`~repro.topology.model.TopologyError` /
+:class:`~repro.topology.thunderstorm.ThunderstormError` /
+:class:`~repro.units.UnitError` surfaced as diagnostics instead of
+tracebacks.  A ``.py`` module is the one input that is a builder, not a
+document; it is compiled first and its canonical dump validated for the
+same warnings (:func:`lint_scenario`).
 
 ``repro scenario lint`` prints these to stderr and exits 1 on any
 error, 0 when only warnings (or nothing) were found.
@@ -24,24 +21,26 @@ error, 0 when only warnings (or nothing) were found.
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional
 
-from repro.scenario.dsl.format import ScnError, _parse_scn_text, \
-    scenario_from_scn, scn_document
+from repro.scenario.dsl.format import ScnError, scenario_from_scn, \
+    scn_document
 from repro.scenario.dsl.schema import ERROR, WARNING, Diagnostic, \
     validate_document
 from repro.topology.model import TopologyError
+from repro.topology.thunderstorm import ThunderstormError
 from repro.units import UnitError
 
 __all__ = ["lint_file", "lint_scenario"]
+
+_COMPILE_ERRORS = (TopologyError, ThunderstormError, UnitError)
 
 
 def lint_scenario(builder) -> List[Diagnostic]:
     """Diagnostics for an in-memory :class:`Scenario` builder."""
     try:
         compiled = builder.compile()
-    except (TopologyError, UnitError) as error:
+    except _COMPILE_ERRORS as error:
         return [Diagnostic(ERROR, "compile", str(error))]
     return _compiled_warnings(compiled)
 
@@ -52,62 +51,35 @@ def lint_file(path: str, *, script: Optional[str] = None) -> List[Diagnostic]:
     ``script`` optionally names a THUNDERSTORM script to attach before
     compiling (mirroring ``repro validate --scenario``).
     """
-    if str(path).endswith(".scn"):
-        return _lint_scn(path, script)
-    return _lint_front_end(path, script)
-
-
-def _lint_scn(path: str, script: Optional[str]) -> List[Diagnostic]:
+    from repro.scenario.frontends import load_description
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        return [Diagnostic(ERROR, "", str(error))]
-    try:
-        document = _parse_scn_text(text, str(path))
-    except ScnError as error:
+        source = load_description(path)
+    except SyntaxError as error:
+        return [Diagnostic(ERROR, f"line {error.lineno}",
+                           error.msg or "syntax error")]
+    except (OSError, TopologyError) as error:
         return [Diagnostic(ERROR, "", str(error))]
 
-    diagnostics = validate_document(document)
+    if not isinstance(source, dict):        # a .py module's builder
+        problem = _attach_script(source, script)
+        return [problem] if problem else lint_scenario(source)
+    diagnostics = validate_document(source)
     if any(item.severity == ERROR for item in diagnostics):
         return diagnostics
-
-    builder = scenario_from_scn(document, validate=False)
-    if script:
-        problem = _attach_script(builder, script)
-        if problem:
-            return diagnostics + [problem]
+    builder = scenario_from_scn(source, validate=False)
+    problem = _attach_script(builder, script)
+    if problem:
+        return diagnostics + [problem]
     try:
         builder.compile()
-    except (TopologyError, UnitError) as error:
+    except _COMPILE_ERRORS as error:
         diagnostics.append(Diagnostic(ERROR, "compile", str(error)))
     return diagnostics
 
 
-def _lint_front_end(path: str, script: Optional[str]) -> List[Diagnostic]:
-    from repro.scenario.builder import Scenario
-    from repro.topology.thunderstorm import ThunderstormError
-    try:
-        builder = Scenario.from_file(path)
-    except (OSError, json.JSONDecodeError) as error:
-        return [Diagnostic(ERROR, "", str(error))]
-    except (TopologyError, ThunderstormError, UnitError) as error:
-        return [Diagnostic(ERROR, "load", str(error))]
-    except SyntaxError as error:
-        return [Diagnostic(ERROR, f"line {error.lineno}", error.msg or
-                           "syntax error")]
-    if script:
-        problem = _attach_script(builder, script)
-        if problem:
-            return [problem]
-    try:
-        compiled = builder.compile()
-    except (TopologyError, ThunderstormError, UnitError) as error:
-        return [Diagnostic(ERROR, "compile", str(error))]
-    return _compiled_warnings(compiled)
-
-
-def _attach_script(builder, script: str) -> Optional[Diagnostic]:
+def _attach_script(builder, script: Optional[str]) -> Optional[Diagnostic]:
+    if not script:
+        return None
     try:
         with open(script, "r", encoding="utf-8") as handle:
             builder.script(handle.read())

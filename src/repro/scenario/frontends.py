@@ -1,161 +1,174 @@
-"""Front-ends that *produce* :class:`~repro.scenario.builder.Scenario`.
+"""Front-ends: every description format lowers to a ``.scn`` document.
 
-Every historical entry point into the toolchain — the dict form, the
-paper's listing-style text language (Listings 1 and 2), Modelnet-like XML
-and already-built :class:`~repro.topology.model.Topology` objects — is
-re-implemented here as a producer of builders, so all validation and
-compilation flows through the single :meth:`Scenario.compile` choke point.
-The legacy ``repro.topology.parser`` functions are thin shims over these.
+The dict form, the paper's listing-style text language (Listings 1 and 2)
+and Modelnet-like XML are *lowerings* ``input → .scn document`` (a plain
+dict in SI base units).  None of them builds a scenario itself:
+``Scenario.from_text/from_dict/from_xml/from_file`` are
+:func:`~repro.scenario.dsl.format.scenario_from_scn` over the lowered
+document, so the one schema in :mod:`repro.scenario.dsl.schema` validates
+every format and a mistake in any of them is reported under its document
+path (``services[0].replicas``).  A lowering never rejects a value: what
+it cannot convert it leaves as written, for the validator to name.
+
+``.py`` modules exposing a module-level ``SCENARIO`` are the one input
+that yields a builder directly.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import xml.etree.ElementTree as ElementTree
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.scenario.builder import Scenario
-from repro.topology.events import DynamicEvent, EventAction, EventSchedule
-from repro.topology.model import Topology, TopologyError
-from repro.units import parse_rate, parse_time
+from repro.scenario.dsl.format import _parse_scn_text, _rate_out, \
+    scenario_from_scn
+from repro.scenario.dsl.schema import SCN_VERSION, coerce_loss, \
+    coerce_rate, coerce_time
+from repro.topology.model import TopologyError
+from repro.units import parse_time
 
-__all__ = [
-    "scenario_from_dict",
-    "scenario_from_text",
-    "scenario_from_xml",
-    "scenario_from_file",
-    "scenario_from_topology",
-]
+__all__ = ["lower_dict", "lower_text", "lower_xml", "load_description",
+           "scenario_from_file"]
+
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
 
 
-def _as_bool(value: Union[bool, str, int, None], default: bool = True) -> bool:
+# --------------------------------------------------------------------------
+# Value conversion: description-language spellings → SI numbers.
+# --------------------------------------------------------------------------
+def _milliseconds(value) -> float:
+    """Link latency/jitter: a bare number is milliseconds (Listing 1)."""
+    return parse_time(value, default_unit="ms")
+
+
+def _rate(value) -> Union[float, str]:
+    """Bits/s, infinity in the document's spelling (``"unlimited"``)."""
+    return _rate_out(coerce_rate(value))
+
+
+def _integer(value):
+    return int(value) if isinstance(value, str) else value
+
+
+def _boolean(value):
     """Booleans from dict *and* text forms (``"false"`` must not be truthy)."""
+    return _BOOLEANS.get(str(value).strip().lower(), value)
+
+
+def _put(out: Dict, key: str, value, converter: Optional[Callable]) -> None:
+    """``out[key] = converter(value)``, skipping an unset (``None``) value
+    and keeping one that does not convert as written."""
     if value is None:
-        return default
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        raise TopologyError(f"not a boolean: {value!r}")
-    return bool(value)
+        return
+    if converter is not None:
+        try:
+            value = converter(value)
+        except (TypeError, ValueError):
+            pass                # the validator reports it under its path
+    out[key] = value
 
 
-def _require(spec: Dict, key: str, kind: str) -> str:
-    try:
-        return spec[key]
-    except KeyError:
-        raise TopologyError(f"{kind} stanza missing {key!r}: {spec}") from None
+def _convert(spec: Dict, fields: Dict[str, Optional[Callable]]) -> Dict:
+    """The ``fields`` that ``spec`` sets, each through its converter."""
+    out: Dict = {}
+    for key, converter in fields.items():
+        _put(out, key, spec.get(key), converter)
+    return out
 
 
-def _rate_value(value) -> float:
-    """A capacity; ``"unlimited"`` (describe()'s spelling of inf) allowed."""
-    if isinstance(value, str) and value.strip().lower() in ("unlimited",
-                                                            "inf"):
-        return float("inf")
-    return parse_rate(value)
+def _each(section, lower: Callable):
+    """A section's stanzas lowered one by one; anything that is not a
+    list of mappings goes to the validator unchanged."""
+    if not isinstance(section, list):
+        return section
+    return [lower(spec) if isinstance(spec, dict) else spec
+            for spec in section]
 
 
-def _capacity(spec: Dict, direction: str) -> float:
-    """The ``up``/``down`` capacity with ``bandwidth`` as symmetric fallback."""
-    value = spec.get(direction, spec.get("bandwidth"))
-    return _rate_value(value) if value is not None else float("inf")
+_SERVICE = {"name": None, "image": None, "replicas": _integer,
+            "command": None, "tags": None}
+_LINK = {"orig": None, "dest": None, "latency": _milliseconds,
+         "jitter": _milliseconds, "loss": coerce_loss,
+         "jitter_distribution": None, "bidirectional": _boolean,
+         "network": None}
+_EVENT = {"time": coerce_time, "orig": None, "dest": None,
+          "bidirectional": _boolean}
+_CHANGES = {"latency": _milliseconds, "jitter": _milliseconds,
+            "loss": coerce_loss}
+_PROPERTIES = dict(_CHANGES, jitter_distribution=None)
 
 
 # --------------------------------------------------------------------------
 # Dict form — the canonical programmatic input.
 # --------------------------------------------------------------------------
-def scenario_from_dict(description: Dict) -> Scenario:
-    """Builder from the dict form (see :func:`repro.topology.parse_experiment`).
+def lower_dict(description: Dict) -> Dict:
+    """The ``.scn`` document for the dict form.
+
+    Expected shape (every section optional)::
+
+        {"experiment": {
+            "services": [{"name": ..., "image": ..., "replicas": ...}, ...],
+            "bridges":  [{"name": ...}, ...],
+            "links":    [{"orig": ..., "dest": ..., "latency": ..., ...}, ...],
+        },
+         "dynamic": [{"time": ..., "action"/properties...}, ...]}
 
     Link ``latency``/``jitter`` default to milliseconds and bandwidths
     accept ``"10Mbps"``-style strings, exactly as the description language
-    specifies.
+    specifies.  A bidirectional link that names no ``down`` (or symmetric
+    ``bandwidth``) capacity is unlimited in that direction.
     """
     body = description.get("experiment", description)
-    builder = Scenario.build(body.get("name", "experiment"))
-
-    for spec in body.get("services", []):
-        builder.service(_require(spec, "name", "service"),
-                        image=spec.get("image", "scratch"),
-                        replicas=int(spec.get("replicas", 1)),
-                        command=spec.get("command"),
-                        tags=dict(spec.get("tags", {})))
-    for spec in body.get("bridges", []):
-        builder.bridge(_require(spec, "name", "bridge"))
-    for spec in body.get("links", []):
-        bidirectional = _as_bool(spec.get("bidirectional"))
-        builder.link(
-            _require(spec, "orig", "link"), _require(spec, "dest", "link"),
-            latency=parse_time(spec.get("latency", 0.0), default_unit="ms"),
-            up=_capacity(spec, "up"),
-            down=_capacity(spec, "down") if bidirectional else None,
-            jitter=parse_time(spec.get("jitter", 0.0), default_unit="ms"),
-            loss=float(spec.get("loss", 0.0)),
-            jitter_distribution=spec.get("jitter_distribution", "normal"),
-            bidirectional=bidirectional,
-            network=spec.get("network", "default"))
-    for spec in description.get("dynamic", []):
-        builder.event(_event_from_spec(spec))
-    return builder
+    return {
+        "scn": SCN_VERSION,
+        "name": body.get("name", "experiment"),
+        "services": _each(body.get("services", []),
+                          lambda spec: _convert(spec, _SERVICE)),
+        "bridges": _each(body.get("bridges", []),
+                         lambda spec: spec.get("name")),
+        "links": _each(body.get("links", []), _lower_link),
+        "events": _each(description.get("dynamic", []), _lower_event),
+    }
 
 
-def _event_from_spec(spec: Dict) -> DynamicEvent:
-    """One dynamic stanza (Listing 2 style) as a DynamicEvent."""
-    time = parse_time(_require(spec, "time", "dynamic event"))
-    action_name = spec.get("action")
-    if action_name in ("join", "leave") and "name" in spec:
-        action = (EventAction.JOIN_NODE if action_name == "join"
-                  else EventAction.LEAVE_NODE)
-        return DynamicEvent(time=time, action=action, name=spec["name"])
+def _lower_link(spec: Dict) -> Dict:
+    link = _convert(spec, _LINK)
+    symmetric = spec.get("bandwidth")
+    _put(link, "up", spec.get("up", symmetric), _rate)
+    if link.get("bidirectional", True) is not False:
+        down = spec.get("down", symmetric)
+        _put(link, "down", "unlimited" if down is None else down, _rate)
+    return link
 
-    origin = spec.get("orig")
-    destination = spec.get("dest")
-    if origin is None or destination is None:
-        raise TopologyError(f"link event needs orig and dest: {spec}")
-    bidirectional = _as_bool(spec.get("bidirectional"))
 
-    if action_name == "leave":
-        return DynamicEvent(time=time, action=EventAction.LEAVE_LINK,
-                            origin=origin, destination=destination,
-                            bidirectional=bidirectional)
-    if action_name == "join":
-        from repro.topology.model import LinkProperties
-        properties = LinkProperties(
-            latency=parse_time(spec.get("latency", 0.0), default_unit="ms"),
-            bandwidth=_capacity(spec, "up"),
-            jitter=parse_time(spec.get("jitter", 0.0), default_unit="ms"),
-            loss=float(spec.get("loss", 0.0)),
-            jitter_distribution=spec.get("jitter_distribution", "normal"))
-        return DynamicEvent(time=time, action=EventAction.JOIN_LINK,
-                            origin=origin, destination=destination,
-                            properties=properties,
-                            bidirectional=bidirectional)
-
-    # No action keyword: a property change listing only the fields to alter.
-    changes: Dict[str, float] = {}
-    if "latency" in spec:
-        changes["latency"] = parse_time(spec["latency"], default_unit="ms")
-    if "jitter" in spec:
-        changes["jitter"] = parse_time(spec["jitter"], default_unit="ms")
-    if "loss" in spec:
-        changes["loss"] = float(spec["loss"])
-    if "up" in spec or "bandwidth" in spec:
-        changes["bandwidth"] = _rate_value(spec.get("up",
-                                                    spec.get("bandwidth")))
-    if not changes:
-        raise TopologyError(f"dynamic event changes nothing: {spec}")
-    return DynamicEvent(time=time, action=EventAction.SET_LINK,
-                        origin=origin, destination=destination,
-                        changes=changes, bidirectional=bidirectional)
+def _lower_event(spec: Dict) -> Dict:
+    """One dynamic stanza (Listing 2 style) as a ``.scn`` event."""
+    action = spec.get("action")
+    if action in ("join", "leave") and "name" in spec:
+        return dict(_convert(spec, {"time": coerce_time, "name": None}),
+                    action=action)
+    event = _convert(spec, _EVENT)
+    # The stanza's remaining keys are link properties: all of them for a
+    # (re)joining link, only the fields to alter when no action is named.
+    detail = _convert(spec, _CHANGES if action is None else _PROPERTIES)
+    _put(detail, "bandwidth", spec.get("up", spec.get("bandwidth")), _rate)
+    if action is None:
+        event.update(action="set_link", changes=detail)
+    elif action == "join":
+        event.update(action="join_link", properties=detail)
+    else:
+        event["action"] = "leave_link" if action == "leave" else action
+    return event
 
 
 # --------------------------------------------------------------------------
 # Listing-style text — the paper's lean YAML-like syntax.
 # --------------------------------------------------------------------------
-def scenario_from_text(text: str) -> Scenario:
-    """Builder from the paper's listing syntax (Listings 1 and 2).
+def lower_text(text: str) -> Dict:
+    """The ``.scn`` document for the paper's listing syntax (Listings 1
+    and 2).
 
     The syntax is indentation-free within stanzas: a new stanza starts at
     each ``name:`` (services/bridges) or ``orig:`` (links) key, and a
@@ -201,7 +214,7 @@ def scenario_from_text(text: str) -> Scenario:
             sections[section].append(stanza)
         stanza[key] = value
 
-    return scenario_from_dict({"experiment": {
+    return lower_dict({"experiment": {
         "services": sections["services"],
         "bridges": sections["bridges"],
         "links": sections["links"],
@@ -211,8 +224,8 @@ def scenario_from_text(text: str) -> Scenario:
 # --------------------------------------------------------------------------
 # Modelnet-like XML — for porting existing topology descriptions.
 # --------------------------------------------------------------------------
-def scenario_from_xml(text: str) -> Scenario:
-    """Builder from a Modelnet-style XML topology.
+def lower_xml(text: str) -> Dict:
+    """The ``.scn`` document for a Modelnet-style XML topology.
 
     ``role="virtnode"`` maps to services, everything else to bridges;
     latency/jitter default to milliseconds as in Modelnet files.
@@ -222,56 +235,52 @@ def scenario_from_xml(text: str) -> Scenario:
     except ElementTree.ParseError as exc:
         raise TopologyError(f"malformed XML topology: {exc}") from exc
 
-    builder = Scenario.build(root.get("name", "modelnet"))
+    services, bridges = [], []
     for vertex in root.iter("vertex"):
-        name = vertex.get("name")
-        if name is None:
-            raise TopologyError("vertex without a name")
         if vertex.get("role", "gateway") == "virtnode":
-            builder.service(name, image=vertex.get("image", "scratch"),
-                            replicas=int(vertex.get("replicas", "1")))
+            services.append(vertex.attrib)
         else:
-            builder.bridge(name)
-
-    for edge in root.iter("edge"):
-        bandwidth = edge.get("bw") or edge.get("bandwidth")
-        bidirectional = _as_bool(edge.get("bidirectional"))
-        builder.link(
-            edge.get("src"), edge.get("dst"),
-            latency=parse_time(edge.get("latency", "0"), default_unit="ms"),
-            up=parse_rate(bandwidth) if bandwidth is not None
-            else float("inf"),
-            down=(parse_rate(bandwidth) if bandwidth is not None
-                  else float("inf")) if bidirectional else None,
-            jitter=parse_time(edge.get("jitter", "0"), default_unit="ms"),
-            loss=float(edge.get("loss", "0")),
-            bidirectional=bidirectional)
-    return builder
+            bridges.append(vertex.attrib)
+    links = [{"orig": edge.get("src"), "dest": edge.get("dst"),
+              "bandwidth": edge.get("bw") or edge.get("bandwidth"),
+              **{key: edge.get(key) for key in
+                 ("latency", "jitter", "loss", "bidirectional")}}
+             for edge in root.iter("edge")]
+    return lower_dict({"experiment": {
+        "name": root.get("name", "modelnet"), "services": services,
+        "bridges": bridges, "links": links}})
 
 
 # --------------------------------------------------------------------------
 # Files — suffix dispatch, including examples exposing a SCENARIO.
 # --------------------------------------------------------------------------
-def scenario_from_file(path: str) -> Scenario:
-    """Builder from a description file.
+def load_description(path: str) -> Union[Dict, Scenario]:
+    """A description file as its (not yet validated) ``.scn`` document.
 
-    ``.xml``/``.modelnet`` parse as Modelnet XML, ``.scn`` as the
-    schema-validated declarative document
-    (:func:`repro.scenario.dsl.load_scn`), ``.py`` files must expose a
-    module-level ``SCENARIO`` (a :class:`Scenario` or a zero-argument
-    callable returning one — how the repository's examples stay
-    validatable), and anything else parses as listing-style text.
+    ``.scn`` files parse as the document itself, ``.xml``/``.modelnet``
+    lower from Modelnet XML and anything else from listing-style text.
+    ``.py`` files are the exception: they must expose a module-level
+    ``SCENARIO`` (a :class:`Scenario` or a zero-argument callable
+    returning one — how the repository's examples stay validatable),
+    which is returned as the builder it is.
     """
+    path = str(path)
     if path.endswith(".py"):
         return _scenario_from_python(path)
-    if path.endswith(".scn"):
-        from repro.scenario.dsl import load_scn
-        return load_scn(path)
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
+    if path.endswith(".scn"):
+        return _parse_scn_text(text, path)
     if path.endswith((".xml", ".modelnet")):
-        return scenario_from_xml(text)
-    return scenario_from_text(text)
+        return lower_xml(text)
+    return lower_text(text)
+
+
+def scenario_from_file(path: str) -> Scenario:
+    """Builder from a description file, dispatched on suffix."""
+    source = load_description(path)
+    return source if isinstance(source, Scenario) \
+        else scenario_from_scn(source)
 
 
 def _scenario_from_python(path: str) -> Scenario:
@@ -291,63 +300,3 @@ def _scenario_from_python(path: str) -> Scenario:
             f"{path!r}: SCENARIO is {type(candidate).__name__}, "
             "expected repro.scenario.Scenario")
     return candidate
-
-
-# --------------------------------------------------------------------------
-# Adoption — wrap an already-built Topology in a builder.
-# --------------------------------------------------------------------------
-def scenario_from_topology(topology: Topology,
-                           schedule: Optional[EventSchedule] = None
-                           ) -> Scenario:
-    """Builder re-declaring an existing topology spec-by-spec.
-
-    Mirrored link pairs whose properties differ at most in bandwidth fold
-    into one bidirectional declaration (``up``/``down``); anything else is
-    kept as unidirectional declarations, so arbitrary asymmetric
-    topologies survive the round trip exactly.
-    """
-    builder = Scenario.build(topology.name)
-    for service in topology.services.values():
-        builder.service(service.name, image=service.image,
-                        replicas=service.replicas, command=service.command,
-                        tags=dict(service.tags))
-    for bridge in topology.bridges.values():
-        builder.bridge(bridge.name)
-
-    handled: set = set()
-    for link in topology.links():
-        if link.key in handled:
-            continue
-        handled.add(link.key)
-        forward = link.properties
-        reverse = None
-        try:
-            reverse = topology.get_link(link.destination, link.source)
-        except TopologyError:
-            pass
-        if reverse is not None and reverse.key not in handled and \
-                _mergeable(forward, reverse.properties):
-            handled.add(reverse.key)
-            builder.link(link.source, link.destination,
-                         latency=forward.latency, up=forward.bandwidth,
-                         down=reverse.properties.bandwidth,
-                         jitter=forward.jitter, loss=forward.loss,
-                         jitter_distribution=forward.jitter_distribution,
-                         bidirectional=True, network=link.network)
-        else:
-            builder.link(link.source, link.destination,
-                         latency=forward.latency, up=forward.bandwidth,
-                         jitter=forward.jitter, loss=forward.loss,
-                         jitter_distribution=forward.jitter_distribution,
-                         bidirectional=False, network=link.network)
-    for event in (schedule or []):
-        builder.event(event)
-    return builder
-
-
-def _mergeable(forward, backward) -> bool:
-    """Reverse properties representable as a ``down`` bandwidth override?"""
-    return (forward.latency == backward.latency
-            and forward.jitter == backward.jitter
-            and forward.loss == backward.loss
-            and forward.jitter_distribution == backward.jitter_distribution)

@@ -1,15 +1,13 @@
 """Builder-producing topology generators for the evaluation workloads.
 
-These are the :mod:`repro.topogen` generators re-implemented as front-ends
-of the unified Scenario API: each returns an *uncompiled*
+Each generator returns an *uncompiled*
 :class:`~repro.scenario.builder.Scenario`, so callers can chain events,
-workloads and deployment settings before compiling.  The legacy
-``repro.topogen`` functions are thin shims that compile these builders and
-return the bare :class:`~repro.topology.model.Topology`.
+workloads and deployment settings before compiling;
+``generator(...).compile().topology`` is the bare
+:class:`~repro.topology.model.Topology`.
 
 Construction order (and therefore every seeded RNG draw and link id) is
-identical to the historical generators, keeping all seeded topologies
-bit-for-bit reproducible.
+fixed, keeping all seeded topologies bit-for-bit reproducible.
 """
 
 from __future__ import annotations

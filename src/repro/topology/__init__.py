@@ -1,4 +1,4 @@
-"""Topology description: model, parsers, validation and dynamic events.
+"""Topology description: model, validation and dynamic events.
 
 The experiment description language mirrors the paper's Listing 1/2:
 ``services`` (sets of containers sharing an image), ``bridges`` (switches and
@@ -6,9 +6,9 @@ routers), ``links`` (uni- or bi-directional, with latency / bandwidth /
 jitter / loss), and ``dynamic`` events that mutate any of these while the
 experiment runs.
 
-The ``parse_*`` functions are deprecation shims over the unified Scenario
-API; new code should build through :class:`repro.scenario.Scenario`
-(``from_text`` / ``from_dict`` / ``from_xml`` / the fluent builder).
+Descriptions are read through :class:`repro.scenario.Scenario`
+(``from_text`` / ``from_dict`` / ``from_xml`` / ``from_file`` / the
+fluent builder), which compiles to the model defined here.
 """
 
 from repro.topology.model import (
@@ -23,11 +23,6 @@ from repro.topology.events import (
     DynamicEvent,
     EventAction,
     EventSchedule,
-)
-from repro.topology.parser import (
-    parse_experiment,
-    parse_experiment_text,
-    parse_modelnet_xml,
 )
 from repro.topology.thunderstorm import (
     ThunderstormError,
@@ -45,9 +40,6 @@ __all__ = [
     "DynamicEvent",
     "EventAction",
     "EventSchedule",
-    "parse_experiment",
-    "parse_experiment_text",
-    "parse_modelnet_xml",
     "ThunderstormError",
     "compile_scenario",
     "parse_scenario",

@@ -14,10 +14,10 @@ from repro.baselines.trickle import (
     TRICKLE_TUNED_BUFFER_BYTES,
 )
 from repro.netstack.packet import Packet
-from repro.topogen import (
-    point_to_point_topology,
-    scale_free_topology,
-    star_topology,
+from repro.scenario.topologies import (
+    point_to_point,
+    scale_free,
+    star,
 )
 
 MBPS = 1e6
@@ -25,8 +25,8 @@ MBPS = 1e6
 
 class TestBareMetal:
     def test_bulk_flow_fills_link(self):
-        testbed = BareMetalTestbed(point_to_point_topology(100 * MBPS),
-                                   seed=1)
+        testbed = BareMetalTestbed(
+            point_to_point(100 * MBPS).compile().topology, seed=1)
         testbed.start_flow("f", "client", "server")
         testbed.run(until=10.0)
         assert testbed.fluid.mean_throughput("f", 4.0, 10.0) == \
@@ -34,7 +34,7 @@ class TestBareMetal:
 
     def test_packet_latency_has_no_overhead(self):
         testbed = BareMetalTestbed(
-            point_to_point_topology(1e9, latency=0.020), seed=1)
+            point_to_point(1e9, latency=0.020).compile().topology, seed=1)
         arrivals = []
         testbed.dataplane.send(Packet("client", "server", 800),
                                lambda p: arrivals.append(testbed.sim.now))
@@ -46,20 +46,20 @@ class TestMininet:
     def test_rejects_links_above_1gbps(self):
         """Table 2: Mininet cannot shape 2 Gb/s and 4 Gb/s links."""
         with pytest.raises(LinkUnsupportedError):
-            MininetEmulator(point_to_point_topology(2e9))
+            MininetEmulator(point_to_point(2e9).compile().topology)
 
     def test_accepts_1gbps(self):
-        MininetEmulator(point_to_point_topology(1e9))
+        MininetEmulator(point_to_point(1e9).compile().topology)
 
     def test_rejects_oversized_topologies(self):
         """Table 4: the 2000-element topology exceeds one machine."""
         with pytest.raises(ScaleError):
-            MininetEmulator(scale_free_topology(2000, seed=1))
+            MininetEmulator(scale_free(2000, seed=1).compile().topology)
 
     def test_bulk_accuracy_close_to_baremetal(self):
         """Figure 5: long-lived flows are accurate under Mininet."""
-        emulator = MininetEmulator(point_to_point_topology(100 * MBPS),
-                                   seed=1)
+        emulator = MininetEmulator(
+            point_to_point(100 * MBPS).compile().topology, seed=1)
         emulator.start_flow("f", "client", "server")
         emulator.run(until=10.0)
         assert emulator.fluid.mean_throughput("f", 4.0, 10.0) == \
@@ -67,7 +67,8 @@ class TestMininet:
 
     def test_switch_state_grows_with_connections(self):
         emulator = MininetEmulator(
-            point_to_point_topology(100 * MBPS, latency=0.002), seed=1)
+            point_to_point(100 * MBPS, latency=0.002).compile().topology,
+            seed=1)
         arrivals = []
         for index in range(30):
             emulator.network.send(
@@ -79,9 +80,9 @@ class TestMininet:
 
     def test_per_packet_delay_exceeds_baremetal(self):
         baremetal = BareMetalTestbed(
-            point_to_point_topology(1e9, latency=0.010), seed=1)
+            point_to_point(1e9, latency=0.010).compile().topology, seed=1)
         mininet = MininetEmulator(
-            point_to_point_topology(1e9, latency=0.010), seed=1)
+            point_to_point(1e9, latency=0.010).compile().topology, seed=1)
         results = {}
         for name, system in (("bare", baremetal), ("mn", mininet)):
             arrivals = []
@@ -95,7 +96,7 @@ class TestMininet:
 class TestMaxinet:
     def test_first_packet_pays_controller_round_trip(self):
         emulator = MaxinetEmulator(
-            point_to_point_topology(1e9, latency=0.005), seed=1)
+            point_to_point(1e9, latency=0.005).compile().topology, seed=1)
         arrivals = []
         emulator.dataplane.send(
             Packet("client", "server", 800, kind="flow-a"),
@@ -115,8 +116,9 @@ class TestMaxinet:
         assert emulator.controller.packet_ins == 1
 
     def test_controller_queueing_under_load(self):
-        emulator = MaxinetEmulator(star_topology(
-            [f"n{i}" for i in range(8)], latency=0.001), seed=1)
+        emulator = MaxinetEmulator(
+            star([f"n{i}" for i in range(8)],
+                 latency=0.001).compile().topology, seed=1)
         arrivals = []
         for index in range(8):
             emulator.dataplane.send(
@@ -131,7 +133,7 @@ class TestMaxinet:
     def test_rtt_error_larger_than_kollaps_scale(self):
         """Maxinet's deviation is milliseconds, not microseconds (Table 4)."""
         emulator = MaxinetEmulator(
-            point_to_point_topology(1e9, latency=0.010), seed=1)
+            point_to_point(1e9, latency=0.010).compile().topology, seed=1)
         arrivals = []
         emulator.dataplane.send(Packet("client", "server", 800, kind="f"),
                                 lambda p: arrivals.append(emulator.sim.now))

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import pytest
+from test_scenario_dsl import MALFORMED_DESCRIPTIONS
 
 from repro.cli import main
 
@@ -79,6 +80,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "ghost" in err
         assert "error(s)" in err
+
+    @pytest.mark.parametrize("verb", [["validate"], ["scenario", "lint"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("name, content, expected",
+                             MALFORMED_DESCRIPTIONS)
+    def test_malformed_text_and_xml_get_pointer_diagnostics(
+            self, tmp_path, capsys, verb, name, content, expected):
+        """Exit 1 and a JSON-path diagnostic — never a traceback — for
+        every format, not only .scn."""
+        bad = tmp_path / name
+        bad.write_text(content)
+        assert main(verb + [str(bad)]) == 1
+        assert expected in capsys.readouterr().err
 
 
 class TestRun:

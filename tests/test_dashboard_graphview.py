@@ -10,7 +10,7 @@ from repro.dashboard import (
     render_flow_history,
     sparkline,
 )
-from repro.topogen import point_to_point_topology, star_topology
+from repro.scenario.topologies import point_to_point, star
 
 
 class TestSparkline:
@@ -40,7 +40,8 @@ class TestSparkline:
 
 class TestAdjacency:
     def test_lists_nodes_and_links(self):
-        text = render_adjacency(star_topology(["a", "b"], bandwidth=1e9))
+        text = render_adjacency(
+            star(["a", "b"], bandwidth=1e9).compile().topology)
         assert "[svc] a" in text
         assert "[brg] hub" in text
         assert "-> hub" in text
@@ -55,19 +56,20 @@ class TestAdjacency:
 
 class TestCollapsedMatrix:
     def test_symmetric_pair(self):
-        collapsed = collapse(point_to_point_topology(10e6, latency=0.020))
+        collapsed = collapse(
+            point_to_point(10e6, latency=0.020).compile().topology)
         text = render_collapsed_matrix(collapsed)
         assert "client" in text and "server" in text
         assert "20ms/10Mbps" in text
         assert text.count("-") >= 2  # the diagonal
 
     def test_clipping(self):
-        topology = star_topology([f"n{i}" for i in range(20)])
+        topology = star([f"n{i}" for i in range(20)]).compile().topology
         text = render_collapsed_matrix(collapse(topology), limit=5)
         assert "clipped to the first 5" in text
 
     def test_source_filter(self):
-        collapsed = collapse(point_to_point_topology(10e6))
+        collapsed = collapse(point_to_point(10e6).compile().topology)
         text = render_collapsed_matrix(collapsed, sources=["client"])
         assert text.count("client") >= 1
         # Only one row (client); server appears as a column… not a row.
@@ -78,7 +80,7 @@ class TestCollapsedMatrix:
 
 class TestDashboardIntegration:
     def make_engine(self):
-        engine = EmulationEngine(point_to_point_topology(50e6),
+        engine = EmulationEngine(point_to_point(50e6).compile().topology,
                                  config=EngineConfig(machines=2, seed=5))
         engine.start_flow("f", "client", "server")
         engine.run(until=2.0)
@@ -107,7 +109,7 @@ class TestDashboardIntegration:
         assert "f:" in dashboard.render_flow_histories()
 
     def test_flow_histories_empty(self):
-        engine = EmulationEngine(point_to_point_topology(50e6),
+        engine = EmulationEngine(point_to_point(50e6).compile().topology,
                                  config=EngineConfig(seed=5))
         assert "(none)" in Dashboard(engine).render_flow_histories()
 

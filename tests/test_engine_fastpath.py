@@ -12,15 +12,17 @@ Two families of guarantees from docs/performance.md are pinned here:
   code maintains.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.core import (FlowDemand, clear_collapse_cache, collapse,
                         collapse_cache_stats, rtt_aware_max_min,
-                        set_solver_backend, solver_backend,
-                        topology_signature)
-from repro.core.sharing import ENGINE_ENV_VAR, clear_matrix_cache
+                        solver_backend, topology_signature)
+from repro.core.sharing import (_numpy_max_min, _python_max_min,
+                                clear_matrix_cache)
 from repro.scenario.dsl.fuzz import fuzz_corpus
 from repro.scenario.topologies import scale_free
 
@@ -38,12 +40,10 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
 
 @pytest.fixture(autouse=True)
 def _clean_backend_state():
-    """Every test starts and ends on auto backend with empty caches."""
-    set_solver_backend(None)
+    """Every test starts and ends with empty caches."""
     clear_collapse_cache()
     clear_matrix_cache()
     yield
-    set_solver_backend(None)
     clear_collapse_cache()
     clear_matrix_cache()
     telemetry.disable()
@@ -51,11 +51,9 @@ def _clean_backend_state():
 
 
 def solve_with(backend, flows, capacities):
-    set_solver_backend(backend)
-    try:
-        return rtt_aware_max_min(flows, capacities)
-    finally:
-        set_solver_backend(None)
+    """One backend's allocation, called directly (no dispatch)."""
+    solver = {"python": _python_max_min, "numpy": _numpy_max_min}[backend]
+    return solver(flows, capacities)[0]
 
 
 def assert_allocations_agree(first, second, *, rel=1e-9):
@@ -71,40 +69,21 @@ def assert_allocations_agree(first, second, *, rel=1e-9):
 # ---------------------------------------------------------------------------
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_solver_backend("fortran")
-
-    def test_auto_aliases_none(self):
-        set_solver_backend("auto")
-        assert solver_backend() in ("numpy", "python")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "python")
-        assert solver_backend() == "python"
-
-    def test_code_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "python")
-        if HAVE_NUMPY:
-            set_solver_backend("numpy")
-            assert solver_backend() == "numpy"
-
     @needs_numpy
-    def test_auto_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    def test_auto_prefers_numpy(self):
         assert solver_backend() == "numpy"
 
     @needs_numpy
-    def test_tiny_problems_stay_scalar_in_auto_mode(self, monkeypatch):
-        """Under the vectorization threshold, auto mode must not pay numpy
-        array-setup costs: no membership matrix is built."""
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    def test_tiny_problems_stay_scalar_in_auto_mode(self):
+        """Under the vectorization threshold the dispatch must not pay
+        numpy array-setup costs: no membership matrix is built.  At the
+        threshold it is."""
         telemetry.metrics.clear()
         telemetry.enable()
-        flows = [FlowDemand("f", 0.01, (0,), path_bandwidth=MBPS)]
-        rtt_aware_max_min(flows, {0: MBPS})
+        flows = [FlowDemand(f"f{index}", 0.01, (0,), path_bandwidth=MBPS)
+                 for index in range(8)]
+        rtt_aware_max_min(flows[:7], {0: MBPS})
         assert telemetry.metrics.counter("sharing.matrix_builds").value == 0
-        set_solver_backend("numpy")           # explicit force is honoured
         rtt_aware_max_min(flows, {0: MBPS})
         assert telemetry.metrics.counter("sharing.matrix_builds").value == 1
 
@@ -278,7 +257,9 @@ class TestCollapseMemo:
         assert counter("collapse.incremental_recomputes") == 0
 
     def test_cache_is_bounded_lru(self, traced, monkeypatch):
-        monkeypatch.setenv("REPRO_COLLAPSE_CACHE", "2")
+        # sys.modules: the attribute repro.core.collapse is the function.
+        monkeypatch.setattr(sys.modules["repro.core.collapse"],
+                            "_CACHE_CAPACITY", 2)
         assert collapse_cache_stats()["capacity"] == 2
         topologies = [small_topology(seed=index) for index in range(3)]
         for topology in topologies:
@@ -289,15 +270,6 @@ class TestCollapseMemo:
         hits = counter("collapse.memo_hits")
         collapse(topologies[0])
         assert counter("collapse.memo_hits") == hits
-
-    def test_zero_capacity_disables_memoization(self, traced, monkeypatch):
-        monkeypatch.setenv("REPRO_COLLAPSE_CACHE", "0")
-        topology = small_topology()
-        collapse(topology)
-        collapse(topology)
-        assert counter("collapse.memo_hits") == 0
-        assert counter("collapse.recomputes") == 2
-        assert collapse_cache_stats()["entries"] == 0
 
     def test_clear_turns_hits_back_into_misses(self, traced):
         topology = small_topology()

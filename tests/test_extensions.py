@@ -18,7 +18,7 @@ from repro.topology import (
     Service,
     Topology,
 )
-from repro.topogen import dumbbell_topology, point_to_point_topology
+from repro.scenario.topologies import dumbbell, point_to_point
 
 MBPS = 1e6
 
@@ -92,7 +92,7 @@ class TestMultipathCollapse:
 
 class TestInteractivity:
     def test_online_event_applies_immediately(self):
-        engine = EmulationEngine(point_to_point_topology(50 * MBPS),
+        engine = EmulationEngine(point_to_point(50 * MBPS).compile().topology,
                                  config=EngineConfig(machines=1, seed=3))
         engine.start_flow("f", "client", "server")
         engine.run(until=5.0)
@@ -107,7 +107,7 @@ class TestInteractivity:
     def test_online_event_updates_latency_plane(self):
         from repro.netstack.packet import Packet
         engine = EmulationEngine(
-            point_to_point_topology(1e9, latency=0.010),
+            point_to_point(1e9, latency=0.010).compile().topology,
             config=EngineConfig(enforce_bandwidth_sharing=False))
         engine.run(until=1.0)
         engine.apply_event_online(DynamicEvent(
@@ -122,12 +122,13 @@ class TestInteractivity:
 
 class TestTimeDilation:
     def test_overprovisioned_link_rejected(self):
-        topology = point_to_point_topology(100e9)  # 100G on a 40G cluster
+        # 100G on a 40G cluster
+        topology = point_to_point(100e9).compile().topology
         with pytest.raises(ValueError):
             EmulationEngine(topology, config=EngineConfig())
 
     def test_time_dilation_admits_it(self):
-        topology = point_to_point_topology(100e9)
+        topology = point_to_point(100e9).compile().topology
         engine = EmulationEngine(topology,
                                  config=EngineConfig(time_dilation=4.0))
         engine.start_flow("f", "client", "server")
@@ -136,13 +137,13 @@ class TestTimeDilation:
             pytest.approx(100e9, rel=0.10)
 
     def test_disabled_check_admits_anything(self):
-        topology = point_to_point_topology(100e9)
+        topology = point_to_point(100e9).compile().topology
         EmulationEngine(topology, config=EngineConfig(
             enforce_physical_limits=False))
 
     def test_dilation_below_one_rejected(self):
         with pytest.raises(ValueError):
-            EmulationEngine(point_to_point_topology(1e6),
+            EmulationEngine(point_to_point(1e6).compile().topology,
                             config=EngineConfig(time_dilation=0.5))
 
     def test_dynamic_states_also_checked(self):
@@ -151,14 +152,14 @@ class TestTimeDilation:
             time=5.0, action=EventAction.SET_LINK, origin="client",
             destination="s0", changes={"bandwidth": 100e9})])
         with pytest.raises(ValueError):
-            EmulationEngine(point_to_point_topology(1e6), schedule,
+            EmulationEngine(point_to_point(1e6).compile().topology, schedule,
                             config=EngineConfig())
 
 
 class TestEventDrivenMetadata:
     def run_engine(self, on_change_only: bool) -> int:
         engine = EmulationEngine(
-            dumbbell_topology(2, shared_bandwidth=50 * MBPS),
+            dumbbell(2, shared_bandwidth=50 * MBPS).compile().topology,
             config=EngineConfig(machines=2, seed=4,
                                 metadata_on_change_only=on_change_only))
         engine.start_flow("f0", "client0", "server0")

@@ -8,13 +8,13 @@ from repro.netstack.fluid import (
     GroundTruthConstraints,
 )
 from repro.sim import RngRegistry, Simulator
-from repro.topogen import dumbbell_topology, point_to_point_topology
+from repro.scenario.topologies import dumbbell, point_to_point
 
 
 def run_single_flow(bandwidth, *, cc="cubic", duration=20.0, latency=0.020,
                     demand=float("inf"), protocol="tcp"):
     sim = Simulator()
-    topology = point_to_point_topology(bandwidth, latency=latency)
+    topology = point_to_point(bandwidth, latency=latency).compile().topology
     engine = FluidEngine(sim, GroundTruthConstraints(topology),
                          rng=RngRegistry(3))
     engine.add_flow(FluidFlow("f", "client", "server",
@@ -54,7 +54,7 @@ class TestSingleFlow:
 
     def test_sized_transfer_finishes(self):
         sim = Simulator()
-        topology = point_to_point_topology(10e6, latency=0.010)
+        topology = point_to_point(10e6, latency=0.010).compile().topology
         engine = FluidEngine(sim, GroundTruthConstraints(topology),
                              rng=RngRegistry(3))
         flow = engine.add_flow(FluidFlow("f", "client", "server",
@@ -67,7 +67,7 @@ class TestSingleFlow:
 class TestCompetingFlows:
     def test_equal_rtt_fair_share(self):
         sim = Simulator()
-        topology = dumbbell_topology(2, shared_bandwidth=50e6)
+        topology = dumbbell(2, shared_bandwidth=50e6).compile().topology
         engine = FluidEngine(sim, GroundTruthConstraints(topology),
                              rng=RngRegistry(4))
         engine.add_flow(FluidFlow("f0", "client0", "server0"))
@@ -80,7 +80,7 @@ class TestCompetingFlows:
 
     def test_flow_arrival_steals_bandwidth(self):
         sim = Simulator()
-        topology = dumbbell_topology(2, shared_bandwidth=50e6)
+        topology = dumbbell(2, shared_bandwidth=50e6).compile().topology
         engine = FluidEngine(sim, GroundTruthConstraints(topology),
                              rng=RngRegistry(4))
         engine.add_flow(FluidFlow("f0", "client0", "server0"))
@@ -94,7 +94,7 @@ class TestCompetingFlows:
 
     def test_flow_departure_releases_bandwidth(self):
         sim = Simulator()
-        topology = dumbbell_topology(2, shared_bandwidth=50e6)
+        topology = dumbbell(2, shared_bandwidth=50e6).compile().topology
         engine = FluidEngine(sim, GroundTruthConstraints(topology),
                              rng=RngRegistry(4))
         engine.add_flow(FluidFlow("f0", "client0", "server0"))
@@ -107,7 +107,7 @@ class TestCompetingFlows:
 
     def test_udp_flow_squeezes_tcp(self):
         sim = Simulator()
-        topology = dumbbell_topology(2, shared_bandwidth=50e6)
+        topology = dumbbell(2, shared_bandwidth=50e6).compile().topology
         engine = FluidEngine(sim, GroundTruthConstraints(topology),
                              rng=RngRegistry(4))
         engine.add_flow(FluidFlow("tcp", "client0", "server0"))
@@ -123,8 +123,8 @@ class TestCompetingFlows:
 class TestFlowMechanics:
     def test_duplicate_key_rejected(self):
         sim = Simulator()
-        engine = FluidEngine(
-            sim, GroundTruthConstraints(point_to_point_topology(1e6)))
+        engine = FluidEngine(sim, GroundTruthConstraints(
+            point_to_point(1e6).compile().topology))
         engine.add_flow(FluidFlow("f", "client", "server"))
         with pytest.raises(ValueError):
             engine.add_flow(FluidFlow("f", "client", "server"))
@@ -163,7 +163,7 @@ class TestFlowMechanics:
 
     def test_rtt_set_from_provider_on_add(self):
         sim = Simulator()
-        topology = point_to_point_topology(1e6, latency=0.030)
+        topology = point_to_point(1e6, latency=0.030).compile().topology
         engine = FluidEngine(sim, GroundTruthConstraints(topology))
         flow = engine.add_flow(FluidFlow("f", "client", "server"))
         assert flow.rtt == pytest.approx(0.060)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import EmulationEngine, EngineConfig
 from repro.netstack.fluid import FluidEngine, FluidFlow, GroundTruthConstraints
-from repro.topogen import point_to_point_topology
+from repro.scenario.topologies import point_to_point
 from repro.topology import DynamicEvent, EventAction, EventSchedule
 
 MBPS = 1e6
@@ -99,7 +99,7 @@ class TestPressureReporting:
                 origin="client", destination="s0",
                 changes={"bandwidth": shrink_to})])
         engine = EmulationEngine(
-            point_to_point_topology(bandwidth, latency=latency),
+            point_to_point(bandwidth, latency=latency).compile().topology,
             schedule, config=EngineConfig(seed=4))
         flow = engine.start_flow("f", "client", "server")
         engine.run(until=until)
@@ -129,7 +129,7 @@ class TestPressureReporting:
         schedule = EventSchedule([DynamicEvent(
             time=6.0, action=EventAction.SET_LINK, origin="client",
             destination="s0", changes={"bandwidth": 5 * MBPS})])
-        engine = EmulationEngine(point_to_point_topology(50 * MBPS),
+        engine = EmulationEngine(point_to_point(50 * MBPS).compile().topology,
                                  schedule, config=EngineConfig(seed=4))
         engine.start_flow("u", "client", "server", protocol="udp",
                           demand=40 * MBPS)

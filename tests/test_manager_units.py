@@ -10,7 +10,7 @@ from repro.metadata.encoding import FlowRecord, MetadataMessage
 from repro.sim import Simulator
 from repro.tc.ip import IpAllocator
 from repro.tc.tcal import Tcal
-from repro.topogen import dumbbell_topology
+from repro.scenario.topologies import dumbbell
 
 MBPS = 1e6
 
@@ -23,7 +23,7 @@ def build_manager(sim=None, *, machine="m0", index=0, period=0.05,
     indices = {name: i for i, name in enumerate(containers)}
     manager = EmulationManager(sim, machine, driver, index, indices,
                                period=period, **kwargs)
-    topology = dumbbell_topology(2, shared_bandwidth=50 * MBPS)
+    topology = dumbbell(2, shared_bandwidth=50 * MBPS).compile().topology
     manager.install_state(collapse(topology),
                           {link.link_id: link.properties.bandwidth
                            for link in topology.links()})

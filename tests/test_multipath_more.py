@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.collapse import collapse
 from repro.core.multipath import k_shortest_paths, multipath_collapse
-from repro.topogen import scale_free_topology
+from repro.scenario.topologies import scale_free
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=50),
        k=st.integers(min_value=1, max_value=4))
 def test_paths_sorted_by_latency(seed, k):
-    topology = scale_free_topology(40, seed=seed)
+    topology = scale_free(40, seed=seed).compile().topology
     containers = topology.container_names()
     source, destination = containers[0], containers[-1]
     paths = k_shortest_paths(topology, source, destination, k)
@@ -24,7 +24,7 @@ def test_paths_sorted_by_latency(seed, k):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=50))
 def test_first_path_matches_plain_collapse(seed):
-    topology = scale_free_topology(40, seed=seed)
+    topology = scale_free(40, seed=seed).compile().topology
     containers = topology.container_names()
     source, destination = containers[0], containers[-1]
     paths = k_shortest_paths(topology, source, destination, 1)
@@ -37,7 +37,7 @@ def test_first_path_matches_plain_collapse(seed):
 @given(seed=st.integers(min_value=0, max_value=50),
        k=st.integers(min_value=2, max_value=4))
 def test_multipath_bandwidth_at_least_single_path(seed, k):
-    topology = scale_free_topology(40, seed=seed)
+    topology = scale_free(40, seed=seed).compile().topology
     containers = topology.container_names()
     source, destination = containers[0], containers[-1]
     single = multipath_collapse(topology, source, destination, k=1)
@@ -48,7 +48,7 @@ def test_multipath_bandwidth_at_least_single_path(seed, k):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=50))
 def test_paths_distinct(seed):
-    topology = scale_free_topology(40, seed=seed)
+    topology = scale_free(40, seed=seed).compile().topology
     containers = topology.container_names()
     source, destination = containers[0], containers[-1]
     paths = k_shortest_paths(topology, source, destination, 4)

@@ -9,7 +9,6 @@ from repro.orchestration import (
     SwarmBootstrapper,
 )
 from repro.topology import LinkProperties, Service, Topology
-from repro.topogen import dumbbell_topology
 
 
 def sample_topology():

@@ -12,7 +12,7 @@ from repro.scenario import (
     ping,
     set_link,
 )
-from repro.topology import EventAction, TopologyError, parse_experiment_text
+from repro.topology import EventAction, TopologyError
 from repro.units import UnitError
 
 FIGURE1_TEXT = """
@@ -65,7 +65,7 @@ class TestBuilderParity:
 
     def test_builder_matches_legacy_parser(self):
         built = figure1_builder().compile()
-        topology, _schedule = parse_experiment_text(FIGURE1_TEXT)
+        topology = Scenario.from_text(FIGURE1_TEXT).compile().topology
         assert set(built.topology.services) == set(topology.services)
         assert set(built.topology.bridges) == set(topology.bridges)
         assert built.topology.link_count() == topology.link_count()
@@ -128,7 +128,7 @@ class TestDescribeRoundTrip:
 
     def test_legacy_parser_reads_describe_output(self):
         built = figure1_builder().compile()
-        topology, _ = parse_experiment_text(built.describe())
+        topology = Scenario.from_text(built.describe()).compile().topology
         assert topology.link_count() == 6
 
 
@@ -217,8 +217,8 @@ class TestRun:
                     .deploy(machines=2, seed=42).compile())
         run = compiled.run(until=10.0)
 
-        topology, schedule = parse_experiment_text(FIGURE1_TEXT)
-        engine = EmulationEngine(topology, schedule,
+        parsed = Scenario.from_text(FIGURE1_TEXT).compile()
+        engine = EmulationEngine(parsed.topology, parsed.schedule,
                                  config=EngineConfig(machines=2, seed=42))
         engine.start_flow("f", "c1", "sv.0")
         engine.run(until=10.0)
@@ -249,23 +249,6 @@ class TestPlanAndFrontends:
                 .plan(orchestrator="swarm"))
         assert sorted(plan.placement) == ["c1", "sv.0", "sv.1"]
         assert plan.needs_bootstrapper
-
-    def test_from_topology_preserves_asymmetric_links(self):
-        from repro.topogen import aws_star_topology
-        original = aws_star_topology()
-        adopted = Scenario.from_topology(original).compile().topology
-        for link in original.links():
-            twin = adopted.get_link(link.source, link.destination)
-            assert twin.properties == link.properties
-        assert adopted.link_count() == original.link_count()
-
-    def test_topogen_shims_match_scenario_generators(self):
-        from repro.scenario.topologies import scale_free
-        from repro.topogen import scale_free_topology
-        via_shim = scale_free_topology(60, seed=3)
-        via_builder = scale_free(60, seed=3).compile().topology
-        assert (Scenario.from_topology(via_shim).compile().path_table()
-                == Scenario.from_topology(via_builder).compile().path_table())
 
     def test_at_accepts_unit_strings_for_time(self):
         compiled = (figure1_builder()

@@ -14,17 +14,58 @@ import json
 import pathlib
 
 import pytest
+import test_end_to_end
+import test_scenario
+import test_topology
 
 from repro.scenario import Scenario, custom, flow, ping, set_link
 from repro.scenario.backends import BareMetalBackend, register_backend
 from repro.scenario.dsl import (Diagnostic, FuzzBudget, ScnError,
                                 diff_scenarios, dumps_scn, fuzz_campaign,
                                 fuzz_corpus, fuzz_point, generate_scenario,
-                                lint_scenario, loads_scn, project_common,
-                                run_differential, scenario_from_scn,
-                                scn_document, validate_document)
+                                lint_file, lint_scenario, loads_scn,
+                                project_common, run_differential,
+                                scenario_from_scn, scn_document,
+                                validate_document)
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+_TEXT = """\
+experiment:
+  services:
+    name: a
+    replicas: 2
+    name: b
+  links:
+    orig: a
+    dest: b
+    latency: 5
+    up: 10Mbps
+    loss: 0.01
+"""
+_XML = """\
+<topology>
+  <vertex name="a" role="virtnode" replicas="2"/>
+  <vertex name="b" role="virtnode"/>
+  <edge src="a" dst="b" latency="5" bw="10Mbps"/>
+</topology>
+"""
+
+#: (file name, content, expected diagnostic): outside input that is
+#: malformed in a non-``.scn`` format; shared with tests/test_cli.py.
+MALFORMED_DESCRIPTIONS = [
+    pytest.param("bad.txt", _TEXT.replace("replicas: 2", "replicas: two"),
+                 "services[0].replicas: expected an integer",
+                 id="text-replicas"),
+    pytest.param("bad.txt", _TEXT.replace("loss: 0.01", "loss: lots"),
+                 "links[0].loss", id="text-loss"),
+    pytest.param("bad.xml", _XML.replace('replicas="2"', 'replicas="two"'),
+                 "services[0].replicas: expected an integer",
+                 id="xml-replicas"),
+    pytest.param("bad.xml", _XML.replace(' dst="b"', ""),
+                 "links[0]: missing required key 'dest'",
+                 id="xml-edge-without-dst"),
+]
 
 
 def _simple_builder(name: str = "simple") -> Scenario:
@@ -142,6 +183,19 @@ class TestSchema:
         assert any(d.severity == "warning" and "99" in str(d)
                    for d in diagnostics)
 
+    @pytest.mark.parametrize("name, content, expected",
+                             MALFORMED_DESCRIPTIONS)
+    def test_every_format_gets_pointer_diagnostics(self, tmp_path, name,
+                                                   content, expected):
+        """Text and XML lower to the same schema-validated document, so
+        their mistakes are reported like a .scn file's."""
+        path = tmp_path / name
+        path.write_text(content)
+        assert expected in "\n".join(map(str, lint_file(str(path))))
+        with pytest.raises(ScnError) as info:
+            Scenario.from_file(str(path))
+        assert expected in str(info.value)
+
     def test_loads_scn_aggregates_errors(self):
         document = _document(scn=99)
         document["links"][0]["loss"] = -1
@@ -169,6 +223,31 @@ class TestRoundTrip:
         ids=lambda path: path.stem)
     def test_every_example_roundtrips_byte_identically(self, example):
         _assert_roundtrip(Scenario.from_file(str(example)))
+
+    @pytest.mark.parametrize("load, description", [
+        pytest.param(Scenario.from_text, test_topology.LISTING_1_AND_2,
+                     id="text-listing-1-and-2"),
+        pytest.param(Scenario.from_text, test_scenario.FIGURE1_TEXT,
+                     id="text-figure1"),
+        pytest.param(Scenario.from_text, test_end_to_end.DESCRIPTION,
+                     id="text-end-to-end"),
+        pytest.param(Scenario.from_text, _TEXT, id="text-up-only"),
+        pytest.param(Scenario.from_dict, test_topology.figure1_description(),
+                     id="dict-figure1"),
+        pytest.param(Scenario.from_xml, test_topology.TestModelnetXml.XML,
+                     id="xml-modelnet"),
+        pytest.param(Scenario.from_xml, _XML, id="xml-flat"),
+    ])
+    def test_every_description_format_equals_its_scn(self, load,
+                                                     description):
+        """The repo's text/dict/XML fixtures load to the same scenario as
+        the .scn document dumped from them (``_TEXT`` names no ``down``
+        capacity: an unlimited direction must dump, too)."""
+        builder = load(description)
+        reloaded = loads_scn(dumps_scn(builder))
+        for part in ("_services", "_bridges", "_links", "_events"):
+            assert getattr(reloaded, part) == getattr(builder, part)
+        _assert_roundtrip(builder)
 
     def test_unit_strings_load_liberally(self):
         document = _document(links=[{"orig": "a", "dest": "b",
@@ -232,6 +311,12 @@ class TestFuzzer:
             assert reloaded.describe() == compiled.describe(), \
                 f"round-trip broke at seed=42 index={index}"
             assert reloaded.path_table() == compiled.path_table()
+            # The text leg: describe() is the listing language, and its
+            # lowering must reconstruct the same scenario.
+            reparsed = Scenario.from_text(compiled.describe()).compile()
+            assert reparsed.describe() == compiled.describe(), \
+                f"text round-trip broke at seed=42 index={index}"
+            assert reparsed.path_table() == compiled.path_table()
 
     def test_fuzzed_scenarios_lint_clean(self):
         for builder in fuzz_corpus(seed=5, count=50):

@@ -1,7 +1,8 @@
-"""Topology model, parsers and dynamic event schedules."""
+"""Topology model, description front-ends and dynamic event schedules."""
 
 import pytest
 
+from repro.scenario import Scenario
 from repro.topology import (
     Bridge,
     DynamicEvent,
@@ -12,9 +13,6 @@ from repro.topology import (
     Service,
     Topology,
     TopologyError,
-    parse_experiment,
-    parse_experiment_text,
-    parse_modelnet_xml,
 )
 
 LISTING_1_AND_2 = """
@@ -196,28 +194,30 @@ class TestTopologyModel:
 
 class TestDictParser:
     def test_parses_figure1(self):
-        topology, schedule = parse_experiment(figure1_description())
+        compiled = Scenario.from_dict(figure1_description()).compile()
+        topology, schedule = compiled.topology, compiled.schedule
         assert set(topology.services) == {"c1", "sv"}
         assert set(topology.bridges) == {"s1", "s2"}
         assert topology.link_count() == 6  # three bidirectional
         assert len(schedule) == 0
 
     def test_latency_parsed_as_milliseconds(self):
-        topology, _ = parse_experiment(figure1_description())
+        topology = Scenario.from_dict(figure1_description()).compile().topology
         assert topology.get_link("c1", "s1").properties.latency == \
             pytest.approx(0.010)
 
     def test_bandwidth_parsed(self):
-        topology, _ = parse_experiment(figure1_description())
+        topology = Scenario.from_dict(figure1_description()).compile().topology
         assert topology.get_link("sv", "s2").properties.bandwidth == 50e6
 
     def test_containers_expand(self):
-        topology, _ = parse_experiment(figure1_description())
+        topology = Scenario.from_dict(figure1_description()).compile().topology
         assert sorted(topology.container_names()) == ["c1", "sv.0", "sv.1"]
 
     def test_missing_name_raises(self):
         with pytest.raises(TopologyError):
-            parse_experiment({"experiment": {"services": [{"image": "x"}]}})
+            Scenario.from_dict(
+                {"experiment": {"services": [{"image": "x"}]}}).compile()
 
     def test_dynamic_events_parsed(self):
         description = figure1_description()
@@ -225,7 +225,7 @@ class TestDictParser:
             {"orig": "c1", "dest": "s1", "jitter": 0.5, "time": 120},
             {"action": "leave", "name": "s1", "time": 200},
         ]
-        _, schedule = parse_experiment(description)
+        schedule = Scenario.from_dict(description).compile().schedule
         assert len(schedule) == 2
         assert schedule.events[0].action is EventAction.SET_LINK
         assert schedule.events[1].action is EventAction.LEAVE_NODE
@@ -233,7 +233,8 @@ class TestDictParser:
 
 class TestListingTextParser:
     def test_full_listing_round_trip(self):
-        topology, schedule = parse_experiment_text(LISTING_1_AND_2)
+        compiled = Scenario.from_text(LISTING_1_AND_2).compile()
+        topology, schedule = compiled.topology, compiled.schedule
         assert set(topology.services) == {"c1", "sv"}
         assert topology.services["sv"].replicas == 2
         assert set(topology.bridges) == {"s1", "s2"}
@@ -241,7 +242,7 @@ class TestListingTextParser:
         assert len(schedule) == 4
 
     def test_dynamic_events_ordered_and_typed(self):
-        _, schedule = parse_experiment_text(LISTING_1_AND_2)
+        schedule = Scenario.from_text(LISTING_1_AND_2).compile().schedule
         actions = [event.action for event in schedule]
         assert actions == [EventAction.SET_LINK, EventAction.LEAVE_NODE,
                            EventAction.JOIN_LINK, EventAction.LEAVE_NODE]
@@ -249,7 +250,7 @@ class TestListingTextParser:
         assert times == [120.0, 200.0, 210.0, 240.0]
 
     def test_jitter_change_preserves_other_fields(self):
-        _, schedule = parse_experiment_text(LISTING_1_AND_2)
+        schedule = Scenario.from_text(LISTING_1_AND_2).compile().schedule
         event = schedule.events[0]
         assert event.changes == {"jitter": pytest.approx(0.0005)}
 
@@ -270,20 +271,21 @@ class TestModelnetXml:
     """
 
     def test_parses_vertices_and_edges(self):
-        topology, schedule = parse_modelnet_xml(self.XML)
+        compiled = Scenario.from_xml(self.XML).compile()
+        topology, schedule = compiled.topology, compiled.schedule
         assert set(topology.services) == {"c1", "sv"}
         assert set(topology.bridges) == {"s1"}
         assert topology.link_count() == 4
         assert len(schedule) == 0
 
     def test_latency_in_milliseconds(self):
-        topology, _ = parse_modelnet_xml(self.XML)
+        topology = Scenario.from_xml(self.XML).compile().topology
         assert topology.get_link("c1", "s1").properties.latency == \
             pytest.approx(0.010)
 
     def test_malformed_xml_raises(self):
         with pytest.raises(TopologyError):
-            parse_modelnet_xml("<topology><unclosed></topology>")
+            Scenario.from_xml("<topology><unclosed></topology>")
 
 
 class TestEventSchedule:

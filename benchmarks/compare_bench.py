@@ -13,8 +13,9 @@ the ratio — then applies two different kinds of gate:
   direction without something being wrong);
 * **checksums** (metrics ending in ``_checksum`` or named
   ``*_checksum_*``) must match *exactly* — they are machine-independent
-  fingerprints of solver and collapse output, so any difference is
-  CORRECTNESS DRIFT, not noise, regardless of how fast the runner is.
+  fingerprints of solver output, collapse output and simulator event
+  order, so any difference is CORRECTNESS DRIFT, not noise, regardless
+  of how fast the runner is.
 
 Exits non-zero when any gate trips, so CI can fail the job.
 """
@@ -52,7 +53,7 @@ def compare(measured: dict, baseline: dict, gate: float) -> int:
             verdict = "ok" if actual == expected else (
                 "FAIL — CORRECTNESS DRIFT (checksums are machine-"
                 "independent; refresh the baseline only if the change "
-                "in solver/collapse output is intended)")
+                "in solver/collapse/event-order output is intended)")
             if actual != expected:
                 failures += 1
             print(f"{key:<{width}}  {expected!s:>14}  {actual!s:>14}"

@@ -8,11 +8,15 @@ scale-free topology, memo bypassed), memoized collapses/sec (the
 repeat-point path campaign sweeps hit), and campaign points/sec for a
 single worker.  Every rate is derived from the telemetry counters the
 instrumented code itself maintains — the benchmark doubles as an
-end-to-end check that the counters measure what they claim.
+end-to-end check that the counters measure what they claim.  Two more
+rates cover the packet path, which keeps no telemetry counters (a guard
+per event would cost more than the event): bare-kernel events/sec and
+data-plane sends/sec, timed directly over a fixed count.
 
-Alongside the rates, the baseline records two *checksums* over the
-solver allocation and the collapsed path table, always computed with
-the pure-Python backend (bit-deterministic across machines).  Rates
+Alongside the rates, the baseline records *checksums* over the solver
+allocation and the collapsed path table, always computed with the
+pure-Python backend (bit-deterministic across machines), and over the
+order in which the packet-mode kv mesh dispatches its events.  Rates
 drift per machine; checksums must not — a mismatch in review or CI
 means correctness drift, not a slow runner.  See docs/performance.md.
 
@@ -28,9 +32,11 @@ branch whose cost stays under 2 % of even the smallest instrumented
 unit of real work.
 """
 
+import gc
 import hashlib
 import json
 import os
+import sys
 from unittest import mock
 
 from conftest import print_table, run_once
@@ -39,9 +45,18 @@ from repro import telemetry
 from repro.campaign import Campaign
 from repro.core import (FlowDemand, clear_collapse_cache, collapse,
                         rtt_aware_max_min, sharing, solver_backend)
-from repro.scenario import Scenario, flow
-from repro.scenario.topologies import scale_free
+from repro.experiments.fig4 import REGIONS
+from repro.netstack.packet import Packet
+from repro.scenario import Scenario, flow, resolve_backend
+from repro.scenario.topologies import aws_mesh, scale_free
+from repro.sim import Simulator
 from repro.telemetry import Stopwatch
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The event-order digest has one implementation, shared with
+# tests/test_sim_determinism.py and its golden.
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+from event_order import kv_event_order  # noqa: E402
 
 MBPS = 1e6
 SOLVER_ROUNDS = 200
@@ -51,8 +66,9 @@ MEMO_ROUNDS = 50
 COLLAPSE_SIZE = 120
 SMALL_CLIENTS = 12            # 24 flows — the historical baseline problem
 LARGE_CLIENTS = 64            # 128 flows — where vectorization must win
-BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "BENCH_engine.json")
+SIM_EVENTS = 200_000
+MESH_ROUNDS = 100             # one packet per chain per round
+BENCH_PATH = os.path.join(ROOT, "BENCH_engine.json")
 
 
 def solver_problem(clients=SMALL_CLIENTS):
@@ -134,6 +150,59 @@ def collapse_checksum(size=COLLAPSE_SIZE, seed=11):
     return digest.hexdigest()
 
 
+def event_order_checksum():
+    """Digest of the kv mesh's dispatched ``(time, priority, seq)`` stream.
+
+    The same value as ``tests/golden/kv_event_order.json``: the kernel's
+    ordering contract plus everything the packet path schedules.
+    """
+    return kv_event_order()[1]
+
+
+def _sim_events_per_sec():
+    """Schedule-and-dispatch rate of the bare kernel: no-op ``after`` + run."""
+    sim = Simulator()
+
+    def noop():
+        pass
+
+    with Stopwatch() as watch:
+        for index in range(SIM_EVENTS):
+            sim.after(index * 1e-6, noop)
+        sim.run()
+    assert sim.events_dispatched == SIM_EVENTS
+    return SIM_EVENTS / watch.elapsed
+
+
+def _packet_sends_per_sec():
+    """``KollapsDataPlane.send`` through shaping to delivery.
+
+    The 16-container Figure-4 mesh, one packet per collapsed chain per
+    round, drained between rounds so no htb queue fills: the plain send
+    path, every packet delivered.  Returns (sends/sec, chains).
+    """
+    compiled = (aws_mesh(REGIONS, services_per_region=4,
+                         service_prefix="node")
+                .deploy(machines=4, seed=1,
+                        enforce_bandwidth_sharing=False).compile())
+    engine = resolve_backend("kollaps").prepare(compiled)
+    plane = engine.dataplane
+    containers = compiled.topology.container_names()
+    chains = [(source, destination) for source in containers
+              for destination in containers if source != destination]
+    delivered = []
+    with Stopwatch() as watch:
+        for _ in range(MESH_ROUNDS):
+            for source, destination in chains:
+                plane.send(Packet(source, destination, 480.0, kind="probe"),
+                           delivered.append)
+            # Past the longest WAN path, so every packet has landed.
+            engine.run(until=engine.sim.now + 0.25)
+    sends = MESH_ROUNDS * len(chains)
+    assert len(delivered) == plane.packets_delivered == sends
+    return sends / watch.elapsed, len(chains)
+
+
 def _solver_rate(flows, capacities, rounds):
     """(solves/sec, flows/solve) for the *active* backend, via counters."""
     before = telemetry.metrics.snapshot()
@@ -196,6 +265,19 @@ def measure_baselines():
         telemetry.metrics.clear()
         clear_collapse_cache()
 
+    # The packet path is timed with telemetry off, like production runs.
+    # Both loops allocate an event per iteration, so the collector runs
+    # often; freezing what this process has built up so far keeps those
+    # passes from walking pytest's heap, which would make the rates depend
+    # on which tests ran before.
+    gc.collect()
+    gc.freeze()
+    try:
+        sim_events_per_sec = _sim_events_per_sec()
+        packet_sends_per_sec, mesh_chains = _packet_sends_per_sec()
+    finally:
+        gc.unfreeze()
+
     point_hist = snapshot["campaign.point_seconds"]
     collapses_per_sec = (collapsed["collapse.recomputes"]
                          / collapsed["collapse.seconds"])
@@ -225,6 +307,11 @@ def measure_baselines():
             snapshot["campaign.points"]["value"]),
         "campaign_points_per_sec_per_worker": round(
             point_hist["count"] / point_hist["sum"], 2),
+        "sim_events": SIM_EVENTS,
+        "sim_events_per_sec": round(sim_events_per_sec, 1),
+        "packet_mesh_chains": mesh_chains,
+        "packet_sends_per_sec": round(packet_sends_per_sec, 1),
+        "event_order_checksum": event_order_checksum(),
     }
 
 
@@ -243,6 +330,9 @@ def test_engine_baselines(benchmark):
     assert results["solver_flows"] == 24
     assert results["solver_large_flows"] == 2 * LARGE_CLIENTS
     assert results["collapse_pairs"] > 0
+    assert results["sim_events_per_sec"] > 20_000
+    assert results["packet_sends_per_sec"] > 10_000
+    assert results["packet_mesh_chains"] == 16 * 15
 
     # The issue's acceptance floors: vectorized solver at least 5x the
     # pure-Python rate at >= 64 flows, memoized collapse at least 3x the
@@ -295,14 +385,18 @@ def test_checked_in_baseline_is_current():
                 "fair_share_solves_per_sec_large",
                 "fair_share_solves_per_sec_large_python",
                 "collapses_per_sec", "memoized_collapses_per_sec",
-                "campaign_points_per_sec_per_worker"):
+                "campaign_points_per_sec_per_worker",
+                "sim_events_per_sec", "packet_sends_per_sec"):
         assert checked_in[key] > 0
+    assert checked_in["sim_events"] == SIM_EVENTS
     # Correctness drift check: a stale checksum means the solver or the
     # collapse changed behaviour without the baseline being refreshed.
     assert checked_in["solver_checksum"] == solver_checksum(SMALL_CLIENTS)
     assert checked_in["solver_checksum_large"] == solver_checksum(
         LARGE_CLIENTS)
     assert checked_in["collapse_checksum"] == collapse_checksum()
+    # ... or the kernel or packet path reordered an event.
+    assert checked_in["event_order_checksum"] == event_order_checksum()
 
 
 def test_disabled_overhead_budget(benchmark):

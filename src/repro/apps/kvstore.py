@@ -57,8 +57,13 @@ class KvServer:
         response = Packet(self.name, request.source, response_bits,
                           kind="kv-response", payload=request.payload,
                           created=request.created)
-        self.sim.at(self._horizon, lambda: self.plane.send(
-            response, on_response_delivered, on_drop=on_drop))
+        self.sim.at(self._horizon, self._respond, response,
+                    on_response_delivered, on_drop)
+
+    def _respond(self, response: Packet,
+                 on_response_delivered: Callable[[Packet], None],
+                 on_drop: Optional[Callable[[Packet], None]]) -> None:
+        self.plane.send(response, on_response_delivered, on_drop=on_drop)
 
 
 @dataclass
@@ -93,7 +98,8 @@ class MemtierClient:
             self.sim.at(max(start, sim.now), self._issue)
 
     def _issue(self) -> None:
-        if self.sim.now >= self.stop_time:
+        now = self.sim.now
+        if now >= self.stop_time:
             return
         rng = self.rng
         is_set = (rng.random() if rng else 0.5) < self.set_fraction
@@ -102,12 +108,12 @@ class MemtierClient:
         size = _SET_REQUEST_BITS if is_set else _GET_REQUEST_BITS
         request = Packet(self.source, self.server.name, size,
                          kind="kv-request", payload=(operation, key),
-                         created=self.sim.now)
-        self.plane.send(
-            request,
-            lambda p: self.server.handle(p, self._on_response,
-                                         on_drop=self._on_drop),
-            on_drop=self._on_drop)
+                         created=now)
+        self.plane.send(request, self._on_request_delivered,
+                        on_drop=self._on_drop)
+
+    def _on_request_delivered(self, request: Packet) -> None:
+        self.server.handle(request, self._on_response, self._on_drop)
 
     def _on_response(self, response: Packet) -> None:
         self.stats.completed += 1

@@ -98,7 +98,7 @@ class EmulationCore:
         a chain throttled beneath the threshold would stop producing usage
         samples, vanish from the model, and stay throttled forever.
         """
-        if destination not in self.tcal.destinations():
+        if not self.tcal.has_destination(destination):
             return
         if bandwidth is not None:
             self.tcal.set_bandwidth(
@@ -114,7 +114,7 @@ class EmulationCore:
         covers *active* flows only, so an idle chain must offer the path's
         full bandwidth to whatever starts next.
         """
-        if destination not in self.tcal.destinations():
+        if not self.tcal.has_destination(destination):
             return
         self.tcal.set_bandwidth(destination, bandwidth)
         self.tcal.set_netem(destination, loss=loss)

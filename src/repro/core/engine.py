@@ -225,13 +225,13 @@ class EmulationEngine:
 
     def _record_fluid_usage(self, flow: FluidFlow, bits: float) -> None:
         tcal = self.tcals.get(flow.source)
-        if tcal is None or flow.destination not in tcal.destinations():
+        if tcal is None or not tcal.has_destination(flow.destination):
             return
         tcal.shaping_for(flow.destination).record(bits)
 
     def _record_fluid_pressure(self, flow: FluidFlow, bits: float) -> None:
         tcal = self.tcals.get(flow.source)
-        if tcal is None or flow.destination not in tcal.destinations():
+        if tcal is None or not tcal.has_destination(flow.destination):
             return
         tcal.shaping_for(flow.destination).record_refused(bits)
 
@@ -257,7 +257,8 @@ class EmulationEngine:
         # them are dropped, as with a removed route).
         for container, tcal in self.tcals.items():
             wanted = present.get(container, set())
-            for destination in tcal.destinations():
+            installed_now = tcal.destinations()     # a snapshot: we remove
+            for destination in installed_now:
                 if destination not in wanted:
                     tcal.remove_destination(destination)
                     removed += 1

@@ -141,7 +141,7 @@ class ShapedConstraints(ConstraintProvider):
         loss: Dict[Hashable, float] = {}
         for flow in flows:
             tcal = self.tcal_lookup(flow.source)
-            if tcal is None or flow.destination not in tcal.destinations():
+            if tcal is None or not tcal.has_destination(flow.destination):
                 routes[flow.key] = ()
                 loss[flow.key] = 1.0
                 continue

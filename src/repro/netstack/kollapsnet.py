@@ -46,6 +46,10 @@ class KollapsDataPlane:
         # blocked on a socket write; one drain event per chain at a time.
         self._blocked: Dict[Tuple[str, str], Deque] = {}
         self._drain_scheduled: Dict[Tuple[str, str], bool] = {}
+        # Infrastructure delay per chain: placement and the two delays are
+        # fixed for the life of the plane, so the cross-machine test runs
+        # once per chain instead of once per packet.
+        self._chain_delay: Dict[Tuple[str, str], float] = {}
 
     def attach_tcal(self, container: str, tcal: Tcal) -> None:
         self._tcals[container] = tcal
@@ -58,7 +62,7 @@ class KollapsDataPlane:
 
     def reachable(self, source: str, destination: str) -> bool:
         tcal = self._tcals.get(source)
-        return tcal is not None and destination in tcal.destinations()
+        return tcal is not None and tcal.has_destination(destination)
 
     def infrastructure_delay(self, source: str, destination: str) -> float:
         """Container networking + (if cross-machine) the physical hop."""
@@ -80,7 +84,9 @@ class KollapsDataPlane:
         retries at that time — matching blocking-I/O semantics.
         """
         tcal = self.tcal_for(packet.source)
-        if packet.destination not in tcal.destinations():
+        try:
+            shaping = tcal.shaping_for(packet.destination)
+        except KeyError:
             if on_drop is not None:
                 on_drop(packet)
             return
@@ -90,56 +96,57 @@ class KollapsDataPlane:
             # Senders already blocked on this chain go first (FIFO order,
             # like writers queued on a socket).
             self.backpressure_events += 1
-            waiting.append((packet, deliver, on_drop, on_backpressure))
+            waiting.append((packet, deliver, on_drop))
             return
         try:
-            release = tcal.egress(self.sim.now, packet.destination,
-                                  packet.size_bits)
+            release = shaping.egress(self.sim.now, packet.size_bits)
         except BackPressure as pressure:
             self.backpressure_events += 1
             if on_backpressure is not None:
                 # Non-blocking semantics: the sender is told EAGAIN and
                 # may abandon the datagram — that unmet offered load is
                 # what the congestion model reads as "requested" (§3).
-                tcal.shaping_for(packet.destination).record_refused(
-                    packet.size_bits)
+                shaping.record_refused(packet.size_bits)
                 on_backpressure(packet, pressure.retry_at)
             else:
                 # Blocking semantics: the packet waits and is carried
                 # later, so it is queueing delay, not refused demand.
-                self._block(chain, packet, deliver, on_drop,
-                            on_backpressure, pressure.retry_at)
+                self._blocked.setdefault(chain, deque()).append(
+                    (packet, deliver, on_drop))
+                self._schedule_drain(chain, pressure.retry_at)
             return
+        self._forward(chain, packet, release, deliver, on_drop)
+
+    def _forward(self, chain: Tuple[str, str], packet: Packet,
+                 release: Optional[float], deliver, on_drop) -> None:
+        """A shaped packet leaves the host: netem dropped it (``release``
+        is ``None``) or it arrives after the infrastructure delay."""
         if release is None:  # netem loss (intrinsic or congestion-injected)
             self.packets_dropped += 1
             if on_drop is not None:
                 on_drop(packet)
             return
         packet.hops += 1
-        arrival = release + self.infrastructure_delay(packet.source,
-                                                      packet.destination)
+        try:
+            delay = self._chain_delay[chain]
+        except KeyError:
+            delay = self._chain_delay[chain] = \
+                self.infrastructure_delay(*chain)
+        self.sim.at(release + delay, self._deliver, packet, deliver)
 
-        def _deliver():
-            self.packets_delivered += 1
-            deliver(packet)
-
-        self.sim.at(arrival, _deliver, label="kollaps-deliver")
+    def _deliver(self, packet: Packet,
+                 deliver: Callable[[Packet], None]) -> None:
+        self.packets_delivered += 1
+        deliver(packet)
 
     # ----------------------------------------------------- blocked senders
-    def _block(self, chain, packet, deliver, on_drop, on_backpressure,
-               retry_at: float) -> None:
-        queue = self._blocked.setdefault(chain, deque())
-        queue.append((packet, deliver, on_drop, on_backpressure))
-        self._schedule_drain(chain, retry_at)
-
     def _schedule_drain(self, chain, at: float) -> None:
         if self._drain_scheduled.get(chain):
             return
         self._drain_scheduled[chain] = True
         # Strictly after "now": a drain re-armed at the current instant
         # would re-run against an unchanged queue forever.
-        self.sim.at(max(at, self.sim.now + 1e-9), lambda: self._drain(chain),
-                    label="kollaps-drain")
+        self.sim.at(max(at, self.sim.now + 1e-9), self._drain, chain)
 
     def _drain(self, chain) -> None:
         """Admit blocked senders head-of-line until the queue fills again."""
@@ -147,8 +154,8 @@ class KollapsDataPlane:
         queue = self._blocked.get(chain)
         tcal = self._tcals.get(chain[0])
         while queue:
-            packet, deliver, on_drop, on_backpressure = queue[0]
-            if tcal is None or chain[1] not in tcal.destinations():
+            packet, deliver, on_drop = queue[0]
+            if tcal is None or not tcal.has_destination(chain[1]):
                 queue.popleft()
                 if on_drop is not None:
                     on_drop(packet)
@@ -160,19 +167,6 @@ class KollapsDataPlane:
                 self._schedule_drain(chain, pressure.retry_at)
                 return
             queue.popleft()
-            if release is None:
-                self.packets_dropped += 1
-                if on_drop is not None:
-                    on_drop(packet)
-                continue
-            packet.hops += 1
-            arrival = release + self.infrastructure_delay(*chain)
-            self.sim.at(arrival,
-                        lambda packet=packet, deliver=deliver:
-                        (self._mark_delivered(), deliver(packet)),
-                        label="kollaps-deliver")
+            self._forward(chain, packet, release, deliver, on_drop)
         if queue is not None and not queue:
             self._blocked.pop(chain, None)
-
-    def _mark_delivered(self) -> None:
-        self.packets_delivered += 1

@@ -91,5 +91,5 @@ class PacketLink:
         self.packets_sent += 1
         self.bits_sent += packet.size_bits
         packet.hops += 1
-        self.sim.at(arrival, lambda: deliver(packet), label=f"link:{self.name}")
+        self.sim.at(arrival, deliver, packet)
         return True

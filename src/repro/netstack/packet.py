@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any
 
 __all__ = ["Packet"]
 
-_sequence = itertools.count()
 
-
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One network packet (sizes in bits).
 
@@ -26,7 +23,6 @@ class Packet:
     kind: str = "data"
     payload: Any = None
     created: float = 0.0
-    seq: int = field(default_factory=lambda: next(_sequence))
     hops: int = 0
 
     def age(self, now: float) -> float:

@@ -5,7 +5,9 @@ Design notes
 The kernel is a classic calendar queue built on :mod:`heapq`.  Events are
 ordered by ``(time, priority, sequence)``; the monotonically increasing
 sequence number makes the ordering total and therefore the whole simulation
-deterministic for a fixed set of seeds.
+deterministic for a fixed set of seeds.  That key is stored on the heap as a
+plain tuple beside the event, so every comparison the heap makes is a C
+tuple compare.
 
 Callbacks are plain callables.  Periodic activities (the Kollaps emulation
 loop, application request generators, the fluid-engine integrator) are
@@ -16,40 +18,57 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 __all__ = ["Simulator", "Event", "Process", "SimError"]
+
+_INF = float("inf")
 
 
 class SimError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.  Comparison uses (time, priority, seq) only."""
+    """A scheduled callback: the handle :meth:`Simulator.at` returns.
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    The queue orders events by the ``(time, priority, seq)`` key it stores
+    beside each one; the event itself is never compared.
+    """
+
+    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled",
+                 "label")
+
+    def __init__(self, time: float, priority: int, seq: int,
+                 callback: Callable[..., None], args: Tuple[Any, ...] = (),
+                 label: str = "") -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self.label = label
 
     def cancel(self) -> None:
         """Mark the event so the dispatcher skips it (O(1) lazy deletion)."""
         self.cancelled = True
+
+    def __repr__(self) -> str:
+        return (f"Event(time={self.time!r}, priority={self.priority!r}, "
+                f"seq={self.seq!r}, label={self.label!r}, "
+                f"cancelled={self.cancelled!r})")
 
 
 class Simulator:
     """Event loop with a simulated clock starting at time 0.0 seconds."""
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        # Heap of (time, priority, seq, event): seq is unique, so tuple
+        # comparison never reaches the event.
+        self._queue: list[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
-        self._running = False
         self.events_dispatched = 0
 
     @property
@@ -57,22 +76,34 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    def at(self, time: float, callback: Callable[[], None], *,
+    def at(self, time: float, callback: Callable[..., None], *args: Any,
            priority: int = 0, label: str = "") -> Event:
-        """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimError(
-                f"cannot schedule event at {time:.9f}, now is {self._now:.9f}")
-        event = Event(time, priority, next(self._seq), callback, label=label)
-        heapq.heappush(self._queue, event)
-        return event
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
-    def after(self, delay: float, callback: Callable[[], None], *,
+        Passing ``args`` here instead of closing over them lets a hot caller
+        schedule a bound method without allocating a closure per event.
+        ``label`` is for constant strings only — never format one per event.
+        """
+        if not self._now <= time < _INF:        # also false for NaN
+            raise SimError(
+                f"cannot schedule event at {time!r}, now is {self._now:.9f}")
+        return self._push(time, priority, callback, args, label)
+
+    def after(self, delay: float, callback: Callable[..., None], *args: Any,
               priority: int = 0, label: str = "") -> Event:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimError(f"negative delay: {delay}")
-        return self.at(self._now + delay, callback, priority=priority, label=label)
+        """Schedule ``callback(*args)`` ``delay`` seconds from now."""
+        if not 0.0 <= delay < _INF:             # also false for NaN
+            raise SimError(f"delay must be finite and non-negative: {delay!r}")
+        time = self._now + delay
+        return self._push(time, priority, callback, args, label)
+
+    def _push(self, time: float, priority: int,
+              callback: Callable[..., None], args: Tuple[Any, ...],
+              label: str) -> Event:
+        seq = next(self._seq)
+        event = Event(time, priority, seq, callback, args, label)
+        heapq.heappush(self._queue, (time, priority, seq, event))
+        return event
 
     def run(self, until: Optional[float] = None) -> float:
         """Dispatch events in order until the queue drains or ``until``.
@@ -81,20 +112,16 @@ class Simulator:
         even if the last event fires earlier, so back-to-back ``run`` calls
         compose naturally.  Returns the final simulated time.
         """
-        self._running = True
-        try:
-            while self._queue:
-                event = self._queue[0]
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(self._queue)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                self.events_dispatched += 1
-                event.callback()
-        finally:
-            self._running = False
+        queue = self._queue
+        pop = heapq.heappop
+        horizon = _INF if until is None else until
+        while queue and queue[0][0] <= horizon:
+            time, _priority, _seq, event = pop(queue)
+            if event.cancelled:
+                continue
+            self._now = time
+            self.events_dispatched += 1
+            event.callback(*event.args)
         if until is not None and until > self._now:
             self._now = until
         return self._now
@@ -102,18 +129,18 @@ class Simulator:
     def step(self) -> bool:
         """Dispatch a single event.  Returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _priority, _seq, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self.events_dispatched += 1
-            event.callback()
+            event.callback(*event.args)
             return True
         return False
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
 
 class Process:

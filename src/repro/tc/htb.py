@@ -29,7 +29,7 @@ class BackPressure(Exception):
         self.retry_at = retry_at
 
 
-@dataclass
+@dataclass(slots=True)
 class HtbClass:
     """One htb class: token-bucket pacing at ``rate`` with a finite queue.
 
@@ -62,7 +62,11 @@ class HtbClass:
         Raises :class:`BackPressure` when the backlog would exceed the
         queue bound; the exception carries the earliest retry time.
         """
-        backlog = self.backlog_bits(now)
+        horizon = self._horizon
+        rate = self.rate
+        # Same arithmetic as :meth:`backlog_bits`, kept inline: this runs
+        # once per packet.
+        backlog = (horizon - now) * rate if horizon > now else 0.0
         # The admission test carries a one-micro-bit tolerance, and the
         # retry delay a 1 ns floor: ``backlog`` is reconstructed from the
         # pacing horizon in floating point, so an exactly-full queue can
@@ -70,15 +74,13 @@ class HtbClass:
         # that does not advance the clock.
         if backlog + size_bits > self.queue_bits + 1e-6:
             self.backpressure_events += 1
-            drain_time = (backlog + size_bits - self.queue_bits) / self.rate
+            drain_time = (backlog + size_bits - self.queue_bits) / rate
             raise BackPressure(now + max(drain_time, 1e-9))
-        start = max(now, self._horizon)
-        # A fresh bucket can burst: packets within `burst` bits of an idle
-        # period are released back-to-back (serialization only).
-        if self._horizon <= now and size_bits <= self.burst:
-            finish = now + size_bits / max(self.rate, 1e-9)
-        else:
-            finish = start + size_bits / max(self.rate, 1e-9)
+        # Serialization starts when the head of line clears.  (An idle
+        # bucket releases a packet after its serialization time alone,
+        # whatever ``burst`` is: nothing is queued ahead of it.)
+        start = horizon if horizon > now else now
+        finish = start + size_bits / (rate if rate > 1e-9 else 1e-9)
         self._horizon = finish
         self.bits_sent += size_bits
         self.packets_sent += 1
@@ -103,9 +105,24 @@ class HtbQdisc:
 
     def ensure_class(self, class_id: int,
                      rate: Optional[float] = None) -> HtbClass:
+        """The class ``class_id``, created at ``rate`` if it does not exist.
+
+        ``rate=None`` selects the qdisc's default rate; any other rate must
+        be positive, exactly as :meth:`HtbClass.set_rate` demands.
+        """
         if class_id not in self._classes:
-            self._classes[class_id] = HtbClass(rate or self.default_rate)
+            if rate is None:
+                rate = self.default_rate
+            elif rate <= 0:
+                raise ValueError(f"htb rate must be positive: {rate}")
+            self._classes[class_id] = HtbClass(rate)
         return self._classes[class_id]
+
+    def remove_class(self, class_id: int) -> None:
+        try:
+            del self._classes[class_id]
+        except KeyError:
+            raise KeyError(f"no htb class {class_id}") from None
 
     def get_class(self, class_id: int) -> HtbClass:
         try:

@@ -18,7 +18,7 @@ from typing import Optional
 __all__ = ["NetemQdisc"]
 
 
-@dataclass
+@dataclass(slots=True)
 class NetemQdisc:
     """Delay/jitter/loss stage for one destination."""
 
@@ -65,8 +65,8 @@ class NetemQdisc:
 
     def process(self) -> Optional[float]:
         """Process one packet: ``None`` means dropped, else the added delay."""
-        rng = self.rng or random
-        if self.loss > 0.0 and rng.random() < self.loss:
+        loss = self.loss
+        if loss > 0.0 and (self.rng or random).random() < loss:
             self.packets_dropped += 1
             return None
         self.packets_delayed += 1

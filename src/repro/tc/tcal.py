@@ -30,7 +30,7 @@ from repro.tc.u32 import U32Filter
 __all__ = ["Tcal", "PathShaping"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PathShaping:
     """The netem + htb pair shaping traffic towards one destination.
 
@@ -49,6 +49,20 @@ class PathShaping:
     destination: str
     bits_since_poll: float = 0.0
     refused_since_poll: float = 0.0
+
+    def egress(self, now: float, size_bits: float) -> Optional[float]:
+        """Push one packet through netem then htb — the per-packet step.
+
+        Returns the simulated time at which the packet leaves this host
+        (shaping delay applied), or ``None`` if netem dropped it.  Raises
+        :class:`BackPressure` when the htb queue is full.
+        """
+        added_delay = self.netem.process()
+        if added_delay is None:
+            return None
+        release = self.htb.enqueue(now, size_bits)
+        self.bits_since_poll += size_bits
+        return release + added_delay
 
     def record(self, size_bits: float) -> None:
         self.bits_since_poll += size_bits
@@ -83,13 +97,15 @@ class Tcal:
                                      loss=loss, distribution=distribution)
             existing.htb.set_rate(bandwidth)
             return existing
-        class_id = self._next_class
-        self._next_class += 1
+        # Everything that can refuse the request runs before any state
+        # changes, so a rejected install leaves no half-built chain.
         address = self.allocator.lookup(destination)
-        self.filter.add_match(address, class_id)
+        class_id = self._next_class
         htb_class = self.qdisc.ensure_class(class_id, bandwidth)
         netem = NetemQdisc(latency=latency, jitter=jitter, loss=loss,
                            distribution=distribution, rng=self.rng)
+        self._next_class += 1
+        self.filter.add_match(address, class_id)
         shaping = PathShaping(class_id, netem, htb_class, destination)
         self._paths[destination] = shaping
         return shaping
@@ -99,9 +115,14 @@ class Tcal:
         if shaping is None:
             raise KeyError(f"no shaping chain towards {destination!r}")
         self.filter.remove_match(self.allocator.lookup(destination))
+        self.qdisc.remove_class(shaping.class_id)
 
     def destinations(self) -> Tuple[str, ...]:
         return tuple(self._paths)
+
+    def has_destination(self, destination: str) -> bool:
+        """Whether a chain towards ``destination`` is installed (O(1))."""
+        return destination in self._paths
 
     def shaping_for(self, destination: str) -> PathShaping:
         try:
@@ -113,19 +134,8 @@ class Tcal:
     # ------------------------------------------------------------- data path
     def egress(self, now: float, destination: str,
                size_bits: float) -> Optional[float]:
-        """Push one packet through netem then htb.
-
-        Returns the simulated time at which the packet leaves this host
-        (shaping delay applied), or ``None`` if netem dropped it.  Raises
-        :class:`BackPressure` when the htb queue is full.
-        """
-        shaping = self.shaping_for(destination)
-        added_delay = shaping.netem.process()
-        if added_delay is None:
-            return None
-        release = shaping.htb.enqueue(now, size_bits)
-        shaping.record(size_bits)
-        return release + added_delay
+        """:meth:`PathShaping.egress` on the chain towards ``destination``."""
+        return self.shaping_for(destination).egress(now, size_bits)
 
     def classify(self, address: Ipv4Address) -> Optional[int]:
         return self.filter.classify(address)

@@ -155,6 +155,27 @@ class TestDynamicTopology:
         engine.run(until=7.0)
         assert len(arrivals) == 1
 
+    def test_leave_join_churn_does_not_leak_htb_classes(self):
+        base = point_to_point(1e9, latency=0.010).compile().topology
+        properties = base.get_link("client", "s0").properties
+        events = []
+        for flap in range(5):
+            events.append(DynamicEvent(
+                time=1.0 + flap, action=EventAction.LEAVE_LINK,
+                origin="client", destination="s0"))
+            events.append(DynamicEvent(
+                time=1.5 + flap, action=EventAction.JOIN_LINK,
+                origin="client", destination="s0", properties=properties))
+        engine = EmulationEngine(
+            base, EventSchedule(events),
+            config=EngineConfig(enforce_bandwidth_sharing=False))
+        for until in (1.2, 1.7, 3.2, 6.0):      # down, up, down, up again
+            engine.run(until=until)
+            for tcal in engine.tcals.values():
+                assert len(tcal.qdisc.classes()) == len(tcal.destinations())
+        assert all(len(tcal.destinations()) == 1
+                   for tcal in engine.tcals.values())
+
 
 class TestMetadataBehaviour:
     def test_single_machine_no_network_metadata(self):

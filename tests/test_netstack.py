@@ -193,6 +193,63 @@ class TestKollapsDataPlane:
         assert len(arrivals) == 3  # all delivered eventually
         assert plane.backpressure_events >= 1
 
+    def test_saturated_chain_delivers_blocked_senders_fifo(self):
+        sim, plane = self.build()
+        tcal = plane.tcal_for("a")
+        tcal.set_bandwidth("b", 1e4)
+        tcal.shaping_for("b").htb.queue_bits = 1000.0   # one 800-bit packet
+        arrivals = []
+        for tag in range(6):
+            plane.send(Packet("a", "b", 800, payload=tag),
+                       lambda p: arrivals.append((p.payload, sim.now)))
+        # The first packet was admitted; the other five block, and every
+        # sender arriving behind a blocked one queues behind it.
+        assert plane.backpressure_events == 5
+        sim.run()
+        assert [tag for tag, _ in arrivals] == list(range(6))
+        times = [time for _, time in arrivals]
+        assert times == sorted(times)
+        # Paced at the chain's rate: 800 bits every 80 ms.
+        assert times[-1] - times[0] == pytest.approx(5 * 800 / 1e4, rel=0.01)
+        assert plane.packets_delivered == 6
+        assert plane.packets_dropped == 0
+
+    def test_blocked_sender_dropped_by_netem_is_not_delivered(self):
+        sim, plane = self.build()
+        tcal = plane.tcal_for("a")
+        tcal.set_bandwidth("b", 1e4)
+        tcal.shaping_for("b").htb.queue_bits = 1000.0
+        delivered, dropped = [], []
+        for tag in range(3):
+            plane.send(Packet("a", "b", 800, payload=tag),
+                       lambda p: delivered.append(p.payload),
+                       on_drop=lambda p: dropped.append(p.payload))
+        tcal.set_netem("b", loss=1.0)       # everything still blocked is lost
+        sim.run()
+        assert delivered == [0] and dropped == [1, 2]
+        assert plane.packets_delivered == 1 and plane.packets_dropped == 2
+
+    def test_non_blocking_sender_is_refused_not_queued(self):
+        sim, plane = self.build()
+        tcal = plane.tcal_for("a")
+        tcal.set_bandwidth("b", 1e4)
+        shaping = tcal.shaping_for("b")
+        shaping.htb.queue_bits = 1000.0
+        refused = []
+        for _ in range(2):
+            plane.send(Packet("a", "b", 800), lambda p: None,
+                       on_backpressure=lambda p, retry_at:
+                       refused.append(retry_at))
+        sim.run()
+        assert len(refused) == 1 and refused[0] > 0.0
+        assert shaping.refused_since_poll == 800
+        assert plane.packets_delivered == 1
+
+    def test_unknown_source_raises(self):
+        _, plane = self.build()
+        with pytest.raises(KeyError, match="no TCAL attached"):
+            plane.send(Packet("ghost", "b", 800), lambda p: None)
+
     def test_unknown_destination_dropped(self):
         sim, plane = self.build()
         drops = []

@@ -95,6 +95,66 @@ class TestSimulator:
         event.cancel()
         assert sim.pending() == 1
 
+    def test_pending_drops_as_events_dispatch(self):
+        sim = Simulator()
+        for time in (1.0, 2.0, 3.0):
+            sim.at(time, lambda: None)
+        sim.run(until=2.0)
+        assert sim.pending() == 1
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_time_rejected(self, time):
+        sim = Simulator()
+        with pytest.raises(SimError):
+            sim.at(time, lambda: None)
+        assert sim.pending() == 0
+        sim.run()
+        assert sim.now == 0.0
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimError):
+            sim.after(delay, lambda: None)
+        assert sim.pending() == 0
+
+    def test_positional_args_reach_the_callback(self):
+        sim = Simulator()
+        seen = []
+        sim.at(1.0, seen.append, "at")
+        sim.after(2.0, lambda *args: seen.append(args), "after", 2)
+        sim.at(3.0, lambda: seen.append("no args"))
+        sim.run()
+        assert seen == ["at", ("after", 2), "no args"]
+
+    def test_priority_and_label_stay_keywords_beside_args(self):
+        sim = Simulator()
+        order = []
+        late = sim.at(1.0, order.append, "late", priority=5, label="late")
+        sim.at(1.0, order.append, "early", priority=-5)
+        sim.run()
+        assert order == ["early", "late"]
+        assert (late.priority, late.label, late.args) == (5, "late", ("late",))
+
+    def test_cancel_after_schedule_with_args(self):
+        sim = Simulator()
+        seen = []
+        doomed = sim.after(1.0, seen.append, "cancelled")
+        sim.after(1.0, seen.append, "kept")
+        doomed.cancel()
+        assert sim.pending() == 1
+        sim.run()
+        assert seen == ["kept"]
+        assert sim.events_dispatched == 1
+
+    def test_event_handle_exposes_its_ordering_key(self):
+        sim = Simulator()
+        first = sim.at(2.0, lambda: None, priority=3)
+        second = sim.after(2.0, lambda: None)
+        assert (first.time, first.priority) == (2.0, 3)
+        assert second.seq == first.seq + 1
+
 
 class TestProcess:
     def test_periodic_ticks(self):

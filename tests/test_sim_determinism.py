@@ -1,0 +1,36 @@
+"""Simulator determinism per seed, pinned on the packet-mode kv mesh."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from event_order import DURATION, SEED, kv_event_order
+
+GOLDEN = Path(__file__).parent / "golden" / "kv_event_order.json"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """(events, digest) of one run at the golden's seed."""
+    return kv_event_order()
+
+
+def test_same_seed_dispatches_the_same_event_stream(reference):
+    assert kv_event_order() == reference
+    assert reference[0] > 10_000    # a real packet-mode run, not a stub
+
+
+def test_another_seed_dispatches_another_stream(reference):
+    assert kv_event_order(seed=SEED + 1)[1] != reference[1]
+
+
+def test_event_order_matches_the_golden(reference):
+    """The stream the parent of the fast packet path dispatched.
+
+    Any kernel or packet-path change that schedules one event earlier,
+    later or in another order — or moves a float by one ulp — lands here.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    assert f"duration={DURATION}, seed={SEED}" in golden["scenario"]
+    assert reference == (golden["events"], golden["digest"])

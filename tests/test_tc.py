@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from repro.tc import IpAllocator, Ipv4Address, NetemQdisc, Tcal, U32Filter
-from repro.tc.htb import BackPressure, HtbClass
+from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
 
 
 class TestIpv4:
@@ -124,6 +124,22 @@ class TestHtb:
         with pytest.raises(ValueError):
             HtbClass(rate=1e6).set_rate(0.0)
 
+    def test_qdisc_default_rate_only_when_no_rate_is_given(self):
+        qdisc = HtbQdisc(default_rate=5e6)
+        assert qdisc.ensure_class(1).rate == 5e6
+        assert qdisc.ensure_class(2, 1e6).rate == 1e6
+        with pytest.raises(ValueError):
+            qdisc.ensure_class(3, 0.0)
+        assert sorted(qdisc.classes()) == [1, 2]
+
+    def test_qdisc_remove_class(self):
+        qdisc = HtbQdisc()
+        qdisc.ensure_class(1)
+        qdisc.remove_class(1)
+        assert qdisc.classes() == {}
+        with pytest.raises(KeyError):
+            qdisc.remove_class(1)
+
     def test_counters(self):
         htb = HtbClass(rate=1e9)
         htb.enqueue(0.0, 8000)
@@ -176,6 +192,28 @@ class TestNetem:
     def test_configure_rejects_bad_loss(self):
         with pytest.raises(ValueError):
             NetemQdisc().configure(loss=1.5)
+
+    def test_process_draws_loss_first_then_jitter(self):
+        """The per-packet RNG contract the event-order golden rests on:
+        one uniform for loss (only when loss > 0), then one jitter sample
+        (only when jitter > 0 and the packet survived) — nothing else."""
+        netem = NetemQdisc(latency=0.010, jitter=0.002, loss=0.5,
+                           rng=random.Random(9))
+        mirror = random.Random(9)
+        for _ in range(200):
+            if mirror.random() < 0.5:
+                expected = None
+            else:
+                expected = max(0.005, 0.010 + mirror.gauss(0.0, 0.002))
+            assert netem.process() == expected
+        assert netem.rng.getstate() == mirror.getstate()
+
+    def test_process_draws_nothing_without_loss_or_jitter(self):
+        rng = random.Random(9)
+        before = rng.getstate()
+        netem = NetemQdisc(latency=0.010, rng=rng)
+        assert [netem.process() for _ in range(10)] == [0.010] * 10
+        assert rng.getstate() == before
 
 
 class TestTcal:
@@ -230,6 +268,60 @@ class TestTcal:
         tcal.remove_destination("server")
         with pytest.raises(KeyError):
             tcal.shaping_for("server")
+
+    def test_has_destination_follows_install_and_remove(self):
+        tcal = self.build()
+        assert tcal.has_destination("server")
+        assert not tcal.has_destination("ghost")
+        tcal.remove_destination("server")
+        assert not tcal.has_destination("server")
+
+    def test_remove_then_reinstall_does_not_leak_the_htb_class(self):
+        tcal = self.build()
+        for _ in range(3):
+            tcal.remove_destination("server")
+            assert tcal.qdisc.classes() == {}
+            assert tcal.filter.rules == 0
+            tcal.install_destination("server", latency=0.010, jitter=0.0,
+                                     loss=0.0, bandwidth=1e6)
+            assert len(tcal.qdisc.classes()) == len(tcal.destinations()) == 1
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e6])
+    def test_non_positive_bandwidth_rejected_on_first_install(self, bandwidth):
+        allocator = IpAllocator()
+        allocator.assign("server")
+        tcal = Tcal("client", allocator)
+        with pytest.raises(ValueError, match="htb rate must be positive"):
+            tcal.install_destination("server", latency=0.010, jitter=0.0,
+                                     loss=0.0, bandwidth=bandwidth)
+        # A refused install leaves nothing behind.
+        assert tcal.destinations() == ()
+        assert tcal.qdisc.classes() == {}
+        assert tcal.filter.rules == 0
+
+    def test_non_positive_bandwidth_rejected_on_reconfigure(self):
+        tcal = self.build()
+        with pytest.raises(ValueError, match="htb rate must be positive"):
+            tcal.install_destination("server", latency=0.010, jitter=0.0,
+                                     loss=0.0, bandwidth=0.0)
+        assert tcal.shaping_for("server").htb.rate == 1e6
+
+    def test_egress_draws_like_netem_process(self):
+        """Tcal.egress, the data plane's per-packet step and a bare
+        ``NetemQdisc.process`` consume the RNG identically."""
+        tcal = self.build()
+        tcal.install_destination("server", latency=0.010, jitter=0.002,
+                                 loss=0.2, bandwidth=1e9)
+        mirror = NetemQdisc(latency=0.010, jitter=0.002, loss=0.2,
+                            rng=random.Random(7))
+        for step in range(200):
+            release = tcal.egress(float(step), "server", 8000)
+            delay = mirror.process()
+            if delay is None:
+                assert release is None
+            else:
+                assert release == float(step) + 8000 / 1e9 + delay
+        assert tcal.rng.getstate() == mirror.rng.getstate()
 
     def test_unknown_destination_raises(self):
         tcal = self.build()

@@ -9,11 +9,9 @@ record per TCP connection), for a memcached-style workload where clients
 hold many connections to one server.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import ablation_perdest
 
 
 def test_ablation_per_destination_aggregation(benchmark):
-    result = run_once(benchmark, ablation_perdest.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, ablation_perdest).assert_all()

@@ -9,11 +9,9 @@ per-destination TCAL-update overhead per dynamic event (micro-benchmark of
 the engine's swap path).
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import ablation_precompute
 
 
 def test_ablation_precompute_vs_online(benchmark):
-    result = run_once(benchmark, ablation_precompute.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, ablation_precompute).assert_all()

@@ -14,11 +14,9 @@ Three knobs the paper's design fixes, evaluated on the §5.4 topology:
    congestion-control algorithm nothing to react to.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import ablation_sharing
 
 
 def test_ablation_sharing_design_choices(benchmark):
-    result = run_once(benchmark, ablation_sharing.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, ablation_sharing).assert_all()

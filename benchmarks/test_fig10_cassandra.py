@@ -8,11 +8,9 @@ Here the "EC2" reference is the bare-metal run of the same workload over
 the full physical topology; Kollaps is the collapsed emulation.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig10
 
 
 def test_fig10_cassandra_curve(benchmark):
-    result = run_once(benchmark, fig10.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig10).assert_all()

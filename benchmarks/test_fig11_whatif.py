@@ -7,11 +7,9 @@ move) and the saturation point shifts to higher throughput.  In Kollaps
 this is a one-line change to the topology description.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig11
 
 
 def test_fig11_halved_latency(benchmark):
-    result = run_once(benchmark, fig11.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig11).assert_all()

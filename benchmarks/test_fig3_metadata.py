@@ -7,11 +7,9 @@ essentially flat in the number of *containers* — the decentralization
 claim.  Absolute volume stays in the hundreds of KB/s at (160, 80, 4).
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig3
 
 
 def test_fig3_metadata_traffic(benchmark):
-    result = run_once(benchmark, fig3.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig3).assert_all()

@@ -7,11 +7,9 @@ throughput stays flat as hosts are added (left plot), and per-host metadata
 traffic stays in the tens of KB/s (right plot).
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig4
 
 
 def test_fig4_memcached_distribution(benchmark):
-    result = run_once(benchmark, fig4.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig4).assert_all()

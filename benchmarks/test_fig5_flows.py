@@ -7,11 +7,9 @@ the bare-metal baseline stays below ~10 % (long-lived) and ~2 %
 (short-lived), with Kollaps generally at least as close as Mininet.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig5
 
 
 def test_fig5_long_and_short_flows(benchmark):
-    result = run_once(benchmark, fig5.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig5).assert_all()

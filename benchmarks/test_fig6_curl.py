@@ -6,11 +6,9 @@ Bare metal and Kollaps scale near-linearly with client count; Mininet's
 throughput falls behind as its switches buckle under per-connection state.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig6
 
 
 def test_fig6_curl_clients(benchmark):
-    result = run_once(benchmark, fig6.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig6).assert_all()

@@ -7,11 +7,9 @@ middle third.  Kollaps and Mininet both stay within a few percent of bare
 metal on each host's measured bandwidth, with a spike at the transitions.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig7
 
 
 def test_fig7_mixed_flows(benchmark):
-    result = run_once(benchmark, fig7.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig7).assert_all()

@@ -8,11 +8,9 @@ those values within a few percent, re-converging at every arrival and
 departure.  Time is scaled 6x (10 s per stage).
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig8
 
 
 def test_fig8_decentralized_throttling(benchmark):
-    result = run_once(benchmark, fig8.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig8).assert_all()

@@ -9,11 +9,9 @@ Wheat beats BFT-SMaRt in every region, and remote clients (São Paulo,
 Sydney) pay the most.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import fig9
 
 
 def test_fig9_smr_reproduction(benchmark):
-    result = run_once(benchmark, fig9.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, fig9).assert_all()

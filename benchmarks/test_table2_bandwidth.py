@@ -6,11 +6,9 @@ shape above 1 Gb/s at all (N/A rows); Trickle with default buffers
 overshoots wildly, and only tracks the target after tuning (~±2 %).
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import table2
 
 
 def test_table2_bandwidth_shaping(benchmark):
-    result = run_once(benchmark, table2.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, table2).assert_all()

@@ -7,11 +7,9 @@ between observed and emulated jitter is 0.2029 ms^2, emulated slightly
 above measured due to container networking noise).
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import table3
 
 
 def test_table3_jitter_accuracy(benchmark):
-    result = run_once(benchmark, table3.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, table3).assert_all()

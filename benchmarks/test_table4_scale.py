@@ -16,11 +16,9 @@ Sizes are scaled (250/500/1000) to keep the harness fast — the error
 are size-independent.
 """
 
-from conftest import print_result, run_once
+from conftest import reproduce
 from repro.experiments import table4
 
 
 def test_table4_large_scale_rtt(benchmark):
-    result = run_once(benchmark, table4.run)
-    print_result(result)
-    result.assert_all()
+    reproduce(benchmark, table4).assert_all()

@@ -19,8 +19,8 @@ hash, so an interrupted campaign resumes exactly where it stopped) and an
               .backends("kollaps", "baremetal")
               .run(jobs=4, store="campaigns"))
 
-The CLI front end is ``repro campaign run|status|report``; the paper's
-fig5/table2/table4 reproductions are campaigns too, via
+The CLI front end is ``repro campaign run|status|report``; every table,
+figure and ablation of the paper's evaluation is a campaign too, via
 :func:`repro.experiments.base.as_campaign`.
 """
 

@@ -1,17 +1,13 @@
-"""Per-table/figure experiment runners and the EXPERIMENTS.md generator.
-
-One module per experiment of the paper's evaluation (§5): each exposes a
-registered ``run(quick=False) -> ExperimentResult`` plus the underlying
-compute functions the benchmarks reuse.  ``python -m repro.experiments``
-runs any subset and regenerates ``EXPERIMENTS.md``.
+"""The paper's evaluation (§5): one module per table, figure and ablation,
+each a campaign plus a report over its stored metrics (the shape is
+described in :mod:`repro.experiments.base`).  ``python -m
+repro.experiments`` runs any subset and regenerates ``EXPERIMENTS.md``.
 """
 
 from repro.experiments.base import (
     Check,
     ExperimentResult,
     as_campaign,
-    campaign_factory,
-    campaigns_registered,
     experiment,
     format_table,
     get_runner,
@@ -24,8 +20,6 @@ __all__ = [
     "Check",
     "ExperimentResult",
     "as_campaign",
-    "campaign_factory",
-    "campaigns_registered",
     "experiment",
     "format_table",
     "get_runner",

@@ -40,8 +40,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = parser.parse_args(argv)
 
     if arguments.list:
-        from repro.experiments.base import _load_all
-        _load_all()
         for exp_id in registered():
             print(exp_id)
         return 0

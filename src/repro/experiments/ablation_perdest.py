@@ -7,50 +7,61 @@ metadata volume with per-destination aggregation (one record per container
 pair, what Kollaps ships) against hypothetical per-flow reporting (one
 record per TCP connection), for a memcached-style workload where clients
 hold many connections to one server.
+
+One campaign point drives real traffic so the engine's own
+(per-destination) metadata volume is measured, not synthesized — with
+Figure 3's collector; the hypothetical per-flow encoding of the same
+instant is priced in :func:`report`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.experiments.base import ExperimentResult, experiment, scenario_engine
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.experiments.fig3 import metadata_rate
 from repro.metadata.encoding import FlowRecord, MetadataMessage, encoded_size
+from repro.netstack.plane import BULK_PLANE
+from repro.scenario import custom, flow
 from repro.scenario.topologies import star
 
 CONNECTIONS_PER_CLIENT = 10
 CLIENTS = 8
+_DURATION = 5.0
 
 
-def compute_results(duration: float = 5.0) -> Dict[str, float]:
-    # Drive real traffic so the engine's own (per-destination) metadata
-    # volume is measured, not synthesized.
-    scenario = star(["server"] + [f"c{i}" for i in range(CLIENTS)],
-                    bandwidth=1e9, latency=0.002)
-    engine = scenario_engine(scenario, machines=2, seed=141)
+def point_scenario(*, duration: float, seed: int):
+    """Eight clients of one server; each client's many connections
+    aggregate into ONE shaped flow."""
+    builder = star(["server"] + [f"c{i}" for i in range(CLIENTS)],
+                   bandwidth=1e9, latency=0.002)
     for index in range(CLIENTS):
-        # Each client's many connections aggregate into ONE shaped flow.
-        engine.start_flow(f"f{index}", f"c{index}", "server", demand=20e6)
-    engine.run(until=duration)
-    per_destination_rate = engine.total_metadata_wire_bytes() / duration
+        builder.workload(flow(f"c{index}", "server", rate=20e6,
+                              key=f"f{index}"))
+    builder.workload(custom("metadata", collect=metadata_rate,
+                            needs=(BULK_PLANE,)))
+    return builder.deploy(machines=2, seed=seed, duration=duration)
 
-    # Hypothetical per-flow encoding of the same instant: one record per
-    # TCP connection rather than per container pair.
+
+# A single measured point.
+campaign = grid_campaign("ablation-perdest", point_scenario, seed=141,
+                         duration=_DURATION)
+
+
+@experiment("ablation-perdest", campaign, duration=2.0)
+def report(sweep) -> ExperimentResult:
+    # One record per container pair (what Kollaps ships) against one per
+    # TCP connection, for the same instant.
     per_dest_message = MetadataMessage(sender=0, flows=tuple(
         FlowRecord(i, CLIENTS, 20e6, (0, 1)) for i in range(CLIENTS)))
     per_flow_message = MetadataMessage(sender=0, flows=tuple(
         FlowRecord(i, CLIENTS, 2e6, (0, 1))
         for i in range(CLIENTS)
         for _connection in range(CONNECTIONS_PER_CLIENT)))
-    return {
-        "measured_rate": per_destination_rate,
+    results = {
+        "measured_rate": sweep.run_for().metric("metadata").value,
         "per_dest_bytes": encoded_size(per_dest_message),
         "per_flow_bytes": encoded_size(per_flow_message),
     }
-
-
-@experiment("ablation-perdest")
-def run(quick: bool = False) -> ExperimentResult:
-    results = compute_results(duration=2.0 if quick else 5.0)
     result = ExperimentResult(
         exp_id="ablation-perdest",
         title="Ablation: per-destination vs per-flow metadata",
@@ -73,3 +84,6 @@ def run(quick: bool = False) -> ExperimentResult:
     result.check("per-destination metadata flows on the wire",
                  results["measured_rate"] > 0)
     return result
+
+
+run = get_runner("ablation-perdest")

@@ -5,17 +5,21 @@ recomputation of all-pairs shortest paths "could take several seconds for
 large graphs, precluding accurate emulation of sub-second dynamics".  This
 ablation quantifies that: the cost of applying one pre-computed state swap
 versus collapsing a large topology from scratch at event time.
+
+One campaign point: the engine pre-computes its plan while it is built
+(timed by the plan itself), a ``custom`` workload times the run that
+applies the swaps and then one online collapse, and :func:`report`
+compares the three wall-clock figures.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.core import collapse
-from repro.telemetry import Stopwatch
-from repro.core.dynamic import DynamicTopologyPlan
-from repro.experiments.base import ExperimentResult, experiment, scenario_engine
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.scenario import custom
 from repro.scenario.topologies import scale_free
+from repro.telemetry import Stopwatch
 from repro.topology import DynamicEvent, EventAction, EventSchedule
 
 SIZE = 600
@@ -32,38 +36,43 @@ def build_schedule(topology) -> EventSchedule:
         for index, link in enumerate(links)])
 
 
-def compute_results(size: int = SIZE) -> Dict[str, float]:
-    builder = scale_free(size, seed=17)
-    topology = builder.compile().topology
-    schedule = build_schedule(topology)
+def point_scenario(*, size: int, seed: int):
+    """A scale-free topology whose backbone changes ten times."""
+    builder = scale_free(size, seed=seed)
+    schedule = build_schedule(builder.compile().topology)
+    for event in schedule:
+        builder.event(event)
 
-    # Offline pre-computation (what Kollaps does before the run).
-    with Stopwatch() as precompute:
-        plan = DynamicTopologyPlan(topology, schedule)
+    def collect(engine, until, runtime: Stopwatch):
+        # Per-event swap cost at runtime with the plan in hand.
+        swap_per_event = runtime.stop() / len(schedule)
+        # Online alternative: collapse from scratch at event time.  The
+        # memo must be bypassed — the plan already collapsed this
+        # topology, and a cache hit would measure a dict lookup, not the
+        # ablated cost.
+        with Stopwatch() as online:
+            collapse(engine.plan.initial().topology, memo=False)
+        return {"precompute_total": engine.plan.precompute_seconds,
+                "swap_per_event": swap_per_event,
+                "online_per_event": online.elapsed,
+                "states": len(engine.plan),
+                "expected_states": len(schedule) + 1}
 
-    # Per-event swap cost at runtime with the plan in hand.
-    engine = scenario_engine(builder, schedule, machines=2, seed=17,
-                             enforce_bandwidth_sharing=False)
-    with Stopwatch() as runtime:
-        engine.run(until=schedule.horizon() + 0.1)
-    runtime_cost = runtime.elapsed / len(schedule)
-
-    # Online alternative: collapse from scratch at event time.  The memo
-    # must be bypassed — the plan above already collapsed this topology,
-    # and a cache hit would measure a dict lookup, not the ablated cost.
-    with Stopwatch() as online:
-        collapse(topology, memo=False)
-
-    return {"precompute_total": precompute.elapsed,
-            "swap_per_event": runtime_cost,
-            "online_per_event": online.elapsed,
-            "states": len(plan),
-            "expected_states": len(schedule) + 1}
+    return (builder
+            .workload(custom("timing", lambda engine: Stopwatch(),
+                             collect=collect, needs=()))
+            .deploy(machines=2, seed=seed, enforce_bandwidth_sharing=False,
+                    duration=schedule.horizon() + 0.1))
 
 
-@experiment("ablation-precompute")
-def run(quick: bool = False) -> ExperimentResult:
-    results = compute_results(size=300 if quick else SIZE)
+# A single timed point.
+campaign = grid_campaign("ablation-precompute", point_scenario, seed=17,
+                         size=SIZE)
+
+
+@experiment("ablation-precompute", campaign, size=300)
+def report(sweep) -> ExperimentResult:
+    results = sweep.run_for().metric("timing").summary
     result = ExperimentResult(
         exp_id="ablation-precompute",
         title="Ablation: pre-computed vs online dynamic-event handling",
@@ -79,10 +88,13 @@ def run(quick: bool = False) -> ExperimentResult:
                f"{results['swap_per_event'] * 1e3:.1f} ms"),
               ("online collapse per event (ablation)",
                f"{results['online_per_event'] * 1e3:.1f} ms"),
-              ("pre-computed states", results["states"])])
+              ("pre-computed states", f"{results['states']:.0f}")])
     result.check(
         "pre-computed swap at least 2x cheaper than online collapse",
         results["swap_per_event"] < results["online_per_event"] / 2)
     result.check("one state per distinct event time plus the base",
                  results["states"] == results["expected_states"])
     return result
+
+
+run = get_runner("ablation-precompute")

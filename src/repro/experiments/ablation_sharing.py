@@ -12,6 +12,10 @@ Three knobs the paper's design fixes, evaluated on the §5.4 topology:
    loss injection the emulation cannot converge TCP flows down when the
    topology shrinks mid-flow, because htb back-pressure alone gives the
    congestion-control algorithm nothing to react to.
+
+The first two are closed-form solver comparisons :func:`report` evaluates
+directly; the third is the campaign — one shrinking-link scenario swept
+over the ``congestion_sensitivity`` engine tunable.
 """
 
 from __future__ import annotations
@@ -23,11 +27,15 @@ from repro.core import (
     paper_two_step_shares,
     rtt_aware_max_min,
 )
-from repro.experiments.base import ExperimentResult, experiment, scenario_engine
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.netstack.plane import BULK_PLANE
+from repro.scenario import custom, flow
 from repro.scenario.topologies import throttling
-from repro.topology import DynamicEvent, EventAction, EventSchedule
+from repro.topology import DynamicEvent, EventAction
 
 MBPS = 1e6
+_DURATION = 20.0
 
 CAPACITIES = {0: 50 * MBPS, 1: 50 * MBPS, 6: 50 * MBPS, 7: 100 * MBPS}
 TWO_FLOWS = [
@@ -61,33 +69,45 @@ def solver_comparison() -> Dict[str, Dict[str, float]]:
                                               FIVE_FLOW_CAPACITIES)}
 
 
-def loss_injection_comparison(duration: float = 20.0) -> Dict[str, Dict]:
-    """Shrink a link mid-flow with and without loss injection."""
-
-    def run_variant(sensitivity: float) -> Dict[str, float]:
-        schedule = EventSchedule([DynamicEvent(
-            time=duration * 0.4, action=EventAction.SET_LINK, origin="b1",
-            destination="b2", changes={"bandwidth": 10 * MBPS})])
-        engine = scenario_engine(throttling(), schedule,
-                                 machines=2, seed=131,
-                                 congestion_sensitivity=sensitivity)
-        flow = engine.start_flow("c1", "c1", "s1")
-        engine.run(until=duration)
-        return {
-            "goodput": engine.fluid.mean_throughput(
-                "c1", duration * 0.6, duration),
-            "loss_events": flow.loss_events,
-            "final_cwnd": flow.cwnd,
-        }
-
-    return {"with-loss": run_variant(1.0), "without-loss": run_variant(0.0)}
+def _tcp_state(engine, until, _state) -> Dict[str, float]:
+    tcp = engine.fluid.flows["c1"]
+    return {"loss_events": tcp.loss_events, "final_cwnd": tcp.cwnd}
 
 
-@experiment("ablation-sharing")
-def run(quick: bool = False) -> ExperimentResult:
+def point_scenario(*, congestion_sensitivity: float, duration: float,
+                   seed: int):
+    """Shrink a link mid-flow, with (1.0) or without (0.0) loss injection."""
+    return (throttling()
+            .event(DynamicEvent(
+                time=duration * 0.4, action=EventAction.SET_LINK,
+                origin="b1", destination="b2",
+                changes={"bandwidth": 10 * MBPS}))
+            .workload(flow("c1", "s1", key="c1"),
+                      custom("tcp", collect=_tcp_state, needs=(BULK_PLANE,)))
+            .deploy(machines=2, seed=seed, duration=duration,
+                    congestion_sensitivity=congestion_sensitivity))
+
+
+# The loss-injection pair: the same run at sensitivity 1 and 0.
+campaign = grid_campaign("ablation-sharing", point_scenario, seed=131,
+                         congestion_sensitivity=[1.0, 0.0],
+                         duration=_DURATION)
+
+
+@experiment("ablation-sharing", campaign, duration=12.0)
+def report(sweep) -> ExperimentResult:
     rtt = rtt_weight_comparison()
     solver = solver_comparison()
-    loss = loss_injection_comparison(duration=12.0 if quick else 20.0)
+    loss = {}
+    for name, sensitivity in (("with-loss", 1.0), ("without-loss", 0.0)):
+        run = sweep.run_for(congestion_sensitivity=sensitivity)
+        duration = run.params["duration"]
+        tcp = run.metric("tcp")
+        loss[name] = {
+            "goodput": run.metric("c1").mean_throughput(duration * 0.6,
+                                                        duration),
+            "loss_events": tcp.stat("loss_events"),
+            "final_cwnd": tcp.stat("final_cwnd")}
 
     rows = [
         ("rtt-aware two-flow split (paper 23.08/26.92)",
@@ -144,3 +164,6 @@ def run(quick: bool = False) -> ExperimentResult:
                  loss["without-loss"]["final_cwnd"]
                  > 2 * loss["with-loss"]["final_cwnd"])
     return result
+
+
+run = get_runner("ablation-sharing")

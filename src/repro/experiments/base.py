@@ -1,55 +1,35 @@
-"""Experiment harness: structured results, a registry and reporting.
+"""Experiment harness: one shape, one registry, structured results.
 
-Every table and figure of the paper's evaluation has a runner module in
-this package.  A runner computes the same rows/series the paper reports
-and returns an :class:`ExperimentResult` carrying:
+Every table and figure of the paper's evaluation is a module in this
+package with the same three parts:
 
-* the formatted rows (what the paper's table/plot shows),
-* the paper's own claim for side-by-side comparison,
-* a list of :class:`Check` objects — the *shape* assertions (who wins, by
-  roughly what factor, where crossovers fall) that decide whether the
-  reproduction holds.
+* ``point_scenario(**params, seed)`` — the scenario at one grid point,
+  its measurements declared as workloads;
+* ``campaign(**scale)`` — the grid (parameters × seeds × backends) as a
+  :class:`~repro.campaign.Campaign`;
+* ``report(sweep)`` — the paper's rows plus the *shape* checks (who wins,
+  by roughly what factor, where crossovers fall) as an
+  :class:`ExperimentResult`, computed from the sweep's stored
+  :class:`~repro.scenario.results.Metrics` alone, so a sweep that went
+  through a process pool, a fleet or a result store reports exactly as a
+  live one does.
 
-The benchmarks under ``benchmarks/`` call the same runners (so the timed
-harness and the report can never drift apart), and
-:func:`render_markdown` turns a set of results into the repository's
-``EXPERIMENTS.md``.
+:func:`experiment` registers the three under an id; the serial runner is
+derived — ``report(campaign(**quick_scale).run(jobs=1))`` — so
+``python -m repro.experiments``, the benchmarks under ``benchmarks/`` and
+``repro campaign run|status|report <id>`` all execute the same grid, and
+:func:`render_markdown` turns a set of results into ``EXPERIMENTS.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
+    Sequence
 
-__all__ = ["Check", "ExperimentResult", "experiment", "registered",
-           "get_runner", "run_experiments", "scenario_engine",
-           "campaign_factory", "as_campaign", "campaigns_registered",
-           "format_table", "render_markdown"]
-
-
-def scenario_engine(builder, schedule=None, *, backend: str = "kollaps",
-                    machines: int = 1, seed: int = 0, placement=None,
-                    backend_options=None, **tunables):
-    """A live execution system via the Scenario API and backend registry.
-
-    Every experiment runner that drives a system by hand assembles it
-    through this one helper, so all reproduction workloads flow through
-    the unified :mod:`repro.scenario` choke point (validation included)
-    *and* the :mod:`repro.scenario.backends` registry — no runner
-    constructs an engine or baseline class directly.  ``builder`` is a
-    :class:`~repro.scenario.Scenario`; ``schedule`` optionally adds
-    dynamic events to it.  ``backend`` selects the executing system
-    (default: the Kollaps engine); ``tunables`` are
-    :class:`~repro.core.engine.EngineConfig` fields
-    (``enforce_bandwidth_sharing``, ``congestion_sensitivity``, ...).
-    """
-    from repro.scenario import resolve_backend
-    for event in (schedule or []):
-        builder.event(event)
-    builder.deploy(machines=machines, seed=seed, placement=placement,
-                   **tunables)
-    return resolve_backend(backend, **(backend_options or {})).prepare(
-        builder.compile())
+__all__ = ["Check", "ExperimentResult", "Experiment", "experiment",
+           "grid_campaign", "registered", "get_runner", "run_experiments",
+           "as_campaign", "run_or_na", "format_table", "render_markdown"]
 
 
 @dataclass
@@ -92,62 +72,70 @@ class ExperimentResult:
             assert check.passed, f"{self.exp_id}: {check.description}"
 
 
-_REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {}
-_CAMPAIGNS: Dict[str, Callable] = {}
+@dataclass(frozen=True)
+class Experiment:
+    """One registered reproduction: its grid, its report, its quick scale."""
+
+    campaign: Callable                      # campaign(**scale) -> Campaign
+    report: Callable[..., ExperimentResult]     # report(sweep)
+    quick: Mapping[str, object]             # campaign kwargs of --quick
+
+    def run(self, quick: bool = False) -> ExperimentResult:
+        """The serial reproduction: the campaign in-process, then the
+        report over it."""
+        scale = self.quick if quick else {}
+        return self.report(self.campaign(**scale).run(jobs=1))
+
+
+_REGISTRY: Dict[str, Experiment] = {}
 
 # Presentation order for the report: the paper's own order.
 _ORDER = ["table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7",
           "fig8", "table4", "fig9", "fig10", "fig11"]
 
 
-def experiment(exp_id: str):
-    """Register ``run(quick=False) -> ExperimentResult`` under ``exp_id``."""
+def experiment(exp_id: str, campaign: Callable, **quick):
+    """Register ``report(sweep) -> ExperimentResult`` under ``exp_id``.
 
-    def decorator(function: Callable[..., ExperimentResult]):
-        if exp_id in _REGISTRY:
-            raise ValueError(f"duplicate experiment id {exp_id!r}")
-        _REGISTRY[exp_id] = function
-        return function
-
-    return decorator
-
-
-def campaign_factory(exp_id: str):
-    """Register ``campaign(**kwargs) -> Campaign`` under ``exp_id``.
-
-    The decorated factory is the *one* definition of an experiment's
-    sweep: the serial runner iterates the campaign it returns (with
-    ``jobs=1`` and no store) and ``repro campaign run <exp_id>`` executes
-    the very same grid in parallel against a persistent store — the two
-    paths cannot drift.
+    ``campaign`` is the module's grid factory — the *one* definition of
+    the experiment's sweep, whoever executes it — and ``quick`` the
+    keyword arguments that shrink it to smoke-test scale.
     """
 
-    def decorator(function: Callable):
-        if exp_id in _CAMPAIGNS:
-            raise ValueError(f"duplicate campaign id {exp_id!r}")
-        _CAMPAIGNS[exp_id] = function
-        return function
+    def decorator(report: Callable[..., ExperimentResult]):
+        if exp_id in _REGISTRY:
+            raise ValueError(f"duplicate experiment id {exp_id!r}")
+        _REGISTRY[exp_id] = Experiment(campaign, report, quick)
+        return report
 
     return decorator
 
 
-def campaigns_registered() -> List[str]:
-    """Every experiment id that also exposes a campaign form."""
-    _load_all()
-    return sorted(_CAMPAIGNS)
+def grid_campaign(name: str, factory: Callable, *, seed: int,
+                  backends: Sequence[str] = ("kollaps",), **axes) -> Callable:
+    """A ``campaign(**scale)`` factory: ``axes`` × one seed × ``backends``.
+
+    ``scale`` replaces axes by name (``campaign(duration=2.0)``).  The
+    :mod:`repro.campaign` import waits for the call, so importing an
+    experiment module for its scenario factory alone never pays for it.
+    """
+
+    def campaign(**scale):
+        from repro.campaign import Campaign
+        return (Campaign(name).scenario(factory).grid(**{**axes, **scale})
+                .seeds([seed]).backends(*backends))
+
+    return campaign
 
 
-def as_campaign(exp_id: str, **kwargs):
-    """The campaign form of a registered experiment (fig5, table2, ...)."""
-    _load_all()
+def _lookup(exp_id: str) -> Experiment:
+    if exp_id not in _REGISTRY:
+        _load_all()
     try:
-        factory = _CAMPAIGNS[exp_id]
+        return _REGISTRY[exp_id]
     except KeyError:
-        raise KeyError(
-            f"experiment {exp_id!r} has no campaign form; "
-            f"available: {', '.join(campaigns_registered()) or 'none'}"
-        ) from None
-    return factory(**kwargs)
+        raise KeyError(f"unknown experiment {exp_id!r}; "
+                       f"known: {registered()}") from None
 
 
 def registered() -> List[str]:
@@ -158,12 +146,13 @@ def registered() -> List[str]:
 
 
 def get_runner(exp_id: str) -> Callable[..., ExperimentResult]:
-    _load_all()
-    try:
-        return _REGISTRY[exp_id]
-    except KeyError:
-        raise KeyError(f"unknown experiment {exp_id!r}; "
-                       f"known: {registered()}") from None
+    """``run(quick=False) -> ExperimentResult`` of a registered experiment."""
+    return _lookup(exp_id).run
+
+
+def as_campaign(exp_id: str, **scale):
+    """The campaign of a registered experiment (any of :func:`registered`)."""
+    return _lookup(exp_id).campaign(**scale)
 
 
 def run_experiments(only: Optional[Iterable[str]] = None, *,
@@ -171,19 +160,15 @@ def run_experiments(only: Optional[Iterable[str]] = None, *,
                     progress: Optional[Callable[[str], None]] = None
                     ) -> List[ExperimentResult]:
     """Run the selected (default: all) experiments in paper order."""
-    _load_all()
     wanted = list(only) if only is not None else registered()
-    for exp_id in wanted:
-        if exp_id not in _REGISTRY:
-            raise KeyError(f"unknown experiment {exp_id!r}; "
-                           f"known: {registered()}")
+    runners = {exp_id: get_runner(exp_id) for exp_id in wanted}
     results = []
     for exp_id in registered():
-        if exp_id not in wanted:
+        if exp_id not in runners:
             continue
         if progress is not None:
             progress(exp_id)
-        results.append(_REGISTRY[exp_id](quick=quick))
+        results.append(runners[exp_id](quick=quick))
     return results
 
 
@@ -194,6 +179,20 @@ def _load_all() -> None:
         fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11,
         table2, table3, table4,
     )
+
+
+# ---------------------------------------------------------- report helpers
+def run_or_na(sweep, **selector):
+    """The selected cell's run, or None for one of the sweep's N/A cells.
+
+    N/A is a cell the campaign excluded or whose backend failed
+    validation (``incompatible``) — the paper's own N/A entries.  A cell
+    that crashed still raises, with its captured failure.
+    """
+    cell = sweep.result_for(**selector)
+    if cell is None or cell.status == "incompatible":
+        return None
+    return sweep.run_for(**selector)
 
 
 # ------------------------------------------------------------- presentation

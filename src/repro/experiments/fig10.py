@@ -7,89 +7,99 @@ curves: flat latency until the replicas saturate, then a sharp climb.
 Here the "EC2" reference is the bare-metal run of the same workload over
 the full physical topology; Kollaps is the collapsed emulation.
 
-The Cassandra cluster rides a ``custom`` workload, so the same compiled
-scenario fans across the baremetal and kollaps backends like every other
-cross-system experiment.
+The Cassandra cluster and its YCSB clients ride a ``custom`` workload
+collecting a mapping (throughput plus overall/read/update mean latency),
+so the threads × {baremetal, kollaps} grid is an ordinary campaign — and
+Figure 11's what-if is this same :func:`point_scenario` with another
+``remote_region``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Mapping
 
-from repro.experiments.base import ExperimentResult, experiment
-from repro.scenario import CompiledScenario, custom
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.scenario import custom
 from repro.scenario.topologies import aws_mesh
 from repro.sim import RngRegistry
 
 THREAD_SWEEP = [1, 4, 8, 16, 32]
+SYSTEMS = ("baremetal", "kollaps")
 _DURATION = 25.0
-_REGIONS = ("frankfurt", "sydney")
 
 # Independent YCSB request streams per backend, as the paper's two
-# deployments are independent runs.
-_SEED_TAGS = {"baremetal": "e", "kollaps": "k"}
+# deployments are independent runs: backend -> RNG stream prefix.
+_STREAM_TAGS = {"baremetal": "ycsb:e", "kollaps": "ycsb:k"}
 
 
-def replica_names():
-    return [f"cas-{region}-{index}" for index in range(4)
-            for region in _REGIONS]
+def _mean(values) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
-def _install_cassandra(threads: int):
+def point_scenario(*, threads: int, duration: float,
+                   seed: int, remote_region: str = "sydney",
+                   stream_tags: Mapping[str, str] = _STREAM_TAGS):
+    """Frankfurt + ``remote_region``: 4 replicas each (RF = 2), 4 YCSB
+    clients on extra Frankfurt services.
+
+    The YCSB request streams are ``RngRegistry(seed)`` streams named by
+    ``stream_tags[backend]`` plus the thread count and client index.
+    """
+    regions = ("frankfurt", remote_region)
+
     def install(system):
         from repro.apps import CassandraCluster, YcsbClient
-        cluster = CassandraCluster(system.sim, system.dataplane,
-                                   replica_names(), replication_factor=2,
+        replicas = [f"cas-{region}-{index}" for index in range(4)
+                    for region in regions]
+        cluster = CassandraCluster(system.sim, system.dataplane, replicas,
+                                   replication_factor=2,
                                    write_consistency=2, read_consistency=1,
                                    service_time=2e-3)
-        tag = _SEED_TAGS.get(getattr(system, "scenario_backend", "kollaps"),
-                             "k")
+        tag = stream_tags[system.scenario_backend]
         return [YcsbClient(system.sim, system.dataplane,
                            f"cas-frankfurt-{4 + index}", cluster,
                            f"cas-frankfurt-{index}",
                            threads=max(1, threads // 4), read_fraction=0.5,
-                           rng=RngRegistry(111).stream(
-                               f"ycsb:{tag}{threads}:{index}"))
+                           rng=RngRegistry(seed).stream(
+                               f"{tag}{threads}:{index}"))
                 for index in range(4)]
-    return install
 
+    def collect(system, until, clients):
+        stats = [client.stats for client in clients]
+        return {
+            "throughput": sum(s.throughput(until) for s in stats),
+            "latency": _mean(sorted(latency for s in stats
+                                    for latency in s.all_latencies())),
+            "read_latency": _mean([latency for s in stats
+                                   for latency in s.read_latencies]),
+            "update_latency": _mean([latency for s in stats
+                                     for latency in s.update_latencies]),
+        }
 
-def _collect_cassandra(system, until, clients) -> Tuple[float, float]:
-    throughput = sum(client.stats.throughput(until) for client in clients)
-    latencies = sorted(latency for client in clients
-                       for latency in client.stats.all_latencies())
-    mean_latency = (sum(latencies) / len(latencies)) if latencies else 0.0
-    return throughput, mean_latency
-
-
-def scenario(threads: int, duration: float = _DURATION) -> CompiledScenario:
-    # 4 replicas per region; 4 YCSB clients ride extra Frankfurt services.
-    return (aws_mesh(list(_REGIONS), services_per_region=8,
+    return (aws_mesh(list(regions), services_per_region=8,
                      service_prefix="cas")
-            .workload(custom(f"ycsb-{threads}",
-                             _install_cassandra(threads),
-                             collect=_collect_cassandra,
-                             needs=("packet",), duration=duration))
-            .deploy(machines=4, seed=111, duration=duration,
-                    enforce_bandwidth_sharing=False)
-            .compile())
+            .workload(custom("ycsb", install, collect=collect))
+            .deploy(machines=4, seed=seed, duration=duration,
+                    enforce_bandwidth_sharing=False))
 
 
-def compute_curve(duration: float = _DURATION
-                  ) -> Dict[Tuple[str, int], Tuple[float, float]]:
+# Offered load × the two deployments.
+campaign = grid_campaign("fig10", point_scenario, seed=111,
+                         backends=SYSTEMS, threads=THREAD_SWEEP,
+                         duration=_DURATION)
+
+
+@experiment("fig10", campaign, duration=10.0)
+def report(sweep) -> ExperimentResult:
+    # (deployment, threads) -> (ops/s, mean latency s)
     curve = {}
     for threads in THREAD_SWEEP:
-        compiled = scenario(threads, duration)
-        curve[("ec2", threads)] = \
-            compiled.run(backend="baremetal")[f"ycsb-{threads}"]
-        curve[("kollaps", threads)] = \
-            compiled.run(backend="kollaps")[f"ycsb-{threads}"]
-    return curve
-
-
-@experiment("fig10")
-def run(quick: bool = False) -> ExperimentResult:
-    curve = compute_curve(duration=10.0 if quick else _DURATION)
+        for name, system in zip(("ec2", "kollaps"), SYSTEMS):
+            ycsb = sweep.run_for(threads=threads,
+                                 backend=system).metric("ycsb")
+            curve[(name, threads)] = (ycsb.stat("throughput"),
+                                      ycsb.stat("latency"))
     result = ExperimentResult(
         exp_id="fig10",
         title="Cassandra throughput/latency, EC2(baremetal) vs Kollaps",
@@ -119,3 +129,6 @@ def run(quick: bool = False) -> ExperimentResult:
     result.check("latency eventually climbs (the hockey stick)",
                  curve[("kollaps", 32)][1] >= curve[("kollaps", 1)][1] * 0.9)
     return result
+
+
+run = get_runner("fig10")

@@ -5,63 +5,49 @@ Seoul (ap-northeast), halving the inter-region RTT.  Cassandra responds as
 expected: update latencies drop by about half (reads, already local,
 barely move) and the saturation point shifts to higher throughput.  In
 Kollaps this is a one-line change to the topology description.
+
+Here it is one grid axis: the campaign runs Figure 10's
+:func:`~repro.experiments.fig10.point_scenario` with ``remote_region``
+swept over Sydney and Seoul.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.apps import CassandraCluster, YcsbClient
-from repro.experiments.base import ExperimentResult, experiment, scenario_engine
-from repro.sim import RngRegistry
-from repro.scenario.topologies import aws_mesh
+from repro.experiments import fig10
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
 
 THREAD_SWEEP = [4, 16, 32]
 _DURATION = 25.0
 
-
-def run_curve(remote_region: str, tag: str,
-              duration: float = _DURATION) -> Dict[int, Dict[str, float]]:
-    results = {}
-    for threads in THREAD_SWEEP:
-        scenario = aws_mesh(["frankfurt", remote_region],
-                            services_per_region=8, service_prefix="cas")
-        engine = scenario_engine(scenario, machines=4, seed=121,
-                                 enforce_bandwidth_sharing=False)
-        replicas = [f"cas-{region}-{index}" for index in range(4)
-                    for region in ("frankfurt", remote_region)]
-        cluster = CassandraCluster(engine.sim, engine.dataplane, replicas,
-                                   replication_factor=2, write_consistency=2,
-                                   read_consistency=1, service_time=2e-3)
-        clients = [YcsbClient(engine.sim, engine.dataplane,
-                              f"cas-frankfurt-{4 + index}", cluster,
-                              f"cas-frankfurt-{index}",
-                              threads=max(1, threads // 4), read_fraction=0.5,
-                              rng=RngRegistry(121).stream(
-                                  f"{tag}:{threads}:{index}"))
-                   for index in range(4)]
-        engine.run(until=duration)
-        reads = [l for client in clients
-                 for l in client.stats.read_latencies]
-        updates = [l for client in clients
-                   for l in client.stats.update_latencies]
-        results[threads] = {
-            "throughput": sum(client.stats.throughput(duration)
-                              for client in clients),
-            "read": sum(reads) / len(reads),
-            "update": sum(updates) / len(updates),
-        }
-    return results
+# remote region -> YCSB RNG stream prefix (the two deployments draw
+# independent request streams).
+_STREAM_TAGS = {"sydney": "base:", "seoul": "whatif:"}
 
 
-def compute_results(duration: float = _DURATION) -> Dict[str, Dict]:
-    return {"sydney": run_curve("sydney", "base", duration),
-            "seoul": run_curve("seoul", "whatif", duration)}
+def point_scenario(*, remote_region: str, threads: int,
+                   duration: float, seed: int):
+    """Figure 10's deployment with the remote replicas in ``remote_region``."""
+    return fig10.point_scenario(
+        threads=threads, duration=duration, seed=seed,
+        remote_region=remote_region,
+        stream_tags={"kollaps": _STREAM_TAGS[remote_region]})
 
 
-@experiment("fig11")
-def run(quick: bool = False) -> ExperimentResult:
-    results = compute_results(duration=10.0 if quick else _DURATION)
+# Remote region × offered load, on Kollaps.
+campaign = grid_campaign("fig11", point_scenario, seed=121,
+                         remote_region=list(_STREAM_TAGS),
+                         threads=THREAD_SWEEP, duration=_DURATION)
+
+
+@experiment("fig11", campaign, duration=10.0)
+def report(sweep) -> ExperimentResult:
+    # region -> threads -> the YCSB summary (throughput, mean latencies)
+    results = {region: {threads: sweep.run_for(remote_region=region,
+                                               threads=threads)
+                        .metric("ycsb").summary
+                        for threads in THREAD_SWEEP}
+               for region in _STREAM_TAGS}
     result = ExperimentResult(
         exp_id="fig11",
         title="What-if: original (Sydney) vs halved latency (Seoul)",
@@ -74,24 +60,27 @@ def run(quick: bool = False) -> ExperimentResult:
                  "what-if ops/s", "what-if read ms", "what-if update ms"],
         rows=[(threads,
                f"{results['sydney'][threads]['throughput']:.0f}",
-               f"{results['sydney'][threads]['read'] * 1e3:.1f}",
-               f"{results['sydney'][threads]['update'] * 1e3:.1f}",
+               f"{results['sydney'][threads]['read_latency'] * 1e3:.1f}",
+               f"{results['sydney'][threads]['update_latency'] * 1e3:.1f}",
                f"{results['seoul'][threads]['throughput']:.0f}",
-               f"{results['seoul'][threads]['read'] * 1e3:.1f}",
-               f"{results['seoul'][threads]['update'] * 1e3:.1f}")
+               f"{results['seoul'][threads]['read_latency'] * 1e3:.1f}",
+               f"{results['seoul'][threads]['update_latency'] * 1e3:.1f}")
               for threads in THREAD_SWEEP])
     for threads in THREAD_SWEEP:
         original = results["sydney"][threads]
         whatif = results["seoul"][threads]
         result.check(
             f"update latency roughly halves at {threads} threads",
-            abs(whatif["update"] - original["update"] / 2)
-            <= 0.20 * original["update"] / 2)
+            abs(whatif["update_latency"] - original["update_latency"] / 2)
+            <= 0.20 * original["update_latency"] / 2)
         result.check(f"throughput rises accordingly at {threads} threads",
                      whatif["throughput"] > original["throughput"] * 1.3)
         # Reads are served by the local (Frankfurt) replica via the snitch
         # in both deployments, so they barely move.
         result.check(f"reads barely move at {threads} threads",
-                     abs(whatif["read"] - original["read"])
-                     <= 0.10 * original["read"])
+                     abs(whatif["read_latency"] - original["read_latency"])
+                     <= 0.10 * original["read_latency"])
     return result
+
+
+run = get_runner("fig11")

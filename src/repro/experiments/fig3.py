@@ -7,20 +7,16 @@ and is essentially flat in the number of *containers* — the
 decentralization claim.  Absolute volume stays in the hundreds of KB/s at
 the largest configuration (paper: ~493 KB/s at 160 containers, 4 hosts).
 
-The sweep is a campaign: :func:`campaign` declares the (containers,
-flows) × hosts grid once — the configurations the paper never measured
-are ``exclude``\\ d — with the metadata rate collected by a ``custom``
-workload, so the serial runner (``jobs=1``), ``repro campaign run fig3
---jobs N`` and a distributed ``repro campaign fleet fig3`` all execute
-the identical per-point path.
+The (containers, flows) × hosts grid is declared once — the
+configurations the paper never measured are ``exclude``\\ d — with the
+metadata rate collected by a ``custom`` workload (:func:`metadata_rate`,
+shared with the per-destination ablation) and read back by
+:func:`report`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-from repro.experiments.base import ExperimentResult, campaign_factory, \
-    experiment
+from repro.experiments.base import ExperimentResult, experiment, get_runner
 from repro.netstack.plane import BULK_PLANE
 from repro.scenario import custom, flow
 from repro.scenario.topologies import dumbbell
@@ -33,7 +29,7 @@ _DURATION = 5.0
 _SEED = 41
 
 
-def _metadata_rate(engine, until, _state) -> float:
+def metadata_rate(engine, until, _state) -> float:
     """Total metadata wire traffic in bytes/s over the whole run."""
     return engine.total_metadata_wire_bytes() / until
 
@@ -45,12 +41,11 @@ def point_scenario(*, containers: int, flows: int, hosts: int,
     for index in range(flows):
         builder.workload(flow(f"client{index}", f"server{index}",
                               key=f"f{index}"))
-    builder.workload(custom("metadata", collect=_metadata_rate,
+    builder.workload(custom("metadata", collect=metadata_rate,
                             needs=(BULK_PLANE,)))
     return builder.deploy(machines=hosts, seed=seed, duration=duration)
 
 
-@campaign_factory("fig3")
 def campaign(duration: float = _DURATION):
     """The Figure-3 sweep: measured (containers, flows) cells × hosts."""
     from repro.campaign import Campaign
@@ -67,19 +62,13 @@ def campaign(duration: float = _DURATION):
                      not in CONFIGS))
 
 
-def compute_results(duration: float = _DURATION
-                    ) -> Dict[Tuple[int, int, int], float]:
-    """(containers, flows, hosts) -> metadata bytes/s, via the campaign."""
-    sweep = campaign(duration).run(jobs=1)
-    return {(containers, flows, hosts):
-            sweep.run_for(containers=containers, flows=flows,
-                          hosts=hosts).metric("metadata").value
-            for containers, flows in CONFIGS for hosts in HOSTS}
-
-
-@experiment("fig3")
-def run(quick: bool = False) -> ExperimentResult:
-    results = compute_results(duration=2.0 if quick else _DURATION)
+@experiment("fig3", campaign, duration=2.0)
+def report(sweep) -> ExperimentResult:
+    # (containers, flows, hosts) -> metadata bytes/s
+    results = {(containers, flows, hosts):
+               sweep.run_for(containers=containers, flows=flows,
+                             hosts=hosts).metric("metadata").value
+               for containers, flows in CONFIGS for hosts in HOSTS}
     result = ExperimentResult(
         exp_id="fig3",
         title="Metadata traffic (KB/s) by (containers, flows) x hosts",
@@ -108,3 +97,6 @@ def run(quick: bool = False) -> ExperimentResult:
     result.check("modest absolute volume (< 500 KB/s everywhere)",
                  max(results.values()) < 500e3)
     return result
+
+
+run = get_runner("fig3")

@@ -6,19 +6,16 @@ deployed over 1, 2, 4, 8 and 16 physical hosts.  Aggregate client
 throughput stays flat as hosts are added (left plot), and per-host
 metadata traffic stays in the tens of KB/s (right plot).
 
-The hosts × connections fan-out is a campaign: :func:`campaign` is the
-one grid definition, the memtier cluster installs through a ``custom``
-workload (the Figure 10 pattern), and the serial runner drives
-``Campaign.run(jobs=1)`` — so ``repro campaign run fig4`` (or a
-distributed fleet) executes exactly the reproduction's code path.
+The hosts × connections fan-out is the campaign grid; the memtier
+cluster installs through a ``custom`` workload (the Figure 10 pattern)
+and :func:`report` reads the aggregate ops/s and per-host metadata rate
+off each point.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-from repro.experiments.base import ExperimentResult, campaign_factory, \
-    experiment
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
 from repro.scenario import custom
 from repro.scenario.topologies import aws_mesh
 from repro.sim import RngRegistry
@@ -62,33 +59,20 @@ def point_scenario(*, hosts: int, connections: int,
             .deploy(machines=hosts, seed=seed, duration=duration))
 
 
-@campaign_factory("fig4")
-def campaign(duration: float = _DURATION):
-    """The Figure-4 sweep: host counts × connections per client."""
-    from repro.campaign import Campaign
-    return (Campaign("fig4")
-            .scenario(point_scenario)
-            .grid(hosts=HOSTS, connections=[1, 10], duration=[duration])
-            .seeds([_SEED])
-            .backends("kollaps"))
+# Host counts × connections per client.
+campaign = grid_campaign("fig4", point_scenario, seed=_SEED, hosts=HOSTS,
+                         connections=[1, 10], duration=_DURATION)
 
 
-def compute_results(duration: float = _DURATION
-                    ) -> Dict[Tuple[int, int], Tuple[float, float]]:
-    """(hosts, connections) -> (aggregate ops/s, per-host metadata B/s)."""
-    sweep = campaign(duration).run(jobs=1)
+@experiment("fig4", campaign, duration=4.0)
+def report(sweep) -> ExperimentResult:
+    # (hosts, connections) -> (aggregate ops/s, per-host metadata B/s)
     results = {}
     for hosts in HOSTS:
         for connections in (1, 10):
             run = sweep.run_for(hosts=hosts, connections=connections)
             results[(hosts, connections)] = (run.metric("ops").value,
                                              run.metric("metadata").value)
-    return results
-
-
-@experiment("fig4")
-def run(quick: bool = False) -> ExperimentResult:
-    results = compute_results(duration=4.0 if quick else _DURATION)
     result = ExperimentResult(
         exp_id="fig4",
         title="memcached aggregate throughput and metadata per host",
@@ -118,3 +102,6 @@ def run(quick: bool = False) -> ExperimentResult:
         result.check(f"metadata per host modest at {hosts} hosts",
                      results[(hosts, 10)][1] < 50e3)
     return result
+
+
+run = get_runner("fig4")

@@ -6,22 +6,17 @@ metal, Kollaps and Mininet; the deviation of measured bandwidth from the
 bare-metal baseline stays below ~10 % (long-lived) and ~2 % (short-lived),
 with Kollaps generally at least as close as Mininet.
 
-The cross-system fan-out is a campaign: :func:`campaign` declares the
-workload × backend grid once, the serial runner executes it in-process
-(``jobs=1``), and ``repro campaign run fig5 --jobs N`` runs the *same*
-grid in parallel against a persistent store — one definition, two
-execution modes.  Deviations come from
+The cross-system fan-out is the campaign's workload × backend grid;
+:func:`report` takes the deviations from
 :meth:`~repro.scenario.results.ScenarioRun.compare` against the
-bare-metal run.
+bare-metal run of the same cell.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.experiments.base import ExperimentResult, campaign_factory, \
-    experiment
-from repro.scenario import CompiledScenario, ScenarioRun, http_load, iperf
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.scenario import http_load, iperf
 from repro.scenario.topologies import star
 
 _DURATION = 15.0
@@ -52,40 +47,18 @@ def point_scenario(*, traffic: str, duration: float = _DURATION,
     return builder.deploy(machines=3, seed=seed, duration=duration)
 
 
-def scenario(workload: str, duration: float = _DURATION) -> CompiledScenario:
-    """One compiled Figure-5 scenario, ready for any backend."""
-    return point_scenario(traffic=workload, duration=duration).compile()
+# Workloads × systems at the paper's seed.
+campaign = grid_campaign("fig5", point_scenario, seed=_SEED, backends=SYSTEMS,
+                         traffic=WORKLOADS, duration=_DURATION)
 
 
-@campaign_factory("fig5")
-def campaign(duration: float = _DURATION):
-    """The Figure-5 sweep: workloads × systems at the paper's seed."""
-    from repro.campaign import Campaign
-    return (Campaign("fig5")
-            .scenario(point_scenario)
-            .grid(traffic=WORKLOADS, duration=[duration])
-            .seeds([_SEED])
-            .backends(*SYSTEMS))
-
-
-def compute_runs(duration: float = _DURATION
-                 ) -> Dict[str, Dict[str, ScenarioRun]]:
-    """workload -> backend -> the run of one campaign grid cell."""
-    sweep = campaign(duration).run(jobs=1)
-    return {workload: {system: sweep.run_for(traffic=workload,
+@experiment("fig5", campaign, duration=6.0)
+def report(sweep) -> ExperimentResult:
+    # workload -> backend -> the run of one campaign grid cell
+    runs = {workload: {system: sweep.run_for(traffic=workload,
                                              backend=system)
                        for system in SYSTEMS}
             for workload in WORKLOADS}
-
-
-def measured(run: ScenarioRun, workload: str) -> float:
-    """The headline bandwidth of one run (bits/s)."""
-    return run.metric(workload).value
-
-
-@experiment("fig5")
-def run(quick: bool = False) -> ExperimentResult:
-    runs = compute_runs(duration=6.0 if quick else _DURATION)
 
     def deviation(workload: str, name: str) -> float:
         comparison = runs[workload]["baremetal"].compare(runs[workload][name])
@@ -102,12 +75,8 @@ def run(quick: bool = False) -> ExperimentResult:
         headers=["workload", "baremetal", "kollaps", "mininet",
                  "kollaps dev", "mininet dev"],
         rows=[(workload,
-               f"{measured(runs[workload]['baremetal'], workload) / 1e6:.1f}"
-               " Mb/s",
-               f"{measured(runs[workload]['kollaps'], workload) / 1e6:.1f}"
-               " Mb/s",
-               f"{measured(runs[workload]['mininet'], workload) / 1e6:.1f}"
-               " Mb/s",
+               *(f"{runs[workload][system].metric(workload).value / 1e6:.1f}"
+                 " Mb/s" for system in SYSTEMS),
                f"{deviation(workload, 'kollaps'):.2%}",
                f"{deviation(workload, 'mininet'):.2%}")
               for workload in WORKLOADS])
@@ -123,3 +92,6 @@ def run(quick: bool = False) -> ExperimentResult:
     result.check("Mininet close on short-lived wrk2 flows",
                  deviation("wrk2", "mininet") < 0.15)
     return result
+
+
+run = get_runner("fig5")

@@ -5,21 +5,17 @@ curl clients (~64 KB per request, fresh TCP connection every time).  Bare
 metal and Kollaps scale near-linearly with client count; Mininet's
 throughput falls behind as its switches buckle under per-connection state.
 
-Like Figure 5, the cross-system fan-out is a campaign: the client-count
-× backend grid is declared once, runs in-process via ``jobs=1`` here,
-and the *same* grid runs store-backed and parallel through
-``repro campaign run fig6`` — whose deterministic
-``aggregate().to_markdown()`` table is pinned by a golden fixture in
-``tests/golden/fig6_aggregate.md``.
+Like Figure 5, the cross-system fan-out is the campaign's client-count
+× backend grid; its deterministic ``aggregate().to_markdown()`` table is
+pinned by a golden fixture in ``tests/golden/fig6_aggregate.md``, and
+:func:`report` reads the same headline throughputs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-from repro.experiments.base import ExperimentResult, campaign_factory, \
-    experiment
-from repro.scenario import CompiledScenario, curl_swarm
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.scenario import curl_swarm
 from repro.scenario.topologies import star
 
 CLIENT_COUNTS = [1, 2, 4, 8]
@@ -37,33 +33,17 @@ def point_scenario(*, clients: int, duration: float = _DURATION,
             .deploy(machines=2, seed=seed, duration=duration))
 
 
-def scenario(clients: int, duration: float = _DURATION) -> CompiledScenario:
-    return point_scenario(clients=clients, duration=duration).compile()
+# Client counts × systems at the paper's seed.
+campaign = grid_campaign("fig6", point_scenario, seed=_SEED, backends=SYSTEMS,
+                         clients=CLIENT_COUNTS, duration=_DURATION)
 
 
-@campaign_factory("fig6")
-def campaign(duration: float = _DURATION):
-    """The Figure-6 sweep: client counts × systems at the paper's seed."""
-    from repro.campaign import Campaign
-    return (Campaign("fig6")
-            .scenario(point_scenario)
-            .grid(clients=CLIENT_COUNTS, duration=[duration])
-            .seeds([_SEED])
-            .backends(*SYSTEMS))
-
-
-def compute_results(duration: float = _DURATION
-                    ) -> Dict[Tuple[str, int], float]:
-    sweep = campaign(duration).run(jobs=1)
-    return {(system, clients):
-            sweep.run_for(clients=clients, backend=system)
-            .metric("curl").value
-            for clients in CLIENT_COUNTS for system in SYSTEMS}
-
-
-@experiment("fig6")
-def run(quick: bool = False) -> ExperimentResult:
-    results = compute_results(duration=12.0 if quick else _DURATION)
+@experiment("fig6", campaign, duration=12.0)
+def report(sweep) -> ExperimentResult:
+    results = {(system, clients):
+               sweep.run_for(clients=clients, backend=system)
+               .metric("curl").value
+               for clients in CLIENT_COUNTS for system in SYSTEMS}
     result = ExperimentResult(
         exp_id="fig6",
         title="HTTP throughput, connection-per-request curl clients",
@@ -93,3 +73,6 @@ def run(quick: bool = False) -> ExperimentResult:
     result.check("the Mininet gap widens with load (collapse signature)",
                  gap_high < gap_low)
     return result
+
+
+run = get_runner("fig6")

@@ -6,16 +6,18 @@ runs for the whole experiment; the wrk2 client is active only in the
 middle third.  Kollaps and Mininet both stay within a few percent of bare
 metal on each host's measured bandwidth, with a spike at the transitions.
 
-The whole mixed workload is one compiled scenario fanned across the three
-backends; per-phase bandwidths are read off each run's fluid series.
+The whole mixed workload is one scenario fanned across the three
+backends; :func:`report` takes the per-phase bandwidths as window means
+over each run's stored throughput series.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.base import ExperimentResult, experiment
-from repro.scenario import CompiledScenario, ScenarioRun, flow, http_load
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.scenario import ScenarioRun, flow, http_load
 from repro.scenario.topologies import star
 
 # The experiment is 6 minutes in the paper; scaled 6x (phases of 20 s).
@@ -26,36 +28,36 @@ METRICS = ["long_phase1", "long_phase2", "long_phase3", "short_phase2"]
 SYSTEMS = ("baremetal", "kollaps", "mininet")
 
 
-def scenario(phase: float = _PHASE) -> CompiledScenario:
+def point_scenario(*, phase: float, seed: int):
+    """The three-host mix: the long flow throughout, wrk2 in phase 2."""
     return (star(["host1", "host2", "host3"],
                  bandwidth=GBPS, latency=0.0005)
             .workload(flow("host1", "host3", key="iperf"),
                       http_load("host2", "host1", connections=100,
                                 start=phase, stop=2 * phase, key="wrk2"))
-            .deploy(machines=3, seed=81, duration=3 * phase)
-            .compile())
+            .deploy(machines=3, seed=seed, duration=3 * phase))
 
 
-def phase_metrics(run: ScenarioRun, phase: float) -> Dict[str, float]:
-    total = 3 * phase
-    fluid = run.engine.fluid
+# One scenario × the three systems.
+campaign = grid_campaign("fig7", point_scenario, seed=81, backends=SYSTEMS,
+                         phase=_PHASE)
+
+
+def phase_metrics(run: ScenarioRun) -> Dict[str, float]:
+    phase = run.params["phase"]
+    long_flow = run.metric("iperf")
     return {
-        "long_phase1": fluid.mean_throughput("iperf", 2.0, phase),
-        "long_phase2": fluid.mean_throughput("iperf", phase, 2 * phase),
-        "long_phase3": fluid.mean_throughput("iperf", 2 * phase + 2, total),
-        "short_phase2": run["wrk2"].throughput(phase),
+        "long_phase1": long_flow.mean_throughput(2.0, phase),
+        "long_phase2": long_flow.mean_throughput(phase, 2 * phase),
+        "long_phase3": long_flow.mean_throughput(2 * phase + 2, 3 * phase),
+        "short_phase2": run.metric("wrk2").value,
     }
 
 
-def compute_results(phase: float = _PHASE) -> Dict[str, Dict[str, float]]:
-    compiled = scenario(phase)
-    return {system: phase_metrics(compiled.run(backend=system), phase)
-            for system in SYSTEMS}
-
-
-@experiment("fig7")
-def run(quick: bool = False) -> ExperimentResult:
-    results = compute_results(phase=12.0 if quick else _PHASE)
+@experiment("fig7", campaign, phase=12.0)
+def report(sweep) -> ExperimentResult:
+    results = {system: phase_metrics(sweep.run_for(backend=system))
+               for system in SYSTEMS}
 
     def deviation(name: str, metric: str) -> float:
         return abs(1.0 - results[name][metric] / results["baremetal"][metric])
@@ -86,3 +88,6 @@ def run(quick: bool = False) -> ExperimentResult:
     result.check("the long flow keeps most of the gigabit in phase 2",
                  results["baremetal"]["long_phase2"] > 0.5 * GBPS)
     return result
+
+
+run = get_runner("fig7")

@@ -6,13 +6,17 @@ stage's shares analytically (23.08/26.92, 18.45/21.55/10, ...,
 15.04/17.55/10/21.06/26.33/10 Mb/s); the decentralized emulation tracks
 those values within a few percent, re-converging at every arrival and
 departure.  Time is scaled 6x (10 s per stage).
+
+One campaign point: six ``flow(start=, stop=)`` workloads on the
+three-bridge topology; :func:`report` takes each stage's shares as window
+means over the flows' stored throughput series.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.experiments.base import ExperimentResult, experiment, scenario_engine
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.scenario import flow
 from repro.scenario.topologies import throttling
 
 _STAGE = 10.0
@@ -29,40 +33,39 @@ EXPECTED = {
 }
 
 
-def compute_shares(stage: float = _STAGE) -> Dict:
-    """Measured per-client Mb/s for each arrival stage plus teardown."""
-    engine = scenario_engine(throttling(), machines=4, seed=91)
-    # Arrivals every stage; departures in reverse order afterwards.
+def point_scenario(*, stage: float, seed: int):
+    """Arrivals every stage; departures in reverse order afterwards."""
+    builder = throttling()
     for index in range(1, 7):
-        engine.start_flow(f"c{index}", f"c{index}", f"s{index}",
-                          start_time=(index - 1) * stage)
-    for position, index in enumerate(range(6, 0, -1)):
-        engine.sim.at(6 * stage + position * stage,
-                      lambda index=index: engine.stop_flow(f"c{index}"))
-    engine.run(until=12 * stage)
+        builder.workload(flow(f"c{index}", f"s{index}",
+                              start=(index - 1) * stage,
+                              stop=(12 - index) * stage, key=f"c{index}"))
+    return builder.deploy(machines=4, seed=seed, duration=12 * stage)
 
-    measured: Dict = {}
-    for stage_number in range(1, 7):
-        window = ((stage_number - 1) * stage + stage * 0.4,
-                  stage_number * stage)
-        measured[stage_number] = [
-            engine.fluid.mean_throughput(f"c{index}", *window) / MBPS
-            for index in range(1, stage_number + 1)]
+
+# A single point, twelve stages long.
+campaign = grid_campaign("fig8", point_scenario, seed=91, stage=_STAGE)
+
+
+# Quick stages must still outlast the flows' TCP ramp (~2-3 s).
+@experiment("fig8", campaign, stage=8.0)
+def report(sweep) -> ExperimentResult:
+    run = sweep.run_for()
+    stage = run.params["stage"]
+    # Measured per-client Mb/s for each arrival stage (its settled tail).
+    measured = {
+        number: [run.metric(f"c{index}").mean_throughput(
+                     (number - 1) * stage + stage * 0.4, number * stage)
+                 / MBPS for index in range(1, number + 1)]
+        for number in range(1, 7)}
     # Tear-down: after all departures the link is quiet again.
-    measured["teardown"] = engine.fluid.mean_throughput(
-        "c1", 11.5 * stage, 12 * stage) / MBPS
-    return measured
-
-
-@experiment("fig8")
-def run(quick: bool = False) -> ExperimentResult:
-    # Quick stages must still outlast the flows' TCP ramp (~2-3 s).
-    measured = compute_shares(stage=8.0 if quick else _STAGE)
+    teardown = run.metric("c1").mean_throughput(11.5 * stage,
+                                                12 * stage) / MBPS
     rows = []
-    for stage in range(1, 7):
-        for index, (got, want) in enumerate(zip(measured[stage],
-                                                EXPECTED[stage]), start=1):
-            rows.append((f"stage {stage}", f"c{index}", f"{got:.2f}",
+    for number in range(1, 7):
+        for index, (got, want) in enumerate(zip(measured[number],
+                                                EXPECTED[number]), start=1):
+            rows.append((f"stage {number}", f"c{index}", f"{got:.2f}",
                          f"{want:.2f}"))
     result = ExperimentResult(
         exp_id="fig8",
@@ -75,13 +78,15 @@ def run(quick: bool = False) -> ExperimentResult:
             "emulation re-converges to them at every transition."),
         headers=["stage", "client", "measured", "model/paper"],
         rows=rows)
-    for stage in range(1, 7):
-        for index, (got, want) in enumerate(zip(measured[stage],
-                                                EXPECTED[stage]), start=1):
+    for number in range(1, 7):
+        for index, (got, want) in enumerate(zip(measured[number],
+                                                EXPECTED[number]), start=1):
             result.check(
-                f"stage {stage} c{index}: measured {got:.2f} tracks model "
+                f"stage {number} c{index}: measured {got:.2f} tracks model "
                 f"{want:.2f} Mb/s",
                 abs(got - want) <= 0.15 * want)
-    result.check("all flows quiet after teardown",
-                 measured["teardown"] == 0.0)
+    result.check("all flows quiet after teardown", teardown == 0.0)
     return result
+
+
+run = get_runner("fig8")

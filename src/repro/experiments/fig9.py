@@ -7,53 +7,74 @@ shows 50th/90th-percentile client latency per region, original EC2 run
 (Wheat, Ireland 90th) and 2.7 % (BFT-SMaRt).  The qualitative structure:
 Wheat beats BFT-SMaRt in every region, and remote clients (São Paulo,
 Sydney) pay the most.
+
+The protocol is the campaign's grid axis; each point deploys the replicas
+and the five regional clients through one ``custom`` workload that
+collects every client's percentiles as a mapping, which :func:`report`
+reads back region by region.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.apps import SmrDeployment
-from repro.experiments.base import ExperimentResult, experiment, scenario_engine
+from repro.experiments.base import ExperimentResult, experiment, get_runner, \
+    grid_campaign
+from repro.scenario import custom
 from repro.scenario.topologies import aws_mesh
 
 REGIONS = ["virginia", "oregon", "ireland", "saopaulo", "sydney"]
+PROTOCOLS = ("bftsmart", "wheat")
 _OPERATIONS = 60
 
 
-def run_protocol(protocol: str, operations: int = _OPERATIONS) -> Dict:
-    scenario = aws_mesh(REGIONS, services_per_region=2,
-                        service_prefix="n", jitter_ms=2.0)
-    engine = scenario_engine(scenario, machines=5, seed=101,
-                             enforce_bandwidth_sharing=False)
-    replicas = [f"n-{region}-0" for region in REGIONS]
-    deployment = SmrDeployment(engine.sim, engine.dataplane, replicas,
-                               protocol=protocol, leader="n-virginia-0")
-    stats = {region: deployment.run_client(f"n-{region}-1",
-                                           operations=operations)
-             for region in REGIONS}
-    engine.run(until=180.0)
-    return stats
+def point_scenario(*, protocol: str, operations: int, seed: int):
+    """One protocol's deployment: a replica and a client per region."""
+
+    def install(engine):
+        from repro.apps import SmrDeployment
+        deployment = SmrDeployment(
+            engine.sim, engine.dataplane,
+            [f"n-{region}-0" for region in REGIONS],
+            protocol=protocol, leader="n-virginia-0")
+        return {region: deployment.run_client(f"n-{region}-1",
+                                              operations=operations)
+                for region in REGIONS}
+
+    def collect(engine, until, stats):
+        summary = {}
+        for region in REGIONS:
+            summary[f"{region}_p50"] = stats[region].percentile(0.5)
+            summary[f"{region}_p90"] = stats[region].percentile(0.9)
+            summary[f"{region}_completed"] = len(stats[region].latencies)
+        return summary
+
+    return (aws_mesh(REGIONS, services_per_region=2, service_prefix="n",
+                     jitter_ms=2.0)
+            .workload(custom("clients", install, collect=collect))
+            .deploy(machines=5, seed=seed, duration=180.0,
+                    enforce_bandwidth_sharing=False))
 
 
-def compute_results(operations: int = _OPERATIONS) -> Dict[str, Dict]:
-    return {"bftsmart": run_protocol("bftsmart", operations),
-            "wheat": run_protocol("wheat", operations)}
+# The two protocols on the same geo-topology.
+campaign = grid_campaign("fig9", point_scenario, seed=101,
+                         protocol=PROTOCOLS, operations=_OPERATIONS)
 
 
-@experiment("fig9")
-def run(quick: bool = False) -> ExperimentResult:
-    operations = 25 if quick else _OPERATIONS
-    results = compute_results(operations)
-    rows = []
-    for region in REGIONS:
-        bft = results["bftsmart"][region]
-        wheat = results["wheat"][region]
-        rows.append((region,
-                     f"{bft.percentile(0.5) * 1e3:.0f}",
-                     f"{bft.percentile(0.9) * 1e3:.0f}",
-                     f"{wheat.percentile(0.5) * 1e3:.0f}",
-                     f"{wheat.percentile(0.9) * 1e3:.0f}"))
+@experiment("fig9", campaign, operations=25)
+def report(sweep) -> ExperimentResult:
+    runs = {protocol: sweep.run_for(protocol=protocol)
+            for protocol in PROTOCOLS}
+    operations = runs["bftsmart"].params["operations"]
+
+    def latency(protocol: str, region: str, percentile: int) -> float:
+        return runs[protocol].metric("clients").stat(
+            f"{region}_p{percentile}")
+
+    rows = [(region,
+             f"{latency('bftsmart', region, 50) * 1e3:.0f}",
+             f"{latency('bftsmart', region, 90) * 1e3:.0f}",
+             f"{latency('wheat', region, 50) * 1e3:.0f}",
+             f"{latency('wheat', region, 90) * 1e3:.0f}")
+            for region in REGIONS]
     result = ExperimentResult(
         exp_id="fig9",
         title="BFT-SMaRt vs Wheat client latency percentiles (ms)",
@@ -67,21 +88,23 @@ def run(quick: bool = False) -> ExperimentResult:
                  "Wheat p90"],
         rows=rows)
     for region in REGIONS:
-        bft = results["bftsmart"][region]
-        wheat = results["wheat"][region]
-        result.check(f"all {region} operations completed",
-                     len(bft.latencies) == operations)
+        result.check(
+            f"all {region} operations completed",
+            runs["bftsmart"].metric("clients").stat(f"{region}_completed")
+            == operations)
         result.check(f"Wheat beats BFT-SMaRt in {region}",
-                     wheat.percentile(0.5) < bft.percentile(0.5))
-    for protocol in ("bftsmart", "wheat"):
-        p50 = {region: results[protocol][region].percentile(0.5)
-               for region in REGIONS}
+                     latency("wheat", region, 50)
+                     < latency("bftsmart", region, 50))
+    for protocol in PROTOCOLS:
+        p50 = {region: latency(protocol, region, 50) for region in REGIONS}
         result.check(f"distance ordering holds for {protocol}",
                      p50["virginia"] < p50["saopaulo"]
                      < p50["sydney"] * 1.5)
         result.check(f"sydney pays more than oregon ({protocol})",
                      p50["sydney"] > p50["oregon"])
     result.check("latencies in the figure's range (50-600 ms)",
-                 0.05 < results["bftsmart"]["virginia"].percentile(0.5)
-                 < 0.6)
+                 0.05 < latency("bftsmart", "virginia", 50) < 0.6)
     return result
+
+
+run = get_runner("fig9")

@@ -10,23 +10,24 @@ backend registry: kollaps and mininet run the emulation (mininet's
 >1 Gb/s rows fail backend validation — the campaign's ``incompatible``
 status, the paper's N/A), trickle prices the same provisioned path
 through its analytic shaper model under two buffer configurations
-(two labelled entries of the same backend).  :func:`campaign` is the one
-grid definition; the serial runner and ``repro campaign run table2``
-both execute it.
+(two labelled entries of the same backend).  :func:`report` reads each
+cell's goodput off the stored iperf metrics, so the table comes out the
+same from a serial run, a ``--jobs N`` pool or a result store.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from repro.experiments.base import ExperimentResult, campaign_factory, \
-    experiment
-from repro.scenario import CompiledScenario, iperf
-from repro.scenario.topologies import point_to_point
+from repro.baselines.mininet import BULK_EFFICIENCY
 from repro.baselines.trickle import (
     TRICKLE_DEFAULT_BUFFER_BYTES,
     TRICKLE_TUNED_BUFFER_BYTES,
 )
+from repro.experiments.base import ExperimentResult, experiment, \
+    get_runner, run_or_na
+from repro.scenario import iperf
+from repro.scenario.topologies import point_to_point
 from repro.units import format_rate
 
 # (rate, paper's Kollaps error %, paper's Mininet error % or None for N/A)
@@ -58,11 +59,6 @@ def point_scenario(*, rate: float, duration: float = _DURATION,
             .deploy(machines=2, seed=seed, duration=duration))
 
 
-def scenario(rate: float, duration: float = _DURATION) -> CompiledScenario:
-    return point_scenario(rate=rate, duration=duration).compile()
-
-
-@campaign_factory("table2")
 def campaign(duration: float = _DURATION):
     """The Table-2 sweep: every provisioned rate × every shaping system."""
     from repro.campaign import Campaign
@@ -81,55 +77,25 @@ def campaign(duration: float = _DURATION):
                      physical_link_rate=_PHYSICAL_LINK_RATE))
 
 
-def shaping_error(result, rate: float) -> Optional[float]:
-    """Relative goodput error of one campaign cell; None when the backend
-    is incompatible (the paper's N/A)."""
-    if result is None or result.status == "incompatible":
+def shaping_error(sweep, rate: float, system: str) -> Optional[float]:
+    """Relative goodput error of one cell; None for the paper's N/A."""
+    run = run_or_na(sweep, rate=rate, backend=system)
+    if run is None:
         return None
-    if result.status == "error":
-        # The campaign captured the crash; the serial harness still fails
-        # loudly, as the pre-campaign code did.
-        raise RuntimeError(f"table2 cell {result.point.describe()} "
-                           f"failed: {result.error}")
-    run = result.run
-    if run.engine is None:
-        # A pool/store-reconstructed run has no engine, and the mininet
-        # veth/userspace shortfall below is engine state: computing the
-        # error without it would be silently wrong, not approximately
-        # right.  The serial harness (jobs=1) always has live runs.
-        raise RuntimeError(
-            f"table2 cell {result.point.describe()} was reconstructed "
-            "from a serialized run; shaping_error needs the live engine "
-            "(run the table2 campaign with jobs=1)")
-    error = run["iperf"].relative_error(rate)
+    error = run.metric("iperf").value / rate - 1.0
     # Mininet's modelled veth/userspace shortfall is reported separately
     # from the shaping error, as the paper's Table 2 does.
-    efficiency = getattr(run.engine, "bulk_efficiency", 1.0)
-    return error - (1.0 - efficiency)
+    return error - (1.0 - BULK_EFFICIENCY) if system == "mininet" else error
 
 
-def compute_rows(duration: float = _DURATION) -> List[Tuple]:
-    """(rate, kollaps, mininet|None, trickle_def, trickle_tuned,
-    paper_kollaps, paper_mininet|None) per Table 2 row."""
-    sweep = campaign(duration).run(jobs=1)
-    rows = []
-    for rate, paper_kollaps, paper_mininet in TABLE2_ROWS:
-        cells = {system: sweep.result_for(rate=rate, backend=system)
-                 for system in SYSTEMS}
-        rows.append((
-            rate,
-            shaping_error(cells["kollaps"], rate),
-            shaping_error(cells["mininet"], rate),
-            shaping_error(cells["trickle_default"], rate),
-            shaping_error(cells["trickle_tuned"], rate),
-            paper_kollaps, paper_mininet))
-    return rows
-
-
-@experiment("table2")
-def run(quick: bool = False) -> ExperimentResult:
-    # Quick mode still needs the 4 s warmup plus a usable window.
-    rows = compute_rows(duration=8.0 if quick else _DURATION)
+# Quick mode still needs the 4 s warmup plus a usable window.
+@experiment("table2", campaign, duration=8.0)
+def report(sweep) -> ExperimentResult:
+    # (rate, kollaps, mininet|None, trickle_def, trickle_tuned,
+    # paper_kollaps, paper_mininet|None) per Table 2 row.
+    rows = [(rate, *(shaping_error(sweep, rate, system)
+                     for system in SYSTEMS), paper_kollaps, paper_mininet)
+            for rate, paper_kollaps, paper_mininet in TABLE2_ROWS]
     result = ExperimentResult(
         exp_id="table2",
         title="Bandwidth shaping accuracy (relative error)",
@@ -165,3 +131,6 @@ def run(quick: bool = False) -> ExperimentResult:
         result.check(f"Trickle tuned within ~2 % at {label}",
                      abs(tuned - 0.02) <= 0.01)
     return result
+
+
+run = get_runner("table2")

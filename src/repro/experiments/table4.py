@@ -18,8 +18,8 @@ are size-independent.
 Each size is one campaign cell (probe pairs as ping workloads) fanned
 across the kollaps/mininet/maxinet backends; Mininet's over-budget sizes
 fail backend validation — the campaign's ``incompatible`` status, the
-paper's N/A.  :func:`campaign` is the one grid definition; the serial
-runner and ``repro campaign run table4`` both execute it.
+paper's N/A.  :func:`report` compares each probe's stored median RTT with
+the theoretical shortest-path value.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from repro.experiments.base import ExperimentResult, campaign_factory, \
-    experiment
+from repro.experiments.base import ExperimentResult, experiment, \
+    get_runner, run_or_na
 from repro.scenario import CompiledScenario, ScenarioRun, ping
 from repro.scenario.topologies import scale_free
 from repro.sim import RngRegistry
@@ -89,16 +89,6 @@ def point_scenario(*, size: int, pings: int = _PINGS,
                           duration=pings * 0.05 + 3.0)
 
 
-def scenario(size: int, pings: int = _PINGS,
-             pair_count: int = _PAIRS) -> Tuple[CompiledScenario, Dict]:
-    """The probing scenario plus the theoretical RTT per probe pair."""
-    compiled = point_scenario(size=size, pings=pings,
-                              pair_count=pair_count).compile()
-    _pairs, theory = probe_plan(size, pair_count)
-    return compiled, theory
-
-
-@campaign_factory("table4")
 def campaign(pings: int = _PINGS, pair_count: int = _PAIRS):
     """The Table-4 sweep: sizes × systems, minus the paper's givens.
 
@@ -120,41 +110,29 @@ def campaign(pings: int = _PINGS, pair_count: int = _PAIRS):
 def mse_of(run: ScenarioRun, theory: Dict) -> float:
     squared = []
     for (a, b), expected in theory.items():
-        stats = run[(a, b)]
-        if not stats.rtts:
+        probe = run.metric((a, b))
+        if not probe.latency:
             continue
         # Median: the steady-state RTT, as the paper's 10-minute runs see
         # it (flow-setup transients amortize to nothing there; our runs
         # are short enough that a mean would still carry them).
-        error_ms = (stats.median_rtt - expected) * 1e3
+        error_ms = (probe.stat("latency_median") - expected) * 1e3
         squared.append(error_ms ** 2)
     return sum(squared) / len(squared)
 
 
-def compute_results(pings: int = _PINGS, pair_count: int = _PAIRS
-                    ) -> Dict[Tuple[str, int], Optional[float]]:
-    sweep = campaign(pings, pair_count).run(jobs=1)
+@experiment("table4", campaign, pings=25, pair_count=20)
+def report(sweep) -> ExperimentResult:
+    pair_count = sweep.results[0].point.params_dict()["pair_count"]
     results: Dict[Tuple[str, int], Optional[float]] = {}
     for size in SIZES:
         _pairs, theory = probe_plan(size, pair_count)
         for system in BACKENDS:
-            cell = sweep.result_for(size=size, backend=system)
-            if cell is None or cell.status == "incompatible":
-                # Excluded (Maxinet beyond the paper's sizes) or failed
-                # backend validation (Mininet over budget): the N/A cells.
-                results[(system, size)] = None
-                continue
-            if cell.status == "error":
-                raise RuntimeError(f"table4 cell {cell.point.describe()} "
-                                   f"failed: {cell.error}")
-            results[(system, size)] = mse_of(cell.run, theory)
-    return results
-
-
-@experiment("table4")
-def run(quick: bool = False) -> ExperimentResult:
-    results = compute_results(pings=25 if quick else _PINGS,
-                              pair_count=20 if quick else _PAIRS)
+            # None: excluded (Maxinet beyond the paper's sizes) or failed
+            # backend validation (Mininet over budget) — the N/A cells.
+            run = run_or_na(sweep, size=size, backend=system)
+            results[(system, size)] = (None if run is None
+                                       else mse_of(run, theory))
 
     def cell(system: str, size: int) -> str:
         value = results[(system, size)]
@@ -191,3 +169,6 @@ def run(quick: bool = False) -> ExperimentResult:
     result.check("Maxinet gives up at the largest size",
                  results[("maxinet", SIZES[2])] is None)
     return result
+
+
+run = get_runner("table4")

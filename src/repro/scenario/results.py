@@ -81,6 +81,14 @@ class Metrics:
             raise _unknown_key("statistic", name, self.summary,
                               f"workload {self.key!r}") from None
 
+    def mean_throughput(self, start: float = 0.0,
+                        end: float = float("inf")) -> float:
+        """Average of the throughput samples in [start, end) — the fluid
+        plane's own window mean, recomputed from the stored series."""
+        samples = [rate for time, rate in self.throughput
+                   if start <= time < end]
+        return sum(samples) / len(samples) if samples else 0.0
+
     def to_dict(self) -> Dict[str, object]:
         return {"key": str(self.key), "kind": self.kind,
                 "primary": self.primary, "drops": self.drops,
@@ -194,25 +202,26 @@ class ScenarioRun:
     machines: Optional[int] = None
     params: Mapping[str, object] = field(default_factory=dict)
 
+    def _lookup(self, table: Mapping, key: Hashable):
+        """``table[key]``, falling back to ``str(key)``: a run rebuilt by
+        :meth:`from_dict` has its keys stringified, and the same lookup
+        must work on both sides of the round trip."""
+        for candidate in (key, str(key)):
+            if candidate in table:
+                return table[candidate]
+        raise _unknown_key("workload", key, self.results, "run")
+
     def __getitem__(self, key: Hashable):
-        try:
-            return self.results[key]
-        except KeyError:
-            raise _unknown_key("workload", key, self.results,
-                               "run") from None
+        return self._lookup(self.results, key)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self.results
+        return key in self.results or str(key) in self.results
 
     def keys(self) -> List[Hashable]:
         return list(self.results)
 
     def metric(self, key: Hashable) -> Metrics:
-        try:
-            return self.metrics[key]
-        except KeyError:
-            raise _unknown_key("workload", key, self.results,
-                               "run") from None
+        return self._lookup(self.metrics, key)
 
     # ----------------------------------------------------------- comparison
     def compare(self, other: "ScenarioRun") -> RunComparison:

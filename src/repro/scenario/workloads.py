@@ -17,7 +17,8 @@ declarations against their capabilities before anything runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, Mapping, Optional, Sequence, Tuple, \
+    Union
 
 from repro.netstack.plane import BULK_PLANE, PACKET_PLANE
 from repro.scenario.results import Metrics, series_summary
@@ -72,16 +73,34 @@ class Workload:
     def metrics(self, engine, until: float, result) -> Metrics:
         """A backend-independent record built from the collected result.
 
-        Non-numeric results (tuples, stats objects, ...) get an *empty*
-        summary rather than a fabricated 0.0, so comparisons skip them
-        instead of reporting a fake zero deviation.
+        A number is the ``value`` statistic; a mapping of numbers *is* the
+        summary (an explicit ``"value"``, else its first key, is the
+        headline).  Other non-numeric results (tuples, stats objects, ...)
+        get an *empty* summary rather than a fabricated 0.0, so
+        comparisons skip them instead of reporting a fake zero deviation.
         """
+        primary = "value"
         try:
-            summary = {"value": float(result)}
+            if isinstance(result, Mapping):
+                summary = {str(name): float(value)
+                           for name, value in result.items()}
+                if "value" not in summary:
+                    primary = next(iter(summary), "value")
+            else:
+                summary = {"value": float(result)}
         except (TypeError, ValueError):
             summary = {}
         return Metrics(key=self.key, kind=self.kind,
-                       summary=summary, primary="value")
+                       summary=summary, primary=primary)
+
+    # Per-engine workload state (a pinger, a client, custom install state):
+    # stashed on the live system so collect() finds its own even when the
+    # same spec runs twice on different engines.
+    def _stash(self, engine, state) -> None:
+        engine.__dict__.setdefault("_workload_state", {})[self.key] = state
+
+    def _stashed(self, engine):
+        return engine._workload_state[self.key]
 
     def horizon(self) -> float:
         """Latest time this workload needs the run to reach (0 = open)."""
@@ -213,12 +232,10 @@ class PingWorkload(Workload):
             engine.sim.at(self.start, pinger.start)
         else:
             pinger.start()
-        # Stashed per-engine so collect() can find its own stats even when
-        # the same spec is run twice on different engines.
-        engine.__dict__.setdefault("_scenario_pingers", {})[self.key] = pinger
+        self._stash(engine, pinger)
 
     def collect(self, engine, until: float):
-        return engine._scenario_pingers[self.key].stats
+        return self._stashed(engine).stats
 
     def metrics(self, engine, until: float, result) -> Metrics:
         if getattr(result, "times", None):
@@ -279,10 +296,10 @@ class HttpLoadWorkload(Workload):
                             start=self.start,
                             stop=(self.stop if self.stop is not None
                                   else float("inf")))
-        engine.__dict__.setdefault("_scenario_http", {})[self.key] = client
+        self._stash(engine, client)
 
     def collect(self, engine, until: float):
-        return engine._scenario_http[self.key].stats
+        return self._stashed(engine).stats
 
     def _window(self, until: float) -> float:
         end = until if self.stop is None else min(self.stop, until)
@@ -320,10 +337,10 @@ class CurlSwarmWorkload(Workload):
         server = HttpServer(engine.sim, engine.dataplane, self.server)
         swarm = CurlSwarm(engine.sim, engine.dataplane, list(self.sources),
                           server)
-        engine.__dict__.setdefault("_scenario_curl", {})[self.key] = swarm
+        self._stash(engine, swarm)
 
     def collect(self, engine, until: float):
-        return engine._scenario_curl[self.key].stats
+        return self._stashed(engine).stats
 
     def metrics(self, engine, until: float, result) -> Metrics:
         mean = result.throughput(max(until, 1e-9))
@@ -353,11 +370,11 @@ class CustomWorkload(Workload):
         object.__setattr__(self, "planes", frozenset(self.needs))
 
     def install(self, engine) -> None:
-        state = self.install_fn(engine) if self.install_fn else None
-        engine.__dict__.setdefault("_scenario_custom", {})[self.key] = state
+        self._stash(engine,
+                    self.install_fn(engine) if self.install_fn else None)
 
     def collect(self, engine, until: float):
-        state = engine._scenario_custom[self.key]
+        state = self._stashed(engine)
         if self.collect_fn is None:
             return state
         return self.collect_fn(engine, until, state)

@@ -300,6 +300,26 @@ class TestResultsApi:
         with pytest.raises(KeyError):
             comparison["pair"]
 
+    def test_custom_mapping_result_becomes_the_summary(self):
+        """A mapping of numbers is stored as the summary, so a store or a
+        pool hands the same statistics back."""
+        def scenario(collected):
+            return (point_to_point(50 * MBPS)
+                    .workload(custom(
+                        "lat", collect=lambda system, until, state: collected))
+                    .deploy(seed=1, duration=1.0).compile())
+
+        run = scenario({"p50": 1.0, "p90": 2.0}).run(backend="baremetal")
+        metrics = run.metric("lat")
+        assert metrics.summary == {"p50": 1.0, "p90": 2.0}
+        assert metrics.primary == "p50" and metrics.value == 1.0
+        clone = ScenarioRun.from_dict(run.to_dict())
+        assert clone.metric("lat").stat("p90") == 2.0
+        explicit = scenario({"n": 3, "value": 7}).run(backend="baremetal")
+        assert explicit.metric("lat").value == 7.0
+        mixed = scenario({"p50": 1.0, "who": "x"}).run(backend="baremetal")
+        assert mixed.metric("lat").summary == {}
+
     def test_compare_unknown_key_lists_available(self):
         run = bulk_scenario().run(backend="kollaps")
         with pytest.raises(KeyError) as error:
@@ -329,17 +349,16 @@ class TestResultsApi:
 class TestScenarioEngineHelper:
     def test_kollaps_engine_via_registry(self):
         from repro.core.engine import EmulationEngine
-        from repro.experiments.base import scenario_engine
-        engine = scenario_engine(point_to_point(50 * MBPS), machines=2,
-                                 seed=3)
+        compiled = point_to_point(50 * MBPS).deploy(machines=2,
+                                                    seed=3).compile()
+        engine = resolve_backend("kollaps").prepare(compiled)
         assert isinstance(engine, EmulationEngine)
         assert engine.scenario_backend == "kollaps"
 
     def test_baseline_system_via_registry(self):
         from repro.baselines import BareMetalTestbed
-        from repro.experiments.base import scenario_engine
-        system = scenario_engine(point_to_point(50 * MBPS), seed=3,
-                                 backend="baremetal")
+        compiled = point_to_point(50 * MBPS).deploy(seed=3).compile()
+        system = resolve_backend("baremetal").prepare(compiled)
         assert isinstance(system, BareMetalTestbed)
 
 

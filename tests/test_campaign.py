@@ -454,6 +454,16 @@ class TestResultsRoundTrips:
         assert clone.machines == run.machines
         assert clone.metric("p").summary == dict(run.metric("p").summary)
 
+    def test_tuple_workload_keys_survive_the_round_trip(self):
+        run = tuple_keyed(rate=1e6).compile().run()
+        clone = ScenarioRun.from_dict(run.to_dict())
+        key = ("a", "b")
+        assert key in clone and key in run
+        assert clone.metric(key).value == run.metric(key).value
+        assert clone[key].value == run.metric(key).value
+        with pytest.raises(KeyError, match=r"\('a', 'b'\)"):
+            clone.metric(("a", "c"))
+
     def test_run_comparison_to_dict_round_trips(self):
         run = probing_run()
         comparison = run.compare(run)
@@ -525,7 +535,7 @@ class TestExperimentCampaigns:
         from pathlib import Path
 
         from repro.experiments.fig6 import campaign
-        sweep = campaign(6.0).run(jobs=1)
+        sweep = campaign(duration=6.0).run(jobs=1)
         golden = Path(__file__).parent / "golden" / "fig6_aggregate.md"
         assert sweep.aggregate().to_markdown() == golden.read_text()
 
@@ -534,6 +544,24 @@ class TestExperimentCampaigns:
         labels = {point.label for point in as_campaign("table2").points()}
         assert {"kollaps", "mininet", "trickle_default",
                 "trickle_tuned"} == labels
+
+    def test_table2_reports_the_same_from_a_pool(self):
+        """Pool runs come back metrics-only (``engine=None``); Table 2's
+        error cells, Mininet's efficiency correction included, must not
+        depend on a live engine."""
+        from repro.experiments import table2
+        rates = [128e3, 2e9]            # one shapeable, one Mininet N/A
+
+        def cells(sweep):
+            return [table2.shaping_error(sweep, rate, system)
+                    for rate in rates for system in table2.SYSTEMS]
+
+        grid = table2.campaign(duration=6.0).grid(rate=rates)
+        serial, pooled = grid.run(jobs=1), grid.run(jobs=2)
+        assert all(result.run.engine is None for result in pooled.ok())
+        assert any(result.run.engine is not None for result in serial.ok())
+        assert cells(pooled) == cells(serial)
+        assert cells(serial)[1] is not None and cells(serial)[5] is None
 
     def test_table4_campaign_excludes_maxinet_beyond_paper(self):
         from repro.experiments import as_campaign

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import (
     Check,
     ExperimentResult,
+    as_campaign,
     format_table,
     get_runner,
     registered,
@@ -69,6 +70,14 @@ class TestRegistry:
     def test_get_runner_unknown(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             get_runner("fig99")
+
+    def test_every_experiment_is_a_campaign(self):
+        from repro.campaign import Campaign
+        for exp_id in registered():
+            campaign = as_campaign(exp_id)
+            assert isinstance(campaign, Campaign), exp_id
+            assert campaign.name == exp_id
+            assert campaign.points(), exp_id
 
 
 class TestFormatting:

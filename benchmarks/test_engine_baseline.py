@@ -229,14 +229,23 @@ def measure_baselines():
         large = solver_problem(LARGE_CLIENTS)
         solves_per_sec, solver_flows = _solver_rate(*small,
                                                     rounds=SOLVER_ROUNDS)
-        large_per_sec, large_flows = _solver_rate(*large,
-                                                  rounds=LARGE_ROUNDS)
-        # No flow count clears an infinite vectorization threshold: every
-        # dispatched solve takes the python backend.
-        with mock.patch.object(sharing, "_VECTORIZE_MIN_FLOWS",
-                               float("inf")):
-            large_python_per_sec, _ = _solver_rate(*large,
-                                                   rounds=LARGE_ROUNDS // 4)
+        # The speedup divides two rates, so a slow spell of the machine
+        # during either side lands in the ratio.  The work is fixed: take
+        # the two sides in turn, three times, and keep the fastest of
+        # each — whatever a run spends above its fastest is the machine
+        # (bench/README.md makes the same argument for the ledger).
+        large_rates, python_rates = [], []
+        for _ in range(3):
+            rate, large_flows = _solver_rate(*large, rounds=LARGE_ROUNDS)
+            large_rates.append(rate)
+            # No flow count clears an infinite vectorization threshold:
+            # every dispatched solve takes the python backend.
+            with mock.patch.object(sharing, "_VECTORIZE_MIN_FLOWS",
+                                   float("inf")):
+                python_rates.append(_solver_rate(
+                    *large, rounds=LARGE_ROUNDS // 4)[0])
+        large_per_sec = max(large_rates)
+        large_python_per_sec = max(python_rates)
 
         # Cold collapses bypass the memo; the memoized rate then measures
         # the repeat-point path campaigns hit (one miss populates it).

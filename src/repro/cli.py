@@ -954,7 +954,8 @@ def _trace_summary(args: argparse.Namespace) -> int:
         return 1
     summary = telemetry.summarize(spans)
     print(telemetry.format_summary(
-        summary, limit=args.limit if args.limit > 0 else None))
+        summary, limit=args.limit if args.limit > 0 else None,
+        metrics=telemetry.load_metrics(args.trace_source)))
     return 0
 
 

@@ -71,10 +71,9 @@ class EmulationCore:
             elapsed = max(now - self._last_poll_time, period * 0.1)
             self._last_poll_time = now
         samples: Dict[str, UsageSample] = {}
-        refused_bits = self.tcal.poll_refused()
-        for destination, bits in self.tcal.poll_usage().items():
+        for destination, (bits, refused) in self.tcal.poll_active().items():
             rate = bits / elapsed
-            refused_rate = refused_bits.get(destination, 0.0) / elapsed
+            refused_rate = refused / elapsed
             # A fully back-pressured flow carries almost nothing but is
             # very much active: judge activity on the offered load.
             if rate + refused_rate < ACTIVE_FLOW_THRESHOLD_BPS:
@@ -98,13 +97,11 @@ class EmulationCore:
         a chain throttled beneath the threshold would stop producing usage
         samples, vanish from the model, and stay throttled forever.
         """
-        if not self.tcal.has_destination(destination):
-            return
         if bandwidth is not None:
-            self.tcal.set_bandwidth(
-                destination, max(bandwidth, 2 * ACTIVE_FLOW_THRESHOLD_BPS))
+            bandwidth = max(bandwidth, 2 * ACTIVE_FLOW_THRESHOLD_BPS)
         if loss is not None:
-            self.tcal.set_netem(destination, loss=min(1.0, max(0.0, loss)))
+            loss = min(1.0, max(0.0, loss))
+        self._write(destination, bandwidth, loss)
 
     def restore(self, destination: str, bandwidth: float,
                 loss: float) -> None:
@@ -114,7 +111,17 @@ class EmulationCore:
         covers *active* flows only, so an idle chain must offer the path's
         full bandwidth to whatever starts next.
         """
-        if not self.tcal.has_destination(destination):
+        self._write(destination, bandwidth, loss)
+
+    def _write(self, destination: str, bandwidth: Optional[float],
+               loss: Optional[float]) -> None:
+        """One netlink write per value the chain does not already carry
+        (the steady state of a converged allocation costs none)."""
+        tcal = self.tcal
+        if not tcal.has_destination(destination):
             return
-        self.tcal.set_bandwidth(destination, bandwidth)
-        self.tcal.set_netem(destination, loss=loss)
+        shaping = tcal.shaping_for(destination)
+        if bandwidth is not None and bandwidth != shaping.htb.rate:
+            tcal.set_bandwidth(destination, bandwidth)
+        if loss is not None and loss != shaping.netem.loss:
+            tcal.set_netem(destination, loss=loss)

@@ -12,16 +12,32 @@ Managers never coordinate: each one merges its own samples with the latest
 message from every peer and evaluates the RTT-aware min-max model locally.
 Because the model and the collapsed topology are deterministic, all managers
 converge to the same allocation — the decentralization argument of §3.
+
+The loop is periodic, but an iteration costs O(active flows + what changed),
+never O(installed chains) — §3: "only active flows require the exchange of
+metadata".  A chain nobody throttled still carries the path properties the
+state install gave it, so only chains this manager moved off them are ever
+visited again (``_throttled``); a netlink write is issued only when the
+chain does not already carry the wanted value; contention state advances
+only on links that carry reported traffic or are currently flagged; the
+fair-share floor — whose inputs move only on a state swap or a flow
+arrival/departure — is solved once per such change (``_floor_memo``); and
+the maximization pass is solved only while some flow demands less than its
+floor share, the one case in which it can differ from the floor.  None of
+this is observable: every chain carries, after every iteration, exactly
+what rewriting all of them from two fresh solves would have left (see
+``docs/performance.md``, "The emulation loop").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+from repro import telemetry
 from repro.core.collapse import CollapsedTopology
 from repro.core.congestion import combine_loss, congestion_loss
-from repro.core.emucore import EmulationCore, UsageSample
+from repro.core.emucore import EmulationCore
 from repro.core.sharing import FlowDemand, rtt_aware_max_min
 from repro.metadata.channels import MediaDriver
 from repro.metadata.encoding import FlowRecord, MetadataMessage
@@ -38,11 +54,35 @@ _REMOTE_EXPIRY_PERIODS = 2.5
 # redistributes capacity *unused* by under-demanding flows).
 _GROWTH_HEADROOM = 1.5
 
+# A demand cap can take part in the maximization pass only if progressive
+# filling can reach it: at or below the flow's floor share, give or take
+# the solver's tolerances (1e-9 relative slack on a cap, 1e-9 b/s on a
+# freeze).  Three orders of magnitude of margin on both; see
+# ``_compute_shares``.
+_REACHABLE = 1.0 + 1e-6
+_REACHABLE_BPS = 1e-6
+
 
 @dataclass
 class _RemoteReport:
     received_at: float
     flows: Tuple[FlowRecord, ...]
+
+
+@dataclass
+class _FloorMemo:
+    """The fair-share floor of one (topology state, flow set).
+
+    ``signature`` is what the floor is a function of: the state epoch
+    (collapsed paths and capacities, hence every rtt and path bandwidth)
+    and the flows with their links, in solver order.  ``statics`` holds,
+    per flow that has a path, the ``(key, rtt, links, path_bandwidth)``
+    both solver passes start from.
+    """
+
+    signature: Tuple
+    statics: List[Tuple[Hashable, float, Tuple[int, ...], float]]
+    floor: Dict[Hashable, float]
 
 
 class EmulationManager:
@@ -78,10 +118,18 @@ class EmulationManager:
         self.collapsed: Optional[CollapsedTopology] = None
         self.capacities: Dict[int, float] = {}
         self._remote: Dict[int, _RemoteReport] = {}
-        # Contention state per link id: True while the sharing model is in
-        # force; the int counts consecutive quiet loops toward release.
-        self._link_contended: Dict[int, bool] = {}
+        # Links on which the sharing model is in force, and per link the
+        # consecutive quiet loops counted toward its release.
+        self._link_contended: Set[int] = set()
         self._quiet_loops: Dict[int, int] = {}
+        # Bumped by every install_state: whatever was derived from the
+        # previous collapsed table or capacities is stale.
+        self._state_epoch = 0
+        self._floor_memo: Optional[_FloorMemo] = None
+        # (container, destination) chains this manager has moved off their
+        # collapsed-path properties and not yet restored (insertion-ordered
+        # so restores happen in a reproducible order).
+        self._throttled: Dict[Tuple[str, str], None] = {}
         self.loops = 0
         self.enforcements = 0
         driver.subscribe(self._on_message)
@@ -95,6 +143,7 @@ class EmulationManager:
         """Swap in a new pre-computed topology state (dynamic event)."""
         self.collapsed = collapsed
         self.capacities = capacities
+        self._state_epoch += 1
 
     def _on_message(self, message: MetadataMessage) -> None:
         if message.sender == self.manager_index:
@@ -108,72 +157,77 @@ class EmulationManager:
         if self.collapsed is None:
             return
         self.loops += 1
-        local_samples = self._poll_local_usage()
-        self._disseminate(local_samples)
-        global_flows = self._merge_global_view(local_samples)
-        self._restore_idle(local_samples)
+        if telemetry.enabled():
+            telemetry.metrics.counter("manager.loop_iterations").inc()
+        local_flows = self._poll_local_usage()
+        self._disseminate(local_flows)
+        global_flows = self._merge_global_view(local_flows)
+        self._restore_idle(local_flows)
         if not global_flows:
             return
         allocation, usage_rates = self._compute_shares(global_flows)
-        self._enforce(local_samples, global_flows, allocation, usage_rates)
+        self._enforce(local_flows, global_flows, allocation, usage_rates)
 
-    def _restore_idle(self,
-                      local: Dict[Tuple[str, str], UsageSample]) -> None:
-        """Reset chains with no active flow to their path properties.
+    def _restore_idle(self, local: Dict[Tuple[str, str], FlowRecord]) -> None:
+        """Reset throttled chains whose flow went quiet to their path
+        properties.
 
         The sharing model covers active flows only (§3: "only active flows
         require the exchange of metadata"), so a destination that went
         quiet gets its collapsed-path bandwidth and loss back — otherwise a
         previously-throttled chain would still strangle the next burst.
+        Chains this manager never throttled, or has restored since, already
+        carry those properties (the state install wrote them) and are not
+        visited.
         """
-        for container, core in self.cores.items():
-            for destination in list(core.tcal.destinations()):
-                if (container, destination) in local:
-                    continue
-                path = self.collapsed.path(container, destination)
-                if path is None:
-                    continue
-                core.restore(destination,
-                             bandwidth=path.properties.bandwidth,
-                             loss=path.properties.loss)
+        quiet = [key for key in self._throttled if key not in local]
+        for key in quiet:
+            del self._throttled[key]
+            path = self.collapsed.path(*key)
+            if path is None:
+                # Gone with a state swap, and its chain with it.
+                continue
+            self.cores[key[0]].restore(key[1],
+                                       bandwidth=path.properties.bandwidth,
+                                       loss=path.properties.loss)
+        if quiet and telemetry.enabled():
+            telemetry.metrics.counter("manager.chains_restored").inc(
+                len(quiet))
 
     # Step 1 + 2.
-    def _poll_local_usage(self) -> Dict[Tuple[str, str], UsageSample]:
-        samples: Dict[Tuple[str, str], UsageSample] = {}
+    def _poll_local_usage(self) -> Dict[Tuple[str, str], FlowRecord]:
+        """This period's report: one record per active local flow."""
+        records: Dict[Tuple[str, str], FlowRecord] = {}
         for container, core in self.cores.items():
             usage = core.sample_usage(self.period, now=self.sim.now)
             for destination, sample in usage.items():
-                samples[(container, destination)] = sample
-        return samples
+                path = self.collapsed.path(container, destination)
+                if path is None:
+                    continue
+                records[(container, destination)] = FlowRecord(
+                    source_index=self.container_indices[container],
+                    destination_index=self.container_indices[destination],
+                    # Offered load (carried + back-pressured): peers need
+                    # the requested bandwidth to evaluate §3's congestion
+                    # model.  Same wire format — only the value's
+                    # semantics differ.
+                    used_bandwidth=sample.requested,
+                    link_ids=path.link_ids)
+        return records
 
     # Step 3.
-    def _disseminate(self, samples: Dict[Tuple[str, str], UsageSample]) -> None:
-        records = []
-        for (source, destination), sample in samples.items():
-            path = self.collapsed.path(source, destination)
-            if path is None:
-                continue
-            records.append(FlowRecord(
-                source_index=self.container_indices[source],
-                destination_index=self.container_indices[destination],
-                # Offered load (carried + back-pressured): peers need the
-                # requested bandwidth to evaluate §3's congestion model.
-                # Same wire format — only the value's semantics differ.
-                used_bandwidth=sample.requested,
-                link_ids=path.link_ids,
-            ))
-        flows = tuple(records)
+    def _disseminate(self, local: Dict[Tuple[str, str], FlowRecord]) -> None:
+        flows = tuple(local.values())
         if self.update_on_change_only and \
                 not self._publication_due(flows):
             self._loops_since_publish += 1
             return
         self._last_published = flows
         self._loops_since_publish = 0
-        message = MetadataMessage(sender=self.manager_index, flows=flows)
         # Peers always receive the report (even when empty: it clears their
         # view of our finished flows).
-        for machine in self.driver.peers():
-            self.driver.publish_to(machine, message)
+        self.driver.publish_remote(
+            MetadataMessage(sender=self.manager_index, flows=flows))
 
     def _publication_due(self, flows: Tuple[FlowRecord, ...]) -> bool:
         """Change detection for the update-on-change optimization."""
@@ -198,7 +252,7 @@ class EmulationManager:
 
     # Step 4 (first half): assemble the global flow view.
     def _merge_global_view(
-            self, local: Dict[Tuple[str, str], UsageSample]
+            self, local: Dict[Tuple[str, str], FlowRecord]
     ) -> Dict[Tuple[str, str], FlowRecord]:
         flows: Dict[Tuple[str, str], FlowRecord] = {}
         expiry = self.period * max(_REMOTE_EXPIRY_PERIODS,
@@ -214,15 +268,7 @@ class EmulationManager:
                 if source is None or destination is None:
                     continue
                 flows[(source, destination)] = record
-        for (source, destination), sample in local.items():
-            path = self.collapsed.path(source, destination)
-            if path is None:
-                continue
-            flows[(source, destination)] = FlowRecord(
-                source_index=self.container_indices[source],
-                destination_index=self.container_indices[destination],
-                used_bandwidth=sample.requested,
-                link_ids=path.link_ids)
+        flows.update(local)
         return flows
 
     # Step 4 (second half): evaluate the sharing model.
@@ -241,18 +287,60 @@ class EmulationManager:
         fairness, the redistribution pass grants more when contention is
         only nominal.
 
-        Both passes share one solver structure — same flows, links and
-        capacities, only demands differ — so the vectorized backend reuses
-        its link×flow membership matrix across them (and across loop
-        iterations while the topology epoch holds).  When every estimated
-        demand is infinite (all local flows saturate their htb and remote
-        flows report saturation), the second pass would be identical to the
-        first and is skipped outright.
+        The floor depends on which flows are active over which links and
+        on the installed state — never on usage — so it is solved when one
+        of those moves and remembered in between (:class:`_FloorMemo`).
+
+        The maximization pass is the floor's problem with each flow capped
+        at its demand as well.  A cap no flow reaches changes nothing —
+        progressive filling takes the same steps and freezes the same flows
+        at the same links, to the last bit — so the pass can only differ
+        from the floor when some flow demands less than its floor share,
+        and is solved only then (always, in particular, while a flow ramps
+        up; never for flows sitting at their shares).  When it is, it
+        shares the floor's solver structure — same flows, links and
+        capacities — so the vectorized backend reuses its link×flow
+        membership matrix.
         """
-        demands: List[FlowDemand] = []
-        wants_all: List[FlowDemand] = []
+        signature = (self._state_epoch,
+                     tuple([(key, record.link_ids)
+                            for key, record in flows.items()]))
+        memo = self._floor_memo
+        if memo is None or memo.signature != signature:
+            memo = self._floor_memo = self._solve_floor(signature)
+        elif telemetry.enabled():
+            telemetry.metrics.counter("manager.floor_memo_hits").inc()
+        infinity = float("inf")
+        floor = memo.floor
+        demands: List[float] = []
         usage_rates: Dict[Tuple[str, str], float] = {}
-        for key, record in flows.items():
+        under_demand = False
+        for key, _rtt, _links, path_bandwidth in memo.statics:
+            record = flows[key]
+            usage_rates[key] = record.used_bandwidth
+            demand = self._estimated_demand(key, record)
+            demands.append(demand)
+            # The exception is a flow nothing else bounds: the floor
+            # leaves it at zero, only its demand gives it a share.
+            if demand != infinity and (
+                    demand < floor[key] * _REACHABLE + _REACHABLE_BPS
+                    or path_bandwidth == infinity):
+                under_demand = True
+        if not under_demand:
+            return floor, usage_rates
+        boosted = rtt_aware_max_min(
+            [FlowDemand(key, rtt, links, demand, path_bandwidth)
+             for (key, rtt, links, path_bandwidth), demand
+             in zip(memo.statics, demands)],
+            self.capacities)
+        allocation = {key: max(share, boosted.get(key, 0.0))
+                      for key, share in floor.items()}
+        return allocation, usage_rates
+
+    def _solve_floor(self, signature: Tuple) -> _FloorMemo:
+        """Solve the all-``inf`` pass for the flow set in ``signature``."""
+        statics = []
+        for key, link_ids in signature[1]:
             source, destination = key
             forward = self.collapsed.path(source, destination)
             if forward is None:
@@ -260,23 +348,13 @@ class EmulationManager:
             backward = self.collapsed.path(destination, source)
             rtt = forward.latency + (backward.latency if backward
                                      else forward.latency)
-            usage_rates[key] = record.used_bandwidth
-            demands.append(FlowDemand(
-                key=key, rtt=rtt, links=record.link_ids,
-                demand=self._estimated_demand(key, record),
-                path_bandwidth=forward.properties.bandwidth))
-            wants_all.append(FlowDemand(
-                key=key, rtt=rtt, links=record.link_ids,
-                demand=float("inf"),
-                path_bandwidth=forward.properties.bandwidth))
-        floor = rtt_aware_max_min(wants_all, self.capacities)
-        if any(demand.demand != float("inf") for demand in demands):
-            boosted = rtt_aware_max_min(demands, self.capacities)
-        else:
-            boosted = floor
-        allocation = {key: max(floor.get(key, 0.0), boosted.get(key, 0.0))
-                      for key in usage_rates}
-        return allocation, usage_rates
+            statics.append((key, rtt, link_ids,
+                            forward.properties.bandwidth))
+        floor = rtt_aware_max_min(
+            [FlowDemand(key, rtt, links, path_bandwidth=path_bandwidth)
+             for key, rtt, links, path_bandwidth in statics],
+            self.capacities)
+        return _FloorMemo(signature, statics, floor)
 
     def _estimated_demand(self, key: Tuple[str, str],
                           record: FlowRecord) -> float:
@@ -315,7 +393,7 @@ class EmulationManager:
     _CONTENTION_QUIET_LOOPS = 5
 
     # Step 5.
-    def _enforce(self, local: Dict[Tuple[str, str], UsageSample],
+    def _enforce(self, local: Dict[Tuple[str, str], FlowRecord],
                  flows: Dict[Tuple[str, str], FlowRecord],
                  allocation: Dict[Tuple[str, str], float],
                  usage_rates: Dict[Tuple[str, str], float]) -> None:
@@ -324,23 +402,21 @@ class EmulationManager:
         # oversubscribed (additionally inject loss).
         requested: Dict[int, float] = {}
         for key, record in flows.items():
+            usage = usage_rates.get(key, 0.0)
             for link_id in record.link_ids:
-                requested[link_id] = requested.get(link_id, 0.0) + \
-                    usage_rates.get(key, 0.0)
+                requested[link_id] = requested.get(link_id, 0.0) + usage
         contended = self._update_contention(requested)
 
-        for key in local:
+        for key, record in local.items():
             source, destination = key
-            share = allocation.get(key)
-            if share is None:
-                continue
+            share = allocation[key]
             path = self.collapsed.path(source, destination)
             core = self.cores[source]
-            record = flows[key]
             if not any(link_id in contended for link_id in record.link_ids):
                 # No link on the path is near capacity: the flow keeps the
                 # collapsed path maximum (the model only divides bandwidth
                 # between flows *competing* for a saturated link).
+                self._throttled.pop(key, None)
                 core.restore(destination,
                              bandwidth=path.properties.bandwidth,
                              loss=path.properties.loss)
@@ -361,28 +437,35 @@ class EmulationManager:
                 loss_components.append(congestion_loss(
                     usage_rates.get(key, 0.0), share,
                     sensitivity=self.congestion_sensitivity))
+            self._throttled[key] = None
             core.enforce(destination, bandwidth=share,
                          loss=combine_loss(*loss_components))
             self.enforcements += 1
 
-    def _update_contention(self, requested: Dict[int, float]) -> set:
-        """Advance per-link contention state; returns the contended set."""
-        for link_id, capacity in self.capacities.items():
-            if capacity == float("inf"):
+    def _update_contention(self, requested: Dict[int, float]) -> Set[int]:
+        """Advance per-link contention state; returns the contended set.
+
+        Only links with reported traffic or already contended can change
+        state: an idle uncontended link neither enters nor counts quiet
+        loops, so the rest of the topology is not walked.
+        """
+        contended = self._link_contended
+        for link_id in [*requested, *contended.difference(requested)]:
+            capacity = self.capacities.get(link_id)
+            if capacity is None or capacity == float("inf"):
                 continue
             used = requested.get(link_id, 0.0)
             if used > capacity * self._CONTENTION_ENTER:
-                self._link_contended[link_id] = True
+                contended.add(link_id)
                 self._quiet_loops[link_id] = 0
-            elif self._link_contended.get(link_id):
+            elif link_id in contended:
                 if used < capacity * self._CONTENTION_EXIT:
                     quiet = self._quiet_loops.get(link_id, 0) + 1
                     if quiet >= self._CONTENTION_QUIET_LOOPS:
-                        self._link_contended[link_id] = False
+                        contended.discard(link_id)
                         self._quiet_loops[link_id] = 0
                     else:
                         self._quiet_loops[link_id] = quiet
                 else:
                     self._quiet_loops[link_id] = 0
-        return {link_id for link_id, state in self._link_contended.items()
-                if state}
+        return contended

@@ -44,6 +44,12 @@ solves are tiny.  Both backends run the same progressive filling and agree
 within float round-off (< 1e-9 relative — enforced by
 ``tests/test_engine_fastpath.py`` and the benchmark checksum in
 ``BENCH_engine.json``); see ``docs/performance.md``.
+
+Ahead of both sits a closed form (:func:`_disjoint_max_min`) for problems
+in which no two flow occurrences share a constrained link: nothing is
+contended there, each flow simply gets its tightest bound, and no round
+is run — the fluid integrator's per-destination pseudo-links and every
+single-flow solve.  It agrees with the fillers to the same 1e-9.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro import telemetry
 
@@ -291,7 +298,8 @@ def _numpy_max_min(flows: Sequence[FlowDemand],
     link_caps = np.fromiter((capacities[link_id] for link_id in link_order),
                             dtype=float, count=len(link_order))
     finite_links = np.isfinite(link_caps)
-    link_slack = np.maximum(np.abs(link_caps), 1.0) * _EPSILON
+    link_slack = np.where(finite_links,
+                          np.maximum(np.abs(link_caps), 1.0) * _EPSILON, 0.0)
     finite_caps = np.isfinite(caps)
     cap_slack = np.where(finite_caps,
                          np.maximum(np.abs(caps), 1.0) * _EPSILON, 0.0)
@@ -341,6 +349,45 @@ def _numpy_max_min(flows: Sequence[FlowDemand],
              for index, flow in enumerate(flows)}, iterations)
 
 
+def _disjoint_max_min(flows: Sequence[FlowDemand],
+                      capacities: Mapping[int, float]
+                      ) -> Optional[Dict[Hashable, float]]:
+    """The allocation in closed form when no flow shares a link, else None.
+
+    With every constrained link crossed by exactly one flow occurrence
+    nothing is contended, so progressive filling can only stop a flow at
+    its own tightest bound: ``min(demand, path_bandwidth, link
+    capacities)``.  A flow that lists one link twice is two occurrences
+    (the fillers charge the link for each) and takes the slow path.  A
+    wholly unconstrained flow ends at ``0.0`` when every flow is one, as
+    the fillers leave it; beside a bounded flow they leave it wherever
+    the rounds until that flow froze carried it, which is no closed form
+    worth having — slow path too.  O(Σ path lengths), no rounds.
+    """
+    infinity = float("inf")
+    seen = set()
+    unbounded = 0
+    allocation: Dict[Hashable, float] = {}
+    for flow in flows:
+        bound = min(flow.demand, flow.path_bandwidth)
+        for link_id in flow.links:
+            capacity = capacities.get(link_id)
+            if capacity is None:
+                continue
+            if link_id in seen:
+                return None
+            seen.add(link_id)
+            if capacity < bound:
+                bound = capacity
+        if bound == infinity:
+            unbounded += 1
+            bound = 0.0
+        allocation[flow.key] = bound
+    if 0 < unbounded < len(flows):
+        return None
+    return allocation
+
+
 def rtt_aware_max_min(flows: Sequence[FlowDemand],
                       capacities: Mapping[int, float]) -> Dict[Hashable, float]:
     """Exact RTT-weighted max-min allocation by progressive filling.
@@ -358,10 +405,19 @@ def rtt_aware_max_min(flows: Sequence[FlowDemand],
     and the two backends agree within 1e-9 relative — which is why every
     decentralized Emulation Manager converges to the same enforcement
     without coordination (§3).
+
+    Link-disjoint problems — the fluid integrator's one pseudo-link per
+    shaped pair, any single flow — are answered by
+    :func:`_disjoint_max_min` ahead of both backends.
     """
     if not flows:
         return {}
     recording = telemetry.enabled()
+    allocation = _disjoint_max_min(flows, capacities)
+    if allocation is not None:
+        if recording:
+            telemetry.metrics.counter("sharing.closed_form").inc()
+        return allocation
     started = telemetry.clock() if recording else 0.0
     if len(flows) >= _VECTORIZE_MIN_FLOWS and _numpy() is not None:
         allocation, iterations = _numpy_max_min(flows, capacities)

@@ -69,8 +69,7 @@ class Dashboard:
         """Per-machine Emulation Manager counters."""
         lines = ["emulation managers:"]
         for machine, manager in sorted(self.engine.managers.items()):
-            contended = sum(1 for state in manager._link_contended.values()
-                            if state)
+            contended = len(manager._link_contended)
             lines.append(f"  {machine}: loops={manager.loops} "
                          f"enforcements={manager.enforcements} "
                          f"cores={len(manager.cores)} "

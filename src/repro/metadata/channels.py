@@ -73,30 +73,54 @@ class MediaDriver:
     def publish(self, message: MetadataMessage) -> None:
         """Deliver to local subscribers (shared memory) and all peers (UDP)."""
         self.publish_local(message)
-        for machine in self.peers():
-            self.publish_to(machine, message)
+        self.publish_remote(message)
 
     def publish_local(self, message: MetadataMessage) -> None:
         self.stats.shared_memory_messages += 1
         for subscriber in self._local_subscribers:
             subscriber(message)
 
+    def publish_remote(self, message: MetadataMessage) -> None:
+        """Ship one UDP publication to every peer, in machine-name order.
+
+        The wire image is built (and read back) once per publication, not
+        once per peer; bytes, datagrams and the delivery event are still
+        accounted per peer.
+        """
+        size, received = self._through_the_wire(message)
+        for machine in self.peers():
+            self._send(self._peers[machine], received, size)
+
     def publish_to(self, machine: str, message: MetadataMessage) -> None:
         """Encode and ship one UDP publication to a specific peer."""
         peer = self._peers.get(machine)
         if peer is None:
             raise KeyError(f"{self.machine}: unknown peer machine {machine!r}")
+        size, received = self._through_the_wire(message)
+        self._send(peer, received, size)
+
+    def _through_the_wire(self, message: MetadataMessage):
+        """(payload bytes, the message as a receiver decodes it).
+
+        The round trip is not a formality: the wire format quantizes rates
+        to Kb/s and range-checks every identifier.  Both messages are
+        immutable, so every receiver can be handed the same decoded one.
+        """
         payload = encode_message(message, wide=self.wide_ids)
-        datagrams = max(1, -(-len(payload) // DATAGRAM_PAYLOAD_BYTES))
-        self.stats.bytes_sent += len(payload)
+        return len(payload), decode_message(payload, sender=message.sender,
+                                            wide=self.wide_ids)
+
+    def _send(self, peer: "MediaDriver", received: MetadataMessage,
+              size: int) -> None:
+        datagrams = max(1, -(-size // DATAGRAM_PAYLOAD_BYTES))
+        self.stats.bytes_sent += size
         self.stats.datagrams_sent += datagrams
+        self.sim.after(self.network_delay, peer._receive, received, size,
+                       datagrams, label="metadata-udp")
 
-        def deliver() -> None:
-            peer.stats.bytes_received += len(payload)
-            peer.stats.datagrams_received += datagrams
-            decoded = decode_message(payload, sender=message.sender,
-                                     wide=self.wide_ids)
-            for subscriber in peer._local_subscribers:
-                subscriber(decoded)
-
-        self.sim.after(self.network_delay, deliver, label="metadata-udp")
+    def _receive(self, received: MetadataMessage, size: int,
+                 datagrams: int) -> None:
+        self.stats.bytes_received += size
+        self.stats.datagrams_received += datagrams
+        for subscriber in self._local_subscribers:
+            subscriber(received)

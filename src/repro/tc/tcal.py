@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro import telemetry
 from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
 from repro.tc.ip import IpAllocator, Ipv4Address
 from repro.tc.netem import NetemQdisc
@@ -144,14 +145,19 @@ class Tcal:
     def set_bandwidth(self, destination: str, rate: float) -> None:
         """netlink-style rate update on the destination's htb class."""
         self.shaping_for(destination).htb.set_rate(rate)
-        self.netlink_calls += 1
+        self._count_write()
 
     def set_netem(self, destination: str, *, latency: Optional[float] = None,
                   jitter: Optional[float] = None,
                   loss: Optional[float] = None) -> None:
         self.shaping_for(destination).netem.configure(
             latency=latency, jitter=jitter, loss=loss)
+        self._count_write()
+
+    def _count_write(self) -> None:
         self.netlink_calls += 1
+        if telemetry.enabled():
+            telemetry.metrics.counter("tc.netlink_writes").inc()
 
     # ------------------------------------------------------------ monitoring
     def poll_usage(self) -> Dict[str, float]:
@@ -166,6 +172,25 @@ class Tcal:
             usage[destination] = shaping.bits_since_poll
             shaping.bits_since_poll = 0.0
         return usage
+
+    def poll_active(self) -> Dict[str, Tuple[float, float]]:
+        """``(carried, refused)`` bits of every destination that saw
+        traffic since the previous poll (then reset).
+
+        The same netlink round-trip as :meth:`poll_usage` plus
+        :meth:`poll_refused`, minus the idle chains' all-zero entries —
+        what the Emulation Core reads every loop period, when all but a
+        few of a container's chains are idle.
+        """
+        self.netlink_calls += 1
+        active = {}
+        for destination, shaping in self._paths.items():
+            if shaping.bits_since_poll or shaping.refused_since_poll:
+                active[destination] = (shaping.bits_since_poll,
+                                       shaping.refused_since_poll)
+                shaping.bits_since_poll = 0.0
+                shaping.refused_since_poll = 0.0
+        return active
 
     def poll_refused(self) -> Dict[str, float]:
         """Per-destination bits turned away since the previous poll.

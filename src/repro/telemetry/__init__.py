@@ -30,8 +30,8 @@ from typing import Any, Optional
 from .spans import NULL_SPAN, NullSpan, Span, Stopwatch, Tracer, clock
 from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                       MetricsRegistry)
-from .export import (format_summary, format_top, load_trace, summarize,
-                     to_chrome, top_spans)
+from .export import (format_summary, format_top, load_metrics, load_trace,
+                     summarize, to_chrome, top_spans, write_metrics)
 from .logs import configure_logging, get_logger
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "Span", "NullSpan", "Tracer", "Stopwatch", "clock",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
     "metrics",
-    "load_trace", "to_chrome", "summarize", "top_spans",
+    "load_trace", "load_metrics", "to_chrome", "summarize", "top_spans",
     "format_summary", "format_top",
     "configure_logging", "get_logger",
     "TRACE_ENV_VAR",
@@ -100,8 +100,12 @@ def disable() -> None:
 
 
 def flush() -> None:
+    """Push buffered spans to disk and leave the registry's counters
+    beside them, for ``repro trace summary`` to list."""
     if _tracer is not None:
         _tracer.flush()
+        if _tracer.directory is not None:
+            write_metrics(_tracer.directory, metrics.snapshot())
 
 
 def span(name: str, **attrs: Any):

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+
+from .metrics import MetricsRegistry
 
 __all__ = ["load_trace", "to_chrome", "summarize", "top_spans",
-           "format_summary", "format_top"]
+           "format_summary", "format_top", "write_metrics", "load_metrics"]
 
 
 def load_trace(source: str) -> List[Dict[str, Any]]:
@@ -54,6 +56,30 @@ def load_trace(source: str) -> List[Dict[str, Any]]:
                 if "name" in record and "dur" in record:
                     spans.append(record)
     return spans
+
+
+def write_metrics(directory: str,
+                  snapshot: Mapping[str, Mapping[str, Any]]) -> None:
+    """Leave this process's registry snapshot beside its span file, as
+    ``metrics-<pid>.json`` (replaced whole on every flush)."""
+    path = os.path.join(directory, f"metrics-{os.getpid()}.json")
+    with open(path + ".tmp", "w", encoding="utf-8") as handle:
+        json.dump(snapshot, handle, sort_keys=True)
+        handle.write("\n")
+    os.replace(path + ".tmp", path)
+
+
+def load_metrics(source: str) -> Dict[str, Dict[str, Any]]:
+    """Every process's ``metrics-<pid>.json`` in a trace directory, merged
+    (counters and histograms add); empty for a single trace file."""
+    merged = MetricsRegistry()
+    if os.path.isdir(source):
+        for name in sorted(os.listdir(source)):
+            if name.startswith("metrics-") and name.endswith(".json"):
+                with open(os.path.join(source, name), "r",
+                          encoding="utf-8") as handle:
+                    merged.merge(json.load(handle))
+    return merged.snapshot()
 
 
 # --------------------------------------------------------------- chrome
@@ -159,7 +185,12 @@ def top_spans(spans: List[Dict[str, Any]],
 
 # ------------------------------------------------------------ formatting
 def format_summary(summary: Dict[str, Any],
-                   *, limit: Optional[int] = 15) -> str:
+                   *, limit: Optional[int] = 15,
+                   metrics: Optional[Mapping[str, Mapping[str, Any]]] = None
+                   ) -> str:
+    """The ``repro trace summary`` text; ``metrics`` (a registry snapshot)
+    adds every counter by name — work done and work skipped, which spans
+    cannot show."""
     lines = [
         f"spans: {summary['spans']}   "
         f"root time: {summary['root_seconds']:.3f}s   "
@@ -181,6 +212,14 @@ def format_summary(summary: Dict[str, Any],
         lines.append(
             f"{name:<28} {stats['count']:>7d} {stats['total']:>8.3f}s "
             f"{stats['mean']*1e3:>7.2f}ms {stats['max']*1e3:>7.2f}ms")
+    counters = {name: doc["value"] for name, doc in (metrics or {}).items()
+                if doc.get("type") == "counter"}
+    if counters:
+        lines.extend(["", "counters:"])
+        for name, value in counters.items():
+            text = (f"{value:,.0f}" if value == int(value)
+                    else f"{value:.6g}")
+            lines.append(f"  {name:<36} {text:>14}")
     return "\n".join(lines)
 
 

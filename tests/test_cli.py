@@ -108,6 +108,27 @@ class TestRun:
                      "--scenario", scenario_file]) == 0
         capsys.readouterr()
 
+    def test_traced_run_summary_lists_the_loop_counters(
+            self, description_file, tmp_path, capsys, monkeypatch):
+        from repro import telemetry
+        monkeypatch.delenv(telemetry.TRACE_ENV_VAR, raising=False)
+        telemetry.metrics.clear()
+        trace = str(tmp_path / "trace")
+        try:
+            assert main(["run", description_file, "--duration", "3",
+                         "--machines", "2", "--flow", "c1:sv",
+                         "--trace", trace]) == 0
+        finally:
+            telemetry.disable()
+            telemetry.metrics.clear()
+        capsys.readouterr()
+        assert main(["trace", "summary", trace]) == 0
+        out = capsys.readouterr().out
+        assert "layer shares" in out and "counters:" in out
+        for name in ("manager.loop_iterations", "manager.floor_memo_hits",
+                     "sharing.closed_form", "fluid.steps"):
+            assert name in out
+
     def test_run_on_baseline_backend_reports_metrics(self, description_file,
                                                      capsys):
         assert main(["run", description_file, "--duration", "5",

@@ -3,10 +3,14 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_engine_fastpath import assert_allocations_agree
 
-from repro.core import compose_path
+from repro.core import compose_path, sharing
 from repro.core.properties import PathProperties
+from repro.core.sharing import FlowDemand
+from repro.metadata.encoding import FlowRecord
+from repro.scenario.topologies import dumbbell, throttling
 from repro.topology import LinkProperties
 
 
@@ -122,3 +126,153 @@ def test_jitter_bounded_by_sum_and_max(links):
     jitters = [l.jitter for l in links]
     assert properties.jitter <= sum(jitters) + 1e-12
     assert properties.jitter >= max(jitters) - 1e-12
+
+
+# --------------------------------------------------------------------------
+# The link-disjoint closed form, and the floor every manager derives
+# --------------------------------------------------------------------------
+
+_rates = st.one_of(st.just(float("inf")), st.just(0.0),
+                   st.floats(min_value=1e3, max_value=1e10))
+
+
+@st.composite
+def disjoint_problem(draw):
+    """Flows over private links: finite and infinite demands, path
+    bandwidths and capacities, links absent from ``capacities`` (shared
+    freely — they constrain nobody), flows with no links at all."""
+    flow_count = draw(st.integers(min_value=1, max_value=12))
+    capacities, flows, next_link = {}, [], 0
+    for index in range(flow_count):
+        links = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            if draw(st.booleans()):
+                links.append(1000 + draw(st.integers(0, 3)))   # no capacity
+            else:
+                capacities[next_link] = draw(_rates)
+                links.append(next_link)
+                next_link += 1
+        flows.append(FlowDemand(
+            f"f{index}", draw(st.floats(min_value=1e-4, max_value=0.5)),
+            tuple(links), demand=draw(_rates), path_bandwidth=draw(_rates)))
+    return flows, capacities
+
+
+def tightest_bound(flow, capacities):
+    return min([flow.demand, flow.path_bandwidth]
+               + [capacities[link] for link in flow.links
+                  if link in capacities])
+
+
+@settings(max_examples=200, deadline=None)
+@given(disjoint_problem())
+def test_closed_form_equals_progressive_filling(problem):
+    flows, capacities = problem
+    closed = sharing._disjoint_max_min(flows, capacities)
+    unbounded = sum(tightest_bound(flow, capacities) == float("inf")
+                    for flow in flows)
+    if 0 < unbounded < len(flows):
+        # The fillers leave an unconstrained flow wherever the rounds
+        # spent on its bounded neighbours carried it: not the fast path.
+        assert closed is None
+        return
+    assert_allocations_agree(
+        sharing._python_max_min(flows, capacities)[0], closed)
+    if sharing.solver_backend() == "numpy":
+        assert_allocations_agree(
+            sharing._numpy_max_min(flows, capacities)[0], closed)
+
+
+@given(disjoint_problem(), st.data())
+def test_closed_form_declines_a_shared_or_repeated_link(problem, data):
+    flows, capacities = problem
+    capacities[5000] = 1e6
+    victim = data.draw(st.integers(0, len(flows) - 1))
+    other = data.draw(st.integers(0, len(flows) - 1))   # == victim: repeat
+    for index in {victim, other}:
+        flow = flows[index]
+        extra = (5000, 5000) if victim == other else (5000,)
+        flows[index] = FlowDemand(flow.key, flow.rtt, flow.links + extra,
+                                  flow.demand, flow.path_bandwidth)
+    assert sharing._disjoint_max_min(flows, capacities) is None
+
+
+# Equal and unequal RTTs, one and several bottlenecks, access links that
+# bind before the shared one, and paths nothing bounds at all.
+_TOPOLOGIES = {
+    "dumbbell": lambda: dumbbell(4, shared_bandwidth=40e6),
+    "narrow access": lambda: dumbbell(4, shared_bandwidth=40e6,
+                                      access_bandwidth=30e6),
+    "unlimited access": lambda: dumbbell(4, shared_bandwidth=40e6,
+                                         access_bandwidth=float("inf")),
+    "three bridges (fig8)": throttling,
+}
+# Usage as a multiple of (floor share / growth headroom): 1.0 puts the
+# estimated demand exactly on the floor share, its neighbours a hair to
+# either side — where "this cap cannot bind" is decided.
+_USAGE_FACTORS = [0.1, 0.5, 1 - 1e-5, 1 - 1e-7, 1.0, 1 + 1e-7, 1 + 1e-5,
+                  1.2, 3.0]
+
+
+def both_passes(manager, flows):
+    """The sharing model with nothing remembered and nothing skipped."""
+    collapsed = manager.collapsed
+    wants_all, demands = [], []
+    for key, record in flows.items():
+        bandwidth = collapsed.path(*key).properties.bandwidth
+        wants_all.append(FlowDemand(key, collapsed.rtt(*key),
+                                    record.link_ids,
+                                    path_bandwidth=bandwidth))
+        demands.append(FlowDemand(key, collapsed.rtt(*key), record.link_ids,
+                                  manager._estimated_demand(key, record),
+                                  bandwidth))
+    floor = sharing.rtt_aware_max_min(wants_all, manager.capacities)
+    boosted = sharing.rtt_aware_max_min(demands, manager.capacities)
+    return floor, {key: max(floor[key], boosted[key]) for key in flows}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_TOPOLOGIES)),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                          st.sampled_from(_USAGE_FACTORS)),
+                min_size=1, max_size=12, unique_by=lambda flow: flow[:2]),
+       st.sampled_from(_USAGE_FACTORS))
+def test_managers_with_one_view_hold_one_model(topology, view, drift):
+    """§3's decentralisation claim, and the licence for the loop's
+    shortcuts: the fair-share floor is a function of the merged view and
+    the installed state alone, so every manager — whatever its own cores
+    carry — holds the same floats, and keeps them while only usage moves;
+    and the shares it enforces are, to the bit, what solving both passes
+    outright gives, whether the maximization pass was run or recognised
+    as unable to differ from the floor."""
+    engine = _TOPOLOGIES[topology]().deploy(
+        machines=4, seed=1, enforce_physical_limits=False).compile().engine()
+    names = sorted(engine.container_indices)
+    factors = {}
+    for source, destination, factor in view:
+        key = (names[source % len(names)], names[destination % len(names)])
+        if key[0] != key[1]:
+            factors.setdefault(key, factor)
+    collapsed = engine.current_state.collapsed
+    everything = {key: FlowRecord(engine.container_indices[key[0]],
+                                  engine.container_indices[key[1]],
+                                  float("inf"), collapsed.path(*key).link_ids)
+                  for key in factors}
+    manager = next(iter(engine.managers.values()))
+    floor, _ = both_passes(manager, everything)
+
+    def usage(scale):
+        return {key: FlowRecord(
+            record.source_index, record.destination_index,
+            max(floor[key], 1e4) / 1.5 * factors[key] * scale,
+            record.link_ids) for key, record in everything.items()}
+
+    flows, drifted = usage(1.0), usage(drift)
+    for manager in engine.managers.values():
+        allocation, _ = manager._compute_shares(dict(flows))
+        memo = manager._floor_memo
+        assert memo.floor == floor
+        assert allocation == both_passes(manager, flows)[1]
+        allocation, _ = manager._compute_shares(drifted)
+        assert manager._floor_memo is memo
+        assert allocation == both_passes(manager, drifted)[1]

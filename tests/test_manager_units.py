@@ -171,3 +171,119 @@ class TestChangeOnlyPublication:
         manager._last_published = flows
         manager._loops_since_publish = 2
         assert manager._publication_due(flows)
+
+
+# --------------------------------------------------------------------------
+# The invariants the every-chain restore loop used to enforce by brute
+# force, now that an iteration only visits active and throttled chains.
+# --------------------------------------------------------------------------
+
+def sharing_engine(pairs, shared, *, machines=2, events=()):
+    builder = dumbbell(pairs, shared_bandwidth=shared)
+    for time, event in events:
+        builder.at(time, event)
+    return builder.deploy(machines=machines, seed=5).compile().engine()
+
+
+def netlink_calls(manager):
+    return sum(core.tcal.netlink_calls for core in manager.cores.values())
+
+
+class TestChangeOnlyEnforcement:
+    def test_every_chain_carries_what_a_full_rewrite_would_leave(self):
+        """fig8's shape — flows join and leave one shared link.  After
+        every loop iteration a chain the manager addressed carries the
+        (rate, loss) it asked for, and *every other* installed chain its
+        collapsed path's bandwidth and loss."""
+        engine = sharing_engine(3, 30 * MBPS)
+        engine.start_flow("a", "client0", "server0")
+        engine.start_flow("b", "client1", "server1", start_time=1.0)
+        engine.start_flow("c", "client2", "server2", start_time=2.0)
+        engine.sim.at(3.0, engine.stop_flow, "b")
+        engine.sim.at(4.0, engine.stop_flow, "a")
+        engine.sim.at(5.0, engine.stop_flow, "c")
+
+        wanted = {}
+
+        def recording(core):
+            write = core._write
+
+            def _write(destination, bandwidth, loss):
+                wanted[(core.container, destination)] = (bandwidth, loss)
+                write(destination, bandwidth, loss)
+            return _write
+
+        for core in engine.cores.values():
+            core._write = recording(core)
+
+        collapsed = engine.current_state.collapsed
+        period = engine.config.loop_period
+        throttled_chains = 0
+        for step in range(1, int(6.0 / period)):
+            wanted.clear()
+            engine.run(until=step * period + 1e-4)
+            for container, tcal in engine.tcals.items():
+                for destination in tcal.destinations():
+                    shaping = tcal.shaping_for(destination)
+                    properties = collapsed.path(container,
+                                                destination).properties
+                    expected = wanted.get(
+                        (container, destination),
+                        (properties.bandwidth, properties.loss))
+                    assert (shaping.htb.rate, shaping.netem.loss) == \
+                        expected, (step, container, destination)
+                    throttled_chains += shaping.htb.rate < \
+                        properties.bandwidth
+        assert throttled_chains > 100       # the scenario did contend
+        for manager in engine.managers.values():
+            assert not manager._throttled   # and everything was given back
+
+    def test_steady_state_costs_polls_plus_active_flows(self):
+        engine = sharing_engine(4, 40 * MBPS)
+        for index in range(4):
+            engine.start_flow(index, f"client{index}", f"server{index}")
+        engine.run(until=5.0)
+        period = engine.config.loop_period
+        for step in range(1, 21):
+            before = {name: netlink_calls(manager)
+                      for name, manager in engine.managers.items()}
+            engine.run(until=5.0 + step * period + 1e-4)
+            for name, manager in engine.managers.items():
+                active = sum(1 for index in range(4)
+                             if f"client{index}" in manager.cores)
+                assert netlink_calls(manager) - before[name] <= \
+                    len(manager.cores) + 2 * active
+
+    def test_halving_the_shared_link_invalidates_the_floor_memo(self):
+        from repro.scenario import set_link
+        engine = sharing_engine(
+            2, 40 * MBPS,
+            events=[(4.0, set_link("left", "right", up=20 * MBPS))])
+        engine.start_flow("a", "client0", "server0")
+        engine.start_flow("b", "client1", "server1")
+
+        def enforced():
+            return sum(
+                engine.tcals[f"client{index}"].shaping_for(
+                    f"server{index}").htb.rate for index in range(2))
+
+        engine.run(until=3.99)
+        assert enforced() == pytest.approx(40 * MBPS, rel=0.05)
+        # A floor remembered from before the swap would keep both flows
+        # at 20 Mb/s: the enforced share is max(floor, maximization).
+        engine.run(until=4.0 + 2 * engine.config.loop_period + 1e-4)
+        assert enforced() == pytest.approx(20 * MBPS, rel=0.05)
+
+    def test_throttled_destination_removed_by_a_state_swap(self):
+        from repro.scenario import node_leave
+        engine = sharing_engine(2, 40 * MBPS,
+                                events=[(3.0, node_leave("server1"))])
+        engine.start_flow("a", "client0", "server0")
+        engine.start_flow("b", "client1", "server1")
+        manager = engine.managers[engine.placement["client1"]]
+        engine.run(until=2.99)
+        assert ("client1", "server1") in manager._throttled
+        engine.stop_flow("b")
+        engine.run(until=4.0)                # must not raise
+        assert ("client1", "server1") not in manager._throttled
+        assert not engine.tcals["client1"].has_destination("server1")

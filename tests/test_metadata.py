@@ -132,6 +132,39 @@ class TestMediaDriver:
         assert len(received[1]) == 1  # UDP
         assert len(received[2]) == 1
 
+    def test_publish_remote_is_publish_to_every_peer_for_one_encode(
+            self, monkeypatch):
+        from repro.metadata import channels
+        encodes = []
+        monkeypatch.setattr(
+            channels, "encode_message",
+            lambda message, **kwargs: encodes.append(message)
+            or encode_message(message, **kwargs))
+
+        def triad(publish):
+            sim = Simulator()
+            drivers = [MediaDriver(sim, f"m{i}", network_delay=1e-4)
+                       for i in range(3)]
+            drivers[0].connect(drivers[1])
+            drivers[0].connect(drivers[2])
+            seen = []
+            for driver in drivers[1:]:
+                driver.subscribe(
+                    lambda m, name=driver.machine: seen.append((name, m)))
+            publish(drivers[0], sample_message(sender=0))
+            sim.run()
+            return (seen, [driver.stats for driver in drivers],
+                    sim.events_dispatched)
+
+        one_by_one = triad(lambda driver, message: [
+            driver.publish_to(peer, message) for peer in driver.peers()])
+        assert len(encodes) == 2
+        at_once = triad(lambda driver, message:
+                        driver.publish_remote(message))
+        assert len(encodes) == 3
+        assert at_once == one_by_one
+        assert [name for name, _ in at_once[0]] == ["m1", "m2"]
+
     def test_unknown_peer_raises(self):
         sim, left, _right = self.build_pair()
         with pytest.raises(KeyError):

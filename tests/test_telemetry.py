@@ -196,6 +196,76 @@ class TestTraceFiles:
         assert "object object" in spans[0]["attrs"]["obj"]
 
 
+    def test_flush_leaves_counters_for_the_summary(self, tmp_path):
+        """The registry rides beside the spans, one file per process,
+        merged on load; span files keep holding spans only."""
+        telemetry.enable(str(tmp_path))
+        with telemetry.span("fluid.step"):
+            telemetry.metrics.counter("sharing.closed_form").inc(3)
+        telemetry.flush()
+        (tmp_path / "metrics-1.json").write_text(json.dumps(
+            {"sharing.closed_form": {"type": "counter", "value": 4.0},
+             "tc.netlink_writes": {"type": "counter", "value": 2.0}}))
+        counters = telemetry.load_metrics(str(tmp_path))
+        assert counters["sharing.closed_form"]["value"] == 7.0
+        assert counters["tc.netlink_writes"]["value"] == 2.0
+        spans = load_trace(str(tmp_path))
+        assert [s["name"] for s in spans] == ["fluid.step"]
+        text = format_summary(summarize(spans), metrics=counters)
+        assert "counters:" in text
+        assert "sharing.closed_form" in text and "tc.netlink_writes" in text
+        assert "counters:" not in format_summary(summarize(spans))
+        assert telemetry.load_metrics(telemetry.tracer().path()) == {}
+
+
+class TestLoopCounters:
+    """What the emulation loop does, and what it now skips, as counters
+    (docs/observability.md) — and the same behaviour whether anybody is
+    counting or not."""
+
+    @staticmethod
+    def run_bulk():
+        from repro.scenario.topologies import dumbbell
+        engine = dumbbell(3, shared_bandwidth=30e6).deploy(
+            machines=3, seed=4).compile().engine()
+        for index in range(3):
+            engine.start_flow(index, f"client{index}", f"server{index}",
+                              start_time=index)
+        engine.sim.at(4.0, engine.stop_flow, 0)
+        engine.run(until=6.0)
+        return engine
+
+    def test_counters_account_for_the_loop(self):
+        telemetry.enable()
+        engine = self.run_bulk()
+
+        def count(name):
+            return telemetry.metrics.counter(name).value
+
+        loops = sum(manager.loops for manager in engine.managers.values())
+        polls = sum(core.polls for core in engine.cores.values())
+        calls = sum(tcal.netlink_calls for tcal in engine.tcals.values())
+        assert count("manager.loop_iterations") == loops > 0
+        assert count("tc.netlink_writes") == calls - polls > 0
+        assert count("manager.chains_restored") >= 1      # flow 0 left
+        assert count("manager.floor_memo_hits") > loops // 2
+        # Waterfilling ran for a handful of arrivals, departures and
+        # ramp-ups; every fluid step and every remembered floor did not.
+        assert count("sharing.closed_form") >= count("fluid.steps") - 100
+        assert 0 < count("sharing.solver_calls") < loops // 4
+
+    def test_tracing_does_not_change_the_run(self):
+        def observe(engine):
+            return (engine.sim.events_dispatched,
+                    [tcal.netlink_calls for tcal in engine.tcals.values()],
+                    engine.total_metadata_wire_bytes(),
+                    engine.fluid.history)
+
+        untraced = observe(self.run_bulk())
+        telemetry.enable()
+        assert observe(self.run_bulk()) == untraced
+
+
 class TestEnvAutoEnable:
     def test_memory_values(self, monkeypatch):
         for value in ("1", "true", "mem"):

@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-SKIP_KEYS = {"bench", "solver_backend"}
+SKIP_KEYS = {"bench"}
 
 
 def is_checksum(key: str) -> bool:

@@ -2,23 +2,23 @@
 
 Four headline rates anchor the reproduction's performance story:
 fair-share solves/sec on the small and large solver problems (the
-progressive-filling allocator of §3, vectorized in numpy when
-available), cold collapses/sec (all-pairs shortest paths on a mid-size
-scale-free topology, memo bypassed), memoized collapses/sec (the
-repeat-point path campaign sweeps hit), and campaign points/sec for a
-single worker.  Every rate is derived from the telemetry counters the
-instrumented code itself maintains — the benchmark doubles as an
-end-to-end check that the counters measure what they claim.  Two more
-rates cover the packet path, which keeps no telemetry counters (a guard
-per event would cost more than the event): bare-kernel events/sec and
-data-plane sends/sec, timed directly over a fixed count.
+progressive-filling allocator of §3), cold collapses/sec (all-pairs
+shortest paths on a mid-size scale-free topology, memo bypassed),
+memoized collapses/sec (the repeat-point path campaign sweeps hit), and
+campaign points/sec for a single worker.  Every rate is derived from
+the telemetry counters the instrumented code itself maintains — the
+benchmark doubles as an end-to-end check that the counters measure what
+they claim.  Two more rates cover the packet path, which keeps no
+telemetry counters (a guard per event would cost more than the event):
+bare-kernel events/sec and data-plane sends/sec, timed directly over a
+fixed count.
 
 Alongside the rates, the baseline records *checksums* over the solver
-allocation and the collapsed path table, always computed with the
-pure-Python backend (bit-deterministic across machines), and over the
-order in which the packet-mode kv mesh dispatches its events.  Rates
-drift per machine; checksums must not — a mismatch in review or CI
-means correctness drift, not a slow runner.  See docs/performance.md.
+allocation and the collapsed path table (bit-deterministic across
+machines), and over the order in which the packet-mode kv mesh
+dispatches its events.  Rates drift per machine; checksums must not — a
+mismatch in review or CI means correctness drift, not a slow runner.
+See docs/performance.md.
 
 ``REPRO_BENCH_WRITE=1`` refreshes ``BENCH_engine.json`` at the repo
 root (checked in, like ``BENCH_dsl.json``) so drift shows up in review
@@ -37,14 +37,13 @@ import hashlib
 import json
 import os
 import sys
-from unittest import mock
 
 from conftest import print_table, run_once
 
 from repro import telemetry
 from repro.campaign import Campaign
 from repro.core import (FlowDemand, clear_collapse_cache, collapse,
-                        rtt_aware_max_min, sharing, solver_backend)
+                        rtt_aware_max_min, sharing)
 from repro.experiments.fig4 import REGIONS
 from repro.netstack.packet import Packet
 from repro.scenario import Scenario, flow, resolve_backend
@@ -65,7 +64,7 @@ COLLAPSE_ROUNDS = 10
 MEMO_ROUNDS = 50
 COLLAPSE_SIZE = 120
 SMALL_CLIENTS = 12            # 24 flows — the historical baseline problem
-LARGE_CLIENTS = 64            # 128 flows — where vectorization must win
+LARGE_CLIENTS = 64            # 128 flows — larger than any caller's solve
 SIM_EVENTS = 200_000
 MESH_ROUNDS = 100             # one packet per chain per round
 BENCH_PATH = os.path.join(ROOT, "BENCH_engine.json")
@@ -78,7 +77,8 @@ def solver_problem(clients=SMALL_CLIENTS):
     access link, one of a few shared trunks and one of a few server
     uplinks — enough sharing to make the progressive filler iterate.
     ``clients=12`` is the historical 24-flow baseline; ``clients=64``
-    (128 flows) is the large problem the vectorized backend must win.
+    (128 flows) is larger than any solve the experiments, examples or
+    ledger workloads issue (docs/performance.md, "One fair-share filler").
     """
     trunks = max(3, clients // 4)
     servers = max(4, clients // 3)
@@ -115,15 +115,14 @@ def bench_pair(*, rate, seed=0):
 # ---------------------------------------------------------------------------
 
 def solver_checksum(clients=SMALL_CLIENTS):
-    """Digest of the pure-Python allocation on :func:`solver_problem`.
+    """Digest of the filler's allocation on :func:`solver_problem`.
 
-    The python backend is called directly: pure-Python float arithmetic
-    is IEEE-754 deterministic, so this digest is identical on every
-    machine.  (numpy agreement is asserted separately, at 1e-9
-    relative — reduction order may differ in the last ulp or two.)
+    The filler is called directly, past the closed form: its float
+    arithmetic is IEEE-754 deterministic and its order fixed, so this
+    digest is identical on every machine.
     """
     flows, capacities = solver_problem(clients)
-    allocation, _ = sharing._python_max_min(flows, capacities)
+    allocation, _ = sharing._progressive_fill(flows, capacities)
     digest = hashlib.blake2b(digest_size=8)
     for key in sorted(allocation):
         digest.update(f"{key}={allocation[key]!r};".encode())
@@ -204,7 +203,7 @@ def _packet_sends_per_sec():
 
 
 def _solver_rate(flows, capacities, rounds):
-    """(solves/sec, flows/solve) for the *active* backend, via counters."""
+    """(solves/sec, flows/solve), via counters."""
     before = telemetry.metrics.snapshot()
     for _ in range(rounds):
         rtt_aware_max_min(flows, capacities)
@@ -224,28 +223,10 @@ def measure_baselines():
         # The campaign below runs its own (tiny) solves and collapses, so
         # each stage's rate comes from a counter delta taken right after
         # that stage — not from the final totals.
-        backend = solver_backend()
-        small = solver_problem(SMALL_CLIENTS)
-        large = solver_problem(LARGE_CLIENTS)
-        solves_per_sec, solver_flows = _solver_rate(*small,
-                                                    rounds=SOLVER_ROUNDS)
-        # The speedup divides two rates, so a slow spell of the machine
-        # during either side lands in the ratio.  The work is fixed: take
-        # the two sides in turn, three times, and keep the fastest of
-        # each — whatever a run spends above its fastest is the machine
-        # (bench/README.md makes the same argument for the ledger).
-        large_rates, python_rates = [], []
-        for _ in range(3):
-            rate, large_flows = _solver_rate(*large, rounds=LARGE_ROUNDS)
-            large_rates.append(rate)
-            # No flow count clears an infinite vectorization threshold:
-            # every dispatched solve takes the python backend.
-            with mock.patch.object(sharing, "_VECTORIZE_MIN_FLOWS",
-                                   float("inf")):
-                python_rates.append(_solver_rate(
-                    *large, rounds=LARGE_ROUNDS // 4)[0])
-        large_per_sec = max(large_rates)
-        large_python_per_sec = max(python_rates)
+        solves_per_sec, solver_flows = _solver_rate(
+            *solver_problem(SMALL_CLIENTS), rounds=SOLVER_ROUNDS)
+        large_per_sec, large_flows = _solver_rate(
+            *solver_problem(LARGE_CLIENTS), rounds=LARGE_ROUNDS)
 
         # Cold collapses bypass the memo; the memoized rate then measures
         # the repeat-point path campaigns hit (one miss populates it).
@@ -294,15 +275,10 @@ def measure_baselines():
                     / memoized["collapse.memo_seconds"])
     return {
         "bench": "engine",
-        "solver_backend": backend,
         "solver_flows": solver_flows,
         "fair_share_solves_per_sec": round(solves_per_sec, 1),
         "solver_large_flows": large_flows,
         "fair_share_solves_per_sec_large": round(large_per_sec, 1),
-        "fair_share_solves_per_sec_large_python": round(
-            large_python_per_sec, 1),
-        "solver_speedup_large": round(
-            large_per_sec / large_python_per_sec, 2),
         "solver_checksum": solver_checksum(SMALL_CLIENTS),
         "solver_checksum_large": solver_checksum(LARGE_CLIENTS),
         "collapse_containers": COLLAPSE_SIZE,
@@ -343,12 +319,7 @@ def test_engine_baselines(benchmark):
     assert results["packet_sends_per_sec"] > 10_000
     assert results["packet_mesh_chains"] == 16 * 15
 
-    # The issue's acceptance floors: vectorized solver at least 5x the
-    # pure-Python rate at >= 64 flows, memoized collapse at least 3x the
-    # cold rate.  The solver floor only binds when numpy is present — the
-    # no-numpy CI leg measures python against itself (speedup ~1).
-    if results["solver_backend"] == "numpy":
-        assert results["solver_speedup_large"] >= 5.0
+    # Memoized collapse at least 3x the cold rate.
     assert results["collapse_memo_speedup"] >= 3.0
 
     if os.environ.get("REPRO_BENCH_WRITE"):
@@ -358,26 +329,6 @@ def test_engine_baselines(benchmark):
         with open(destination, "w", encoding="utf-8") as handle:
             json.dump(results, handle, indent=2)
             handle.write("\n")
-
-
-def test_backends_agree_on_benchmark_problems():
-    """numpy and python allocations match to 1e-9 relative.
-
-    The checksums pin the python backend bit-for-bit; this pins the
-    numpy backend to it within float-reduction tolerance.  Skipped
-    (vacuously true) when numpy is absent — there is only one backend.
-    """
-    if solver_backend() != "numpy":
-        return
-    for clients in (SMALL_CLIENTS, LARGE_CLIENTS):
-        flows, capacities = solver_problem(clients)
-        vectorized, _ = sharing._numpy_max_min(flows, capacities)
-        scalar, _ = sharing._python_max_min(flows, capacities)
-        assert set(vectorized) == set(scalar)
-        for key, value in scalar.items():
-            scale = max(abs(value), 1.0)
-            assert abs(vectorized[key] - value) <= 1e-9 * scale, (
-                clients, key, value, vectorized[key])
 
 
 def test_checked_in_baseline_is_current():
@@ -392,7 +343,6 @@ def test_checked_in_baseline_is_current():
     assert checked_in["solver_large_flows"] == 2 * LARGE_CLIENTS
     for key in ("fair_share_solves_per_sec",
                 "fair_share_solves_per_sec_large",
-                "fair_share_solves_per_sec_large_python",
                 "collapses_per_sec", "memoized_collapses_per_sec",
                 "campaign_points_per_sec_per_worker",
                 "sim_events_per_sec", "packet_sends_per_sec"):

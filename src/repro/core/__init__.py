@@ -35,7 +35,6 @@ from repro.core.sharing import (
     LinkUsage,
     paper_two_step_shares,
     rtt_aware_max_min,
-    solver_backend,
 )
 from repro.core.congestion import combine_loss, congestion_loss
 from repro.core.dynamic import DynamicTopologyPlan, TopologyState
@@ -56,7 +55,6 @@ __all__ = [
     "LinkUsage",
     "rtt_aware_max_min",
     "paper_two_step_shares",
-    "solver_backend",
     "congestion_loss",
     "combine_loss",
     "DynamicTopologyPlan",

@@ -297,10 +297,7 @@ class EmulationManager:
         at the same links, to the last bit — so the pass can only differ
         from the floor when some flow demands less than its floor share,
         and is solved only then (always, in particular, while a flow ramps
-        up; never for flows sitting at their shares).  When it is, it
-        shares the floor's solver structure — same flows, links and
-        capacities — so the vectorized backend reuses its link×flow
-        membership matrix.
+        up; never for flows sitting at their shares).
         """
         signature = (self._state_epoch,
                      tuple([(key, record.link_ids)

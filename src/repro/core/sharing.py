@@ -25,52 +25,37 @@ Two solvers are provided:
 Shares are enforced *per destination, not per flow* (§3): callers aggregate
 all traffic between one container pair into a single :class:`FlowDemand`.
 
-Solver backends
----------------
+One filler
+----------
 
-:func:`rtt_aware_max_min` has two interchangeable implementations:
+:func:`rtt_aware_max_min` has one implementation of progressive filling
+(:func:`_progressive_fill`): plain python over flow positions, every float
+operation in a fixed order, so the same flows and capacities give the same
+bits on every interpreter and machine — what lets decentralized managers
+agree without coordination, and what ``tests/golden/
+fair_share_allocations.json`` and the ``BENCH_engine.json`` checksums pin.
+A second, vectorized filler was measured against the solve traffic and
+removed; ``docs/performance.md`` ("One fair-share filler") records the
+numbers and what would justify another.
 
-* **numpy** — each waterfilling round is vectorized min/masking over a
-  link×flow membership matrix that is built once per (flow set, link set)
-  epoch and reused across solves (the Emulation Manager re-solves the same
-  structure every loop period; the fluid integrator every ``dt``).
-* **python** — the original dict-based progressive filler, dependency-free.
-
-Selection is automatic, from what the code can observe: a solve of at
-least ``_VECTORIZE_MIN_FLOWS`` flows runs on numpy when numpy is
-importable, everything else on python — array setup costs more than the
-whole scalar solve below that size, and the emulation loop's per-pair
-solves are tiny.  Both backends run the same progressive filling and agree
-within float round-off (< 1e-9 relative — enforced by
-``tests/test_engine_fastpath.py`` and the benchmark checksum in
-``BENCH_engine.json``); see ``docs/performance.md``.
-
-Ahead of both sits a closed form (:func:`_disjoint_max_min`) for problems
+Ahead of it sits a closed form (:func:`_disjoint_max_min`) for problems
 in which no two flow occurrences share a constrained link: nothing is
 contended there, each flow simply gets its tightest bound, and no round
 is run — the fluid integrator's per-destination pseudo-links and every
-single-flow solve.  It agrees with the fillers to the same 1e-9.
+single-flow solve.  It agrees with the filler to 1e-9.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import telemetry
 
 __all__ = ["FlowDemand", "LinkUsage", "rtt_aware_max_min",
-           "paper_two_step_shares", "solver_backend"]
+           "paper_two_step_shares"]
 
 _EPSILON = 1e-9
-
-#: Solves below this flow count stay on the python path: the measured
-#: crossover is ~8 flows (array construction dominates under it,
-#: vectorized rounds win above it).
-_VECTORIZE_MIN_FLOWS = 8
 
 
 @dataclass(frozen=True)
@@ -105,100 +90,6 @@ class LinkUsage:
     flows: List[FlowDemand] = field(default_factory=list)
 
 
-# ---------------------------------------------------------------------------
-# Backend selection.
-# ---------------------------------------------------------------------------
-
-_np = None
-_np_probed = False
-
-
-def _numpy():
-    """The numpy module, or None — probed once per process."""
-    global _np, _np_probed
-    if not _np_probed:
-        _np_probed = True
-        try:
-            import numpy
-            _np = numpy
-        except ImportError:
-            _np = None
-    return _np
-
-
-def solver_backend() -> str:
-    """The backend solves of ``_VECTORIZE_MIN_FLOWS`` flows or more run on:
-    ``"numpy"`` when it is importable, ``"python"`` otherwise."""
-    return "numpy" if _numpy() is not None else "python"
-
-
-# ---------------------------------------------------------------------------
-# Membership matrix cache (numpy backend).
-#
-# The hot callers — the Emulation Manager's loop and the fluid integrator —
-# re-solve the *same* (flow set, link set) structure every period with only
-# demands changing, so the link×flow matrix is built once per topology epoch
-# and reused.  The key deliberately ignores capacity *values* (they become a
-# fresh vector each solve) so dynamic bandwidth events don't evict it.
-# ---------------------------------------------------------------------------
-
-_MATRIX_CACHE_CAPACITY = 64
-_matrix_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_matrix_lock = threading.Lock()
-
-
-def clear_matrix_cache() -> None:
-    """Drop every cached membership matrix (tests, topology teardown)."""
-    with _matrix_lock:
-        _matrix_cache.clear()
-
-
-def _membership(flows: Sequence[FlowDemand],
-                capacities: Mapping[int, float]):
-    """(link order, float matrix, bool matrix) for this problem structure.
-
-    ``matrix[l, f]`` counts how many times flow ``f`` traverses link ``l``
-    (matching the pure-python accounting, which counts one flow per path
-    occurrence); links absent from ``capacities`` are unconstrained and
-    excluded entirely.
-    """
-    np = _numpy()
-    key = (tuple(flow.links for flow in flows), frozenset(capacities))
-    with _matrix_lock:
-        entry = _matrix_cache.get(key)
-        if entry is not None:
-            _matrix_cache.move_to_end(key)
-    if entry is not None:
-        if telemetry.enabled():
-            telemetry.metrics.counter("sharing.matrix_reuses").inc()
-        return entry
-    rows: Dict[int, int] = {}
-    link_order: List[int] = []
-    for flow in flows:
-        for link_id in flow.links:
-            if link_id in capacities and link_id not in rows:
-                rows[link_id] = len(link_order)
-                link_order.append(link_id)
-    matrix = np.zeros((len(link_order), len(flows)), dtype=float)
-    for column, flow in enumerate(flows):
-        for link_id in flow.links:
-            row = rows.get(link_id)
-            if row is not None:
-                matrix[row, column] += 1.0
-    entry = (tuple(link_order), matrix, matrix > 0.0)
-    with _matrix_lock:
-        _matrix_cache[key] = entry
-        while len(_matrix_cache) > _MATRIX_CACHE_CAPACITY:
-            _matrix_cache.popitem(last=False)
-    if telemetry.enabled():
-        telemetry.metrics.counter("sharing.matrix_builds").inc()
-    return entry
-
-
-# ---------------------------------------------------------------------------
-# The two rtt_aware_max_min implementations.
-# ---------------------------------------------------------------------------
-
 def _index_links(flows: Sequence[FlowDemand],
                  capacities: Mapping[int, float]) -> Dict[int, LinkUsage]:
     links: Dict[int, LinkUsage] = {}
@@ -213,140 +104,95 @@ def _index_links(flows: Sequence[FlowDemand],
     return links
 
 
-def _python_max_min(flows: Sequence[FlowDemand],
-                    capacities: Mapping[int, float]
-                    ) -> Tuple[Dict[Hashable, float], int]:
-    """The original dict-based progressive filler; returns (allocation,
-    waterfilling rounds)."""
-    iterations = 0
-    links = _index_links(flows, capacities)
-    allocation: Dict[Hashable, float] = {flow.key: 0.0 for flow in flows}
-    frozen: Dict[Hashable, bool] = {flow.key: False for flow in flows}
-    flow_cap = {flow.key: min(flow.demand, flow.path_bandwidth)
-                for flow in flows}
+def _progressive_fill(flows: Sequence[FlowDemand],
+                      capacities: Mapping[int, float]
+                      ) -> Tuple[Dict[Hashable, float], int]:
+    """Progressive filling; returns (allocation, waterfilling rounds).
 
-    while not all(frozen.values()):
-        iterations += 1
+    Flows and links are handled by position.  Sums are accumulated
+    left to right in explicit loops, never by ``sum()``, which since
+    python 3.12 compensates float addition: the allocation must not
+    depend on the interpreter that computed it.
+    """
+    infinity = float("inf")
+    weights = [flow.weight for flow in flows]
+    caps = [min(flow.demand, flow.path_bandwidth) for flow in flows]
+    allocation = [0.0] * len(flows)
+    frozen = [False] * len(flows)
+    # Constrained links in the order flows first cross them; a flow is
+    # listed once per crossing, so a link crossed twice is charged twice.
+    crossings: Dict[int, List[int]] = {}
+    for position, flow in enumerate(flows):
+        for link_id in flow.links:
+            positions = crossings.get(link_id)
+            if positions is None:
+                if link_id not in capacities:
+                    continue
+                positions = crossings[link_id] = []
+            positions.append(position)
+    links = [(capacities[link_id], positions)
+             for link_id, positions in crossings.items()]
+    # What each link carries.  Allocations move once a round, so the sum
+    # that decides saturation at the end of one round is the next round's
+    # ``capacity - used``.
+    used = [0.0] * len(links)
+    active = list(range(len(flows)))
+    rounds = 0
+
+    while active:
+        rounds += 1
         # Smallest time-step at which either a link saturates or a flow
         # reaches its individual cap.
-        step = float("inf")
-        for usage in links.values():
-            active_weight = sum(flow.weight for flow in usage.flows
-                                if not frozen[flow.key])
+        step = infinity
+        for row, (capacity, positions) in enumerate(links):
+            active_weight = 0.0
+            for position in positions:
+                if not frozen[position]:
+                    active_weight += weights[position]
             if active_weight <= _EPSILON:
                 continue
-            remaining = usage.capacity - sum(
-                allocation[flow.key] for flow in usage.flows)
+            remaining = capacity - used[row]
             if remaining <= _EPSILON:
                 step = 0.0
                 break
-            step = min(step, remaining / active_weight)
-        for flow in flows:
-            if frozen[flow.key]:
-                continue
-            headroom = flow_cap[flow.key] - allocation[flow.key]
+            candidate = remaining / active_weight
+            if candidate < step:
+                step = candidate
+        for position in active:
+            headroom = caps[position] - allocation[position]
             if headroom <= _EPSILON:
                 step = 0.0
                 break
-            step = min(step, headroom / flow.weight)
-        if step == float("inf"):
+            candidate = headroom / weights[position]
+            if candidate < step:
+                step = candidate
+        if step == infinity:
             # Nothing binds the remaining flows: give each its own cap (an
             # entirely unconstrained flow keeps whatever it has, which can
             # only happen for zero-bandwidth-relevant paths).
-            for flow in flows:
-                if not frozen[flow.key]:
-                    if flow_cap[flow.key] != float("inf"):
-                        allocation[flow.key] = flow_cap[flow.key]
-                    frozen[flow.key] = True
+            for position in active:
+                if caps[position] != infinity:
+                    allocation[position] = caps[position]
             break
 
-        for flow in flows:
-            if not frozen[flow.key]:
-                allocation[flow.key] += flow.weight * step
+        for position in active:
+            allocation[position] += weights[position] * step
 
         # Freeze flows at saturated links or at their own cap.
-        for usage in links.values():
-            used = sum(allocation[flow.key] for flow in usage.flows)
-            if used >= usage.capacity - _EPSILON:
-                for flow in usage.flows:
-                    frozen[flow.key] = True
-        for flow in flows:
-            if allocation[flow.key] >= flow_cap[flow.key] - _EPSILON:
-                frozen[flow.key] = True
-    return allocation, iterations
-
-
-def _numpy_max_min(flows: Sequence[FlowDemand],
-                   capacities: Mapping[int, float]
-                   ) -> Tuple[Dict[Hashable, float], int]:
-    """Vectorized progressive filling; returns (allocation, rounds).
-
-    Identical waterfilling to :func:`_python_max_min`, expressed as whole-
-    array operations over the cached link×flow membership matrix.  The
-    saturation tolerance scales with magnitude (``ε·max(capacity, 1)``)
-    so rates around 1e8 bits/s — where one double ulp exceeds the absolute
-    ε — still freeze in one round; the resulting allocations stay within
-    1e-9 relative of the python backend's.
-    """
-    np = _np
-    link_order, matrix, member = _membership(flows, capacities)
-    count = len(flows)
-    weights = np.fromiter((flow.weight for flow in flows),
-                          dtype=float, count=count)
-    caps = np.fromiter((min(flow.demand, flow.path_bandwidth)
-                        for flow in flows), dtype=float, count=count)
-    link_caps = np.fromiter((capacities[link_id] for link_id in link_order),
-                            dtype=float, count=len(link_order))
-    finite_links = np.isfinite(link_caps)
-    link_slack = np.where(finite_links,
-                          np.maximum(np.abs(link_caps), 1.0) * _EPSILON, 0.0)
-    finite_caps = np.isfinite(caps)
-    cap_slack = np.where(finite_caps,
-                         np.maximum(np.abs(caps), 1.0) * _EPSILON, 0.0)
-    allocation = np.zeros(count)
-    frozen = np.zeros(count, dtype=bool)
-    # Link usage tracked incrementally: one matmul per round, not two.
-    used = np.zeros(len(link_order))
-    saturation_floor = link_caps - link_slack
-    cap_floor = caps - cap_slack
-    iterations = 0
-    infinity = float("inf")
-    # Every round with a finite step freezes at least one flow, so the
-    # guard is never reached in practice; it bounds pathological float
-    # behaviour instead of looping forever.
-    guard = 4 * count + 64
-    while not frozen.all() and iterations < guard:
-        iterations += 1
-        active_weights = np.where(frozen, 0.0, weights)
-        step = infinity
-        active_weight = None
-        if len(link_order):
-            active_weight = matrix @ active_weights
-            binding = finite_links & (active_weight > _EPSILON)
-            if binding.any():
-                remaining = link_caps[binding] - used[binding]
-                link_steps = np.where(remaining <= link_slack[binding], 0.0,
-                                      remaining / active_weight[binding])
-                step = float(link_steps.min())
-        headroom = np.where(frozen, infinity, caps - allocation)
-        flow_steps = np.where(headroom <= cap_slack, 0.0,
-                              headroom / weights)
-        step = min(step, float(flow_steps.min()))
-        if step == infinity:
-            unconstrained = ~frozen & finite_caps
-            allocation[unconstrained] = caps[unconstrained]
-            break
-        if step > 0.0:
-            allocation += active_weights * step
-            if active_weight is not None:
-                used += active_weight * step
-        if len(link_order):
-            saturated = finite_links & (used >= saturation_floor)
-            if saturated.any():
-                frozen |= member[saturated].any(axis=0)
-        frozen |= allocation >= cap_floor
-    return ({flow.key: float(allocation[index])
-             for index, flow in enumerate(flows)}, iterations)
+        for row, (capacity, positions) in enumerate(links):
+            total = 0.0
+            for position in positions:
+                total += allocation[position]
+            used[row] = total
+            if total >= capacity - _EPSILON:
+                for position in positions:
+                    frozen[position] = True
+        for position in active:
+            if allocation[position] >= caps[position] - _EPSILON:
+                frozen[position] = True
+        active = [position for position in active if not frozen[position]]
+    return ({flow.key: allocation[position]
+             for position, flow in enumerate(flows)}, rounds)
 
 
 def _disjoint_max_min(flows: Sequence[FlowDemand],
@@ -358,9 +204,9 @@ def _disjoint_max_min(flows: Sequence[FlowDemand],
     nothing is contended, so progressive filling can only stop a flow at
     its own tightest bound: ``min(demand, path_bandwidth, link
     capacities)``.  A flow that lists one link twice is two occurrences
-    (the fillers charge the link for each) and takes the slow path.  A
+    (the filler charges the link for each) and takes the slow path.  A
     wholly unconstrained flow ends at ``0.0`` when every flow is one, as
-    the fillers leave it; beside a bounded flow they leave it wherever
+    the filler leaves it; beside a bounded flow it leaves it wherever
     the rounds until that flow froze carried it, which is no closed form
     worth having — slow path too.  O(Σ path lengths), no rounds.
     """
@@ -397,18 +243,23 @@ def rtt_aware_max_min(flows: Sequence[FlowDemand],
     flow reaches its demand or path cap it freezes too.  Links with infinite
     capacity never bind.  Returns ``{flow.key: rate}`` in **bits/s**.
 
-    Complexity: at most ``F`` waterfilling rounds (each round freezes at
-    least one flow), each ``O(F + Σ path lengths)`` — vectorized on the
-    numpy backend, dict loops on the python one (see :func:`solver_backend`
-    and ``docs/performance.md``).  The result is deterministic: the same
-    flows and capacities produce bit-identical allocations on one backend,
-    and the two backends agree within 1e-9 relative — which is why every
-    decentralized Emulation Manager converges to the same enforcement
-    without coordination (§3).
+    Flow keys are unique by contract (both callers key by container
+    pair); two flows under one key would share one entry of the result.
+
+    Complexity: about ``F`` waterfilling rounds, each ``O(unfrozen flows
+    + Σ path lengths)``.  A round freezes at least one flow unless
+    ``weight * step`` rounds a hair short of the bound that set the step
+    — from 1e8 bits/s up one double ulp exceeds the absolute 1e-9
+    tolerance — and then the next round closes the gap: ``F + 2`` is the
+    most a fuzz of such rates has taken.
+    The result is deterministic — the same flows and capacities produce
+    bit-identical allocations on every interpreter and machine — which
+    is why every decentralized Emulation Manager converges to the same
+    enforcement without coordination (§3).
 
     Link-disjoint problems — the fluid integrator's one pseudo-link per
     shaped pair, any single flow — are answered by
-    :func:`_disjoint_max_min` ahead of both backends.
+    :func:`_disjoint_max_min` ahead of the filler.
     """
     if not flows:
         return {}
@@ -419,10 +270,7 @@ def rtt_aware_max_min(flows: Sequence[FlowDemand],
             telemetry.metrics.counter("sharing.closed_form").inc()
         return allocation
     started = telemetry.clock() if recording else 0.0
-    if len(flows) >= _VECTORIZE_MIN_FLOWS and _numpy() is not None:
-        allocation, iterations = _numpy_max_min(flows, capacities)
-    else:
-        allocation, iterations = _python_max_min(flows, capacities)
+    allocation, iterations = _progressive_fill(flows, capacities)
     if recording:
         registry = telemetry.metrics
         registry.counter("sharing.solver_calls").inc()
@@ -443,11 +291,10 @@ def paper_two_step_shares(flows: Sequence[FlowDemand],
     which is redistributed proportionally to the original shares of the
     remaining flows.  The flow's final rate is the minimum across its links.
 
-    Always pure python: this heuristic exists for the sharing ablation
-    (``repro.experiments.ablation_sharing``), not for any hot path, so it
-    is not worth a vectorized twin.  Units and determinism match
-    :func:`rtt_aware_max_min`; complexity is ``O(F·L)`` with exactly two
-    passes.
+    This heuristic exists for the sharing ablation
+    (``repro.experiments.ablation_sharing``), not for any hot path.  Units
+    match :func:`rtt_aware_max_min`; complexity is ``O(F·L)`` with exactly
+    two passes.
     """
     if not flows:
         return {}

@@ -172,15 +172,12 @@ def test_closed_form_equals_progressive_filling(problem):
     unbounded = sum(tightest_bound(flow, capacities) == float("inf")
                     for flow in flows)
     if 0 < unbounded < len(flows):
-        # The fillers leave an unconstrained flow wherever the rounds
+        # The filler leaves an unconstrained flow wherever the rounds
         # spent on its bounded neighbours carried it: not the fast path.
         assert closed is None
         return
     assert_allocations_agree(
-        sharing._python_max_min(flows, capacities)[0], closed)
-    if sharing.solver_backend() == "numpy":
-        assert_allocations_agree(
-            sharing._numpy_max_min(flows, capacities)[0], closed)
+        sharing._progressive_fill(flows, capacities)[0], closed)
 
 
 @given(disjoint_problem(), st.data())

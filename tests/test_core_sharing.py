@@ -1,11 +1,18 @@
 """RTT-aware min-max bandwidth sharing — including the Figure 8 schedule."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FlowDemand, paper_two_step_shares, rtt_aware_max_min
+from repro.core import (FlowDemand, paper_two_step_shares, rtt_aware_max_min,
+                        sharing)
 
 MBPS = 1e6
+INFINITY = float("inf")
+GOLDEN = Path(__file__).parent / "golden" / "fair_share_allocations.json"
 
 # ---------------------------------------------------------------------------
 # The §5.4 experiment as pure allocation problems.  Link ids:
@@ -192,3 +199,110 @@ def test_allocation_is_deterministic(problem):
     first = rtt_aware_max_min(flows, capacities)
     second = rtt_aware_max_min(list(flows), dict(capacities))
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# The filler of record, bit for bit
+# ---------------------------------------------------------------------------
+
+def fair_share_corpus(seed, count):
+    """Seeded problems over every input shape the filler accepts.
+
+    1–128 flows over up to 12 shared links and one private link each;
+    shared links are finite, infinite, zero or absent from ``capacities``;
+    a path may be empty or cross one link twice; demands and path
+    bandwidths are finite, infinite or (demands) zero; RTTs repeat, so
+    steps tie, and include 0 (a latency-free path).  Only ``random()``,
+    ``randrange`` and ``choice`` are drawn and only ``+ * /`` applied, so
+    the corpus is the same floats on every interpreter and libm.
+    """
+    rng = random.Random(seed)
+
+    def rate(low, high):
+        """Spread evenly over the decades 10**low .. 10**high."""
+        return (1.0 + 9.0 * rng.random()) * 10 ** rng.randrange(low, high)
+
+    for index in range(count):
+        skew = rng.random()
+        flow_count = (128 if index % 64 == 0
+                      else 1 + int(127 * skew * skew * skew * skew))
+        capacities, shared = {}, []
+        for link_id in range(1 + rng.randrange(12)):
+            shared.append(link_id)
+            kind = rng.random()
+            if kind < 0.70:
+                capacities[link_id] = rate(5, 9)
+            elif kind < 0.80:
+                capacities[link_id] = INFINITY
+            elif kind < 0.85:
+                capacities[link_id] = 0.0
+        flows = []
+        for position in range(flow_count):
+            path = []
+            if rng.random() >= 0.08:
+                for _ in range(1 + rng.randrange(min(4, len(shared)))):
+                    link_id = rng.choice(shared)
+                    if link_id not in path:
+                        path.append(link_id)
+                if rng.random() < 0.10:
+                    path.append(path[0])                 # crossed twice
+                if rng.random() < 0.50:
+                    private = 1000 + position
+                    capacities[private] = rate(5, 9)
+                    path.append(private)
+            rtt = rng.choice((0.0, 0.02, 0.05, rate(1, 5) / 1e5))
+            kind = rng.random()
+            demand = (INFINITY if kind < 0.60 else
+                      0.0 if kind < 0.63 else rate(4, 9))
+            finite = [capacities[link_id] for link_id in path
+                      if capacities.get(link_id, INFINITY) != INFINITY]
+            path_bandwidth = rng.choice((INFINITY, rate(5, 9),
+                                         min(finite, default=INFINITY)))
+            flows.append(FlowDemand(f"f{position}", rtt, tuple(path),
+                                    demand, path_bandwidth))
+        yield flows, capacities
+
+
+def test_filler_matches_the_golden_bit_for_bit():
+    """Every allocation and round count of the filler this one replaced.
+
+    The golden was recorded from ``_python_max_min`` at 2bb860a — the
+    implementation every checksum pinned — before it was tightened in
+    place; ``float.hex()`` is exact, so ``==`` here means no float
+    operation changed value or order.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden["problems"]) == golden["count"]
+    corpus = fair_share_corpus(golden["seed"], golden["count"])
+    for (flows, capacities), expected in zip(corpus, golden["problems"]):
+        allocation, rounds = sharing._progressive_fill(flows, capacities)
+        assert list(allocation) == [flow.key for flow in flows]
+        assert [rate.hex() for rate in allocation.values()] == expected[
+            "allocation"]
+        assert rounds == expected["rounds"]
+
+
+def test_high_rate_solves_terminate_within_capacity():
+    """From 1e8 bits/s up one double ulp exceeds the filler's absolute
+    1e-9 tolerance, so a round can end a hair short of the bound that set
+    its step and freeze nobody.  The next round closes the gap: a round
+    or two over ``F`` (``F + 2`` observed), never a stall, and no link
+    oversubscribed — which is why the filler carries no round guard and
+    no magnitude-scaled slack."""
+    rng = random.Random(64)
+    for _ in range(2000):
+        capacities = {link_id: 10 ** rng.uniform(8, 11)
+                      for link_id in range(rng.randint(1, 4))}
+        flows = []
+        for position in range(rng.randint(2, 40)):
+            path = rng.sample(sorted(capacities),
+                              rng.randint(1, len(capacities)))
+            flows.append(FlowDemand(
+                position, rng.uniform(1e-4, 0.5), tuple(path),
+                path_bandwidth=min(capacities[i] for i in path)))
+        allocation, rounds = sharing._progressive_fill(flows, capacities)
+        assert rounds <= 2 * len(flows) + 8
+        for link_id, capacity in capacities.items():
+            used = sum(allocation[flow.key] for flow in flows
+                       if link_id in flow.links)
+            assert used <= capacity * (1 + 1e-9)

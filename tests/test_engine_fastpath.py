@@ -1,11 +1,12 @@
-"""The vectorized engine core: backend equivalence and collapse memoization.
+"""The engine core's fast paths: one fair-share filler, the collapse memo.
 
 Two families of guarantees from docs/performance.md are pinned here:
 
-* the numpy and python solver backends are interchangeable — identical
-  allocations within 1e-9 relative on hand-built problems, hypothesis-
-  generated problems and whole fuzz-corpus scenarios, and identical paper
-  Figure-8 stage values;
+* what the sharing model claims of an allocation — RTT-weighted max-min
+  optimality, no oversubscribed link, independence from the order flows
+  are listed in — on hypothesis-generated problems and whole fuzz-corpus
+  scenarios (the filler's exact floats are pinned separately, by
+  ``tests/golden/fair_share_allocations.json``);
 * the collapse memo's three tiers (hit / incremental re-property / full
   recompute) trigger exactly when the structural topology signature says
   they should, observed through the telemetry counters the production
@@ -20,82 +21,32 @@ from hypothesis import given, settings, strategies as st
 from repro import telemetry
 from repro.core import (FlowDemand, clear_collapse_cache, collapse,
                         collapse_cache_stats, rtt_aware_max_min,
-                        solver_backend, topology_signature)
-from repro.core.sharing import (_numpy_max_min, _python_max_min,
-                                clear_matrix_cache)
+                        topology_signature)
 from repro.scenario.dsl.fuzz import fuzz_corpus
 from repro.scenario.topologies import scale_free
 
 MBPS = 1e6
-
-HAVE_NUMPY = True
-try:
-    import numpy  # noqa: F401  (presence probe only)
-except ImportError:
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not installed")
+TOLERANCE = 1e-9            # the solver's, absolute and relative
 
 
 @pytest.fixture(autouse=True)
-def _clean_backend_state():
-    """Every test starts and ends with empty caches."""
+def _clean_engine_state():
+    """Every test starts and ends with an empty collapse memo."""
     clear_collapse_cache()
-    clear_matrix_cache()
     yield
     clear_collapse_cache()
-    clear_matrix_cache()
     telemetry.disable()
     telemetry.metrics.clear()
 
 
-def solve_with(backend, flows, capacities):
-    """One backend's allocation, called directly (no dispatch)."""
-    solver = {"python": _python_max_min, "numpy": _numpy_max_min}[backend]
-    return solver(flows, capacities)[0]
-
-
-def assert_allocations_agree(first, second, *, rel=1e-9):
-    assert set(first) == set(second)
-    for key, value in first.items():
-        scale = max(abs(value), 1.0)
-        assert abs(second[key] - value) <= rel * scale, (
-            key, value, second[key])
-
-
 # ---------------------------------------------------------------------------
-# Backend selection.
-# ---------------------------------------------------------------------------
-
-class TestBackendSelection:
-    @needs_numpy
-    def test_auto_prefers_numpy(self):
-        assert solver_backend() == "numpy"
-
-    @needs_numpy
-    def test_tiny_problems_stay_scalar_in_auto_mode(self):
-        """Under the vectorization threshold the dispatch must not pay
-        numpy array-setup costs: no membership matrix is built.  At the
-        threshold it is."""
-        telemetry.metrics.clear()
-        telemetry.enable()
-        flows = [FlowDemand(f"f{index}", 0.01, (0,), path_bandwidth=MBPS)
-                 for index in range(8)]
-        rtt_aware_max_min(flows[:7], {0: MBPS})
-        assert telemetry.metrics.counter("sharing.matrix_builds").value == 0
-        rtt_aware_max_min(flows, {0: MBPS})
-        assert telemetry.metrics.counter("sharing.matrix_builds").value == 1
-
-
-# ---------------------------------------------------------------------------
-# numpy/python equivalence.
+# The model's claim about an allocation.
 # ---------------------------------------------------------------------------
 
 @st.composite
 def allocation_problem(draw):
     """Like the strategy in test_core_sharing, plus finite demands and
-    enough flows to exercise the vectorized path proper."""
+    twice the flows and links."""
     link_count = draw(st.integers(min_value=1, max_value=8))
     capacities = {i: draw(st.floats(min_value=0.5 * MBPS,
                                     max_value=200 * MBPS))
@@ -115,19 +66,61 @@ def allocation_problem(draw):
     return flows, capacities
 
 
-@needs_numpy
-class TestBackendEquivalence:
-    @settings(max_examples=80, deadline=None)
-    @given(allocation_problem())
-    def test_backends_agree_on_random_problems(self, problem):
-        flows, capacities = problem
-        assert_allocations_agree(solve_with("python", flows, capacities),
-                                 solve_with("numpy", flows, capacities))
+def almost(value):
+    """``value`` less the solver's tolerance, absolute and relative."""
+    return value * (1 - TOLERANCE) - TOLERANCE
 
-    def test_backends_agree_on_fuzz_corpus(self):
+
+def assert_max_min(flows, capacities, allocation):
+    """No link carries more than its capacity, and every flow is stopped
+    by its own cap or crosses a saturated link on which no flow has a
+    larger ``allocation / weight`` — so none can gain unless one that is
+    no better off loses.  A link is charged once per crossing."""
+    crossing = {}
+    for flow in flows:
+        for link_id in flow.links:
+            if link_id in capacities:
+                crossing.setdefault(link_id, []).append(flow)
+    used = {link_id: sum(allocation[flow.key] for flow in members)
+            for link_id, members in crossing.items()}
+    for link_id, total in used.items():
+        assert almost(total) <= capacities[link_id], (link_id, total)
+    for flow in flows:
+        rate = allocation[flow.key]
+        if rate >= almost(min(flow.demand, flow.path_bandwidth)):
+            continue
+        level = rate / flow.weight
+        assert any(
+            used[link_id] >= almost(capacities[link_id])
+            and all(almost(allocation[other.key] / other.weight) <= level
+                    for other in crossing[link_id])
+            for link_id in flow.links if link_id in crossing), (
+                flow, rate)
+
+
+def assert_allocations_agree(first, second):
+    assert set(first) == set(second)
+    for key, value in first.items():
+        assert abs(second[key] - value) <= TOLERANCE * max(abs(value), 1.0), (
+            key, value, second[key])
+
+
+class TestMaxMinProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_max_min_on_random_problems(self, data):
+        flows, capacities = data.draw(allocation_problem())
+        allocation = rtt_aware_max_min(flows, capacities)
+        assert_max_min(flows, capacities, allocation)
+        reordered = data.draw(st.permutations(flows))
+        assert_allocations_agree(
+            allocation, rtt_aware_max_min(reordered, capacities))
+
+    def test_max_min_on_fuzz_corpus(self):
         """Whole generated scenarios: collapse each fuzz topology, build
-        one saturating FlowDemand per container pair, solve both ways."""
-        compared = 0
+        one saturating FlowDemand per container pair, solve it forwards
+        and backwards."""
+        solved = 0
         for builder in fuzz_corpus(seed=7, count=6):
             topology = builder.compile().topology
             collapsed = collapse(topology, memo=False)
@@ -144,39 +137,26 @@ class TestBackendEquivalence:
                     path_bandwidth=path.properties.bandwidth))
             if not flows:
                 continue
+            allocation = rtt_aware_max_min(flows, capacities)
+            assert_max_min(flows, capacities, allocation)
             assert_allocations_agree(
-                solve_with("python", flows, capacities),
-                solve_with("numpy", flows, capacities))
-            compared += len(flows)
-        assert compared > 0
+                allocation, rtt_aware_max_min(flows[::-1], capacities))
+            solved += len(flows)
+        assert solved > 0
 
-    def test_figure8_stages_identical_across_backends(self):
-        """The §5.4 schedule — the repo's golden allocation — must not
-        depend on which backend solved it."""
-        from test_core_sharing import (SECTION54_CAPACITIES, section54_flows)
-        stages = [["c1"], ["c1", "c2"], ["c1", "c2", "c3"],
-                  ["c1", "c2", "c3", "c4"],
-                  ["c1", "c2", "c3", "c4", "c5"],
-                  ["c1", "c2", "c3", "c4", "c5", "c6"]]
-        for active in stages:
-            flows = section54_flows(active)
-            assert_allocations_agree(
-                solve_with("python", flows, SECTION54_CAPACITIES),
-                solve_with("numpy", flows, SECTION54_CAPACITIES))
 
+# The class name is part of a test id the tier-1 floor pins.
+class TestBackendEquivalence:
     def test_duplicate_link_traversal_counted_twice(self):
-        """A path crossing the same link twice consumes double capacity on
-        it — both backends must account the repeat occurrence."""
+        """A path crossing the same link twice consumes double capacity
+        on it."""
         flows = [FlowDemand("loop", 0.02, (0, 1, 0),
-                            path_bandwidth=float("inf"))] * 1
-        flows = flows + [FlowDemand(f"pad{i}", 0.02, (1,),
-                                    path_bandwidth=float("inf"))
-                         for i in range(9)]       # clear the threshold
-        capacities = {0: 10 * MBPS, 1: 100 * MBPS}
-        python = solve_with("python", flows, capacities)
-        vectorized = solve_with("numpy", flows, capacities)
-        assert_allocations_agree(python, vectorized)
-        assert python["loop"] == pytest.approx(5 * MBPS, rel=1e-6)
+                            path_bandwidth=float("inf"))]
+        flows += [FlowDemand(f"pad{i}", 0.02, (1,),
+                             path_bandwidth=float("inf"))
+                  for i in range(2)]
+        allocation = rtt_aware_max_min(flows, {0: 10 * MBPS, 1: 100 * MBPS})
+        assert allocation["loop"] == pytest.approx(5 * MBPS, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

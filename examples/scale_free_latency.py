@@ -34,7 +34,7 @@ def main() -> None:
     started = time.perf_counter()
     collapsed = compiled.collapsed()
     elapsed = time.perf_counter() - started
-    print(f"collapse: {len(collapsed.paths())} end-to-end paths "
+    print(f"collapse: {collapsed.pair_count()} end-to-end paths "
           f"in {elapsed * 1e3:.0f} ms "
           "(why dynamic graphs are pre-computed offline, §3)\n")
 

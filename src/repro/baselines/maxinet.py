@@ -119,11 +119,10 @@ class MaxinetEmulator:
 
     def send(self, packet: Packet, deliver, *, on_drop=None) -> None:
         """Forward with tunnelling delay added per cross-worker hop."""
-        route_nodes = self.network._route_nodes.get(
-            (packet.source, packet.destination))
+        path = self.network.collapsed.path(packet.source, packet.destination)
         extra = 0.0
-        if route_nodes is not None:
-            bridges = [node for node in route_nodes
+        if path is not None:
+            bridges = [node for node in path.node_path
                        if node in self._worker_of]
             for first, second in zip(bridges, bridges[1:]):
                 if self._worker_of[first] != self._worker_of[second]:

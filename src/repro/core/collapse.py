@@ -2,8 +2,8 @@
 
 This is the paper's first key insight (§1, Figure 1): applications only
 observe emergent end-to-end properties, so the emulator can discard router
-and switch state entirely.  The collapse computes, for every ordered pair of
-containers, the shortest path through the declared bridges and records
+and switch state entirely.  The collapse answers, for every ordered pair of
+containers, with the shortest path through the declared bridges:
 
 * the composed end-to-end properties (:class:`PathProperties`),
 * the identifiers of the constituent physical links — these are what the
@@ -15,6 +15,20 @@ Shortest paths are computed with Dijkstra's algorithm [38] over link latency
 is deterministic across Emulation Managers without coordination — a
 requirement for the fully decentralized design).
 
+What is kept, and what is derived
+---------------------------------
+
+:func:`collapse` keeps what Dijkstra produces — one predecessor-link tree
+per source *service* — plus the topology's ``link_id -> LinkProperties``
+map at that instant: ``O(services × nodes)`` memory, whatever the number
+of containers.  A :class:`CollapsedPath` is derived the first time someone
+asks for the pair (:meth:`CollapsedTopology.path` walks the tree and
+composes the links in traversal order, ``O(path length)``) and remembered;
+an experiment that talks over 30 pairs of an 82 082-pair table builds 30.
+:meth:`~CollapsedTopology.pair_count` counts reachable containers per tree
+without building any; :meth:`~CollapsedTopology.paths` builds whatever is
+still missing.
+
 Memoization
 -----------
 
@@ -25,18 +39,21 @@ module therefore memoizes :func:`collapse` results in a bounded LRU keyed
 by a structural topology hash (:func:`topology_signature`):
 
 * **hit** — a structurally identical topology (same nodes, links, ids and
-  *all* properties) returns the cached path table directly;
+  *all* properties) shares the cached trees, property map and every path
+  built so far: ``O(signature)`` = ``O(V + E)``;
 * **incremental** — a topology whose *routing* inputs (nodes, link ids,
   latencies) match a cached entry but whose non-routing properties
-  (bandwidth, jitter, loss) differ reuses the cached shortest paths and
-  only re-composes the end-to-end properties — no Dijkstra runs;
-* **miss** — anything else computes from scratch and populates the cache.
+  (bandwidth, jitter, loss) differ shares the donor's trees and only
+  rebuilds the ``O(E)`` property map — no Dijkstra runs;
+* **miss** — anything else runs one Dijkstra per source service and
+  populates the cache.
 
 The LRU holds 128 entries; ``collapse(memo=False)`` bypasses it and
 :func:`clear_collapse_cache` drops everything (``repro campaign ...
 --fresh`` calls it).  Telemetry counters ``collapse.memo_hits`` /
 ``collapse.memo_misses`` / ``collapse.incremental_recomputes`` /
-``collapse.memo_invalidations`` expose the cache's behaviour; see
+``collapse.memo_invalidations`` expose the cache's behaviour and
+``collapse.paths_built`` the pairs actually derived; see
 ``docs/performance.md``.
 """
 
@@ -45,13 +62,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.core.properties import PathProperties, compose_path
-from repro.topology.model import Link, Topology, TopologyError
+from repro.topology.model import (Link, LinkProperties, Topology,
+                                  TopologyError)
 
 __all__ = ["CollapsedPath", "CollapsedTopology", "collapse",
            "topology_signature", "clear_collapse_cache",
@@ -87,22 +105,109 @@ class CollapsedPath:
         return self.properties.bandwidth
 
 
+class _Routing:
+    """What Dijkstra produces for one routing structure, nothing per pair.
+
+    ``trees[service][node]`` is the link the shortest path from ``service``
+    enters ``node`` by (the origin has no entry); ``loops[service]`` is the
+    two-link path between replicas of one service.  Only names, endpoints
+    and link ids are read from the links, so every topology with the same
+    routing signature can share one instance — link *properties* belong
+    to the :class:`CollapsedTopology`.  Never mutated once built.
+    """
+
+    __slots__ = ("containers", "service_of", "sources", "members", "trees",
+                 "loops")
+
+    def __init__(self, topology: Topology,
+                 sources: Optional[Sequence[str]]) -> None:
+        graph = _service_graph(topology)
+        self.containers = topology.container_names()
+        self.service_of = {name: name.split(".")[0]
+                           for name in self.containers}
+        wanted = self.containers if sources is None else sources
+        #: Container -> service for the containers paths originate at, in
+        #: table (source-major) order.
+        self.sources = {name: self.service_of[name] for name in wanted
+                        if name in self.service_of}
+        #: Containers per service.
+        self.members = Counter(self.service_of.values())
+        # One Dijkstra per *service* (containers of a service share paths).
+        needed = sorted(set(self.sources.values()))
+        self.trees = {service: _dijkstra(graph, service)
+                      for service in needed}
+        self.loops = {service: _intra_service_path(graph, service)
+                      for service in needed if self.members[service] > 1}
+
+    def links(self, source: str, destination: str) -> Optional[List[Link]]:
+        """The links from ``source`` to ``destination`` in traversal
+        order, ``None`` when there is no such path in this table."""
+        service = self.sources.get(source)
+        target = self.service_of.get(destination)
+        if service is None or target is None or source == destination:
+            return None
+        if target == service:
+            return self.loops.get(service)
+        return _links_to(self.trees[service], target)
+
+    def pair_count(self) -> int:
+        """Ordered pairs with a path: ``O(source services × services)``."""
+        reach = {}
+        for service, tree in self.trees.items():
+            reach[service] = sum(count
+                                 for target, count in self.members.items()
+                                 if target in tree)
+            if self.loops.get(service) is not None:
+                reach[service] += self.members[service] - 1
+        return sum(reach[service] for service in self.sources.values())
+
+
 class CollapsedTopology:
     """All-pairs collapsed view of a topology at one instant.
 
-    The path table is immutable once built; memoized lookups hand the same
-    table to several ``CollapsedTopology`` wrappers, each referencing the
-    live :class:`~repro.topology.model.Topology` it was requested for.
+    Holds the shortest-path trees and the ``link_id -> LinkProperties``
+    map of that instant; a :class:`CollapsedPath` is built on the first
+    :meth:`path` lookup of its pair and remembered.  Memoized lookups hand
+    the same trees (and, for identical topologies, the same built paths)
+    to several ``CollapsedTopology`` wrappers, each referencing the live
+    :class:`~repro.topology.model.Topology` it was requested for; what is
+    shared only ever gains immutable values that depend on nothing but the
+    topology, so sharing is invisible.
     """
 
-    def __init__(self, topology: Topology,
-                 paths: Dict[Tuple[str, str], CollapsedPath]) -> None:
+    def __init__(self, topology: Topology, routing: _Routing,
+                 properties: Dict[int, LinkProperties],
+                 built: Dict[Tuple[str, str], CollapsedPath]) -> None:
         self.topology = topology
-        self._paths = paths
+        self._routing = routing
+        self._properties = properties
+        self._built = built
 
     def path(self, source: str, destination: str) -> Optional[CollapsedPath]:
-        """The collapsed path, or ``None`` when unreachable."""
-        return self._paths.get((source, destination))
+        """The collapsed path, or ``None`` when unreachable.
+
+        A dict hit once the pair has been asked for; the first lookup
+        walks the source's tree, ``O(path length)``.
+        """
+        key = (source, destination)
+        path = self._built.get(key)
+        if path is None:
+            links = self._routing.links(source, destination)
+            if links is None:
+                return None
+            by_id = self._properties
+            path = self._built[key] = CollapsedPath(
+                source=source,
+                destination=destination,
+                properties=compose_path([by_id[link.link_id]
+                                         for link in links]),
+                link_ids=tuple(link.link_id for link in links),
+                node_path=(source,) + tuple(
+                    link.destination for link in links[:-1]) + (destination,),
+            )
+            if telemetry.enabled():
+                telemetry.metrics.counter("collapse.paths_built").inc()
+        return path
 
     def require_path(self, source: str, destination: str) -> CollapsedPath:
         path = self.path(source, destination)
@@ -117,14 +222,26 @@ class CollapsedTopology:
         backward = self.require_path(destination, source)
         return forward.latency + backward.latency
 
-    def paths(self) -> Iterable[CollapsedPath]:
-        return self._paths.values()
+    def paths(self) -> List[CollapsedPath]:
+        """Every path of the table, source-major in container order —
+        builds the ones nobody has asked for yet (``O(pairs)``)."""
+        routing = self._routing
+        found = []
+        for source in routing.sources:
+            for destination in routing.containers:
+                path = self.path(source, destination)
+                if path is not None:
+                    found.append(path)
+        return found
 
     def pair_count(self) -> int:
-        return len(self._paths)
+        """How many ordered pairs the table answers for; builds none."""
+        return self._routing.pair_count()
 
     def reachable_from(self, source: str) -> List[str]:
-        return [dst for (src, dst) in self._paths if src == source]
+        routing = self._routing
+        return [name for name in routing.containers
+                if routing.links(source, name) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +290,12 @@ def topology_signature(topology: Topology, *,
 
 @dataclass
 class _CacheEntry:
-    paths: Dict[Tuple[str, str], CollapsedPath]
-    routing_signature: str
+    """What views of one memoized topology share (see
+    :class:`CollapsedTopology`)."""
+
+    routing: _Routing
+    properties: Dict[int, LinkProperties]
+    built: Dict[Tuple[str, str], CollapsedPath]
 
 
 _cache_lock = threading.RLock()
@@ -205,7 +326,8 @@ def collapse_cache_stats() -> Dict[str, int]:
 
 
 def _cache_store(key: tuple, routing_key: tuple,
-                 entry: _CacheEntry) -> None:
+                 result: CollapsedTopology) -> None:
+    entry = _CacheEntry(result._routing, result._properties, result._built)
     evicted = 0
     with _cache_lock:
         _cache[key] = entry
@@ -221,29 +343,6 @@ def _cache_store(key: tuple, routing_key: tuple,
         telemetry.metrics.counter("collapse.memo_invalidations").inc(evicted)
 
 
-def _reproperty(donor: Dict[Tuple[str, str], CollapsedPath],
-                topology: Topology) -> Dict[Tuple[str, str], CollapsedPath]:
-    """Re-compose end-to-end properties over unchanged shortest paths.
-
-    The donor's routing (link ids, node paths) is valid for ``topology``
-    because their routing signatures match; only per-link bandwidth /
-    jitter / loss may differ, so one :func:`compose_path` per pair replaces
-    a Dijkstra per service.
-    """
-    by_id = {link.link_id: link.properties for link in topology.links()}
-    fresh: Dict[Tuple[str, str], CollapsedPath] = {}
-    for pair, path in donor.items():
-        fresh[pair] = CollapsedPath(
-            source=path.source,
-            destination=path.destination,
-            properties=compose_path([by_id[link_id]
-                                     for link_id in path.link_ids]),
-            link_ids=path.link_ids,
-            node_path=path.node_path,
-        )
-    return fresh
-
-
 # ---------------------------------------------------------------------------
 # collapse() — the public entry point.
 # ---------------------------------------------------------------------------
@@ -256,7 +355,7 @@ def collapse(topology: Topology, *,
     ``sources`` restricts the computation to paths originating at the given
     containers — each Emulation Manager only computes the part of the
     topology affecting its local containers (§3), which this parameter
-    models.  With the default, all ordered container pairs are computed.
+    models.  With the default, all ordered container pairs are answered.
 
     ``memo=False`` bypasses the module cache entirely (neither read nor
     populated) — used by the precompute ablation and the cold-path
@@ -265,9 +364,10 @@ def collapse(topology: Topology, *,
     Determinism: the same topology always yields the same path table —
     Dijkstra ties break on hop count then lexicographic node order, so
     every decentralized manager derives an identical collapse.  Complexity
-    is one Dijkstra per *service* (``O((V + E) log V)`` each) plus
-    ``O(pairs)`` assembly; memo hits are ``O(signature)`` = ``O(V + E)``,
-    incremental reuses ``O(pairs × path length)``.
+    is one Dijkstra per source *service* (``O((V + E) log V)`` each) plus
+    the ``O(E)`` property map; no per-pair work happens until a pair is
+    looked up.  Memo hits are ``O(signature)`` = ``O(V + E)``, incremental
+    reuses ``O(V + E)`` as well.
     """
     if not memo:
         return _collapse_full(topology, sources)
@@ -286,85 +386,57 @@ def collapse(topology: Topology, *,
             registry.counter("collapse.memo_hits").inc()
             registry.counter("collapse.memo_seconds").inc(
                 telemetry.clock() - started)
-        return CollapsedTopology(topology, entry.paths)
+        return CollapsedTopology(topology, entry.routing, entry.properties,
+                                 entry.built)
 
     if recording:
         telemetry.metrics.counter("collapse.memo_misses").inc()
-    routing_signature = topology_signature(topology, routing_only=True)
-    routing_key = (routing_signature, sources_key)
+    routing_key = (topology_signature(topology, routing_only=True),
+                   sources_key)
     with _cache_lock:
         donor_key = _routing_index.get(routing_key)
         donor = _cache.get(donor_key) if donor_key is not None else None
     if donor is not None:
-        paths = _reproperty(donor.paths, topology)
-        _cache_store(full_key, routing_key,
-                     _CacheEntry(paths, routing_signature))
+        # Same nodes, link ids and latencies: the donor's trees are this
+        # topology's trees, only the composed properties differ.
+        result = CollapsedTopology(topology, donor.routing,
+                                   _properties_by_id(topology), {})
+        _cache_store(full_key, routing_key, result)
         if recording:
             registry = telemetry.metrics
             registry.counter("collapse.incremental_recomputes").inc()
             registry.counter("collapse.incremental_seconds").inc(
                 telemetry.clock() - started)
-        return CollapsedTopology(topology, paths)
+        return result
 
     result = _collapse_full(topology, sources)
-    _cache_store(full_key, routing_key,
-                 _CacheEntry(result._paths, routing_signature))
+    _cache_store(full_key, routing_key, result)
     return result
 
 
 def _collapse_full(topology: Topology,
                    sources: Optional[Sequence[str]]) -> CollapsedTopology:
-    """The from-scratch all-pairs collapse (one Dijkstra per service)."""
+    """The from-scratch collapse (one Dijkstra per source service)."""
     recording = telemetry.enabled()
     started = telemetry.clock() if recording else 0.0
     trace = telemetry.span("collapse.all_pairs",
                            containers=len(topology.container_names()))
-    graph = _service_graph(topology)
-    containers = topology.container_names()
-    container_service = {name: name.split(".")[0] for name in containers}
-    wanted_sources = list(sources) if sources is not None else containers
-
-    # One Dijkstra per *service* (containers of a service share paths).
-    needed_services = sorted({container_service[c] for c in wanted_sources
-                              if c in container_service})
-    service_paths: Dict[str, Dict[str, List[Link]]] = {
-        service: _dijkstra(graph, service) for service in needed_services}
-
-    paths: Dict[Tuple[str, str], CollapsedPath] = {}
-    for source in wanted_sources:
-        src_service = container_service.get(source)
-        if src_service is None:
-            continue
-        reachable = service_paths[src_service]
-        for destination in containers:
-            if destination == source:
-                continue
-            dst_service = container_service[destination]
-            if dst_service == src_service:
-                links = _intra_service_path(graph, src_service)
-                if links is None:
-                    continue
-            else:
-                links = reachable.get(dst_service)
-                if links is None:
-                    continue
-            node_path = (source,) + tuple(
-                link.destination for link in links[:-1]) + (destination,)
-            paths[(source, destination)] = CollapsedPath(
-                source=source,
-                destination=destination,
-                properties=compose_path([link.properties for link in links]),
-                link_ids=tuple(link.link_id for link in links),
-                node_path=node_path,
-            )
+    routing = _Routing(topology, sources)
+    result = CollapsedTopology(topology, routing,
+                               _properties_by_id(topology), {})
     if recording:
+        pairs = routing.pair_count()
         registry = telemetry.metrics
         registry.counter("collapse.recomputes").inc()
-        registry.counter("collapse.pairs").inc(len(paths))
+        registry.counter("collapse.pairs").inc(pairs)
         registry.counter("collapse.seconds").inc(telemetry.clock() - started)
-        trace.set(pairs=len(paths), services=len(needed_services))
+        trace.set(pairs=pairs, services=len(routing.trees))
     trace.finish()
-    return CollapsedTopology(topology, paths)
+    return result
+
+
+def _properties_by_id(topology: Topology) -> Dict[int, LinkProperties]:
+    return {link.link_id: link.properties for link in topology.links()}
 
 
 def _service_graph(topology: Topology) -> Dict[str, List[Link]]:
@@ -379,18 +451,21 @@ def _service_graph(topology: Topology) -> Dict[str, List[Link]]:
 
 
 def _dijkstra(graph: Dict[str, List[Link]],
-              origin: str) -> Dict[str, List[Link]]:
-    """Latency-weighted shortest paths from ``origin`` to every node.
+              origin: str) -> Dict[str, Link]:
+    """Latency-weighted shortest-path tree from ``origin``.
 
+    Maps every reached node to the link its shortest path arrives by
+    (``origin`` itself has no entry; :func:`_links_to` reads a path back).
     Ties are broken by hop count and then by the lexicographic order of the
     traversed node names so every Emulation Manager independently derives an
-    identical collapse.
+    identical collapse; among candidates equal in latency and hops the
+    first one relaxed stays.
     """
     if origin not in graph:
         return {}
     # Priority: (latency, hops, path-of-node-names).
     best: Dict[str, Tuple[float, int]] = {origin: (0.0, 0)}
-    chosen: Dict[str, List[Link]] = {origin: []}
+    tree: Dict[str, Link] = {}
     done: set = set()
     queue: List[Tuple[float, int, Tuple[str, ...], str]] = [
         (0.0, 0, (origin,), origin)]
@@ -407,11 +482,25 @@ def _dijkstra(graph: Dict[str, List[Link]],
             incumbent = best.get(neighbour)
             if incumbent is None or candidate < incumbent:
                 best[neighbour] = candidate
-                chosen[neighbour] = chosen[node] + [link]
+                tree[neighbour] = link
                 heapq.heappush(queue, (candidate[0], candidate[1],
                                        names + (neighbour,), neighbour))
-    del chosen[origin]
-    return chosen
+    return tree
+
+
+def _links_to(tree: Dict[str, Link], node: str) -> Optional[List[Link]]:
+    """The path from the origin of ``tree`` to ``node`` as links in
+    traversal order; ``None`` when the tree does not reach ``node`` (or it
+    is the origin)."""
+    link = tree.get(node)
+    if link is None:
+        return None
+    links = []
+    while link is not None:
+        links.append(link)
+        link = tree.get(link.source)
+    links.reverse()
+    return links
 
 
 def _intra_service_path(graph: Dict[str, List[Link]],

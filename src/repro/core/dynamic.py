@@ -6,13 +6,20 @@ dynamics.  Kollaps therefore pre-computes, before the experiment starts, the
 ordered sequence of graph states together with *all* derived metadata: the
 collapsed topology and the per-link capacity map for each state.
 
+A state costs what Dijkstra costs and nothing per container pair: its
+:class:`~repro.core.collapse.CollapsedTopology` keeps one shortest-path
+tree per service and the ``O(E)`` link-property map, and derives a pair's
+end-to-end path the first time traffic asks for it — ``O(states × (services
+× E log V))`` time and ``O(states × services × V)`` memory at worst for the
+whole plan, however many containers there are.
+
 Pre-computation is incremental through the collapse memo
 (:mod:`repro.core.collapse`): an event that only changes link capacities
-keeps the previous state's shortest paths and merely re-composes end-to-end
-properties, an event that restores an earlier structure (a flap healing) is
-a cache hit, and only events that change the routing inputs — latencies,
-link ids, nodes — pay for fresh Dijkstra runs.  Links whose flow membership
-is unaffected therefore never trigger recomputation, and repeated campaign
+shares the previous state's trees and only takes a fresh property map, an
+event that restores an earlier structure (a flap healing) is a cache hit,
+and only events that change the routing inputs — latencies, link ids,
+nodes — pay for fresh Dijkstra runs.  Links whose flow membership is
+unaffected therefore never trigger recomputation, and repeated campaign
 points over near-identical graphs share the whole table.
 """
 

@@ -4,8 +4,8 @@
 generator) drives:
 
 * builds the cluster and places containers,
-* assigns IP addresses and installs per-container TCAL chains from the
-  pre-computed collapsed topology,
+* assigns IP addresses and hands every container's TCAL its row of the
+  pre-computed collapsed topology (chains are built from it on first use),
 * starts one Emulation Manager per machine, connected by media drivers,
 * schedules the dynamic topology swaps,
 * exposes the two data planes applications run on — the packet plane
@@ -21,6 +21,7 @@ what the kernel's netlink counters would report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro import telemetry
@@ -188,11 +189,11 @@ class EmulationEngine:
         Unlike the pre-computed plan this recomputes the collapse at event
         time — exact but slow for large graphs, which is the accuracy/
         interactivity trade-off the paper describes.  The collapse memo
-        softens it considerably: a capacity-only event re-composes path
-        properties over the cached shortest paths instead of re-running
-        Dijkstra, and an event that restores an earlier structure (a link
-        flapping back up) is a straight cache hit.  The new state is
-        installed in every TCAL and manager immediately.
+        softens it considerably: a capacity-only event keeps the cached
+        shortest-path trees instead of re-running Dijkstra, and an event
+        that restores an earlier structure (a link flapping back up) is a
+        straight cache hit.  The new state is installed in every TCAL and
+        manager immediately.
         """
         with telemetry.span("engine.online_event",
                             event=type(event).__name__):
@@ -236,39 +237,26 @@ class EmulationEngine:
         tcal.shaping_for(flow.destination).record_refused(bits)
 
     def _apply_state(self, state: TopologyState) -> None:
-        """Install a topology snapshot into every TCAL and manager."""
+        """Install a topology snapshot into every TCAL and manager.
+
+        Each TCAL takes its row of the collapsed table and brings the
+        chains it has built so far in line with it; the rest are built
+        from the row when first used.  ``O(containers + chains in use)``.
+        """
         trace = telemetry.span("engine.apply_state",
                                t=round(state.time, 6))
         self.current_state = state
         collapsed = state.collapsed
-        installed = 0
-        removed = 0
-        present: Dict[str, set] = {}
-        for path in collapsed.paths():
-            present.setdefault(path.source, set()).add(path.destination)
-            tcal = self.tcals[path.source]
-            properties = path.properties
-            tcal.install_destination(
-                path.destination,
-                latency=properties.latency, jitter=properties.jitter,
-                loss=properties.loss, bandwidth=properties.bandwidth)
-            installed += 1
-        # Destinations that no longer exist lose their chains (packets to
-        # them are dropped, as with a removed route).
+        touched = 0
         for container, tcal in self.tcals.items():
-            wanted = present.get(container, set())
-            installed_now = tcal.destinations()     # a snapshot: we remove
-            for destination in installed_now:
-                if destination not in wanted:
-                    tcal.remove_destination(destination)
-                    removed += 1
+            touched += tcal.install_row(partial(collapsed.path, container))
         for manager in self.managers.values():
-            manager.install_state(collapsed, dict(state.capacities))
+            manager.install_state(collapsed, state.capacities)
         if telemetry.enabled():
             registry = telemetry.metrics
             registry.counter("engine.state_swaps").inc()
-            registry.counter("engine.chains_touched").inc(installed + removed)
-            trace.set(installed=installed, removed=removed)
+            registry.counter("engine.chains_touched").inc(touched)
+            trace.set(touched=touched)
         trace.finish()
 
     # ------------------------------------------------------------ user API

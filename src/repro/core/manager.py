@@ -140,7 +140,11 @@ class EmulationManager:
 
     def install_state(self, collapsed: CollapsedTopology,
                       capacities: Dict[int, float]) -> None:
-        """Swap in a new pre-computed topology state (dynamic event)."""
+        """Swap in a new pre-computed topology state (dynamic event).
+
+        ``capacities`` is the state's own map, shared by every manager and
+        only ever read here.
+        """
         self.collapsed = collapsed
         self.capacities = capacities
         self._state_epoch += 1

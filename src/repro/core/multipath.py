@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.collapse import CollapsedPath, _dijkstra, _service_graph
+from repro.core.collapse import _dijkstra, _links_to, _service_graph
 from repro.core.properties import PathProperties, compose_path
 from repro.topology.model import Link, Topology
 
@@ -68,7 +68,7 @@ def k_shortest_paths(topology: Topology, source: str, destination: str,
     if k < 1:
         raise ValueError("k must be >= 1")
     graph = _service_graph(topology)
-    first = _dijkstra(graph, source).get(destination)
+    first = _links_to(_dijkstra(graph, source), destination)
     if first is None:
         return []
     accepted: List[List[Link]] = [first]
@@ -89,7 +89,7 @@ def k_shortest_paths(topology: Topology, source: str, destination: str,
                     banned_edges.add(path[spur_index].key)
             banned_nodes = set(previous_nodes[:spur_index])
             pruned = _pruned_graph(graph, banned_edges, banned_nodes)
-            spur = _dijkstra(pruned, spur_node).get(destination)
+            spur = _links_to(_dijkstra(pruned, spur_node), destination)
             if spur is None:
                 continue
             candidate = root + spur

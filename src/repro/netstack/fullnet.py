@@ -16,7 +16,7 @@ Routing is static shortest-path, recomputed whenever the topology changes
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.collapse import collapse
 from repro.netstack.link import PacketLink
@@ -93,7 +93,6 @@ class FullStateNetwork:
         self.buffer_bits = buffer_bits
         self.topology: Optional[Topology] = None
         self._links: Dict[int, PacketLink] = {}
-        self._routes: Dict[Tuple[str, str], List[int]] = {}
         self.switches: Dict[str, SwitchModel] = {}
         self._background_lookup: Optional[Callable[[int], float]] = None
         # Windowed per-link packet rates (EWMA), maintained by the usage
@@ -112,13 +111,8 @@ class FullStateNetwork:
             self._links[link.link_id] = PacketLink(
                 self.sim, link.properties, buffer_bits=self.buffer_bits,
                 rng=stream, name=f"{link.source}->{link.destination}")
-        collapsed = collapse(topology)
-        self._routes = {}
-        self._route_nodes: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        for path in collapsed.paths():
-            key = (path.source, path.destination)
-            self._routes[key] = list(path.link_ids)
-            self._route_nodes[key] = path.node_path
+        #: The forwarding tables: ``collapsed.path(a, b)`` is the route.
+        self.collapsed = collapse(topology)
         for name in topology.bridges:
             if name not in self.switches and self.switch_model_factory:
                 self.switches[name] = self.switch_model_factory(name)
@@ -173,21 +167,21 @@ class FullStateNetwork:
         return self._packet_rates.get(link_id, 0.0)
 
     def reachable(self, source: str, destination: str) -> bool:
-        return (source, destination) in self._routes
+        return self.collapsed.path(source, destination) is not None
 
     def link_for_id(self, link_id: int) -> PacketLink:
         return self._links[link_id]
 
     def send(self, packet: Packet, deliver, *, on_drop=None) -> None:
-        route = self._routes.get((packet.source, packet.destination))
-        if route is None:
+        path = self.collapsed.path(packet.source, packet.destination)
+        if path is None:
             if on_drop is not None:
                 on_drop(packet)
             return
-        nodes = self._route_nodes[(packet.source, packet.destination)]
-        self._forward(packet, route, nodes, 0, deliver, on_drop)
+        self._forward(packet, path.link_ids, path.node_path, 0, deliver,
+                      on_drop)
 
-    def _forward(self, packet: Packet, route: List[int],
+    def _forward(self, packet: Packet, route: Tuple[int, ...],
                  nodes: Tuple[str, ...], hop: int, deliver, on_drop) -> None:
         if hop >= len(route):
             deliver(packet)

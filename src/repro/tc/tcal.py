@@ -5,8 +5,9 @@ namespace.  It owns the egress shaping chain for that container: a u32
 filter classifying by destination address into per-destination netem + htb
 stages, and it exposes the three operations the Emulation Core needs (§4.1):
 
-* ``init`` — install the initial per-destination chains from the collapsed
-  topology,
+* ``init`` — take the container's row of the collapsed topology
+  (:meth:`Tcal.install_row`); the per-destination chain is built from it
+  when the first packet or flow heads for that destination,
 * ``get usage`` — read and reset per-destination byte counters (the netlink
   round-trip in the real system),
 * ``set bandwidth / set netem`` — enforce the rates the sharing model
@@ -14,13 +15,19 @@ stages, and it exposes the three operations the Emulation Core needs (§4.1):
 
 Egress processing order follows the paper: netem first (latency, jitter,
 loss), then the parent htb class (bandwidth).
+
+Chains are built on first use, so a container that talks to 3 of 286
+reachable destinations owns 3 chains: installing a topology state costs
+``O(chains that exist)`` per container, and :meth:`Tcal.destinations`,
+the polls and the netlink statistics list the chains that exist — not
+every destination the container could reach.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import telemetry
 from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
@@ -72,6 +79,11 @@ class PathShaping:
         self.refused_since_poll += size_bits
 
 
+def _no_row(destination: str) -> None:
+    """The row of a TCAL no topology state was installed into."""
+    return None
+
+
 class Tcal:
     """Per-container egress shaping facade."""
 
@@ -84,10 +96,41 @@ class Tcal:
         self.filter = U32Filter()
         self.qdisc = HtbQdisc(default_rate)
         self._paths: Dict[str, PathShaping] = {}
+        # destination -> collapsed path (or None) in the state in force.
+        self._row: Callable[[str], Optional[object]] = _no_row
         self._next_class = 1
         self.netlink_calls = 0
 
     # ----------------------------------------------------------------- setup
+    def install_row(self, row: Callable[[str], Optional[object]]) -> int:
+        """Swap in this container's row of a collapsed topology state.
+
+        ``row(destination)`` is the collapsed path towards ``destination``
+        (anything whose ``.properties`` carry ``latency``, ``jitter``,
+        ``loss`` and ``bandwidth``), or ``None`` when it is unreachable.
+        Chains that exist are reset to their new path properties — whatever
+        rate or loss a manager had enforced on them — or removed when the
+        destination is gone (packets to it are dropped, as with a removed
+        route); every other reachable destination gets its chain from the
+        row on first use.  Returns how many chains were touched:
+        ``O(chains that exist)``.
+        """
+        self._row = row
+        existing = self.destinations()      # a snapshot: we remove
+        for destination in existing:
+            path = row(destination)
+            if path is None:
+                self.remove_destination(destination)
+            else:
+                self._install_path(destination, path)
+        return len(existing)
+
+    def _install_path(self, destination: str, path) -> PathShaping:
+        properties = path.properties
+        return self.install_destination(
+            destination, latency=properties.latency, jitter=properties.jitter,
+            loss=properties.loss, bandwidth=properties.bandwidth)
+
     def install_destination(self, destination: str, *, latency: float,
                             jitter: float, loss: float, bandwidth: float,
                             distribution: str = "normal") -> PathShaping:
@@ -109,6 +152,8 @@ class Tcal:
         self.filter.add_match(address, class_id)
         shaping = PathShaping(class_id, netem, htb_class, destination)
         self._paths[destination] = shaping
+        if telemetry.enabled():
+            telemetry.metrics.counter("tc.chains_built").inc()
         return shaping
 
     def remove_destination(self, destination: str) -> None:
@@ -119,18 +164,26 @@ class Tcal:
         self.qdisc.remove_class(shaping.class_id)
 
     def destinations(self) -> Tuple[str, ...]:
+        """The destinations whose chain exists, in creation order."""
         return tuple(self._paths)
 
     def has_destination(self, destination: str) -> bool:
-        """Whether a chain towards ``destination`` is installed (O(1))."""
-        return destination in self._paths
+        """Whether traffic towards ``destination`` has a chain to take:
+        one exists, or the row in force reaches it."""
+        return destination in self._paths or \
+            self._row(destination) is not None
 
     def shaping_for(self, destination: str) -> PathShaping:
+        """The chain towards ``destination`` — built from the row in force
+        if this is its first use; ``KeyError`` when unreachable."""
         try:
             return self._paths[destination]
         except KeyError:
+            path = self._row(destination)
+        if path is None:
             raise KeyError(
-                f"{self.container}: no chain towards {destination!r}") from None
+                f"{self.container}: no chain towards {destination!r}")
+        return self._install_path(destination, path)
 
     # ------------------------------------------------------------- data path
     def egress(self, now: float, destination: str,

@@ -1,8 +1,13 @@
 """Network collapsing: shortest paths, determinism, restricted sources."""
 
+import heapq
+
 import pytest
 
-from repro.core import collapse
+from repro.core import clear_collapse_cache, collapse
+from repro.core.collapse import (CollapsedPath, _dijkstra, _links_to,
+                                 _service_graph)
+from repro.core.properties import compose_path
 from repro.topology import Bridge, LinkProperties, Service, Topology, TopologyError
 
 
@@ -154,3 +159,278 @@ class TestScaleFreeDeterminism:
         for path in first.paths():
             other = second.require_path(path.source, path.destination)
             assert other.link_ids == path.link_ids
+
+
+# ---------------------------------------------------------------------------
+# The path table against an eager oracle.
+#
+# ``collapse`` keeps shortest-path trees and derives a pair's path when it is
+# first asked for.  The oracle below is the assembly that preceded it — a
+# Dijkstra that copies the whole link list on every relaxation, then one
+# ``CollapsedPath`` per ordered pair, eagerly — kept here, and only here, as
+# the reference: every float, link id, node name and the iteration order
+# must come out ``==``.
+# ---------------------------------------------------------------------------
+
+def _oracle_dijkstra(graph, origin):
+    if origin not in graph:
+        return {}
+    best = {origin: (0.0, 0)}
+    chosen = {origin: []}
+    done = set()
+    queue = [(0.0, 0, (origin,), origin)]
+    while queue:
+        latency, hops, names, node = heapq.heappop(queue)
+        if node in done:
+            continue
+        done.add(node)
+        for link in graph[node]:
+            neighbour = link.destination
+            if neighbour in done:
+                continue
+            candidate = (latency + link.properties.latency, hops + 1)
+            incumbent = best.get(neighbour)
+            if incumbent is None or candidate < incumbent:
+                best[neighbour] = candidate
+                chosen[neighbour] = chosen[node] + [link]
+                heapq.heappush(queue, (candidate[0], candidate[1],
+                                       names + (neighbour,), neighbour))
+    del chosen[origin]
+    return chosen
+
+
+def eager_table(topology, sources=None):
+    """Every ``CollapsedPath`` of ``topology``, source-major, built up
+    front: ``{(source, destination): path}``."""
+    graph = {name: [] for name in topology.node_names()}
+    for link in topology.links():
+        if link.source in graph and link.destination in graph:
+            graph[link.source].append(link)
+    for edges in graph.values():
+        edges.sort(key=lambda link: link.destination)
+
+    def intra_service(service):
+        for link in graph.get(service, []):
+            reverse = next((back for back in graph.get(link.destination, [])
+                            if back.destination == service), None)
+            if reverse is not None:
+                return [link, reverse]
+        return None
+
+    containers = topology.container_names()
+    service_of = {name: name.split(".")[0] for name in containers}
+    wanted = list(sources) if sources is not None else containers
+    service_paths = {service: _oracle_dijkstra(graph, service)
+                     for service in {service_of[name] for name in wanted
+                                     if name in service_of}}
+    table = {}
+    for source in wanted:
+        if source not in service_of:
+            continue
+        for destination in containers:
+            if destination == source:
+                continue
+            if service_of[destination] == service_of[source]:
+                links = intra_service(service_of[source])
+            else:
+                links = service_paths[service_of[source]].get(
+                    service_of[destination])
+            if links is None:
+                continue
+            table[(source, destination)] = CollapsedPath(
+                source=source, destination=destination,
+                properties=compose_path([link.properties for link in links]),
+                link_ids=tuple(link.link_id for link in links),
+                node_path=(source,) + tuple(
+                    link.destination for link in links[:-1]) + (destination,))
+    return table
+
+
+def assert_matches_oracle(collapsed, topology, sources=None):
+    oracle = eager_table(topology, sources)
+    # Point lookups first — in reverse, so the order paths were built in
+    # cannot be what orders paths() — then the whole table.
+    for (source, destination), expected in reversed(list(oracle.items())):
+        assert collapsed.path(source, destination) == expected
+    assert collapsed.paths() == list(oracle.values())
+    assert collapsed.pair_count() == len(oracle) == len(collapsed.paths())
+    containers = topology.container_names()
+    for source in containers:
+        assert collapsed.reachable_from(source) == [
+            destination for destination in containers
+            if (source, destination) in oracle]
+        for destination in containers:
+            if (source, destination) not in oracle:
+                assert collapsed.path(source, destination) is None
+
+
+def scale_free_topology():
+    from repro.scenario.topologies import scale_free
+    return scale_free(total_nodes=70, seed=11).compile().topology
+
+
+def replicated_topology():
+    """Figure 1 with three ``sv`` replicas (``sv -> s2 -> sv`` between
+    them), a replicated client and a replicated service with no way back
+    to itself."""
+    topology = figure1_topology()
+    topology.services["sv"].replicas = 3
+    topology.services["c1"].replicas = 2
+    topology.add_service(Service("sink", replicas=2))
+    topology.add_link("s1", "sink", LinkProperties(latency=0.003, loss=0.01,
+                                                   jitter=0.001),
+                      bidirectional=False)
+    return topology
+
+
+def island_topology():
+    """Two components, a one-way bridge and a service with no link."""
+    topology = Topology("islands")
+    for name in ("a", "b", "c", "d", "lonely"):
+        topology.add_service(Service(name, replicas=2 if name == "c" else 1))
+    for name in ("left", "right"):
+        topology.add_bridge(Bridge(name))
+    topology.add_link("a", "left", LinkProperties(latency=0.001, jitter=0.002))
+    topology.add_link("b", "left", LinkProperties(latency=0.002, loss=0.05))
+    topology.add_link("c", "right", LinkProperties(latency=0.003,
+                                                   bandwidth=5e6))
+    topology.add_link("d", "right", LinkProperties(latency=0.004),
+                      bidirectional=False)
+    return topology
+
+
+TOPOLOGIES = {"scale_free": scale_free_topology,
+              "replicated": replicated_topology,
+              "islands": island_topology}
+
+
+@pytest.fixture
+def empty_memo():
+    clear_collapse_cache()
+    yield
+    clear_collapse_cache()
+
+
+@pytest.mark.parametrize("build", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+class TestAgainstEagerOracle:
+    def test_cold_table(self, build):
+        topology = build()
+        assert_matches_oracle(collapse(topology, memo=False), topology)
+
+    def test_restricted_sources(self, build):
+        topology = build()
+        containers = topology.container_names()
+        # Out of table order, one named twice, one that does not exist.
+        sources = [containers[-1], containers[0], containers[-1], "ghost.9"]
+        restricted = collapse(topology, sources=sources, memo=False)
+        assert_matches_oracle(restricted, topology, sources)
+        assert restricted.path(containers[1], containers[0]) is None
+
+    def test_every_memo_tier(self, build, empty_memo):
+        topology = build()
+        assert_matches_oracle(collapse(topology), topology)        # miss
+        # Hit: shares whatever the first view built, and builds the same.
+        assert_matches_oracle(collapse(topology.copy()), topology)
+        first = next(iter(topology.links()))
+        # Incremental: same routing, other bandwidth / jitter / loss.
+        shaped = topology.copy()
+        shaped.update_link(first.source, first.destination, bandwidth=1234.5,
+                           jitter=0.0007, loss=0.125)
+        assert_matches_oracle(collapse(shaped), shaped)
+        # Full: a latency change re-routes.
+        rerouted = topology.copy()
+        rerouted.update_link(first.source, first.destination,
+                             latency=first.properties.latency + 0.5)
+        assert_matches_oracle(collapse(rerouted), rerouted)
+        # The donor and the first table are what they were.
+        assert_matches_oracle(collapse(topology), topology)
+
+    def test_incremental_view_built_before_the_donor(self, build, empty_memo):
+        """Views of different property maps share trees, never paths."""
+        topology = build()
+        donor = collapse(topology)
+        link = next(iter(topology.links()))
+        shaped = topology.copy()
+        shaped.update_link(link.source, link.destination, loss=0.5)
+        assert_matches_oracle(collapse(shaped), shaped)
+        assert_matches_oracle(donor, topology)
+
+    def test_every_manager_agrees_with_the_full_table(self, build):
+        """§3: each manager collapses from its own containers only, and
+        all of them derive the same end-to-end paths."""
+        topology = build()
+        full = collapse(topology, memo=False)
+        containers = topology.container_names()
+        for machine in range(3):
+            local = containers[machine::3]
+            view = collapse(topology, sources=local, memo=False)
+            assert view.paths() == [path for path in full.paths()
+                                    if path.source in local]
+            for source in local:
+                for destination in containers:
+                    assert view.path(source, destination) == \
+                        full.path(source, destination)
+
+    def test_table_is_a_snapshot(self, build):
+        """Later edits to the live topology do not reach a collapse."""
+        topology = build()
+        collapsed = collapse(topology, memo=False)
+        oracle = eager_table(topology)
+        for link in list(topology.links()):
+            topology.update_link(link.source, link.destination,
+                                 bandwidth=1.0, loss=0.9)
+        assert collapsed.paths() == list(oracle.values())
+
+
+class TestDijkstraTieBreak:
+    """``_dijkstra``'s documented order: latency, then hops, then the
+    lexicographic order of the traversed node names."""
+
+    def build(self, routes):
+        """``routes``: ``{(bridge, ...): per-hop latency}`` from a to b."""
+        topology = Topology()
+        topology.add_service(Service("a"))
+        topology.add_service(Service("b"))
+        for bridges, latency in routes.items():
+            nodes = ("a",) + bridges + ("b",)
+            for name in bridges:
+                if not topology.has_node(name):
+                    topology.add_bridge(Bridge(name))
+            for source, destination in zip(nodes, nodes[1:]):
+                if (source, destination) not in {
+                        link.key for link in topology.links()}:
+                    topology.add_link(source, destination,
+                                      LinkProperties(latency=latency))
+        return topology
+
+    def node_path(self, topology):
+        tree = _dijkstra(_service_graph(topology), "a")
+        links = _links_to(tree, "b")
+        assert "a" not in tree and _links_to(tree, "a") is None
+        assert collapse(topology, memo=False).path("a", "b").node_path == \
+            ("a",) + tuple(link.destination for link in links)
+        return tuple(link.destination for link in links[:-1])
+
+    def test_lower_latency_beats_fewer_hops(self):
+        topology = self.build({("m",): 0.004, ("x", "y"): 0.002})
+        assert self.node_path(topology) == ("x", "y")
+
+    def test_equal_latency_takes_fewer_hops(self):
+        # 2 x 3 ms against 3 x 2 ms; binary floats: both sum to 0.006.
+        topology = self.build({("x", "y"): 0.002, ("z",): 0.003})
+        assert 0.002 + 0.002 + 0.002 == 0.003 + 0.003
+        assert self.node_path(topology) == ("z",)
+
+    def test_equal_latency_and_hops_takes_lexicographic_names(self):
+        topology = self.build({("n", "c"): 0.001, ("m", "z"): 0.001})
+        assert self.node_path(topology) == ("m", "z")
+        # Whatever order the links were declared in.
+        mirrored = self.build({("m", "z"): 0.001, ("n", "c"): 0.001})
+        assert self.node_path(mirrored) == ("m", "z")
+
+    def test_names_compare_along_the_path_not_at_the_last_hop(self):
+        """Both routes reach a shared last bridge with equal latency and
+        hops: the one relaxed first stays, and that is the one through
+        the lexicographically smaller first hop."""
+        topology = self.build({("p", "last"): 0.001, ("q", "last"): 0.001})
+        assert self.node_path(topology) == ("p", "last")

@@ -156,6 +156,7 @@ class TestDynamicTopology:
         assert len(arrivals) == 1
 
     def test_leave_join_churn_does_not_leak_htb_classes(self):
+        from repro.netstack.packet import Packet
         base = point_to_point(1e9, latency=0.010).compile().topology
         properties = base.get_link("client", "s0").properties
         events = []
@@ -169,12 +170,172 @@ class TestDynamicTopology:
         engine = EmulationEngine(
             base, EventSchedule(events),
             config=EngineConfig(enforce_bandwidth_sharing=False))
-        for until in (1.2, 1.7, 3.2, 6.0):      # down, up, down, up again
+        delivered = []
+        # down, up, down, up again.  Chains are built by traffic, so every
+        # up-phase sends a packet each way: a leave that forgot the htb
+        # class or the filter rule would leave more of them than chains.
+        for until, up in ((1.2, False), (1.7, True), (3.2, False),
+                          (6.0, True)):
             engine.run(until=until)
+            if up:
+                for source, destination in (("client", "server"),
+                                            ("server", "client")):
+                    engine.dataplane.send(Packet(source, destination, 800),
+                                          delivered.append)
             for tcal in engine.tcals.values():
-                assert len(tcal.qdisc.classes()) == len(tcal.destinations())
-        assert all(len(tcal.destinations()) == 1
-                   for tcal in engine.tcals.values())
+                assert len(tcal.qdisc.classes()) == \
+                    len(tcal.destinations()) == tcal.filter.rules
+                assert len(tcal.destinations()) == (1 if up else 0)
+        engine.run(until=6.5)
+        assert len(delivered) == 4
+
+
+class TestChainLifecycle:
+    """tc chains exist for the pairs that carried traffic, built from the
+    state in force when they first did."""
+
+    def flapping_engine(self, **config):
+        """client - s0 - server; the client's link slows down at t=2,
+        leaves at t=4 and rejoins at t=6."""
+        base = point_to_point(100 * MBPS, latency=0.010).compile().topology
+        properties = base.get_link("client", "s0").properties
+        schedule = EventSchedule([
+            DynamicEvent(time=2.0, action=EventAction.SET_LINK,
+                         origin="client", destination="s0",
+                         changes={"latency": 0.040,
+                                  "bandwidth": 20 * MBPS}),
+            DynamicEvent(time=4.0, action=EventAction.LEAVE_LINK,
+                         origin="client", destination="s0"),
+            DynamicEvent(time=6.0, action=EventAction.JOIN_LINK,
+                         origin="client", destination="s0",
+                         properties=properties),
+        ])
+        config.setdefault("enforce_bandwidth_sharing", False)
+        return EmulationEngine(base, schedule, config=EngineConfig(**config))
+
+    @staticmethod
+    def chains(engine):
+        return {name: tcal.destinations()
+                for name, tcal in engine.tcals.items()}
+
+    def test_a_fresh_engine_has_routes_but_no_chains(self):
+        engine = self.flapping_engine()
+        assert self.chains(engine) == {"client": (), "server": ()}
+        assert engine.dataplane.reachable("client", "server")
+        assert engine.dataplane.reachable("server", "client")
+        assert not engine.dataplane.reachable("client", "ghost")
+        assert self.chains(engine) == {"client": (), "server": ()}
+
+    def test_first_packet_builds_the_chain_of_the_state_in_force(self):
+        from repro.netstack.packet import Packet
+        engine = self.flapping_engine()
+        arrivals = []
+
+        def send():
+            sent = engine.sim.now
+            engine.dataplane.send(
+                Packet("client", "server", 800),
+                lambda p: arrivals.append(engine.sim.now - sent))
+
+        engine.sim.at(1.0, send)
+        engine.run(until=1.5)
+        assert self.chains(engine) == {"client": ("server",), "server": ()}
+        assert arrivals == [pytest.approx(0.010, rel=0.02)]
+        shaping = engine.tcals["client"].shaping_for("server")
+        assert shaping.htb.rate == 100 * MBPS
+        # The swap at t=2 reconfigures that chain in place...
+        engine.run(until=3.0)
+        assert engine.tcals["client"].shaping_for("server") is shaping
+        assert shaping.htb.rate == 20 * MBPS
+        assert shaping.netem.latency == pytest.approx(0.045)
+        # ... and a chain first used after it starts from the new state.
+        engine.dataplane.send(Packet("server", "client", 800),
+                              lambda p: None)
+        reverse = engine.tcals["server"].shaping_for("client")
+        path = engine.current_state.collapsed.path("server", "client")
+        assert (reverse.netem.latency, reverse.htb.rate) == \
+            (path.latency, path.bandwidth)
+        assert reverse.netem.latency == pytest.approx(0.045)
+
+    def test_first_fluid_flow_builds_the_chain(self):
+        engine = self.flapping_engine(enforce_bandwidth_sharing=True, seed=2)
+        engine.start_flow("f", "client", "server", start_time=2.5)
+        engine.run(until=2.4)
+        assert self.chains(engine) == {"client": (), "server": ()}
+        engine.run(until=3.9)
+        assert self.chains(engine) == {"client": ("server",), "server": ()}
+        assert engine.fluid.mean_throughput("f", 3.0, 3.9) == \
+            pytest.approx(20 * MBPS, rel=0.15)
+
+    def test_a_destination_that_leaves_loses_its_chain(self):
+        from repro.netstack.packet import Packet
+        engine = self.flapping_engine()
+        outcomes = []
+
+        def send(source, destination):
+            engine.dataplane.send(
+                Packet(source, destination, 800),
+                lambda p: outcomes.append("delivered"),
+                on_drop=lambda p: outcomes.append("dropped"))
+
+        send("client", "server")
+        first = engine.tcals["client"].shaping_for("server")
+        engine.run(until=5.0)                   # the link left at t=4
+        assert self.chains(engine) == {"client": (), "server": ()}
+        assert engine.tcals["client"].qdisc.classes() == {}
+        assert not engine.tcals["client"].has_destination("server")
+        assert not engine.dataplane.reachable("client", "server")
+        send("client", "server")
+        send("server", "client")
+        assert outcomes == ["delivered", "dropped", "dropped"]
+        assert self.chains(engine) == {"client": (), "server": ()}
+        engine.run(until=7.0)                   # ... and rejoined at t=6
+        assert self.chains(engine) == {"client": (), "server": ()}
+        send("client", "server")
+        again = engine.tcals["client"].shaping_for("server")
+        assert again is not first
+        assert again.netem.latency == pytest.approx(0.010)
+        engine.run(until=8.0)
+        assert outcomes[-1] == "delivered"
+
+    def test_swap_touches_the_chains_that_exist_and_resets_throttling(self):
+        from repro import telemetry
+        engine = self.flapping_engine()
+        shaping = engine.tcals["client"].shaping_for("server")
+        engine.cores["client"].enforce("server", bandwidth=1 * MBPS, loss=0.3)
+        assert (shaping.htb.rate, shaping.netem.loss) == (1 * MBPS, 0.3)
+        telemetry.metrics.clear()
+        telemetry.enable()
+        try:
+            engine.run(until=3.0)
+            counters = telemetry.metrics.snapshot()
+        finally:
+            telemetry.disable()
+            telemetry.metrics.clear()
+        assert counters["engine.state_swaps"]["value"] == 1
+        assert counters["engine.chains_touched"]["value"] == 1
+        assert (shaping.htb.rate, shaping.netem.loss) == (20 * MBPS, 0.0)
+        assert self.chains(engine) == {"client": ("server",), "server": ()}
+
+    def test_enforce_and_restore_towards_a_never_used_destination(self):
+        engine = self.flapping_engine()
+        core, tcal = engine.cores["client"], engine.tcals["client"]
+        # Towards a reachable destination the chain appears carrying its
+        # path properties, and only what differs from them is written.
+        core.restore("server", bandwidth=100 * MBPS, loss=0.0)
+        assert tcal.destinations() == ("server",)
+        assert tcal.netlink_calls == 0
+        assert tcal.shaping_for("server").netem.latency == \
+            pytest.approx(0.010)
+        engine.cores["server"].enforce("client", bandwidth=5 * MBPS)
+        assert engine.tcals["server"].shaping_for("client").htb.rate == \
+            5 * MBPS
+        assert engine.tcals["server"].netlink_calls == 1
+        # Towards an unreachable one: nothing, as before.
+        core.enforce("ghost", bandwidth=5 * MBPS, loss=0.1)
+        core.restore("ghost", bandwidth=5 * MBPS, loss=0.0)
+        assert tcal.destinations() == ("server",)
+        assert tcal.netlink_calls == 0
 
 
 class TestMetadataBehaviour:

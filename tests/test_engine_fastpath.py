@@ -7,8 +7,8 @@ Two families of guarantees from docs/performance.md are pinned here:
   are listed in — on hypothesis-generated problems and whole fuzz-corpus
   scenarios (the filler's exact floats are pinned separately, by
   ``tests/golden/fair_share_allocations.json``);
-* the collapse memo's three tiers (hit / incremental re-property / full
-  recompute) trigger exactly when the structural topology signature says
+* the collapse memo's three tiers (hit / incremental: shared trees, fresh
+  property map / full recompute) trigger exactly when the structural topology signature says
   they should, observed through the telemetry counters the production
   code maintains.
 """
@@ -198,6 +198,26 @@ class TestCollapseMemo:
         assert second.path is not None
         for path in first.paths():
             assert second.path(path.source, path.destination) is path
+
+    def test_paths_are_built_once_by_whoever_asks_first(self, traced):
+        topology = small_topology()
+        first = collapse(topology)
+        pairs = first.pair_count()
+        assert counter("collapse.pairs") == pairs > 0
+        assert counter("collapse.paths_built") == 0
+        a, b = topology.container_names()[:2]
+        assert first.path(a, b) is first.path(a, b)
+        assert first.path(a, "ghost") is None
+        assert counter("collapse.paths_built") == 1
+        # A hit shares what was built, and adds to it.
+        second = collapse(topology.copy())
+        assert second.path(a, b) is first.path(a, b)
+        assert counter("collapse.paths_built") == 1
+        assert len(second.paths()) == pairs
+        assert counter("collapse.paths_built") == pairs
+        assert len(first.paths()) == pairs
+        assert counter("collapse.paths_built") == pairs
+        assert counter("collapse.pairs") == pairs       # one recompute
 
     def test_bandwidth_only_change_recomposes_incrementally(self, traced):
         topology = small_topology()

@@ -2,9 +2,12 @@
 
 import random
 import statistics
+from types import SimpleNamespace
 
 import pytest
 
+from repro import telemetry
+from repro.core.properties import PathProperties
 from repro.tc import IpAllocator, Ipv4Address, NetemQdisc, Tcal, U32Filter
 from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
 
@@ -334,3 +337,157 @@ class TestTcal:
         tcal.set_bandwidth("server", 2e6)
         tcal.poll_usage()
         assert tcal.netlink_calls == calls_before + 2
+
+
+class TestTcalRow:
+    """Chains are built on first use from the row of the state in force."""
+
+    @staticmethod
+    def path(latency=0.010, jitter=0.0, loss=0.0, bandwidth=1e6):
+        return SimpleNamespace(properties=PathProperties(
+            latency=latency, jitter=jitter, loss=loss, bandwidth=bandwidth,
+            hops=2))
+
+    def build(self, **row):
+        allocator = IpAllocator()
+        for name in ("client", "server", "other", "third"):
+            allocator.assign(name)
+        tcal = Tcal("client", allocator, rng=random.Random(7))
+        assert tcal.install_row(row.get) == 0
+        return tcal
+
+    def test_a_row_builds_nothing_by_itself(self):
+        tcal = self.build(server=self.path(), other=self.path())
+        assert tcal.destinations() == ()
+        assert tcal.qdisc.classes() == {} and tcal.filter.rules == 0
+        assert tcal.has_destination("server")
+        assert tcal.has_destination("other")
+        assert not tcal.has_destination("third")
+        assert tcal.destinations() == ()        # asking builds nothing
+
+    def test_first_use_builds_the_chain_from_the_row(self):
+        tcal = self.build(
+            server=self.path(latency=0.020, jitter=0.003, loss=0.25,
+                             bandwidth=4e6),
+            other=self.path())
+        shaping = tcal.shaping_for("server")
+        assert tcal.destinations() == ("server",)
+        assert (shaping.netem.latency, shaping.netem.jitter,
+                shaping.netem.loss, shaping.htb.rate) == \
+            (0.020, 0.003, 0.25, 4e6)
+        assert tcal.shaping_for("server") is shaping
+        assert tcal.classify(tcal.allocator.lookup("server")) == \
+            shaping.class_id
+        # egress is a first use too.
+        assert tcal.egress(0.0, "other", 8000) == \
+            pytest.approx(0.010 + 8000 / 1e6)
+        assert tcal.destinations() == ("server", "other")
+        assert len(tcal.qdisc.classes()) == tcal.filter.rules == 2
+
+    def test_building_a_chain_draws_nothing(self):
+        tcal = self.build(server=self.path(jitter=0.002, loss=0.2))
+        before = tcal.rng.getstate()
+        tcal.shaping_for("server")
+        assert tcal.rng.getstate() == before
+
+    def test_unreachable_destination_raises_the_same_key_error(self):
+        tcal = self.build(server=self.path())
+        for destination in ("third", "ghost"):
+            with pytest.raises(KeyError) as info:
+                tcal.shaping_for(destination)
+            assert info.value.args == (
+                f"client: no chain towards {destination!r}",)
+            with pytest.raises(KeyError):
+                tcal.egress(0.0, destination, 8000)
+        assert tcal.destinations() == ()
+
+    def test_chain_first_used_after_a_swap_carries_the_new_state(self):
+        tcal = self.build(server=self.path(latency=0.010, bandwidth=1e6))
+        tcal.install_row({"server": self.path(latency=0.030,
+                                              bandwidth=2e6)}.get)
+        shaping = tcal.shaping_for("server")
+        assert (shaping.netem.latency, shaping.htb.rate) == (0.030, 2e6)
+
+    def test_swap_touches_exactly_the_chains_that_exist(self):
+        tcal = self.build(server=self.path(), other=self.path(),
+                          third=self.path())
+        used = tcal.shaping_for("server")
+        # A manager throttled it; the swap resets it to its path, as an
+        # eager re-install would.
+        tcal.set_bandwidth("server", 1e3)
+        tcal.set_netem("server", loss=0.5)
+        calls = tcal.netlink_calls
+        row = {"server": self.path(latency=0.015, bandwidth=3e6),
+               "other": self.path(latency=0.040), "third": self.path()}.get
+        assert tcal.install_row(row) == 1
+        assert tcal.destinations() == ("server",)
+        assert tcal.shaping_for("server") is used
+        assert (used.netem.latency, used.netem.loss, used.htb.rate) == \
+            (0.015, 0.0, 3e6)
+        assert tcal.netlink_calls == calls      # a state install, not a write
+        # The same row again still resets: no diffing against the last one.
+        tcal.set_bandwidth("server", 1e3)
+        assert tcal.install_row(row) == 1
+        assert used.htb.rate == 3e6
+
+    def test_a_destination_that_leaves_loses_its_chain(self):
+        tcal = self.build(server=self.path(), other=self.path())
+        first = tcal.shaping_for("server")
+        tcal.shaping_for("other")
+        first.record(8000)
+        assert tcal.install_row({"other": self.path()}.get) == 2
+        assert tcal.destinations() == ("other",)
+        assert not tcal.has_destination("server")
+        assert len(tcal.qdisc.classes()) == tcal.filter.rules == 1
+        assert tcal.classify(tcal.allocator.lookup("server")) is None
+        with pytest.raises(KeyError):
+            tcal.egress(0.0, "server", 8000)
+        # It comes back: reachable at once, a fresh chain on first use.
+        tcal.install_row({"server": self.path(latency=0.050),
+                          "other": self.path()}.get)
+        assert tcal.has_destination("server")
+        assert tcal.destinations() == ("other",)
+        again = tcal.shaping_for("server")
+        assert again is not first
+        assert again.bits_since_poll == 0.0 and again.netem.latency == 0.050
+        assert again.class_id not in (first.class_id,
+                                      tcal.shaping_for("other").class_id)
+        assert len(tcal.qdisc.classes()) == tcal.filter.rules == 2
+
+    def test_polls_list_the_chains_that_exist(self):
+        tcal = self.build(server=self.path(), other=self.path())
+        tcal.egress(0.0, "server", 8000)
+        assert tcal.poll_usage() == {"server": 8000}
+        assert tcal.poll_refused() == {"server": 0.0}
+        assert tcal.poll_active() == {}
+
+    def test_explicit_install_builds_eagerly_whatever_the_row_says(self):
+        tcal = self.build(server=self.path())
+        tcal.install_destination("third", latency=0.001, jitter=0.0,
+                                 loss=0.0, bandwidth=9e6)
+        assert tcal.destinations() == ("third",)
+        assert tcal.has_destination("third")
+        # Reconfigures in place, and a row that does not know it drops it.
+        shaping = tcal.install_destination("third", latency=0.002,
+                                           jitter=0.0, loss=0.0,
+                                           bandwidth=8e6)
+        assert tcal.shaping_for("third") is shaping
+        assert (shaping.netem.latency, shaping.htb.rate) == (0.002, 8e6)
+        assert tcal.install_row({"server": self.path()}.get) == 1
+        assert tcal.destinations() == ()
+
+    def test_chains_built_counter(self):
+        telemetry.metrics.clear()
+        telemetry.enable()
+        try:
+            tcal = self.build(server=self.path(), other=self.path())
+            tcal.shaping_for("server")
+            tcal.shaping_for("server")
+            tcal.install_row({"server": self.path()}.get)
+            tcal.install_destination("third", latency=0.0, jitter=0.0,
+                                     loss=0.0, bandwidth=1e6)
+            built = telemetry.metrics.snapshot()["tc.chains_built"]["value"]
+        finally:
+            telemetry.disable()
+            telemetry.metrics.clear()
+        assert built == 2

@@ -1,16 +1,20 @@
-"""Compare a freshly measured engine baseline against the checked-in one.
+"""Compare a freshly measured baseline (``BENCH_engine.json``,
+``BENCH_dsl.json``) against the checked-in one.
 
 Usage::
 
     python benchmarks/compare_bench.py MEASURED.json BASELINE.json [--gate N]
 
 Prints one row per shared metric — checked-in value, measured value and
-the ratio — then applies two different kinds of gate:
+the ratio — then applies three different kinds of gate:
 
-* **rates** (any numeric metric) must lie within ``[1/gate, gate]`` of
-  the checked-in value (default gate 2: CI runners are slower or faster
-  than the machine that wrote the baseline, but not 2x in either
-  direction without something being wrong);
+* **rates** (any floating-point metric) must lie within ``[1/gate,
+  gate]`` of the checked-in value (default gate 2: CI runners are slower
+  or faster than the machine that wrote the baseline, but not 2x in
+  either direction without something being wrong);
+* **counts and settings** (integers, strings, lists: problem sizes,
+  ``failures``, ``count``, the ``differential`` backends) must match
+  *exactly* — they say what was measured, not how fast;
 * **checksums** (metrics ending in ``_checksum`` or named
   ``*_checksum_*``) must match *exactly* — they are machine-independent
   fingerprints of solver output, collapse output and simulator event
@@ -59,8 +63,7 @@ def compare(measured: dict, baseline: dict, gate: float) -> int:
             print(f"{key:<{width}}  {expected!s:>14}  {actual!s:>14}"
                   f"  {'exact':>7}  {verdict}")
             continue
-        if isinstance(expected, (int, float)) and not isinstance(
-                expected, bool):
+        if isinstance(expected, float):
             if expected == 0 or not isinstance(actual, (int, float)):
                 ratio_text, ok = "?", actual == expected
             else:

@@ -9,7 +9,10 @@ Given a path ``P = {l1, .., ln}`` the emergent end-to-end properties are::
 
 Latencies add; jitters add in variance (independent per-hop delay noise);
 loss composes as the complement of per-hop delivery probabilities; the
-narrowest link caps bandwidth.
+narrowest link caps bandwidth.  The path's delay noise is drawn uniformly
+when every jittered link of it is (``jitter_distribution: uniform``) and
+normally otherwise: variances add whatever the shapes, and a mix of shapes
+tends to the normal.
 """
 
 from __future__ import annotations
@@ -32,15 +35,19 @@ class PathProperties:
     loss: float
     bandwidth: float
     hops: int
+    jitter_distribution: str = "normal"
 
     def merge_serial(self, other: "PathProperties") -> "PathProperties":
         """Compose two path segments traversed one after the other."""
+        uniform = {segment.jitter_distribution for segment in (self, other)
+                   if segment.jitter} == {"uniform"}
         return PathProperties(
             latency=self.latency + other.latency,
             jitter=math.sqrt(self.jitter ** 2 + other.jitter ** 2),
             loss=1.0 - (1.0 - self.loss) * (1.0 - other.loss),
             bandwidth=min(self.bandwidth, other.bandwidth),
             hops=self.hops + other.hops,
+            jitter_distribution="uniform" if uniform else "normal",
         )
 
 
@@ -62,9 +69,12 @@ def compose_path(links: Sequence[LinkProperties]) -> PathProperties:
     jitter_variance = 0.0
     delivery = 1.0
     bandwidth = float("inf")
+    normal = False              # some jittered link draws normally
     for link in links:
         latency += link.latency
         jitter_variance += link.jitter ** 2
+        if link.jitter and link.jitter_distribution != "uniform":
+            normal = True
         delivery *= 1.0 - link.loss
         bandwidth = min(bandwidth, link.bandwidth)
     if not links:
@@ -75,4 +85,6 @@ def compose_path(links: Sequence[LinkProperties]) -> PathProperties:
         loss=1.0 - delivery,
         bandwidth=bandwidth,
         hops=len(links),
+        jitter_distribution="normal" if normal or not jitter_variance
+        else "uniform",
     )

@@ -129,12 +129,14 @@ def _mapping_diff(kind: str, before: Dict[str, Dict],
     for name in sorted(after.keys() - before.keys()):
         entries.append(DiffEntry("+", kind, name, _summary(after[name])))
     for name in sorted(before.keys() & after.keys()):
-        changed = [f"{field} {_value(before[name][field])} -> "
-                   f"{_value(after[name][field])}"
-                   for field in before[name]
-                   if before[name][field] != after[name].get(field)]
-        changed += [f"{field} (added) {_value(after[name][field])}"
-                    for field in after[name] if field not in before[name]]
+        # A model may omit a field that sits at its default (workloads
+        # are modelled by their canonical dump): compare over the union.
+        fields = list(before[name]) + [field for field in after[name]
+                                       if field not in before[name]]
+        changed = [f"{field} {_shown(before[name], field)} -> "
+                   f"{_shown(after[name], field)}"
+                   for field in fields
+                   if before[name].get(field) != after[name].get(field)]
         if changed:
             entries.append(DiffEntry("~", kind, name, ", ".join(changed)))
     return entries
@@ -194,8 +196,7 @@ def diff_scenarios(before, after) -> ScenarioDiff:
         if deploy_a.get(name) != deploy_b.get(name):
             entries.append(DiffEntry(
                 "~", "deploy", name,
-                f"{_deploy_value(deploy_a, name)} -> "
-                f"{_deploy_value(deploy_b, name)}"))
+                f"{_shown(deploy_a, name)} -> {_shown(deploy_b, name)}"))
     return ScenarioDiff(entries)
 
 
@@ -207,7 +208,8 @@ def _event_subject(event: Dict) -> str:
     return f"t={time:g} {action} {event.get('orig')}->{event.get('dest')}"
 
 
-def _deploy_value(deploy: Dict, name: str) -> str:
-    if name not in deploy:
+def _shown(fields: Dict, name: str) -> str:
+    """A field's value as printed; one the model omits is at its default."""
+    if name not in fields:
         return "(default)"
-    return _value(deploy[name])
+    return _value(fields[name])

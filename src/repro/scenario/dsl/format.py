@@ -31,31 +31,25 @@ Design notes:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.scenario.builder import LinkSpec, Scenario, ServiceSpec
+from repro.scenario.builder import Scenario
 from repro.scenario.dsl.schema import (
+    CHANGES,
+    LINK,
+    PROPERTIES,
     SCN_VERSION,
+    SERVICE,
+    WORKLOADS,
     Diagnostic,
-    coerce_loss,
-    coerce_rate,
     coerce_time,
     validate_document,
-)
-from repro.scenario.workloads import (
-    CurlSwarmWorkload,
-    FlowWorkload,
-    HttpLoadWorkload,
-    IperfWorkload,
-    PingWorkload,
 )
 from repro.topology.events import DynamicEvent, EventAction
 from repro.topology.model import LinkProperties, TopologyError
 
 __all__ = ["ScnError", "scn_document", "dumps_scn", "dump_scn",
            "scenario_from_scn", "loads_scn", "load_scn"]
-
-_UNLIMITED = "unlimited"
 
 
 class ScnError(TopologyError):
@@ -77,59 +71,6 @@ class ScnError(TopologyError):
 # --------------------------------------------------------------------------
 # Dumping.
 # --------------------------------------------------------------------------
-def _rate_out(value: float) -> Union[float, str]:
-    return _UNLIMITED if value == float("inf") else value
-
-
-def _service_out(spec: ServiceSpec) -> Dict:
-    out: Dict = {"name": spec.name}
-    if spec.image != "scratch":
-        out["image"] = spec.image
-    if spec.replicas != 1:
-        out["replicas"] = spec.replicas
-    if spec.command is not None:
-        out["command"] = spec.command
-    if spec.tags:
-        out["tags"] = dict(spec.tags)
-    return out
-
-
-def _link_out(spec: LinkSpec) -> Dict:
-    out: Dict = {"orig": spec.source, "dest": spec.destination}
-    if spec.latency:
-        out["latency"] = spec.latency
-    if spec.up != float("inf"):
-        out["up"] = spec.up
-    if spec.down is not None:
-        out["down"] = _rate_out(spec.down)
-    if spec.jitter:
-        out["jitter"] = spec.jitter
-    if spec.loss:
-        out["loss"] = spec.loss
-    if spec.jitter_distribution != "normal":
-        out["jitter_distribution"] = spec.jitter_distribution
-    if not spec.bidirectional:
-        out["bidirectional"] = False
-    if spec.network != "default":
-        out["network"] = spec.network
-    return out
-
-
-def _properties_out(properties: LinkProperties) -> Dict:
-    out: Dict = {}
-    if properties.latency:
-        out["latency"] = properties.latency
-    if properties.bandwidth != float("inf"):
-        out["bandwidth"] = properties.bandwidth
-    if properties.jitter:
-        out["jitter"] = properties.jitter
-    if properties.loss:
-        out["loss"] = properties.loss
-    if properties.jitter_distribution != "normal":
-        out["jitter_distribution"] = properties.jitter_distribution
-    return out
-
-
 def _event_out(event: DynamicEvent) -> Dict:
     out: Dict = {"time": event.time, "action": event.action.value}
     if event.action in (EventAction.JOIN_NODE, EventAction.LEAVE_NODE):
@@ -138,87 +79,29 @@ def _event_out(event: DynamicEvent) -> Dict:
     out["orig"] = event.origin
     out["dest"] = event.destination
     if event.action is EventAction.SET_LINK and event.changes:
-        out["changes"] = {field: _rate_out(value) if field == "bandwidth"
-                          else value
-                          for field, value in event.changes.items()}
+        # Only what the event names, in the order it names it.
+        out["changes"] = {name: PROPERTIES.by_key[name].unit.dump(value)
+                          for name, value in event.changes.items()}
     if event.properties is not None:
-        out["properties"] = _properties_out(event.properties)
+        out["properties"] = PROPERTIES.dump(event.properties)
     if not event.bidirectional:
         out["bidirectional"] = False
     return out
 
 
 def _workload_out(workload) -> Dict:
-    if isinstance(workload, FlowWorkload):
-        out: Dict = {"kind": "flow"}
-        _key_out(out, workload)
-        out.update(source=workload.source, destination=workload.destination)
-        if workload.demand != float("inf"):
-            out["demand"] = workload.demand
-        if workload.protocol != "tcp":
-            out["protocol"] = workload.protocol
-        if workload.congestion_control != "cubic":
-            out["congestion_control"] = workload.congestion_control
-        if workload.start:
-            out["start"] = workload.start
-        if workload.stop is not None:
-            out["stop"] = workload.stop
-        return out
-    if isinstance(workload, IperfWorkload):
-        out = {"kind": "iperf"}
-        _key_out(out, workload)
-        out.update(source=workload.source, destination=workload.destination)
-        if workload.duration != 60.0:
-            out["duration"] = workload.duration
-        if workload.demand != float("inf"):
-            out["demand"] = workload.demand
-        if workload.protocol != "tcp":
-            out["protocol"] = workload.protocol
-        if workload.congestion_control != "cubic":
-            out["congestion_control"] = workload.congestion_control
-        if workload.warmup != 2.0:
-            out["warmup"] = workload.warmup
-        if workload.start:
-            out["start"] = workload.start
-        return out
-    if isinstance(workload, PingWorkload):
-        out = {"kind": "ping"}
-        _key_out(out, workload)
-        out.update(source=workload.source, destination=workload.destination)
-        if workload.count != 100:
-            out["count"] = workload.count
-        if workload.interval != 0.010:
-            out["interval"] = workload.interval
-        if workload.start:
-            out["start"] = workload.start
-        return out
-    if isinstance(workload, HttpLoadWorkload):
-        out = {"kind": "http"}
-        _key_out(out, workload)
-        out.update(source=workload.source, server=workload.server)
-        if workload.connections != 100:
-            out["connections"] = workload.connections
-        if workload.start:
-            out["start"] = workload.start
-        if workload.stop is not None:
-            out["stop"] = workload.stop
-        return out
-    if isinstance(workload, CurlSwarmWorkload):
-        out = {"kind": "curl"}
-        _key_out(out, workload)
-        out.update(sources=list(workload.sources), server=workload.server)
-        return out
-    raise ScnError(
-        f"workload {getattr(workload, 'key', workload)!r} of type "
-        f"{type(workload).__name__} is not .scn-serializable (custom "
-        f"workloads carry Python callables; keep those scenarios in .py)")
-
-
-def _key_out(out: Dict, workload) -> None:
+    record = WORKLOADS.get(workload.kind)
+    if record is None or not isinstance(workload, record.cls):
+        raise ScnError(
+            f"workload {getattr(workload, 'key', workload)!r} of type "
+            f"{type(workload).__name__} is not .scn-serializable (custom "
+            f"workloads carry Python callables; keep those scenarios in .py)")
     if not isinstance(workload.key, str):
         raise ScnError(f"workload key {workload.key!r} is not a string; "
                        f".scn files require string keys")
-    out["key"] = workload.key
+    # What it is heads the mapping: kind, key, then the record in order.
+    return {"kind": workload.kind, "key": workload.key,
+            **record.dump(workload)}
 
 
 def _deploy_out(compiled) -> Dict:
@@ -252,12 +135,12 @@ def scn_document(scenario) -> Dict:
         else scenario
     document: Dict = {"scn": SCN_VERSION, "name": compiled.name}
     if compiled.services:
-        document["services"] = [_service_out(spec)
+        document["services"] = [SERVICE.dump(spec)
                                 for spec in compiled.services]
     if compiled.bridge_specs:
         document["bridges"] = [spec.name for spec in compiled.bridge_specs]
     if compiled.link_specs:
-        document["links"] = [_link_out(spec) for spec in compiled.link_specs]
+        document["links"] = [LINK.dump(spec) for spec in compiled.link_specs]
     if len(compiled.schedule):
         document["events"] = [_event_out(event)
                               for event in compiled.schedule]
@@ -300,25 +183,11 @@ def scenario_from_scn(document: Dict, *, validate: bool = True) -> Scenario:
 
     builder = Scenario.build(document.get("name", "experiment"))
     for spec in document.get("services", []):
-        builder.service(spec["name"], image=spec.get("image", "scratch"),
-                        replicas=spec.get("replicas", 1),
-                        command=spec.get("command"),
-                        tags=spec.get("tags"))
+        builder.service(**SERVICE.load(spec))
     for name in document.get("bridges", []):
         builder.bridge(name)
     for spec in document.get("links", []):
-        capacity = spec.get("up", spec.get("bandwidth"))
-        builder.link(
-            spec["orig"], spec["dest"],
-            latency=coerce_time(spec.get("latency", 0.0)),
-            up=None if capacity is None else coerce_rate(capacity),
-            down=(None if spec.get("down") is None
-                  else coerce_rate(spec["down"])),
-            jitter=coerce_time(spec.get("jitter", 0.0)),
-            loss=coerce_loss(spec.get("loss", 0.0)),
-            jitter_distribution=spec.get("jitter_distribution", "normal"),
-            bidirectional=spec.get("bidirectional", True),
-            network=spec.get("network", "default"))
+        builder.link(**LINK.load(spec))
     for spec in document.get("events", []):
         builder.event(_event_in(spec))
     for text in document.get("scripts", []):
@@ -344,67 +213,18 @@ def _event_in(spec: Dict) -> DynamicEvent:
         return DynamicEvent(time=time, action=action, name=spec["name"])
     properties = None
     if "properties" in spec:
-        raw = spec["properties"]
-        properties = LinkProperties(
-            latency=coerce_time(raw.get("latency", 0.0)),
-            bandwidth=coerce_rate(raw.get("bandwidth", _UNLIMITED)),
-            jitter=coerce_time(raw.get("jitter", 0.0)),
-            loss=coerce_loss(raw.get("loss", 0.0)),
-            jitter_distribution=raw.get("jitter_distribution", "normal"))
-    changes = {}
-    for field, value in spec.get("changes", {}).items():
-        if field == "bandwidth":
-            changes[field] = coerce_rate(value)
-        elif field == "loss":
-            changes[field] = coerce_loss(value)
-        else:
-            changes[field] = coerce_time(value)
+        properties = LinkProperties(**PROPERTIES.load(spec["properties"]))
     return DynamicEvent(time=time, action=action, origin=spec["orig"],
                         destination=spec["dest"], properties=properties,
-                        changes=changes,
+                        changes=CHANGES.load(spec.get("changes", {})),
                         bidirectional=spec.get("bidirectional", True))
 
 
 def _workload_in(spec: Dict):
-    kind = spec["kind"]
-    key = spec.get("key")
-    if kind == "flow":
-        return FlowWorkload(
-            spec["source"], spec["destination"],
-            demand=coerce_rate(spec.get("demand", _UNLIMITED)),
-            protocol=spec.get("protocol", "tcp"),
-            congestion_control=spec.get("congestion_control", "cubic"),
-            start=coerce_time(spec.get("start", 0.0)),
-            stop=(None if spec.get("stop") is None
-                  else coerce_time(spec["stop"])),
-            key=key)
-    if kind == "iperf":
-        return IperfWorkload(
-            spec["source"], spec["destination"],
-            duration=coerce_time(spec.get("duration", 60.0)),
-            demand=coerce_rate(spec.get("demand", _UNLIMITED)),
-            protocol=spec.get("protocol", "tcp"),
-            congestion_control=spec.get("congestion_control", "cubic"),
-            warmup=coerce_time(spec.get("warmup", 2.0)),
-            start=coerce_time(spec.get("start", 0.0)), key=key)
-    if kind == "ping":
-        return PingWorkload(
-            spec["source"], spec["destination"],
-            count=spec.get("count", 100),
-            interval=coerce_time(spec.get("interval", 0.010)),
-            start=coerce_time(spec.get("start", 0.0)), key=key)
-    if kind == "http":
-        return HttpLoadWorkload(
-            spec["source"], spec["server"],
-            connections=spec.get("connections", 100),
-            start=coerce_time(spec.get("start", 0.0)),
-            stop=(None if spec.get("stop") is None
-                  else coerce_time(spec["stop"])),
-            key=key)
-    if kind == "curl":
-        return CurlSwarmWorkload(tuple(spec["sources"]), spec["server"],
-                                 key=key)
-    raise ScnError(f"unknown workload kind {kind!r}")
+    record = WORKLOADS.get(spec["kind"])
+    if record is None:
+        raise ScnError(f"unknown workload kind {spec['kind']!r}")
+    return record.cls(**record.load(spec))
 
 
 def loads_scn(text: str, *, validate: bool = True,

@@ -21,10 +21,9 @@ import xml.etree.ElementTree as ElementTree
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.scenario.builder import Scenario
-from repro.scenario.dsl.format import _parse_scn_text, _rate_out, \
-    scenario_from_scn
-from repro.scenario.dsl.schema import SCN_VERSION, coerce_loss, \
-    coerce_rate, coerce_time
+from repro.scenario.dsl.format import _parse_scn_text, scenario_from_scn
+from repro.scenario.dsl.schema import RATE, SCN_VERSION, coerce_loss, \
+    coerce_time
 from repro.topology.model import TopologyError
 from repro.units import parse_time
 
@@ -45,7 +44,7 @@ def _milliseconds(value) -> float:
 
 def _rate(value) -> Union[float, str]:
     """Bits/s, infinity in the document's spelling (``"unlimited"``)."""
-    return _rate_out(coerce_rate(value))
+    return RATE.dump(RATE.load(value))
 
 
 def _integer(value):

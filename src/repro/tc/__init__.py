@@ -11,10 +11,9 @@ netlink (§3 "TCAL", §4.1):
 * :mod:`repro.tc.u32` — the two-level hash filter on the destination IP's
   third and fourth octets, giving constant-time classification.
 * :mod:`repro.tc.tcal` — the per-container TC Abstraction Layer: one netem +
-  htb chain per destination, usage counters, netlink-style updates.
-* :mod:`repro.tc.netlink` — the rtnetlink wire format (framing, tcmsg,
-  aligned TLV attributes) and the kernel-side dispatcher, reproducing the
-  byte-level channel the real TCAL uses instead of spawning ``tc``.
+  htb chain per destination, usage counters (``poll_active``),
+  netlink-style updates (``set_bandwidth`` / ``set_netem``, counted in
+  ``netlink_calls``).
 """
 
 from repro.tc.htb import HtbClass, HtbQdisc
@@ -22,13 +21,6 @@ from repro.tc.netem import NetemQdisc
 from repro.tc.u32 import U32Filter
 from repro.tc.ip import Ipv4Address, IpAllocator
 from repro.tc.tcal import PathShaping, Tcal
-from repro.tc.netlink import (
-    KernelTcDispatcher,
-    NetlinkError,
-    NetlinkMessage,
-    decode_message,
-    encode_message,
-)
 
 __all__ = [
     "HtbQdisc",
@@ -39,9 +31,4 @@ __all__ = [
     "IpAllocator",
     "Tcal",
     "PathShaping",
-    "KernelTcDispatcher",
-    "NetlinkError",
-    "NetlinkMessage",
-    "decode_message",
-    "encode_message",
 ]

@@ -18,9 +18,9 @@ loss), then the parent htb class (bandwidth).
 
 Chains are built on first use, so a container that talks to 3 of 286
 reachable destinations owns 3 chains: installing a topology state costs
-``O(chains that exist)`` per container, and :meth:`Tcal.destinations`,
-the polls and the netlink statistics list the chains that exist — not
-every destination the container could reach.
+``O(chains that exist)`` per container, and :meth:`Tcal.destinations`
+and the poll list the chains that exist — not every destination the
+container could reach.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ class Tcal:
 
         ``row(destination)`` is the collapsed path towards ``destination``
         (anything whose ``.properties`` carry ``latency``, ``jitter``,
-        ``loss`` and ``bandwidth``), or ``None`` when it is unreachable.
+        ``jitter_distribution``, ``loss`` and ``bandwidth``), or ``None``
+        when it is unreachable.
         Chains that exist are reset to their new path properties — whatever
         rate or loss a manager had enforced on them — or removed when the
         destination is gone (packets to it are dropped, as with a removed
@@ -129,7 +130,8 @@ class Tcal:
         properties = path.properties
         return self.install_destination(
             destination, latency=properties.latency, jitter=properties.jitter,
-            loss=properties.loss, bandwidth=properties.bandwidth)
+            loss=properties.loss, bandwidth=properties.bandwidth,
+            distribution=properties.jitter_distribution)
 
     def install_destination(self, destination: str, *, latency: float,
                             jitter: float, loss: float, bandwidth: float,
@@ -213,27 +215,16 @@ class Tcal:
             telemetry.metrics.counter("tc.netlink_writes").inc()
 
     # ------------------------------------------------------------ monitoring
-    def poll_usage(self) -> Dict[str, float]:
-        """Per-destination bits sent since the previous poll (then reset).
-
-        This is the Emulation Core's step (2): "obtain the bandwidth usage
-        by querying the TCAL".
-        """
-        self.netlink_calls += 1
-        usage = {}
-        for destination, shaping in self._paths.items():
-            usage[destination] = shaping.bits_since_poll
-            shaping.bits_since_poll = 0.0
-        return usage
-
     def poll_active(self) -> Dict[str, Tuple[float, float]]:
         """``(carried, refused)`` bits of every destination that saw
         traffic since the previous poll (then reset).
 
-        The same netlink round-trip as :meth:`poll_usage` plus
-        :meth:`poll_refused`, minus the idle chains' all-zero entries —
-        what the Emulation Core reads every loop period, when all but a
-        few of a container's chains are idle.
+        The Emulation Core's step (2), "obtain the bandwidth usage by
+        querying the TCAL": one netlink round-trip reading what each chain
+        sent and what its shaping turned away (the qdisc backlog/requeue
+        statistics the congestion model reads to detect oversubscription,
+        §3).  Idle chains have no entry — every loop period all but a few
+        of a container's chains are.
         """
         self.netlink_calls += 1
         active = {}
@@ -244,16 +235,3 @@ class Tcal:
                 shaping.bits_since_poll = 0.0
                 shaping.refused_since_poll = 0.0
         return active
-
-    def poll_refused(self) -> Dict[str, float]:
-        """Per-destination bits turned away since the previous poll.
-
-        The back-pressure counterpart of :meth:`poll_usage`: offered load
-        the shaping refused, i.e. the qdisc backlog/requeue statistics the
-        congestion model reads to detect oversubscription (§3).
-        """
-        refused = {}
-        for destination, shaping in self._paths.items():
-            refused[destination] = shaping.refused_since_poll
-            shaping.refused_since_poll = 0.0
-        return refused

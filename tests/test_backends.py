@@ -413,3 +413,52 @@ class TestExecutionBackendProtocol:
         backend = ExecutionBackend()
         with pytest.raises(NotImplementedError):
             backend.prepare(bulk_scenario())
+
+
+class TestJitterDistribution:
+    """``jitter_distribution: uniform`` survives the collapse: Kollaps
+    shapes an all-uniform path uniformly (it used to drop the field and
+    install a normal netem stage), as bare metal does hop by hop."""
+
+    LATENCY, JITTER = 0.010, 0.002
+
+    def scenario(self, *distributions):
+        builder = Scenario.build("jittered").service("a").service("b")
+        hops = ["a"] + [f"s{index}" for index in range(1, len(distributions))]
+        builder.bridges(*hops[1:])
+        for orig, dest, distribution in zip(hops, hops[1:] + ["b"],
+                                            distributions):
+            builder.link(orig, dest, latency=self.LATENCY, up="100Mbps",
+                         jitter=self.JITTER,
+                         jitter_distribution=distribution)
+        return (builder
+                .workload(ping("a", "b", count=400, interval=0.01, key="p"))
+                .deploy(machines=1, seed=5, duration=6.0,
+                        enforce_bandwidth_sharing=False)
+                .compile())
+
+    @pytest.mark.parametrize("distributions, expected", [
+        (("uniform", "uniform"), "uniform"),
+        (("uniform", "normal"), "normal"),
+        (("normal", "normal"), "normal"),
+    ])
+    def test_netem_stage_of_the_collapsed_path(self, distributions,
+                                               expected):
+        engine = self.scenario(*distributions).engine()
+        netem = engine.tcals["a"].shaping_for("b").netem
+        assert netem.jitter == pytest.approx(self.JITTER * 2 ** 0.5)
+        assert netem.distribution == expected
+
+    def rtt_spread(self, *distributions):
+        run = self.scenario(*distributions).run(backend="kollaps")
+        rtts = [rtt for _, rtt in run.metrics["p"].latency]
+        assert len(rtts) == 400
+        return max(rtts) - min(rtts)
+
+    def test_uniform_samples_stay_inside_their_bound(self):
+        """A uniform draw of deviation σ never leaves ±√3·σ, so an RTT
+        (two draws) spans at most 4·√3·σ; 400 normal draws do leave it."""
+        sigma = self.JITTER * 2 ** 0.5
+        bound = 4 * 3 ** 0.5 * sigma
+        assert self.rtt_spread("uniform", "uniform") <= bound
+        assert self.rtt_spread("normal", "normal") > bound

@@ -4,6 +4,8 @@ import pytest
 from test_scenario_dsl import MALFORMED_DESCRIPTIONS
 
 from repro.cli import main
+from repro.scenario import Scenario, ping
+from repro.scenario.dsl import dump_scn
 
 DESCRIPTION = """\
 experiment:
@@ -257,6 +259,23 @@ class TestScenarioDiff:
         assert main(["scenario", "diff", description_file,
                      str(tmp_path / "gone.scn")]) == 2
         assert "cannot load" in capsys.readouterr().err
+
+    def test_workload_field_back_at_its_default_exits_one(self, tmp_path,
+                                                          capsys):
+        """A field the canonical dump omits (``count: 100``) against one
+        it writes (``count: 50``): a difference, not a traceback."""
+        paths = []
+        for count in (50, 100):
+            builder = (Scenario.build("probe").service("a").service("b")
+                       .link("a", "b", latency="1ms", up="1Mbps")
+                       .workload(ping("a", "b", count=count, key="p1")))
+            paths.append(tmp_path / f"count{count}.scn")
+            dump_scn(builder, paths[-1])
+        assert main(["scenario", "diff", str(paths[0]), str(paths[1])]) == 1
+        assert "~ workload p1: count 50 -> (default)" in \
+            capsys.readouterr().out
+        assert main(["scenario", "diff", str(paths[1]), str(paths[0])]) == 1
+        assert "count (default) -> 50" in capsys.readouterr().out
 
 
 class TestScenarioExport:

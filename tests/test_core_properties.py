@@ -14,9 +14,11 @@ from repro.scenario.topologies import dumbbell, throttling
 from repro.topology import LinkProperties
 
 
-def link(latency=0.0, bandwidth=1e9, jitter=0.0, loss=0.0):
+def link(latency=0.0, bandwidth=1e9, jitter=0.0, loss=0.0,
+         jitter_distribution="normal"):
     return LinkProperties(latency=latency, bandwidth=bandwidth,
-                          jitter=jitter, loss=loss)
+                          jitter=jitter, loss=loss,
+                          jitter_distribution=jitter_distribution)
 
 
 class TestComposePath:
@@ -40,6 +42,24 @@ class TestComposePath:
     def test_jitter_root_sum_of_squares(self):
         properties = compose_path([link(jitter=0.003), link(jitter=0.004)])
         assert properties.jitter == pytest.approx(0.005)
+
+    @pytest.mark.parametrize("hops, expected", [
+        pytest.param([("uniform", 0.003), ("uniform", 0.004)], "uniform",
+                     id="all-uniform"),
+        pytest.param([("uniform", 0.003), ("normal", 0.0)], "uniform",
+                     id="a-jitter-free-link-has-no-say"),
+        pytest.param([("uniform", 0.003), ("normal", 0.004)], "normal",
+                     id="mixed"),
+        pytest.param([("uniform", 0.0), ("uniform", 0.0)], "normal",
+                     id="no-jitter-at-all"),
+    ])
+    def test_jitter_distribution_needs_every_jittered_link(self, hops,
+                                                           expected):
+        links = [link(jitter=jitter, jitter_distribution=distribution)
+                 for distribution, jitter in hops]
+        assert compose_path(links).jitter_distribution == expected
+        merged = compose_path(links[:1]).merge_serial(compose_path(links[1:]))
+        assert merged.jitter_distribution == expected
 
     def test_loss_complement_product(self):
         properties = compose_path([link(loss=0.1), link(loss=0.2)])

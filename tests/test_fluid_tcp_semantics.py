@@ -172,15 +172,16 @@ class TestTcalRefusedAccounting:
     def test_abandoned_backpressure_counts_as_refused(self):
         sim, plane, tcal = self.make_plane()
         self.flood(sim, plane, abandon=True)
-        refused = tcal.poll_refused()["b"]
+        carried, refused = tcal.poll_active()["b"]
         assert refused > 0
         # Reset on poll.
-        assert tcal.poll_refused()["b"] == 0.0
+        assert tcal.poll_active() == {}
 
     def test_blocking_backpressure_is_not_refused(self):
         # Blocking senders' packets queue and are carried later: counting
         # them as refused would double a flow-controlled stream's demand.
         sim, plane, tcal = self.make_plane()
         self.flood(sim, plane, abandon=False)
-        assert tcal.poll_refused()["b"] == 0.0
+        carried, refused = tcal.poll_active()["b"]
+        assert carried > 0 and refused == 0.0
         assert plane.backpressure_events > 0

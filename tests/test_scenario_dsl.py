@@ -14,6 +14,7 @@ import json
 import pathlib
 
 import pytest
+import scn_corpus
 import test_end_to_end
 import test_scenario
 import test_topology
@@ -25,10 +26,12 @@ from repro.scenario.dsl import (Diagnostic, FuzzBudget, ScnError,
                                 fuzz_corpus, fuzz_point, generate_scenario,
                                 lint_file, lint_scenario, loads_scn,
                                 project_common, run_differential,
-                                scenario_from_scn, scn_document,
+                                scenario_from_scn, scn_document, schema,
                                 validate_document)
+from repro.scenario.workloads import PingWorkload
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+CORPUS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "scn_corpus.json"
 
 _TEXT = """\
 experiment:
@@ -142,6 +145,47 @@ class TestSchema:
         errors = _errors(document)
         assert any("workloads[0]" in error.path for error in errors)
 
+    @pytest.mark.parametrize("kind", [[], {}, ["flow"], {"flow": 1}],
+                             ids=repr)
+    def test_unhashable_workload_kind(self, tmp_path, kind):
+        """Outside input may put anything under ``kind``: a list or a
+        mapping is a ``workloads[0].kind`` diagnostic from every entry
+        point, one ScnError from the loader — never a TypeError."""
+        document = _document(workloads=[{"kind": kind, "source": "a",
+                                         "destination": "b"}])
+        expected = f"workloads[0].kind: unknown workload kind {kind!r}"
+        assert [str(error) for error in _errors(document)] == [
+            f"error: {expected} (expected one of: curl, flow, http, iperf, "
+            f"ping)"]
+        path = tmp_path / "kind.scn"
+        path.write_text(json.dumps(document))
+        assert expected in "\n".join(map(str, lint_file(str(path))))
+        with pytest.raises(ScnError) as info:
+            loads_scn(json.dumps(document))
+        assert expected in str(info.value)
+        assert len(info.value.diagnostics) == 1
+
+    @pytest.mark.parametrize("section, pointer", [
+        pytest.param({"deploy": {"kind": 0}}, "deploy.kind", id="deploy"),
+        pytest.param({"services": [{"name": "a", "kind": "x"},
+                                   {"name": "b"}]},
+                     "services[0].kind", id="service"),
+        pytest.param({"events": [{"time": 1.0, "action": "set_link",
+                                  "orig": "a", "dest": "b",
+                                  "changes": {"latency": "1ms",
+                                              "kind": {}}}]},
+                     "events[0].changes.kind", id="changes"),
+    ])
+    def test_kind_is_a_key_of_workloads_only(self, section, pointer):
+        """``kind`` selects a workload's record; anywhere else it is an
+        unknown key like any other (it used to be skipped everywhere and
+        then crash the loader)."""
+        document = _document(**section)
+        assert [error.path for error in _errors(document)] == [pointer]
+        with pytest.raises(ScnError) as info:
+            scenario_from_scn(document)
+        assert f"{pointer}: unknown key" in str(info.value)
+
     def test_workload_to_undeclared_container(self):
         document = _document(workloads=[{"kind": "flow", "source": "a",
                                          "destination": "nobody"}])
@@ -203,6 +247,122 @@ class TestSchema:
             loads_scn(json.dumps(document))
         assert "scn" in str(info.value)
         assert "loss" in str(info.value)
+
+
+# --------------------------------------------------------------------------
+# The record table: every field, its order and its default come from the
+# dataclass; its check, load and dump from the field's unit.
+# --------------------------------------------------------------------------
+#: Document-side values a unit may accept, in canonical spelling; a field
+#: is probed with the first one its unit takes.
+_CANDIDATES = (1.25, 0.25, 7, False, True, "uniform", "udp", {"k": "v"},
+               ["x", "y"], ["z"])
+
+
+def _candidates(field):
+    return [value for value in _CANDIDATES if field.unit.check(value) is None]
+
+
+def _made(record, document):
+    """The record a document mapping loads to, the way the loader makes
+    it: services and links through the builder, the rest constructed."""
+    arguments = record.load(document)
+    if record is schema.SERVICE:
+        return Scenario.build().service(**arguments)._services[0]
+    if record is schema.LINK:
+        return Scenario.build().link(**arguments)._links[0]
+    return record.cls(**arguments)
+
+
+_ALL_RECORDS = [pytest.param(record, id=cls.__name__)
+                for cls, record in schema.RECORDS.items()]
+
+
+class TestRecords:
+    def test_the_table_covers_the_vocabulary(self):
+        assert sorted(schema.WORKLOADS) == ["curl", "flow", "http", "iperf",
+                                            "ping"]
+        assert [field.name for field in schema.CHANGES.fields] == [
+            "latency", "bandwidth", "jitter", "loss"]
+
+    @pytest.mark.parametrize("record", _ALL_RECORDS)
+    def test_every_dataclass_field_has_a_unit(self, record):
+        """Names and order are the dataclass's: a field the table missed
+        would vanish from every dump."""
+        assert [field.name for field in record.fields] == [
+            field.name for field in dataclasses.fields(record.cls)]
+        assert record.required == tuple(
+            field.key for field, declared
+            in zip(record.fields, dataclasses.fields(record.cls))
+            if declared.default is dataclasses.MISSING)
+
+    def test_a_field_without_a_unit_fails_loudly(self):
+        units = schema._UNITS[PingWorkload]
+
+        @dataclasses.dataclass(frozen=True)
+        class WiderPing(PingWorkload):
+            size: int = 64
+
+        with pytest.raises(TypeError, match="size"):
+            schema.Record.of(WiderPing, units)
+        with pytest.raises(TypeError, match="bogus"):
+            schema.Record.of(PingWorkload, dict(units, bogus=schema.STR))
+
+    @pytest.mark.parametrize("record", _ALL_RECORDS)
+    def test_one_field_at_a_time(self, record):
+        """default ⇒ key omitted, non-default ⇒ exactly that key, and
+        load(dump) == record — for every field of every record."""
+        required = {field.key: _candidates(field)[0]
+                    for field in record.fields
+                    if field.default is dataclasses.MISSING}
+        base = _made(record, required)
+        dumped = record.dump(base)
+        assert _made(record, dumped) == base
+        for field in record.fields:
+            # (A workload's key is derived, never left at its default.)
+            at_default = getattr(base, field.name) == field.default
+            assert (field.key in dumped) == (not at_default), field.name
+        for field in record.fields:
+            value = next(value for value in _candidates(field)
+                         if value != dumped.get(field.key))
+            document = dict(dumped, **{field.key: value})
+            item = _made(record, document)
+            assert item != base, field.name
+            assert record.dump(item) == document, field.name
+            assert _made(record, record.dump(item)) == item, field.name
+
+    def test_an_alias_loads_and_the_canonical_key_wins(self):
+        ends = {"orig": "a", "dest": "b"}
+        assert _made(schema.LINK, dict(ends, bandwidth="5Mbps")).up == 5e6
+        for document in (dict(ends, up=1e6, bandwidth=5e6),
+                         dict(ends, bandwidth=5e6, up=1e6)):
+            assert _made(schema.LINK, document).up == 1e6
+        assert "bandwidth" not in schema.LINK.dump(
+            _made(schema.LINK, dict(ends, bandwidth=5e6)))
+
+    def test_null_means_unset_only_where_the_unit_says_so(self):
+        document = _document(
+            services=[{"name": "a", "command": None}, {"name": "b"}],
+            workloads=[{"kind": "flow", "source": "a", "destination": "b",
+                        "stop": None}])
+        assert not _errors(document)
+        compiled = scenario_from_scn(document).compile()
+        assert compiled.services[0].command is None
+        assert compiled.workloads[0].stop is None
+        document["links"][0]["down"] = None
+        assert [error.path for error in _errors(document)] == [
+            "links[0].down"]
+
+
+def test_scn_corpus_matches_the_golden():
+    """The whole front door over 615 scenarios and 3 690 mutations, as it
+    was before the record table replaced the hand-written field lists
+    (see tests/scn_corpus.py for what is digested and how to find what
+    moved)."""
+    golden = json.loads(CORPUS_GOLDEN.read_text())
+    assert (scn_corpus.SEED, scn_corpus.PER_BUDGET) == (
+        golden["seed"], golden["per_budget"])
+    assert scn_corpus.corpus_digests() == golden["sections"]
 
 
 # --------------------------------------------------------------------------
@@ -378,6 +538,21 @@ class TestDiff:
         entries = list(diff_scenarios(before, after))
         assert any(e.kind == "deploy" and "machines" in e.subject
                    for e in entries)
+
+    @pytest.mark.parametrize("before, after, detail", [
+        pytest.param(50, 100, "count 50 -> (default)", id="back-to-default"),
+        pytest.param(100, 50, "count (default) -> 50", id="off-the-default"),
+    ])
+    def test_workload_field_at_its_default(self, before, after, detail):
+        """The canonical dump omits a field at its default; the diff must
+        still see it move, in both directions."""
+        def probing(count):
+            return (_simple_builder()
+                    .workload(ping("a", "b", count=count, key="p1"))
+                    .compile())
+        entries = list(diff_scenarios(probing(before), probing(after)))
+        assert [str(entry) for entry in entries] == [
+            f"~ workload p1: {detail}"]
 
 
 # --------------------------------------------------------------------------

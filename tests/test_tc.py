@@ -243,8 +243,8 @@ class TestTcal:
         tcal = self.build()
         tcal.egress(0.0, "server", 8000)
         tcal.egress(0.0, "server", 8000)
-        assert tcal.poll_usage() == {"server": 16000}
-        assert tcal.poll_usage() == {"server": 0.0}
+        assert tcal.poll_active() == {"server": (16000, 0.0)}
+        assert tcal.poll_active() == {}
 
     def test_set_bandwidth_changes_pacing(self):
         tcal = self.build()
@@ -335,7 +335,7 @@ class TestTcal:
         tcal = self.build()
         calls_before = tcal.netlink_calls
         tcal.set_bandwidth("server", 2e6)
-        tcal.poll_usage()
+        tcal.poll_active()
         assert tcal.netlink_calls == calls_before + 2
 
 
@@ -457,9 +457,9 @@ class TestTcalRow:
     def test_polls_list_the_chains_that_exist(self):
         tcal = self.build(server=self.path(), other=self.path())
         tcal.egress(0.0, "server", 8000)
-        assert tcal.poll_usage() == {"server": 8000}
-        assert tcal.poll_refused() == {"server": 0.0}
+        assert tcal.poll_active() == {"server": (8000, 0.0)}
         assert tcal.poll_active() == {}
+        assert tcal.destinations() == ("server",)
 
     def test_explicit_install_builds_eagerly_whatever_the_row_says(self):
         tcal = self.build(server=self.path())

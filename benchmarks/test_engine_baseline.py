@@ -11,7 +11,9 @@ benchmark doubles as an end-to-end check that the counters measure what
 they claim.  Two more rates cover the packet path, which keeps no
 telemetry counters (a guard per event would cost more than the event):
 bare-kernel events/sec and data-plane sends/sec, timed directly over a
-fixed count.
+fixed count.  The fluid integrator is timed the same way: steps/sec with
+one shaped flow (every campaign point's shape) and with sixteen on one
+link (``bulk_sharing``'s), sharing loop off, so the rate is the step's.
 
 Alongside the rates, the baseline records *checksums* over the solver
 allocation and the collapsed path table (bit-deterministic across
@@ -47,7 +49,7 @@ from repro.core import (FlowDemand, clear_collapse_cache, collapse,
 from repro.experiments.fig4 import REGIONS
 from repro.netstack.packet import Packet
 from repro.scenario import Scenario, flow, resolve_backend
-from repro.scenario.topologies import aws_mesh, scale_free
+from repro.scenario.topologies import aws_mesh, dumbbell, scale_free
 from repro.sim import Simulator
 from repro.telemetry import Stopwatch
 
@@ -67,6 +69,8 @@ SMALL_CLIENTS = 12            # 24 flows — the historical baseline problem
 LARGE_CLIENTS = 64            # 128 flows — larger than any caller's solve
 SIM_EVENTS = 200_000
 MESH_ROUNDS = 100             # one packet per chain per round
+FLUID_STEPS = 50_000          # 500 simulated seconds at the 10 ms step
+FLUID_STEPS_16 = 10_000       # ... and 100 with sixteen flows to integrate
 BENCH_PATH = os.path.join(ROOT, "BENCH_engine.json")
 
 
@@ -202,6 +206,25 @@ def _packet_sends_per_sec():
     return sends / watch.elapsed, len(chains)
 
 
+def _fluid_steps_per_sec(flows, steps):
+    """Fluid steps/sec integrating ``flows`` shaped flows over one link.
+
+    A Kollaps engine with the sharing loop off: what runs is the kernel's
+    tick, the step and its closed-form solve — one pseudo-link per pair.
+    """
+    engine = (dumbbell(flows, shared_bandwidth=200 * MBPS)
+              .deploy(machines=2, seed=1, enforce_bandwidth_sharing=False)
+              .compile().engine())
+    for index in range(flows):
+        engine.start_flow(index, f"client{index}", f"server{index}",
+                          congestion_control="reno" if index % 2 else "cubic")
+    with Stopwatch() as watch:
+        engine.run(until=(steps - 0.5) * engine.fluid.dt)
+    assert len(engine.fluid.series(0)) == steps
+    assert all(engine.fluid.throughput(index) > 0 for index in range(flows))
+    return steps / watch.elapsed
+
+
 def _solver_rate(flows, capacities, rounds):
     """(solves/sec, flows/solve), via counters."""
     before = telemetry.metrics.snapshot()
@@ -265,6 +288,8 @@ def measure_baselines():
     try:
         sim_events_per_sec = _sim_events_per_sec()
         packet_sends_per_sec, mesh_chains = _packet_sends_per_sec()
+        fluid_steps_per_sec = _fluid_steps_per_sec(1, FLUID_STEPS)
+        fluid_steps_per_sec_16 = _fluid_steps_per_sec(16, FLUID_STEPS_16)
     finally:
         gc.unfreeze()
 
@@ -296,6 +321,10 @@ def measure_baselines():
         "sim_events_per_sec": round(sim_events_per_sec, 1),
         "packet_mesh_chains": mesh_chains,
         "packet_sends_per_sec": round(packet_sends_per_sec, 1),
+        "fluid_steps": FLUID_STEPS,
+        "fluid_steps_per_sec": round(fluid_steps_per_sec, 1),
+        "fluid_steps_16": FLUID_STEPS_16,
+        "fluid_steps_per_sec_16": round(fluid_steps_per_sec_16, 1),
         "event_order_checksum": event_order_checksum(),
     }
 
@@ -318,6 +347,8 @@ def test_engine_baselines(benchmark):
     assert results["sim_events_per_sec"] > 20_000
     assert results["packet_sends_per_sec"] > 10_000
     assert results["packet_mesh_chains"] == 16 * 15
+    assert results["fluid_steps_per_sec"] > 5_000
+    assert results["fluid_steps_per_sec_16"] > 500
 
     # Memoized collapse at least 3x the cold rate.
     assert results["collapse_memo_speedup"] >= 3.0
@@ -345,9 +376,12 @@ def test_checked_in_baseline_is_current():
                 "fair_share_solves_per_sec_large",
                 "collapses_per_sec", "memoized_collapses_per_sec",
                 "campaign_points_per_sec_per_worker",
-                "sim_events_per_sec", "packet_sends_per_sec"):
+                "sim_events_per_sec", "packet_sends_per_sec",
+                "fluid_steps_per_sec", "fluid_steps_per_sec_16"):
         assert checked_in[key] > 0
     assert checked_in["sim_events"] == SIM_EVENTS
+    assert checked_in["fluid_steps"] == FLUID_STEPS
+    assert checked_in["fluid_steps_16"] == FLUID_STEPS_16
     # Correctness drift check: a stale checksum means the solver or the
     # collapse changed behaviour without the baseline being refreshed.
     assert checked_in["solver_checksum"] == solver_checksum(SMALL_CLIENTS)

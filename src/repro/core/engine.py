@@ -140,9 +140,7 @@ class EmulationEngine:
         self.fluid = FluidEngine(
             self.sim,
             ShapedConstraints(self.tcals.get, self._current_rtt),
-            dt=self.config.fluid_dt, rng=self.rng,
-            usage_recorder=self._record_fluid_usage,
-            pressure_recorder=self._record_fluid_pressure)
+            dt=self.config.fluid_dt, rng=self.rng)
 
         # --- initial state + dynamic swaps + loops ------------------------
         if self.config.enforce_physical_limits:
@@ -224,18 +222,6 @@ class EmulationEngine:
         return forward.latency + (backward.latency if backward
                                   else forward.latency)
 
-    def _record_fluid_usage(self, flow: FluidFlow, bits: float) -> None:
-        tcal = self.tcals.get(flow.source)
-        if tcal is None or not tcal.has_destination(flow.destination):
-            return
-        tcal.shaping_for(flow.destination).record(bits)
-
-    def _record_fluid_pressure(self, flow: FluidFlow, bits: float) -> None:
-        tcal = self.tcals.get(flow.source)
-        if tcal is None or not tcal.has_destination(flow.destination):
-            return
-        tcal.shaping_for(flow.destination).record_refused(bits)
-
     def _apply_state(self, state: TopologyState) -> None:
         """Install a topology snapshot into every TCAL and manager.
 
@@ -252,6 +238,7 @@ class EmulationEngine:
             touched += tcal.install_row(partial(collapsed.path, container))
         for manager in self.managers.values():
             manager.install_state(collapsed, state.capacities)
+        self.fluid.provider.epoch += 1      # chains and RTTs may have moved
         if telemetry.enabled():
             registry = telemetry.metrics
             registry.counter("engine.state_swaps").inc()

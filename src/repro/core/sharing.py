@@ -245,6 +245,8 @@ def rtt_aware_max_min(flows: Sequence[FlowDemand],
 
     Flow keys are unique by contract (both callers key by container
     pair); two flows under one key would share one entry of the result.
+    A flow is anything with :class:`FlowDemand`'s attributes — the fluid
+    integrator passes the entries it keeps per flow, not a copy of them.
 
     Complexity: about ``F`` waterfilling rounds, each ``O(unfrozen flows
     + Σ path lengths)``.  A round freezes at least one flow unless

@@ -1,7 +1,10 @@
 """The fluid integrator and its constraint providers.
 
-Every step the engine asks its :class:`ConstraintProvider` how the world
-currently constrains each flow:
+The engine asks its :class:`ConstraintProvider` how the world constrains
+each flow — once per flow and topology state for what only a state install
+can change (route, base RTT, the shaping chain), every step for what moves
+between steps (the rate and loss that chain carries, the wire share the
+packet plane occupies):
 
 * :class:`GroundTruthConstraints` — physical link capacities along each
   flow's (collapsed) route: this is what a bare-metal network, or an
@@ -19,18 +22,58 @@ per-packet from a seeded stream.
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from bisect import bisect_left
+from itertools import zip_longest
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro import telemetry
-from repro.core.collapse import CollapsedTopology, collapse
+from repro.core.collapse import collapse
 from repro.core.sharing import FlowDemand, rtt_aware_max_min
 from repro.netstack.fluid.flow import FluidFlow
 from repro.sim import Process, RngRegistry, Simulator
 from repro.topology.model import Topology
 
-__all__ = ["FluidEngine", "ConstraintProvider", "GroundTruthConstraints",
-           "ShapedConstraints"]
+__all__ = ["FluidEngine", "FlowEntry", "ConstraintProvider",
+           "GroundTruthConstraints", "ShapedConstraints"]
+
+_INFINITY = float("inf")
+# A sender holding at least this share of what it offers is at the TSQ
+# equilibrium behind its shaper and exerts no back-pressure worth reporting.
+_CONTENT_SHARE = 0.70
+
+
+class FlowEntry:
+    """What the integrator keeps per flow between steps.
+
+    ``links``, ``rtt``, ``loss`` and ``shaping`` are how the provider
+    constrains the flow: filled by :meth:`ConstraintProvider.resolve` on
+    the first step that integrates the flow and again once the provider's
+    ``epoch`` has moved — nothing else can change them.  ``shaping`` is the
+    live chain a shaped sender transmits through (``None`` on a physical
+    network): its rate and loss are read, and its counters fed, every step.
+
+    The entry is also the flow's :class:`~repro.core.sharing.FlowDemand`
+    as far as the solver can tell (``key``, ``rtt``, ``links``, ``demand``,
+    ``path_bandwidth``, ``weight``); ``demand`` is the one field a step
+    writes.  ``rates`` is the flow key's column of delivered rates, one
+    value per step from the engine's first.
+    """
+
+    __slots__ = ("flow", "key", "links", "rtt", "loss", "shaping", "demand",
+                 "rates")
+
+    path_bandwidth = _INFINITY
+    weight = FlowDemand.weight
+
+    def __init__(self, flow: FluidFlow, rates: List[float]) -> None:
+        self.flow = flow
+        self.key = flow.key
+        self.links: Optional[Tuple[int, ...]] = None    # None: unresolved
+        self.rtt = flow.rtt
+        self.loss = 0.0
+        self.shaping = None
+        self.demand = 0.0
+        self.rates = rates
 
 
 class ConstraintProvider:
@@ -43,10 +86,21 @@ class ConstraintProvider:
     # loss explicitly.
     saturation_drops: bool = True
 
-    def constraints_for(self, flows: List[FluidFlow]) -> Tuple[
-            Mapping[int, float], Dict[Hashable, Tuple[int, ...]],
-            Dict[Hashable, float]]:
-        """Return (link capacities, flow -> link ids, flow -> loss prob)."""
+    # Moved by whoever changes what :meth:`resolve` or :meth:`rtt_for`
+    # would answer (a topology state install); the engine re-resolves its
+    # entries when it sees a new value and never otherwise.
+    epoch: int = 0
+
+    def resolve(self, entry: FlowEntry) -> None:
+        """Fill ``entry.links``, ``.loss`` and ``.shaping`` for its flow.
+
+        An unreachable destination is ``links = ()`` with ``loss = 1.0``.
+        """
+        raise NotImplementedError
+
+    def capacities(self, active: List[FlowEntry]) -> Mapping[int, float]:
+        """Capacity, this step, of (at least) every link ``active`` cross;
+        may refresh ``entry.loss`` where loss is not fixed per epoch."""
         raise NotImplementedError
 
     def rtt_for(self, flow: FluidFlow) -> float:
@@ -77,31 +131,39 @@ class GroundTruthConstraints(ConstraintProvider):
         self.collapsed = collapse(topology)
         self._capacities = {link.link_id: link.properties.bandwidth
                             for link in topology.links()}
+        self.epoch += 1
 
-    def _effective_capacities(self) -> Mapping[int, float]:
-        if self.packet_rate is None:
-            return self._capacities
+    def resolve(self, entry: FlowEntry) -> None:
+        flow = entry.flow
+        path = self.collapsed.path(flow.source, flow.destination)
+        if path is None:
+            entry.links = ()
+            entry.loss = 1.0
+        else:
+            entry.links = path.link_ids
+            entry.loss = path.properties.loss
+
+    def capacities(self, active: List[FlowEntry]) -> Mapping[int, float]:
+        packet_rate = self.packet_rate
+        static = self._capacities
+        if packet_rate is None:
+            return static
+        # Only the wires in use: the result is looked up by link id, never
+        # iterated, so neither its order nor the other links matter.
         effective: Dict[int, float] = {}
-        for link_id, capacity in self._capacities.items():
-            if capacity == float("inf"):
+        for entry in active:
+            for link_id in entry.links:
+                if link_id in effective:
+                    continue
+                capacity = static[link_id]
+                if capacity != _INFINITY:
+                    # What the packet plane leaves, at least half the wire.
+                    half = capacity / 2.0
+                    capacity -= packet_rate(link_id)
+                    if half > capacity:
+                        capacity = half
                 effective[link_id] = capacity
-                continue
-            occupied = self.packet_rate(link_id)
-            effective[link_id] = max(capacity - occupied, capacity / 2.0)
         return effective
-
-    def constraints_for(self, flows):
-        routes: Dict[Hashable, Tuple[int, ...]] = {}
-        loss: Dict[Hashable, float] = {}
-        for flow in flows:
-            path = self.collapsed.path(flow.source, flow.destination)
-            if path is None:
-                routes[flow.key] = ()
-                loss[flow.key] = 1.0
-                continue
-            routes[flow.key] = path.link_ids
-            loss[flow.key] = path.properties.loss
-        return self._effective_capacities(), routes, loss
 
     def rtt_for(self, flow: FluidFlow) -> float:
         forward = self.collapsed.path(flow.source, flow.destination)
@@ -114,10 +176,12 @@ class GroundTruthConstraints(ConstraintProvider):
 class ShapedConstraints(ConstraintProvider):
     """Per-flow htb rate + netem loss, as seen inside a Kollaps container.
 
-    The provider reads each sender's TCAL lazily through ``tcal_lookup`` so
-    rate/loss changes made by the Emulation Manager between steps take
-    effect immediately — exactly like the kernel picking up a netlink
-    update.
+    An entry holds the sender's chain towards the destination itself —
+    the TCAL reconfigures that object in place, and only a state install
+    (an ``epoch`` move) can take it away — and every step reads the rate
+    and loss it carries *now*, so changes made by the Emulation Manager
+    between steps take effect immediately — exactly like the kernel
+    picking up a netlink update.
     """
 
     # htb back-pressures instead of dropping: a flow capped by its shaping
@@ -135,36 +199,44 @@ class ShapedConstraints(ConstraintProvider):
             self._pseudo_ids[key] = len(self._pseudo_ids)
         return self._pseudo_ids[key]
 
-    def constraints_for(self, flows):
+    def resolve(self, entry: FlowEntry) -> None:
+        flow = entry.flow
+        tcal = self.tcal_lookup(flow.source)
+        if tcal is None or not tcal.has_destination(flow.destination):
+            entry.links = ()
+            entry.loss = 1.0
+            entry.shaping = None
+            return
+        entry.shaping = tcal.shaping_for(flow.destination)
+        entry.links = (self._pseudo_link((flow.source, flow.destination)),)
+
+    def capacities(self, active: List[FlowEntry]) -> Mapping[int, float]:
         capacities: Dict[int, float] = {}
-        routes: Dict[Hashable, Tuple[int, ...]] = {}
-        loss: Dict[Hashable, float] = {}
-        for flow in flows:
-            tcal = self.tcal_lookup(flow.source)
-            if tcal is None or not tcal.has_destination(flow.destination):
-                routes[flow.key] = ()
-                loss[flow.key] = 1.0
-                continue
-            shaping = tcal.shaping_for(flow.destination)
-            pseudo = self._pseudo_link((flow.source, flow.destination))
-            capacities[pseudo] = shaping.htb.rate
-            routes[flow.key] = (pseudo,)
-            loss[flow.key] = shaping.netem.loss
-        return capacities, routes, loss
+        for entry in active:
+            shaping = entry.shaping
+            if shaping is not None:
+                capacities[entry.links[0]] = shaping.htb.rate
+                entry.loss = shaping.netem.loss
+        return capacities
 
     def rtt_for(self, flow: FluidFlow) -> float:
         return self.rtt_lookup(flow.source, flow.destination)
 
 
 class FluidEngine:
-    """Fixed-step integrator over a set of :class:`FluidFlow` objects."""
+    """Fixed-step integrator over a set of :class:`FluidFlow` objects.
+
+    A step costs what the flows it integrates cost: which flows those are
+    is decided when one is added, removed, finishes or reaches its start
+    time; how the network constrains each is resolved once per provider
+    epoch (:class:`FlowEntry`).  Every step appends its time to one list
+    and each integrated flow's delivered rate to that key's column — the
+    history :meth:`mean_throughput` and :meth:`series` read.
+    """
 
     def __init__(self, sim: Simulator, provider: ConstraintProvider, *,
                  dt: float = 0.010, rng: Optional[RngRegistry] = None,
-                 buffer_bits: float = 1500 * 8.0 * 400,
-                 usage_recorder: Optional[Callable[[FluidFlow, float], None]] = None,
-                 pressure_recorder: Optional[Callable[[FluidFlow, float], None]] = None
-                 ) -> None:
+                 buffer_bits: float = 1500 * 8.0 * 400) -> None:
         """``buffer_bits`` models the bottleneck queue a flow may occupy
         before overflow: a window-limited flow only receives a loss signal
         once its standing queue (``cwnd - achieved * RTT``) exceeds it, which
@@ -174,14 +246,18 @@ class FluidEngine:
         self.dt = dt
         self.rng = (rng or RngRegistry(0)).stream("fluid-loss")
         self.buffer_bits = buffer_bits
-        self.usage_recorder = usage_recorder
-        # Offered-minus-achieved, reported like htb back-pressure so the
-        # Emulation Manager can see a window-inflated sender pushing past
-        # its shaping (the "requested bandwidth" of §3's congestion model).
-        self.pressure_recorder = pressure_recorder
         self.flows: Dict[Hashable, FluidFlow] = {}
-        self.history: List[Tuple[float, Dict[Hashable, float]]] = []
-        self.record_history = True
+        self._entries: Dict[Hashable, FlowEntry] = {}
+        # The entries being integrated, in ``flows`` order, and when that
+        # may next change: -inf after an add/remove/finish, else the
+        # earliest pending start time.
+        self._active: List[FlowEntry] = []
+        self._recheck_at = _INFINITY
+        self._epoch = provider.epoch
+        # Step times, and per flow key the delivered rate of each step (a
+        # column ends with the last step that integrated its key).
+        self._times: List[float] = []
+        self._rates: Dict[Hashable, List[float]] = {}
         # Allocated bits/s per link id last step — what the packet plane
         # reads to model bulk traffic occupying shared wires.
         self._link_rates: Dict[int, float] = {}
@@ -194,10 +270,16 @@ class FluidEngine:
             raise ValueError(f"duplicate flow key {flow.key!r}")
         flow.rtt = max(self.provider.rtt_for(flow), 1e-4)
         self.flows[flow.key] = flow
+        # A key that was used before continues its column.
+        self._entries[flow.key] = FlowEntry(
+            flow, self._rates.setdefault(flow.key, []))
+        self._recheck_at = -_INFINITY
         return flow
 
     def remove_flow(self, key: Hashable) -> None:
-        self.flows.pop(key, None)
+        if self.flows.pop(key, None) is not None:
+            del self._entries[key]
+            self._recheck_at = -_INFINITY
 
     def active_flows(self) -> List[FluidFlow]:
         now = self.sim.now
@@ -213,74 +295,100 @@ class FluidEngine:
         return self._link_rates.get(link_id, 0.0)
 
     # ------------------------------------------------------------- stepping
+    def _refresh(self, now: float) -> None:
+        """Re-derive the active entries; resolve those that need it."""
+        provider = self.provider
+        # Every resolved entry is active (or finished): a moved epoch
+        # re-resolves exactly the ones the loop below reaches.
+        moved = provider.epoch != self._epoch
+        self._epoch = provider.epoch
+        steps = len(self._times)
+        active = []
+        recheck_at = _INFINITY
+        for entry in self._entries.values():
+            flow = entry.flow
+            if flow.finished:
+                continue
+            if flow.start_time > now:
+                recheck_at = min(recheck_at, flow.start_time)
+                continue
+            if moved or entry.links is None:
+                provider.resolve(entry)
+                entry.rtt = flow.rtt = max(provider.rtt_for(flow), 1e-4)
+            # Steps that went by without this key delivered nothing.
+            entry.rates.extend([0.0] * (steps - len(entry.rates)))
+            active.append(entry)
+        self._active = active
+        self._recheck_at = recheck_at
+
     def _step(self) -> None:
-        if telemetry.enabled():
-            with telemetry.span("fluid.step",
-                                flows=len(self.flows)) as trace:
-                self._step_inner()
-                trace.set(t=round(self.sim.now, 6))
-            telemetry.metrics.counter("fluid.steps").inc()
-        else:
-            self._step_inner()
-
-    def _step_inner(self) -> None:
-        flows = self.active_flows()
-        if not flows:
-            self._link_rates = {}
-            if self.record_history:
-                self.history.append((self.sim.now, {}))
-            return
-        capacities, routes, loss = self.provider.constraints_for(flows)
-        demands = []
-        for flow in flows:
-            flow.rtt = max(self.provider.rtt_for(flow), 1e-4)
-            demands.append(FlowDemand(
-                key=flow.key, rtt=flow.rtt, links=routes.get(flow.key, ()),
-                demand=flow.desired_rate()))
-        allocation = rtt_aware_max_min(demands, capacities)
-
-        # Which links are saturated this step (for loss signalling)?
-        link_usage: Dict[int, float] = {}
-        for flow in flows:
-            for link_id in routes.get(flow.key, ()):
-                link_usage[link_id] = link_usage.get(link_id, 0.0) + \
-                    allocation.get(flow.key, 0.0)
-        saturated = {link_id for link_id, used in link_usage.items()
-                     if link_id in capacities
-                     and used >= capacities[link_id] * (1.0 - 1e-6)}
-        self._link_rates = link_usage
-
-        snapshot: Dict[Hashable, float] = {}
+        """One tick of the grid: integrate the active flows over ``dt``."""
+        # Not a ``with``: a step that raises ends the run, and the span
+        # around the run is the one that reports it.
+        trace = telemetry.span("fluid.step") if telemetry.enabled() else None
         now = self.sim.now
-        for flow in flows:
-            achieved = allocation.get(flow.key, 0.0)
-            desired = flow.desired_rate()
-            # Standing queue this flow builds at its bottleneck: the part of
-            # the window the path cannot carry.  Loss only once it overflows
-            # the bottleneck buffer.
-            queue_bits = max(0.0, (desired - achieved) * flow.rtt)
-            congested = (self.provider.saturation_drops
-                         and queue_bits > self.buffer_bits and any(
-                             link_id in saturated
-                             for link_id in routes.get(flow.key, ())))
-            explicit_loss = loss.get(flow.key, 0.0)
-            lost = congested
-            if not lost and explicit_loss > 0.0 and achieved > 0.0:
-                packets = max(1.0, achieved * self.dt / flow.mss_bits)
-                event_probability = 1.0 - (1.0 - explicit_loss) ** packets
-                lost = self.rng.random() < event_probability
-            # Delivered goodput is reduced by explicit link loss.
-            delivered = achieved * (1.0 - explicit_loss)
-            flow.advance(now, self.dt, delivered, lost)
-            snapshot[flow.key] = delivered
-            if self.usage_recorder is not None:
-                self.usage_recorder(flow, delivered * self.dt)
-            if self.pressure_recorder is not None:
-                self._report_pressure(flow, desired, achieved)
-        if self.record_history:
-            self.history.append((now, snapshot))
+        provider = self.provider
+        if now >= self._recheck_at or provider.epoch != self._epoch:
+            self._refresh(now)
+        self._times.append(now)
+        active = self._active
+        if active:
+            capacities = provider.capacities(active)
+            for entry in active:
+                entry.demand = entry.flow.desired_rate()
+            allocation = rtt_aware_max_min(active, capacities)
 
-    def _report_pressure(self, flow: FluidFlow, offered: float,
+            link_usage: Dict[int, float] = {}
+            for entry in active:
+                achieved = allocation[entry.key]
+                for link_id in entry.links:
+                    link_usage[link_id] = (link_usage.get(link_id, 0.0)
+                                           + achieved)
+            self._link_rates = link_usage
+
+            dt = self.dt
+            buffer_bits = self.buffer_bits
+            drops = provider.saturation_drops
+            for entry in active:
+                flow = entry.flow
+                achieved = allocation[entry.key]
+                desired = entry.demand
+                # Standing queue this flow builds at its bottleneck: the
+                # part of the window the path cannot carry.  Loss only once
+                # it overflows the bottleneck buffer, at a link the step
+                # saturated.
+                lost = (drops
+                        and (desired - achieved) * entry.rtt > buffer_bits
+                        and any(link_id in capacities and link_usage[link_id]
+                                >= capacities[link_id] * (1.0 - 1e-6)
+                                for link_id in entry.links))
+                explicit_loss = entry.loss
+                if not lost and explicit_loss > 0.0 and achieved > 0.0:
+                    packets = max(1.0, achieved * dt / flow.mss_bits)
+                    event_probability = 1.0 - (1.0 - explicit_loss) ** packets
+                    lost = self.rng.random() < event_probability
+                # Delivered goodput is reduced by explicit link loss.
+                delivered = achieved * (1.0 - explicit_loss)
+                flow.advance(now, dt, delivered, lost)
+                entry.rates.append(delivered)
+                if flow.finished:
+                    self._recheck_at = -_INFINITY
+                shaping = entry.shaping
+                if shaping is not None:
+                    # What the kernel's counters would show the Emulation
+                    # Manager: the bits the chain carried and, when the
+                    # sender offered well past them, the excess.
+                    shaping.record(delivered * dt)
+                    if achieved < _CONTENT_SHARE * desired:
+                        self._report_pressure(shaping, flow, desired,
+                                              achieved)
+        elif self._link_rates:
+            self._link_rates = {}
+        if trace is not None:
+            trace.set(flows=len(active), t=round(now, 6)).finish()
+            telemetry.metrics.counter("fluid.steps").inc()
+
+    def _report_pressure(self, shaping, flow: FluidFlow, offered: float,
                          achieved: float) -> None:
         """Report gross offered-over-achieved excess as back-pressure.
 
@@ -299,17 +407,17 @@ class FluidEngine:
         to send packets at the application sending rate" — so only the
         ratio test applies.
         """
-        if offered == float("inf"):
+        if offered == _INFINITY:
             # An unbounded sender: bound the report so the loss signal
             # stays proportional, not infinite.
             offered = achieved * 4.0
-        if offered <= 0.0 or achieved >= 0.70 * offered:
+        if offered <= 0.0 or achieved >= _CONTENT_SHARE * offered:
             return
         if flow.protocol == "tcp":
             inflation = flow.cwnd - achieved * flow.rtt
             if inflation <= 16 * flow.mss_bits:
                 return
-        self.pressure_recorder(flow, (offered - achieved) * self.dt)
+        shaping.record_refused((offered - achieved) * self.dt)
 
     def stop(self) -> None:
         self._process.stop()
@@ -317,12 +425,19 @@ class FluidEngine:
     # ------------------------------------------------------------ telemetry
     def mean_throughput(self, key: Hashable, start: float = 0.0,
                         end: float = float("inf")) -> float:
-        """Average delivered rate of ``key`` over [start, end)."""
-        samples = [rates.get(key, 0.0) for time, rates in self.history
-                   if start <= time < end]
-        if not samples:
+        """Average delivered rate of ``key`` over the steps in [start, end).
+
+        The window is found by bisection; the rates in it are summed left
+        to right, as written, so the mean is the one a scan of every step
+        would compute, to the bit.
+        """
+        first = bisect_left(self._times, start)
+        last = bisect_left(self._times, end)
+        if last <= first:
             return 0.0
-        return sum(samples) / len(samples)
+        return sum(self._rates.get(key, ())[first:last]) / (last - first)
 
     def series(self, key: Hashable) -> List[Tuple[float, float]]:
-        return [(time, rates.get(key, 0.0)) for time, rates in self.history]
+        """``(step time, delivered rate)`` of every step so far."""
+        return list(zip_longest(self._times, self._rates.get(key, ()),
+                                fillvalue=0.0))

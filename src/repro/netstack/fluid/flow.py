@@ -67,10 +67,8 @@ class FluidFlow:
             return 0.0
         if self.protocol == "udp":
             return self.demand
-        return min(self.demand, self.cwnd / self.rtt)
-
-    def window_limited(self) -> bool:
-        return self.protocol == "tcp" and self.cwnd / self.rtt < self.demand
+        window_rate = self.cwnd / self.rtt
+        return window_rate if window_rate < self.demand else self.demand
 
     # ---------------------------------------------------------- dynamics
     def advance(self, now: float, dt: float, achieved: float,
@@ -92,7 +90,8 @@ class FluidFlow:
             self._backoff(now)
             return
         self._grow(now, dt, achieved)
-        self.cwnd = min(self.cwnd, self.max_cwnd)
+        if self.cwnd > self.max_cwnd:
+            self.cwnd = self.max_cwnd
 
     def _backoff(self, now: float) -> None:
         self.loss_events += 1
@@ -107,8 +106,9 @@ class FluidFlow:
             self._epoch_start = now
 
     def _grow(self, now: float, dt: float, achieved: float) -> None:
-        # Application-limited flows do not inflate their window (RFC 7661).
-        if not self.window_limited():
+        # Application-limited flows do not inflate their window (RFC 7661):
+        # only a window-limited one, offering cwnd/RTT, grows.
+        if not self.cwnd / self.rtt < self.demand:
             return
         # Shaper-limited flows do not either: when the achieved rate sits
         # well below cwnd/RTT the qdisc, not the window, is the binding

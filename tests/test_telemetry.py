@@ -254,12 +254,24 @@ class TestLoopCounters:
         assert count("sharing.closed_form") >= count("fluid.steps") - 100
         assert 0 < count("sharing.solver_calls") < loops // 4
 
+    def test_fluid_step_span_counts_the_flows_it_integrated(self):
+        """Flows 0, 1, 2 start a second apart and flow 0 stops at 4 s: the
+        span reports who was integrated, not who is registered."""
+        telemetry.enable()
+        self.run_bulk()
+        flows_at = {span["attrs"]["t"]: span["attrs"]["flows"]
+                    for span in telemetry.tracer().spans
+                    if span["name"] == "fluid.step"}
+        assert [flows_at[time] for time in (0.5, 1.5, 3.0, 5.0)] == \
+            [1, 2, 3, 2]
+
     def test_tracing_does_not_change_the_run(self):
         def observe(engine):
             return (engine.sim.events_dispatched,
                     [tcal.netlink_calls for tcal in engine.tcals.values()],
                     engine.total_metadata_wire_bytes(),
-                    engine.fluid.history)
+                    {key: engine.fluid.series(key)
+                     for key in range(3)})
 
         untraced = observe(self.run_bulk())
         telemetry.enable()

@@ -5,15 +5,22 @@ fair-share solves/sec on the small and large solver problems (the
 progressive-filling allocator of §3), cold collapses/sec (all-pairs
 shortest paths on a mid-size scale-free topology, memo bypassed),
 memoized collapses/sec (the repeat-point path campaign sweeps hit), and
-campaign points/sec for a single worker.  Every rate is derived from
-the telemetry counters the instrumented code itself maintains — the
-benchmark doubles as an end-to-end check that the counters measure what
-they claim.  Two more rates cover the packet path, which keeps no
-telemetry counters (a guard per event would cost more than the event):
-bare-kernel events/sec and data-plane sends/sec, timed directly over a
-fixed count.  The fluid integrator is timed the same way: steps/sec with
-one shaped flow (every campaign point's shape) and with sixteen on one
-link (``bulk_sharing``'s), sharing loop off, so the rate is the step's.
+campaign points/sec for a single worker.  The solver, memo and campaign
+rates are derived from the telemetry counters the instrumented code
+itself maintains — the benchmark doubles as an end-to-end check that the
+counters measure what they claim.  The cold collapse rate is timed
+directly around ``collapse(memo=False).paths()``: ``collapse`` builds a
+shortest-path tree when a lookup first needs it, so the all-pairs cost is
+that of asking for the whole table (``collapse_rate_measures`` says so
+beside the number).  What a probing experiment pays instead is
+``collapse_probe_4000_s``: a cold collapse of Table 4's largest topology
+plus the 60 lookups of 30 probe pairs.  Two more rates cover the packet
+path, which keeps no telemetry counters (a guard per event would cost
+more than the event): bare-kernel events/sec and data-plane sends/sec,
+timed directly over a fixed count.  The fluid integrator is timed the
+same way: steps/sec with one shaped flow (every campaign point's shape)
+and with sixteen on one link (``bulk_sharing``'s), sharing loop off, so
+the rate is the step's.
 
 Alongside the rates, the baseline records *checksums* over the solver
 allocation and the collapsed path table (bit-deterministic across
@@ -38,6 +45,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import sys
 
 from conftest import print_table, run_once
@@ -62,9 +70,12 @@ from event_order import kv_event_order  # noqa: E402
 MBPS = 1e6
 SOLVER_ROUNDS = 200
 LARGE_ROUNDS = 100
-COLLAPSE_ROUNDS = 10
+COLLAPSE_ROUNDS = 4            # each builds the whole 6 320-pair table
 MEMO_ROUNDS = 50
 COLLAPSE_SIZE = 120
+COLLAPSE_RATE_MEASURES = "collapse(memo=False).paths(): every tree and pair"
+PROBE_SIZE = 4000             # Table 4's largest; named in the metric's key
+PROBE_PAIRS = 30
 SMALL_CLIENTS = 12            # 24 flows — the historical baseline problem
 LARGE_CLIENTS = 64            # 128 flows — larger than any caller's solve
 SIM_EVENTS = 200_000
@@ -225,6 +236,21 @@ def _fluid_steps_per_sec(flows, steps):
     return steps / watch.elapsed
 
 
+def _collapse_probe_seconds():
+    """Cold collapse of ``scale_free(PROBE_SIZE)`` plus both directions of
+    ``PROBE_PAIRS`` random pairs — what one Table-4 point asks of it."""
+    topology = scale_free(PROBE_SIZE, seed=PROBE_SIZE).compile().topology
+    rng = random.Random(PROBE_SIZE)
+    pairs = [rng.sample(topology.container_names(), 2)
+             for _ in range(PROBE_PAIRS)]
+    with Stopwatch() as watch:
+        collapsed = collapse(topology, memo=False)
+        answered = [collapsed.path(a, b) and collapsed.path(b, a)
+                    for a, b in pairs]
+    assert all(answered)
+    return watch.elapsed
+
+
 def _solver_rate(flows, capacities, rounds):
     """(solves/sec, flows/solve), via counters."""
     before = telemetry.metrics.snapshot()
@@ -251,13 +277,17 @@ def measure_baselines():
         large_per_sec, large_flows = _solver_rate(
             *solver_problem(LARGE_CLIENTS), rounds=LARGE_ROUNDS)
 
-        # Cold collapses bypass the memo; the memoized rate then measures
-        # the repeat-point path campaigns hit (one miss populates it).
+        # Cold collapses bypass the memo and build the whole table; the
+        # memoized rate then measures the repeat-point path campaigns hit
+        # (one miss populates it).
         topology = scale_free(COLLAPSE_SIZE, seed=11).compile().topology
         before = telemetry.metrics.snapshot()
-        for _ in range(COLLAPSE_ROUNDS):
-            collapse(topology, memo=False)
+        with Stopwatch() as cold:
+            for _ in range(COLLAPSE_ROUNDS):
+                collapse(topology, memo=False).paths()
         collapsed = telemetry.metrics.delta_since(before)
+        assert collapsed["collapse.trees_built"] == (
+            COLLAPSE_ROUNDS * len(topology.services))
         collapse(topology)                  # populate the memo
         before = telemetry.metrics.snapshot()
         for _ in range(MEMO_ROUNDS):
@@ -290,12 +320,12 @@ def measure_baselines():
         packet_sends_per_sec, mesh_chains = _packet_sends_per_sec()
         fluid_steps_per_sec = _fluid_steps_per_sec(1, FLUID_STEPS)
         fluid_steps_per_sec_16 = _fluid_steps_per_sec(16, FLUID_STEPS_16)
+        collapse_probe_s = _collapse_probe_seconds()
     finally:
         gc.unfreeze()
 
     point_hist = snapshot["campaign.point_seconds"]
-    collapses_per_sec = (collapsed["collapse.recomputes"]
-                         / collapsed["collapse.seconds"])
+    collapses_per_sec = collapsed["collapse.recomputes"] / cold.elapsed
     memo_per_sec = (memoized["collapse.memo_hits"]
                     / memoized["collapse.memo_seconds"])
     return {
@@ -309,10 +339,12 @@ def measure_baselines():
         "collapse_containers": COLLAPSE_SIZE,
         "collapse_pairs": int(collapsed["collapse.pairs"]
                               / collapsed["collapse.recomputes"]),
+        "collapse_rate_measures": COLLAPSE_RATE_MEASURES,
         "collapses_per_sec": round(collapses_per_sec, 1),
         "memoized_collapses_per_sec": round(memo_per_sec, 1),
         "collapse_memo_speedup": round(memo_per_sec / collapses_per_sec, 1),
         "collapse_checksum": collapse_checksum(),
+        "collapse_probe_4000_s": round(collapse_probe_s, 3),
         "campaign_points": int(
             snapshot["campaign.points"]["value"]),
         "campaign_points_per_sec_per_worker": round(
@@ -349,6 +381,7 @@ def test_engine_baselines(benchmark):
     assert results["packet_mesh_chains"] == 16 * 15
     assert results["fluid_steps_per_sec"] > 5_000
     assert results["fluid_steps_per_sec_16"] > 500
+    assert results["collapse_probe_4000_s"] < 10.0
 
     # Memoized collapse at least 3x the cold rate.
     assert results["collapse_memo_speedup"] >= 3.0
@@ -371,13 +404,15 @@ def test_checked_in_baseline_is_current():
     assert checked_in["bench"] == "engine"
     assert checked_in["campaign_points"] == 4
     assert checked_in["collapse_containers"] == COLLAPSE_SIZE
+    assert checked_in["collapse_rate_measures"] == COLLAPSE_RATE_MEASURES
     assert checked_in["solver_large_flows"] == 2 * LARGE_CLIENTS
     for key in ("fair_share_solves_per_sec",
                 "fair_share_solves_per_sec_large",
                 "collapses_per_sec", "memoized_collapses_per_sec",
                 "campaign_points_per_sec_per_worker",
                 "sim_events_per_sec", "packet_sends_per_sec",
-                "fluid_steps_per_sec", "fluid_steps_per_sec_16"):
+                "fluid_steps_per_sec", "fluid_steps_per_sec_16",
+                "collapse_probe_4000_s"):
         assert checked_in[key] > 0
     assert checked_in["sim_events"] == SIM_EVENTS
     assert checked_in["fluid_steps"] == FLUID_STEPS

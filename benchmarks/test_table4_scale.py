@@ -11,9 +11,8 @@ against the theoretical shortest-path values.  MSE (ms^2):
 
 Mininet is slightly better at 1000 (no cross-machine hops) but cannot go
 further; Maxinet's controller pushes it three orders of magnitude off.
-Sizes are scaled (250/500/1000) to keep the harness fast — the error
-*sources* (container networking, physical hops, controller round trips)
-are size-independent.
+Run at the paper's sizes: a point builds the shortest-path trees of its
+probe pairs' endpoints, not of every service.
 """
 
 from conftest import reproduce

@@ -18,16 +18,21 @@ requirement for the fully decentralized design).
 What is kept, and what is derived
 ---------------------------------
 
-:func:`collapse` keeps what Dijkstra produces — one predecessor-link tree
-per source *service* — plus the topology's ``link_id -> LinkProperties``
-map at that instant: ``O(services × nodes)`` memory, whatever the number
-of containers.  A :class:`CollapsedPath` is derived the first time someone
-asks for the pair (:meth:`CollapsedTopology.path` walks the tree and
-composes the links in traversal order, ``O(path length)``) and remembered;
-an experiment that talks over 30 pairs of an 82 082-pair table builds 30.
-:meth:`~CollapsedTopology.pair_count` counts reachable containers per tree
-without building any; :meth:`~CollapsedTopology.paths` builds whatever is
-still missing.
+:func:`collapse` keeps the service graph (a snapshot: links are copied, so
+a later edit to the live topology cannot reach a tree built afterwards)
+and the topology's ``link_id -> LinkProperties`` map at that instant; it
+runs no Dijkstra.  A source *service*'s predecessor-link tree is built by
+the first :meth:`~CollapsedTopology.path` / :meth:`~CollapsedTopology.rtt`
+/ :meth:`~CollapsedTopology.reachable_from` that starts there and kept —
+a manager pays for the rows of its own containers that something talks
+over (§3), ``O(sources in use × nodes)`` memory.  A :class:`CollapsedPath`
+is derived the first time someone asks for the pair (a walk up the tree
+composing the links in traversal order, ``O(path length)``) and
+remembered; an experiment that pings 30 pairs of an 82 082-pair table
+builds at most 60 trees and 60 paths.
+:meth:`~CollapsedTopology.pair_count` counts reachable containers over
+the graph without building a tree; :meth:`~CollapsedTopology.paths`
+builds whatever is still missing — every tree and every pair.
 
 Memoization
 -----------
@@ -39,22 +44,23 @@ module therefore memoizes :func:`collapse` results in a bounded LRU keyed
 by a structural topology hash (:func:`topology_signature`):
 
 * **hit** — a structurally identical topology (same nodes, links, ids and
-  *all* properties) shares the cached trees, property map and every path
-  built so far: ``O(signature)`` = ``O(V + E)``;
+  *all* properties) shares the cached routing, property map and every
+  tree and path built so far: ``O(signature)`` = ``O(V + E)``;
 * **incremental** — a topology whose *routing* inputs (nodes, link ids,
   latencies) match a cached entry but whose non-routing properties
-  (bandwidth, jitter, loss) differ shares the donor's trees and only
-  rebuilds the ``O(E)`` property map — no Dijkstra runs;
-* **miss** — anything else runs one Dijkstra per source service and
-  populates the cache.
+  (bandwidth, jitter, loss) differ shares the donor's routing — the
+  trees it has and the ones either will still build — and only rebuilds
+  the ``O(E)`` property map;
+* **miss** — anything else builds a new service graph and populates the
+  cache.
 
 The LRU holds 128 entries; ``collapse(memo=False)`` bypasses it and
 :func:`clear_collapse_cache` drops everything (``repro campaign ...
 --fresh`` calls it).  Telemetry counters ``collapse.memo_hits`` /
 ``collapse.memo_misses`` / ``collapse.incremental_recomputes`` /
-``collapse.memo_invalidations`` expose the cache's behaviour and
-``collapse.paths_built`` the pairs actually derived; see
-``docs/performance.md``.
+``collapse.memo_invalidations`` expose the cache's behaviour,
+``collapse.trees_built`` the Dijkstra runs and ``collapse.paths_built``
+the pairs actually derived; see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -106,22 +112,27 @@ class CollapsedPath:
 
 
 class _Routing:
-    """What Dijkstra produces for one routing structure, nothing per pair.
+    """The service graph of one routing structure and the shortest-path
+    trees built over it so far — nothing per pair.
 
     ``trees[service][node]`` is the link the shortest path from ``service``
-    enters ``node`` by (the origin has no entry); ``loops[service]`` is the
-    two-link path between replicas of one service.  Only names, endpoints
-    and link ids are read from the links, so every topology with the same
-    routing signature can share one instance — link *properties* belong
-    to the :class:`CollapsedTopology`.  Never mutated once built.
+    enters ``node`` by (the origin has no entry), filled by :meth:`tree`
+    the first time a path from that service is asked for;
+    ``loops[service]`` is the two-link path between replicas of one
+    service.  Only names, endpoints, ids and latencies are read from the
+    graph's links, so every topology with the same routing signature can
+    share one instance — the other link *properties* belong to the
+    :class:`CollapsedTopology`.  Nothing here changes once set: a tree is
+    a function of the graph, so two threads filling the same one store
+    equal values.
     """
 
-    __slots__ = ("containers", "service_of", "sources", "members", "trees",
-                 "loops")
+    __slots__ = ("graph", "containers", "service_of", "sources", "members",
+                 "trees", "loops")
 
     def __init__(self, topology: Topology,
                  sources: Optional[Sequence[str]]) -> None:
-        graph = _service_graph(topology)
+        self.graph = _service_graph(topology)
         self.containers = topology.container_names()
         self.service_of = {name: name.split(".")[0]
                            for name in self.containers}
@@ -132,12 +143,21 @@ class _Routing:
                         if name in self.service_of}
         #: Containers per service.
         self.members = Counter(self.service_of.values())
-        # One Dijkstra per *service* (containers of a service share paths).
-        needed = sorted(set(self.sources.values()))
-        self.trees = {service: _dijkstra(graph, service)
-                      for service in needed}
-        self.loops = {service: _intra_service_path(graph, service)
-                      for service in needed if self.members[service] > 1}
+        #: One Dijkstra per *service* (its containers share paths), run
+        #: on first use.
+        self.trees: Dict[str, Dict[str, Link]] = {}
+        self.loops = {service: _intra_service_path(self.graph, service)
+                      for service in set(self.sources.values())
+                      if self.members[service] > 1}
+
+    def tree(self, service: str) -> Dict[str, Link]:
+        """The shortest-path tree from ``service``, built on first use."""
+        tree = self.trees.get(service)
+        if tree is None:
+            tree = self.trees[service] = _dijkstra(self.graph, service)
+            if telemetry.enabled():
+                telemetry.metrics.counter("collapse.trees_built").inc()
+        return tree
 
     def links(self, source: str, destination: str) -> Optional[List[Link]]:
         """The links from ``source`` to ``destination`` in traversal
@@ -148,31 +168,64 @@ class _Routing:
             return None
         if target == service:
             return self.loops.get(service)
-        return _links_to(self.trees[service], target)
+        return _links_to(self.tree(service), target)
+
+    def reachable_from(self, source: str) -> List[str]:
+        """The containers ``source`` has a path to, in container order."""
+        service = self.sources.get(source)
+        if service is None:
+            return []
+        tree = self.tree(service)
+        looped = self.loops.get(service) is not None
+        service_of = self.service_of
+        return [name for name in self.containers
+                if service_of[name] in tree
+                or (looped and service_of[name] == service
+                    and name != source)]
 
     def pair_count(self) -> int:
-        """Ordered pairs with a path: ``O(source services × services)``."""
-        reach = {}
-        for service, tree in self.trees.items():
-            reach[service] = sum(count
-                                 for target, count in self.members.items()
-                                 if target in tree)
-            if self.loops.get(service) is not None:
-                reach[service] += self.members[service] - 1
+        """Ordered pairs with a path, from reachability over the graph —
+        no tree is built, so counting (telemetry does) never changes what
+        a run computes.
+
+        Nodes that reach each other reach the same set, so one forward and
+        one backward search settle a whole strongly connected component:
+        ``O(V + E)`` when every link has a reverse, one pair of searches
+        per component holding a source otherwise.
+        """
+        ahead = {node: [link.destination for link in links]
+                 for node, links in self.graph.items()}
+        behind: Dict[str, List[str]] = {node: [] for node in ahead}
+        for node, neighbours in ahead.items():
+            for neighbour in neighbours:
+                behind[neighbour].append(node)
+        members = self.members          # a Counter: 0 for a bridge
+        reach: Dict[str, int] = {}
+        for service in self.sources.values():
+            if service in reach:
+                continue
+            reached = _reachable(ahead, service)
+            containers = sum(members[node] for node in reached)
+            for node in reached & _reachable(behind, service):
+                reach[node] = containers - members[node]
+        for service, loop in self.loops.items():
+            if loop is not None:
+                reach[service] += members[service] - 1
         return sum(reach[service] for service in self.sources.values())
 
 
 class CollapsedTopology:
     """All-pairs collapsed view of a topology at one instant.
 
-    Holds the shortest-path trees and the ``link_id -> LinkProperties``
-    map of that instant; a :class:`CollapsedPath` is built on the first
-    :meth:`path` lookup of its pair and remembered.  Memoized lookups hand
-    the same trees (and, for identical topologies, the same built paths)
-    to several ``CollapsedTopology`` wrappers, each referencing the live
-    :class:`~repro.topology.model.Topology` it was requested for; what is
-    shared only ever gains immutable values that depend on nothing but the
-    topology, so sharing is invisible.
+    Holds the routing (service graph plus the trees built so far) and the
+    ``link_id -> LinkProperties`` map of that instant; a source's tree is
+    built by the first lookup that starts there, a :class:`CollapsedPath`
+    on the first :meth:`path` lookup of its pair, and both are remembered.
+    Memoized lookups hand the same routing (and, for identical topologies,
+    the same built paths) to several ``CollapsedTopology`` wrappers, each
+    referencing the live :class:`~repro.topology.model.Topology` it was
+    requested for; what is shared only ever gains immutable values that
+    depend on nothing but the topology, so sharing is invisible.
     """
 
     def __init__(self, topology: Topology, routing: _Routing,
@@ -187,7 +240,8 @@ class CollapsedTopology:
         """The collapsed path, or ``None`` when unreachable.
 
         A dict hit once the pair has been asked for; the first lookup
-        walks the source's tree, ``O(path length)``.
+        walks the source's tree, ``O(path length)`` — after one Dijkstra
+        if it is also the first from that source's service.
         """
         key = (source, destination)
         path = self._built.get(key)
@@ -224,7 +278,9 @@ class CollapsedTopology:
 
     def paths(self) -> List[CollapsedPath]:
         """Every path of the table, source-major in container order —
-        builds the ones nobody has asked for yet (``O(pairs)``)."""
+        builds the trees and pairs nobody has asked for yet: this is the
+        all-pairs computation (one Dijkstra per source service, then
+        ``O(pairs)``)."""
         routing = self._routing
         found = []
         for source in routing.sources:
@@ -235,13 +291,12 @@ class CollapsedTopology:
         return found
 
     def pair_count(self) -> int:
-        """How many ordered pairs the table answers for; builds none."""
+        """How many ordered pairs the table answers for; builds neither
+        a path nor a tree."""
         return self._routing.pair_count()
 
     def reachable_from(self, source: str) -> List[str]:
-        routing = self._routing
-        return [name for name in routing.containers
-                if routing.links(source, name) is not None]
+        return self._routing.reachable_from(source)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +318,30 @@ def topology_signature(topology: Topology, *,
 
     Complexity ``O(V log V + E log E)`` (sorting for order independence).
     """
-    digest = hashlib.blake2b(digest_size=16)
-    for name in sorted(topology.services):
-        service = topology.services[name]
-        digest.update(f"S{name}*{service.replicas};".encode())
-    for name in sorted(topology.bridges):
-        digest.update(f"B{name};".encode())
-    links = sorted(topology.links(),
-                   key=lambda link: (link.source, link.destination))
-    for link in links:
+    full, routing = _signatures(topology)
+    return routing if routing_only else full
+
+
+def _signatures(topology: Topology) -> Tuple[str, str]:
+    """``(full, routing-only)`` signatures from one sorted walk."""
+    nodes = "".join(
+        [f"S{name}*{topology.services[name].replicas};"
+         for name in sorted(topology.services)]
+        + [f"B{name};" for name in sorted(topology.bridges)])
+    full, routing = [nodes], [nodes]
+    for link in sorted(topology.links(),
+                       key=lambda link: (link.source, link.destination)):
         properties = link.properties
-        digest.update(f"L{link.source}>{link.destination}#{link.link_id}"
-                      f"@{properties.latency!r}".encode())
-        if not routing_only:
-            digest.update(
-                f"|{properties.bandwidth!r},{properties.jitter!r},"
-                f"{properties.loss!r},{properties.jitter_distribution},"
-                f"{link.network}".encode())
-        digest.update(b";")
-    return digest.hexdigest()
+        routed = (f"L{link.source}>{link.destination}#{link.link_id}"
+                  f"@{properties.latency!r}")
+        routing.append(f"{routed};")
+        full.append(
+            f"{routed}|{properties.bandwidth!r},{properties.jitter!r},"
+            f"{properties.loss!r},{properties.jitter_distribution},"
+            f"{link.network};")
+    return tuple(
+        hashlib.blake2b("".join(parts).encode(), digest_size=16).hexdigest()
+        for parts in (full, routing))
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +412,27 @@ def collapse(topology: Topology, *,
              memo: bool = True) -> CollapsedTopology:
     """Collapse ``topology`` into end-to-end virtual links.
 
-    ``sources`` restricts the computation to paths originating at the given
-    containers — each Emulation Manager only computes the part of the
+    ``sources`` restricts the table to paths originating at the given
+    containers — each Emulation Manager only answers for the part of the
     topology affecting its local containers (§3), which this parameter
     models.  With the default, all ordered container pairs are answered.
+    It says which rows exist, not which are computed: a row nobody reads
+    costs nothing either way.
 
     ``memo=False`` bypasses the module cache entirely (neither read nor
     populated) — used by the precompute ablation and the cold-path
-    benchmark, which must measure a genuine from-scratch collapse.
+    benchmark, which must measure a genuine from-scratch collapse (and
+    ask for ``.paths()`` to make it the all-pairs one).
 
     Determinism: the same topology always yields the same path table —
     Dijkstra ties break on hop count then lexicographic node order, so
-    every decentralized manager derives an identical collapse.  Complexity
-    is one Dijkstra per source *service* (``O((V + E) log V)`` each) plus
-    the ``O(E)`` property map; no per-pair work happens until a pair is
-    looked up.  Memo hits are ``O(signature)`` = ``O(V + E)``, incremental
-    reuses ``O(V + E)`` as well.
+    every decentralized manager derives an identical collapse, in
+    whichever order its trees come to be built.  Complexity: the
+    ``O(V + E)`` service graph and property map here; one Dijkstra
+    (``O((V + E) log V)``) on the first lookup from each source *service*;
+    ``O(path length)`` on the first lookup of each pair.  Memo hits are
+    ``O(signature)`` = ``O(V + E)``, incremental reuses ``O(V + E)`` as
+    well.
     """
     if not memo:
         return _collapse_full(topology, sources)
@@ -375,7 +440,8 @@ def collapse(topology: Topology, *,
     recording = telemetry.enabled()
     started = telemetry.clock() if recording else 0.0
     sources_key = tuple(sources) if sources is not None else None
-    full_key = (topology_signature(topology), sources_key)
+    full_signature, routing_signature = _signatures(topology)
+    full_key = (full_signature, sources_key)
     with _cache_lock:
         entry = _cache.get(full_key)
         if entry is not None:
@@ -391,14 +457,13 @@ def collapse(topology: Topology, *,
 
     if recording:
         telemetry.metrics.counter("collapse.memo_misses").inc()
-    routing_key = (topology_signature(topology, routing_only=True),
-                   sources_key)
+    routing_key = (routing_signature, sources_key)
     with _cache_lock:
         donor_key = _routing_index.get(routing_key)
         donor = _cache.get(donor_key) if donor_key is not None else None
     if donor is not None:
-        # Same nodes, link ids and latencies: the donor's trees are this
-        # topology's trees, only the composed properties differ.
+        # Same nodes, link ids and latencies: the donor's graph and trees
+        # are this topology's, only the composed properties differ.
         result = CollapsedTopology(topology, donor.routing,
                                    _properties_by_id(topology), {})
         _cache_store(full_key, routing_key, result)
@@ -416,7 +481,7 @@ def collapse(topology: Topology, *,
 
 def _collapse_full(topology: Topology,
                    sources: Optional[Sequence[str]]) -> CollapsedTopology:
-    """The from-scratch collapse (one Dijkstra per source service)."""
+    """The from-scratch collapse: a new routing with no tree built yet."""
     recording = telemetry.enabled()
     started = telemetry.clock() if recording else 0.0
     trace = telemetry.span("collapse.all_pairs",
@@ -430,7 +495,7 @@ def _collapse_full(topology: Topology,
         registry.counter("collapse.recomputes").inc()
         registry.counter("collapse.pairs").inc(pairs)
         registry.counter("collapse.seconds").inc(telemetry.clock() - started)
-        trace.set(pairs=pairs, services=len(routing.trees))
+        trace.set(pairs=pairs, services=len(set(routing.sources.values())))
     trace.finish()
     return result
 
@@ -440,11 +505,18 @@ def _properties_by_id(topology: Topology) -> Dict[int, LinkProperties]:
 
 
 def _service_graph(topology: Topology) -> Dict[str, List[Link]]:
-    """Adjacency list over service and bridge names."""
+    """Adjacency list over service and bridge names.
+
+    The links are copies: ``Topology.update_link`` rewrites a live link's
+    properties in place, and a tree built from this graph later must see
+    the latencies of this instant.
+    """
     graph: Dict[str, List[Link]] = {name: [] for name in topology.node_names()}
     for link in topology.links():
         if link.source in graph and link.destination in graph:
-            graph[link.source].append(link)
+            graph[link.source].append(Link(
+                link.source, link.destination, link.properties, link.network,
+                link.link_id))
     for edges in graph.values():
         edges.sort(key=lambda link: link.destination)
     return graph
@@ -486,6 +558,18 @@ def _dijkstra(graph: Dict[str, List[Link]],
                 heapq.heappush(queue, (candidate[0], candidate[1],
                                        names + (neighbour,), neighbour))
     return tree
+
+
+def _reachable(neighbours: Dict[str, List[str]], origin: str) -> set:
+    """``origin`` and every node a walk over ``neighbours`` gets to."""
+    seen = {origin}
+    stack = [origin]
+    while stack:
+        for node in neighbours[stack.pop()]:
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
 
 
 def _links_to(tree: Dict[str, Link], node: str) -> Optional[List[Link]]:

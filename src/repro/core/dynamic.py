@@ -6,21 +6,24 @@ dynamics.  Kollaps therefore pre-computes, before the experiment starts, the
 ordered sequence of graph states together with *all* derived metadata: the
 collapsed topology and the per-link capacity map for each state.
 
-A state costs what Dijkstra costs and nothing per container pair: its
-:class:`~repro.core.collapse.CollapsedTopology` keeps one shortest-path
-tree per service and the ``O(E)`` link-property map, and derives a pair's
-end-to-end path the first time traffic asks for it — ``O(states × (services
-× E log V))`` time and ``O(states × services × V)`` memory at worst for the
-whole plan, however many containers there are.
+A state costs its graph up front and nothing per container pair: its
+:class:`~repro.core.collapse.CollapsedTopology` keeps the service graph and
+the ``O(E)`` link-property map, builds a source service's shortest-path
+tree the first time traffic leaves it while the state is in force, and
+derives a pair's end-to-end path the first time traffic asks for it —
+``O(states × E)`` to pre-compute, ``O(states × sources in use × E log V)``
+time and ``O(states × sources in use × V)`` memory at worst over the run,
+however many containers there are.
 
 Pre-computation is incremental through the collapse memo
 (:mod:`repro.core.collapse`): an event that only changes link capacities
-shares the previous state's trees and only takes a fresh property map, an
-event that restores an earlier structure (a flap healing) is a cache hit,
-and only events that change the routing inputs — latencies, link ids,
-nodes — pay for fresh Dijkstra runs.  Links whose flow membership is
-unaffected therefore never trigger recomputation, and repeated campaign
-points over near-identical graphs share the whole table.
+shares the previous state's routing — graph and trees — and only takes a
+fresh property map, an event that restores an earlier structure (a flap
+healing) is a cache hit, and only events that change the routing inputs —
+latencies, link ids, nodes — start a routing whose trees are yet to be
+built.  Links whose flow membership is unaffected therefore never trigger
+recomputation, and repeated campaign points over near-identical graphs
+share the whole table.
 """
 
 from __future__ import annotations
@@ -64,8 +67,11 @@ class DynamicTopologyPlan:
                     capacities={link.link_id: link.properties.bandwidth
                                 for link in snapshot.links()},
                 ))
-        #: Monotonic seconds spent pre-computing every state's collapse —
-        #: the cost the paper's offline phase pays to make dynamics cheap.
+        #: Monotonic seconds spent pre-computing every state's collapse:
+        #: its signatures, service graph and property map.  A state's
+        #: shortest-path trees are built by the first lookup from each
+        #: source once the state is in force — wall-clock that moves out
+        #: of this figure, simulated time that moves nowhere.
         self.precompute_seconds = watch.elapsed
         if telemetry.enabled():
             telemetry.metrics.counter("dynamic.precompute_seconds").inc(

@@ -7,9 +7,11 @@ ablation quantifies that: the cost of applying one pre-computed state swap
 versus collapsing a large topology from scratch at event time.
 
 One campaign point: the engine pre-computes its plan while it is built
-(timed by the plan itself), a ``custom`` workload times the run that
-applies the swaps and then one online collapse, and :func:`report`
-compares the three wall-clock figures.
+(timed by the plan itself: signatures and property maps per state — the
+shortest-path trees fill in as the run first uses them, inside the swap
+figure), a ``custom`` workload times the run that applies the swaps and
+then one online all-pairs collapse, and :func:`report` compares the three
+wall-clock figures.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ def point_scenario(*, size: int, seed: int):
     def collect(engine, until, runtime: Stopwatch):
         # Per-event swap cost at runtime with the plan in hand.
         swap_per_event = runtime.stop() / len(schedule)
-        # Online alternative: collapse from scratch at event time.  The
-        # memo must be bypassed — the plan already collapsed this
-        # topology, and a cache hit would measure a dict lookup, not the
-        # ablated cost.
+        # Online alternative: all-pairs shortest paths from scratch at
+        # event time.  The memo must be bypassed — the plan already
+        # collapsed this topology, and a cache hit would measure a dict
+        # lookup — and the table asked for whole: collapse() alone builds
+        # no tree, which would measure a graph copy, not the ablated cost.
         with Stopwatch() as online:
-            collapse(engine.plan.initial().topology, memo=False)
+            collapse(engine.plan.initial().topology, memo=False).paths()
         return {"precompute_total": engine.plan.precompute_seconds,
                 "swap_per_event": swap_per_event,
                 "online_per_event": online.elapsed,

@@ -11,15 +11,15 @@ against the theoretical shortest-path values.  MSE (ms^2):
 
 Mininet is slightly better at 1000 (no cross-machine hops) but cannot go
 further; Maxinet's controller pushes it three orders of magnitude off.
-Sizes are scaled (250/500/1000) to keep the harness fast — the error
-*sources* (container networking, physical hops, controller round trips)
-are size-independent.
+The sizes here are the paper's: probing builds the shortest-path trees of
+the probe pairs' endpoints only, so a point costs what it pings, not what
+the topology holds.
 
 Each size is one campaign cell (probe pairs as ping workloads) fanned
-across the kollaps/mininet/maxinet backends; Mininet's over-budget sizes
-fail backend validation — the campaign's ``incompatible`` status, the
-paper's N/A.  :func:`report` compares each probe's stored median RTT with
-the theoretical shortest-path value.
+across the kollaps/mininet/maxinet backends; the sizes over Mininet's
+single-machine element budget fail backend validation — the campaign's
+``incompatible`` status, the paper's N/A.  :func:`report` compares each
+probe's stored median RTT with the theoretical shortest-path value.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from repro.scenario import CompiledScenario, ScenarioRun, ping
 from repro.scenario.topologies import scale_free
 from repro.sim import RngRegistry
 
-SIZES = [250, 500, 1000]
+SIZES = [1000, 2000, 4000]
 _PAIRS = 30       # probe pairs per run
 _PINGS = 40       # pings per pair
-_MININET_BUDGET = 400  # scaled single-machine element budget
 
 BACKENDS = {
     "kollaps": {},
-    "mininet": {"element_budget": _MININET_BUDGET},
+    "mininet": {},
     "maxinet": {"workers": 4},
 }
 
@@ -62,8 +61,8 @@ def pick_pairs(compiled: CompiledScenario, seed: int,
 def probe_plan(size: int, pair_count: int = _PAIRS) -> Tuple[Tuple, Dict]:
     """The probe pairs and their theoretical RTTs for one topology size.
 
-    Cached: the campaign factory runs once per backend, and the
-    all-pairs collapse of a scale-free topology is the expensive part.
+    Cached: the campaign factory runs once per backend and the report
+    asks again.
     """
     bare = scale_free(size, seed=size).compile()
     pairs = tuple(pick_pairs(bare, seed=size, pair_count=pair_count))
@@ -92,8 +91,8 @@ def point_scenario(*, size: int, pings: int = _PINGS,
 def campaign(pings: int = _PINGS, pair_count: int = _PAIRS):
     """The Table-4 sweep: sizes × systems, minus the paper's givens.
 
-    Maxinet stops at the middle size (the paper stops it at 2000 of
-    4000 elements), so those cells are excluded rather than executed.
+    Maxinet stops at the middle size (2000 of 4000 elements), so the
+    cells beyond it are excluded rather than executed.
     """
     from repro.campaign import Campaign
     builder = (Campaign("table4")
@@ -146,12 +145,10 @@ def report(sweep) -> ExperimentResult:
             "elements.  Mininet is slightly better at 1000 (0.0079, no "
             "cross-machine hops) but cannot run larger topologies; "
             "Maxinet is orders of magnitude worse (28.1/347.5) and gives "
-            "up at 4000.  Sizes here are scaled to 250/500/1000."),
+            "up at 4000."),
         headers=["size", "kollaps", "mininet", "maxinet"],
         rows=[(size, cell("kollaps", size), cell("mininet", size),
-               cell("maxinet", size)) for size in SIZES],
-        notes=("Topology sizes scaled 4x down (250/500/1000) to keep the "
-               "harness fast; the error sources are size-independent."))
+               cell("maxinet", size)) for size in SIZES])
     smallest = SIZES[0]
     for size in SIZES:
         result.check(f"Kollaps MSE < 0.5 ms^2 at size {size}",

@@ -567,9 +567,8 @@ class TestExperimentCampaigns:
         from repro.experiments import as_campaign
         points = as_campaign("table4").points()
         assert len(points) == 8          # 3 sizes x 3 systems - 1 excluded
-        assert not any(point.label == "maxinet"
-                       and point.params_dict()["size"] == 1000
-                       for point in points)
+        assert [point.params_dict()["size"] for point in points
+                if point.label == "maxinet"] == [1000, 2000]   # not 4000
 
     def test_unknown_campaign_lists_available(self):
         from repro.experiments import as_campaign

@@ -1,8 +1,11 @@
 """Network collapsing: shortest paths, determinism, restricted sources."""
 
 import heapq
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import clear_collapse_cache, collapse
 from repro.core.collapse import (CollapsedPath, _dijkstra, _links_to,
@@ -434,3 +437,136 @@ class TestDijkstraTieBreak:
         the lexicographically smaller first hop."""
         topology = self.build({("p", "last"): 0.001, ("q", "last"): 0.001})
         assert self.node_path(topology) == ("p", "last")
+
+
+# ---------------------------------------------------------------------------
+# Trees on first use: whatever is asked first, of whichever view, the
+# answers are the eager oracle's.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def routed_topologies(draw):
+    """A few services and bridges wired at random — few distinct
+    latencies, so ties are common — plus a service behind a one-way link
+    and an island nothing else touches."""
+    topology = Topology("generated")
+    for index in range(draw(st.integers(2, 5))):
+        topology.add_service(Service(f"s{index}",
+                                     replicas=draw(st.integers(1, 2))))
+    for index in range(draw(st.integers(1, 4))):
+        topology.add_bridge(Bridge(f"b{index}"))
+    nodes = topology.node_names()
+    wired = draw(st.sets(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        .filter(lambda pair: pair[0] < pair[1]), max_size=14))
+    for source, destination in sorted(wired):
+        properties = LinkProperties(
+            latency=draw(st.sampled_from([0.001, 0.002, 0.003])),
+            bandwidth=draw(st.sampled_from([1e6, 5e6, 1e9])))
+        direction = draw(st.sampled_from(["both", "forward", "backward"]))
+        if direction == "backward":
+            source, destination = destination, source
+        topology.add_link(source, destination, properties,
+                          bidirectional=direction == "both")
+    topology.add_service(Service("oneway"))
+    topology.add_link("b0", "oneway", LinkProperties(latency=0.001),
+                      bidirectional=False)
+    topology.add_service(Service("island", replicas=2))
+    topology.add_bridge(Bridge("shore"))
+    topology.add_link("island", "shore", LinkProperties(latency=0.002))
+    return topology
+
+
+class TestTreesOnFirstUse:
+    @settings(max_examples=60, deadline=None)
+    @given(topology=routed_topologies(), data=st.data())
+    def test_any_order_of_questions_gets_the_oracles_answers(self, topology,
+                                                             data):
+        clear_collapse_cache()
+        try:
+            shaped = topology.copy()
+            link = next(iter(shaped.links()))
+            shaped.update_link(link.source, link.destination,
+                               bandwidth=4321.0, loss=0.125)
+            oracle = eager_table(topology)
+            views = [(collapse(topology), oracle),                  # miss
+                     (collapse(topology.copy()), oracle),           # hit
+                     (collapse(shaped), eager_table(shaped))]   # incremental
+            assert len({id(view._routing) for view, _oracle in views}) == 1
+            containers = topology.container_names()
+            names = st.sampled_from(containers + ["ghost.0"])
+            for _ in range(data.draw(st.integers(1, 12))):
+                view, oracle = data.draw(st.sampled_from(views))
+                question = data.draw(st.sampled_from(
+                    ["path", "reachable_from", "pair_count", "paths"]))
+                if question == "path":
+                    source, destination = data.draw(names), data.draw(names)
+                    assert view.path(source, destination) == \
+                        oracle.get((source, destination))
+                elif question == "reachable_from":
+                    source = data.draw(names)
+                    assert view.reachable_from(source) == [
+                        destination for destination in containers
+                        if (source, destination) in oracle]
+                elif question == "pair_count":
+                    assert view.pair_count() == len(oracle)
+                else:
+                    assert view.paths() == list(oracle.values())
+        finally:
+            clear_collapse_cache()
+
+    def test_two_threads_racing_on_one_source_get_equal_paths(self):
+        topology = scale_free_topology()
+        oracle = eager_table(topology)
+        source = topology.container_names()[0]
+        wanted = [pair for pair in oracle if pair[0] == source]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                collapsed = collapse(topology, memo=False)
+                barrier = threading.Barrier(4, timeout=10)
+                answers = []
+
+                def ask():
+                    barrier.wait()
+                    answers.append([collapsed.path(*pair) for pair in wanted])
+
+                threads = [threading.Thread(target=ask) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert answers == [[oracle[pair] for pair in wanted]] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("build", TOPOLOGIES.values(),
+                             ids=TOPOLOGIES.keys())
+    def test_a_tree_built_later_is_of_the_collapsed_instant(self, build):
+        """A latency edit to the live topology after ``collapse`` must not
+        reach a tree that had not been built yet."""
+        topology = build()
+        collapsed = collapse(topology, memo=False)
+        oracle = eager_table(topology)
+        for link in list(topology.links()):
+            topology.update_link(link.source, link.destination,
+                                 latency=link.properties.latency * 7 + 0.1)
+        assert collapsed.paths() == list(oracle.values())
+
+
+def test_signatures_are_what_they_were_when_each_was_a_separate_pass():
+    """Recorded at 3fc02a0, before one walk fed both digests."""
+    from repro.core import topology_signature
+    from repro.scenario.topologies import scale_free
+    pinned = [
+        (figure1_topology(), "d17dd2acfec1c18b1129632276677501",
+         "0086d2bca0a55c8e092d5ad675bfc735"),
+        (scale_free(110, seed=11).compile().topology,
+         "0d29a6af2904df69191cbe89ab076811",
+         "0c1b7c686f26e46b806fafe01cff7370"),
+    ]
+    for topology, full, routing in pinned:
+        assert topology_signature(topology) == full
+        assert topology_signature(topology, routing_only=True) == routing

@@ -9,8 +9,9 @@ Two families of guarantees from docs/performance.md are pinned here:
   ``tests/golden/fair_share_allocations.json``);
 * the collapse memo's three tiers (hit / incremental: shared trees, fresh
   property map / full recompute) trigger exactly when the structural topology signature says
-  they should, observed through the telemetry counters the production
-  code maintains.
+  they should, and a shortest-path tree is built by the first lookup from
+  its source and by nothing else, observed through the telemetry counters
+  the production code maintains.
 """
 
 import sys
@@ -218,6 +219,48 @@ class TestCollapseMemo:
         assert len(first.paths()) == pairs
         assert counter("collapse.paths_built") == pairs
         assert counter("collapse.pairs") == pairs       # one recompute
+
+    def test_trees_are_built_by_the_first_lookup_from_a_source(self, traced):
+        topology = small_topology()
+        services = len(topology.services)
+        first = collapse(topology)            # telemetry on: counts pairs
+        assert counter("collapse.pairs") == first.pair_count() > 0
+        assert counter("collapse.trees_built") == 0
+        a, b, c = topology.container_names()[:3]
+        first.path(a, b)
+        first.path(a, c)
+        first.reachable_from(a)
+        assert counter("collapse.trees_built") == 1
+        # A hit and an incremental view share the trees, and add to them.
+        second = collapse(topology.copy())
+        shaped = topology.copy()
+        link = next(iter(shaped.links()))
+        shaped.update_link(link.source, link.destination, loss=0.25)
+        third = collapse(shaped)
+        assert counter("collapse.incremental_recomputes") == 1
+        second.rtt(a, b)
+        third.path(b, a)
+        assert counter("collapse.trees_built") == 2
+        assert len(third.paths()) == first.pair_count()
+        assert counter("collapse.trees_built") == services
+        first.paths()
+        assert counter("collapse.trees_built") == services
+
+    def test_probing_thirty_pairs_builds_at_most_sixty_trees(self, traced):
+        """``scale_free_install``'s shape: 287 services, 30 ping pairs."""
+        from repro.experiments.table4 import pick_pairs
+        from repro.scenario import ping
+        bare = scale_free(430, seed=1).compile()
+        pairs = pick_pairs(bare, seed=1, pair_count=30)
+        builder = scale_free(430, seed=1)
+        for a, b in pairs:
+            builder.workload(ping(a, b, count=3, interval=0.05, key=(a, b)))
+        run = builder.deploy(machines=4, seed=1, duration=0.5,
+                             enforce_bandwidth_sharing=False).compile().run()
+        assert all(len(run.metric(pair).latency) == 3 for pair in pairs)
+        sources = {name.split(".")[0] for pair in pairs for name in pair}
+        assert counter("collapse.trees_built") == len(sources) <= 60
+        assert counter("collapse.pairs") == 287 * 286
 
     def test_bandwidth_only_change_recomposes_incrementally(self, traced):
         topology = small_topology()

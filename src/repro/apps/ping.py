@@ -102,15 +102,14 @@ class Pinger:
         self.stats.sent += 1
         request = Packet(self.source, self.destination, self.size_bits,
                          kind="icmp-echo", created=self.sim.now)
-        self.plane.send(request, self._on_request_delivered,
-                        on_drop=self._on_lost)
+        self.plane.send(request, self._on_request_delivered, self._on_lost)
         if self._next < self.count:
             self.sim.after(self.interval, self._send_next)
 
     def _on_request_delivered(self, request: Packet) -> None:
         reply = Packet(self.destination, self.source, self.size_bits,
                        kind="icmp-reply", created=request.created)
-        self.plane.send(reply, self._on_reply, on_drop=self._on_lost)
+        self.plane.send(reply, self._on_reply, self._on_lost)
 
     def _on_reply(self, reply: Packet) -> None:
         self.stats.rtts.append(self.sim.now - reply.created)

@@ -78,14 +78,8 @@ class UdpBlaster:
         self.stats.sent += 1
         datagram = Packet(self.source, self.destination, self.datagram_bits,
                           kind="udp", created=self.sim.now)
-        try:
-            self.plane.send(datagram, self._on_delivered,
-                            on_drop=self._on_dropped,
-                            on_backpressure=self._on_blocked)
-        except TypeError:
-            # Planes without a back-pressure hook (full-state network).
-            self.plane.send(datagram, self._on_delivered,
-                            on_drop=self._on_dropped)
+        self.plane.send(datagram, self._on_delivered, self._on_dropped,
+                        self._on_blocked)
         self.sim.after(self.interval, self._send_next)
 
     def _on_delivered(self, datagram: Packet) -> None:

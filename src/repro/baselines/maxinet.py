@@ -117,8 +117,10 @@ class MaxinetEmulator:
     def reachable(self, source: str, destination: str) -> bool:
         return self.network.reachable(source, destination)
 
-    def send(self, packet: Packet, deliver, *, on_drop=None) -> None:
-        """Forward with tunnelling delay added per cross-worker hop."""
+    def send(self, packet: Packet, deliver, on_drop=None,
+             on_backpressure=None) -> None:
+        """Forward with tunnelling delay added per cross-worker hop
+        (:meth:`DataPlane.send`; nothing here pushes back)."""
         path = self.network.collapsed.path(packet.source, packet.destination)
         extra = 0.0
         if path is not None:

@@ -172,7 +172,9 @@ class FullStateNetwork:
     def link_for_id(self, link_id: int) -> PacketLink:
         return self._links[link_id]
 
-    def send(self, packet: Packet, deliver, *, on_drop=None) -> None:
+    def send(self, packet: Packet, deliver, on_drop=None,
+             on_backpressure=None) -> None:
+        """:meth:`DataPlane.send`; links drop, they never push back."""
         path = self.collapsed.path(packet.source, packet.destination)
         if path is None:
             if on_drop is not None:

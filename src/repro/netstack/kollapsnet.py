@@ -71,8 +71,7 @@ class KollapsDataPlane:
             delay += self.physical_network_delay
         return delay
 
-    def send(self, packet: Packet,
-             deliver: Callable[[Packet], None], *,
+    def send(self, packet: Packet, deliver: Callable[[Packet], None],
              on_drop: Optional[Callable[[Packet], None]] = None,
              on_backpressure: Optional[Callable[[Packet, float], None]] = None
              ) -> None:
@@ -83,20 +82,26 @@ class KollapsDataPlane:
         blocked/zero-byte socket write) or, absent that handler, silently
         retries at that time — matching blocking-I/O semantics.
         """
-        tcal = self.tcal_for(packet.source)
+        source = packet.source
+        destination = packet.destination
         try:
-            shaping = tcal.shaping_for(packet.destination)
+            shaping = self._tcals[source].chains[destination]
         except KeyError:
-            if on_drop is not None:
-                on_drop(packet)
-            return
-        chain = (packet.source, packet.destination)
-        waiting = self._blocked.get(chain)
-        if waiting:
-            # Senders already blocked on this chain go first (FIFO order,
-            # like writers queued on a socket).
+            tcal = self.tcal_for(source)        # raises: no such sender
+            try:
+                shaping = tcal.shaping_for(destination)     # first use
+            except KeyError:
+                if on_drop is not None:
+                    on_drop(packet)
+                return
+        chain = (source, destination)
+        blocked = self._blocked
+        if blocked and on_backpressure is None and blocked.get(chain):
+            # Writers already blocked on this chain go first (FIFO order,
+            # like writers queued on a socket).  A non-blocking sender
+            # never joins them: it gets admission or EAGAIN, below.
             self.backpressure_events += 1
-            waiting.append((packet, deliver, on_drop))
+            blocked[chain].append((packet, deliver, on_drop))
             return
         try:
             release = shaping.egress(self.sim.now, packet.size_bits)
@@ -111,7 +116,7 @@ class KollapsDataPlane:
             else:
                 # Blocking semantics: the packet waits and is carried
                 # later, so it is queueing delay, not refused demand.
-                self._blocked.setdefault(chain, deque()).append(
+                blocked.setdefault(chain, deque()).append(
                     (packet, deliver, on_drop))
                 self._schedule_drain(chain, pressure.retry_at)
             return

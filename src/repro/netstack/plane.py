@@ -13,6 +13,7 @@ PACKET_PLANE = "packet"
 BULK_PLANE = "bulk"
 
 DeliveryCallback = Callable[[Packet], None]
+BackpressureCallback = Callable[[Packet, float], None]
 
 
 class DataPlane(Protocol):
@@ -26,9 +27,17 @@ class DataPlane(Protocol):
     paper's "unmodified application" property.
     """
 
-    def send(self, packet: Packet, deliver: DeliveryCallback, *,
-             on_drop: Optional[DeliveryCallback] = None) -> None:
-        """Inject ``packet``; ``deliver`` fires at the destination."""
+    def send(self, packet: Packet, deliver: DeliveryCallback,
+             on_drop: Optional[DeliveryCallback] = None,
+             on_backpressure: Optional[BackpressureCallback] = None) -> None:
+        """Inject ``packet``; ``deliver`` fires at the destination.
+
+        ``on_drop`` fires instead when the network loses it.  A plane whose
+        sender-side queue can refuse a packet calls ``on_backpressure``
+        with the earliest retry time, or — given none — holds the packet
+        until the queue drains; planes that never refuse ignore it.  Both
+        may be passed positionally.
+        """
         ...
 
     def reachable(self, source: str, destination: str) -> bool:

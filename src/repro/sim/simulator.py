@@ -5,9 +5,10 @@ Design notes
 The kernel is a classic calendar queue built on :mod:`heapq`.  Events are
 ordered by ``(time, priority, sequence)``; the monotonically increasing
 sequence number makes the ordering total and therefore the whole simulation
-deterministic for a fixed set of seeds.  That key is stored on the heap as a
-plain tuple beside the event, so every comparison the heap makes is a C
-tuple compare.
+deterministic for a fixed set of seeds.  The heap entry *is* the event: a
+list whose first three items are that key, so every comparison the heap
+makes is a C list compare that never reaches the callback, and scheduling
+costs one allocation.
 
 Callbacks are plain callables.  Periodic activities (the Kollaps emulation
 loop, application request generators, the fluid-engine integrator) are
@@ -16,9 +17,10 @@ modelled as :class:`Process` objects which reschedule themselves.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Any, Callable, Optional, Tuple
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Any, Callable, Optional
 
 __all__ = ["Simulator", "Event", "Process", "SimError"]
 
@@ -29,30 +31,30 @@ class SimError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. scheduling in the past)."""
 
 
-class Event:
-    """A scheduled callback: the handle :meth:`Simulator.at` returns.
+class Event(list):
+    """A scheduled callback: the handle :meth:`Simulator.at` returns, and
+    the heap entry itself — ``[time, priority, seq, callback, args, label]``.
 
-    The queue orders events by the ``(time, priority, seq)`` key it stores
-    beside each one; the event itself is never compared.
+    ``seq`` is unique, so comparing two entries is decided by the key and
+    never looks at the callback.  Only :class:`Simulator` builds these.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled",
-                 "label")
+    __slots__ = ()
 
-    def __init__(self, time: float, priority: int, seq: int,
-                 callback: Callable[..., None], args: Tuple[Any, ...] = (),
-                 label: str = "") -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.label = label
+    time = property(itemgetter(0))
+    priority = property(itemgetter(1))
+    seq = property(itemgetter(2))
+    args = property(itemgetter(4))
+    label = property(itemgetter(5))
+
+    @property
+    def cancelled(self) -> bool:
+        return self[3] is None
 
     def cancel(self) -> None:
-        """Mark the event so the dispatcher skips it (O(1) lazy deletion)."""
-        self.cancelled = True
+        """Clear the callback so the dispatcher skips the entry (O(1) lazy
+        deletion; a no-op on an event that already fired)."""
+        self[3] = None
 
     def __repr__(self) -> str:
         return (f"Event(time={self.time!r}, priority={self.priority!r}, "
@@ -64,17 +66,12 @@ class Simulator:
     """Event loop with a simulated clock starting at time 0.0 seconds."""
 
     def __init__(self) -> None:
-        # Heap of (time, priority, seq, event): seq is unique, so tuple
-        # comparison never reaches the event.
-        self._queue: list[Tuple[float, int, int, Event]] = []
+        self._queue: list[Event] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute, because
+        #: every callback reads it; only the kernel writes it.
+        self.now = 0.0
         self.events_dispatched = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     def at(self, time: float, callback: Callable[..., None], *args: Any,
            priority: int = 0, label: str = "") -> Event:
@@ -84,25 +81,22 @@ class Simulator:
         schedule a bound method without allocating a closure per event.
         ``label`` is for constant strings only — never format one per event.
         """
-        if not self._now <= time < _INF:        # also false for NaN
+        if not self.now <= time < _INF:         # also false for NaN
             raise SimError(
-                f"cannot schedule event at {time!r}, now is {self._now:.9f}")
-        return self._push(time, priority, callback, args, label)
+                f"cannot schedule event at {time!r}, now is {self.now:.9f}")
+        event = Event((time, priority, next(self._seq), callback, args,
+                       label))
+        heappush(self._queue, event)
+        return event
 
     def after(self, delay: float, callback: Callable[..., None], *args: Any,
               priority: int = 0, label: str = "") -> Event:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if not 0.0 <= delay < _INF:             # also false for NaN
             raise SimError(f"delay must be finite and non-negative: {delay!r}")
-        time = self._now + delay
-        return self._push(time, priority, callback, args, label)
-
-    def _push(self, time: float, priority: int,
-              callback: Callable[..., None], args: Tuple[Any, ...],
-              label: str) -> Event:
-        seq = next(self._seq)
-        event = Event(time, priority, seq, callback, args, label)
-        heapq.heappush(self._queue, (time, priority, seq, event))
+        event = Event((self.now + delay, priority, next(self._seq),
+                       callback, args, label))
+        heappush(self._queue, event)
         return event
 
     def run(self, until: Optional[float] = None) -> float:
@@ -113,34 +107,33 @@ class Simulator:
         compose naturally.  Returns the final simulated time.
         """
         queue = self._queue
-        pop = heapq.heappop
         horizon = _INF if until is None else until
         while queue and queue[0][0] <= horizon:
-            time, _priority, _seq, event = pop(queue)
-            if event.cancelled:
+            time, _priority, _seq, callback, args, _label = heappop(queue)
+            if callback is None:                # cancelled
                 continue
-            self._now = time
+            self.now = time
             self.events_dispatched += 1
-            event.callback(*event.args)
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+            callback(*args)
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Dispatch a single event.  Returns False when the queue is empty."""
-        while self._queue:
-            time, _priority, _seq, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = time
-            self.events_dispatched += 1
-            event.callback(*event.args)
-            return True
+        queue = self._queue
+        while queue:
+            time, _priority, _seq, callback, args, _label = heappop(queue)
+            if callback is not None:            # else cancelled: next
+                self.now = time
+                self.events_dispatched += 1
+                callback(*args)
+                return True
         return False
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for entry in self._queue if not entry[3].cancelled)
+        return sum(1 for event in self._queue if event[3] is not None)
 
 
 class Process:

@@ -65,9 +65,16 @@ class PathShaping:
         (shaping delay applied), or ``None`` if netem dropped it.  Raises
         :class:`BackPressure` when the htb queue is full.
         """
-        added_delay = self.netem.process()
-        if added_delay is None:
-            return None
+        netem = self.netem
+        if netem.loss > 0.0 or netem.jitter > 0.0:
+            added_delay = netem.process()
+            if added_delay is None:
+                return None
+        else:
+            # Nothing to draw: process() would count the packet and hand
+            # back the latency without touching the RNG.
+            netem.packets_delayed += 1
+            added_delay = netem.latency
         release = self.htb.enqueue(now, size_bits)
         self.bits_since_poll += size_bits
         return release + added_delay
@@ -95,7 +102,9 @@ class Tcal:
         self.rng = rng
         self.filter = U32Filter()
         self.qdisc = HtbQdisc(default_rate)
-        self._paths: Dict[str, PathShaping] = {}
+        #: destination -> chain, for the chains that exist.  The data plane
+        #: reads it once per packet; only this class writes it.
+        self.chains: Dict[str, PathShaping] = {}
         # destination -> collapsed path (or None) in the state in force.
         self._row: Callable[[str], Optional[object]] = _no_row
         self._next_class = 1
@@ -137,7 +146,7 @@ class Tcal:
                             jitter: float, loss: float, bandwidth: float,
                             distribution: str = "normal") -> PathShaping:
         """Create (or reconfigure) the shaping chain towards a destination."""
-        existing = self._paths.get(destination)
+        existing = self.chains.get(destination)
         if existing is not None:
             existing.netem.configure(latency=latency, jitter=jitter,
                                      loss=loss, distribution=distribution)
@@ -153,13 +162,13 @@ class Tcal:
         self._next_class += 1
         self.filter.add_match(address, class_id)
         shaping = PathShaping(class_id, netem, htb_class, destination)
-        self._paths[destination] = shaping
+        self.chains[destination] = shaping
         if telemetry.enabled():
             telemetry.metrics.counter("tc.chains_built").inc()
         return shaping
 
     def remove_destination(self, destination: str) -> None:
-        shaping = self._paths.pop(destination, None)
+        shaping = self.chains.pop(destination, None)
         if shaping is None:
             raise KeyError(f"no shaping chain towards {destination!r}")
         self.filter.remove_match(self.allocator.lookup(destination))
@@ -167,19 +176,19 @@ class Tcal:
 
     def destinations(self) -> Tuple[str, ...]:
         """The destinations whose chain exists, in creation order."""
-        return tuple(self._paths)
+        return tuple(self.chains)
 
     def has_destination(self, destination: str) -> bool:
         """Whether traffic towards ``destination`` has a chain to take:
         one exists, or the row in force reaches it."""
-        return destination in self._paths or \
+        return destination in self.chains or \
             self._row(destination) is not None
 
     def shaping_for(self, destination: str) -> PathShaping:
         """The chain towards ``destination`` — built from the row in force
         if this is its first use; ``KeyError`` when unreachable."""
         try:
-            return self._paths[destination]
+            return self.chains[destination]
         except KeyError:
             path = self._row(destination)
         if path is None:
@@ -228,7 +237,7 @@ class Tcal:
         """
         self.netlink_calls += 1
         active = {}
-        for destination, shaping in self._paths.items():
+        for destination, shaping in self.chains.items():
             if shaping.bits_since_poll or shaping.refused_since_poll:
                 active[destination] = (shaping.bits_since_poll,
                                        shaping.refused_since_poll)

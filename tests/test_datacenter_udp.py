@@ -173,3 +173,22 @@ class TestUdpBlaster:
         with pytest.raises(ValueError):
             UdpBlaster(engine.sim, engine.dataplane, "client", "server",
                        rate=0.0)
+
+    def test_type_error_in_a_callback_propagates_and_sends_once(self):
+        """A ``TypeError`` raised under ``plane.send`` is the callback's
+        bug: it is not a cue to send the datagram a second time."""
+        engine = self.make_engine(loss=1.0)
+        blaster = UdpBlaster(engine.sim, engine.dataplane, "client",
+                             "server", rate=1 * MBPS)
+        raised = []
+
+        def broken_once(_datagram):
+            if not raised:
+                raised.append(True)
+                raise TypeError("callback bug")
+
+        blaster._on_dropped = broken_once
+        with pytest.raises(TypeError, match="callback bug"):
+            engine.run(until=0.001)
+        assert blaster.stats.sent == 1
+        assert engine.dataplane.packets_dropped == 1

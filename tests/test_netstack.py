@@ -1,8 +1,12 @@
 """Packet links, full-state network, Kollaps plane and the short-flow model."""
 
+import inspect
+
 import pytest
 
+from repro.baselines.maxinet import MaxinetEmulator
 from repro.netstack import (
+    DataPlane,
     FullStateNetwork,
     KollapsDataPlane,
     Packet,
@@ -139,6 +143,28 @@ class TestFullStateNetwork:
         assert arrivals[0] == pytest.approx(0.055, rel=1e-3)
 
 
+@pytest.mark.parametrize("plane", [KollapsDataPlane, FullStateNetwork,
+                                   MaxinetEmulator])
+def test_every_plane_has_the_protocol_send_signature(plane):
+    """One ``send`` everywhere, so an application never probes a plane
+    for what it accepts; the optional callbacks may go positionally."""
+    expected = inspect.signature(DataPlane.send).parameters
+    actual = inspect.signature(plane.send).parameters
+    assert list(actual) == list(expected)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in actual.values())
+
+
+def test_full_state_network_accepts_and_ignores_on_backpressure():
+    sim = Simulator()
+    topology = point_to_point(1e9, latency=0.020).compile().topology
+    network = FullStateNetwork(sim, topology)
+    arrivals, refused = [], []
+    network.send(Packet("client", "server", 8000), arrivals.append, None,
+                 lambda p, retry_at: refused.append(p))
+    sim.run()
+    assert len(arrivals) == 1 and refused == []
+
+
 class TestKollapsDataPlane:
     def build(self, machines=("m0", "m0")):
         sim = Simulator()
@@ -244,6 +270,48 @@ class TestKollapsDataPlane:
         assert len(refused) == 1 and refused[0] > 0.0
         assert shaping.refused_since_poll == 800
         assert plane.packets_delivered == 1
+
+    def test_non_blocking_sender_behind_blocked_writers_gets_eagain(self):
+        """A sender that passed ``on_backpressure`` never takes a place in
+        the blocked writers' FIFO: it tries the queue and is refused, and
+        the congestion model sees the load it offered."""
+        sim, plane = self.build()
+        tcal = plane.tcal_for("a")
+        tcal.set_bandwidth("b", 1e6)
+        shaping = tcal.shaping_for("b")
+        delivered, refused = [], []
+        for _ in range(200):                # blocking writers fill the queue
+            plane.send(Packet("a", "b", 12000, kind="tcp"),
+                       lambda p: delivered.append(p.kind))
+        assert plane.backpressure_events > 0
+        plane.send(Packet("a", "b", 11200, kind="udp"),
+                   lambda p: delivered.append(p.kind),
+                   on_backpressure=lambda p, retry_at:
+                   refused.append((p.kind, retry_at)))
+        assert [kind for kind, _ in refused] == ["udp"]
+        assert refused[0][1] > sim.now
+        assert shaping.refused_since_poll == 11200
+        sim.run()
+        assert delivered == ["tcp"] * 200   # abandoned, not carried later
+
+    def test_non_blocking_sender_is_admitted_when_the_queue_has_room(self):
+        sim, plane = self.build()
+        tcal = plane.tcal_for("a")
+        tcal.set_bandwidth("b", 1e4)
+        tcal.shaping_for("b").htb.queue_bits = 1000.0
+        delivered, refused = [], []
+        for tag in range(3):                # 0 admitted, 1 and 2 block
+            plane.send(Packet("a", "b", 800, payload=tag),
+                       lambda p: delivered.append(p.payload))
+        # Just after the first drain admitted writer 1 the queue is full
+        # again; once that packet is out there is room until the next drain.
+        sim.run(until=0.081)
+        plane.send(Packet("a", "b", 100, payload="udp"),
+                   lambda p: delivered.append(p.payload), None,
+                   lambda p, retry_at: refused.append(p.payload))
+        sim.run()
+        assert refused == []
+        assert delivered == [0, 1, "udp", 2]    # ahead of blocked writer 2
 
     def test_unknown_source_raises(self):
         _, plane = self.build()

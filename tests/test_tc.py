@@ -5,11 +5,13 @@ import statistics
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.core.properties import PathProperties
 from repro.tc import IpAllocator, Ipv4Address, NetemQdisc, Tcal, U32Filter
 from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
+from repro.tc.tcal import PathShaping
 
 
 class TestIpv4:
@@ -217,6 +219,61 @@ class TestNetem:
         netem = NetemQdisc(latency=0.010, rng=rng)
         assert [netem.process() for _ in range(10)] == [0.010] * 10
         assert rng.getstate() == before
+
+
+def _the_long_way_round(netem, htb, now, size_bits):
+    """What one packet costs with no short-cut: netem, then htb."""
+    added_delay = netem.process()
+    if added_delay is None:
+        return None
+    return htb.enqueue(now, size_bits) + added_delay
+
+
+class TestPathShapingEgress:
+    """:meth:`PathShaping.egress` may skip netem's calls when they would
+    draw nothing; what comes out — release times to the last bit, the RNG
+    stream, every counter — is what the long way round produces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(latency=st.floats(0.0, 0.5), rate=st.floats(1e3, 1e10),
+           loss=st.sampled_from([0.0, 0.0, 0.3]),
+           jitter=st.sampled_from([0.0, 0.0, 0.004]),
+           packets=st.lists(st.tuples(st.floats(0.0, 0.05),
+                                      st.floats(64.0, 96e3)),
+                            min_size=1, max_size=40))
+    def test_egress_equals_netem_then_htb(self, latency, rate, loss, jitter,
+                                          packets):
+        rng, twin_rng = random.Random(11), random.Random(11)
+        shaping = PathShaping(
+            1, NetemQdisc(latency=latency, jitter=jitter, loss=loss, rng=rng),
+            HtbClass(rate), "destination")
+        netem = NetemQdisc(latency=latency, jitter=jitter, loss=loss,
+                           rng=twin_rng)
+        htb = HtbClass(rate)
+        untouched = rng.getstate()
+        now = carried = 0.0
+        for gap, size_bits in packets:
+            now += gap
+            outcomes = []
+            for egress in (lambda: shaping.egress(now, size_bits),
+                           lambda: _the_long_way_round(netem, htb, now,
+                                                       size_bits)):
+                try:
+                    outcomes.append(egress())
+                except BackPressure as pressure:
+                    outcomes.append(("EAGAIN", pressure.retry_at))
+            assert outcomes[0] == outcomes[1]       # ==: bit-equal floats
+            if isinstance(outcomes[1], float):
+                carried += size_bits
+        assert rng.getstate() == twin_rng.getstate()
+        if loss == 0.0 and jitter == 0.0:
+            assert rng.getstate() == untouched
+        assert shaping.bits_since_poll == carried
+        assert (shaping.netem.packets_delayed, shaping.netem.packets_dropped,
+                shaping.htb.packets_sent, shaping.htb.bits_sent,
+                shaping.htb.backpressure_events) == (
+            netem.packets_delayed, netem.packets_dropped,
+            htb.packets_sent, htb.bits_sent, htb.backpressure_events)
 
 
 class TestTcal:

@@ -18,13 +18,18 @@ property.
   backs off (§3's loss-insensitive traffic).
 """
 
-from repro.apps.iperf import IperfResult, run_iperf_pair
-from repro.apps.ping import PingStats, Pinger
-from repro.apps.http import CurlSwarm, HttpServer, Wrk2Client
-from repro.apps.kvstore import KvServer, MemtierClient
-from repro.apps.cassandra import CassandraCluster, YcsbClient
-from repro.apps.smr import SmrDeployment
-from repro.apps.udpgen import UdpBlaster, UdpStats
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "iperf": ("IperfResult", "run_iperf_pair"),
+    "ping": ("PingStats", "Pinger"),
+    "http": ("CurlSwarm", "HttpServer", "Wrk2Client"),
+    "kvstore": ("KvServer", "MemtierClient"),
+    "cassandra": ("CassandraCluster", "YcsbClient"),
+    "smr": ("SmrDeployment",),
+    "udpgen": ("UdpBlaster", "UdpStats"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "run_iperf_pair",

@@ -24,6 +24,7 @@ figure and ablation of the paper's evaluation is a campaign too, via
 :func:`repro.experiments.base.as_campaign`.
 """
 
+from repro._lazy import lazy_exports
 from repro.campaign.aggregate import Aggregate
 from repro.campaign.builder import Campaign, CampaignResult, load_campaign
 from repro.campaign.executor import (
@@ -35,12 +36,9 @@ from repro.campaign.executor import (
 from repro.campaign.grid import BackendEntry, CampaignError, Point, \
     expand_grid
 from repro.campaign.store import ResultStore
-from repro.campaign.distributed import (
-    Coordinator,
-    FleetEvent,
-    Worker,
-    run_fleet,
-)
+
+_LAZY = {"distributed": ("Coordinator", "FleetEvent", "Worker", "run_fleet")}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Aggregate",

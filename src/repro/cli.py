@@ -78,7 +78,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.scenario import Scenario, flow
 from repro.units import UnitError, format_rate, format_time, parse_rate
 
 __all__ = ["main", "build_parser"]
@@ -98,8 +97,10 @@ def _parse_flow(spec: str):
         f"flow must be src:dst or src:dst:rate, got {spec!r}")
 
 
-def _load_scenario(args: argparse.Namespace) -> Scenario:
+def _load_scenario(args: argparse.Namespace):
     """The description file as a builder, with any scenario script merged."""
+    from repro.scenario import Scenario
+
     builder = Scenario.from_file(args.experiment)
     script_path = getattr(args, "scenario", None)
     if script_path is not None:
@@ -418,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------- subcommands
 def _command_run(args: argparse.Namespace) -> int:
     from repro.dashboard import Dashboard
+    from repro.scenario import flow
 
     builder = _load_scenario(args)
     # Command-line knobs override the scenario's own deploy() settings
@@ -511,7 +513,7 @@ def _command_validate(args: argparse.Namespace) -> int:
 def _command_plan(args: argparse.Namespace) -> int:
     from repro.orchestration import render_plan
 
-    compiled = Scenario.from_file(args.experiment).compile()
+    compiled = _load_scenario(args).compile()
     try:
         problems = compiled.validate_backend(args.backend)
     except ValueError as error:
@@ -536,7 +538,7 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _scenario_script(args: argparse.Namespace) -> int:
-    compiled = Scenario.from_file(args.experiment).compile()
+    compiled = _load_scenario(args).compile()
     with open(args.script, encoding="utf-8") as handle:
         schedule = compiled.compile_script(handle.read())
     for event in schedule:
@@ -569,6 +571,7 @@ def _scenario_lint(args: argparse.Namespace) -> int:
 
 
 def _scenario_diff(args: argparse.Namespace) -> int:
+    from repro.scenario import Scenario
     from repro.scenario.dsl import ScnError, diff_scenarios
     from repro.topology.model import TopologyError
     compiled = []
@@ -989,11 +992,14 @@ def _command_reproduce(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro import telemetry
-
     args = build_parser().parse_args(argv)
-    telemetry.configure_logging(
-        -1 if args.log_quiet else args.log_verbose)
+    from repro import telemetry         # after parsing: --help loads none
+
+    # Only the campaign fleet logs; the other verbs load `logging` when
+    # asked to be louder or quieter than the default.
+    if args.command == "campaign" or args.log_quiet or args.log_verbose:
+        telemetry.configure_logging(
+            -1 if args.log_quiet else args.log_verbose)
     if getattr(args, "trace", None):
         # enable() also exports REPRO_TRACE so campaign pool workers and
         # fleet subprocesses trace into the same directory.

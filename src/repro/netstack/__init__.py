@@ -14,12 +14,14 @@ Bulk TCP/UDP throughput is modelled by the time-stepped fluid engine in
 times by the analytic model in :mod:`repro.netstack.shortflow`.
 """
 
+from repro._lazy import lazy_exports
 from repro.netstack.packet import Packet
-from repro.netstack.link import PacketLink
 from repro.netstack.plane import DataPlane
-from repro.netstack.fullnet import FullStateNetwork
 from repro.netstack.kollapsnet import KollapsDataPlane
-from repro.netstack.shortflow import short_flow_transfer_time
+
+_LAZY = {"link": ("PacketLink",), "fullnet": ("FullStateNetwork",),
+         "shortflow": ("short_flow_transfer_time",)}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Packet",

@@ -34,6 +34,7 @@ Kollaps and the paper's §5 comparator systems through
 See ``docs/api.md`` for the full quickstart and the backend guide.
 """
 
+from repro._lazy import lazy_exports
 from repro.scenario.backends import (
     BackendCapabilities,
     BackendCompatibilityError,
@@ -75,24 +76,14 @@ from repro.scenario.workloads import (
     udp_blast,
 )
 
-# The declarative DSL toolbox (kept after the builder imports above —
-# repro.scenario.dsl builds on builder/backends/workloads).
-from repro.scenario.dsl import (
-    Diagnostic,
-    DifferentialReport,
-    ScnError,
-    diff_scenarios,
-    dump_scn,
-    dumps_scn,
-    fuzz_campaign,
-    fuzz_corpus,
-    generate_scenario,
-    lint_file,
-    lint_scenario,
-    load_scn,
-    loads_scn,
-    run_differential,
-)
+# The declarative DSL toolbox (repro.scenario.dsl) loads on first use: a
+# run that never lints, diffs or fuzzes does not compile it.
+_LAZY = {"dsl": (
+    "Diagnostic", "ScnError", "load_scn", "loads_scn", "dump_scn",
+    "dumps_scn", "lint_file", "lint_scenario", "diff_scenarios",
+    "generate_scenario", "fuzz_corpus", "fuzz_campaign",
+    "DifferentialReport", "run_differential")}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Scenario",

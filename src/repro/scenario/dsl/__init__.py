@@ -14,31 +14,20 @@ Four parts built on the `.scn` canonical format (see docs/scenarios.md):
   structured findings.
 """
 
-from repro.scenario.dsl.diff import DiffEntry, ScenarioDiff, diff_scenarios
-from repro.scenario.dsl.differential import (
-    DifferentialReport,
-    Divergence,
-    project_common,
-    run_differential,
-)
-from repro.scenario.dsl.format import (
-    ScnError,
-    dump_scn,
-    dumps_scn,
-    load_scn,
-    loads_scn,
-    scenario_from_scn,
-    scn_document,
-)
-from repro.scenario.dsl.fuzz import (
-    FuzzBudget,
-    fuzz_campaign,
-    fuzz_corpus,
-    fuzz_point,
-    generate_scenario,
-)
-from repro.scenario.dsl.lint import lint_file, lint_scenario
-from repro.scenario.dsl.schema import SCN_VERSION, Diagnostic, validate_document
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "diff": ("DiffEntry", "ScenarioDiff", "diff_scenarios"),
+    "differential": ("DifferentialReport", "Divergence", "project_common",
+                     "run_differential"),
+    "format": ("ScnError", "dump_scn", "dumps_scn", "load_scn", "loads_scn",
+               "scenario_from_scn", "scn_document"),
+    "fuzz": ("FuzzBudget", "fuzz_campaign", "fuzz_corpus", "fuzz_point",
+             "generate_scenario"),
+    "lint": ("lint_file", "lint_scenario"),
+    "schema": ("SCN_VERSION", "Diagnostic", "validate_document"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "SCN_VERSION", "Diagnostic", "validate_document",

@@ -27,12 +27,19 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
+from repro._lazy import lazy_exports
 from .spans import NULL_SPAN, NullSpan, Span, Stopwatch, Tracer, clock
 from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                       MetricsRegistry)
-from .export import (format_summary, format_top, load_metrics, load_trace,
-                     summarize, to_chrome, top_spans, write_metrics)
-from .logs import configure_logging, get_logger
+
+# The trace readers and `logging` load on first use: a run that traces
+# nothing and logs nothing pays for neither.
+_LAZY = {
+    "export": ("format_summary", "format_top", "load_metrics", "load_trace",
+               "summarize", "to_chrome", "top_spans"),
+    "logs": ("configure_logging", "get_logger"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "span", "enable", "disable", "enabled", "tracer", "flush",
@@ -105,6 +112,7 @@ def flush() -> None:
     if _tracer is not None:
         _tracer.flush()
         if _tracer.directory is not None:
+            from .export import write_metrics
             write_metrics(_tracer.directory, metrics.snapshot())
 
 

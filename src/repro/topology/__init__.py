@@ -11,6 +11,7 @@ Descriptions are read through :class:`repro.scenario.Scenario`
 fluent builder), which compiles to the model defined here.
 """
 
+from repro._lazy import lazy_exports
 from repro.topology.model import (
     Bridge,
     Link,
@@ -24,11 +25,10 @@ from repro.topology.events import (
     EventAction,
     EventSchedule,
 )
-from repro.topology.thunderstorm import (
-    ThunderstormError,
-    compile_scenario,
-    parse_scenario,
-)
+
+_LAZY = {"thunderstorm": ("ThunderstormError", "compile_scenario",
+                          "parse_scenario")}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Topology",

@@ -1,8 +1,11 @@
-"""``setup.py``'s contract: ``src/`` runs on the standard library alone."""
+"""``setup.py``'s contract: ``src/`` runs on the standard library alone,
+and every package under it is one ``find_packages`` sees."""
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "repro"
 
@@ -34,3 +37,14 @@ def third_party_imports():
 
 def test_source_imports_only_the_standard_library():
     assert third_party_imports() == ALLOWED
+
+
+def test_setup_finds_every_package():
+    """A directory without ``__init__.py`` — ``src/repro`` itself was one —
+    is silently left out of ``pip install .``."""
+    find_packages = pytest.importorskip("setuptools").find_packages
+    holding_an_init = {
+        ".".join(path.parent.relative_to(PACKAGE.parent).parts)
+        for path in PACKAGE.rglob("__init__.py")}
+    assert "repro" in holding_an_init
+    assert set(find_packages(where=str(PACKAGE.parent))) == holding_an_init

@@ -19,12 +19,11 @@ hash, so an interrupted campaign resumes exactly where it stopped) and an
               .backends("kollaps", "baremetal")
               .run(jobs=4, store="campaigns"))
 
-The CLI front end is ``repro campaign run|status|report``; every table,
-figure and ablation of the paper's evaluation is a campaign too, via
-:func:`repro.experiments.base.as_campaign`.
+The CLI front end is ``repro campaign run|status|report|compact``; every
+table, figure and ablation of the paper's evaluation is a campaign too,
+via :func:`repro.experiments.base.as_campaign`.
 """
 
-from repro._lazy import lazy_exports
 from repro.campaign.aggregate import Aggregate
 from repro.campaign.builder import Campaign, CampaignResult, load_campaign
 from repro.campaign.executor import (
@@ -37,9 +36,6 @@ from repro.campaign.grid import BackendEntry, CampaignError, Point, \
     expand_grid
 from repro.campaign.store import ResultStore
 
-_LAZY = {"distributed": ("Coordinator", "FleetEvent", "Worker", "run_fleet")}
-__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
-
 __all__ = [
     "Aggregate",
     "BackendEntry",
@@ -47,15 +43,11 @@ __all__ = [
     "CampaignError",
     "CampaignEvent",
     "CampaignResult",
-    "Coordinator",
-    "FleetEvent",
     "Point",
     "PointResult",
     "ResultStore",
-    "Worker",
     "execute_points",
     "expand_grid",
     "load_campaign",
-    "run_fleet",
     "run_point",
 ]

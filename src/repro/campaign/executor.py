@@ -11,7 +11,10 @@ kills the sweep.
 .ProcessPoolExecutor`.  Workers hand back the *serialized* run
 (:meth:`ScenarioRun.to_dict`) because a live engine does not cross a
 process boundary; the parent reconstructs a metrics-only
-:class:`ScenarioRun` via :meth:`ScenarioRun.from_dict`.  Factories that
+:class:`ScenarioRun` via :meth:`ScenarioRun.from_dict`.  A point that
+kills its worker process (``os._exit``, a signal, the OOM killer) breaks
+the pool; the points it took down rerun one at a time in fresh processes,
+so the crash is charged to the point that caused it alone.  Factories that
 cannot be pickled (closures, REPL lambdas) degrade to in-process serial
 execution with a ``fallback`` progress event instead of failing.
 """
@@ -24,6 +27,7 @@ import pickle
 import sys
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from inspect import Parameter, signature
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -322,26 +326,41 @@ def execute_points(factory: Callable, points: Sequence[Point], *,
         report.results = report.sorted_results()
         return report
 
+    def submit(pool: ProcessPoolExecutor, point: Point):
+        return pool.submit(_pool_task, None if ref else factory, ref,
+                           point.to_dict(), until)
+
+    def collect(future, point: Point) -> PointResult:
+        try:
+            return PointResult.from_record(future.result(), point,
+                                           source="pool")
+        except Exception as error:  # noqa: BLE001 — the whole job is capture
+            cause = ("worker process died"
+                     if isinstance(error, BrokenProcessPool)
+                     else "worker failed")
+            return PointResult(
+                point=point, status="error",
+                error=f"{cause}: {type(error).__name__}: {error}")
+
+    orphaned: List[Point] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {}
         for point in pending:
             notify(CampaignEvent(kind="start", point=point))
-            futures[pool.submit(_pool_task, None if ref else factory,
-                                ref, point.to_dict(), until)] = point
+            futures[submit(pool, point)] = point
         remaining = set(futures)
         while remaining:
             done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
             for future in done:
-                point = futures[future]
-                try:
-                    record = future.result()
-                    result = PointResult.from_record(record, point,
-                                                     source="pool")
-                except Exception as error:  # worker died (OOM, signal, ...)
-                    result = PointResult(
-                        point=point, status="error",
-                        error=f"worker failed: {type(error).__name__}: "
-                              f"{error}")
-                finish(result)
+                if isinstance(future.exception(), BrokenProcessPool):
+                    orphaned.append(futures[future])
+                else:
+                    finish(collect(future, futures[future]))
+    # A dying worker breaks the whole pool and fails every unfinished
+    # point with it.  Each of those reruns alone in a fresh process, so
+    # only the point that kills its own worker is recorded as an error.
+    for point in sorted(orphaned, key=lambda point: point.index):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            finish(collect(submit(pool, point), point))
     report.results = report.sorted_results()
     return report

@@ -14,12 +14,12 @@ One directory per campaign (``campaigns/<name>/`` by default) holding:
   run while untouched ones still resume).
 
 A half-written trailing line (the in-flight point at kill time) is
-skipped on load rather than poisoning the resume.
+skipped on load rather than poisoning the resume, and the next append
+starts a fresh line after it; :meth:`ResultStore.compact` drops it.
 """
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 from typing import Dict, Iterable, List, Mapping, Optional
@@ -43,9 +43,8 @@ def encode_record(record: Mapping) -> str:
 def read_records(path: str) -> Dict[str, dict]:
     """hash -> latest record from one JSONL file, last-wins.
 
-    Corrupt lines — the half-written tail of a killed writer, whether a
-    campaign process or a fleet worker's shard — are skipped rather than
-    poisoning the load.
+    Corrupt lines — the half-written tail of a killed campaign process —
+    are skipped rather than poisoning the load.
     """
     records: Dict[str, dict] = {}
     if not os.path.exists(path):
@@ -80,27 +79,22 @@ class ResultStore:
 
     # ---------------------------------------------------------------- write
     def append(self, record: Mapping) -> None:
-        """Persist one point record (must carry its ``hash``) durably."""
-        self.append_many([record])
+        """Persist one point record (must carry its ``hash``) durably.
 
-    def append_many(self, records: Iterable[Mapping]) -> int:
-        """Persist a batch of records under one open + one fsync.
-
-        The per-record :meth:`append` fsync is the right durability for a
-        live sweep (lose at most the in-flight point), but a bulk path —
-        the fleet coordinator merging a whole shard, a store migration —
-        would pay one disk barrier per record for no extra safety: the
-        batch is all-or-nothing anyway.  Returns the number written.
+        One fsync per record: a killed sweep loses at most the point that
+        was in flight.  A torn tail the killed writer left is terminated
+        first, so the record after it stays a line of its own.
         """
-        lines = [encode_record(record) for record in records]
-        if not lines:
-            return 0
+        line = encode_record(record).encode("utf-8")
         os.makedirs(self.directory, exist_ok=True)
-        with open(self.results_path, "a", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        with open(self.results_path, "ab+") as handle:
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
-        return len(lines)
 
     def write_manifest(self, spec: Mapping) -> None:
         os.makedirs(self.directory, exist_ok=True)
@@ -112,11 +106,6 @@ class ResultStore:
     def load(self) -> Dict[str, dict]:
         """hash -> latest record; corrupt (half-written) lines are skipped."""
         return read_records(self.results_path)
-
-    def shard_paths(self) -> List[str]:
-        """Per-worker shard files a distributed run left under this store."""
-        return sorted(glob.glob(os.path.join(self.directory, "shards",
-                                             "*.jsonl")))
 
     def manifest(self) -> Optional[dict]:
         if not os.path.exists(self.manifest_path):
@@ -160,57 +149,28 @@ class ResultStore:
         return sorted(digest for digest in records if digest not in live)
 
     # ----------------------------------------------------------- compaction
-    def _record_lines(self, path: str) -> int:
-        count = 0
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
-                count = sum(1 for line in handle if line.strip())
-        return count
-
     def compact(self) -> Dict[str, int]:
-        """Garbage-collect the store: one record per hash, no shard files.
+        """Garbage-collect the store: one record per hash.
 
-        A long-lived sweep accumulates superseded lines — ``--fresh``
-        reruns, retried errors, a fleet's reassigned leases — plus the
-        per-worker shard files a distributed run already merged into
-        ``results.jsonl``.  ``compact()`` rewrites ``results.jsonl`` with
-        exactly the last-wins survivors (in stable hash order), first
-        salvaging any shard record the coordinator died before merging,
-        then deletes the shard files.  The rewrite goes through a
-        temporary file + ``os.replace``, so a crash mid-compaction leaves
-        either the old or the new store, never a truncated one.
+        A long-lived sweep accumulates superseded lines (``--fresh``
+        reruns, retried errors) and possibly the torn tail of a killed
+        run.  ``compact()`` rewrites ``results.jsonl`` with exactly the
+        last-wins survivors, in stable hash order.  The rewrite goes
+        through a temporary file + ``os.replace``, so a crash
+        mid-compaction leaves either the old or the new store, never a
+        truncated one.  Only compact a store no sweep is appending to.
 
         Returns the reclamation report: ``records_kept``,
-        ``records_dropped`` (superseded or duplicate lines removed),
-        ``records_salvaged`` (unmerged shard records adopted),
-        ``shards_removed`` and ``bytes_reclaimed``.  Running it twice is a
-        no-op: the second pass keeps every record and reclaims 0 bytes.
-
-        Only compact a quiescent campaign — a live fleet is still
-        appending to the shards this deletes.
+        ``records_dropped`` (superseded, duplicate or torn lines removed)
+        and ``bytes_reclaimed``.  Running it twice is a no-op: the second
+        pass keeps every record and reclaims 0 bytes.
         """
-        shard_files = self.shard_paths()
-        lines_before = self._record_lines(self.results_path) + sum(
-            self._record_lines(path) for path in shard_files)
-        bytes_before = sum(
-            os.path.getsize(path)
-            for path in [self.results_path] + shard_files
-            if os.path.exists(path))
+        lines_before = bytes_before = 0
+        if os.path.exists(self.results_path):
+            bytes_before = os.path.getsize(self.results_path)
+            with open(self.results_path, encoding="utf-8") as handle:
+                lines_before = sum(1 for line in handle if line.strip())
         records = self.load()
-        salvaged = 0
-        for path in shard_files:
-            for digest, record in read_records(path).items():
-                canonical = records.get(digest)
-                if canonical is None:
-                    records[digest] = record
-                    salvaged += 1
-                elif record.get("status") in RESUMABLE_STATUSES and \
-                        canonical.get("status") not in RESUMABLE_STATUSES:
-                    # The retry a crashed coordinator never merged beats
-                    # the stale error it was retrying — the same rule the
-                    # fleet's own resume salvage applies.
-                    records[digest] = record
-                    salvaged += 1
         os.makedirs(self.directory, exist_ok=True)
         scratch = self.results_path + ".compact"
         with open(scratch, "w", encoding="utf-8") as handle:
@@ -219,14 +179,7 @@ class ResultStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(scratch, self.results_path)
-        for path in shard_files:
-            os.remove(path)
-        shards_dir = os.path.join(self.directory, "shards")
-        if os.path.isdir(shards_dir) and not os.listdir(shards_dir):
-            os.rmdir(shards_dir)
-        bytes_after = os.path.getsize(self.results_path)
         return {"records_kept": len(records),
                 "records_dropped": lines_before - len(records),
-                "records_salvaged": salvaged,
-                "shards_removed": len(shard_files),
-                "bytes_reclaimed": bytes_before - bytes_after}
+                "bytes_reclaimed":
+                    bytes_before - os.path.getsize(self.results_path)}

@@ -57,16 +57,8 @@ exposing ``SCENARIO``) to a runnable experiment.
         python -m repro.cli campaign report fig5 --baseline baremetal
         python -m repro.cli campaign compact fig5
 
-    Distributed execution (:mod:`repro.campaign.distributed`) spreads one
-    sweep across hosts sharing the store directory: ``serve`` runs the
-    lease-granting coordinator, ``work`` one shard-writing worker, and
-    ``fleet`` either simulates a whole fleet locally (``--workers N``) or
-    emits the compose/k8s deployment for a real one (``--plan``)::
-
-        python -m repro.cli campaign fleet table2 --workers 4
-        python -m repro.cli campaign serve table2 &          # host A
-        python -m repro.cli campaign work table2             # hosts B, C...
-        python -m repro.cli campaign fleet table2 --workers 4 --plan swarm
+    Every sweep runs on this host; ``--jobs N`` is the only scale-out
+    knob (docs/campaigns.md, "The evaluation on one host").
 """
 
 from __future__ import annotations
@@ -126,12 +118,6 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Kollaps reproduction toolchain")
-    parser.add_argument("-v", "--verbose", dest="log_verbose",
-                        action="count", default=0,
-                        help="log INFO (-v) or DEBUG (-vv) from the repro "
-                             "logger to stderr")
-    parser.add_argument("-q", dest="log_quiet", action="store_true",
-                        help="only log errors")
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="run an emulation experiment")
@@ -290,95 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="write the report here instead of "
                                       "stdout")
 
-    def _add_fleet_tuning(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument("--lease-size", type=int, default=4,
-                               help="points per lease batch (default: 4)")
-        subparser.add_argument("--lease-timeout", type=float, default=60.0,
-                               help="seconds without a heartbeat before a "
-                                    "worker's lease is reassigned "
-                                    "(default: 60)")
-        subparser.add_argument("--machines", type=int, default=None,
-                               help="bound concurrently working workers by "
-                                    "a simulated cluster of N machines "
-                                    "(default: unbounded)")
-        subparser.add_argument("--poll", type=float, default=0.2,
-                               help="control-plane poll interval in seconds")
-        subparser.add_argument("--timeout", type=float, default=None,
-                               help="give up after this many seconds "
-                                    "without fleet progress (resets on "
-                                    "every completed point)")
-
-    campaign_serve = campaign_commands.add_parser(
-        "serve", help="run the fleet coordinator for a distributed sweep")
-    _add_campaign_source(campaign_serve)
-    _add_fleet_tuning(campaign_serve)
-    serve_freshness = campaign_serve.add_mutually_exclusive_group()
-    serve_freshness.add_argument("--resume", dest="resume",
-                                 action="store_true", default=True,
-                                 help="skip points the store already has "
-                                      "(default)")
-    serve_freshness.add_argument("--fresh", dest="resume",
-                                 action="store_false",
-                                 help="re-execute every point")
-    campaign_serve.add_argument("--quiet", action="store_true",
-                                help="suppress the fleet event feed")
-    _add_trace_argument(campaign_serve)
-
-    campaign_work = campaign_commands.add_parser(
-        "work", help="run one fleet worker against a served campaign")
-    _add_campaign_source(campaign_work)
-    campaign_work.add_argument("--worker", default=None, metavar="ID",
-                               help="worker id (default: <host>-<pid>; "
-                                    "names this worker's shard file)")
-    campaign_work.add_argument("--poll", type=float, default=0.2)
-    campaign_work.add_argument("--timeout", type=float, default=None,
-                               help="give up after this many seconds "
-                                    "without coordinator progress (keep "
-                                    "it above ~15s — the coordinator "
-                                    "beats its state at least that often "
-                                    "while alive)")
-    campaign_work.add_argument("--fail-after", type=int, default=None,
-                               metavar="N",
-                               help="fault injection: die (stop "
-                                    "heartbeating) after executing N "
-                                    "points")
-    campaign_work.add_argument("--grace", type=float, default=None,
-                               help="seconds a pre-existing 'done' state "
-                                    "must survive unchanged before this "
-                                    "worker trusts it and exits — the "
-                                    "window you have to start 'serve' "
-                                    "after the workers (default: 10; "
-                                    "0 trusts it immediately)")
-    campaign_work.add_argument("--quiet", action="store_true")
-    _add_trace_argument(campaign_work)
-
-    campaign_fleet = campaign_commands.add_parser(
-        "fleet", help="simulate a coordinator + N workers locally, or "
-                      "emit the fleet's deployment plan")
-    _add_campaign_source(campaign_fleet)
-    _add_fleet_tuning(campaign_fleet)
-    campaign_fleet.add_argument("--workers", type=int, default=2,
-                                help="fleet size (default: 2)")
-    fleet_freshness = campaign_fleet.add_mutually_exclusive_group()
-    fleet_freshness.add_argument("--resume", dest="resume",
-                                 action="store_true", default=True)
-    fleet_freshness.add_argument("--fresh", dest="resume",
-                                 action="store_false")
-    campaign_fleet.add_argument("--quiet", action="store_true")
-    campaign_fleet.add_argument("--plan", choices=("swarm", "kubernetes"),
-                                default=None,
-                                help="emit the compose/k8s fleet document "
-                                     "instead of running anything")
-    _add_trace_argument(campaign_fleet)
-
     campaign_compact = campaign_commands.add_parser(
-        "compact", help="garbage-collect a store: drop superseded records "
-                        "and merged shard files")
+        "compact", help="garbage-collect a store: drop superseded records")
     _add_campaign_source(campaign_compact)
-    campaign_compact.add_argument("--force", action="store_true",
-                                  help="compact even when the fleet state "
-                                       "says a coordinator is serving "
-                                       "(it crashed)")
 
     trace = commands.add_parser(
         "trace", help="inspect telemetry traces recorded with --trace / "
@@ -796,111 +696,20 @@ def _print_campaign_outcome(result, monitor=None) -> int:
 
 
 def _campaign_store(args: argparse.Namespace, campaign):
-    # One path-derivation authority: Campaign._store, so serve/work/
-    # compact can never read a different directory than run/fleet.
+    # One path-derivation authority: Campaign._store, so status and
+    # compact can never read a different directory than run.
     return campaign._store(args.store)
 
 
-def _campaign_serve(args: argparse.Namespace) -> int:
-    from repro.campaign.distributed import Coordinator
-    from repro.cluster import Cluster
-    from repro.dashboard import FleetMonitor
-
-    campaign = _load_campaign(args)
-    if campaign is None:
-        return 1
-    points = campaign.points()
-    print(campaign.describe(points), file=sys.stderr)
-    monitor = FleetMonitor(total=len(points),
-                           stream=None if args.quiet else sys.stderr)
-    cluster = None if args.machines is None else Cluster(args.machines)
-    coordinator = Coordinator(campaign, _campaign_store(args, campaign),
-                              cluster=cluster, lease_size=args.lease_size,
-                              lease_timeout=args.lease_timeout,
-                              resume=args.resume, progress=monitor)
-    try:
-        result = coordinator.serve(poll=args.poll, timeout=args.timeout)
-    except TimeoutError as error:
-        print(f"fleet timed out: {error}", file=sys.stderr)
-        return 1
-    return _print_campaign_outcome(result, monitor)
-
-
-def _campaign_work(args: argparse.Namespace) -> int:
-    from repro.campaign.distributed import Worker, default_worker_id
-
-    campaign = _load_campaign(args)
-    if campaign is None:
-        return 1
-    store = _campaign_store(args, campaign)
-    worker = Worker(campaign, store.directory,
-                    args.worker or default_worker_id(),
-                    max_points=args.fail_after,
-                    stale_done_grace=args.grace,
-                    progress=(None if args.quiet else
-                              lambda line: print(line, file=sys.stderr)))
-    try:
-        executed = worker.run(poll=args.poll, timeout=args.timeout)
-    except TimeoutError as error:
-        print(f"worker timed out: {error}", file=sys.stderr)
-        return 1
-    print(f"worker {worker.worker_id}: executed {executed} point(s)")
-    return 0
-
-
-def _campaign_fleet(args: argparse.Namespace) -> int:
-    campaign = _load_campaign(args)
-    if campaign is None:
-        return 1
-    if args.plan is not None:
-        from repro.orchestration import campaign_fleet_plan, render_plan
-        plan = campaign_fleet_plan(args.campaign_source, args.workers,
-                                   orchestrator=args.plan)
-        print(f"# campaign fleet plan ({plan.orchestrator}): "
-              f"1 coordinator + {args.workers} worker(s), shared "
-              f"'campaigns' volume")
-        print(render_plan(plan), end="")
-        return 0
-    from repro.campaign.distributed import run_fleet
-    from repro.cluster import Cluster
-    from repro.dashboard import FleetMonitor
-
-    points = campaign.points()
-    print(campaign.describe(points), file=sys.stderr)
-    monitor = FleetMonitor(total=len(points),
-                           stream=None if args.quiet else sys.stderr)
-    cluster = None if args.machines is None else Cluster(args.machines)
-    try:
-        result = run_fleet(campaign, workers=args.workers, store=args.store,
-                           cluster=cluster, lease_size=args.lease_size,
-                           lease_timeout=args.lease_timeout,
-                           resume=args.resume, poll=args.poll,
-                           timeout=args.timeout, progress=monitor)
-    except TimeoutError as error:
-        print(f"fleet timed out: {error}", file=sys.stderr)
-        return 1
-    return _print_campaign_outcome(result, monitor)
-
-
 def _campaign_compact(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignError
-    from repro.campaign.distributed import ensure_quiescent
-
     campaign = _load_campaign(args)
     if campaign is None:
         return 1
     store = _campaign_store(args, campaign)
-    try:
-        ensure_quiescent(store, force=args.force)
-    except CampaignError as error:
-        print(f"not compacting: {error}", file=sys.stderr)
-        return 1
     report = store.compact()
     print(f"compacted {store.directory}: kept {report['records_kept']} "
           f"record(s), dropped {report['records_dropped']} superseded "
-          f"line(s), salvaged {report['records_salvaged']} unmerged shard "
-          f"record(s), removed {report['shards_removed']} shard file(s), "
-          f"reclaimed {report['bytes_reclaimed']} bytes")
+          f"line(s), reclaimed {report['bytes_reclaimed']} bytes")
     return 0
 
 
@@ -909,9 +718,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
         "run": _campaign_run,
         "status": _campaign_status,
         "report": _campaign_report,
-        "serve": _campaign_serve,
-        "work": _campaign_work,
-        "fleet": _campaign_fleet,
         "compact": _campaign_compact,
     }
     return handlers[args.campaign_command](args)
@@ -995,14 +801,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     from repro import telemetry         # after parsing: --help loads none
 
-    # Only the campaign fleet logs; the other verbs load `logging` when
-    # asked to be louder or quieter than the default.
-    if args.command == "campaign" or args.log_quiet or args.log_verbose:
-        telemetry.configure_logging(
-            -1 if args.log_quiet else args.log_verbose)
     if getattr(args, "trace", None):
-        # enable() also exports REPRO_TRACE so campaign pool workers and
-        # fleet subprocesses trace into the same directory.
+        # enable() also exports REPRO_TRACE so campaign pool workers
+        # trace into the same directory.
         telemetry.enable(args.trace)
     handlers = {
         "run": _command_run,

@@ -69,31 +69,5 @@ class Cluster:
             self.machines[names[index % len(names)]].host(container)
         return self.placement()
 
-    def acquire(self, container: str, *, per_machine: int = 1
-                ) -> Optional[str]:
-        """Place ``container`` on the first machine hosting fewer than
-        ``per_machine`` others; None when the cluster is full.
-
-        This is the fleet coordinator's capacity model: campaign workers
-        occupy machines like containers do, so a 3-machine cluster bounds
-        a sweep at 3 concurrently leased workers (per_machine=1) however
-        many processes ask to join.
-        """
-        if per_machine < 1:
-            raise ValueError("per_machine must be >= 1")
-        for machine in self.machines.values():
-            if len(machine.containers) < per_machine:
-                machine.host(container)
-                return machine.name
-        return None
-
-    def evict(self, container: str) -> Optional[str]:
-        """Remove a placement (a dead fleet worker frees its machine)."""
-        for machine in self.machines.values():
-            if container in machine.containers:
-                machine.containers.remove(container)
-                return machine.name
-        return None
-
     def __len__(self) -> int:
         return len(self.machines)

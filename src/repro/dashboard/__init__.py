@@ -1,6 +1,6 @@
 """Textual experiment monitor (the web dashboard's terminal stand-in)."""
 
-from repro.dashboard.monitor import CampaignMonitor, Dashboard, FleetMonitor
+from repro.dashboard.monitor import CampaignMonitor, Dashboard
 from repro.dashboard.graphview import (
     render_adjacency,
     render_collapsed_matrix,
@@ -11,7 +11,6 @@ from repro.dashboard.graphview import (
 __all__ = [
     "CampaignMonitor",
     "Dashboard",
-    "FleetMonitor",
     "render_adjacency",
     "render_collapsed_matrix",
     "render_flow_history",

@@ -7,11 +7,11 @@ phases or piping into logs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO
 
 from repro.units import format_rate, format_time
 
-__all__ = ["Dashboard", "CampaignMonitor", "FleetMonitor"]
+__all__ = ["Dashboard", "CampaignMonitor"]
 
 
 class Dashboard:
@@ -180,201 +180,3 @@ class CampaignMonitor:
             lines.extend("    " + event for event in self.events[-5:])
         return "\n".join(lines)
 
-
-class FleetMonitor:
-    """A distributed campaign's control-room pane: workers and deltas.
-
-    Duck-typed against :class:`repro.campaign.distributed.coordinator
-    .FleetEvent` (anything with ``kind``/``time``/``worker``/``point``/
-    ``status``/``lease_id``/``count``/``detail``/``rows``), keeping the
-    dashboard import-independent of the campaign package.  Pass an
-    instance as ``Coordinator(progress=...)`` (or ``run_fleet(progress=
-    ...)``): it tracks per-worker lease/heartbeat state and maintains
-    *live aggregate deltas* — a running mean of every (backend, workload)
-    headline statistic, updated as each shard record merges, with the
-    shift the newest merge caused.  :meth:`render` is the whole pane;
-    ``stream`` tees a feed line per consequential event.
-    """
-
-    def __init__(self, total: Optional[int] = None, *,
-                 stream: Optional[TextIO] = None,
-                 log_limit: int = 200) -> None:
-        self.total = total
-        self.stream = stream
-        self.log_limit = log_limit
-        self.completed = 0
-        self.counts: Dict[str, int] = {}
-        self.events: List[str] = []
-        self.now = 0.0
-        #: worker -> {"status", "machine", "lease", "leased", "done",
-        #:            "last_seen", "first_seen", "metrics"}
-        self.workers: Dict[str, Dict[str, object]] = {}
-        #: (backend, workload) -> [count, mean, last delta]
-        self.aggregates: Dict[Tuple[str, str], List[float]] = {}
-
-    # ------------------------------------------------------------- ingestion
-    def _worker(self, name: str) -> Dict[str, object]:
-        return self.workers.setdefault(
-            name, {"status": "?", "machine": "", "lease": None,
-                   "leased": 0, "done": 0, "last_seen": self.now,
-                   "first_seen": self.now, "metrics": None})
-
-    def __call__(self, event) -> None:
-        kind = event.kind
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.now = max(self.now, getattr(event, "time", 0.0))
-        line = None
-        if kind == "serve":
-            self.total = event.count if self.total is None else self.total
-            line = f"serving {event.count} points ({event.detail})"
-        elif kind == "join":
-            state = self._worker(event.worker)
-            state["status"], state["machine"] = "live", event.detail
-            state["last_seen"] = self.now
-            line = f"{event.worker} joined" + (
-                f" on {event.detail}" if event.detail else "")
-        elif kind == "wait":
-            self._worker(event.worker)["status"] = "waiting"
-            line = f"{event.worker} waiting — {event.detail}"
-        elif kind == "lease":
-            state = self._worker(event.worker)
-            state["status"], state["lease"] = "live", event.lease_id
-            state["leased"], state["done"] = event.count, 0
-            line = f"{event.worker} leased {event.count} points " \
-                   f"(lease {event.lease_id})"
-        elif kind == "heartbeat":
-            state = self._worker(event.worker)
-            state["last_seen"] = self.now
-            snapshot = getattr(event, "metrics", None)
-            if isinstance(snapshot, dict):
-                state["metrics"] = snapshot
-            if state["status"] == "suspect":
-                state["status"] = "live"
-        elif kind == "merge":
-            self.completed = max(self.completed, event.count)
-            state = self._worker(event.worker)
-            state["done"] = int(state["done"]) + 1
-            deltas = [self._merge_row(*row) for row in event.rows]
-            where = event.point.describe() if event.point is not None else ""
-            suffix = ("  " + "; ".join(deltas)) if deltas else ""
-            line = f"[{self.completed}/{self.total or '?'}] " \
-                   f"{event.status} {where} via {event.worker}{suffix}"
-        elif kind == "expire":
-            state = self._worker(event.worker)
-            state["status"], state["lease"] = "suspect", None
-            line = f"{event.worker} lease {event.lease_id} expired — " \
-                   f"{event.detail}"
-        elif kind == "done":
-            line = f"fleet done: {event.count} points in the store"
-        if line is not None:
-            self.events.append(line)
-            if len(self.events) > self.log_limit:
-                del self.events[:len(self.events) - self.log_limit]
-            if self.stream is not None:
-                print(line, file=self.stream)
-
-    def _merge_row(self, backend: str, workload: str, value: float) -> str:
-        """Fold one merged headline value into the running aggregate."""
-        cell = self.aggregates.setdefault((backend, workload),
-                                          [0.0, 0.0, 0.0])
-        count, mean, _last = cell
-        new_mean = (mean * count + value) / (count + 1)
-        cell[0], cell[1], cell[2] = count + 1, new_mean, new_mean - mean
-        return (f"{workload}@{backend} mean {new_mean:g} "
-                f"({new_mean - mean:+g})")
-
-    # ------------------------------------------------------------ telemetry
-    @staticmethod
-    def _metric(snapshot: Dict, name: str, field: str = "value") -> float:
-        doc = snapshot.get(name)
-        if not isinstance(doc, dict):
-            return 0.0
-        value = doc.get(field, 0.0)
-        return float(value) if value is not None else 0.0
-
-    def worker_telemetry(self, name: str) -> Optional[Dict[str, float]]:
-        """Derived live stats from a worker's latest heartbeat snapshot.
-
-        Returns None until that worker has shipped metrics.  ``rate`` is
-        points completed per second of fleet time since the worker was
-        first seen; ``solver_share``/``collapse_share`` are fractions of
-        the worker's busy seconds spent in the fair-share solver and the
-        collapse respectively (0.0 when tracing was off on the worker).
-        """
-        state = self.workers.get(name)
-        if state is None or not isinstance(state["metrics"], dict):
-            return None
-        snapshot = state["metrics"]
-        points = self._metric(snapshot, "worker.points")
-        busy = self._metric(snapshot, "worker.busy_seconds")
-        alive = max(self.now - float(state["first_seen"]), 1e-9)
-        waits = snapshot.get("worker.lease_wait_seconds", {})
-        wait_count = waits.get("count", 0) if isinstance(waits, dict) else 0
-        wait_sum = waits.get("sum", 0.0) if isinstance(waits, dict) else 0.0
-        return {
-            "points": points,
-            "rate": points / alive,
-            "busy": busy,
-            "solver_share": (self._metric(
-                snapshot, "worker.sharing.solver_seconds") / busy
-                if busy else 0.0),
-            "collapse_share": (self._metric(
-                snapshot, "worker.collapse.seconds") / busy
-                if busy else 0.0),
-            "lease_wait_mean": (wait_sum / wait_count
-                                if wait_count else 0.0),
-        }
-
-    def render_telemetry(self) -> str:
-        """The live points/sec and time-breakdown pane per worker."""
-        rows = []
-        for name in sorted(self.workers):
-            stats = self.worker_telemetry(name)
-            if stats is None:
-                continue
-            breakdown = ""
-            if stats["busy"]:
-                breakdown = (f", solver {stats['solver_share']*100:.0f}% "
-                             f"collapse {stats['collapse_share']*100:.0f}% "
-                             f"of {stats['busy']:.2f}s busy")
-            rows.append(f"  {name}: {int(stats['points'])} points "
-                        f"({stats['rate']:.2f}/s)"
-                        f"{breakdown}, "
-                        f"lease wait {stats['lease_wait_mean']:.2f}s")
-        if not rows:
-            return "telemetry:\n  (no worker metrics yet)"
-        return "telemetry:\n" + "\n".join(rows)
-
-    # --------------------------------------------------------------- render
-    def render(self, *, width: int = 40) -> str:
-        """Progress bar + per-worker lease/heartbeat table + deltas."""
-        total = self.total if self.total else max(self.completed, 1)
-        filled = int(width * min(self.completed / total, 1.0))
-        bar = "#" * filled + "-" * (width - filled)
-        lines = [f"fleet progress [{bar}] {self.completed}"
-                 f"/{self.total if self.total is not None else '?'}"]
-        if self.workers:
-            lines.append("workers:")
-            for name in sorted(self.workers):
-                state = self.workers[name]
-                lease = ("-" if state["lease"] is None
-                         else f"#{state['lease']} "
-                              f"{state['done']}/{state['leased']}")
-                age = self.now - float(state["last_seen"])
-                machine = f" on {state['machine']}" if state["machine"] else ""
-                lines.append(f"  {name}{machine}: {state['status']}, "
-                             f"lease {lease}, "
-                             f"heartbeat {age:.1f}s ago")
-        if self.aggregates:
-            lines.append("aggregate means (live):")
-            for (backend, workload) in sorted(self.aggregates):
-                count, mean, delta = self.aggregates[(backend, workload)]
-                lines.append(f"  {workload}@{backend}: mean {mean:g} "
-                             f"over {int(count)} ({delta:+g} on last merge)")
-        if any(isinstance(state.get("metrics"), dict)
-               for state in self.workers.values()):
-            lines.append(self.render_telemetry())
-        if self.events:
-            lines.append("recent:")
-            lines.extend("  " + event for event in self.events[-5:])
-        return "\n".join(lines)

@@ -11,8 +11,8 @@ package with the same three parts:
   by roughly what factor, where crossovers fall) as an
   :class:`ExperimentResult`, computed from the sweep's stored
   :class:`~repro.scenario.results.Metrics` alone, so a sweep that went
-  through a process pool, a fleet or a result store reports exactly as a
-  live one does.
+  through a process pool or a result store reports exactly as a live one
+  does.
 
 :func:`experiment` registers the three under an id; the serial runner is
 derived — ``report(campaign(**quick_scale).run(jobs=1))`` — so

@@ -12,7 +12,6 @@ from repro.orchestration.generator import (
     DeploymentGenerator,
     DeploymentPlan,
     KOLLAPS_TAG,
-    campaign_fleet_plan,
 )
 from repro.orchestration.bootstrap import SwarmBootstrapper
 from repro.orchestration.discovery import (
@@ -33,7 +32,6 @@ __all__ = [
     "DeploymentPlan",
     "KOLLAPS_TAG",
     "SwarmBootstrapper",
-    "campaign_fleet_plan",
     "Endpoint",
     "KubernetesDiscovery",
     "ResolutionError",

@@ -10,12 +10,11 @@ PID namespace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.topology.model import Service, Topology
 
-__all__ = ["DeploymentGenerator", "DeploymentPlan", "KOLLAPS_TAG",
-           "campaign_fleet_plan"]
+__all__ = ["DeploymentGenerator", "DeploymentPlan", "KOLLAPS_TAG"]
 
 # The label that tells the Emulation Manager which containers to supervise
 # (the "tag injected in the configuration" of §4).
@@ -153,103 +152,3 @@ class DeploymentGenerator:
         return DeploymentPlan(orchestrator="kubernetes", document=document,
                               placement=placement, needs_bootstrapper=False)
 
-
-# ---------------------------------------------------------------------------
-# Campaign fleets: the coordinator/worker deployment for distributed sweeps.
-# ---------------------------------------------------------------------------
-def campaign_fleet_plan(source: str, workers: int, *,
-                        orchestrator: str = "swarm",
-                        store: str = "/campaigns",
-                        image: str = "kollaps/repro",
-                        machines: Optional[List[str]] = None
-                        ) -> DeploymentPlan:
-    """The deployment document for one campaign's coordinator/worker fleet.
-
-    The fleet's control plane is the campaign store directory itself
-    (:mod:`repro.campaign.distributed`), so the whole deployment is one
-    coordinator, ``workers`` worker replicas, and a shared ``campaigns``
-    volume mounted at ``store`` — no message bus, no service mesh.
-    ``source`` is the campaign source as seen *inside* the containers (a
-    registered experiment id like ``table2``, or a ``.py`` path on the
-    shared volume).  Swarm plans express the fleet as compose services;
-    Kubernetes plans as a coordinator Job plus a worker Job with
-    ``parallelism``, sharing a PersistentVolumeClaim.  Neither needs the
-    privileged bootstrapper: campaign workers run simulations, not
-    ``tc``.
-    """
-    if workers < 1:
-        raise ValueError("a campaign fleet needs at least one worker")
-    if machines is None:
-        machines = [f"host-{index}" for index in range(workers)]
-    serve_command = ["python", "-m", "repro.cli", "campaign", "serve",
-                     source, "--store", store]
-    work_command = ["python", "-m", "repro.cli", "campaign", "work",
-                    source, "--store", store]
-    placement = {"campaign-coordinator": machines[0]}
-    for index in range(workers):
-        placement[f"campaign-worker-{index}"] = machines[index % len(machines)]
-
-    if orchestrator == "swarm":
-        document = {
-            "version": "3.7",
-            "services": {
-                "campaign-coordinator": {
-                    "image": image,
-                    "command": serve_command,
-                    "deploy": {"replicas": 1},
-                    "volumes": [f"campaigns:{store}"],
-                },
-                "campaign-worker": {
-                    "image": image,
-                    "command": work_command,
-                    "deploy": {"replicas": workers},
-                    "volumes": [f"campaigns:{store}"],
-                },
-            },
-            "volumes": {"campaigns": {}},
-        }
-        return DeploymentPlan(orchestrator="swarm", document=document,
-                              placement=placement, needs_bootstrapper=False)
-
-    if orchestrator == "kubernetes":
-        volume = {"name": "campaigns",
-                  "persistentVolumeClaim": {"claimName": "campaigns"}}
-        mount = [{"name": "campaigns", "mountPath": store}]
-        items: List[Dict] = [{
-            "apiVersion": "v1",
-            "kind": "PersistentVolumeClaim",
-            "metadata": {"name": "campaigns"},
-            "spec": {"accessModes": ["ReadWriteMany"],
-                     "resources": {"requests": {"storage": "1Gi"}}},
-        }, {
-            "apiVersion": "batch/v1",
-            "kind": "Job",
-            "metadata": {"name": "campaign-coordinator"},
-            "spec": {"template": {"spec": {
-                "restartPolicy": "OnFailure",
-                "containers": [{"name": "coordinator", "image": image,
-                                "command": serve_command,
-                                "volumeMounts": mount}],
-                "volumes": [volume],
-            }}},
-        }, {
-            "apiVersion": "batch/v1",
-            "kind": "Job",
-            "metadata": {"name": "campaign-worker"},
-            "spec": {
-                "parallelism": workers,
-                "completions": workers,
-                "template": {"spec": {
-                    "restartPolicy": "OnFailure",
-                    "containers": [{"name": "worker", "image": image,
-                                    "command": work_command,
-                                    "volumeMounts": mount}],
-                    "volumes": [volume],
-                }},
-            },
-        }]
-        document = {"apiVersion": "v1", "kind": "List", "items": items}
-        return DeploymentPlan(orchestrator="kubernetes", document=document,
-                              placement=placement, needs_bootstrapper=False)
-
-    raise ValueError(f"unknown orchestrator {orchestrator!r}")

@@ -1,4 +1,4 @@
-"""repro.telemetry — zero-dependency tracing, metrics, and logging.
+"""repro.telemetry — zero-dependency tracing and metrics.
 
 The observability layer of the reproduction.  Three pieces:
 
@@ -10,7 +10,8 @@ The observability layer of the reproduction.  Three pieces:
   directory safely.
 * **Metrics** (:mod:`.metrics`): counters / gauges / fixed-bucket
   histograms in a :class:`.MetricsRegistry` whose snapshots are
-  deterministic plain dicts — picklable, mergeable, heartbeat-sized.
+  deterministic plain dicts — picklable, mergeable and written beside
+  the trace as ``metrics-<pid>.json``.
 * **Export** (:mod:`.export`): trace loading, Chrome ``trace_event``
   conversion for about:tracing / Perfetto, and the per-layer time-share
   summaries behind ``repro trace summary``.
@@ -32,12 +33,11 @@ from .spans import NULL_SPAN, NullSpan, Span, Stopwatch, Tracer, clock
 from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                       MetricsRegistry)
 
-# The trace readers and `logging` load on first use: a run that traces
-# nothing and logs nothing pays for neither.
+# The trace readers load on first use: a run that traces nothing does not
+# pay for them.
 _LAZY = {
     "export": ("format_summary", "format_top", "load_metrics", "load_trace",
                "summarize", "to_chrome", "top_spans"),
-    "logs": ("configure_logging", "get_logger"),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
@@ -48,7 +48,6 @@ __all__ = [
     "metrics",
     "load_trace", "load_metrics", "to_chrome", "summarize", "top_spans",
     "format_summary", "format_top",
-    "configure_logging", "get_logger",
     "TRACE_ENV_VAR",
 ]
 
@@ -58,8 +57,8 @@ __all__ = [
 TRACE_ENV_VAR = "REPRO_TRACE"
 
 #: The process-global metrics registry.  Instrumented modules hang their
-#: counters off this; per-worker registries (fleet) are separate
-#: MetricsRegistry instances.
+#: counters off this; ``load_metrics`` merges the per-process snapshots
+#: of a traced campaign into a fresh MetricsRegistry.
 metrics = MetricsRegistry()
 
 _enabled = False

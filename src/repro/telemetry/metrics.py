@@ -3,10 +3,11 @@
 A :class:`MetricsRegistry` is a named bag of instruments whose
 :meth:`~MetricsRegistry.snapshot` is a plain, deterministically ordered
 dict — picklable, JSON-serialisable, and mergeable.  That shape is the
-whole point: workers embed snapshots in heartbeat documents, the
-coordinator :meth:`~MetricsRegistry.merge`\\ s them into the fleet
-aggregate published in ``fleet/state.json``, and tests compare snapshots
-with ``==``.
+whole point: every traced process (the CLI and each campaign pool
+worker) leaves its snapshot beside its span file,
+:func:`repro.telemetry.load_metrics` :meth:`~MetricsRegistry.merge`\\ s
+them into one view for ``repro trace summary``, and tests compare
+snapshots with ``==``.
 
 Instruments are cheap enough to leave always-on in warm paths (one lock
 acquire + one float add); the *hot* paths (per fluid step, per solver
@@ -170,7 +171,7 @@ class MetricsRegistry:
         """Fold another registry's snapshot into this one.
 
         Counters and histograms add; gauges take the incoming value
-        (last writer wins — fleet gauges are per-worker anyway).
+        (last writer wins — a gauge describes one process anyway).
         """
         for name in sorted(snapshot):
             doc = snapshot[name]
@@ -201,8 +202,8 @@ class MetricsRegistry:
                     ) -> Dict[str, float]:
         """Per-counter increase between an earlier snapshot and now.
 
-        Only counters participate — this is how a worker attributes
-        global solver/collapse time to the single point it just ran.
+        Only counters participate — this is how the engine baseline
+        attributes global solver/collapse work to the one run it timed.
         """
         now = self.snapshot()
         delta: Dict[str, float] = {}

@@ -11,6 +11,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +50,17 @@ def flaky(*, rate, seed=0):
     if rate == 0:
         raise RuntimeError("this grid cell is broken")
     return pair(rate=rate, seed=seed)
+
+
+def crasher(*, rate, seed=0):
+    """Kills its worker process at one grid point, as a segfault would."""
+    if rate == RATES[1] and seed == 1:
+        os._exit(3)
+    return pair(rate=rate, seed=seed)
+
+
+def crashes(point) -> bool:
+    return point.params_dict()["rate"] == RATES[1] and point.seed == 1
 
 
 def pinger(*, rate, seed=0):
@@ -348,6 +364,13 @@ class TestStoreResume:
         resumed = sweep().run(jobs=1, store=store_root)
         assert resumed.skipped == 23
         assert resumed.aggregate().to_csv() == result.aggregate().to_csv()
+        # The rerun record starts a line of its own after the torn one, so
+        # the store alone rebuilds the serial aggregate.
+        stored = sweep().load(store_root).aggregate()
+        serial = sweep().run(jobs=1).aggregate()
+        assert stored.to_csv() == serial.to_csv()
+        assert stored.to_markdown() == serial.to_markdown()
+        assert sweep().run(jobs=1, store=store_root).skipped == 24
 
     def test_fresh_run_supersedes_last_wins(self, tmp_path):
         store = ResultStore(str(tmp_path / "c"))
@@ -388,6 +411,90 @@ class TestStoreResume:
                   .seeds(3).backends("kollaps", "baremetal"))
         assert len(store.orphans(shrunk.points())) == 12
         assert store.manifest()["name"] == "sweep"
+
+
+class TestCompaction:
+    def test_compact_drops_superseded_and_reports(self, tmp_path):
+        store = ResultStore(str(tmp_path / "c"))
+        store.append({"hash": "a", "status": "error", "try": 1})
+        store.append({"hash": "a", "status": "ok", "try": 2})
+        store.append({"hash": "b", "status": "ok"})
+        report = store.compact()
+        assert set(report) == {"records_kept", "records_dropped",
+                               "bytes_reclaimed"}
+        assert report["records_kept"] == 2
+        assert report["records_dropped"] == 1
+        assert report["bytes_reclaimed"] > 0
+        assert store.load()["a"]["try"] == 2
+
+    def test_compact_is_idempotent_and_preserves_aggregate(self, tmp_path):
+        store_root = str(tmp_path)
+        campaign = sweep()
+        campaign.run(jobs=1, store=store_root)
+        campaign.run(jobs=1, store=store_root, resume=False)   # supersede
+        store = ResultStore(os.path.join(store_root, campaign.name))
+        before = sweep().load(store_root).aggregate().to_markdown()
+        report = store.compact()
+        assert report["records_dropped"] == 24         # one stale run
+        after = sweep().load(store_root).aggregate().to_markdown()
+        assert before == after == sweep().run(jobs=1).aggregate().to_markdown()
+        again = store.compact()
+        assert again["records_dropped"] == 0
+        assert again["bytes_reclaimed"] == 0
+
+
+# --------------------------------------------------------------------------
+# Faults the pool and the store must survive: the torn tail above, a point
+# that kills its worker process, and a SIGKILL of the whole run.
+# --------------------------------------------------------------------------
+class TestFaultMatrix:
+    def test_a_point_that_kills_its_worker_fails_alone(self):
+        crashing = (Campaign("crash").scenario(crasher).grid(rate=RATES)
+                    .seeds(3).backends("kollaps"))
+        result = crashing.run(jobs=2)
+        assert result.describe() == "campaign 'crash': 12 points, " \
+                                    "1 error, 11 ok"
+        (failure,) = result.failed()
+        assert crashes(failure.point)
+        assert "worker process died" in failure.error
+        serial = crashing.exclude(crashes).run(jobs=1)
+        assert len(serial) == 11
+        assert result.aggregate().to_csv() == serial.aggregate().to_csv()
+
+    def test_a_killed_run_resumes_to_the_serial_aggregate(self, tmp_path,
+                                                          capsys):
+        from repro.cli import main
+        source = tmp_path / "slow_campaign.py"
+        source.write_text(SLOW_CAMPAIGN_MODULE)
+        store = tmp_path / "campaigns"
+        environment = dict(os.environ,
+                           PYTHONPATH=str(Path(__file__).parent.parent
+                                          / "src"))
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "campaign", "run",
+             str(source), "--store", str(store), "--jobs", "2", "--quiet"],
+            env=environment, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        results = store / "slow-sweep" / "results.jsonl"
+        try:
+            deadline = time.monotonic() + 120
+            while not (results.exists() and results.stat().st_size):
+                assert run.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            if run.poll() is None:
+                os.killpg(run.pid, signal.SIGKILL)    # the CLI and its pool
+            run.wait(timeout=60)
+        stored = len(ResultStore(str(results.parent)).completed())
+        assert 0 < stored < 8
+        assert main(["campaign", "run", str(source), "--store", str(store),
+                     "--jobs", "2", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert f"8 points, 8 ok, {stored} resumed from store" in out
+        serial = load_campaign(str(source)).run(jobs=1).aggregate()
+        assert out.endswith(serial.to_markdown() + "\n")
+        stored_aggregate = load_campaign(str(source)).load(str(store))
+        assert stored_aggregate.aggregate().to_csv() == serial.to_csv()
 
 
 # --------------------------------------------------------------------------
@@ -629,6 +736,32 @@ CAMPAIGN = (Campaign("cli-sweep")
 """
 
 
+# Eight points that each take a tenth of a second, so a run can be killed
+# between its first stored record and its last.
+SLOW_CAMPAIGN_MODULE = """\
+import time
+
+from repro.campaign import Campaign
+from repro.scenario import Scenario, flow
+
+
+def factory(*, rate, seed=0):
+    time.sleep(0.1)
+    return (Scenario.build("slow-sweep")
+            .service("a").service("b")
+            .link("a", "b", latency="1ms", up=rate)
+            .workload(flow("a", "b", key="f"))
+            .deploy(seed=seed, duration=2.0))
+
+
+CAMPAIGN = (Campaign("slow-sweep")
+            .scenario(factory)
+            .grid(rate=[1e6, 2e6])
+            .seeds(4)
+            .backends("kollaps"))
+"""
+
+
 @pytest.fixture
 def campaign_file(tmp_path):
     path = tmp_path / "mini_campaign.py"
@@ -737,3 +870,40 @@ class TestCampaignCli:
         assert main(["campaign", "status", "fig99"]) == 1
         err = capsys.readouterr().err
         assert "fig99" in err and "fig5" in err
+
+    def test_compact_cli(self, campaign_file, tmp_path, capsys):
+        from repro.cli import main
+        store = str(tmp_path / "campaigns")
+        assert main(["campaign", "run", campaign_file, "--store", store,
+                     "--quiet"]) == 0
+        assert main(["campaign", "run", campaign_file, "--store", store,
+                     "--fresh", "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "compact", campaign_file,
+                     "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "kept 4 record(s), dropped 4 superseded line(s), " \
+               "reclaimed " in out
+        assert "shard" not in out and "salvaged" not in out
+        assert main(["campaign", "report", campaign_file,
+                     "--store", store]) == 0   # still readable after GC
+
+    def test_help_lists_exactly_the_pool_verbs(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exit:
+            main(["campaign", "--help"])
+        assert exit.value.code == 0
+        assert "{run,status,report,compact}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "fleet", "sweep.py"],
+        ["campaign", "serve", "sweep.py"],
+        ["-v", "run", "sweep.py"],
+    ], ids=["fleet", "serve", "verbose"])
+    def test_retired_verbs_and_flags_are_usage_errors(self, argv, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro") and "Traceback" not in err

@@ -1,20 +1,16 @@
-"""Tests for the campaign/fleet monitors in repro.dashboard.monitor.
+"""Tests for the campaign monitor in repro.dashboard.monitor.
 
-Both monitors are duck-typed against their event shapes, so these tests
-drive them with the real event dataclasses where convenient and with
-bare namespaces where that proves the decoupling — no engine, no store,
-no clock beyond the timestamps baked into the events.
+The monitor is duck-typed against its event shape, so these tests drive
+it with the real event dataclass where convenient and with bare
+namespaces where that proves the decoupling — no engine, no store.
 """
 
 import io
 from types import SimpleNamespace
 
-import pytest
-
-from repro.campaign.distributed.coordinator import FleetEvent
 from repro.campaign.executor import CampaignEvent
 from repro.campaign.grid import Point
-from repro.dashboard.monitor import CampaignMonitor, FleetMonitor
+from repro.dashboard.monitor import CampaignMonitor
 
 
 def make_point(index=0, seed=1, label="kollaps_def"):
@@ -79,153 +75,3 @@ class TestCampaignMonitor:
         assert monitor.done == 1
         assert "cached" in monitor.events[-1]
 
-
-def worker_snapshot(points=4, busy=8.0, solver=2.0, collapse=1.0,
-                    wait_count=2, wait_sum=1.0):
-    """A heartbeat-shaped metrics snapshot like Worker.metrics produces."""
-    return {
-        "worker.points": {"type": "counter", "value": float(points)},
-        "worker.busy_seconds": {"type": "counter", "value": busy},
-        "worker.sharing.solver_seconds": {"type": "counter",
-                                          "value": solver},
-        "worker.collapse.seconds": {"type": "counter", "value": collapse},
-        "worker.lease_wait_seconds": {
-            "type": "histogram", "buckets": [1.0], "counts": [wait_count, 0],
-            "count": wait_count, "sum": wait_sum,
-            "min": 0.1, "max": 0.9},
-    }
-
-
-class TestFleetMonitor:
-    def drive(self, monitor, *events):
-        for event in events:
-            monitor(event)
-        return monitor
-
-    def test_serve_sets_total(self):
-        monitor = FleetMonitor()
-        monitor(FleetEvent(kind="serve", time=0.0, count=12,
-                           detail="campaigns/fig5"))
-        assert monitor.total == 12
-
-    def test_worker_lifecycle_rendering(self):
-        monitor = self.drive(
-            FleetMonitor(total=8),
-            FleetEvent(kind="join", time=1.0, worker="w0", detail="host-a"),
-            FleetEvent(kind="lease", time=2.0, worker="w0",
-                       lease_id=1, count=4),
-            FleetEvent(kind="heartbeat", time=3.0, worker="w0"))
-        text = monitor.render()
-        assert "w0 on host-a: live, lease #1 0/4" in text
-        assert "heartbeat 0.0s ago" in text
-
-    def test_expire_marks_suspect_heartbeat_revives(self):
-        monitor = self.drive(
-            FleetMonitor(total=8),
-            FleetEvent(kind="join", time=1.0, worker="w0"),
-            FleetEvent(kind="lease", time=1.5, worker="w0",
-                       lease_id=1, count=4),
-            FleetEvent(kind="expire", time=9.0, worker="w0", lease_id=1,
-                       detail="no heartbeat for 7.5s"))
-        assert monitor.workers["w0"]["status"] == "suspect"
-        assert monitor.workers["w0"]["lease"] is None
-        monitor(FleetEvent(kind="heartbeat", time=10.0, worker="w0"))
-        assert monitor.workers["w0"]["status"] == "live"
-
-    def test_merge_updates_progress_and_aggregates(self):
-        monitor = self.drive(
-            FleetMonitor(total=4),
-            FleetEvent(kind="merge", time=2.0, worker="w0",
-                       point=make_point(), status="ok", count=1,
-                       rows=(("kollaps", "goodput", 10.0),)),
-            FleetEvent(kind="merge", time=3.0, worker="w0",
-                       point=make_point(index=1), status="ok", count=2,
-                       rows=(("kollaps", "goodput", 20.0),)))
-        assert monitor.completed == 2
-        count, mean, delta = monitor.aggregates[("kollaps", "goodput")]
-        assert count == 2
-        assert mean == pytest.approx(15.0)
-        assert delta == pytest.approx(5.0)     # 15 - 10 on the last merge
-        text = monitor.render()
-        assert "goodput@kollaps: mean 15 over 2 (+5 on last merge)" in text
-
-    def test_merge_feed_line_streams(self):
-        stream = io.StringIO()
-        monitor = FleetMonitor(total=2, stream=stream)
-        monitor(FleetEvent(kind="merge", time=1.0, worker="w1",
-                           point=make_point(), status="ok", count=1,
-                           rows=(("kollaps", "goodput", 5.0),)))
-        line = stream.getvalue().strip()
-        assert line.startswith("[1/2] ok")
-        assert "via w1" in line and "goodput@kollaps mean 5" in line
-
-    def test_no_telemetry_pane_without_metrics(self):
-        monitor = self.drive(
-            FleetMonitor(total=4),
-            FleetEvent(kind="join", time=0.0, worker="w0"))
-        assert monitor.worker_telemetry("w0") is None
-        assert "telemetry:" not in monitor.render()
-        assert "(no worker metrics yet)" in monitor.render_telemetry()
-
-    def test_heartbeat_metrics_populate_telemetry(self):
-        monitor = self.drive(
-            FleetMonitor(total=8),
-            FleetEvent(kind="join", time=0.0, worker="w0"),
-            FleetEvent(kind="heartbeat", time=10.0, worker="w0",
-                       metrics=worker_snapshot()))
-        stats = monitor.worker_telemetry("w0")
-        assert stats["points"] == 4.0
-        assert stats["rate"] == pytest.approx(0.4)       # 4 pts / 10 s
-        assert stats["busy"] == 8.0
-        assert stats["solver_share"] == pytest.approx(0.25)
-        assert stats["collapse_share"] == pytest.approx(0.125)
-        assert stats["lease_wait_mean"] == pytest.approx(0.5)
-
-    def test_telemetry_pane_renders_rates_and_breakdown(self):
-        monitor = self.drive(
-            FleetMonitor(total=8),
-            FleetEvent(kind="join", time=0.0, worker="w0"),
-            FleetEvent(kind="heartbeat", time=10.0, worker="w0",
-                       metrics=worker_snapshot()))
-        text = monitor.render()
-        assert "telemetry:" in text
-        assert "w0: 4 points (0.40/s)" in text
-        assert "solver 25% collapse 12% of 8.00s busy" in text
-        assert "lease wait 0.50s" in text
-
-    def test_later_heartbeat_replaces_snapshot(self):
-        monitor = self.drive(
-            FleetMonitor(total=8),
-            FleetEvent(kind="join", time=0.0, worker="w0"),
-            FleetEvent(kind="heartbeat", time=5.0, worker="w0",
-                       metrics=worker_snapshot(points=2)),
-            FleetEvent(kind="heartbeat", time=10.0, worker="w0",
-                       metrics=worker_snapshot(points=6)))
-        assert monitor.worker_telemetry("w0")["points"] == 6.0
-
-    def test_untraced_worker_shows_zero_shares(self):
-        snapshot = {"worker.points": {"type": "counter", "value": 3.0}}
-        monitor = self.drive(
-            FleetMonitor(total=8),
-            FleetEvent(kind="join", time=0.0, worker="w0"),
-            FleetEvent(kind="heartbeat", time=6.0, worker="w0",
-                       metrics=snapshot))
-        stats = monitor.worker_telemetry("w0")
-        assert stats["solver_share"] == 0.0
-        assert stats["collapse_share"] == 0.0
-        assert stats["lease_wait_mean"] == 0.0
-
-    def test_duck_typed_heartbeat_without_metrics_attribute(self):
-        # FleetMonitor docs promise duck-typing: an event object lacking
-        # the newer ``metrics`` field must still be ingestible.
-        monitor = FleetMonitor(total=2)
-        monitor(SimpleNamespace(kind="join", time=0.0, worker="w0",
-                                detail=""))
-        monitor(SimpleNamespace(kind="heartbeat", time=1.0, worker="w0"))
-        assert monitor.workers["w0"]["metrics"] is None
-
-    def test_done_event_in_feed(self):
-        stream = io.StringIO()
-        monitor = FleetMonitor(total=3, stream=stream)
-        monitor(FleetEvent(kind="done", time=4.0, count=3))
-        assert "fleet done: 3 points in the store" in stream.getvalue()

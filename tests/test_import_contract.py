@@ -1,7 +1,7 @@
 """The import contract: a process loads the modules it uses.
 
-Every ``repro`` CLI call, campaign pool worker, fleet worker and ledger
-child is a fresh interpreter, and with no bytecode cache an imported module
+Every ``repro`` CLI call, campaign pool worker and ledger child is a
+fresh interpreter, and with no bytecode cache an imported module
 is compiled from source — cold start is proportional to the lines on the
 import path (docs/performance.md, "Cold start").  Each case below runs in
 its own subprocess and lists what ``sys.modules`` held at the end; a new
@@ -24,8 +24,7 @@ ROOT = Path(__file__).parent.parent
 TOOLBOX = (
     "repro.scenario.dsl.fuzz", "repro.scenario.dsl.differential",
     "repro.scenario.dsl.diff", "repro.telemetry.export",
-    "repro.telemetry.logs", "repro.netstack.fullnet",
-    "repro.campaign.distributed", "repro.baselines", "repro.experiments",
+    "repro.netstack.fullnet", "repro.baselines", "repro.experiments",
     "repro.dashboard", "repro.orchestration",
 )
 # `validate` *is* the linter (lint_file, which must name

@@ -1,7 +1,6 @@
-"""Unit tests for repro.telemetry: spans, metrics, export, logging."""
+"""Unit tests for repro.telemetry: spans, metrics, export."""
 
 import json
-import logging
 import pickle
 import threading
 
@@ -14,10 +13,8 @@ from repro.telemetry import (
     NULL_SPAN,
     Stopwatch,
     Tracer,
-    configure_logging,
     format_summary,
     format_top,
-    get_logger,
     load_trace,
     summarize,
     to_chrome,
@@ -460,30 +457,3 @@ class TestExport:
         assert summary["layers"] == {}
         format_summary(summary)                     # must not divide by zero
 
-
-class TestLogging:
-    def test_verbosity_levels(self):
-        assert configure_logging(-1).level == logging.ERROR
-        assert configure_logging(0).level == logging.WARNING
-        assert configure_logging(1).level == logging.INFO
-        assert configure_logging(2).level == logging.DEBUG
-
-    def test_reconfigure_replaces_handler(self):
-        logger = configure_logging(1)
-        configure_logging(2)
-        owned = [h for h in logger.handlers
-                 if getattr(h, "_repro_telemetry", False)]
-        assert len(owned) == 1
-
-    def test_get_logger_prefixes_repro(self):
-        assert get_logger("campaign.worker").name == "repro.campaign.worker"
-        assert get_logger("repro.core").name == "repro.core"
-        assert get_logger("repro").name == "repro"
-
-    def test_messages_reach_stream(self):
-        import io
-        stream = io.StringIO()
-        configure_logging(1, stream=stream)
-        get_logger("test_telemetry").info("lease granted")
-        assert "lease granted" in stream.getvalue()
-        assert "repro.test_telemetry" in stream.getvalue()

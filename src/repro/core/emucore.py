@@ -90,8 +90,9 @@ class EmulationCore:
         return samples
 
     def enforce(self, destination: str, *, bandwidth: Optional[float] = None,
-                loss: Optional[float] = None) -> None:
-        """Step (5): apply the manager's decision through the TCAL.
+                loss: Optional[float] = None) -> bool:
+        """Step (5): apply the manager's decision through the TCAL; whether
+        that took a netlink write.
 
         The enforced rate never drops below twice the activity threshold:
         a chain throttled beneath the threshold would stop producing usage
@@ -101,27 +102,32 @@ class EmulationCore:
             bandwidth = max(bandwidth, 2 * ACTIVE_FLOW_THRESHOLD_BPS)
         if loss is not None:
             loss = min(1.0, max(0.0, loss))
-        self._write(destination, bandwidth, loss)
+        return self._write(destination, bandwidth, loss)
 
     def restore(self, destination: str, bandwidth: float,
-                loss: float) -> None:
-        """Reset a chain to its unconstrained collapsed-path properties.
+                loss: float) -> bool:
+        """Reset a chain to its unconstrained collapsed-path properties;
+        whether that took a netlink write.
 
         Applied to destinations with no active flow: the paper's model
         covers *active* flows only, so an idle chain must offer the path's
         full bandwidth to whatever starts next.
         """
-        self._write(destination, bandwidth, loss)
+        return self._write(destination, bandwidth, loss)
 
     def _write(self, destination: str, bandwidth: Optional[float],
-               loss: Optional[float]) -> None:
+               loss: Optional[float]) -> bool:
         """One netlink write per value the chain does not already carry
         (the steady state of a converged allocation costs none)."""
         tcal = self.tcal
         if not tcal.has_destination(destination):
-            return
+            return False
         shaping = tcal.shaping_for(destination)
+        wrote = False
         if bandwidth is not None and bandwidth != shaping.htb.rate:
             tcal.set_bandwidth(destination, bandwidth)
+            wrote = True
         if loss is not None and loss != shaping.netem.loss:
             tcal.set_netem(destination, loss=loss)
+            wrote = True
+        return wrote

@@ -27,6 +27,26 @@ floor share, the one case in which it can differ from the floor.  None of
 this is observable: every chain carries, after every iteration, exactly
 what rewriting all of them from two fresh solves would have left (see
 ``docs/performance.md``, "The emulation loop").
+
+A converged emulation costs one poll and one publication per period.  An
+iteration is a deterministic function of its inputs — this period's local
+records, the peers' reports, the installed state — and of the manager's
+state (contention, quiet-loop counts, throttled chains) and the chains'.
+When a full iteration wrote nothing, moved no contention state, throttled
+or restored nothing, it left all of that as it found it; it is recorded
+as the *fixed point* ``(state epoch, view version, local records)``, and
+the next iteration whose point compares equal would repeat the same no-op
+to the bit, so it is skipped after the poll and the publication: merge,
+restore, solve and enforce are not run, and ``enforcements`` still counts
+its local flows.  Two reads are not of the point and are handled apart:
+``_merge_global_view`` expires peer reports by ``sim.now``, so the skip
+is taken only while no report is due to expire; ``_estimated_demand``
+reads the live htb rate, which only this manager's own writes (no fixed
+point is recorded after one) or a state install (which clears the fixed
+point) can move.  A peer report bumps the view version only when its
+flows differ from that peer's previous ones — the metadata channel hands
+every receiver of an unchanged publication the same decoded flows, so an
+unchanged report costs an identity test.
 """
 
 from __future__ import annotations
@@ -126,6 +146,11 @@ class EmulationManager:
         # previous collapsed table or capacities is stale.
         self._state_epoch = 0
         self._floor_memo: Optional[_FloorMemo] = None
+        # Bumped whenever the peers' reports, as merged, may differ.
+        self._view_version = 0
+        # The last iteration that changed nothing, as (state epoch, view
+        # version, local records); None when there is none to repeat.
+        self._fixed_point: Optional[Tuple] = None
         # (container, destination) chains this manager has moved off their
         # collapsed-path properties and not yet restored (insertion-ordered
         # so restores happen in a reproducible order).
@@ -148,31 +173,49 @@ class EmulationManager:
         self.collapsed = collapsed
         self.capacities = capacities
         self._state_epoch += 1
+        # The install rewrote the chains the fixed point was read against.
+        self._fixed_point = None
 
     def _on_message(self, message: MetadataMessage) -> None:
         if message.sender == self.manager_index:
             return
+        report = self._remote.get(message.sender)
+        if report is not None and (report.flows is message.flows
+                                   or report.flows == message.flows):
+            report.received_at = self.sim.now
+            return
         self._remote[message.sender] = _RemoteReport(self.sim.now,
                                                      message.flows)
+        self._view_version += 1
 
     # ----------------------------------------------------------------- loop
     def run_loop_iteration(self) -> None:
-        """One full pass of the five-step emulation loop."""
+        """One pass of the five-step emulation loop — after the poll and the
+        publication, skipped when it would repeat the fixed point."""
         if self.collapsed is None:
             return
         self.loops += 1
-        if telemetry.enabled():
+        counting = telemetry.enabled()
+        if counting:
             telemetry.metrics.counter("manager.loop_iterations").inc()
         local_flows = self._poll_local_usage()
         self._disseminate(local_flows)
-        global_flows = self._merge_global_view(local_flows)
-        self._restore_idle(local_flows)
-        if not global_flows:
+        point = (self._state_epoch, self._view_version,
+                 tuple(local_flows.items()))
+        if point == self._fixed_point and not self._report_expiring():
+            self.enforcements += len(local_flows)
+            if counting:
+                telemetry.metrics.counter("manager.iterations_skipped").inc()
             return
-        allocation, usage_rates = self._compute_shares(global_flows)
-        self._enforce(local_flows, global_flows, allocation, usage_rates)
+        global_flows = self._merge_global_view(local_flows)
+        moved = self._restore_idle(local_flows)
+        if global_flows:
+            allocation, usage_rates = self._compute_shares(global_flows)
+            moved = self._enforce(local_flows, global_flows, allocation,
+                                  usage_rates) or moved
+        self._fixed_point = None if moved else point
 
-    def _restore_idle(self, local: Dict[Tuple[str, str], FlowRecord]) -> None:
+    def _restore_idle(self, local: Dict[Tuple[str, str], FlowRecord]) -> bool:
         """Reset throttled chains whose flow went quiet to their path
         properties.
 
@@ -182,7 +225,7 @@ class EmulationManager:
         previously-throttled chain would still strangle the next burst.
         Chains this manager never throttled, or has restored since, already
         carry those properties (the state install wrote them) and are not
-        visited.
+        visited.  Returns whether any chain was.
         """
         quiet = [key for key in self._throttled if key not in local]
         for key in quiet:
@@ -197,6 +240,7 @@ class EmulationManager:
         if quiet and telemetry.enabled():
             telemetry.metrics.counter("manager.chains_restored").inc(
                 len(quiet))
+        return bool(quiet)
 
     # Step 1 + 2.
     def _poll_local_usage(self) -> Dict[Tuple[str, str], FlowRecord]:
@@ -259,11 +303,11 @@ class EmulationManager:
             self, local: Dict[Tuple[str, str], FlowRecord]
     ) -> Dict[Tuple[str, str], FlowRecord]:
         flows: Dict[Tuple[str, str], FlowRecord] = {}
-        expiry = self.period * max(_REMOTE_EXPIRY_PERIODS,
-                                   self.keepalive_periods + 1.5)
+        expiry = self._expiry()
         for sender, report in list(self._remote.items()):
             if self.sim.now - report.received_at > expiry:
                 del self._remote[sender]
+                self._view_version += 1
                 continue
             for record in report.flows:
                 source = self.index_to_container.get(record.source_index)
@@ -274,6 +318,18 @@ class EmulationManager:
                 flows[(source, destination)] = record
         flows.update(local)
         return flows
+
+    def _expiry(self) -> float:
+        """How long a peer's report stands without being renewed."""
+        return self.period * max(_REMOTE_EXPIRY_PERIODS,
+                                 self.keepalive_periods + 1.5)
+
+    def _report_expiring(self) -> bool:
+        """Whether ``_merge_global_view`` would drop a report now."""
+        now = self.sim.now
+        expiry = self._expiry()
+        return any(now - report.received_at > expiry
+                   for report in self._remote.values())
 
     # Step 4 (second half): evaluate the sharing model.
     def _compute_shares(self, flows: Dict[Tuple[str, str], FlowRecord]):
@@ -397,7 +453,9 @@ class EmulationManager:
     def _enforce(self, local: Dict[Tuple[str, str], FlowRecord],
                  flows: Dict[Tuple[str, str], FlowRecord],
                  allocation: Dict[Tuple[str, str], float],
-                 usage_rates: Dict[Tuple[str, str], float]) -> None:
+                 usage_rates: Dict[Tuple[str, str], float]) -> bool:
+        """Returns whether anything moved: a chain written, a contention
+        state advanced, a chain throttled or released."""
         # Cumulative measured usage per link across the global view: which
         # links are at capacity (throttle their flows) and which are
         # oversubscribed (additionally inject loss).
@@ -406,7 +464,9 @@ class EmulationManager:
             usage = usage_rates.get(key, 0.0)
             for link_id in record.link_ids:
                 requested[link_id] = requested.get(link_id, 0.0) + usage
-        contended = self._update_contention(requested)
+        moved = self._update_contention(requested)
+        contended = self._link_contended
+        throttled = self._throttled
 
         for key, record in local.items():
             source, destination = key
@@ -417,10 +477,12 @@ class EmulationManager:
                 # No link on the path is near capacity: the flow keeps the
                 # collapsed path maximum (the model only divides bandwidth
                 # between flows *competing* for a saturated link).
-                self._throttled.pop(key, None)
-                core.restore(destination,
-                             bandwidth=path.properties.bandwidth,
-                             loss=path.properties.loss)
+                if key in throttled:
+                    del throttled[key]
+                    moved = True
+                moved = core.restore(destination,
+                                     bandwidth=path.properties.bandwidth,
+                                     loss=path.properties.loss) or moved
                 self.enforcements += 1
                 continue
             loss_components = [path.properties.loss]
@@ -438,35 +500,46 @@ class EmulationManager:
                 loss_components.append(congestion_loss(
                     usage_rates.get(key, 0.0), share,
                     sensitivity=self.congestion_sensitivity))
-            self._throttled[key] = None
-            core.enforce(destination, bandwidth=share,
-                         loss=combine_loss(*loss_components))
+            if key not in throttled:
+                throttled[key] = None
+                moved = True
+            moved = core.enforce(destination, bandwidth=share,
+                                 loss=combine_loss(*loss_components)) or moved
             self.enforcements += 1
+        return moved
 
-    def _update_contention(self, requested: Dict[int, float]) -> Set[int]:
-        """Advance per-link contention state; returns the contended set.
+    def _update_contention(self, requested: Dict[int, float]) -> bool:
+        """Advance per-link contention state; returns whether a link
+        entered or left contention or its quiet-loop count moved.
 
         Only links with reported traffic or already contended can change
         state: an idle uncontended link neither enters nor counts quiet
         loops, so the rest of the topology is not walked.
         """
         contended = self._link_contended
+        quiet_loops = self._quiet_loops
+        moved = False
         for link_id in [*requested, *contended.difference(requested)]:
             capacity = self.capacities.get(link_id)
             if capacity is None or capacity == float("inf"):
                 continue
             used = requested.get(link_id, 0.0)
+            was = quiet_loops.get(link_id, 0)
             if used > capacity * self._CONTENTION_ENTER:
-                contended.add(link_id)
-                self._quiet_loops[link_id] = 0
-            elif link_id in contended:
-                if used < capacity * self._CONTENTION_EXIT:
-                    quiet = self._quiet_loops.get(link_id, 0) + 1
-                    if quiet >= self._CONTENTION_QUIET_LOOPS:
-                        contended.discard(link_id)
-                        self._quiet_loops[link_id] = 0
-                    else:
-                        self._quiet_loops[link_id] = quiet
-                else:
-                    self._quiet_loops[link_id] = 0
-        return contended
+                quiet = 0
+                if link_id not in contended:
+                    contended.add(link_id)
+                    moved = True
+            elif link_id not in contended:
+                continue
+            elif used < capacity * self._CONTENTION_EXIT:
+                quiet = was + 1
+                if quiet >= self._CONTENTION_QUIET_LOOPS:
+                    contended.discard(link_id)
+                    moved = True
+                    quiet = 0
+            else:
+                quiet = 0
+            quiet_loops[link_id] = quiet
+            moved = moved or quiet != was
+        return moved

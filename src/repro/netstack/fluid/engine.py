@@ -100,7 +100,10 @@ class ConstraintProvider:
 
     def capacities(self, active: List[FlowEntry]) -> Mapping[int, float]:
         """Capacity, this step, of (at least) every link ``active`` cross;
-        may refresh ``entry.loss`` where loss is not fixed per epoch."""
+        may refresh ``entry.loss`` where loss is not fixed per epoch.
+
+        The engine keeps the map to compare with the next step's: return
+        a new one, or one that is never changed after it is returned."""
         raise NotImplementedError
 
     def rtt_for(self, flow: FluidFlow) -> float:
@@ -261,6 +264,9 @@ class FluidEngine:
         # Allocated bits/s per link id last step — what the packet plane
         # reads to model bulk traffic occupying shared wires.
         self._link_rates: Dict[int, float] = {}
+        # The last solve: (active, capacities, demands, allocation, the
+        # allocated bits/s per link).
+        self._solved: Optional[Tuple] = None
         self._process = Process(sim, dt, self._step, name="fluid-engine",
                                 priority=10)
 
@@ -334,16 +340,29 @@ class FluidEngine:
         active = self._active
         if active:
             capacities = provider.capacities(active)
+            demands = []
             for entry in active:
-                entry.demand = entry.flow.desired_rate()
-            allocation = rtt_aware_max_min(active, capacities)
-
-            link_usage: Dict[int, float] = {}
-            for entry in active:
-                achieved = allocation[entry.key]
-                for link_id in entry.links:
-                    link_usage[link_id] = (link_usage.get(link_id, 0.0)
-                                           + achieved)
+                entry.demand = demand = entry.flow.desired_rate()
+                demands.append(demand)
+            # The solver reads the entries' constraint half, fixed while
+            # ``active`` is the same list (``_refresh`` builds a new one),
+            # their demands and the capacities: when none moved, neither
+            # has the allocation, nor what it puts on each link.
+            solved = self._solved
+            if solved is not None and solved[0] is active and \
+                    solved[2] == demands and (solved[1] is capacities
+                                              or solved[1] == capacities):
+                allocation, link_usage = solved[3], solved[4]
+            else:
+                allocation = rtt_aware_max_min(active, capacities)
+                link_usage = {}
+                for entry in active:
+                    achieved = allocation[entry.key]
+                    for link_id in entry.links:
+                        link_usage[link_id] = (link_usage.get(link_id, 0.0)
+                                               + achieved)
+                self._solved = (active, capacities, demands, allocation,
+                                link_usage)
             self._link_rates = link_usage
 
             dt = self.dt

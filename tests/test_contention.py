@@ -102,50 +102,52 @@ class TestCongestionGating:
 
 
 class TestContentionHysteresis:
+    """Each call is one loop period's usage; it answers whether the
+    contention state moved, which voids the loop's fixed point."""
+
     def make_manager(self):
         engine = engine_for(point_to_point(100 * MBPS).compile().topology,
                             machines=1)
-        return next(iter(engine.managers.values()))
+        manager = next(iter(engine.managers.values()))
+        link_id = next(iter(manager.capacities))
+        return manager, link_id, manager.capacities[link_id]
 
     def test_enters_above_threshold(self):
-        manager = self.make_manager()
-        capacity = next(iter(manager.capacities.values()))
-        link_id = next(iter(manager.capacities))
-        assert link_id in manager._update_contention({link_id: capacity})
-        assert link_id in manager._update_contention({link_id: 0.95 * capacity})
+        manager, link_id, capacity = self.make_manager()
+        assert manager._update_contention({link_id: capacity})
+        assert link_id in manager._link_contended
+        assert not manager._update_contention({link_id: 0.95 * capacity})
+        assert link_id in manager._link_contended
 
     def test_stays_until_quiet_long_enough(self):
-        manager = self.make_manager()
-        link_id = next(iter(manager.capacities))
-        capacity = manager.capacities[link_id]
+        manager, link_id, capacity = self.make_manager()
         manager._update_contention({link_id: capacity})
         for _ in range(manager._CONTENTION_QUIET_LOOPS - 1):
-            assert link_id in manager._update_contention(
-                {link_id: 0.5 * capacity})
-        assert link_id not in manager._update_contention(
-            {link_id: 0.5 * capacity})
+            # Each quiet loop counts toward the release: state moved.
+            assert manager._update_contention({link_id: 0.5 * capacity})
+            assert link_id in manager._link_contended
+        assert manager._update_contention({link_id: 0.5 * capacity})
+        assert link_id not in manager._link_contended
+        assert not manager._update_contention({link_id: 0.5 * capacity})
 
     def test_mid_band_usage_keeps_contention(self):
-        manager = self.make_manager()
-        link_id = next(iter(manager.capacities))
-        capacity = manager.capacities[link_id]
+        manager, link_id, capacity = self.make_manager()
         manager._update_contention({link_id: capacity})
         # Usage between EXIT and ENTER: stays contended indefinitely.
         for _ in range(20):
-            assert link_id in manager._update_contention(
-                {link_id: 0.85 * capacity})
+            assert not manager._update_contention({link_id: 0.85 * capacity})
+            assert link_id in manager._link_contended
 
     def test_quiet_streak_resets_on_activity(self):
-        manager = self.make_manager()
-        link_id = next(iter(manager.capacities))
-        capacity = manager.capacities[link_id]
+        manager, link_id, capacity = self.make_manager()
         manager._update_contention({link_id: capacity})
         for _ in range(manager._CONTENTION_QUIET_LOOPS - 1):
             manager._update_contention({link_id: 0.5 * capacity})
-        manager._update_contention({link_id: 0.85 * capacity})  # reset
+        # The reset is a move too.
+        assert manager._update_contention({link_id: 0.85 * capacity})
         for _ in range(manager._CONTENTION_QUIET_LOOPS - 1):
-            assert link_id in manager._update_contention(
-                {link_id: 0.5 * capacity})
+            manager._update_contention({link_id: 0.5 * capacity})
+            assert link_id in manager._link_contended
 
 
 class TestCrossPlaneContention:

@@ -293,3 +293,48 @@ def test_managers_with_one_view_hold_one_model(topology, view, drift):
         allocation, _ = manager._compute_shares(drifted)
         assert manager._floor_memo is memo
         assert allocation == both_passes(manager, drifted)[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(_TOPOLOGIES)),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                          st.floats(min_value=1e3, max_value=1e9),
+                          st.one_of(st.none(),
+                                    st.floats(min_value=2e3, max_value=1e9))),
+                min_size=1, max_size=12, unique_by=lambda flow: flow[:2]))
+def test_no_flow_is_enforced_below_its_floor_share(topology, view):
+    """§3's fairness guarantee, on the path a converged loop no longer
+    runs every period: whatever a flow used last period and whatever rate
+    its chain carried, every manager allocates it at least its all-``inf``
+    RTT-aware max-min share, and each of its local chains leaves the
+    iteration carrying at least that — to the last ulps: a floor filled
+    up to the path bandwidth can round a hair above it, and a chain off
+    contention carries the path bandwidth itself."""
+    engine = _TOPOLOGIES[topology]().deploy(
+        machines=4, seed=1, enforce_physical_limits=False).compile().engine()
+    names = sorted(engine.container_indices)
+    collapsed = engine.current_state.collapsed
+    flows, carried = {}, {}
+    for source, destination, used, htb_rate in view:
+        key = (names[source % len(names)], names[destination % len(names)])
+        if key[0] != key[1] and key not in flows:
+            flows[key] = FlowRecord(engine.container_indices[key[0]],
+                                    engine.container_indices[key[1]], used,
+                                    collapsed.path(*key).link_ids)
+            carried[key] = htb_rate
+    for manager in engine.managers.values():
+        local = {key: record for key, record in flows.items()
+                 if key[0] in manager.cores}
+        for (source, destination), record in local.items():
+            if carried[(source, destination)] is not None:
+                engine.tcals[source].set_bandwidth(
+                    destination, carried[(source, destination)])
+        floor, _ = both_passes(manager, flows)
+        allocation, usage_rates = manager._compute_shares(dict(flows))
+        for key in flows:
+            assert allocation[key] >= floor[key], key
+        manager._enforce(local, flows, allocation, usage_rates)
+        for source, destination in local:
+            chain = engine.tcals[source].shaping_for(destination)
+            assert chain.htb.rate >= \
+                floor[(source, destination)] * (1 - 1e-12)

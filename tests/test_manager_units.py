@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.collapse import collapse
 from repro.core.emucore import EmulationCore, UsageSample
 from repro.core.manager import EmulationManager
@@ -10,7 +11,8 @@ from repro.metadata.encoding import FlowRecord, MetadataMessage
 from repro.sim import Simulator
 from repro.tc.ip import IpAllocator
 from repro.tc.tcal import Tcal
-from repro.scenario.topologies import dumbbell
+from repro.scenario import set_link
+from repro.scenario.topologies import dumbbell, throttling
 
 MBPS = 1e6
 
@@ -192,9 +194,10 @@ def netlink_calls(manager):
 class TestChangeOnlyEnforcement:
     def test_every_chain_carries_what_a_full_rewrite_would_leave(self):
         """fig8's shape — flows join and leave one shared link.  After
-        every loop iteration a chain the manager addressed carries the
-        (rate, loss) it asked for, and *every other* installed chain its
-        collapsed path's bandwidth and loss."""
+        every loop iteration each chain carries the (rate, loss) its
+        manager last asked for, and a chain never asked for anything its
+        collapsed path's bandwidth and loss — whichever iterations the
+        fixed point skipped."""
         engine = sharing_engine(3, 30 * MBPS)
         engine.start_flow("a", "client0", "server0")
         engine.start_flow("b", "client1", "server1", start_time=1.0)
@@ -210,7 +213,7 @@ class TestChangeOnlyEnforcement:
 
             def _write(destination, bandwidth, loss):
                 wanted[(core.container, destination)] = (bandwidth, loss)
-                write(destination, bandwidth, loss)
+                return write(destination, bandwidth, loss)
             return _write
 
         for core in engine.cores.values():
@@ -220,7 +223,6 @@ class TestChangeOnlyEnforcement:
         period = engine.config.loop_period
         throttled_chains = 0
         for step in range(1, int(6.0 / period)):
-            wanted.clear()
             engine.run(until=step * period + 1e-4)
             for container, tcal in engine.tcals.items():
                 for destination in tcal.destinations():
@@ -287,3 +289,144 @@ class TestChangeOnlyEnforcement:
         engine.run(until=4.0)                # must not raise
         assert ("client1", "server1") not in manager._throttled
         assert not engine.tcals["client1"].has_destination("server1")
+
+
+# --------------------------------------------------------------------------
+# The fixed point: an iteration skipped after the poll and the publication
+# leaves, to the bit, what running it through would have left.
+# --------------------------------------------------------------------------
+
+class FullLoop(EmulationManager):
+    """The loop with its fixed point forgotten before every iteration, so
+    each one merges, solves and enforces."""
+
+    def run_loop_iteration(self):
+        self._fixed_point = None
+        super().run_loop_iteration()
+
+
+def fig8_stages(engine):
+    """Fig. 8's six arrivals and reverse-order departures, 2.5 s apart."""
+    stage = 2.5
+    for index in range(1, 7):
+        key = f"c{index}"
+        engine.start_flow(key, key, f"s{index}", start_time=(index - 1) * stage)
+        engine.sim.at((12 - index) * stage, engine.stop_flow, key)
+    return 12 * stage
+
+
+def join_and_leave(engine):
+    engine.start_flow("a", "client0", "server0")
+    engine.start_flow("b", "client1", "server1", start_time=1.0)
+    engine.start_flow("c", "client2", "server2", start_time=2.0)
+    engine.sim.at(3.0, engine.stop_flow, "b")
+    engine.sim.at(4.0, engine.stop_flow, "a")
+    engine.sim.at(5.0, engine.stop_flow, "c")
+    return 6.0
+
+
+def both_flows(engine):
+    engine.start_flow("a", "client0", "server0")
+    engine.start_flow("b", "client1", "server1")
+    return 6.0
+
+
+def silenced_peer(engine):
+    """client0's manager stops looping at 2 s: its last report ages out
+    at the others while its flow keeps sending."""
+    for index in range(3):
+        engine.start_flow(index, f"client{index}", f"server{index}")
+    machines = list(engine.managers)
+    process = engine._loop_processes[
+        machines.index(engine.placement["client0"])]
+    engine.sim.at(2.0, process.stop)
+    return 4.0
+
+
+_RUNS = {
+    "fig8 stages": (
+        lambda: throttling().deploy(machines=4, seed=91),
+        fig8_stages),
+    "join and leave": (
+        lambda: dumbbell(3, shared_bandwidth=30 * MBPS).deploy(
+            machines=2, seed=5),
+        join_and_leave),
+    "mid-run set_link": (
+        lambda: dumbbell(2, shared_bandwidth=40 * MBPS).at(
+            3.0, set_link("left", "right", up=20 * MBPS)).deploy(
+            machines=2, seed=5),
+        both_flows),
+    "silenced peer": (
+        lambda: dumbbell(3, shared_bandwidth=30 * MBPS).deploy(
+            machines=3, seed=5),
+        silenced_peer),
+}
+
+
+def observe(engine):
+    """What a skipped iteration could have left differently."""
+    chains = [(container, destination, shaping.htb.rate, shaping.netem.loss)
+              for container, tcal in engine.tcals.items()
+              for destination, shaping in tcal.chains.items()]
+    managers = [(sorted(manager._link_contended), manager.enforcements)
+                for manager in engine.managers.values()]
+    return (chains, managers, engine.total_metadata_wire_bytes(),
+            engine.sim.events_dispatched)
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    def test_a_skipped_iteration_is_the_full_one(self, run, monkeypatch):
+        scenario, drive = _RUNS[run]
+        skipping = scenario().compile().engine()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "EmulationManager", FullLoop)
+            full = scenario().compile().engine()
+        assert all(type(manager) is FullLoop
+                   for manager in full.managers.values())
+        until = drive(skipping)
+        assert drive(full) == until
+
+        merges = []
+        for manager in skipping.managers.values():
+            merge = manager._merge_global_view
+
+            def counting(local, merge=merge):
+                merges.append(None)
+                return merge(local)
+            manager._merge_global_view = counting
+
+        period = skipping.config.loop_period
+        for step in range(1, int(until / period) + 1):
+            skipping.run(until=step * period + 1e-4)
+            full.run(until=step * period + 1e-4)
+            assert observe(skipping) == observe(full), (run, step)
+        loops = sum(manager.loops for manager in skipping.managers.values())
+        assert len(merges) < loops // 2     # the fixed point held, mostly
+
+    def test_an_iteration_that_wrote_is_no_fixed_point(self):
+        """A write moves the htb rate ``_estimated_demand`` reads, so the
+        iteration after one runs through.  Here the peer's flow drops
+        under its floor share: the local flow's share rises while nothing
+        but the chain moves — contention holds, the chain stays throttled,
+        the local flow polls as exactly its htb rate."""
+        sim, manager, _ = build_manager()
+        core = attach_core(sim, manager, "client0", "server0")
+        chain = core.tcal.shaping_for("server0")
+        path = manager.collapsed.path("client1", "server1")
+        seen = []
+
+        def tick(remote_rate):
+            manager._on_message(MetadataMessage(sender=1, flows=(FlowRecord(
+                manager.container_indices["client1"],
+                manager.container_indices["server1"],
+                remote_rate, path.link_ids),)))
+            chain.record(chain.htb.rate)    # 20 periods' worth: clamped
+            manager.run_loop_iteration()
+            seen.append((chain.htb.rate, manager._fixed_point is not None))
+
+        for step, remote_rate in enumerate([40, 40, 40, 40, 14]):
+            sim.at(0.05 * (step + 1), tick, remote_rate * MBPS)
+        sim.run()
+        assert seen[-3:] == [(25 * MBPS, True), (25 * MBPS, True),
+                             (29 * MBPS, False)]

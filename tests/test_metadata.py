@@ -134,6 +134,10 @@ class TestMediaDriver:
 
     def test_publish_remote_is_publish_to_every_peer_for_one_encode(
             self, monkeypatch):
+        """One wire image per distinct publication: every peer of it, and
+        every identical publication after it, is handed the same decoded
+        message, while bytes, datagrams and delivery events are still
+        accounted per peer and per publication."""
         from repro.metadata import channels
         encodes = []
         monkeypatch.setattr(
@@ -141,7 +145,7 @@ class TestMediaDriver:
             lambda message, **kwargs: encodes.append(message)
             or encode_message(message, **kwargs))
 
-        def triad(publish):
+        def triad(publish, publications=1):
             sim = Simulator()
             drivers = [MediaDriver(sim, f"m{i}", network_delay=1e-4)
                        for i in range(3)]
@@ -151,19 +155,35 @@ class TestMediaDriver:
             for driver in drivers[1:]:
                 driver.subscribe(
                     lambda m, name=driver.machine: seen.append((name, m)))
-            publish(drivers[0], sample_message(sender=0))
+            for _ in range(publications):
+                # Equal messages, not one object: what a converged
+                # manager builds afresh every period.
+                publish(drivers[0], sample_message(sender=0))
             sim.run()
             return (seen, [driver.stats for driver in drivers],
                     sim.events_dispatched)
 
         one_by_one = triad(lambda driver, message: [
             driver.publish_to(peer, message) for peer in driver.peers()])
-        assert len(encodes) == 2
+        assert len(encodes) == 1
         at_once = triad(lambda driver, message:
                         driver.publish_remote(message))
-        assert len(encodes) == 3
+        assert len(encodes) == 2
         assert at_once == one_by_one
         assert [name for name, _ in at_once[0]] == ["m1", "m2"]
+
+        seen, stats, events = triad(
+            lambda driver, message: driver.publish_remote(message),
+            publications=2)
+        assert len(encodes) == 3            # the repeat encoded nothing
+        assert [name for name, _ in seen] == ["m1", "m2"] * 2
+        assert all(message is seen[0][1] for _, message in seen)
+        assert events == 2 * at_once[2]
+        once = at_once[1]
+        for field in ("bytes_sent", "datagrams_sent", "bytes_received",
+                      "datagrams_received"):
+            assert [getattr(s, field) for s in stats] == \
+                [2 * getattr(s, field) for s in once], field
 
     def test_unknown_peer_raises(self):
         sim, left, _right = self.build_pair()

@@ -21,6 +21,10 @@ should assemble experiments through the unified Scenario API
 CLI, examples and experiment runners all use.
 """
 
+from repro._lazy import lazy_exports
+# Eager: the first import of the ``collapse`` submodule binds the package's
+# ``collapse`` attribute to the module; importing it here, before anyone
+# else can, leaves the name bound to the function.
 from repro.core.properties import PathProperties, compose_path
 from repro.core.collapse import (
     CollapsedPath,
@@ -30,17 +34,17 @@ from repro.core.collapse import (
     collapse_cache_stats,
     topology_signature,
 )
-from repro.core.sharing import (
-    FlowDemand,
-    LinkUsage,
-    paper_two_step_shares,
-    rtt_aware_max_min,
-)
-from repro.core.congestion import combine_loss, congestion_loss
-from repro.core.dynamic import DynamicTopologyPlan, TopologyState
-from repro.core.emucore import EmulationCore
-from repro.core.engine import EmulationEngine, EngineConfig
-from repro.core.manager import EmulationManager
+
+_LAZY = {
+    "sharing": ("FlowDemand", "LinkUsage", "paper_two_step_shares",
+                "rtt_aware_max_min"),
+    "congestion": ("combine_loss", "congestion_loss"),
+    "dynamic": ("DynamicTopologyPlan", "TopologyState"),
+    "emucore": ("EmulationCore",),
+    "engine": ("EmulationEngine", "EngineConfig"),
+    "manager": ("EmulationManager",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "PathProperties",

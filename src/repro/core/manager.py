@@ -20,6 +20,8 @@ state install gave it, so only chains this manager moved off them are ever
 visited again (``_throttled``); a netlink write is issued only when the
 chain does not already carry the wanted value; contention state advances
 only on links that carry reported traffic or are currently flagged; the
+sharing model is evaluated only while some local flow crosses a contended
+link — §3's shares apply "at capacity", so no other flow reads them; the
 fair-share floor — whose inputs move only on a state swap or a flow
 arrival/departure — is solved once per such change (``_floor_memo``); and
 the maximization pass is solved only while some flow demands less than its
@@ -210,9 +212,7 @@ class EmulationManager:
         global_flows = self._merge_global_view(local_flows)
         moved = self._restore_idle(local_flows)
         if global_flows:
-            allocation, usage_rates = self._compute_shares(global_flows)
-            moved = self._enforce(local_flows, global_flows, allocation,
-                                  usage_rates) or moved
+            moved = self._enforce(local_flows, global_flows) or moved
         self._fixed_point = None if moved else point
 
     def _restore_idle(self, local: Dict[Tuple[str, str], FlowRecord]) -> bool:
@@ -370,12 +370,9 @@ class EmulationManager:
         infinity = float("inf")
         floor = memo.floor
         demands: List[float] = []
-        usage_rates: Dict[Tuple[str, str], float] = {}
         under_demand = False
         for key, _rtt, _links, path_bandwidth in memo.statics:
-            record = flows[key]
-            usage_rates[key] = record.used_bandwidth
-            demand = self._estimated_demand(key, record)
+            demand = self._estimated_demand(key, flows[key])
             demands.append(demand)
             # The exception is a flow nothing else bounds: the floor
             # leaves it at zero, only its demand gives it a share.
@@ -384,15 +381,14 @@ class EmulationManager:
                     or path_bandwidth == infinity):
                 under_demand = True
         if not under_demand:
-            return floor, usage_rates
+            return floor
         boosted = rtt_aware_max_min(
             [FlowDemand(key, rtt, links, demand, path_bandwidth)
              for (key, rtt, links, path_bandwidth), demand
              in zip(memo.statics, demands)],
             self.capacities)
-        allocation = {key: max(share, boosted.get(key, 0.0))
-                      for key, share in floor.items()}
-        return allocation, usage_rates
+        return {key: max(share, boosted.get(key, 0.0))
+                for key, share in floor.items()}
 
     def _solve_floor(self, signature: Tuple) -> _FloorMemo:
         """Solve the all-``inf`` pass for the flow set in ``signature``."""
@@ -451,29 +447,37 @@ class EmulationManager:
 
     # Step 5.
     def _enforce(self, local: Dict[Tuple[str, str], FlowRecord],
-                 flows: Dict[Tuple[str, str], FlowRecord],
-                 allocation: Dict[Tuple[str, str], float],
-                 usage_rates: Dict[Tuple[str, str], float]) -> bool:
+                 flows: Dict[Tuple[str, str], FlowRecord]) -> bool:
         """Returns whether anything moved: a chain written, a contention
-        state advanced, a chain throttled or released."""
+        state advanced, a chain throttled or released.
+
+        Only a local flow crossing a contended link reads the sharing
+        model, so the model is evaluated only when there is one — and
+        before the first chain write, so ``_estimated_demand`` reads the
+        htb rates the iteration started with.
+        """
         # Cumulative measured usage per link across the global view: which
         # links are at capacity (throttle their flows) and which are
-        # oversubscribed (additionally inject loss).
+        # oversubscribed (additionally inject loss).  A flow whose path
+        # went with a state swap requests nothing.
+        path_of = self.collapsed.path
         requested: Dict[int, float] = {}
         for key, record in flows.items():
-            usage = usage_rates.get(key, 0.0)
+            usage = 0.0 if path_of(*key) is None else record.used_bandwidth
             for link_id in record.link_ids:
                 requested[link_id] = requested.get(link_id, 0.0) + usage
         moved = self._update_contention(requested)
         contended = self._link_contended
         throttled = self._throttled
+        crossing = {key for key, record in local.items()
+                    if not contended.isdisjoint(record.link_ids)}
+        allocation = self._compute_shares(flows) if crossing else None
 
         for key, record in local.items():
             source, destination = key
-            share = allocation[key]
-            path = self.collapsed.path(source, destination)
+            path = path_of(source, destination)
             core = self.cores[source]
-            if not any(link_id in contended for link_id in record.link_ids):
+            if key not in crossing:
                 # No link on the path is near capacity: the flow keeps the
                 # collapsed path maximum (the model only divides bandwidth
                 # between flows *competing* for a saturated link).
@@ -485,6 +489,7 @@ class EmulationManager:
                                      loss=path.properties.loss) or moved
                 self.enforcements += 1
                 continue
+            share = allocation[key]
             loss_components = [path.properties.loss]
             # A 2 % tolerance absorbs measurement quantization: usage is
             # sampled over one loop period, and a flow exactly at capacity
@@ -498,7 +503,7 @@ class EmulationManager:
                 # oversubscribed capacity" (§3).  Flows within their share
                 # lose nothing, so a ramping newcomer is never penalized.
                 loss_components.append(congestion_loss(
-                    usage_rates.get(key, 0.0), share,
+                    record.used_bandwidth, share,
                     sensitivity=self.congestion_sensitivity))
             if key not in throttled:
                 throttled[key] = None

@@ -11,6 +11,6 @@ executes on top of this kernel.  It provides:
 """
 
 from repro.sim.rng import RngRegistry
-from repro.sim.simulator import Event, Process, SimError, Simulator
+from repro.sim.simulator import Process, SimError, Simulator
 
-__all__ = ["Simulator", "Process", "Event", "SimError", "RngRegistry"]
+__all__ = ["Simulator", "Process", "SimError", "RngRegistry"]

@@ -5,10 +5,13 @@ Design notes
 The kernel is a classic calendar queue built on :mod:`heapq`.  Events are
 ordered by ``(time, priority, sequence)``; the monotonically increasing
 sequence number makes the ordering total and therefore the whole simulation
-deterministic for a fixed set of seeds.  The heap entry *is* the event: a
-list whose first three items are that key, so every comparison the heap
-makes is a C list compare that never reaches the callback, and scheduling
-costs one allocation.
+deterministic for a fixed set of seeds.  The heap entry *is* the event
+handle: a plain list ``[time, priority, seq, callback, args, label]`` whose
+first three items are that key, so every comparison the heap makes is a C
+list compare that never reaches the callback, and scheduling costs one
+allocation.  :meth:`Simulator.cancel` clears the callback slot and the
+dispatcher skips a cleared entry, as ns-2's ``Scheduler::cancel`` and ns-3's
+``Simulator::Cancel`` do.
 
 Callbacks are plain callables.  Periodic activities (the Kollaps emulation
 loop, application request generators, the fluid-engine integrator) are
@@ -19,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Any, Callable, Optional
 
-__all__ = ["Simulator", "Event", "Process", "SimError"]
+__all__ = ["Simulator", "Process", "SimError"]
 
 _INF = float("inf")
 
@@ -31,42 +33,11 @@ class SimError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. scheduling in the past)."""
 
 
-class Event(list):
-    """A scheduled callback: the handle :meth:`Simulator.at` returns, and
-    the heap entry itself — ``[time, priority, seq, callback, args, label]``.
-
-    ``seq`` is unique, so comparing two entries is decided by the key and
-    never looks at the callback.  Only :class:`Simulator` builds these.
-    """
-
-    __slots__ = ()
-
-    time = property(itemgetter(0))
-    priority = property(itemgetter(1))
-    seq = property(itemgetter(2))
-    args = property(itemgetter(4))
-    label = property(itemgetter(5))
-
-    @property
-    def cancelled(self) -> bool:
-        return self[3] is None
-
-    def cancel(self) -> None:
-        """Clear the callback so the dispatcher skips the entry (O(1) lazy
-        deletion; a no-op on an event that already fired)."""
-        self[3] = None
-
-    def __repr__(self) -> str:
-        return (f"Event(time={self.time!r}, priority={self.priority!r}, "
-                f"seq={self.seq!r}, label={self.label!r}, "
-                f"cancelled={self.cancelled!r})")
-
-
 class Simulator:
     """Event loop with a simulated clock starting at time 0.0 seconds."""
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[list] = []
         self._seq = itertools.count()
         #: Current simulated time in seconds.  A plain attribute, because
         #: every callback reads it; only the kernel writes it.
@@ -74,8 +45,11 @@ class Simulator:
         self.events_dispatched = 0
 
     def at(self, time: float, callback: Callable[..., None], *args: Any,
-           priority: int = 0, label: str = "") -> Event:
+           priority: int = 0, label: str = "") -> list:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        Returns the handle, ``[time, priority, seq, callback, args,
+        label]`` — the heap entry itself, read-only by convention.
 
         Passing ``args`` here instead of closing over them lets a hot caller
         schedule a bound method without allocating a closure per event.
@@ -84,20 +58,25 @@ class Simulator:
         if not self.now <= time < _INF:         # also false for NaN
             raise SimError(
                 f"cannot schedule event at {time!r}, now is {self.now:.9f}")
-        event = Event((time, priority, next(self._seq), callback, args,
-                       label))
+        event = [time, priority, next(self._seq), callback, args, label]
         heappush(self._queue, event)
         return event
 
     def after(self, delay: float, callback: Callable[..., None], *args: Any,
-              priority: int = 0, label: str = "") -> Event:
+              priority: int = 0, label: str = "") -> list:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if not 0.0 <= delay < _INF:             # also false for NaN
             raise SimError(f"delay must be finite and non-negative: {delay!r}")
-        event = Event((self.now + delay, priority, next(self._seq),
-                       callback, args, label))
+        event = [self.now + delay, priority, next(self._seq), callback,
+                 args, label]
         heappush(self._queue, event)
         return event
+
+    def cancel(self, event: list) -> None:
+        """Unschedule ``event`` in O(1): its callback slot is cleared and the
+        dispatcher skips it.  Idempotent, and a no-op on an event that
+        already fired."""
+        event[3] = None
 
     def run(self, until: Optional[float] = None) -> float:
         """Dispatch events in order until the queue drains or ``until``.
@@ -156,7 +135,7 @@ class Process:
         self._tick_fn = tick
         self._priority = priority
         self._stopped = False
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         self.ticks = 0
         self._event = sim.after(start_after, self._run, priority=priority,
                                 label=self.name)
@@ -182,7 +161,7 @@ class Process:
         """Stop the process; any queued tick is cancelled."""
         self._stopped = True
         if self._event is not None:
-            self._event.cancel()
+            self.sim.cancel(self._event)
 
     @property
     def stopped(self) -> bool:

@@ -37,7 +37,7 @@ def recorded_dispatch(record):
                 return original(self, when, callback, *args, **options)
 
             def fire(*arguments):
-                record(event.time, event.priority, event.seq)
+                record(event[0], event[1], event[2])
                 callback(*arguments)
 
             fire.recorded = True

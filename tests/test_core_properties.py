@@ -286,11 +286,11 @@ def test_managers_with_one_view_hold_one_model(topology, view, drift):
 
     flows, drifted = usage(1.0), usage(drift)
     for manager in engine.managers.values():
-        allocation, _ = manager._compute_shares(dict(flows))
+        allocation = manager._compute_shares(dict(flows))
         memo = manager._floor_memo
         assert memo.floor == floor
         assert allocation == both_passes(manager, flows)[1]
-        allocation, _ = manager._compute_shares(drifted)
+        allocation = manager._compute_shares(drifted)
         assert manager._floor_memo is memo
         assert allocation == both_passes(manager, drifted)[1]
 
@@ -330,10 +330,10 @@ def test_no_flow_is_enforced_below_its_floor_share(topology, view):
                 engine.tcals[source].set_bandwidth(
                     destination, carried[(source, destination)])
         floor, _ = both_passes(manager, flows)
-        allocation, usage_rates = manager._compute_shares(dict(flows))
+        allocation = manager._compute_shares(dict(flows))
         for key in flows:
             assert allocation[key] >= floor[key], key
-        manager._enforce(local, flows, allocation, usage_rates)
+        manager._enforce(local, flows)
         for source, destination in local:
             chain = engine.tcals[source].shaping_for(destination)
             assert chain.htb.rate >= \

@@ -89,3 +89,17 @@ def test_a_process_loads_the_modules_it_uses(case):
                   and name != "repro.apps.ping")]
     assert not unused, f"{case} loaded {unused}"
 
+
+
+#: Every module under ``src/repro``, as ``import`` names it.
+MODULES = sorted(
+    ".".join(path.with_suffix("").relative_to(ROOT / "src").parts
+             ).removesuffix(".__init__")
+    for path in (ROOT / "src" / "repro").rglob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_imports_in_a_fresh_interpreter(module):
+    """No import cycle hides behind the order a test run loads modules in:
+    each one imports first, on its own."""
+    loaded_modules(f"import {module}\n")

@@ -430,3 +430,134 @@ class TestFixedPoint:
         sim.run()
         assert seen[-3:] == [(25 * MBPS, True), (25 * MBPS, True),
                              (29 * MBPS, False)]
+
+
+# --------------------------------------------------------------------------
+# The lazy solve: the sharing model is evaluated only where a local flow
+# crosses a contended link, and an iteration that skips it leaves, to the
+# bit, what evaluating it every time would have left.
+# --------------------------------------------------------------------------
+
+class EagerSolve(EmulationManager):
+    """The manager with the sharing model evaluated by every ``_enforce``,
+    whether or not a contended flow reads it."""
+
+    def _enforce(self, local, flows):
+        self._compute_shares(flows)
+        return super()._enforce(local, flows)
+
+
+def fig4_mesh():
+    from repro.experiments.fig4 import point_scenario
+    return point_scenario(hosts=4, connections=10, duration=0.3, seed=1)
+
+
+def into_and_out_of_contention(engine):
+    """Three 10 Mb/s senders over a 30 Mb/s shared link until one stops at
+    3 s: the link contends, then goes quiet for good."""
+    for index in range(3):
+        engine.start_flow(index, f"client{index}", f"server{index}",
+                          demand=10 * MBPS)
+    engine.sim.at(3.0, engine.stop_flow, 0)
+    return 5.0
+
+
+_LAZY_RUNS = {
+    "fig8 stages": _RUNS["fig8 stages"],
+    "fig4 mesh": (fig4_mesh, lambda engine: 0.3),
+    "into and out of contention": (
+        lambda: dumbbell(3, shared_bandwidth=30 * MBPS).deploy(
+            machines=2, seed=5),
+        into_and_out_of_contention),
+}
+
+
+def prepared(scenario):
+    from repro.scenario import resolve_backend
+    backend = resolve_backend("kollaps")
+    engine = backend.prepare(scenario.compile())
+    backend.start_workloads()
+    return engine
+
+
+class TestLazySolve:
+    @pytest.mark.parametrize("run", sorted(_LAZY_RUNS))
+    def test_a_lazy_solve_is_the_eager_one(self, run, monkeypatch):
+        scenario, drive = _LAZY_RUNS[run]
+        lazy = prepared(scenario())
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "EmulationManager", EagerSolve)
+            eager = prepared(scenario())
+        assert all(type(manager) is EagerSolve
+                   for manager in eager.managers.values())
+        until = drive(lazy)
+        assert drive(eager) == until
+
+        contended = []
+        period = lazy.config.loop_period
+        for step in range(1, int(until / period) + 1):
+            lazy.run(until=step * period + 1e-4)
+            eager.run(until=step * period + 1e-4)
+            seen = observe(lazy)
+            assert seen == observe(eager), (run, step)
+            contended.append(any(links for links, _ in seen[1]))
+        if run == "into and out of contention":
+            assert any(contended) and not contended[-1]
+
+    def test_the_model_reads_the_chains_the_iteration_started_with(self):
+        """``a`` saturates its own 10 Mb/s access link; ``b``, throttled
+        earlier to 1 Mb/s, crosses nothing contended and is restored in the
+        same ``_enforce``, ahead of ``a``.  Solved after that write, ``b``
+        would read as under-demanding and hand ``a`` 10 Mb/s instead of its
+        fair 6 Mb/s of the shared 12 Mb/s link."""
+        from repro.scenario import Scenario
+        topology = (Scenario.build("y").service("a").service("b")
+                    .service("sv").bridge("s")
+                    .link("a", "s", latency="1ms", up=10 * MBPS)
+                    .link("b", "s", latency="1ms", up=100 * MBPS)
+                    .link("s", "sv", latency="1ms", up=12 * MBPS)
+                    ).compile().topology
+        indices = {"a": 0, "b": 1, "sv": 2}
+        carried = []
+        for cls in (EmulationManager, EagerSolve):
+            sim = Simulator()
+            manager = cls(sim, "m0", MediaDriver(sim, "m0"), 0, indices)
+            manager.install_state(collapse(topology),
+                                  {link.link_id: link.properties.bandwidth
+                                   for link in topology.links()})
+            chains = {name: attach_core(sim, manager, name, "sv",
+                                        bandwidth=bandwidth
+                                        ).tcal.shaping_for("sv")
+                      for name, bandwidth in (("b", MBPS), ("a", 10 * MBPS))}
+            manager._throttled[("b", "sv")] = None
+            local = {(name, "sv"): FlowRecord(
+                indices[name], indices["sv"], used,
+                manager.collapsed.path(name, "sv").link_ids)
+                for name, used in (("b", MBPS), ("a", 9.5 * MBPS))}
+            manager._enforce(local, dict(local))
+            assert ("b", "sv") not in manager._throttled
+            carried.append({name: chain.htb.rate
+                            for name, chain in chains.items()})
+        assert carried[0] == carried[1]
+        assert carried[0] == {"a": pytest.approx(6 * MBPS),
+                              "b": 12 * MBPS}
+
+    def test_the_fig4_mesh_solves_nothing(self, monkeypatch):
+        """No link of the mesh is ever contended, so no manager reads —
+        or solves — the sharing model."""
+        from repro import telemetry
+        monkeypatch.delenv(telemetry.TRACE_ENV_VAR, raising=False)
+        telemetry.metrics.clear()
+        telemetry.enable()
+        try:
+            engine = prepared(fig4_mesh())
+            engine.run(until=0.3)
+            solves = telemetry.metrics.counter("sharing.solver_calls").value
+            loops = telemetry.metrics.counter(
+                "manager.loop_iterations").value
+        finally:
+            telemetry.disable()
+            telemetry.metrics.clear()
+        assert loops > 0 and solves == 0
+        assert not any(manager._link_contended
+                       for manager in engine.managers.values())

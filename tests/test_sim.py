@@ -65,7 +65,7 @@ class TestSimulator:
         sim = Simulator()
         seen = []
         event = sim.at(1.0, lambda: seen.append("x"))
-        event.cancel()
+        sim.cancel(event)
         sim.run()
         assert seen == []
 
@@ -92,7 +92,7 @@ class TestSimulator:
         event = sim.at(1.0, lambda: None)
         sim.at(2.0, lambda: None)
         assert sim.pending() == 2
-        event.cancel()
+        sim.cancel(event)
         assert sim.pending() == 1
 
     def test_pending_drops_as_events_dispatch(self):
@@ -135,14 +135,14 @@ class TestSimulator:
         sim.at(1.0, order.append, "early", priority=-5)
         sim.run()
         assert order == ["early", "late"]
-        assert (late.priority, late.label, late.args) == (5, "late", ("late",))
+        assert (late[1], late[5], late[4]) == (5, "late", ("late",))
 
     def test_cancel_after_schedule_with_args(self):
         sim = Simulator()
         seen = []
         doomed = sim.after(1.0, seen.append, "cancelled")
         sim.after(1.0, seen.append, "kept")
-        doomed.cancel()
+        sim.cancel(doomed)
         assert sim.pending() == 1
         sim.run()
         assert seen == ["kept"]
@@ -152,8 +152,8 @@ class TestSimulator:
         sim = Simulator()
         first = sim.at(2.0, lambda: None, priority=3)
         second = sim.after(2.0, lambda: None)
-        assert (first.time, first.priority) == (2.0, 3)
-        assert second.seq == first.seq + 1
+        assert (first[0], first[1]) == (2.0, 3)
+        assert second[2] == first[2] + 1
 
 
 class TestProcess:

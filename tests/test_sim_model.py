@@ -1,33 +1,23 @@
 """The event kernel against a sorted-list reference, as a model.
 
-One generated program — ``at`` / ``after`` / ``cancel()`` / ``run(until)``
+One generated program — ``at`` / ``after`` / ``cancel`` / ``run(until)``
 / ``step()`` from outside, more scheduling and cancelling from inside
 callbacks, equal times and equal priorities on purpose — is interpreted on
 :class:`repro.sim.Simulator` and on :class:`SortedListKernel`, which keeps
 its queue as a sorted list and nothing else.  Everything a caller can see
 must agree: what fired and in which order, the clock, ``pending()`` and
-``events_dispatched`` after every step, and what each handle reports —
-also after it fired.
+``events_dispatched`` after every step, and what each handle — the list
+``[time, priority, seq, callback, args, label]`` — reports, also after it
+fired.
 """
 
 import bisect
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
 
 _INF = float("inf")
-
-
-class _Handle:
-    def __init__(self, time, priority, seq, callback, args):
-        self.time, self.priority, self.seq = time, priority, seq
-        self.callback, self.args = callback, args
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
 
 
 class SortedListKernel:
@@ -40,22 +30,25 @@ class SortedListKernel:
         self._entries = []
 
     def at(self, time, callback, *args, priority=0):
-        handle = _Handle(time, priority, self._seq, callback, args)
+        handle = [time, priority, self._seq, callback, args, ""]
         self._seq += 1
         # seq is unique: the comparison never reaches the handle.
-        bisect.insort(self._entries, (time, priority, handle.seq, handle))
+        bisect.insort(self._entries, (time, priority, handle[2], handle))
         return handle
+
+    def cancel(self, handle):
+        handle[3] = None
 
     def after(self, delay, callback, *args, priority=0):
         return self.at(self.now + delay, callback, *args, priority=priority)
 
     def _dispatch_one(self, horizon):
         while self._entries and self._entries[0][0] <= horizon:
-            handle = self._entries.pop(0)[3]
-            if not handle.cancelled:
-                self.now = handle.time
+            time, _priority, _seq, handle = self._entries.pop(0)
+            if handle[3] is not None:
+                self.now = time
                 self.events_dispatched += 1
-                handle.callback(*handle.args)
+                handle[3](*handle[4])
                 return True
         return False
 
@@ -71,7 +64,7 @@ class SortedListKernel:
         return self._dispatch_one(_INF)
 
     def pending(self):
-        return sum(not entry[3].cancelled for entry in self._entries)
+        return sum(entry[3][3] is not None for entry in self._entries)
 
 
 # Few distinct values, so equal times and equal priorities are the rule.
@@ -111,11 +104,11 @@ def interpret(kernel, program):
 
     def cancel(pick):
         if handles:                 # fired, queued or already cancelled
-            handles[pick % len(handles)].cancel()
+            kernel.cancel(handles[pick % len(handles)])
 
     def fire(index, inner):
         handle = handles[index]
-        fired.append((kernel.now, handle.time, handle.priority, handle.seq))
+        fired.append((kernel.now, *handle[:3]))
         for verb, *rest in inner:
             if verb == "cancel":
                 cancel(*rest)
@@ -134,8 +127,7 @@ def interpret(kernel, program):
             schedule(verb, *rest)
         trace.append((kernel.now, kernel.pending(),
                       kernel.events_dispatched))
-    reports = [(handle.time, handle.priority, handle.seq, handle.cancelled)
-               for handle in handles]
+    reports = [(*handle[:3], handle[3] is None) for handle in handles]
     return fired, trace, reports
 
 
@@ -160,19 +152,25 @@ def test_handle_reports_its_key_after_it_fired_and_after_cancel():
     second = sim.after(2.0, seen.append, "b")
     sim.run()
     assert seen == ["a", "b"]
-    assert (first.time, first.priority, first.seq, first.label,
-            first.args, first.cancelled) == (1.0, 2, 0, "first", ("a",),
-                                             False)
-    first.cancel()                      # after dispatch: nothing to undo
-    assert first.cancelled and not second.cancelled
-    assert (first.time, first.priority, first.seq) == (1.0, 2, 0)
+    assert (first[0], first[1], first[2], first[5], first[4],
+            first[3] is None) == (1.0, 2, 0, "first", ("a",), False)
+    sim.cancel(first)                   # after dispatch: nothing to undo
+    assert first[3] is None and second[3] is not None
+    assert first[:3] == [1.0, 2, 0]
     assert sim.pending() == 0 and sim.events_dispatched == 2
-    assert "seq=0" in repr(first) and "cancelled=True" in repr(first)
 
 
-@pytest.mark.parametrize(
-    "name", ["time", "priority", "seq", "args", "label", "cancelled"])
-def test_event_handle_is_read_only(name):
-    event = Simulator().at(1.0, lambda: None)
-    with pytest.raises(AttributeError):
-        setattr(event, name, 0)
+def test_cancel_is_idempotent_and_a_no_op_on_a_fired_event():
+    sim = Simulator()
+    seen = []
+    fired = sim.at(1.0, seen.append, "fired")
+    doomed = sim.at(2.0, seen.append, "doomed")
+    sim.at(3.0, seen.append, "kept")
+    sim.run(until=1.5)
+    sim.cancel(fired)
+    sim.cancel(doomed)
+    sim.cancel(doomed)
+    assert sim.pending() == 1 and sim.events_dispatched == 1
+    sim.run()
+    assert seen == ["fired", "kept"]
+    assert sim.events_dispatched == 2 and sim.now == 3.0

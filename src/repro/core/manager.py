@@ -46,9 +46,17 @@ is taken only while no report is due to expire; ``_estimated_demand``
 reads the live htb rate, which only this manager's own writes (no fixed
 point is recorded after one) or a state install (which clears the fixed
 point) can move.  A peer report bumps the view version only when its
-flows differ from that peer's previous ones — the metadata channel hands
-every receiver of an unchanged publication the same decoded flows, so an
-unchanged report costs an identity test.
+flows differ from that peer's previous ones.
+
+Nothing a converged period builds is new.  The poll hands out last
+period's ``FlowRecord`` for every flow whose usage and links compare equal,
+and ``_disseminate`` last period's ``MetadataMessage`` while its flows do;
+the metadata channel hands every receiver of an unchanged publication the
+same decoded flows (one delivery event reaches all peers), and a receiver
+keeps the newest of two equal reports, so from the second period on an
+unchanged report, the fixed-point compare and the wire-image compare each
+cost identity tests.  All three are frozen values, compared by identity
+only to short-circuit an ``==`` that would have returned ``True``.
 """
 
 from __future__ import annotations
@@ -133,6 +141,10 @@ class EmulationManager:
         self.keepalive_periods = keepalive_periods
         self._last_published: Optional[Tuple[FlowRecord, ...]] = None
         self._loops_since_publish = 0
+        # Last period's records and publication, handed out again while
+        # they compare equal to this period's.
+        self._records: Dict[Tuple[str, str], FlowRecord] = {}
+        self._message: Optional[MetadataMessage] = None
         self.container_indices = container_indices
         self.index_to_container = {index: name for name, index
                                    in container_indices.items()}
@@ -185,6 +197,9 @@ class EmulationManager:
         if report is not None and (report.flows is message.flows
                                    or report.flows == message.flows):
             report.received_at = self.sim.now
+            # Keep the newest equal flows: the sender's next publication,
+            # if unchanged, hands over this very tuple again.
+            report.flows = message.flows
             return
         self._remote[message.sender] = _RemoteReport(self.sim.now,
                                                      message.flows)
@@ -244,7 +259,9 @@ class EmulationManager:
 
     # Step 1 + 2.
     def _poll_local_usage(self) -> Dict[Tuple[str, str], FlowRecord]:
-        """This period's report: one record per active local flow."""
+        """This period's report: one record per active local flow — last
+        period's record object wherever it compares equal."""
+        previous = self._records
         records: Dict[Tuple[str, str], FlowRecord] = {}
         for container, core in self.cores.items():
             usage = core.sample_usage(self.period, now=self.sim.now)
@@ -252,15 +269,20 @@ class EmulationManager:
                 path = self.collapsed.path(container, destination)
                 if path is None:
                     continue
-                records[(container, destination)] = FlowRecord(
-                    source_index=self.container_indices[container],
-                    destination_index=self.container_indices[destination],
-                    # Offered load (carried + back-pressured): peers need
-                    # the requested bandwidth to evaluate §3's congestion
-                    # model.  Same wire format — only the value's
-                    # semantics differ.
-                    used_bandwidth=sample.requested,
-                    link_ids=path.link_ids)
+                key = (container, destination)
+                # Offered load (carried + back-pressured): peers need the
+                # requested bandwidth to evaluate §3's congestion model.
+                # Same wire format — only the value's semantics differ.
+                used = sample.requested
+                record = previous.get(key)
+                if record is None or record.used_bandwidth != used or \
+                        record.link_ids != path.link_ids:
+                    record = FlowRecord(
+                        source_index=self.container_indices[container],
+                        destination_index=self.container_indices[destination],
+                        used_bandwidth=used, link_ids=path.link_ids)
+                records[key] = record
+        self._records = records
         return records
 
     # Step 3.
@@ -274,8 +296,11 @@ class EmulationManager:
         self._loops_since_publish = 0
         # Peers always receive the report (even when empty: it clears their
         # view of our finished flows).
-        self.driver.publish_remote(
-            MetadataMessage(sender=self.manager_index, flows=flows))
+        message = self._message
+        if message is None or message.flows != flows:
+            message = self._message = MetadataMessage(
+                sender=self.manager_index, flows=flows)
+        self.driver.publish_remote(message)
 
     def _publication_due(self, flows: Tuple[FlowRecord, ...]) -> bool:
         """Change detection for the update-on-change optimization."""

@@ -53,6 +53,8 @@ class MediaDriver:
         self.stats = UdpStats()
         self._local_subscribers: List[Callable[[MetadataMessage], None]] = []
         self._peers: Dict[str, "MediaDriver"] = {}
+        # The peers in machine-name order, rebuilt by ``connect``.
+        self._peer_order: Tuple["MediaDriver", ...] = ()
         # (message, payload bytes, decoded message) of the last wire image.
         self._last_wire: Optional[Tuple[MetadataMessage, int,
                                         MetadataMessage]] = None
@@ -62,8 +64,10 @@ class MediaDriver:
         """Make the two drivers mutually reachable over the physical net."""
         if other.machine == self.machine:
             raise ValueError("connect() is for distinct machines")
-        self._peers[other.machine] = other
-        other._peers[self.machine] = self
+        for driver, peer in ((self, other), (other, self)):
+            driver._peers[peer.machine] = peer
+            driver._peer_order = tuple(driver._peers[machine]
+                                       for machine in driver.peers())
 
     def subscribe(self, callback: Callable[[MetadataMessage], None]) -> None:
         """Register a local Emulation Manager/Core consumer."""
@@ -87,20 +91,33 @@ class MediaDriver:
         """Ship one UDP publication to every peer, in machine-name order.
 
         The wire image is built (and read back) at most once per
-        publication, not once per peer; bytes, datagrams and the delivery
-        event are still accounted per peer.
+        publication, not once per peer, and bytes and datagrams are still
+        accounted per peer.  All peers are reached by one delivery event,
+        which hands each of them the message in machine-name order — what
+        one event per peer would do: scheduled back to back for one
+        instant, those would be consecutive in ``(time, priority, seq)``,
+        and nothing could be dispatched between them.  The peers are the
+        ones connected at send time; with none, nothing is scheduled.
         """
-        size, received = self._through_the_wire(message)
-        for machine in self.peers():
-            self._send(self._peers[machine], received, size)
+        self._ship(self._peer_order, message)
 
     def publish_to(self, machine: str, message: MetadataMessage) -> None:
         """Encode and ship one UDP publication to a specific peer."""
         peer = self._peers.get(machine)
         if peer is None:
             raise KeyError(f"{self.machine}: unknown peer machine {machine!r}")
+        self._ship((peer,), message)
+
+    def _ship(self, peers: Tuple["MediaDriver", ...],
+              message: MetadataMessage) -> None:
         size, received = self._through_the_wire(message)
-        self._send(peer, received, size)
+        if not peers:
+            return
+        datagrams = max(1, -(-size // DATAGRAM_PAYLOAD_BYTES))
+        self.stats.bytes_sent += size * len(peers)
+        self.stats.datagrams_sent += datagrams * len(peers)
+        self.sim.after(self.network_delay, _deliver, peers, received, size,
+                       datagrams, label="metadata-udp")
 
     def _through_the_wire(self, message: MetadataMessage):
         """(payload bytes, the message as a receiver decodes it).
@@ -113,7 +130,7 @@ class MediaDriver:
         and its peers then see the very same flows again.
         """
         last = self._last_wire
-        if last is not None and last[0] == message:
+        if last is not None and (last[0] is message or last[0] == message):
             return last[1], last[2]
         payload = encode_message(message, wide=self.wide_ids)
         received = decode_message(payload, sender=message.sender,
@@ -121,17 +138,16 @@ class MediaDriver:
         self._last_wire = (message, len(payload), received)
         return len(payload), received
 
-    def _send(self, peer: "MediaDriver", received: MetadataMessage,
-              size: int) -> None:
-        datagrams = max(1, -(-size // DATAGRAM_PAYLOAD_BYTES))
-        self.stats.bytes_sent += size
-        self.stats.datagrams_sent += datagrams
-        self.sim.after(self.network_delay, peer._receive, received, size,
-                       datagrams, label="metadata-udp")
-
     def _receive(self, received: MetadataMessage, size: int,
                  datagrams: int) -> None:
         self.stats.bytes_received += size
         self.stats.datagrams_received += datagrams
         for subscriber in self._local_subscribers:
             subscriber(received)
+
+
+def _deliver(peers: Tuple[MediaDriver, ...], received: MetadataMessage,
+             size: int, datagrams: int) -> None:
+    """One publication arriving at each of ``peers``, in order."""
+    for peer in peers:
+        peer._receive(received, size, datagrams)

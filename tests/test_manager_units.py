@@ -138,6 +138,27 @@ class TestManagerLoop:
         manager._on_message(MetadataMessage(sender=0, flows=()))
         assert manager._remote == {}
 
+    def test_an_equal_report_leaves_its_flows_behind(self):
+        """Of two equal reports, the peer keeps the second one's flows, so
+        the sender's next unchanged publication is an identity test."""
+        sim, manager, _ = build_manager()
+        path = manager.collapsed.path("client1", "server1")
+
+        def report():
+            return MetadataMessage(sender=1, flows=(FlowRecord(
+                manager.container_indices["client1"],
+                manager.container_indices["server1"],
+                25 * MBPS, path.link_ids),))
+
+        first, second = report(), report()
+        assert first.flows == second.flows
+        assert first.flows is not second.flows
+        manager._on_message(first)
+        version = manager._view_version
+        manager._on_message(second)
+        assert manager._remote[1].flows is second.flows
+        assert manager._view_version == version
+
 
 class TestChangeOnlyPublication:
     def test_first_report_always_published(self):
@@ -297,11 +318,14 @@ class TestChangeOnlyEnforcement:
 # --------------------------------------------------------------------------
 
 class FullLoop(EmulationManager):
-    """The loop with its fixed point forgotten before every iteration, so
-    each one merges, solves and enforces."""
+    """The loop with its fixed point, its kept records and its kept
+    publication forgotten before every iteration, so each one builds its
+    report afresh and merges, solves and enforces."""
 
     def run_loop_iteration(self):
         self._fixed_point = None
+        self._records = {}
+        self._message = None
         super().run_loop_iteration()
 
 
@@ -561,3 +585,84 @@ class TestLazySolve:
         assert loops > 0 and solves == 0
         assert not any(manager._link_contended
                        for manager in engine.managers.values())
+
+
+# --------------------------------------------------------------------------
+# Batched delivery: one event hands a publication to every peer, and each
+# peer sees, when and in the order it would have, what one event per peer
+# would have shown it.
+# --------------------------------------------------------------------------
+
+class PerPeerDelivery(MediaDriver):
+    """The driver with one delivery event per peer of a publication."""
+
+    def publish_remote(self, message):
+        for peer in self._peer_order:
+            self._ship((peer,), message)
+
+
+def eight_flows(engine):
+    """A client per machine joins every 0.25 s over the shared link; half
+    of them leave at 2.5 s."""
+    for index in range(8):
+        engine.start_flow(index, f"client{index}", f"server{index}",
+                          start_time=index * 0.25)
+    for index in range(0, 8, 2):
+        engine.sim.at(2.5, engine.stop_flow, index)
+    return 3.5
+
+
+_DELIVERY_RUNS = {
+    "fig8 stages": _RUNS["fig8 stages"],
+    "fig4 mesh": _LAZY_RUNS["fig4 mesh"],
+    "8-machine dumbbell": (
+        lambda: dumbbell(8, shared_bandwidth=80 * MBPS).deploy(
+            machines=8, seed=5),
+        eight_flows),
+}
+
+
+def delivery_log(engine):
+    """Every delivery, as (receiver, sim.now, sender, flows)."""
+    log = []
+    for machine, driver in engine.drivers.items():
+        driver.subscribe(lambda message, machine=machine: log.append(
+            (machine, engine.sim.now, message.sender, message.flows)))
+    return log
+
+
+def enforced(engine):
+    """``observe`` without the event count, plus every driver's bytes and
+    datagrams (``metadata.messages`` and ``wire_bytes`` are sums of them)."""
+    chains, managers, wire_bytes, _events = observe(engine)
+    return (chains, managers, wire_bytes,
+            [driver.stats for driver in engine.drivers.values()])
+
+
+class TestBatchedDelivery:
+    @pytest.mark.parametrize("run", sorted(_DELIVERY_RUNS))
+    def test_a_batched_delivery_is_the_per_peer_one(self, run, monkeypatch):
+        scenario, drive = _DELIVERY_RUNS[run]
+        batched = prepared(scenario())
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "MediaDriver", PerPeerDelivery)
+            per_peer = prepared(scenario())
+        assert all(type(driver) is PerPeerDelivery
+                   for driver in per_peer.drivers.values())
+        until = drive(batched)
+        assert drive(per_peer) == until
+        logs = delivery_log(batched), delivery_log(per_peer)
+
+        period = batched.config.loop_period
+        for step in range(1, int(until / period) + 1):
+            batched.run(until=step * period + 1e-4)
+            per_peer.run(until=step * period + 1e-4)
+            assert enforced(batched) == enforced(per_peer), (run, step)
+            assert logs[0] == logs[1], (run, step)
+            # Σ(peers - 1) over the publications delivered so far.
+            publications = len({(now, sender)
+                                for _, now, sender, _ in logs[0]})
+            assert (per_peer.sim.events_dispatched
+                    - batched.sim.events_dispatched
+                    == len(logs[0]) - publications), (run, step)
+        assert len(logs[0]) > publications > 0

@@ -136,8 +136,10 @@ class TestMediaDriver:
             self, monkeypatch):
         """One wire image per distinct publication: every peer of it, and
         every identical publication after it, is handed the same decoded
-        message, while bytes, datagrams and delivery events are still
-        accounted per peer and per publication."""
+        message at the same instant and in the same order as a
+        ``publish_to`` per peer would hand it, with bytes and datagrams
+        still accounted per peer — and one delivery event per
+        publication, whatever the number of peers."""
         from repro.metadata import channels
         encodes = []
         monkeypatch.setattr(
@@ -149,12 +151,13 @@ class TestMediaDriver:
             sim = Simulator()
             drivers = [MediaDriver(sim, f"m{i}", network_delay=1e-4)
                        for i in range(3)]
-            drivers[0].connect(drivers[1])
+            # Connected out of name order: delivery follows the names.
             drivers[0].connect(drivers[2])
+            drivers[0].connect(drivers[1])
             seen = []
             for driver in drivers[1:]:
-                driver.subscribe(
-                    lambda m, name=driver.machine: seen.append((name, m)))
+                driver.subscribe(lambda m, name=driver.machine:
+                                 seen.append((name, sim.now, m)))
             for _ in range(publications):
                 # Equal messages, not one object: what a converged
                 # manager builds afresh every period.
@@ -169,21 +172,45 @@ class TestMediaDriver:
         at_once = triad(lambda driver, message:
                         driver.publish_remote(message))
         assert len(encodes) == 2
-        assert at_once == one_by_one
-        assert [name for name, _ in at_once[0]] == ["m1", "m2"]
+        assert at_once[:2] == one_by_one[:2]
+        assert [name for name, _, _ in at_once[0]] == ["m1", "m2"]
+        # One event per publish_to, one per publish_remote.
+        assert (one_by_one[2], at_once[2]) == (2, 1)
 
         seen, stats, events = triad(
             lambda driver, message: driver.publish_remote(message),
             publications=2)
         assert len(encodes) == 3            # the repeat encoded nothing
-        assert [name for name, _ in seen] == ["m1", "m2"] * 2
-        assert all(message is seen[0][1] for _, message in seen)
-        assert events == 2 * at_once[2]
+        assert [name for name, _, _ in seen] == ["m1", "m2"] * 2
+        assert all(message is seen[0][2] for _, _, message in seen)
+        assert events == 2
         once = at_once[1]
         for field in ("bytes_sent", "datagrams_sent", "bytes_received",
                       "datagrams_received"):
             assert [getattr(s, field) for s in stats] == \
                 [2 * getattr(s, field) for s in once], field
+
+    def test_a_driver_without_peers_schedules_nothing(self):
+        sim = Simulator()
+        driver = MediaDriver(sim, "m0")
+        driver.publish_remote(sample_message())
+        assert sim.pending() == 0
+        assert driver.stats == MediaDriver(sim, "m1").stats
+
+    def test_a_peer_connected_in_flight_misses_the_publication(self):
+        sim, left, right = self.build_pair()
+        late = MediaDriver(sim, "m2", network_delay=1e-3)
+        seen = []
+        for driver in (right, late):
+            driver.subscribe(lambda m, name=driver.machine: seen.append(name))
+        left.publish_remote(sample_message())
+        left.connect(late)                  # before the delivery fires
+        sim.run()
+        assert seen == ["m1"]
+        assert late.stats.bytes_received == 0
+        left.publish_remote(sample_message())
+        sim.run()
+        assert seen == ["m1", "m1", "m2"]
 
     def test_unknown_peer_raises(self):
         sim, left, _right = self.build_pair()

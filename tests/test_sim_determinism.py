@@ -26,7 +26,9 @@ def test_another_seed_dispatches_another_stream(reference):
 
 
 def test_event_order_matches_the_golden(reference):
-    """The stream the parent of the fast packet path dispatched.
+    """The stream the parent of the fast packet path dispatched, with each
+    metadata publication delivered to all of its peers by one event (the
+    golden's ``captured_on``).
 
     Any kernel or packet-path change that schedules one event earlier,
     later or in another order — or moves a float by one ulp — lands here.

@@ -273,8 +273,3 @@ class EmulationEngine:
     def total_metadata_wire_bytes(self) -> int:
         return sum(driver.stats.wire_bytes_sent()
                    for driver in self.drivers.values())
-
-    def metadata_rate_bytes_per_s(self) -> float:
-        if self.sim.now <= 0:
-            return 0.0
-        return self.total_metadata_wire_bytes() / self.sim.now

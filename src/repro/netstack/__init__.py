@@ -10,8 +10,7 @@ Two packet-granularity planes share one interface (:class:`DataPlane`):
   delivered end-to-end, exactly the Kollaps data path.
 
 Bulk TCP/UDP throughput is modelled by the time-stepped fluid engine in
-:mod:`repro.netstack.fluid`; short-flow (connection-per-request) transfer
-times by the analytic model in :mod:`repro.netstack.shortflow`.
+:mod:`repro.netstack.fluid`.
 """
 
 from repro._lazy import lazy_exports
@@ -19,8 +18,7 @@ from repro.netstack.packet import Packet
 from repro.netstack.plane import DataPlane
 from repro.netstack.kollapsnet import KollapsDataPlane
 
-_LAZY = {"link": ("PacketLink",), "fullnet": ("FullStateNetwork",),
-         "shortflow": ("short_flow_transfer_time",)}
+_LAZY = {"link": ("PacketLink",), "fullnet": ("FullStateNetwork",)}
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
@@ -29,5 +27,4 @@ __all__ = [
     "DataPlane",
     "FullStateNetwork",
     "KollapsDataPlane",
-    "short_flow_transfer_time",
 ]

@@ -13,13 +13,6 @@ from repro.orchestration.generator import (
     DeploymentPlan,
     KOLLAPS_TAG,
 )
-from repro.orchestration.bootstrap import SwarmBootstrapper
-from repro.orchestration.discovery import (
-    Endpoint,
-    KubernetesDiscovery,
-    ResolutionError,
-    SwarmDiscovery,
-)
 from repro.orchestration.emitters import (
     render_compose_file,
     render_kubernetes_manifests,
@@ -31,11 +24,6 @@ __all__ = [
     "DeploymentGenerator",
     "DeploymentPlan",
     "KOLLAPS_TAG",
-    "SwarmBootstrapper",
-    "Endpoint",
-    "KubernetesDiscovery",
-    "ResolutionError",
-    "SwarmDiscovery",
     "render_compose_file",
     "render_kubernetes_manifests",
     "render_plan",

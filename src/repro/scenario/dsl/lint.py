@@ -8,10 +8,9 @@ document (:func:`repro.scenario.frontends.load_description`), the
 document is schema-validated (every error, with a JSON-path pointer such
 as ``links[2].up``, plus semantic warnings: isolated nodes, events
 scheduled past the configured duration), then whole-program compiled,
-with :class:`~repro.topology.model.TopologyError` /
-:class:`~repro.topology.thunderstorm.ThunderstormError` /
-:class:`~repro.units.UnitError` surfaced as diagnostics instead of
-tracebacks.  A ``.py`` module is the one input that is a builder, not a
+with :class:`~repro.topology.model.TopologyError` (a THUNDERSTORM
+script's errors included) / :class:`~repro.units.UnitError` surfaced as
+diagnostics instead of tracebacks.  A ``.py`` module is the one input that is a builder, not a
 document; it is compiled first and its canonical dump validated for the
 same warnings (:func:`lint_scenario`).
 
@@ -28,12 +27,11 @@ from repro.scenario.dsl.format import ScnError, scenario_from_scn, \
 from repro.scenario.dsl.schema import ERROR, WARNING, Diagnostic, \
     validate_document
 from repro.topology.model import TopologyError
-from repro.topology.thunderstorm import ThunderstormError
 from repro.units import UnitError
 
 __all__ = ["lint_file", "lint_scenario"]
 
-_COMPILE_ERRORS = (TopologyError, ThunderstormError, UnitError)
+_COMPILE_ERRORS = (TopologyError, UnitError)
 
 
 def lint_scenario(builder) -> List[Diagnostic]:

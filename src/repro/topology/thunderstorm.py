@@ -51,8 +51,11 @@ from repro.units import UnitError, parse_rate, parse_time
 __all__ = ["ThunderstormError", "compile_scenario", "parse_scenario"]
 
 
-class ThunderstormError(ValueError):
-    """Raised for syntax or semantic errors in a scenario script."""
+class ThunderstormError(TopologyError):
+    """Raised for syntax or semantic errors in a scenario script.
+
+    A :class:`TopologyError`, so whatever reports a bad description
+    reports a bad script the same way."""
 
     def __init__(self, message: str, line_number: Optional[int] = None) -> None:
         if line_number is not None:

@@ -278,6 +278,25 @@ class TestScenarioDiff:
         assert "count (default) -> 50" in capsys.readouterr().out
 
 
+    def test_script_that_does_not_compile_fails_cleanly(self, tmp_path,
+                                                        capsys):
+        """A THUNDERSTORM script error is a load failure for every verb,
+        as ``validate`` already reports it — never a traceback."""
+        bad = tmp_path / "bad_script.scn"
+        bad.write_text('{"scn": 1, "name": "x", "services": [{"name": "a"}, '
+                       '{"name": "b"}], "links": [{"orig": "a", "dest": "b", '
+                       '"up": "1Mbps"}], '
+                       '"scripts": ["at 1 leave link a--missing\\n"]}\n')
+        assert main(["validate", str(bad)]) == 1
+        assert "missing" in capsys.readouterr().err
+        assert main(["scenario", "diff", str(bad), str(bad)]) == 2
+        assert "cannot load" in capsys.readouterr().err
+        assert main(["scenario", "export", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot export" in err
+        assert "line 1" in err
+
+
 class TestScenarioExport:
     def test_exported_file_revalidates(self, description_file,
                                        scenario_file, tmp_path, capsys):

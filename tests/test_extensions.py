@@ -1,93 +1,13 @@
-"""The §6/§7 extensions: multipath, interactivity, time dilation,
-event-driven metadata."""
+"""The §6/§7 extensions: interactivity, time dilation, event-driven
+metadata."""
 
 import pytest
 
 from repro.core import EmulationEngine, EngineConfig
-from repro.core.multipath import (
-    MultipathProperties,
-    k_shortest_paths,
-    multipath_collapse,
-)
-from repro.core.properties import PathProperties
-from repro.topology import (
-    Bridge,
-    DynamicEvent,
-    EventAction,
-    LinkProperties,
-    Service,
-    Topology,
-)
+from repro.topology import DynamicEvent, EventAction
 from repro.scenario.topologies import dumbbell, point_to_point
 
 MBPS = 1e6
-
-
-def diamond_topology():
-    """a -> {upper, lower} -> b: two disjoint paths of different latency."""
-    topology = Topology("diamond")
-    topology.add_service(Service("a"))
-    topology.add_service(Service("b"))
-    topology.add_bridge(Bridge("upper"))
-    topology.add_bridge(Bridge("lower"))
-    topology.add_link("a", "upper", LinkProperties(latency=0.005,
-                                                   bandwidth=100 * MBPS))
-    topology.add_link("upper", "b", LinkProperties(latency=0.005,
-                                                   bandwidth=100 * MBPS))
-    topology.add_link("a", "lower", LinkProperties(latency=0.020,
-                                                   bandwidth=50 * MBPS))
-    topology.add_link("lower", "b", LinkProperties(latency=0.020,
-                                                   bandwidth=50 * MBPS))
-    return topology
-
-
-class TestKShortestPaths:
-    def test_first_path_is_shortest(self):
-        paths = k_shortest_paths(diamond_topology(), "a", "b", k=1)
-        assert len(paths) == 1
-        assert paths[0][0].destination == "upper"
-
-    def test_second_path_is_alternative(self):
-        paths = k_shortest_paths(diamond_topology(), "a", "b", k=2)
-        assert len(paths) == 2
-        assert paths[1][0].destination == "lower"
-
-    def test_k_larger_than_path_count(self):
-        paths = k_shortest_paths(diamond_topology(), "a", "b", k=10)
-        assert len(paths) == 2  # only two exist
-
-    def test_paths_are_loop_free(self):
-        for path in k_shortest_paths(diamond_topology(), "a", "b", k=5):
-            nodes = ["a"] + [link.destination for link in path]
-            assert len(nodes) == len(set(nodes))
-
-    def test_unreachable_returns_empty(self):
-        topology = diamond_topology()
-        topology.add_service(Service("isolated"))
-        assert k_shortest_paths(topology, "a", "isolated", k=2) == []
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            k_shortest_paths(diamond_topology(), "a", "b", k=0)
-
-
-class TestMultipathCollapse:
-    def test_aggregate_bandwidth_sums_paths(self):
-        properties = multipath_collapse(diamond_topology(), "a", "b", k=2)
-        assert properties.bandwidth == 150 * MBPS
-
-    def test_latency_is_mixture_mean(self):
-        properties = multipath_collapse(diamond_topology(), "a", "b", k=2)
-        assert properties.latency == pytest.approx((0.010 + 0.040) / 2)
-
-    def test_path_spread_appears_as_jitter(self):
-        properties = multipath_collapse(diamond_topology(), "a", "b", k=2)
-        assert properties.jitter == pytest.approx(0.015)  # half the spread
-
-    def test_single_path_reduces_to_plain_collapse(self):
-        properties = multipath_collapse(diamond_topology(), "a", "b", k=1)
-        assert properties.bandwidth == 100 * MBPS
-        assert properties.jitter == 0.0
 
 
 class TestInteractivity:

@@ -1,4 +1,4 @@
-"""Packet links, full-state network, Kollaps plane and the short-flow model."""
+"""Packet links, full-state network and the Kollaps plane."""
 
 import inspect
 
@@ -11,10 +11,8 @@ from repro.netstack import (
     KollapsDataPlane,
     Packet,
     PacketLink,
-    short_flow_transfer_time,
 )
 from repro.netstack.fullnet import SwitchModel
-from repro.netstack.shortflow import slow_start_rounds
 from repro.sim import RngRegistry, Simulator
 from repro.tc.ip import IpAllocator
 from repro.tc.tcal import Tcal
@@ -329,32 +327,3 @@ class TestKollapsDataPlane:
         _, plane = self.build()
         assert plane.reachable("a", "b")
         assert not plane.reachable("a", "ghost")
-
-
-class TestShortFlowModel:
-    def test_zero_size_costs_handshake_only(self):
-        assert short_flow_transfer_time(0, rtt=0.010, bandwidth=1e9) == \
-            pytest.approx(0.015)
-
-    def test_small_transfer_dominated_by_rtt(self):
-        # 64 KB at 100 Mb/s: serialization is ~5 ms but slow start adds RTTs.
-        time_fast_link = short_flow_transfer_time(64e3 * 8, rtt=0.010,
-                                                  bandwidth=100e6)
-        time_slow_rtt = short_flow_transfer_time(64e3 * 8, rtt=0.050,
-                                                 bandwidth=100e6)
-        assert time_slow_rtt > time_fast_link * 3
-
-    def test_large_transfer_approaches_line_rate(self):
-        size = 1e9  # 125 MB
-        elapsed = short_flow_transfer_time(size, rtt=0.010, bandwidth=100e6)
-        assert elapsed == pytest.approx(size / 100e6, rel=0.1)
-
-    def test_slow_start_rounds_double(self):
-        # 10 * 1448B ~ 115 kbit initial window; 1 Mbit payload on a fat pipe.
-        rounds = slow_start_rounds(1e6, rtt=0.010, bandwidth=10e9)
-        assert rounds == 4  # 115k + 230k + 460k + 920k > 1M
-
-    def test_monotone_in_size(self):
-        times = [short_flow_transfer_time(size, rtt=0.02, bandwidth=50e6)
-                 for size in (1e4, 1e5, 1e6, 1e7)]
-        assert times == sorted(times)

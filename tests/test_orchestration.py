@@ -1,13 +1,9 @@
-"""Deployment generator, placement strategies and the Swarm bootstrapper."""
+"""Deployment generator, placement strategies and the cluster model."""
 
 import pytest
 
 from repro.cluster import Cluster, Machine
-from repro.orchestration import (
-    DeploymentGenerator,
-    KOLLAPS_TAG,
-    SwarmBootstrapper,
-)
+from repro.orchestration import DeploymentGenerator, KOLLAPS_TAG
 from repro.topology import LinkProperties, Service, Topology
 
 
@@ -82,27 +78,6 @@ class TestKubernetesPlan:
         plan = DeploymentGenerator(sample_topology()).kubernetes_plan(["m0"])
         assert set(plan.emulated_containers()) == \
             {"web.0", "web.1", "web.2", "db"}
-
-
-class TestBootstrapper:
-    def test_bootstrap_launches_privileged_manager(self):
-        bootstrapper = SwarmBootstrapper("m0")
-        manager = bootstrapper.bootstrap()
-        assert manager.privileged
-        assert manager.shares_host_pid
-        assert manager.machine == "m0"
-
-    def test_bootstrap_idempotent(self):
-        bootstrapper = SwarmBootstrapper("m0")
-        assert bootstrapper.bootstrap() is bootstrapper.bootstrap()
-
-    def test_manager_supervises_only_tagged_containers(self):
-        manager = SwarmBootstrapper("m0").bootstrap()
-        assert manager.on_container_created("web.0", {KOLLAPS_TAG: "true"})
-        assert not manager.on_container_created("sidecar", {})
-        assert not manager.on_container_created(
-            "other", {KOLLAPS_TAG: "false"})
-        assert manager.supervised_containers == ["web.0"]
 
 
 class TestCluster:

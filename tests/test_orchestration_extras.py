@@ -1,20 +1,14 @@
-"""Tests for the YAML emitters and the discovery services."""
+"""Tests for the YAML emitters."""
 
 import pytest
 
 from repro.orchestration import DeploymentGenerator, KOLLAPS_TAG
-from repro.orchestration.discovery import (
-    KubernetesDiscovery,
-    ResolutionError,
-    SwarmDiscovery,
-)
 from repro.orchestration.emitters import (
     render_compose_file,
     render_kubernetes_manifests,
     render_plan,
     to_yaml,
 )
-from repro.tc.ip import IpAllocator
 from repro.topology import Bridge, LinkProperties, Service, Topology
 
 
@@ -111,70 +105,3 @@ class TestRenderPlans:
         yaml = pytest.importorskip("yaml")
         plan = DeploymentGenerator(sample_topology()).swarm_plan(["m0"])
         assert yaml.safe_load(render_compose_file(plan)) == plan.document
-
-
-class TestSwarmDiscovery:
-    def test_service_and_container_resolution(self):
-        allocator = IpAllocator()
-        discovery = SwarmDiscovery(sample_topology(), allocator)
-        # Single-replica service resolves to its one container.
-        assert discovery.resolve("client") == str(allocator.lookup("client"))
-        # Replicated service: bare name gives the VIP stand-in (first task).
-        assert discovery.resolve("web") == str(allocator.lookup("web.0"))
-        assert discovery.resolve("web.2") == str(allocator.lookup("web.2"))
-
-    def test_tasks_expansion(self):
-        allocator = IpAllocator()
-        discovery = SwarmDiscovery(sample_topology(), allocator)
-        tasks = discovery.resolve_tasks("web")
-        assert tasks == [str(allocator.lookup(f"web.{i}")) for i in range(3)]
-
-    def test_unknown_name(self):
-        discovery = SwarmDiscovery(sample_topology(), IpAllocator())
-        with pytest.raises(ResolutionError):
-            discovery.resolve("nope")
-        with pytest.raises(ResolutionError):
-            discovery.resolve_tasks("nope")
-
-    def test_services_listing(self):
-        discovery = SwarmDiscovery(sample_topology(), IpAllocator())
-        assert discovery.services() == ["client", "web"]
-
-
-class TestKubernetesDiscovery:
-    def test_endpoints_carry_readiness(self):
-        discovery = KubernetesDiscovery(sample_topology(), IpAllocator())
-        endpoints = discovery.endpoints("web")
-        assert len(endpoints) == 3
-        assert all(endpoint.ready for endpoint in endpoints)
-
-    def test_unready_endpoint_filtered(self):
-        discovery = KubernetesDiscovery(sample_topology(), IpAllocator())
-        discovery.set_ready("web.1", False)
-        ready = discovery.ready_addresses("web")
-        assert len(ready) == 2
-        assert discovery.endpoints("web")[1].ready is False
-
-    def test_readiness_flip_back(self):
-        discovery = KubernetesDiscovery(sample_topology(), IpAllocator())
-        discovery.set_ready("web.0", False)
-        discovery.set_ready("web.0", True)
-        assert len(discovery.ready_addresses("web")) == 3
-
-    def test_unknown_container(self):
-        discovery = KubernetesDiscovery(sample_topology(), IpAllocator())
-        with pytest.raises(ResolutionError):
-            discovery.set_ready("ghost", True)
-        with pytest.raises(ResolutionError):
-            discovery.endpoints("ghost")
-
-    def test_shares_allocator_with_engine_addresses(self):
-        allocator = IpAllocator()
-        topology = sample_topology()
-        discovery = KubernetesDiscovery(topology, allocator)
-        for container in topology.container_names():
-            assert str(allocator.lookup(container)) in [
-                endpoint.address
-                for endpoints in (discovery.endpoints(s)
-                                  for s in discovery.services())
-                for endpoint in endpoints]

@@ -1,22 +1,26 @@
-"""The bare-metal testbed: ground truth for every accuracy comparison.
+"""The full-state testbed: bare metal, and every full-state emulator on it.
 
 Runs workloads over the *physical* topology with no emulation layer at all:
 packets traverse every link and switch hop-by-hop
-(:class:`~repro.netstack.fullnet.FullStateNetwork` with zero switch
-overhead), and bulk flows are integrated against the real link capacities
-(:class:`~repro.netstack.fluid.GroundTruthConstraints`).
+(:class:`~repro.netstack.fullnet.FullStateNetwork`), and bulk flows are
+integrated against the real link capacities
+(:class:`~repro.netstack.fluid.GroundTruthConstraints`).  With no switch
+model this is the authors' hardware testbed, the ground truth for every
+accuracy comparison; Mininet and Maxinet keep the same full network state
+and differ only in what a packet costs at a switch
+(:mod:`repro.baselines.mininet`, :mod:`repro.baselines.maxinet`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 from repro.netstack.fluid import (
     FluidEngine,
     FluidFlow,
     GroundTruthConstraints,
 )
-from repro.netstack.fullnet import FullStateNetwork
+from repro.netstack.fullnet import FullStateNetwork, SwitchModel
 from repro.sim import RngRegistry, Simulator
 from repro.topology.model import Topology
 
@@ -24,14 +28,18 @@ __all__ = ["BareMetalTestbed"]
 
 
 class BareMetalTestbed:
-    """A physical deployment of the topology (no emulation)."""
+    """A physical deployment of the topology, switches costed by
+    ``switch_model(name)`` (``None``: zero switch overhead)."""
 
     def __init__(self, topology: Topology, *, seed: int = 0,
-                 fluid_dt: float = 0.010) -> None:
+                 fluid_dt: float = 0.010,
+                 switch_model: Optional[Callable[[str], SwitchModel]] = None
+                 ) -> None:
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
         self.topology = topology
-        self.network = FullStateNetwork(self.sim, topology, rng=self.rng)
+        self.network = FullStateNetwork(self.sim, topology, rng=self.rng,
+                                        switch_model_factory=switch_model)
         self.constraints = GroundTruthConstraints(
             topology, packet_rate=self.network.packet_rate)
         self.fluid = FluidEngine(self.sim, self.constraints, dt=fluid_dt,

@@ -21,22 +21,23 @@ above (rule timeout, POX service time), not fitted per-experiment.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
-from repro.netstack.fluid import FluidEngine, FluidFlow, GroundTruthConstraints
-from repro.netstack.fullnet import FullStateNetwork, SwitchModel
+from repro.baselines.baremetal import BareMetalTestbed
+from repro.netstack.fullnet import SwitchModel
 from repro.netstack.packet import Packet
-from repro.sim import RngRegistry, Simulator
 from repro.topology.model import Topology
 
 __all__ = ["MaxinetEmulator", "ControllerModel"]
+
+SWITCH_FORWARD_DELAY = 30e-6
+TUNNEL_DELAY = 120e-6   # per cross-worker hop
 
 
 class ControllerModel:
     """The external OpenFlow controller: a shared single server."""
 
-    def __init__(self, sim: Simulator, *, service_time: float = 1.2e-3,
+    def __init__(self, *, service_time: float = 1.2e-3,
                  base_rtt: float = 4e-3, rule_timeout: float = 0.04) -> None:
         """``rule_timeout`` is the flow-rule lifetime.  POX installs rules
         with a 10 s idle timeout; experiment time here is compressed about
@@ -44,7 +45,6 @@ class ControllerModel:
         default scales the timeout accordingly — each probe keeps paying
         controller round trips at steady state, which is the deviation
         signature Table 4 measures."""
-        self.sim = sim
         self.service_time = service_time
         self.base_rtt = base_rtt
         self.rule_timeout = rule_timeout
@@ -52,13 +52,13 @@ class ControllerModel:
         self._rules: Dict[Tuple[str, Hashable], float] = {}
         self.packet_ins = 0
 
-    def consult(self, switch: str, flow_key: Hashable) -> float:
-        """Delay added to a packet at ``switch`` for ``flow_key``.
+    def consult(self, now: float, switch: str, flow_key: Hashable) -> float:
+        """Delay added at time ``now`` to a packet at ``switch`` for
+        ``flow_key``.
 
         Zero when a fresh rule exists; otherwise a controller round trip
         (queueing at the shared controller included) installs one.
         """
-        now = self.sim.now
         expiry = self._rules.get((switch, flow_key))
         if expiry is not None and expiry > now:
             return 0.0
@@ -70,47 +70,34 @@ class ControllerModel:
         return delay
 
 
-class MaxinetEmulator:
+class _ControlledSwitch(SwitchModel):
+    """A worker's switch: forwards, after asking the controller for a rule."""
+
+    def __init__(self, name: str, controller: ControllerModel) -> None:
+        super().__init__(forward_delay=SWITCH_FORWARD_DELAY)
+        self.name = name
+        self.controller = controller
+
+    def processing_delay(self, now: float, connection_key) -> float:
+        return (super().processing_delay(now, connection_key)
+                + self.controller.consult(now, self.name, connection_key))
+
+
+class MaxinetEmulator(BareMetalTestbed):
     """Distributed full-state emulation across ``workers`` machines."""
 
     def __init__(self, topology: Topology, *, workers: int = 4, seed: int = 0,
-                 fluid_dt: float = 0.010,
-                 tunnel_delay: float = 120e-6,
-                 controller: Optional[ControllerModel] = None) -> None:
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed)
-        self.topology = topology
-        self.workers = workers
-        self.tunnel_delay = tunnel_delay
-        self.controller = controller or ControllerModel(self.sim)
+                 fluid_dt: float = 0.010) -> None:
+        controller = ControllerModel()
+        super().__init__(
+            topology, seed=seed, fluid_dt=fluid_dt,
+            switch_model=lambda name: _ControlledSwitch(name, controller))
+        self.controller = controller
         # Workers partition the switches; a link whose endpoints live on
         # different workers is tunnelled.  Partitioning is hash-based, as
         # Maxinet's default placement effectively is for generated graphs.
-        self._worker_of = {}
-        for index, bridge in enumerate(sorted(topology.bridges)):
-            self._worker_of[bridge] = index % workers
-
-        emulator = self
-
-        class _MaxinetSwitch(SwitchModel):
-            def __init__(self, name: str) -> None:
-                super().__init__(forward_delay=30e-6)
-                self.name = name
-
-            def processing_delay(self, now: float, connection_key) -> float:
-                delay = super().processing_delay(now, connection_key)
-                delay += emulator.controller.consult(self.name, connection_key)
-                return delay
-
-        self.network = FullStateNetwork(
-            self.sim, topology, rng=self.rng,
-            switch_model_factory=lambda name: _MaxinetSwitch(name))
-        self.constraints = GroundTruthConstraints(
-            topology, packet_rate=self.network.packet_rate)
-        self.fluid = FluidEngine(self.sim, self.constraints, dt=fluid_dt,
-                                 rng=self.rng)
-        self.network.set_background_load(self.fluid.link_rate)
-        self.network.start_usage_monitor()
+        self._worker_of = {bridge: index % workers for index, bridge
+                           in enumerate(sorted(topology.bridges))}
         self.dataplane = self
 
     # --------------------------------------------------------- packet plane
@@ -128,7 +115,7 @@ class MaxinetEmulator:
                        if node in self._worker_of]
             for first, second in zip(bridges, bridges[1:]):
                 if self._worker_of[first] != self._worker_of[second]:
-                    extra += self.tunnel_delay
+                    extra += TUNNEL_DELAY
 
         def tunnelled_deliver(delivered_packet: Packet) -> None:
             if extra > 0.0:
@@ -137,20 +124,3 @@ class MaxinetEmulator:
                 deliver(delivered_packet)
 
         self.network.send(packet, tunnelled_deliver, on_drop=on_drop)
-
-    # ------------------------------------------------------------ bulk plane
-    def start_flow(self, key: Hashable, source: str, destination: str, *,
-                   protocol: str = "tcp", congestion_control: str = "cubic",
-                   demand: float = float("inf"),
-                   size_bits: Optional[float] = None,
-                   start_time: float = 0.0) -> FluidFlow:
-        flow = FluidFlow(key, source, destination, protocol=protocol,
-                         congestion_control=congestion_control, demand=demand,
-                         size_bits=size_bits, start_time=start_time)
-        return self.fluid.add_flow(flow)
-
-    def stop_flow(self, key: Hashable) -> None:
-        self.fluid.remove_flow(key)
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)

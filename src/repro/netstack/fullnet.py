@@ -55,7 +55,6 @@ class SwitchModel:
         self.connection_setup_cost = connection_setup_cost
         self.capacity_packets_per_s = capacity_packets_per_s
         self.connections: set = set()
-        self.packets_forwarded = 0
         self.setups = 0
         self._horizon = 0.0
 
@@ -76,7 +75,6 @@ class SwitchModel:
             start = max(now, self._horizon)
             self._horizon = start + service
             delay += (start - now) + service
-        self.packets_forwarded += 1
         return delay
 
 
@@ -169,9 +167,6 @@ class FullStateNetwork:
     def reachable(self, source: str, destination: str) -> bool:
         return self.collapsed.path(source, destination) is not None
 
-    def link_for_id(self, link_id: int) -> PacketLink:
-        return self._links[link_id]
-
     def send(self, packet: Packet, deliver, on_drop=None,
              on_backpressure=None) -> None:
         """:meth:`DataPlane.send`; links drop, they never push back."""
@@ -214,10 +209,3 @@ class FullStateNetwork:
             self.sim.after(extra_delay, enter_link)
         else:
             enter_link()
-
-    # ------------------------------------------------------------- telemetry
-    def total_packets_dropped(self) -> int:
-        return sum(link.packets_dropped for link in self._links.values())
-
-    def total_bits_sent(self) -> float:
-        return sum(link.bits_sent for link in self._links.values())

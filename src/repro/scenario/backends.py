@@ -212,28 +212,21 @@ class MininetBackend(ExecutionBackend):
 
     name = "mininet"
 
-    def __init__(self, *, element_budget: Optional[int] = None,
-                 **emulator_options) -> None:
+    def __init__(self, *, element_budget: Optional[int] = None) -> None:
         super().__init__()
-        from repro.baselines.mininet import (
-            _DEFAULT_ELEMENT_BUDGET,
-            _MAX_LINK_RATE,
-        )
-        self._element_budget = (element_budget if element_budget is not None
-                                else _DEFAULT_ELEMENT_BUDGET)
-        self._emulator_options = emulator_options
+        from repro.baselines import mininet
         self.capabilities = BackendCapabilities(
-            max_link_rate=_MAX_LINK_RATE,
-            element_budget=self._element_budget,
+            max_link_rate=mininet.MAX_LINK_RATE,
+            element_budget=(element_budget if element_budget is not None
+                            else mininet.ELEMENT_BUDGET),
             multi_machine=False)
 
     def _build(self, compiled):
-        from repro.baselines import MininetEmulator
-        return MininetEmulator(compiled.topology,
-                               seed=compiled.config.seed,
-                               fluid_dt=compiled.config.fluid_dt,
-                               element_budget=self._element_budget,
-                               **self._emulator_options)
+        from repro.baselines import BareMetalTestbed, mininet
+        return BareMetalTestbed(compiled.topology,
+                                seed=compiled.config.seed,
+                                fluid_dt=compiled.config.fluid_dt,
+                                switch_model=mininet.switch)
 
 
 class MaxinetBackend(ExecutionBackend):
@@ -242,17 +235,15 @@ class MaxinetBackend(ExecutionBackend):
     name = "maxinet"
     capabilities = BackendCapabilities()
 
-    def __init__(self, *, workers: int = 4, **emulator_options) -> None:
+    def __init__(self, *, workers: int = 4) -> None:
         super().__init__()
         self._workers = workers
-        self._emulator_options = emulator_options
 
     def _build(self, compiled):
         from repro.baselines import MaxinetEmulator
         return MaxinetEmulator(compiled.topology, workers=self._workers,
                                seed=compiled.config.seed,
-                               fluid_dt=compiled.config.fluid_dt,
-                               **self._emulator_options)
+                               fluid_dt=compiled.config.fluid_dt)
 
 
 class _TrickleSystem:

@@ -8,6 +8,9 @@ earlier, later or in another order anywhere in the run changes every
 — the mesh and clients behind ``bench``'s ``kv_packet`` workload — and
 digests that stream; ``tests/golden/kv_event_order.json`` pins the result
 and ``BENCH_engine.json`` carries it as ``event_order_checksum``.
+The same point driven on a full-state comparator (``backend="baremetal"``,
+``"mininet"`` or ``"maxinet"``) is pinned by
+``tests/golden/full_state_event_order.json``.
 """
 
 import hashlib
@@ -54,7 +57,7 @@ def recorded_dispatch(record):
             setattr(Simulator, name, original)
 
 
-def kv_event_order(seed=SEED, duration=DURATION):
+def kv_event_order(seed=SEED, duration=DURATION, backend="kollaps"):
     """(events dispatched, blake2b of their ``(time, priority, seq)``)."""
     digest = hashlib.blake2b(digest_size=16)
     dispatched = 0
@@ -67,10 +70,10 @@ def kv_event_order(seed=SEED, duration=DURATION):
     with recorded_dispatch(record):
         compiled = point_scenario(hosts=4, connections=10, duration=duration,
                                   seed=seed).compile()
-        backend = resolve_backend("kollaps")
-        engine = backend.prepare(compiled)
-        backend.start_workloads()
-        backend.advance(duration)
-        backend.teardown()
-    assert dispatched == engine.sim.events_dispatched
+        runner = resolve_backend(backend)
+        system = runner.prepare(compiled)
+        runner.start_workloads()
+        runner.advance(duration)
+        runner.teardown()
+    assert dispatched == system.sim.events_dispatched
     return dispatched, digest.hexdigest()

@@ -18,7 +18,7 @@ from repro.scenario import (
     set_link,
 )
 from repro.scenario.results import Metrics, ScenarioRun
-from repro.scenario.topologies import point_to_point, star
+from repro.scenario.topologies import point_to_point, scale_free, star
 
 MBPS = 1e6
 
@@ -166,6 +166,19 @@ class TestCapabilities:
         with pytest.raises(BackendCompatibilityError) as error:
             compiled.run(backend="mininet", element_budget=4)
         assert "budget" in str(error.value)
+
+    def test_mininet_shapes_exactly_1gbps(self):
+        """Table 2's 1 Gb/s row runs on Mininet: the cap is inclusive."""
+        compiled = (point_to_point(1e9)
+                    .workload(flow("client", "server", key="f"))
+                    .deploy(seed=1).compile())
+        assert compiled.validate_backend("mininet") == []
+
+    def test_mininet_default_budget_refuses_2000_elements(self):
+        """Table 4's N/A: 2000 elements exceed one machine by default."""
+        compiled = scale_free(2000, seed=1).deploy(seed=1).compile()
+        problems = compiled.validate_backend("mininet")
+        assert len(problems) == 1 and "budget of 1700" in problems[0]
 
     def test_problems_aggregate_into_one_error(self):
         """Compile-against-backend reports every problem at once."""

@@ -1,26 +1,27 @@
-"""Baseline emulators: bare metal, Mininet-like, Maxinet-like, Trickle-like."""
+"""Baseline emulators: the full-state testbed — bare metal, with the
+Mininet switch, with Maxinet's controlled switches — and Trickle."""
 
 import pytest
 
 from repro.baselines import (
     BareMetalTestbed,
     MaxinetEmulator,
-    MininetEmulator,
     TrickleShaper,
+    mininet,
 )
-from repro.baselines.mininet import LinkUnsupportedError, ScaleError
 from repro.baselines.trickle import (
     TRICKLE_DEFAULT_BUFFER_BYTES,
     TRICKLE_TUNED_BUFFER_BYTES,
 )
 from repro.netstack.packet import Packet
-from repro.scenario.topologies import (
-    point_to_point,
-    scale_free,
-    star,
-)
+from repro.scenario.topologies import point_to_point, star
 
 MBPS = 1e6
+
+
+def mininet_testbed(topology, **options):
+    """Mininet: the full-state testbed with the Mininet switch."""
+    return BareMetalTestbed(topology, switch_model=mininet.switch, **options)
 
 
 class TestBareMetal:
@@ -43,22 +44,9 @@ class TestBareMetal:
 
 
 class TestMininet:
-    def test_rejects_links_above_1gbps(self):
-        """Table 2: Mininet cannot shape 2 Gb/s and 4 Gb/s links."""
-        with pytest.raises(LinkUnsupportedError):
-            MininetEmulator(point_to_point(2e9).compile().topology)
-
-    def test_accepts_1gbps(self):
-        MininetEmulator(point_to_point(1e9).compile().topology)
-
-    def test_rejects_oversized_topologies(self):
-        """Table 4: the 2000-element topology exceeds one machine."""
-        with pytest.raises(ScaleError):
-            MininetEmulator(scale_free(2000, seed=1).compile().topology)
-
     def test_bulk_accuracy_close_to_baremetal(self):
         """Figure 5: long-lived flows are accurate under Mininet."""
-        emulator = MininetEmulator(
+        emulator = mininet_testbed(
             point_to_point(100 * MBPS).compile().topology, seed=1)
         emulator.start_flow("f", "client", "server")
         emulator.run(until=10.0)
@@ -66,7 +54,7 @@ class TestMininet:
             pytest.approx(100 * MBPS, rel=0.05)
 
     def test_switch_state_grows_with_connections(self):
-        emulator = MininetEmulator(
+        emulator = mininet_testbed(
             point_to_point(100 * MBPS, latency=0.002).compile().topology,
             seed=1)
         arrivals = []
@@ -81,10 +69,10 @@ class TestMininet:
     def test_per_packet_delay_exceeds_baremetal(self):
         baremetal = BareMetalTestbed(
             point_to_point(1e9, latency=0.010).compile().topology, seed=1)
-        mininet = MininetEmulator(
+        emulated = mininet_testbed(
             point_to_point(1e9, latency=0.010).compile().topology, seed=1)
         results = {}
-        for name, system in (("bare", baremetal), ("mn", mininet)):
+        for name, system in (("bare", baremetal), ("mn", emulated)):
             arrivals = []
             system.dataplane.send(Packet("client", "server", 800),
                                   lambda p: arrivals.append(system.sim.now))

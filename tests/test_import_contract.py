@@ -39,9 +39,12 @@ run = (Scenario.build("pair").service("a").service("b").bridges("s")
        .link("a", "s", latency="5ms", up="10Mbps")
        .link("s", "b", latency="5ms", up="10Mbps")
        .workload(ping("a", "b", count=3))
-       .deploy(machines=1, seed=1).compile().run())
+       .deploy(machines=1, seed=1).compile().run({backend}))
 assert run["ping:a->b"].received == 3
 """
+# A bare-metal run builds the full-state testbed and no other comparator.
+OTHER_COMPARATORS = ("repro.baselines.mininet", "repro.baselines.maxinet",
+                     "repro.baselines.trickle")
 
 CLI = """
 from repro.cli import main
@@ -59,7 +62,13 @@ CASES = {
     "cli-validate": (CLI.format(argv=["validate",
                                       "examples/quickstart.scn"]),
                      TOOLBOX + SCRIPTS),
-    "kollaps-ping-run": (PING_RUN, TOOLBOX + LINTER + SCRIPTS),
+    "kollaps-ping-run": (PING_RUN.format(backend=""),
+                         TOOLBOX + LINTER + SCRIPTS),
+    "baremetal-ping-run": (
+        PING_RUN.format(backend="backend='baremetal'"),
+        tuple(name for name in TOOLBOX if not name.startswith(
+            ("repro.netstack.fullnet", "repro.baselines")))
+        + LINTER + SCRIPTS + OTHER_COMPARATORS),
 }
 
 LIST_MODULES = """

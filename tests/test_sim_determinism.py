@@ -36,3 +36,18 @@ def test_event_order_matches_the_golden(reference):
     golden = json.loads(GOLDEN.read_text())
     assert f"duration={DURATION}, seed={SEED}" in golden["scenario"]
     assert reference == (golden["events"], golden["digest"])
+
+
+FULL_STATE = Path(__file__).parent / "golden" / "full_state_event_order.json"
+
+
+@pytest.mark.parametrize("backend", ["baremetal", "mininet", "maxinet"])
+def test_full_state_event_order_matches_the_golden(backend):
+    """The same point on each full-state comparator dispatches the stream
+    recorded when the three were still built separately: a switch model
+    that costs a packet more, less or at another moment lands here."""
+    golden = json.loads(FULL_STATE.read_text())
+    assert f"duration={DURATION}, seed={SEED}" in golden["scenario"]
+    pinned = golden["backends"][backend]
+    assert kv_event_order(backend=backend) == (pinned["events"],
+                                               pinned["digest"])

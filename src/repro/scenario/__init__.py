@@ -49,7 +49,6 @@ from repro.scenario.backends import (
     resolve_backend,
 )
 from repro.scenario.builder import (
-    PendingEvent,
     Scenario,
     link_down,
     link_up,
@@ -102,7 +101,6 @@ __all__ = [
     "backend_names",
     "register_backend",
     "resolve_backend",
-    "PendingEvent",
     "set_link",
     "link_down",
     "link_up",

@@ -30,11 +30,10 @@ from repro.topology.model import (
     Topology,
     TopologyError,
 )
-from repro.units import parse_rate, parse_time
+from repro.units import coerce_loss, coerce_rate, coerce_time
 
 __all__ = [
     "Scenario",
-    "PendingEvent",
     "set_link",
     "link_down",
     "link_up",
@@ -45,30 +44,11 @@ __all__ = [
 Number = Union[str, float, int]
 
 
-def _time(value: Optional[Number], *, default_unit: str = "s") -> float:
-    """Seconds from a raw float (already seconds) or a ``"10ms"`` string."""
-    if value is None:
-        return 0.0
-    return parse_time(value, default_unit=default_unit)
-
-
-def _rate(value: Optional[Number]) -> float:
-    """Bits/s from a raw float (already bits/s) or a ``"10Mbps"`` string."""
-    if value is None:
-        return float("inf")
-    return parse_rate(value)
-
-
-def _loss(value: Optional[Number]) -> float:
-    """A loss probability from a float or a ``"2%"`` string."""
-    if value is None:
-        return 0.0
-    if isinstance(value, str):
-        raw = value.strip()
-        if raw.endswith("%"):
-            return float(raw[:-1]) / 100.0
-        return float(raw)
-    return float(value)
+def _capacity(up: Optional[Number], bandwidth: Optional[Number]) -> float:
+    """Bits/s of ``up``, else of the symmetric ``bandwidth``; unlimited
+    when neither is given."""
+    capacity = up if up is not None else bandwidth
+    return float("inf") if capacity is None else coerce_rate(capacity)
 
 
 # --------------------------------------------------------------------------
@@ -116,83 +96,62 @@ class LinkSpec:
 
 
 # --------------------------------------------------------------------------
-# Event helpers for Scenario.at(): partially-specified dynamic events.
+# Event helpers for Scenario.at(), which stamps each with its time.
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PendingEvent:
-    """A dynamic event waiting for :meth:`Scenario.at` to stamp its time."""
-
-    action: EventAction
-    origin: Optional[str] = None
-    destination: Optional[str] = None
-    name: Optional[str] = None
-    properties: Optional[LinkProperties] = None
-    changes: Tuple[Tuple[str, float], ...] = ()
-    bidirectional: bool = True
-
-    def at(self, time: float) -> DynamicEvent:
-        return DynamicEvent(time=time, action=self.action, origin=self.origin,
-                            destination=self.destination, name=self.name,
-                            properties=self.properties,
-                            changes=dict(self.changes),
-                            bidirectional=self.bidirectional)
-
-
 def set_link(origin: str, destination: str, *,
              latency: Optional[Number] = None,
              bandwidth: Optional[Number] = None,
              up: Optional[Number] = None,
              jitter: Optional[Number] = None,
              loss: Optional[Number] = None,
-             bidirectional: bool = True) -> PendingEvent:
+             bidirectional: bool = True) -> DynamicEvent:
     """Change selected properties of an existing link (others untouched)."""
-    changes: List[Tuple[str, float]] = []
+    changes: Dict[str, float] = {}
     if latency is not None:
-        changes.append(("latency", _time(latency)))
+        changes["latency"] = coerce_time(latency)
     if jitter is not None:
-        changes.append(("jitter", _time(jitter)))
+        changes["jitter"] = coerce_time(jitter)
     if loss is not None:
-        changes.append(("loss", _loss(loss)))
-    capacity = up if up is not None else bandwidth
-    if capacity is not None:
-        changes.append(("bandwidth", _rate(capacity)))
+        changes["loss"] = coerce_loss(loss)
+    if up is not None or bandwidth is not None:
+        changes["bandwidth"] = _capacity(up, bandwidth)
     if not changes:
         raise TopologyError(
             f"set_link({origin!r}, {destination!r}) changes nothing")
-    return PendingEvent(EventAction.SET_LINK, origin=origin,
-                        destination=destination, changes=tuple(changes),
+    return DynamicEvent(0.0, EventAction.SET_LINK, origin=origin,
+                        destination=destination, changes=changes,
                         bidirectional=bidirectional)
 
 
 def link_down(origin: str, destination: str, *,
-              bidirectional: bool = True) -> PendingEvent:
+              bidirectional: bool = True) -> DynamicEvent:
     """Remove a link (half of the paper's flapping-link pattern)."""
-    return PendingEvent(EventAction.LEAVE_LINK, origin=origin,
+    return DynamicEvent(0.0, EventAction.LEAVE_LINK, origin=origin,
                         destination=destination, bidirectional=bidirectional)
 
 
 def link_up(origin: str, destination: str, *,
             latency: Number = 0.0, bandwidth: Optional[Number] = None,
             up: Optional[Number] = None, jitter: Number = 0.0,
-            loss: Number = 0.0, bidirectional: bool = True) -> PendingEvent:
+            loss: Number = 0.0, bidirectional: bool = True) -> DynamicEvent:
     """(Re-)add a link with the given properties."""
-    capacity = up if up is not None else bandwidth
-    properties = LinkProperties(latency=_time(latency),
-                                bandwidth=_rate(capacity),
-                                jitter=_time(jitter), loss=_loss(loss))
-    return PendingEvent(EventAction.JOIN_LINK, origin=origin,
+    properties = LinkProperties(latency=coerce_time(latency),
+                                bandwidth=_capacity(up, bandwidth),
+                                jitter=coerce_time(jitter),
+                                loss=coerce_loss(loss))
+    return DynamicEvent(0.0, EventAction.JOIN_LINK, origin=origin,
                         destination=destination, properties=properties,
                         bidirectional=bidirectional)
 
 
-def node_join(name: str) -> PendingEvent:
+def node_join(name: str) -> DynamicEvent:
     """(Re-)add a service or bridge by name."""
-    return PendingEvent(EventAction.JOIN_NODE, name=name)
+    return DynamicEvent(0.0, EventAction.JOIN_NODE, name=name)
 
 
-def node_leave(name: str) -> PendingEvent:
+def node_leave(name: str) -> DynamicEvent:
     """Remove a service or bridge (and every link touching it)."""
-    return PendingEvent(EventAction.LEAVE_NODE, name=name)
+    return DynamicEvent(0.0, EventAction.LEAVE_NODE, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -298,12 +257,11 @@ class Scenario:
         ``bandwidth`` is the symmetric shorthand.  ``down`` defaults to
         ``up`` when the link is bidirectional.
         """
-        capacity = up if up is not None else bandwidth
         self._links.append(LinkSpec(
             source=source, destination=destination,
-            latency=_time(latency), up=_rate(capacity),
-            down=None if down is None else _rate(down),
-            jitter=_time(jitter), loss=_loss(loss),
+            latency=coerce_time(latency), up=_capacity(up, bandwidth),
+            down=None if down is None else coerce_rate(down),
+            jitter=coerce_time(jitter), loss=coerce_loss(loss),
             jitter_distribution=jitter_distribution,
             bidirectional=bool(bidirectional), network=network))
         return self
@@ -318,24 +276,25 @@ class Scenario:
             f"no declared link between {source!r} and {destination!r}")
 
     # -------------------------------------------------------------- events
-    def at(self, time: Number,
-           *events: Union[PendingEvent, DynamicEvent]) -> "Scenario":
-        """Schedule dynamic events at ``time`` (seconds or ``"90s"``-style)."""
-        stamp = _time(time)
+    def at(self, time: Number, *events: DynamicEvent) -> "Scenario":
+        """Schedule dynamic events at ``time`` (seconds or ``"90s"``-style).
+
+        Each event is stamped as a copy, so one helper's event scheduled
+        at two times is two independent events."""
+        stamp = coerce_time(time)
         if not events:
             raise TopologyError(f"at({time!r}) schedules no events")
         for event in events:
-            if isinstance(event, PendingEvent):
-                self._events.append(event.at(stamp))
-            elif isinstance(event, DynamicEvent):
-                self._events.append(dataclasses.replace(event, time=stamp))
-            else:
+            if not isinstance(event, DynamicEvent):
                 raise TopologyError(
-                    f"at() takes PendingEvent/DynamicEvent, got {event!r}")
+                    f"at() takes DynamicEvent, got {event!r}")
+            self._events.append(dataclasses.replace(
+                event, time=stamp, changes=dict(event.changes)))
         return self
 
     def event(self, event: DynamicEvent) -> "Scenario":
         """Append an already-timed :class:`DynamicEvent` (escape hatch)."""
+        coerce_time(event.time)
         self._events.append(event)
         return self
 
@@ -384,7 +343,7 @@ class Scenario:
         if placement is not None:
             self._placement = dict(placement)
         if duration is not None:
-            self._duration = _time(duration)
+            self._duration = coerce_time(duration)
         return self
 
     # -------------------------------------------------------- compilation
@@ -419,7 +378,7 @@ class Scenario:
         self._validate_workloads()
         schedule = EventSchedule(list(self._events))
         for text in self._scripts:
-            from repro.topology.thunderstorm import compile_scenario
+            from repro.scenario.thunderstorm import compile_scenario
             for event in compile_scenario(text, topology):
                 schedule.add(event)
 

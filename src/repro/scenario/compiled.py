@@ -155,7 +155,7 @@ class CompiledScenario:
 
     def compile_script(self, text: str) -> EventSchedule:
         """Compile a THUNDERSTORM script against this scenario's topology."""
-        from repro.topology.thunderstorm import compile_scenario
+        from repro.scenario.thunderstorm import compile_scenario
         return compile_scenario(text, self.topology)
 
     # ------------------------------------------------------------ describe

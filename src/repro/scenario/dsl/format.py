@@ -42,11 +42,11 @@ from repro.scenario.dsl.schema import (
     SERVICE,
     WORKLOADS,
     Diagnostic,
-    coerce_time,
     validate_document,
 )
 from repro.topology.events import DynamicEvent, EventAction
 from repro.topology.model import LinkProperties, TopologyError
+from repro.units import coerce_time
 
 __all__ = ["ScnError", "scn_document", "dumps_scn", "dump_scn",
            "scenario_from_scn", "loads_scn", "load_scn"]

@@ -39,10 +39,9 @@ from repro.scenario.workloads import (
     PingWorkload,
 )
 from repro.topology.model import LinkProperties
-from repro.units import UnitError, parse_rate, parse_time
+from repro.units import UnitError, coerce_loss, coerce_rate, coerce_time
 
-__all__ = ["SCN_VERSION", "Diagnostic", "validate_document",
-           "coerce_time", "coerce_rate", "coerce_loss"]
+__all__ = ["SCN_VERSION", "Diagnostic", "validate_document"]
 
 #: Version stamp every document carries; bumped on incompatible changes.
 SCN_VERSION = 1
@@ -62,46 +61,6 @@ class Diagnostic:
     def __str__(self) -> str:
         where = self.path or "document"
         return f"{self.severity}: {where}: {self.message}"
-
-
-# --------------------------------------------------------------------------
-# Value coercion (shared with the front-end lowerings).
-# --------------------------------------------------------------------------
-def coerce_time(value) -> float:
-    """Seconds from a number (already seconds) or a ``"10ms"`` string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"expected seconds or a time string, got {value!r}")
-    seconds = parse_time(value)
-    if seconds < 0:
-        raise ValueError(f"negative time: {value!r}")
-    return seconds
-
-
-def coerce_rate(value) -> float:
-    """Bits/s from a number, a ``"100Mbps"`` string, or ``"unlimited"``."""
-    if isinstance(value, str) and value.strip().lower() in ("unlimited",
-                                                            "inf"):
-        return float("inf")
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"expected bits/s or a rate string, got {value!r}")
-    rate = parse_rate(value)
-    if rate <= 0:
-        raise ValueError(f"non-positive rate: {value!r}")
-    return rate
-
-
-def coerce_loss(value) -> float:
-    """A loss probability from a number in [0, 1] or a ``"2%"`` string."""
-    if isinstance(value, str):
-        raw = value.strip()
-        loss = float(raw[:-1]) / 100.0 if raw.endswith("%") else float(raw)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a loss probability, got {value!r}")
-    else:
-        loss = float(value)
-    if not 0.0 <= loss <= 1.0:
-        raise ValueError(f"loss outside [0, 1]: {value!r}")
-    return loss
 
 
 # --------------------------------------------------------------------------
@@ -584,7 +543,9 @@ def _validate_event(spec: Dict, path: str, known: set,
             f"unknown action {action!r} (expected one of: "
             + ", ".join(_EVENT_ACTIONS) + ")"))
         return
-    _check_fields(spec, *_EVENT_KEYS[action], path, out)
+    # The time is checked above, whatever the action: not a second time.
+    rest = {key: value for key, value in spec.items() if key != "time"}
+    _check_fields(rest, *_EVENT_KEYS[action], path, out)
 
     for field, record in (("properties", PROPERTIES), ("changes", CHANGES)):
         payload = spec.get(field)

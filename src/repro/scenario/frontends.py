@@ -10,6 +10,14 @@ every format and a mistake in any of them is reported under its document
 path (``services[0].replicas``).  A lowering never rejects a value: what
 it cannot convert it leaves as written, for the validator to name.
 
+Every conversion goes through the schema's records and units; the
+rules here are only the description language's own: a bare number for
+latency or jitter is milliseconds, a bidirectional link with no ``down``
+is unlimited in that direction, and a link event's ``down`` is the
+reverse direction's capacity.  THUNDERSTORM scripts
+(:mod:`repro.scenario.thunderstorm`) lower their ``prop=value`` pairs
+through :func:`link_property` and :func:`lower_link_event` too.
+
 ``.py`` modules exposing a module-level ``SCENARIO`` are the one input
 that yields a builder directly.
 """
@@ -18,85 +26,133 @@ from __future__ import annotations
 
 import importlib.util
 import xml.etree.ElementTree as ElementTree
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.scenario.builder import Scenario
 from repro.scenario.dsl.format import _parse_scn_text, scenario_from_scn
-from repro.scenario.dsl.schema import RATE, SCN_VERSION, coerce_loss, \
-    coerce_time
+from repro.scenario.dsl.schema import BOOL, CHANGES, COUNT, LINK, \
+    PROPERTIES, SCN_VERSION, SERVICE, STR, TIME, Record, Unit
 from repro.topology.model import TopologyError
-from repro.units import parse_time
+from repro.units import coerce_loss, coerce_rate, coerce_time, parse_time
 
-__all__ = ["lower_dict", "lower_text", "lower_xml", "load_description",
-           "scenario_from_file"]
+__all__ = ["lower_dict", "lower_text", "lower_xml", "lower_link_event",
+           "link_property", "load_description", "scenario_from_file"]
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
+#: The keys that give one direction of a link event its capacity, the
+#: first given winning: ``up`` (else the symmetric ``bandwidth``)
+#: forward, ``down`` (else the same) in reverse.  ``_REVERSE`` lists
+#: every capacity key.
+_FORWARD = ("up", "bandwidth")
+_REVERSE = ("down",) + _FORWARD
 
 
 # --------------------------------------------------------------------------
-# Value conversion: description-language spellings → SI numbers.
+# Value conversion: the schema's units, plus the description language's
+# own spellings.
 # --------------------------------------------------------------------------
-def _milliseconds(value) -> float:
-    """Link latency/jitter: a bare number is milliseconds (Listing 1)."""
-    return parse_time(value, default_unit="ms")
+def _lowered(key: str, unit: Unit, value):
+    """``value`` of field ``key`` as the document spells it; a value that
+    does not convert raises ``ValueError``.
+
+    A bare number for latency or jitter is milliseconds (Listing 1), and
+    a count or a boolean may be text (``"false"`` must not be truthy).
+    Any other quantity converts through its unit: SI numbers, infinity
+    spelled ``"unlimited"``."""
+    if key in ("latency", "jitter"):
+        return parse_time(value, default_unit="ms")
+    if unit.check is COUNT.check:
+        return int(value) if isinstance(value, str) else value
+    if unit.check is BOOL.check:
+        return _BOOLEANS.get(str(value).strip().lower(), value)
+    if unit.load in (coerce_time, coerce_rate, coerce_loss):
+        return unit.dump(unit.load(value))
+    return value
 
 
-def _rate(value) -> Union[float, str]:
-    """Bits/s, infinity in the document's spelling (``"unlimited"``)."""
-    return RATE.dump(RATE.load(value))
-
-
-def _integer(value):
-    return int(value) if isinstance(value, str) else value
-
-
-def _boolean(value):
-    """Booleans from dict *and* text forms (``"false"`` must not be truthy)."""
-    return _BOOLEANS.get(str(value).strip().lower(), value)
-
-
-def _put(out: Dict, key: str, value, converter: Optional[Callable]) -> None:
-    """``out[key] = converter(value)``, skipping an unset (``None``) value
+def _put(out: Dict, key: str, value, unit: Unit) -> None:
+    """``out[key] = value`` lowered, skipping an unset (``None``) value
     and keeping one that does not convert as written."""
     if value is None:
         return
-    if converter is not None:
-        try:
-            value = converter(value)
-        except (TypeError, ValueError):
-            pass                # the validator reports it under its path
+    try:
+        value = _lowered(key, unit, value)
+    except (TypeError, ValueError):
+        pass                    # the validator reports it under its path
     out[key] = value
 
 
-def _convert(spec: Dict, fields: Dict[str, Optional[Callable]]) -> Dict:
-    """The ``fields`` that ``spec`` sets, each through its converter."""
+def _fields(spec: Dict, record: Record) -> Dict:
+    """The fields of ``record`` that ``spec`` sets, each lowered."""
     out: Dict = {}
-    for key, converter in fields.items():
-        _put(out, key, spec.get(key), converter)
+    for field in record.fields:
+        _put(out, field.key, spec.get(field.key), field.unit)
     return out
 
 
+def _property_unit(key: str, record: Record) -> Optional[Unit]:
+    """The unit of a property a link event may name: ``up``, ``down`` or
+    a field of ``record`` (:data:`~repro.scenario.dsl.schema.CHANGES` for
+    a ``set_link``); None for any other key."""
+    field = record.by_key.get("bandwidth" if key in _REVERSE else key)
+    return None if field is None else field.unit
+
+
+def link_property(key: str, value):
+    """One quantity a link event changes, as the document spells it; a
+    key that names none raises ``KeyError``, a value that does not
+    convert ``ValueError``."""
+    unit = _property_unit(key, CHANGES)
+    if unit is None:
+        raise KeyError(key)
+    return _lowered(key, unit, value)
+
+
+def _direction(properties: Dict, capacities: Tuple[str, ...]) -> Dict:
+    """What one direction of a link event gets: every property but the
+    capacities, and the first of ``capacities`` given as its bandwidth
+    (where the stanza first names one)."""
+    given = [properties[key] for key in capacities if key in properties]
+    out: Dict = {}
+    for key, value in properties.items():
+        if key in capacities:
+            out["bandwidth"] = given[0]
+        elif key not in _REVERSE:
+            out[key] = value
+    return out
+
+
+def lower_link_event(event: Dict, payload: str,
+                     properties: Dict) -> List[Dict]:
+    """The ``.scn`` events of one link stanza: ``event`` (its time, action
+    and endpoints) with the lowered ``properties`` under ``payload``
+    (``"changes"`` or ``"properties"``).
+
+    ``up`` (else the symmetric ``bandwidth``) is the forward capacity and
+    ``down`` (else the same) the reverse one.  A bidirectional stanza
+    whose two directions end up different becomes one one-way event per
+    direction that gets anything; otherwise it is the one event it names
+    (a one-way event has no reverse direction to give ``down`` to)."""
+    forward = _direction(properties, _FORWARD)
+    reverse = _direction(properties, _REVERSE)
+    if event.get("bidirectional", True) is False or reverse == forward:
+        return [dict(event, **{payload: forward})]
+    one_way = dict(event, bidirectional=False)
+    back = dict(one_way, orig=event.get("dest"), dest=event.get("orig"))
+    return [dict(half, **{payload: given})
+            for half, given in ((one_way, forward), (back, reverse))
+            if given]
+
+
 def _each(section, lower: Callable):
-    """A section's stanzas lowered one by one; anything that is not a
-    list of mappings goes to the validator unchanged."""
+    """A section's stanzas lowered one by one, each to a list of entries;
+    anything that is not a list of mappings goes to the validator
+    unchanged."""
     if not isinstance(section, list):
         return section
-    return [lower(spec) if isinstance(spec, dict) else spec
-            for spec in section]
-
-
-_SERVICE = {"name": None, "image": None, "replicas": _integer,
-            "command": None, "tags": None}
-_LINK = {"orig": None, "dest": None, "latency": _milliseconds,
-         "jitter": _milliseconds, "loss": coerce_loss,
-         "jitter_distribution": None, "bidirectional": _boolean,
-         "network": None}
-_EVENT = {"time": coerce_time, "orig": None, "dest": None,
-          "bidirectional": _boolean}
-_CHANGES = {"latency": _milliseconds, "jitter": _milliseconds,
-            "loss": coerce_loss}
-_PROPERTIES = dict(_CHANGES, jitter_distribution=None)
+    return [entry for spec in section
+            for entry in (lower(spec) if isinstance(spec, dict) else [spec])]
 
 
 # --------------------------------------------------------------------------
@@ -117,49 +173,60 @@ def lower_dict(description: Dict) -> Dict:
     Link ``latency``/``jitter`` default to milliseconds and bandwidths
     accept ``"10Mbps"``-style strings, exactly as the description language
     specifies.  A bidirectional link that names no ``down`` (or symmetric
-    ``bandwidth``) capacity is unlimited in that direction.
+    ``bandwidth``) capacity is unlimited in that direction; a dynamic
+    stanza's ``down`` is the reverse direction's (see
+    :func:`lower_link_event`).
     """
     body = description.get("experiment", description)
     return {
         "scn": SCN_VERSION,
         "name": body.get("name", "experiment"),
         "services": _each(body.get("services", []),
-                          lambda spec: _convert(spec, _SERVICE)),
+                          lambda spec: [_fields(spec, SERVICE)]),
         "bridges": _each(body.get("bridges", []),
-                         lambda spec: spec.get("name")),
+                         lambda spec: [spec.get("name")]),
         "links": _each(body.get("links", []), _lower_link),
         "events": _each(description.get("dynamic", []), _lower_event),
     }
 
 
-def _lower_link(spec: Dict) -> Dict:
-    link = _convert(spec, _LINK)
+def _lower_link(spec: Dict) -> List[Dict]:
     symmetric = spec.get("bandwidth")
-    _put(link, "up", spec.get("up", symmetric), _rate)
-    if link.get("bidirectional", True) is not False:
-        down = spec.get("down", symmetric)
-        _put(link, "down", "unlimited" if down is None else down, _rate)
-    return link
+    link = _fields(dict(spec, up=spec.get("up", symmetric),
+                        down=spec.get("down", symmetric)), LINK)
+    if link.get("bidirectional", True) is False:
+        link.pop("down", None)
+    else:
+        link.setdefault("down", "unlimited")
+    return [link]
 
 
-def _lower_event(spec: Dict) -> Dict:
-    """One dynamic stanza (Listing 2 style) as a ``.scn`` event."""
+def _lower_event(spec: Dict) -> List[Dict]:
+    """One dynamic stanza (Listing 2 style) as ``.scn`` events."""
     action = spec.get("action")
+    event: Dict = {}
+    _put(event, "time", spec.get("time"), TIME)
     if action in ("join", "leave") and "name" in spec:
-        return dict(_convert(spec, {"time": coerce_time, "name": None}),
-                    action=action)
-    event = _convert(spec, _EVENT)
+        _put(event, "name", spec["name"], STR)
+        return [dict(event, action=action)]
+    for key in ("orig", "dest", "bidirectional"):
+        _put(event, key, spec.get(key), LINK.by_key[key].unit)
+    if action not in (None, "join"):
+        return [dict(event, action="leave_link" if action == "leave"
+                     else action)]
     # The stanza's remaining keys are link properties: all of them for a
     # (re)joining link, only the fields to alter when no action is named.
-    detail = _convert(spec, _CHANGES if action is None else _PROPERTIES)
-    _put(detail, "bandwidth", spec.get("up", spec.get("bandwidth")), _rate)
+    record = CHANGES if action is None else PROPERTIES
+    properties: Dict = {}
+    for key, value in spec.items():
+        unit = _property_unit(key, record)
+        if unit is not None:
+            _put(properties, key, value, unit)
     if action is None:
-        event.update(action="set_link", changes=detail)
-    elif action == "join":
-        event.update(action="join_link", properties=detail)
-    else:
-        event["action"] = "leave_link" if action == "leave" else action
-    return event
+        return lower_link_event(dict(event, action="set_link"), "changes",
+                                properties)
+    return lower_link_event(dict(event, action="join_link"), "properties",
+                            properties)
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,9 @@ Grammar (one directive per line, ``#`` starts a comment)::
 where ``<sep>`` is ``--`` for a bidirectional link or ``->`` for a single
 direction, times accept unit suffixes (``90``, ``1.5s``, ``200ms``, ``2min``)
 and property values reuse the description-language units (``100Mbps``,
-``10ms``, ``1%``).
+``10ms``, ``1%``; a bare latency or jitter is milliseconds).  ``up=`` and
+``bandwidth=`` set a link's capacity, ``down=`` the reverse direction's
+on an ``A--B`` link.
 
 Composite directives expand to primitives at compile time:
 
@@ -36,17 +38,27 @@ Composite directives expand to primitives at compile time:
 Compilation validates the whole scenario against the base topology, so a
 typo in a link name fails fast with a line number instead of corrupting an
 experiment half-way through a run.
+
+The language is a front end like the text, dict and XML forms
+(:mod:`repro.scenario.frontends`): a ``set``/``join link`` directive's
+``prop=value`` pairs go through the same lowering as a ``dynamic:``
+stanza's keys, so a property is spelled and converted the same way in
+every format (``down=`` is the reverse direction's capacity there too).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.scenario.dsl.format import _event_in
+from repro.scenario.dsl.schema import CHANGES
+from repro.scenario.frontends import link_property, lower_link_event
 from repro.topology.events import DynamicEvent, EventAction, EventSchedule
 from repro.topology.model import LinkProperties, Topology, TopologyError
-from repro.units import UnitError, parse_rate, parse_time
+from repro.units import coerce_time
 
 __all__ = ["ThunderstormError", "compile_scenario", "parse_scenario"]
 
@@ -76,32 +88,22 @@ class _Directive:
     destination: Optional[str] = None
     bidirectional: bool = True
     name: Optional[str] = None
-    changes: Dict[str, float] = field(default_factory=dict)
+    changes: Dict[str, object] = field(default_factory=dict)  # lowered
     duration: float = 0.0         # flap only
     groups: List[List[str]] = field(default_factory=list)  # partition only
     line_number: int = 0
 
 
-_LINK_PROPERTY_PARSERS = {
-    "latency": lambda text: parse_time(text, default_unit="ms"),
-    "jitter": lambda text: parse_time(text, default_unit="ms"),
-    "up": parse_rate,
-    "down": parse_rate,
-    "bandwidth": parse_rate,
-    "loss": None,  # handled by _parse_loss
-}
-
-
-def _parse_loss(text: str) -> float:
-    """Loss accepts ``0.02`` probabilities or ``2%`` percentages."""
-    raw = text.strip()
-    if raw.endswith("%"):
-        value = float(raw[:-1]) / 100.0
-    else:
-        value = float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise UnitError(f"loss outside [0,1]: {text!r}")
-    return value
+@contextlib.contextmanager
+def _at_line(line_number: int, what: str = ""):
+    """Any error of the block as a :class:`ThunderstormError` naming the
+    line (and ``what`` was being read)."""
+    try:
+        yield
+    except ThunderstormError:
+        raise
+    except ValueError as error:     # TopologyError and UnitError are too
+        raise ThunderstormError(f"{what}{error}", line_number) from None
 
 
 def _parse_endpoints(token: str, line_number: int) -> Tuple[str, str, bool]:
@@ -119,37 +121,29 @@ def _parse_endpoints(token: str, line_number: int) -> Tuple[str, str, bool]:
 
 
 def _parse_assignments(tokens: Sequence[str],
-                       line_number: int) -> Dict[str, float]:
-    changes: Dict[str, float] = {}
+                       line_number: int) -> Dict[str, object]:
+    """``prop=value`` pairs, each lowered as a ``dynamic:`` stanza's key
+    is (a quantity a ``set_link`` may change, or a capacity)."""
+    changes: Dict[str, object] = {}
     for token in tokens:
         key, separator, value = token.partition("=")
         if not separator:
             raise ThunderstormError(
                 f"expected 'property=value', got {token!r}", line_number)
-        if key not in _LINK_PROPERTY_PARSERS:
+        try:
+            with _at_line(line_number, f"bad value for {key}: "):
+                changes[key] = link_property(key, value)
+        except KeyError:
+            known = sorted({*CHANGES.by_key, "up", "down"})
             raise ThunderstormError(
                 f"unknown link property {key!r} (expected one of "
-                f"{sorted(_LINK_PROPERTY_PARSERS)})", line_number)
-        try:
-            if key == "loss":
-                changes[key] = _parse_loss(value)
-            else:
-                changes[key] = _LINK_PROPERTY_PARSERS[key](value)
-        except (UnitError, ValueError) as error:
-            raise ThunderstormError(
-                f"bad value for {key}: {error}", line_number) from None
+                f"{known})", line_number) from None
     return changes
 
 
 def _parse_time_token(token: str, line_number: int) -> float:
-    try:
-        value = parse_time(token)
-    except (UnitError, ValueError) as error:
-        raise ThunderstormError(f"bad time {token!r}: {error}",
-                                line_number) from None
-    if value < 0:
-        raise ThunderstormError(f"negative time {token!r}", line_number)
-    return value
+    with _at_line(line_number, f"bad time {token!r}: "):
+        return coerce_time(token)
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +267,10 @@ def _parse_link_directive(time: float, verb: str, tokens: Sequence[str],
     if verb == "set" and not directive.changes:
         raise ThunderstormError("'set link' needs at least one property",
                                 line_number)
+    if "down" in directive.changes and not bidirectional:
+        raise ThunderstormError(
+            "'down' is the reverse direction of a bidirectional link "
+            "'A--B'", line_number)
     return directive
 
 
@@ -322,11 +320,9 @@ def compile_scenario(text: str, topology: Topology) -> EventSchedule:
     # tear-down plus a restore that reads its properties from a shared
     # slot filled when the tear-down executes.
     operations: List[_Operation] = []
-    flap_slots: List[Dict[str, LinkProperties]] = []
     for directive in directives:
         if directive.verb == "flap":
             slot: Dict[str, LinkProperties] = {}
-            flap_slots.append(slot)
             operations.append(_Operation(directive.time, directive,
                                          verb="flap-leave", slot=slot))
             operations.append(_Operation(
@@ -337,88 +333,92 @@ def compile_scenario(text: str, topology: Topology) -> EventSchedule:
                                          verb=directive.verb))
     operations.sort(key=lambda operation: (operation.time, operation.order))
 
-    shadow = topology.copy()
-    registry: Dict[str, object] = {}
-    registry.update(shadow.services)
-    registry.update(shadow.bridges)
-    events: List[DynamicEvent] = []
-    # Links removed by partitions and not yet healed: key -> properties.
-    severed: Dict[Tuple[str, str], LinkProperties] = {}
-
-    def emit(event: DynamicEvent, line_number: int) -> None:
-        try:
-            event.apply(shadow, registry)
-        except TopologyError as error:
-            raise ThunderstormError(str(error), line_number) from None
-        events.append(event)
-
+    replay = _Replay(topology)
     for operation in operations:
-        directive = operation.directive
-        if operation.verb == "set":
-            emit(DynamicEvent(operation.time, EventAction.SET_LINK,
-                              origin=directive.origin,
-                              destination=directive.destination,
-                              changes=_directional(directive.changes, "up"),
-                              bidirectional=directive.bidirectional),
-                 directive.line_number)
-        elif operation.verb == "leave" and directive.subject == "link":
-            emit(DynamicEvent(operation.time, EventAction.LEAVE_LINK,
-                              origin=directive.origin,
-                              destination=directive.destination,
-                              bidirectional=directive.bidirectional),
-                 directive.line_number)
-        elif operation.verb == "join" and directive.subject == "link":
-            emit(DynamicEvent(operation.time, EventAction.JOIN_LINK,
-                              origin=directive.origin,
-                              destination=directive.destination,
-                              properties=_join_properties(directive),
-                              bidirectional=directive.bidirectional),
-                 directive.line_number)
-        elif operation.verb in ("leave", "join"):
-            action = (EventAction.LEAVE_NODE if operation.verb == "leave"
-                      else EventAction.JOIN_NODE)
-            emit(DynamicEvent(operation.time, action, name=directive.name),
-                 directive.line_number)
-        elif operation.verb == "flap-leave":
-            _flap_tear_down(operation, shadow, registry, events)
-        elif operation.verb == "flap-join":
-            _flap_restore(operation, shadow, registry, events)
-        elif operation.verb == "partition":
-            _compile_partition(directive, shadow, registry, events, severed)
-        elif operation.verb == "heal":
-            _compile_heal(directive, shadow, registry, events, severed)
-        else:  # pragma: no cover - parser is exhaustive
-            raise ThunderstormError(f"unhandled verb {operation.verb!r}",
+        # Whatever an operation does to the shadow topology, its errors
+        # name the script line it came from.
+        with _at_line(operation.directive.line_number):
+            _compile(operation, replay)
+    return EventSchedule(replay.events)
+
+
+class _Replay:
+    """The shadow topology a script replays on, and what it emitted."""
+
+    def __init__(self, topology: Topology) -> None:
+        self.shadow = topology.copy()
+        self.registry: Dict[str, object] = {**self.shadow.services,
+                                            **self.shadow.bridges}
+        self.events: List[DynamicEvent] = []
+        # Links removed by partitions and not yet healed: key -> properties.
+        self.severed: Dict[Tuple[str, str], LinkProperties] = {}
+
+    def emit(self, event: DynamicEvent) -> None:
+        event.apply(self.shadow, self.registry)
+        self.events.append(event)
+
+    def link_event(self, time: float, action: EventAction, origin: str,
+                   destination: str, *, bidirectional: bool = False,
+                   properties: Optional[LinkProperties] = None) -> None:
+        self.emit(DynamicEvent(time, action, origin=origin,
+                               destination=destination,
+                               properties=properties,
+                               bidirectional=bidirectional))
+
+
+def _compile(operation: "_Operation", replay: _Replay) -> None:
+    directive = operation.directive
+    time, verb = operation.time, operation.verb
+    if verb in ("set", "join") and directive.subject == "link":
+        # The same lowering as a dynamic: stanza, then the .scn loader.
+        event = {"time": time, "orig": directive.origin,
+                 "dest": directive.destination,
+                 "bidirectional": directive.bidirectional}
+        action, payload = (("set_link", "changes") if verb == "set"
+                           else ("join_link", "properties"))
+        for spec in lower_link_event(dict(event, action=action), payload,
+                                     directive.changes):
+            replay.emit(_event_in(spec))
+    elif verb == "leave" and directive.subject == "link":
+        replay.link_event(time, EventAction.LEAVE_LINK, directive.origin,
+                          directive.destination,
+                          bidirectional=directive.bidirectional)
+    elif verb in ("leave", "join"):
+        action = (EventAction.LEAVE_NODE if verb == "leave"
+                  else EventAction.JOIN_NODE)
+        replay.emit(DynamicEvent(time, action, name=directive.name))
+    elif verb == "flap-leave":
+        # Capture the properties to restore, then tear the link down.
+        operation.slot["forward"] = replay.shadow.get_link(
+            directive.origin, directive.destination).properties
+        if directive.bidirectional:
+            operation.slot["backward"] = replay.shadow.get_link(
+                directive.destination, directive.origin).properties
+        replay.link_event(time, EventAction.LEAVE_LINK, directive.origin,
+                          directive.destination,
+                          bidirectional=directive.bidirectional)
+    elif verb == "flap-join":
+        # Restore each direction with the properties captured at tear-down.
+        replay.link_event(time, EventAction.JOIN_LINK, directive.origin,
+                          directive.destination,
+                          properties=operation.slot["forward"])
+        if directive.bidirectional:
+            replay.link_event(time, EventAction.JOIN_LINK,
+                              directive.destination, directive.origin,
+                              properties=operation.slot["backward"])
+    elif verb == "partition":
+        _compile_partition(directive, replay)
+    elif verb == "heal":
+        if not replay.severed:
+            raise ThunderstormError("'heal' with no active partition",
                                     directive.line_number)
-    return EventSchedule(events)
-
-
-def _directional(changes: Dict[str, float], direction: str) -> Dict[str, float]:
-    """Map DSL property names onto :class:`LinkProperties` field names."""
-    mapped: Dict[str, float] = {}
-    for key, value in changes.items():
-        if key in ("up", "down"):
-            if key == direction:
-                mapped["bandwidth"] = value
-        else:
-            mapped[key] = value
-    # A symmetric 'bandwidth' always wins over nothing, but explicit
-    # up/down takes precedence when both are present.
-    if "bandwidth" in changes and direction not in changes:
-        mapped["bandwidth"] = changes["bandwidth"]
-    return mapped
-
-
-def _join_properties(directive: _Directive) -> LinkProperties:
-    changes = _directional(directive.changes, "up")
-    try:
-        return LinkProperties(
-            latency=changes.get("latency", 0.0),
-            bandwidth=changes.get("bandwidth", float("inf")),
-            jitter=changes.get("jitter", 0.0),
-            loss=changes.get("loss", 0.0))
-    except TopologyError as error:
-        raise ThunderstormError(str(error), directive.line_number) from None
+        for (source, destination), properties in replay.severed.items():
+            replay.link_event(time, EventAction.JOIN_LINK, source,
+                              destination, properties=properties)
+        replay.severed.clear()
+    else:  # pragma: no cover - parser is exhaustive
+        raise ThunderstormError(f"unhandled verb {verb!r}",
+                                directive.line_number)
 
 
 _operation_sequence = itertools.count()
@@ -439,69 +439,17 @@ class _Operation:
     order: int = field(default_factory=lambda: next(_operation_sequence))
 
 
-def _flap_tear_down(operation: _Operation, shadow: Topology,
-                    registry: Dict[str, object],
-                    events: List[DynamicEvent]) -> None:
-    """The flap's leave: capture current properties, then remove."""
-    directive = operation.directive
-    try:
-        operation.slot["forward"] = shadow.get_link(
-            directive.origin, directive.destination).properties
-        if directive.bidirectional:
-            operation.slot["backward"] = shadow.get_link(
-                directive.destination, directive.origin).properties
-    except TopologyError as error:
-        raise ThunderstormError(str(error), directive.line_number) from None
-    leave = DynamicEvent(operation.time, EventAction.LEAVE_LINK,
-                         origin=directive.origin,
-                         destination=directive.destination,
-                         bidirectional=directive.bidirectional)
-    try:
-        leave.apply(shadow, registry)
-    except TopologyError as error:
-        raise ThunderstormError(str(error), directive.line_number) from None
-    events.append(leave)
-
-
-def _flap_restore(operation: _Operation, shadow: Topology,
-                  registry: Dict[str, object],
-                  events: List[DynamicEvent]) -> None:
-    """The flap's join: restore the properties captured at tear-down."""
-    directive = operation.directive
-    pairs = [(directive.origin, directive.destination,
-              operation.slot.get("forward"))]
-    if directive.bidirectional:
-        pairs.append((directive.destination, directive.origin,
-                      operation.slot.get("backward")))
-    for origin, destination, properties in pairs:
-        if properties is None:  # pragma: no cover - tear-down always ran
-            raise ThunderstormError("flap restore before tear-down",
-                                    directive.line_number)
-        join = DynamicEvent(operation.time, EventAction.JOIN_LINK,
-                            origin=origin, destination=destination,
-                            properties=properties, bidirectional=False)
-        try:
-            join.apply(shadow, registry)
-        except TopologyError as error:
-            raise ThunderstormError(str(error),
-                                    directive.line_number) from None
-        events.append(join)
-
-
-def _compile_partition(directive: _Directive, shadow: Topology,
-                       registry: Dict[str, object],
-                       events: List[DynamicEvent],
-                       severed: Dict[Tuple[str, str], LinkProperties]) -> None:
+def _compile_partition(directive: _Directive, replay: _Replay) -> None:
     """Cut every link whose endpoints lie in two different groups."""
     group_of: Dict[str, int] = {}
     for index, group in enumerate(directive.groups):
         for name in group:
-            if not shadow.has_node(name):
+            if not replay.shadow.has_node(name):
                 raise ThunderstormError(
                     f"partition names unknown node {name!r}",
                     directive.line_number)
             group_of[name] = index
-    doomed = [link for link in shadow.links()
+    doomed = [link for link in replay.shadow.links()
               if link.source in group_of and link.destination in group_of
               and group_of[link.source] != group_of[link.destination]]
     if not doomed:
@@ -509,25 +457,6 @@ def _compile_partition(directive: _Directive, shadow: Topology,
             "partition cuts no links (groups are already disconnected)",
             directive.line_number)
     for link in doomed:
-        severed[link.key] = link.properties
-        event = DynamicEvent(directive.time, EventAction.LEAVE_LINK,
-                             origin=link.source, destination=link.destination,
-                             bidirectional=False)
-        event.apply(shadow, registry)
-        events.append(event)
-
-
-def _compile_heal(directive: _Directive, shadow: Topology,
-                  registry: Dict[str, object],
-                  events: List[DynamicEvent],
-                  severed: Dict[Tuple[str, str], LinkProperties]) -> None:
-    if not severed:
-        raise ThunderstormError("'heal' with no active partition",
-                                directive.line_number)
-    for (source, destination), properties in severed.items():
-        event = DynamicEvent(directive.time, EventAction.JOIN_LINK,
-                             origin=source, destination=destination,
-                             properties=properties, bidirectional=False)
-        event.apply(shadow, registry)
-        events.append(event)
-    severed.clear()
+        replay.severed[link.key] = link.properties
+        replay.link_event(directive.time, EventAction.LEAVE_LINK,
+                          link.source, link.destination)

@@ -22,7 +22,7 @@ from typing import Callable, Hashable, Mapping, Optional, Sequence, Tuple, \
 
 from repro.netstack.plane import BULK_PLANE, PACKET_PLANE
 from repro.scenario.results import Metrics, series_summary
-from repro.units import parse_rate, parse_time
+from repro.units import coerce_rate, coerce_time
 
 __all__ = ["Workload", "FlowWorkload", "IperfWorkload", "PingWorkload",
            "HttpLoadWorkload", "CurlSwarmWorkload", "CustomWorkload",
@@ -30,16 +30,7 @@ __all__ = ["Workload", "FlowWorkload", "IperfWorkload", "PingWorkload",
            "custom"]
 
 Number = Union[str, float, int]
-
-
-def _rate(value: Optional[Number]) -> float:
-    if value is None:
-        return float("inf")
-    return parse_rate(value)
-
-
-def _time(value: Number) -> float:
-    return parse_time(value)
+_GREEDY = float("inf")   # a flow with no rate cap
 
 
 def _throughput_summary(series, mean: float, *,
@@ -388,11 +379,13 @@ def flow(source: str, destination: str, *, rate: Optional[Number] = None,
          start: Number = 0.0, stop: Optional[Number] = None,
          key: Hashable = None) -> FlowWorkload:
     """A long-lived bulk flow; ``rate`` caps its demand (default: greedy)."""
-    return FlowWorkload(source, destination, demand=_rate(rate),
+    return FlowWorkload(source, destination,
+                        demand=_GREEDY if rate is None else coerce_rate(rate),
                         protocol=protocol,
                         congestion_control=congestion_control,
-                        start=_time(start),
-                        stop=None if stop is None else _time(stop), key=key)
+                        start=coerce_time(start),
+                        stop=None if stop is None else coerce_time(stop),
+                        key=key)
 
 
 def iperf(source: str, destination: str, *, duration: Number = 60.0,
@@ -400,10 +393,13 @@ def iperf(source: str, destination: str, *, duration: Number = 60.0,
           congestion_control: str = "cubic", warmup: Number = 2.0,
           start: Number = 0.0, key: Hashable = None) -> IperfWorkload:
     """An iperf3-like timed throughput measurement."""
-    return IperfWorkload(source, destination, duration=_time(duration),
-                         demand=_rate(rate), protocol=protocol,
+    return IperfWorkload(source, destination,
+                         duration=coerce_time(duration),
+                         demand=_GREEDY if rate is None else coerce_rate(rate),
+                         protocol=protocol,
                          congestion_control=congestion_control,
-                         warmup=_time(warmup), start=_time(start), key=key)
+                         warmup=coerce_time(warmup),
+                         start=coerce_time(start), key=key)
 
 
 def ping(source: str, destination: str, *, count: int = 100,
@@ -411,16 +407,18 @@ def ping(source: str, destination: str, *, count: int = 100,
          key: Hashable = None) -> PingWorkload:
     """``count`` echo requests at ``interval``; collects RTT statistics."""
     return PingWorkload(source, destination, count=int(count),
-                        interval=_time(interval), start=_time(start), key=key)
+                        interval=coerce_time(interval),
+                        start=coerce_time(start), key=key)
 
 
 def udp_blast(source: str, destination: str, rate: Number, *,
               start: Number = 0.0, stop: Optional[Number] = None,
               key: Hashable = None) -> FlowWorkload:
     """A constant-bit-rate UDP flood that never backs off (§3)."""
-    return FlowWorkload(source, destination, demand=_rate(rate),
-                        protocol="udp", start=_time(start),
-                        stop=None if stop is None else _time(stop), key=key)
+    return FlowWorkload(source, destination, demand=coerce_rate(rate),
+                        protocol="udp", start=coerce_time(start),
+                        stop=None if stop is None else coerce_time(stop),
+                        key=key)
 
 
 def http_load(source: str, server: str, *, connections: int = 100,
@@ -428,8 +426,8 @@ def http_load(source: str, server: str, *, connections: int = 100,
               key: Hashable = None) -> HttpLoadWorkload:
     """A wrk2-style HTTP load phase (short-lived flows, Figures 5/7)."""
     return HttpLoadWorkload(source, server, connections=int(connections),
-                            start=_time(start),
-                            stop=None if stop is None else _time(stop),
+                            start=coerce_time(start),
+                            stop=None if stop is None else coerce_time(stop),
                             key=key)
 
 
@@ -445,4 +443,4 @@ def custom(key: Hashable, install: Callable = None, *,
     """An arbitrary workload: ``install(system) -> state`` then
     ``collect(system, until, state) -> result``."""
     return CustomWorkload(key=key, install_fn=install, collect_fn=collect,
-                          needs=tuple(needs), duration=_time(duration))
+                          needs=tuple(needs), duration=coerce_time(duration))

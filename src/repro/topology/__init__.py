@@ -11,7 +11,6 @@ Descriptions are read through :class:`repro.scenario.Scenario`
 fluent builder), which compiles to the model defined here.
 """
 
-from repro._lazy import lazy_exports
 from repro.topology.model import (
     Bridge,
     Link,
@@ -26,10 +25,6 @@ from repro.topology.events import (
     EventSchedule,
 )
 
-_LAZY = {"thunderstorm": ("ThunderstormError", "compile_scenario",
-                          "parse_scenario")}
-__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
-
 __all__ = [
     "Topology",
     "Service",
@@ -40,7 +35,4 @@ __all__ = [
     "DynamicEvent",
     "EventAction",
     "EventSchedule",
-    "ThunderstormError",
-    "compile_scenario",
-    "parse_scenario",
 ]

@@ -8,6 +8,12 @@ properties as human-readable strings such as ``"10Mbps"``, ``"50ms"`` or
 * time — seconds (``float``)
 * data — bits (``float``), with byte helpers where natural
 
+The ``coerce_*`` functions are the value checks every front end shares:
+a bare number is already in SI base units, a string carries its unit,
+and a value outside its domain (a negative time, a non-positive rate, a
+loss outside [0, 1]) is refused with the message the ``.scn`` schema
+reports.
+
 These helpers are deliberately strict: a malformed unit string raises
 :class:`UnitError` instead of silently defaulting, because a typo in an
 experiment description would otherwise corrupt a whole evaluation run.
@@ -15,6 +21,9 @@ experiment description would otherwise corrupt a whole evaluation run.
 
 from repro.units.rates import (
     UnitError,
+    coerce_loss,
+    coerce_rate,
+    coerce_time,
     format_rate,
     format_size,
     format_time,
@@ -28,6 +37,9 @@ __all__ = [
     "parse_rate",
     "parse_time",
     "parse_size",
+    "coerce_time",
+    "coerce_rate",
+    "coerce_loss",
     "format_rate",
     "format_time",
     "format_size",

@@ -9,6 +9,9 @@ __all__ = [
     "parse_rate",
     "parse_time",
     "parse_size",
+    "coerce_time",
+    "coerce_rate",
+    "coerce_loss",
     "format_rate",
     "format_time",
     "format_size",
@@ -125,6 +128,43 @@ def parse_size(value: "str | float | int", default_unit: str = "byte") -> float:
     if unit_l in _SIZE_MULTIPLIERS:
         return number * _SIZE_MULTIPLIERS[unit_l]
     raise UnitError(f"unknown size unit {unit!r} in {value!r}")
+
+
+def coerce_time(value) -> float:
+    """Seconds from a number (already seconds) or a ``"10ms"`` string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise UnitError(f"expected seconds or a time string, got {value!r}")
+    seconds = parse_time(value)
+    if seconds < 0:
+        raise UnitError(f"negative time: {value!r}")
+    return seconds
+
+
+def coerce_rate(value) -> float:
+    """Bits/s from a number, a ``"100Mbps"`` string, or ``"unlimited"``."""
+    if isinstance(value, str) and value.strip().lower() in ("unlimited",
+                                                            "inf"):
+        return float("inf")
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise UnitError(f"expected bits/s or a rate string, got {value!r}")
+    rate = parse_rate(value)
+    if rate <= 0:
+        raise UnitError(f"non-positive rate: {value!r}")
+    return rate
+
+
+def coerce_loss(value) -> float:
+    """A loss probability from a number in [0, 1] or a ``"2%"`` string."""
+    if isinstance(value, str):
+        raw = value.strip()
+        loss = float(raw[:-1]) / 100.0 if raw.endswith("%") else float(raw)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UnitError(f"expected a loss probability, got {value!r}")
+    else:
+        loss = float(value)
+    if not 0.0 <= loss <= 1.0:
+        raise UnitError(f"loss outside [0, 1]: {value!r}")
+    return loss
 
 
 def format_rate(bits_per_second: float) -> str:

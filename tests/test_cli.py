@@ -192,7 +192,7 @@ class TestScenario:
     def test_bad_scenario_fails(self, description_file, tmp_path):
         bad = tmp_path / "bad.storm"
         bad.write_text("at 1 leave link s1--missing\n")
-        from repro.topology import ThunderstormError
+        from repro.scenario.thunderstorm import ThunderstormError
         with pytest.raises(ThunderstormError):
             main(["scenario", "script", description_file, str(bad)])
 

@@ -13,7 +13,7 @@ from repro.core import EmulationEngine, EngineConfig
 from repro.dashboard import Dashboard, render_collapsed_matrix
 from repro.orchestration import DeploymentGenerator, render_plan
 from repro.scenario import Scenario
-from repro.topology import compile_scenario
+from repro.scenario.thunderstorm import compile_scenario
 
 DESCRIPTION = """\
 experiment:

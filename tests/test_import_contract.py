@@ -31,7 +31,7 @@ TOOLBOX = (
 LINTER = ("repro.scenario.dsl.lint",)
 # The THUNDERSTORM compiler loads only for a description that carries
 # scripts; the linter catches its errors as TopologyErrors.
-SCRIPTS = ("repro.topology.thunderstorm",)
+SCRIPTS = ("repro.scenario.thunderstorm",)
 
 PING_RUN = """
 from repro.scenario import Scenario, ping

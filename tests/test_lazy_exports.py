@@ -25,8 +25,7 @@ CONVERTED = sorted(
 
 def test_the_converted_packages_are_found():
     assert {"repro.scenario", "repro.scenario.dsl", "repro.apps",
-            "repro.netstack", "repro.topology",
-            "repro.telemetry"} <= set(CONVERTED)
+            "repro.netstack", "repro.telemetry"} <= set(CONVERTED)
 
 
 @pytest.mark.parametrize("package_name", CONVERTED)

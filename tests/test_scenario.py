@@ -8,6 +8,7 @@ from repro.scenario import (
     iperf,
     link_down,
     link_up,
+    node_join,
     node_leave,
     ping,
     set_link,
@@ -55,6 +56,58 @@ def figure1_builder() -> Scenario:
             .link("sv", "s2", latency="5ms", up="50Mbps"))
 
 
+def figure1_dict(dynamic=()) -> dict:
+    """Figure 1 in the dict form, with ``dynamic`` stanzas."""
+    links = [("c1", "s1", 10, "10Mbps"), ("s1", "s2", 20, "100Mbps"),
+             ("sv", "s2", 5, "50Mbps")]
+    return {"experiment": {
+        "name": "figure1",
+        "services": [{"name": "c1", "image": "iperf"},
+                     {"name": "sv", "image": "nginx", "replicas": 2}],
+        "bridges": [{"name": "s1"}, {"name": "s2"}],
+        "links": [{"orig": orig, "dest": dest, "latency": latency,
+                   "up": rate, "down": rate}
+                  for orig, dest, latency, rate in links]},
+        "dynamic": list(dynamic)}
+
+
+def dynamic_text(stanzas) -> str:
+    """A ``dynamic:`` section in the listing syntax (``time:`` last)."""
+    lines = ["dynamic:"]
+    for stanza in stanzas:
+        lines += [f"  {key}: {value}" for key, value in stanza.items()
+                  if key != "time"]
+        lines.append(f"  time: {stanza['time']}")
+    return "\n".join(lines) + "\n"
+
+
+#: One set_link / leave / join sequence, in each spelling a front end has.
+SEQUENCE_STANZAS = [
+    {"orig": "s1", "dest": "s2", "latency": 80, "time": 30},
+    {"action": "leave", "orig": "c1", "dest": "s1", "time": 40},
+    {"action": "join", "orig": "c1", "dest": "s1", "latency": 10,
+     "up": "10Mbps", "time": 42},
+    {"action": "leave", "name": "sv", "time": 50},
+    {"action": "join", "name": "sv", "time": 55},
+]
+SEQUENCE_SCRIPT = """
+at 30 set link s1--s2 latency=80ms
+at 40 leave link c1--s1
+at 42 join link c1--s1 latency=10ms up=10Mbps
+at 50 leave service sv
+at 55 join service sv
+"""
+
+
+def sequence_builder() -> Scenario:
+    return (figure1_builder()
+            .at(30, set_link("s1", "s2", latency="80ms"))
+            .at(40, link_down("c1", "s1"))
+            .at(42, link_up("c1", "s1", latency="10ms", up="10Mbps"))
+            .at(50, node_leave("sv"))
+            .at(55, node_join("sv")))
+
+
 class TestBuilderParity:
     def test_builder_matches_text_dsl_byte_for_byte(self):
         """The acceptance contract: identical collapsed path tables."""
@@ -76,6 +129,19 @@ class TestBuilderParity:
         strings = (Scenario.build().service("a").service("b")
                    .link("a", "b", latency="10ms", up="10Mbps").compile())
         assert numeric.path_table() == strings.path_table()
+
+    @pytest.mark.parametrize("spelled", [
+        lambda: Scenario.from_dict(figure1_dict(SEQUENCE_STANZAS)),
+        lambda: Scenario.from_text(FIGURE1_TEXT
+                                   + dynamic_text(SEQUENCE_STANZAS)),
+        lambda: figure1_builder().script(SEQUENCE_SCRIPT),
+    ], ids=["dict", "text", "thunderstorm"])
+    def test_every_spelling_of_the_dynamics_matches_the_helpers(self,
+                                                                spelled):
+        built = sequence_builder().compile()
+        compiled = spelled().compile()
+        assert compiled.schedule.events == built.schedule.events
+        assert compiled.describe() == built.describe()
 
     def test_declaration_order_is_free(self):
         """Links may precede the nodes they reference; compile() resolves."""
@@ -162,6 +228,16 @@ class TestValidation:
         with pytest.raises(UnitError):
             Scenario.build().service("a").service("b").link(
                 "a", "b", up="10Mbbps")
+
+    @pytest.mark.parametrize("declare", [
+        lambda builder: builder.at(-1, set_link("s1", "s2", latency="1ms")),
+        lambda builder: builder.workload(flow("c1", "sv.0", start=-1)),
+        lambda builder: builder.deploy(duration=-2.0),
+    ], ids=["event", "workload", "duration"])
+    def test_negative_times_are_refused_when_declared(self, declare):
+        """Every time the builder takes is one a .scn document may hold."""
+        with pytest.raises(UnitError, match="negative time"):
+            declare(figure1_builder())
 
     def test_bad_event_reference_fails_at_compile(self):
         builder = (figure1_builder()
@@ -255,3 +331,46 @@ class TestPlanAndFrontends:
                     .at("2min", set_link("s1", "s2", latency="80ms"))
                     .compile())
         assert compiled.schedule.events[0].time == 120.0
+
+
+    def test_one_helper_at_two_times_is_two_events(self):
+        change = set_link("s1", "s2", latency="80ms")
+        compiled = figure1_builder().at(10, change).at(20, change).compile()
+        first, second = compiled.schedule.events
+        assert (first.time, second.time, change.time) == (10.0, 20.0, 0.0)
+        first.changes["latency"] = 1.0
+        assert second.changes == change.changes == {"latency": 0.08}
+
+    @pytest.mark.parametrize("spelled", [
+        lambda stanza: Scenario.from_dict(figure1_dict([stanza])),
+        lambda stanza: Scenario.from_text(FIGURE1_TEXT
+                                          + dynamic_text([stanza])),
+        lambda stanza: figure1_builder().script(
+            f"at {stanza['time']} "
+            + ("join" if stanza.get("action") else "set")
+            + f" link {stanza['orig']}--{stanza['dest']} "
+            + " ".join(f"{key}={stanza[key]}" for key in ("up", "down")
+                       if key in stanza)),
+    ], ids=["dict", "text", "thunderstorm"])
+    @pytest.mark.parametrize("stanza, forward, backward", [
+        ({"orig": "s1", "dest": "s2", "up": "2Mbps", "down": "1Mbps",
+          "time": 5}, 2e6, 1e6),
+        ({"orig": "s1", "dest": "s2", "down": "1Mbps", "time": 5},
+         100e6, 1e6),
+        ({"action": "join", "orig": "c1", "dest": "s2", "up": "3Mbps",
+          "down": "2Mbps", "time": 5}, 3e6, 2e6),
+    ], ids=["set-both", "set-down", "join-both"])
+    def test_down_sets_the_reverse_direction(self, spelled, stanza,
+                                             forward, backward):
+        compiled = spelled(stanza).compile()
+        _, final = compiled.schedule.snapshots(compiled.topology)[-1]
+        orig, dest = stanza["orig"], stanza["dest"]
+        assert final.get_link(orig, dest).properties.bandwidth == forward
+        assert final.get_link(dest, orig).properties.bandwidth == backward
+
+    def test_equal_directions_stay_one_bidirectional_event(self):
+        compiled = Scenario.from_dict(figure1_dict([
+            {"orig": "s1", "dest": "s2", "up": "2Mbps", "down": "2Mbps",
+             "time": 5}])).compile()
+        (event,) = compiled.schedule.events
+        assert event.bidirectional and event.changes == {"bandwidth": 2e6}

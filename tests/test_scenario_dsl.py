@@ -205,6 +205,15 @@ class TestSchema:
         errors = _errors(document)
         assert any("events[0]" in error.path for error in errors)
 
+    @pytest.mark.parametrize("action", ["set_link", "leave_link", "bogus"])
+    def test_a_bad_event_time_is_reported_once(self, action):
+        document = _document(events=[{"time": -3, "action": action,
+                                      "orig": "a", "dest": "b",
+                                      "changes": {"latency": "1ms"}}])
+        findings = [str(error) for error in _errors(document)]
+        assert findings.count("error: events[0].time: negative time: -3") \
+            == 1, findings
+
     def test_unknown_deploy_tunable(self):
         errors = _errors(_document(deploy={"warp_speed": 9}))
         assert any("warp_speed" in str(error) for error in errors)

@@ -2,16 +2,18 @@
 
 import pytest
 
+from repro.scenario.thunderstorm import (
+    ThunderstormError,
+    compile_scenario,
+    parse_scenario,
+)
 from repro.scenario.topologies import point_to_point, star
 from repro.topology import (
     Bridge,
     EventAction,
     LinkProperties,
     Service,
-    ThunderstormError,
     Topology,
-    compile_scenario,
-    parse_scenario,
 )
 
 
@@ -105,6 +107,7 @@ class TestParsing:
         "at 10 set link a--b",                    # no properties
         "at 10 set link a--b color=red",          # unknown property
         "at 10 set link a--b loss=200%",          # out of range
+        "at 10 set link a->b down=1Mbps",         # one way has no reverse
         "at 10 set link ab loss=1%",              # bad endpoints
         "at 10 leave link a--b loss=1%",          # leave takes no props
         "at 10 flap link a--b",                   # missing 'for'

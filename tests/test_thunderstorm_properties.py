@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.scenario.topologies import star
-from repro.topology import ThunderstormError, Topology, compile_scenario
+from repro.scenario.thunderstorm import ThunderstormError, compile_scenario
+from repro.topology import Topology
 
 LEAVES = ["a", "b", "c", "d"]
 

@@ -13,7 +13,7 @@ emulated WAN latency and bandwidth shaping apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netstack.packet import Packet
 from repro.sim import Simulator
@@ -25,6 +25,17 @@ _SET_REQUEST_BITS = 1084 * 8.0   # key + 1 KB value
 _GET_RESPONSE_BITS = 1054 * 8.0
 _SET_RESPONSE_BITS = 30 * 8.0
 _VALUE = b"x" * 1024
+# keyspace -> its key strings, built once and shared by every client.
+_KEY_NAMES: Dict[int, Tuple[str, ...]] = {}
+
+
+def _key_names(keyspace: int) -> Tuple[str, ...]:
+    try:
+        return _KEY_NAMES[keyspace]
+    except KeyError:
+        names = _KEY_NAMES[keyspace] = tuple(
+            f"key-{index}" for index in range(keyspace))
+        return names
 
 
 class KvServer:
@@ -45,8 +56,7 @@ class KvServer:
                on_drop: Optional[Callable[[Packet], None]] = None) -> None:
         """Serve one request and send the response back over the plane."""
         operation, key = request.payload
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         start = now if now > self._horizon else self._horizon
         self._horizon = horizon = start + self.service_time
         self.operations += 1
@@ -58,8 +68,7 @@ class KvServer:
             response_bits = _GET_RESPONSE_BITS
         response = Packet(self.name, request.source, response_bits,
                           "kv-response", request.payload, request.created)
-        sim.at(horizon, self.plane.send, response, on_response_delivered,
-               on_drop)
+        self.plane.send_at(horizon, response, on_response_delivered, on_drop)
 
 
 @dataclass
@@ -80,12 +89,24 @@ class MemtierClient:
                  keyspace: int = 1000, rng=None,
                  start: float = 0.0, stop: float = float("inf"),
                  think_time: float = 0.0) -> None:
+        if isinstance(keyspace, bool) or not isinstance(keyspace, int) \
+                or keyspace < 1:
+            raise ValueError(
+                f"keyspace must be a positive int, got {keyspace!r}")
+        if not 0.0 <= set_fraction <= 1.0:
+            raise ValueError(
+                f"set_fraction must be in [0, 1], got {set_fraction!r}")
+        if connections < 0:
+            raise ValueError(
+                f"connections must be >= 0, got {connections!r}")
         self.sim = sim
         self.plane = plane
         self.source = source
         self.server = server
         self.set_fraction = set_fraction
         self.keyspace = keyspace
+        self._keys = _key_names(keyspace)
+        self._key_bits = keyspace.bit_length()
         self.rng = rng
         self.stop_time = stop
         self.think_time = think_time
@@ -98,8 +119,18 @@ class MemtierClient:
         if now >= self.stop_time:
             return
         rng = self.rng
-        is_set = (rng.random() if rng else 0.5) < self.set_fraction
-        key = f"key-{(rng.randrange(self.keyspace) if rng else 0)}"
+        if rng is None:
+            is_set = 0.5 < self.set_fraction
+            key = self._keys[0]
+        else:
+            is_set = rng.random() < self.set_fraction
+            # rng.randrange(keyspace) as CPython 3.10-3.13 runs it
+            # (Random._randbelow_with_getrandbits): the same draws and the
+            # same index, without randrange's three calls.
+            index = rng.getrandbits(self._key_bits)
+            while index >= self.keyspace:
+                index = rng.getrandbits(self._key_bits)
+            key = self._keys[index]
         operation = "set" if is_set else "get"
         size = _SET_REQUEST_BITS if is_set else _GET_REQUEST_BITS
         # Positional on purpose, here and in KvServer.handle: one Packet per

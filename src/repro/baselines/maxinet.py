@@ -124,3 +124,8 @@ class MaxinetEmulator(BareMetalTestbed):
                 deliver(delivered_packet)
 
         self.network.send(packet, tunnelled_deliver, on_drop=on_drop)
+
+    def send_at(self, time: float, packet: Packet, deliver,
+                on_drop=None) -> None:
+        """:meth:`DataPlane.send_at`: ``send`` scheduled at ``time``."""
+        self.sim.at(time, self.send, packet, deliver, on_drop)

@@ -20,6 +20,7 @@ what the kernel's netlink counters would report.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Hashable, List, Optional, Tuple
@@ -103,7 +104,8 @@ class EmulationEngine:
         self.dataplane = KollapsDataPlane(
             self.sim, placement=self.placement,
             container_network_delay=self.config.container_network_delay,
-            physical_network_delay=self.config.physical_network_delay)
+            physical_network_delay=self.config.physical_network_delay,
+            next_control=self._next_control)
         self.tcals: Dict[str, Tcal] = {}
         for container in containers:
             tcal = Tcal(container, self.allocator,
@@ -146,7 +148,8 @@ class EmulationEngine:
         if self.config.enforce_physical_limits:
             self._validate_physical_feasibility()
         self._apply_state(self.plan.initial())
-        for change_time in self.plan.change_times():
+        self._change_times = self.plan.change_times()
+        for change_time in self._change_times:
             self.sim.at(change_time,
                         lambda t=change_time: self._apply_state(
                             self.plan.state_at(t)),
@@ -204,6 +207,16 @@ class EmulationEngine:
                 capacities={link.link_id: link.properties.bandwidth
                             for link in mutated.links()})
             self._apply_state(state)
+
+    def _next_control(self) -> float:
+        """The earliest instant, from now on, at which the engine acts on
+        the TCALs: a manager loop tick, a fluid step or a state swap."""
+        changes = self._change_times
+        index = bisect_left(changes, self.sim.now)
+        instant = changes[index] if index < len(changes) else float("inf")
+        for process in self._loop_processes:
+            instant = min(instant, process.next_tick)
+        return min(instant, self.fluid.next_step())
 
     def _needs_wide_ids(self) -> bool:
         for state in self.plan.states:

@@ -441,6 +441,10 @@ class FluidEngine:
     def stop(self) -> None:
         self._process.stop()
 
+    def next_step(self) -> float:
+        """When the integrator ticks next; infinity once stopped."""
+        return self._process.next_tick
+
     # ------------------------------------------------------------ telemetry
     def mean_throughput(self, key: Hashable, start: float = 0.0,
                         end: float = float("inf")) -> float:

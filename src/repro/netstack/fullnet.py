@@ -178,6 +178,11 @@ class FullStateNetwork:
         self._forward(packet, path.link_ids, path.node_path, 0, deliver,
                       on_drop)
 
+    def send_at(self, time: float, packet: Packet, deliver,
+                on_drop=None) -> None:
+        """:meth:`DataPlane.send_at`: ``send`` scheduled at ``time``."""
+        self.sim.at(time, self.send, packet, deliver, on_drop)
+
     def _forward(self, packet: Packet, route: Tuple[int, ...],
                  nodes: Tuple[str, ...], hop: int, deliver, on_drop) -> None:
         if hop >= len(route):

@@ -21,6 +21,13 @@ from repro.tc.tcal import Tcal
 
 __all__ = ["KollapsDataPlane"]
 
+_INF = float("inf")
+
+
+def _never_quiet() -> float:
+    """``next_control`` of a plane that knows nothing of its calendar."""
+    return -_INF
+
 
 class KollapsDataPlane:
     """Collapsed-topology packet delivery driven by per-container TCALs."""
@@ -28,12 +35,17 @@ class KollapsDataPlane:
     def __init__(self, sim: Simulator, *,
                  placement: Optional[Dict[str, str]] = None,
                  container_network_delay: float = 35e-6,
-                 physical_network_delay: float = 80e-6) -> None:
+                 physical_network_delay: float = 80e-6,
+                 next_control: Optional[Callable[[], float]] = None) -> None:
         """``placement`` maps containers to physical machine names; packets
         between containers on different machines incur
         ``physical_network_delay`` on top of the per-packet
         ``container_network_delay`` (Docker overlay cost).  Defaults follow
-        the sub-0.1 ms deviations reported in §5.5."""
+        the sub-0.1 ms deviations reported in §5.5.
+
+        ``next_control()`` answers the earliest instant at which the
+        emulation itself acts on the TCALs next (a manager loop, a fluid
+        step, a state swap); without it :meth:`send_at` always schedules."""
         self.sim = sim
         self.placement = placement or {}
         self.container_network_delay = container_network_delay
@@ -50,9 +62,16 @@ class KollapsDataPlane:
         # fixed for the life of the plane, so the cross-machine test runs
         # once per chain instead of once per packet.
         self._chain_delay: Dict[Tuple[str, str], float] = {}
+        # send_at: the cached answer of next_control(), asked again only
+        # once a departure reaches it, and per attached sender the latest
+        # departure that was scheduled instead of shaped at once.
+        self._next_control = next_control or _never_quiet
+        self._quiet_until = -_INF
+        self._scheduled_until: Dict[str, float] = {}
 
     def attach_tcal(self, container: str, tcal: Tcal) -> None:
         self._tcals[container] = tcal
+        self._scheduled_until.setdefault(container, -_INF)
 
     def tcal_for(self, container: str) -> Tcal:
         try:
@@ -121,6 +140,57 @@ class KollapsDataPlane:
                 self._schedule_drain(chain, pressure.retry_at)
             return
         self._forward(chain, packet, release, deliver, on_drop)
+
+    def send_at(self, time: float, packet: Packet,
+                deliver: Callable[[Packet], None],
+                on_drop: Optional[Callable[[Packet], None]] = None) -> None:
+        """:meth:`send` as if called at ``time`` (``>= sim.now``), shaped now.
+
+        A dated departure is shaped with its chain as the chain stands
+        when ``send_at`` is called: ``egress(time, ...)`` then the one
+        delivery event, instead of an event at ``time`` that runs
+        :meth:`send`.  That equals the scheduled send whenever nothing
+        touches the chain, or the sender's netem RNG, before ``time``, so
+        the packet is shaped at once only if
+
+        (i) ``time`` is strictly before the emulation's next control
+            instant (``next_control``: manager loops, fluid steps, state
+            swaps), and no departure of the sender scheduled earlier is
+            still waiting;
+        (ii) the chain towards the destination already exists;
+        (iii) no writer is blocked on any chain;
+        (iv) the htb would admit the packet at ``time``;
+        (v) the chain's netem loss is 0, so no drop fires before ``time``.
+
+        Otherwise it schedules ``send`` at ``time``, which is the
+        definition.  What lies outside the emulation's calendar is not
+        seen: ``EmulationEngine.apply_event_online``, a user ``sim.at``
+        hook rewriting the chain, or a second application sending from the
+        same container inside the window changes the result.  Events
+        falling on a bit-identical ``(time, priority)`` keep scheduling
+        order, and a shaped departure's delivery is scheduled at the call.
+        """
+        now = self.sim.now
+        if time >= self._quiet_until:
+            self._quiet_until = self._next_control()
+        source = packet.source
+        destination = packet.destination
+        scheduled_until = self._scheduled_until
+        try:
+            shaping = self._tcals[source].chains[destination]
+        except KeyError:
+            shaping = None
+        if (shaping is None or not now <= time < self._quiet_until
+                or scheduled_until[source] >= now or self._blocked
+                or shaping.netem.loss > 0.0
+                or not shaping.htb.admits(time, packet.size_bits)):
+            if time > scheduled_until.get(source, -_INF):
+                scheduled_until[source] = time
+            self.sim.at(time, self.send, packet, deliver, on_drop)
+            return
+        self._forward((source, destination), packet,
+                      shaping.egress(time, packet.size_bits), deliver,
+                      on_drop)
 
     def _forward(self, chain: Tuple[str, str], packet: Packet,
                  release: Optional[float], deliver, on_drop) -> None:

@@ -40,6 +40,17 @@ class DataPlane(Protocol):
         """
         ...
 
+    def send_at(self, time: float, packet: Packet, deliver: DeliveryCallback,
+                on_drop: Optional[DeliveryCallback] = None) -> None:
+        """:meth:`send` as if called at ``time`` (``>= sim.now``), blocking.
+
+        ``sim.at(time, plane.send, packet, deliver, on_drop)`` is the
+        definition; a plane may carry the packet out at once when it can
+        prove the result is the same (a server's response once its
+        service time is scheduled).
+        """
+        ...
+
     def reachable(self, source: str, destination: str) -> bool:
         """Whether the plane currently routes source -> destination."""
         ...

@@ -267,4 +267,7 @@ def _property_lines(properties: Optional[LinkProperties]) -> List[str]:
         lines.append(f"  jitter: {_number(properties.jitter)}s")
     if properties.loss:
         lines.append(f"  loss: {_number(properties.loss)}")
+    if properties.jitter_distribution != "normal":
+        lines.append(
+            f"  jitter_distribution: {properties.jitter_distribution}")
     return lines

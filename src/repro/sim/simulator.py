@@ -166,3 +166,11 @@ class Process:
     @property
     def stopped(self) -> bool:
         return self._stopped
+
+    @property
+    def next_tick(self) -> float:
+        """When the queued tick fires; infinity once the process stopped."""
+        event = self._event
+        if self._stopped or event is None or event[3] is None:
+            return _INF
+        return event[0]

@@ -56,6 +56,13 @@ class HtbClass:
         """Bits queued but not yet transmitted at simulated time ``now``."""
         return max(0.0, (self._horizon - now) * self.rate)
 
+    def admits(self, now: float, size_bits: float) -> bool:
+        """Whether :meth:`enqueue` at ``now`` would take the packet — its
+        admission test, with nothing counted and nothing raised."""
+        horizon = self._horizon
+        backlog = (horizon - now) * self.rate if horizon > now else 0.0
+        return backlog + size_bits <= self.queue_bits + 1e-6
+
     def enqueue(self, now: float, size_bits: float) -> float:
         """Admit one packet; returns the time its transmission completes.
 

@@ -17,7 +17,7 @@ from repro.apps import (
 from repro.apps.iperf import GOODPUT_FACTOR
 from repro.baselines import BareMetalTestbed
 from repro.core import EmulationEngine, EngineConfig
-from repro.sim import RngRegistry
+from repro.sim import RngRegistry, Simulator
 from repro.scenario.topologies import (
     aws_mesh,
     point_to_point,
@@ -173,6 +173,63 @@ class TestKvStore:
                       rng=RngRegistry(7).stream("memtier"))
         engine.run(until=1.0)
         assert len(server.store) > 0
+
+
+class CapturePlane:
+    """A plane that keeps what it is handed and delivers nothing."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, packet, deliver, on_drop=None, on_backpressure=None):
+        self.sent.append(packet)
+
+
+class TestMemtierClient:
+    def client(self, **options):
+        sim = Simulator()
+        plane = CapturePlane()
+        server = KvServer(sim, plane, "server")
+        return MemtierClient(sim, plane, "client", server, **options), plane
+
+    @pytest.mark.parametrize("keyspace", [1, 2, 1000, 1024, 1025])
+    def test_key_draw_is_randrange(self, keyspace):
+        client, plane = self.client(connections=0, keyspace=keyspace,
+                                    set_fraction=0.3,
+                                    rng=RngRegistry(11).stream("memtier"))
+        reference = RngRegistry(11).stream("memtier")
+        expected = []
+        for _ in range(10_000):
+            client._issue()
+            is_set = reference.random() < 0.3
+            expected.append(("set" if is_set else "get",
+                             f"key-{reference.randrange(keyspace)}"))
+        assert [packet.payload for packet in plane.sent] == expected
+        assert client.rng.getstate() == reference.getstate()
+
+    def test_clients_share_their_key_strings(self):
+        first, _ = self.client(keyspace=1000)
+        second, _ = self.client(keyspace=1000)
+        assert first._keys is second._keys
+
+    def test_without_rng_every_op_is_a_get_of_key_0(self):
+        client, plane = self.client(connections=0)
+        client._issue()
+        assert plane.sent[0].payload == ("get", "key-0")
+
+    @pytest.mark.parametrize("keyspace", [0, -3, 2.5, True, "10"])
+    def test_keyspace_must_be_a_positive_int(self, keyspace):
+        with pytest.raises(ValueError, match="keyspace"):
+            self.client(keyspace=keyspace)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_set_fraction_must_be_in_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="set_fraction"):
+            self.client(set_fraction=fraction)
+
+    def test_connections_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="connections"):
+            self.client(connections=-1)
 
 
 class TestCassandra:

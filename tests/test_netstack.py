@@ -13,7 +13,7 @@ from repro.netstack import (
     PacketLink,
 )
 from repro.netstack.fullnet import SwitchModel
-from repro.sim import RngRegistry, Simulator
+from repro.sim import RngRegistry, SimError, Simulator
 from repro.tc.ip import IpAllocator
 from repro.tc.tcal import Tcal
 from repro.topology import Bridge, LinkProperties, Service, Topology
@@ -327,3 +327,266 @@ class TestKollapsDataPlane:
         _, plane = self.build()
         assert plane.reachable("a", "b")
         assert not plane.reachable("a", "ghost")
+
+
+@pytest.mark.parametrize("plane", [KollapsDataPlane, FullStateNetwork,
+                                   MaxinetEmulator])
+def test_every_plane_has_the_protocol_send_at_signature(plane):
+    expected = inspect.signature(DataPlane.send_at).parameters
+    assert list(inspect.signature(plane.send_at).parameters) == \
+        list(expected)
+
+
+class ScheduledPlane(KollapsDataPlane):
+    """``send_at`` by its definition: ``send``, scheduled at ``time``."""
+
+    def send_at(self, time, packet, deliver, on_drop=None):
+        self.sim.at(time, self.send, packet, deliver, on_drop)
+
+
+@pytest.fixture
+def polls(monkeypatch):
+    """Every ``poll_active`` answer, in call order, with its TCAL."""
+    answers = []
+    poll = Tcal.poll_active
+
+    def recording(tcal):
+        active = poll(tcal)
+        answers.append((tcal.container, active))
+        return active
+
+    monkeypatch.setattr(Tcal, "poll_active", recording)
+    return answers
+
+
+def tcal_counters(engine):
+    """What shaping left in every TCAL: per chain htb and netem state."""
+    return {container: (tcal.netlink_calls, [
+        (destination, shaping.htb.rate, shaping.htb._horizon,
+         shaping.htb.bits_sent, shaping.htb.packets_sent,
+         shaping.htb.backpressure_events, shaping.netem.packets_delayed,
+         shaping.netem.packets_dropped, shaping.bits_since_poll,
+         shaping.refused_since_poll)
+        for destination, shaping in tcal.chains.items()])
+        for container, tcal in engine.tcals.items()}
+
+
+def run_fig4_mesh(monkeypatch, plane_class, polls):
+    """The 4-host Figure 4 point at quick scale (10 connections, 0.3 s,
+    seed 1) on an engine whose packet plane is ``plane_class``."""
+    import repro.core.engine as engine_module
+    from repro.apps import KvServer, MemtierClient
+    from repro.scenario import custom, resolve_backend
+    from repro.scenario.topologies import aws_mesh
+
+    monkeypatch.setattr(engine_module, "KollapsDataPlane", plane_class)
+    regions = ["virginia", "oregon", "ireland", "saopaulo"]
+    rng = RngRegistry(1)
+
+    def install(engine):
+        servers, clients = [], []
+        for index, region in enumerate(regions):
+            server = KvServer(engine.sim, engine.dataplane,
+                              f"node-{region}-0")
+            servers.append(server)
+            for source in (f"node-{region}-1", f"node-{region}-2",
+                           f"node-{regions[(index + 1) % 4]}-3"):
+                clients.append(MemtierClient(
+                    engine.sim, engine.dataplane, source, server,
+                    connections=10, rng=rng.stream(f"memtier:{source}")))
+        return servers, clients
+
+    compiled = (aws_mesh(regions, services_per_region=4,
+                         service_prefix="node")
+                .workload(custom("kv", install))
+                .deploy(machines=4, seed=1, duration=0.3)).compile()
+    backend = resolve_backend("kollaps")
+    engine = backend.prepare(compiled)
+    assert type(engine.dataplane) is plane_class
+    backend.start_workloads()
+    backend.advance(0.3)
+    results, _metrics = backend.collect(0.3)
+    backend.teardown()
+    servers, clients = results["kv"]
+    plane = engine.dataplane
+    return {
+        "clients": [(client.source, client.stats.completed,
+                     client.stats.latencies) for client in clients],
+        "servers": [server.operations for server in servers],
+        "tcals": tcal_counters(engine),
+        "polls": list(polls),
+        "plane": (plane.packets_delivered, plane.packets_dropped,
+                  plane.backpressure_events),
+    }, engine.sim.events_dispatched
+
+
+class TestSendAt:
+    """``KollapsDataPlane.send_at`` against its definition: ``send``
+    scheduled at ``time`` (:class:`ScheduledPlane`)."""
+
+    def test_fig4_mesh_equals_the_scheduled_send(self, monkeypatch, polls):
+        reference, scheduled_events = run_fig4_mesh(
+            monkeypatch, ScheduledPlane, polls)
+        polls.clear()
+        shaped, events = run_fig4_mesh(monkeypatch, KollapsDataPlane, polls)
+        assert reference["servers"] and sum(reference["servers"]) > 5000
+        assert shaped["clients"] == reference["clients"]
+        assert shaped["servers"] == reference["servers"]
+        assert shaped["tcals"] == reference["tcals"]
+        assert shaped["polls"] == reference["polls"]
+        assert shaped["plane"] == reference["plane"]
+        # One event fewer per operation, bar the few departures whose
+        # window holds a control instant.
+        operations = sum(reference["servers"])
+        assert scheduled_events - operations <= events \
+            < scheduled_events - 0.95 * operations
+
+    def test_a_departure_in_the_past_is_refused(self, monkeypatch):
+        engine = self.engine(monkeypatch, KollapsDataPlane)
+        self.build_chain(engine)
+        engine.run(until=0.2)
+        # Shaped as of 0.1999 it would still arrive in the future; it is
+        # refused the way ``sim.at`` refuses the past.
+        with pytest.raises(SimError):
+            engine.dataplane.send_at(0.1999, Packet("server", "client", 800),
+                                     lambda p: None)
+
+    # ------------------------------------------------------ the fallbacks
+    SERVICE = 20e-6
+
+    def engine(self, monkeypatch, plane_class, *, loop_period=1.0,
+               fluid_dt=1.0, schedule=None):
+        import repro.core.engine as engine_module
+        from repro.core import EmulationEngine, EngineConfig
+        monkeypatch.setattr(engine_module, "KollapsDataPlane", plane_class)
+        topology = point_to_point(1e9, latency=0.002).compile().topology
+        return EmulationEngine(topology, schedule, config=EngineConfig(
+            loop_period=loop_period, fluid_dt=fluid_dt, seed=5))
+
+    def drive(self, monkeypatch, plane_class, departures, *, prepare=None,
+              **engine_options):
+        """Run ``departures`` — ``(call time, departure time, bits)`` from
+        server to client — and return what the run produced plus the
+        departures ``send_at`` scheduled instead of shaping."""
+        engine = self.engine(monkeypatch, plane_class, **engine_options)
+        sim, plane = engine.sim, engine.dataplane
+        if prepare is not None:
+            prepare(engine)
+        scheduled, arrivals, drops = [], [], []
+        at = sim.at
+
+        def spy(time, callback, *args, **options):
+            if callback == plane.send:
+                scheduled.append(time)
+            return at(time, callback, *args, **options)
+
+        sim.at = spy
+        for tag, (call, departure, bits) in enumerate(departures):
+            packet = Packet("server", "client", bits, "kv-response", tag,
+                            call)
+            sim.at(call, plane.send_at, departure, packet,
+                   lambda p: arrivals.append((p.payload, sim.now)),
+                   lambda p: drops.append((p.payload, sim.now)))
+        engine.run(until=2.5)
+        return {"arrivals": arrivals, "drops": drops,
+                "tcals": tcal_counters(engine),
+                "plane": (plane.packets_delivered, plane.packets_dropped,
+                          plane.backpressure_events)}, scheduled
+
+    def check(self, monkeypatch, departures, scheduled_times, **options):
+        reference, _ = self.drive(monkeypatch, ScheduledPlane, departures,
+                                  **options)
+        result, scheduled = self.drive(monkeypatch, KollapsDataPlane,
+                                       departures, **options)
+        assert scheduled == scheduled_times
+        assert result == reference
+        return result
+
+    @staticmethod
+    def build_chain(engine):
+        engine.tcals["server"].shaping_for("client")
+
+    def test_a_quiet_window_shapes_at_once(self, monkeypatch):
+        result = self.check(
+            monkeypatch, [(0.2, 0.2 + self.SERVICE, 8000)], [],
+            prepare=self.build_chain)
+        assert len(result["arrivals"]) == 1
+
+    def test_a_manager_tick_inside_the_window(self, monkeypatch):
+        call = 0.5 - self.SERVICE / 2
+        self.check(monkeypatch, [(call, call + self.SERVICE, 8000)],
+                   [call + self.SERVICE], loop_period=0.5,
+                   prepare=self.build_chain)
+
+    def test_a_fluid_step_inside_the_window(self, monkeypatch):
+        call = 0.5 - self.SERVICE / 2
+        self.check(monkeypatch, [(call, call + self.SERVICE, 8000)],
+                   [call + self.SERVICE], fluid_dt=0.5,
+                   prepare=self.build_chain)
+
+    def test_a_state_swap_inside_the_window(self, monkeypatch):
+        from repro.topology.events import (DynamicEvent, EventAction,
+                                           EventSchedule)
+        swap = 0.7
+        schedule = EventSchedule([DynamicEvent(
+            swap, EventAction.SET_LINK, origin="server", destination="s0",
+            changes={"latency": 0.005})])
+        call = swap - self.SERVICE / 2
+        self.check(monkeypatch, [(call, call + self.SERVICE, 8000)],
+                   [call + self.SERVICE], schedule=schedule,
+                   prepare=self.build_chain)
+
+    def test_an_unbuilt_chain(self, monkeypatch):
+        self.check(monkeypatch, [(0.2, 0.2 + self.SERVICE, 8000)],
+                   [0.2 + self.SERVICE])
+
+    def test_a_blocked_chain(self, monkeypatch):
+        def saturate(engine):
+            tcal = engine.tcals["server"]
+            tcal.set_bandwidth("client", 1e4)
+            tcal.shaping_for("client").htb.queue_bits = 1000.0
+            for _ in range(2):      # the second blocks behind the first
+                engine.dataplane.send(Packet("server", "client", 800),
+                                      lambda p: None)
+
+        # The htb would admit the departure at 0.2, but the blocked writer
+        # drains first, at 0.06: shaped at once, the departure would jump
+        # ahead of it.
+        self.check(monkeypatch, [(0.01, 0.2, 800)], [0.2], prepare=saturate)
+
+    def test_an_htb_that_would_refuse(self, monkeypatch):
+        def fill(engine):
+            tcal = engine.tcals["server"]
+            tcal.set_bandwidth("client", 1e4)
+            tcal.shaping_for("client").htb.queue_bits = 1000.0
+
+        # The first departure is admitted; 20 us later the second finds
+        # 800 bits still queued and would be refused.
+        result = self.check(
+            monkeypatch, [(0.2, 0.2 + self.SERVICE, 800),
+                          (0.2 + self.SERVICE, 0.2 + 2 * self.SERVICE, 800)],
+            [0.2 + 2 * self.SERVICE], prepare=fill)
+        assert result["plane"][2] == 1     # counted once, by send
+
+    def test_a_lossy_chain(self, monkeypatch):
+        def lossy(engine):
+            engine.tcals["server"].set_netem("client", loss=0.5)
+
+        departures = [(0.2 + index * 1e-3, 0.2 + index * 1e-3 + self.SERVICE,
+                       8000) for index in range(8)]
+        result = self.check(monkeypatch, departures,
+                            [departure for _, departure, _ in departures],
+                            prepare=lossy)
+        assert result["drops"] and result["arrivals"]
+
+    def test_an_earlier_departure_still_scheduled(self, monkeypatch):
+        # The first departure's window holds the manager tick at 0.5, so
+        # it is scheduled; the second is called after the tick but before
+        # the first leaves, on the same chain, and must queue behind it.
+        first = 0.5 - self.SERVICE / 2
+        second = 0.5 + self.SERVICE / 4
+        self.check(monkeypatch,
+                   [(first, first + self.SERVICE, 8000),
+                    (second, first + 2 * self.SERVICE, 8000)],
+                   [first + self.SERVICE, first + 2 * self.SERVICE],
+                   loop_period=0.5, prepare=self.build_chain)

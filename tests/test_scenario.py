@@ -13,7 +13,8 @@ from repro.scenario import (
     ping,
     set_link,
 )
-from repro.topology import EventAction, TopologyError
+from repro.topology import (DynamicEvent, EventAction, LinkProperties,
+                            TopologyError)
 from repro.units import UnitError
 
 FIGURE1_TEXT = """
@@ -185,6 +186,25 @@ class TestDescribeRoundTrip:
         reparsed = Scenario.from_text(built.describe()).compile()
         assert reparsed.schedule.events[0].changes["bandwidth"] \
             == float("inf")
+
+    def test_flapped_uniform_jitter_link_round_trips(self):
+        """A link that comes back with uniform jitter keeps it in text."""
+        built = (Scenario.build("t").service("a").service("b")
+                 .link("a", "b", latency="1ms", up="10Mbps", jitter="1ms",
+                       jitter_distribution="uniform")
+                 .at(5, link_down("a", "b"))
+                 .at(6, DynamicEvent(0.0, EventAction.JOIN_LINK, origin="a",
+                                     destination="b",
+                                     properties=LinkProperties(
+                                         latency=0.001, bandwidth=10e6,
+                                         jitter=0.001,
+                                         jitter_distribution="uniform")))
+                 .compile())
+        reparsed = Scenario.from_text(built.describe()).compile()
+        assert reparsed.schedule.events[1].properties.jitter_distribution \
+            == "uniform"
+        assert reparsed.schedule.events == built.schedule.events
+        assert reparsed.describe() == built.describe()
 
     def test_unidirectional_link_round_trips(self):
         built = (Scenario.build().service("a").service("b")

@@ -40,15 +40,14 @@ def run_deployment(remote_region: str, rtt_scale: float = 1.0):
                         read_fraction=0.5,
                         rng=RngRegistry(11).stream("ycsb"))
     engine.run(until=30.0)
-    stats = client.stats
 
     def mean(values):
         return sum(values) / len(values) if values else float("nan")
 
     return {
-        "throughput": stats.throughput(30.0),
-        "read_ms": mean(stats.read_latencies) * 1e3,
-        "update_ms": mean(stats.update_latencies) * 1e3,
+        "throughput": client.stats.ops_per_s(30.0),
+        "read_ms": mean(client.reads.latencies) * 1e3,
+        "update_ms": mean(client.updates.latencies) * 1e3,
     }
 
 

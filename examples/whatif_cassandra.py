@@ -45,10 +45,10 @@ def benchmark_deployment(remote_region: str) -> dict:
                           rng=rng.stream(f"ycsb:{remote_region}:{index}"))
                for index in range(4)]
     engine.run(until=DURATION)
-    reads = [l for c in clients for l in c.stats.read_latencies]
-    updates = [l for c in clients for l in c.stats.update_latencies]
+    reads = [l for c in clients for l in c.reads.latencies]
+    updates = [l for c in clients for l in c.updates.latencies]
     return {
-        "ops": sum(c.stats.throughput(DURATION) for c in clients),
+        "ops": sum(c.stats.ops_per_s(DURATION) for c in clients),
         "read_ms": 1e3 * sum(reads) / len(reads),
         "update_ms": 1e3 * sum(updates) / len(updates),
     }

@@ -15,14 +15,15 @@ all messages are packets on the data plane.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from os.path import commonprefix
+from typing import Callable, List, Sequence
 
+from repro.apps.rpc import ClosedLoop, FifoServer, Latencies, Quorum, \
+    require_int
 from repro.netstack.packet import Packet
 from repro.sim import Simulator
 
-__all__ = ["CassandraCluster", "YcsbClient", "YcsbStats"]
+__all__ = ["CassandraCluster", "YcsbClient"]
 
 _READ_REQUEST_BITS = 120 * 8.0
 _UPDATE_REQUEST_BITS = 1150 * 8.0
@@ -30,43 +31,14 @@ _REPLICA_MESSAGE_BITS = 1150 * 8.0
 _ACK_BITS = 60 * 8.0
 _RESPONSE_BITS = 1100 * 8.0
 
-_operation_ids = itertools.count()
-
-
-def _shared_prefix(first: str, second: str) -> int:
-    """Length of the common prefix — the stand-in for Cassandra's snitch.
-
-    Topology generators name containers ``<prefix>-<region>-<index>``, so
-    two nodes in the same region share a longer prefix than nodes in
-    different regions.
-    """
-    count = 0
-    for a, b in zip(first, second):
-        if a != b:
-            break
-        count += 1
-    return count
-
-
-class _Replica:
-    """One Cassandra node: a service queue plus the local store."""
-
-    def __init__(self, sim: Simulator, name: str, service_time: float) -> None:
-        self.sim = sim
-        self.name = name
-        self.service_time = service_time
-        self._horizon = 0.0
-        self.operations = 0
-
-    def process(self, callback: Callable[[], None]) -> None:
-        start = max(self.sim.now, self._horizon)
-        self._horizon = start + self.service_time
-        self.operations += 1
-        self.sim.at(self._horizon, callback)
-
 
 class CassandraCluster:
-    """The replica set plus coordinator logic."""
+    """The replica set plus coordinator logic.
+
+    Every replica is a :class:`~repro.apps.rpc.FifoServer` that answers
+    with ``sim.at`` then a send, not ``plane.send_at``: each replica also
+    coordinates, so its container sends outside its queue.
+    """
 
     def __init__(self, sim: Simulator, plane, replicas: Sequence[str], *,
                  replication_factor: int = 2,
@@ -77,13 +49,15 @@ class CassandraCluster:
         if write_consistency > replication_factor or \
                 read_consistency > replication_factor:
             raise ValueError("consistency level exceeds replication factor")
+        if write_consistency < 1 or read_consistency < 1:
+            raise ValueError("consistency level must be at least 1")
         self.sim = sim
         self.plane = plane
         self.replica_names = list(replicas)
         self.replication_factor = replication_factor
         self.write_consistency = write_consistency
         self.read_consistency = read_consistency
-        self.replicas = {name: _Replica(sim, name, service_time)
+        self.replicas = {name: FifoServer(sim, plane, name, service_time)
                          for name in replicas}
 
     # ------------------------------------------------------------- placement
@@ -104,113 +78,95 @@ class CassandraCluster:
         owners = self.replicas_for(key_hash)
         needed = (self.write_consistency if operation == "update"
                   else self.read_consistency)
-        state = {"acks": 0, "done": False}
         if operation == "read":
             # R = ONE: the coordinator asks the nearest owner (itself when
-            # it owns the key) and replies on first answer.  Nearness uses
-            # the snitch heuristic below — service names encode the
-            # datacenter (``cas-frankfurt-3``), so the longest shared
-            # prefix picks a same-region replica when one exists.
+            # it owns the key) and replies on first answer.  Nearness is
+            # the stand-in for Cassandra's snitch: topology generators name
+            # containers ``<prefix>-<region>-<index>``, so the longest
+            # shared prefix picks a same-region replica when one exists.
             if coordinator in owners:
                 owners = [coordinator]
             else:
-                owners = [max(owners,
-                              key=lambda owner: _shared_prefix(owner,
-                                                               coordinator))]
+                owners = [max(owners, key=lambda owner: len(
+                    commonprefix((owner, coordinator))))]
             needed = 1
-
-        def on_ack(_packet: Optional[Packet] = None) -> None:
-            state["acks"] += 1
-            if state["acks"] >= needed and not state["done"]:
-                state["done"] = True
-                on_done(self.sim.now - created)
+        acks = Quorum(needed, lambda: on_done(self.sim.now - created))
 
         for owner in owners:
             if owner == coordinator:
-                self.replicas[owner].process(on_ack)
+                self.sim.at(self.replicas[owner].finish(self.sim.now),
+                            acks.vote)
                 continue
             message = Packet(coordinator, owner, _REPLICA_MESSAGE_BITS
                              if operation == "update" else _READ_REQUEST_BITS,
                              kind="cassandra-replicate", created=created)
 
             def at_owner(packet: Packet, owner=owner) -> None:
-                self.replicas[owner].process(
-                    lambda: self.plane.send(
-                        Packet(owner, coordinator, _ACK_BITS,
-                               kind="cassandra-ack", created=created),
-                        on_ack))
+                ack = Packet(owner, coordinator, _ACK_BITS,
+                             kind="cassandra-ack", created=created)
+                self.sim.at(self.replicas[owner].finish(self.sim.now),
+                            self.plane.send, ack, acks.vote)
 
             self.plane.send(message, at_owner)
 
 
-@dataclass
-class YcsbStats:
-    read_latencies: List[float] = field(default_factory=list)
-    update_latencies: List[float] = field(default_factory=list)
-    completed: int = 0
+class YcsbClient(ClosedLoop):
+    """Closed-loop YCSB driver: ``threads`` workers, 50/50 read/update.
 
-    def throughput(self, duration: float) -> float:
-        return self.completed / duration if duration > 0 else 0.0
+    ``stats`` records every operation; ``reads`` and ``updates`` split it.
+    """
 
-    def all_latencies(self) -> List[float]:
-        return self.read_latencies + self.update_latencies
-
-
-class YcsbClient:
-    """Closed-loop YCSB driver: ``threads`` workers, 50/50 read/update."""
+    backoff = 0.100
+    _LOOPS = "threads"
 
     def __init__(self, sim: Simulator, plane, source: str,
                  cluster: CassandraCluster, coordinator: str, *,
                  threads: int = 8, read_fraction: float = 0.5,
                  keyspace: int = 10_000, rng=None,
                  start: float = 0.0, stop: float = float("inf")) -> None:
-        self.sim = sim
-        self.plane = plane
-        self.source = source
+        require_int("keyspace", keyspace, 1)
+        if not 0.0 <= read_fraction <= 1.0:
+            raise ValueError(
+                f"read_fraction must be in [0, 1], got {read_fraction!r}")
+        super().__init__(sim, plane, source, loops=threads, start=start,
+                         stop=stop)
         self.cluster = cluster
         self.coordinator = coordinator
         self.read_fraction = read_fraction
         self.keyspace = keyspace
         self.rng = rng
-        self.stop_time = stop
-        self.stats = YcsbStats()
-        for _ in range(threads):
-            self.sim.at(max(start, sim.now), self._issue)
+        self.reads = Latencies()
+        self.updates = Latencies()
 
     def _issue(self) -> None:
-        if self.sim.now >= self.stop_time:
+        now = self.sim.now
+        if now >= self.stop_time:
             return
         rng = self.rng
         is_read = (rng.random() if rng else 0.5) < self.read_fraction
         key_hash = rng.randrange(self.keyspace) if rng else 0
         operation = "read" if is_read else "update"
-        created = self.sim.now
         request = Packet(
             self.source, self.coordinator,
             _READ_REQUEST_BITS if is_read else _UPDATE_REQUEST_BITS,
-            kind="ycsb-request", created=created)
+            "ycsb-request", (operation, key_hash), now)
+        self.plane.send(request, self._at_coordinator, self._retry)
 
-        def at_coordinator(_packet: Packet) -> None:
-            self.cluster.execute(
-                self.coordinator, operation, key_hash, created,
-                lambda latency: self._respond(operation, created))
-
-        self.plane.send(request, at_coordinator,
-                        on_drop=lambda p: self.sim.after(0.1, self._issue))
+    def _at_coordinator(self, request: Packet) -> None:
+        operation, key_hash = request.payload
+        created = request.created
+        self.cluster.execute(
+            self.coordinator, operation, key_hash, created,
+            lambda _latency: self._respond(operation, created))
 
     def _respond(self, operation: str, created: float) -> None:
         response = Packet(self.coordinator, self.source, _RESPONSE_BITS,
-                          kind="ycsb-response", created=created)
-        self.plane.send(
-            response,
-            lambda p: self._complete(operation, p),
-            on_drop=lambda p: self.sim.after(0.1, self._issue))
+                          "ycsb-response", operation, created)
+        self.plane.send(response, self._complete, self._retry)
 
-    def _complete(self, operation: str, response: Packet) -> None:
+    def _complete(self, response: Packet) -> None:
         latency = self.sim.now - response.created
-        if operation == "read":
-            self.stats.read_latencies.append(latency)
-        else:
-            self.stats.update_latencies.append(latency)
-        self.stats.completed += 1
+        self.stats.record(latency)
+        split = self.reads if response.payload == "read" else self.updates
+        split.record(latency)
         self._issue()

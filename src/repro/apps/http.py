@@ -17,9 +17,9 @@ and switch-overhead effect applies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
+from repro.apps.rpc import ClosedLoop, FifoServer, Latencies
 from repro.netstack.packet import Packet
 from repro.sim import Simulator
 
@@ -30,91 +30,63 @@ _MSS_BITS = 1448 * 8.0
 _HANDSHAKE_PACKET_BITS = 66 * 8.0
 _INITIAL_WINDOW_BITS = 10 * _MSS_BITS
 
-_connection_ids = itertools.count()
 
+class HttpServer(FifoServer):
+    """A single-threaded HTTP server: FIFO service, fixed response size.
 
-class HttpServer:
-    """A single-threaded HTTP server: FIFO service, fixed response size."""
+    A response leaves when its service ends (``sim.at``, then a send), not
+    through ``plane.send_at``: curl's handshakes and later rounds leave the
+    same container outside the queue, which ``send_at`` does not allow.
+    """
 
     def __init__(self, sim: Simulator, plane, name: str, *,
                  response_bits: float = 64 * 1024 * 8.0,
                  service_time: float = 100e-6) -> None:
-        self.sim = sim
-        self.plane = plane
-        self.name = name
+        super().__init__(sim, plane, name, service_time)
         self.response_bits = response_bits
-        self.service_time = service_time
-        self._horizon = 0.0
-        self.requests_served = 0
+        self._connections = itertools.count()
 
-    def serve(self, request: Packet, respond) -> None:
-        """Queue the request; call ``respond(delay_until_send)`` when done."""
-        start = max(self.sim.now, self._horizon)
-        self._horizon = start + self.service_time
-        done = self._horizon
-        self.requests_served += 1
-        self.sim.at(done, respond)
+    def accept(self) -> int:
+        """Number one new connection to this server (0, 1, ...)."""
+        return next(self._connections)
+
+    def serve(self, respond, *args) -> None:
+        """Queue one request; call ``respond(*args)`` when it is served."""
+        self.sim.at(self.finish(self.sim.now), respond, *args)
 
 
-@dataclass
-class HttpStats:
-    """Client-side accounting shared by both client shapes."""
-
-    completed: int = 0
-    bits_received: float = 0.0
-    latencies: List[float] = field(default_factory=list)
-
-    def throughput(self, duration: float) -> float:
-        """Payload bits/s over the run."""
-        return self.bits_received / duration if duration > 0 else 0.0
-
-
-class Wrk2Client:
+class Wrk2Client(ClosedLoop):
     """Closed-loop keep-alive client: ``connections`` parallel streams."""
+
+    _LOOPS = "connections"
 
     def __init__(self, sim: Simulator, plane, source: str,
                  server: HttpServer, *, connections: int = 100,
                  start: float = 0.0, stop: float = float("inf")) -> None:
-        self.sim = sim
-        self.plane = plane
-        self.source = source
+        super().__init__(sim, plane, source, loops=connections, start=start,
+                         stop=stop)
         self.server = server
-        self.connections = connections
-        self.stop_time = stop
-        self.stats = HttpStats()
-        for _ in range(connections):
-            self.sim.at(max(start, sim.now), self._issue_request)
 
-    def _issue_request(self) -> None:
-        if self.sim.now >= self.stop_time:
+    def _issue(self) -> None:
+        now = self.sim.now
+        if now >= self.stop_time:
             return
-        sent_at = self.sim.now
         request = Packet(self.source, self.server.name, _REQUEST_BITS,
-                         kind="http-request", created=sent_at)
-        self.plane.send(request, lambda p: self._at_server(p, sent_at),
-                        on_drop=lambda p: self._retry())
+                         kind="http-request", created=now)
+        self.plane.send(request, self._at_server, self._retry)
 
-    def _at_server(self, request: Packet, sent_at: float) -> None:
-        self.server.serve(request,
-                          lambda: self._send_response(sent_at))
+    def _at_server(self, request: Packet) -> None:
+        self.server.serve(self._send_response, request.created)
 
-    def _send_response(self, sent_at: float) -> None:
+    def _send_response(self, created: float) -> None:
         response = Packet(self.server.name, self.source,
                           self.server.response_bits, kind="http-response",
-                          created=sent_at)
-        self.plane.send(response, self._on_response,
-                        on_drop=lambda p: self._retry())
+                          created=created)
+        self.plane.send(response, self._on_response, self._retry)
 
     def _on_response(self, response: Packet) -> None:
-        self.stats.completed += 1
-        self.stats.bits_received += response.size_bits
-        self.stats.latencies.append(self.sim.now - response.created)
-        self._issue_request()
-
-    def _retry(self) -> None:
-        # Keep-alive connections retransmit; modelled as immediate reissue
-        # after a short timeout.
-        self.sim.after(0.050, self._issue_request)
+        self.stats.record(self.sim.now - response.created, response.size_bits)
+        self._issue()
 
 
 class CurlSwarm:
@@ -124,83 +96,79 @@ class CurlSwarm:
     receives the response in slow-start rounds: the server sends one burst
     per round, doubling from a 10-segment initial window, each round
     costing a full round trip (the defining cost of short flows).  The
-    per-round bursts travel as packets tagged with a fresh connection id,
-    so full-state emulators pay their per-connection price.
+    per-round bursts travel as packets tagged with the server's number for
+    the connection, so full-state emulators pay their per-connection
+    price.
     """
 
     def __init__(self, sim: Simulator, plane, sources: List[str],
                  server: HttpServer, *, start: float = 0.0,
                  stop: float = float("inf")) -> None:
-        self.sim = sim
-        self.plane = plane
         self.server = server
-        self.stop_time = stop
-        self.stats = HttpStats()
-        for source in sources:
-            self.sim.at(max(start, sim.now),
-                        lambda source=source: self._connect(source))
+        self.stats = Latencies()
+        self.clients = [_Curl(sim, plane, source, server, self.stats,
+                              start=start, stop=stop) for source in sources]
 
-    # ------------------------------------------------------------ lifecycle
-    def _connect(self, source: str) -> None:
-        if self.sim.now >= self.stop_time:
+
+class _Curl(ClosedLoop):
+    """One curl loop of a :class:`CurlSwarm`, recording into its stats.
+
+    Every packet of a connection carries the connection's number as its
+    payload and the request's start as ``created``.
+    """
+
+    backoff = 0.100
+
+    def __init__(self, sim: Simulator, plane, source: str,
+                 server: HttpServer, stats: Latencies, *, start: float,
+                 stop: float) -> None:
+        super().__init__(sim, plane, source, loops=1, start=start, stop=stop)
+        self.server = server
+        self.stats = stats
+
+    def _issue(self) -> None:
+        now = self.sim.now
+        if now >= self.stop_time:
             return
-        connection = next(_connection_ids)
-        started = self.sim.now
-        syn = Packet(source, self.server.name, _HANDSHAKE_PACKET_BITS,
-                     kind=f"syn:{connection}", created=started)
-        self.plane.send(
-            syn,
-            lambda p: self._syn_ack(source, connection, started),
-            on_drop=lambda p: self._abort(source))
+        connection = self.server.accept()
+        syn = Packet(self.source, self.server.name, _HANDSHAKE_PACKET_BITS,
+                     f"syn:{connection}", connection, now)
+        self.plane.send(syn, self._syn_ack, self._retry)
 
-    def _syn_ack(self, source: str, connection: int, started: float) -> None:
-        syn_ack = Packet(self.server.name, source, _HANDSHAKE_PACKET_BITS,
-                         kind=f"syn:{connection}", created=started)
-        self.plane.send(
-            syn_ack,
-            lambda p: self._send_get(source, connection, started),
-            on_drop=lambda p: self._abort(source))
+    def _syn_ack(self, syn: Packet) -> None:
+        syn_ack = Packet(self.server.name, self.source,
+                         _HANDSHAKE_PACKET_BITS, syn.kind, syn.payload,
+                         syn.created)
+        self.plane.send(syn_ack, self._send_get, self._retry)
 
-    def _send_get(self, source: str, connection: int, started: float) -> None:
-        get = Packet(source, self.server.name, _REQUEST_BITS,
-                     kind=f"http:{connection}", created=started)
-        self.plane.send(
-            get,
-            lambda p: self.server.serve(
-                p, lambda: self._stream_response(source, connection, started,
-                                                 remaining=self.server.response_bits,
-                                                 window=_INITIAL_WINDOW_BITS)),
-            on_drop=lambda p: self._abort(source))
+    def _send_get(self, syn_ack: Packet) -> None:
+        connection = syn_ack.payload
+        get = Packet(self.source, self.server.name, _REQUEST_BITS,
+                     f"http:{connection}", connection, syn_ack.created)
+        self.plane.send(get, self._at_server, self._retry)
 
-    def _stream_response(self, source: str, connection: int, started: float,
-                         *, remaining: float, window: float) -> None:
+    def _at_server(self, get: Packet) -> None:
+        self.server.serve(self._stream, get, self.server.response_bits,
+                          _INITIAL_WINDOW_BITS)
+
+    def _stream(self, get: Packet, remaining: float, window: float) -> None:
         burst = min(window, remaining)
-        chunk = Packet(self.server.name, source, burst,
-                       kind=f"http:{connection}", created=started)
+        chunk = Packet(self.server.name, self.source, burst, get.kind,
+                       get.payload, get.created)
         left = remaining - burst
 
-        def on_chunk(_packet: Packet) -> None:
+        def on_chunk(_chunk: Packet) -> None:
             if left <= 0:
-                self._complete(source, started)
+                self.stats.record(self.sim.now - get.created,
+                                  self.server.response_bits)
+                self._issue()
             else:
                 # The client's ack releases the next, doubled round.
-                ack = Packet(source, self.server.name, _HANDSHAKE_PACKET_BITS,
-                             kind=f"http:{connection}", created=started)
+                ack = Packet(self.source, self.server.name,
+                             _HANDSHAKE_PACKET_BITS, get.kind, get.payload,
+                             get.created)
                 self.plane.send(
-                    ack,
-                    lambda p: self._stream_response(
-                        source, connection, started,
-                        remaining=left, window=window * 2),
-                    on_drop=lambda p: self._abort(source))
+                    ack, lambda _ack: self._stream(get, left, window * 2),
+                    self._retry)
 
-        self.plane.send(chunk, on_chunk, on_drop=lambda p: self._abort(source))
-
-    def _complete(self, source: str, started: float) -> None:
-        self.stats.completed += 1
-        self.stats.bits_received += self.server.response_bits
-        self.stats.latencies.append(self.sim.now - started)
-        self._connect(source)
-
-    def _abort(self, source: str) -> None:
-        # Connection lost: curl retries after its backoff.
-        self.sim.after(0.100, lambda: self._connect(source))
+        self.plane.send(chunk, on_chunk, self._retry)

@@ -23,32 +23,17 @@ latency and jitter drive the distributions exactly as on EC2.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
+from repro.apps.rpc import Latencies, Quorum, require_int
 from repro.netstack.packet import Packet
 from repro.sim import Simulator
 
-__all__ = ["SmrDeployment", "SmrStats"]
+__all__ = ["SmrDeployment"]
 
 _REQUEST_BITS = 300 * 8.0
 _ORDER_BITS = 400 * 8.0
 _REPLY_BITS = 150 * 8.0
-
-_op_counter = itertools.count()
-
-
-@dataclass
-class SmrStats:
-    latencies: List[float] = field(default_factory=list)
-
-    def percentile(self, fraction: float) -> float:
-        if not self.latencies:
-            return float("nan")
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
 
 
 class SmrDeployment:
@@ -65,140 +50,77 @@ class SmrDeployment:
         self.protocol = protocol
         self.leader = leader or self.replicas[0]
         self.execution_time = execution_time
-        self.stats_by_client: Dict[str, SmrStats] = {}
+        self.stats_by_client: Dict[str, Latencies] = {}
 
     # ----------------------------------------------------------- client side
     def run_client(self, client: str, *, operations: int = 100,
-                   start: float = 0.0) -> SmrStats:
-        """A closed-loop client issuing counter increments."""
-        stats = self.stats_by_client.setdefault(client, SmrStats())
-        state = {"remaining": operations}
+                   start: float = 0.0) -> Latencies:
+        """A closed-loop client issuing ``operations`` counter increments."""
+        require_int("operations", operations, 0)
+        stats = self.stats_by_client.setdefault(client, Latencies())
+        remaining = operations
 
         def issue() -> None:
-            if state["remaining"] <= 0:
-                return
-            state["remaining"] -= 1
-            created = self.sim.now
-            self._invoke(client, created,
-                         lambda latency: (stats.latencies.append(latency),
-                                          issue()))
+            nonlocal remaining
+            if remaining > 0:
+                remaining -= 1
+                self._invoke(client, self.sim.now, done)
+
+        def done(latency: float) -> None:
+            stats.record(latency)
+            issue()
 
         self.sim.at(max(start, self.sim.now), issue)
         return stats
 
     def _invoke(self, client: str, created: float,
                 on_done: Callable[[float], None]) -> None:
-        if self.protocol == "bftsmart":
-            self._invoke_bftsmart(client, created, on_done)
+        """Client -> leader, the protocol's ordering, replicas -> client;
+        the client waits for 2 replies (f + 1 for BFT-SMaRt, Wheat's
+        weighted quorum of the two best-connected replicas)."""
+        replies = Quorum(2, lambda: on_done(self.sim.now - created))
+
+        def reply(replica: str) -> None:
+            self.plane.send(Packet(replica, client, _REPLY_BITS,
+                                   kind="smr-reply", created=created),
+                            replies.vote)
+
+        if self.protocol == "wheat":
+            # Tentative execution: each replica replies as soon as the
+            # leader's ORDER reaches it.
+            first, then = "smr-order", reply
         else:
-            self._invoke_wheat(client, created, on_done)
+            # PROPOSE to all; every replica WRITEs back to the leader, and
+            # a write quorum of ceil((n + f + 1) / 2), f = 1, ACCEPTs.
+            n = len(self.replicas)
+            writes = Quorum(min(n, -(-(n + 2) // 2)),
+                            lambda: self._to_replicas("smr-accept", created,
+                                                      reply))
 
-    # ------------------------------------------------------------ BFT-SMaRt
-    def _invoke_bftsmart(self, client: str, created: float,
-                         on_done: Callable[[float], None]) -> None:
-        """Client -> leader; PROPOSE; WRITE; ACCEPT; replicas -> client."""
-        n = len(self.replicas)
-        quorum = min(n, -(-(n + 2) // 2))  # ceil((n + f + 1) / 2) with f = 1
-        replies_needed = 2  # f + 1
+            def write(replica: str) -> None:
+                if replica == self.leader:
+                    writes.vote()
+                else:
+                    self.plane.send(Packet(replica, self.leader, _ORDER_BITS,
+                                           kind="smr-write", created=created),
+                                    writes.vote)
 
+            first, then = "smr-propose", write
         request = Packet(client, self.leader, _REQUEST_BITS,
                          kind="smr-request", created=created)
-        self.plane.send(request, lambda p: propose())
+        self.plane.send(request,
+                        lambda _request: self._to_replicas(first, created,
+                                                           then))
 
-        def propose() -> None:
-            # Leader PROPOSEs to all; each replica WRITEs to all; once a
-            # replica has a write quorum it ACCEPTs.  The latency-critical
-            # path is two quorum round trips from the leader's perspective;
-            # we enact it as leader -> replica (PROPOSE), replica -> leader
-            # (WRITE), leader -> replica (ACCEPT), replica -> client.
-            write_acks = {"count": 0, "accepted": False}
-            for replica in self.replicas:
-                message = Packet(self.leader, replica, _ORDER_BITS,
-                                 kind="smr-propose", created=created)
-
-                def at_replica(packet: Packet, replica=replica) -> None:
-                    write = Packet(replica, self.leader, _ORDER_BITS,
-                                   kind="smr-write", created=created)
-                    self.plane.send(write, lambda p: on_write())
-
-                if replica == self.leader:
-                    self.sim.after(self.execution_time,
-                                   lambda replica=replica: on_write())
-                else:
-                    self.plane.send(message, at_replica)
-
-            def on_write() -> None:
-                write_acks["count"] += 1
-                if write_acks["count"] >= quorum and not write_acks["accepted"]:
-                    write_acks["accepted"] = True
-                    accept()
-
-        def accept() -> None:
-            reply_state = {"count": 0, "done": False}
-            for replica in self.replicas:
-
-                def reply_to_client(replica=replica) -> None:
-                    reply = Packet(replica, client, _REPLY_BITS,
-                                   kind="smr-reply", created=created)
-                    self.plane.send(reply, lambda p: on_reply())
-
-                if replica == self.leader:
-                    self.sim.after(self.execution_time, reply_to_client)
-                else:
-                    accept_message = Packet(self.leader, replica, _ORDER_BITS,
-                                            kind="smr-accept", created=created)
-                    self.plane.send(
-                        accept_message,
-                        lambda p, reply_to_client=reply_to_client:
-                        reply_to_client())
-
-            def on_reply() -> None:
-                reply_state["count"] += 1
-                if reply_state["count"] >= replies_needed and \
-                        not reply_state["done"]:
-                    reply_state["done"] = True
-                    on_done(self.sim.now - created)
-
-        # `propose` is invoked when the request reaches the leader.
-
-    # ----------------------------------------------------------------- Wheat
-    def _invoke_wheat(self, client: str, created: float,
-                      on_done: Callable[[float], None]) -> None:
-        """Weighted quorums + tentative execution: one ordering round trip
-        against the *fastest* weighted quorum, replies direct to client."""
-        request = Packet(client, self.leader, _REQUEST_BITS,
-                         kind="smr-request", created=created)
-        self.plane.send(request, lambda p: order())
-
-        def order() -> None:
-            # Leader sends ordering message; each replica tentatively
-            # executes and replies straight to the client.  The client
-            # accepts after a weighted quorum: with Wheat's Wmax vote
-            # distribution the two best-connected replicas hold enough
-            # weight, so the reply threshold is 2 (plus the leader's own).
-            reply_state = {"count": 0, "done": False}
-            replies_needed = 2
-
-            def on_reply() -> None:
-                reply_state["count"] += 1
-                if reply_state["count"] >= replies_needed and \
-                        not reply_state["done"]:
-                    reply_state["done"] = True
-                    on_done(self.sim.now - created)
-
-            for replica in self.replicas:
-
-                def reply_to_client(replica=replica) -> None:
-                    reply = Packet(replica, client, _REPLY_BITS,
-                                   kind="smr-reply", created=created)
-                    self.plane.send(reply, lambda p: on_reply())
-
-                if replica == self.leader:
-                    self.sim.after(self.execution_time, reply_to_client)
-                else:
-                    order_message = Packet(self.leader, replica, _ORDER_BITS,
-                                           kind="smr-order", created=created)
-                    self.plane.send(
-                        order_message,
-                        lambda p, reply_to_client=reply_to_client:
-                        reply_to_client())
+    def _to_replicas(self, kind: str, created: float,
+                     then: Callable[[str], None]) -> None:
+        """The leader's fan-out: ``then(replica)`` once ``kind`` reaches
+        each replica, after ``execution_time`` on the leader itself."""
+        for replica in self.replicas:
+            if replica == self.leader:
+                self.sim.after(self.execution_time, then, replica)
+            else:
+                self.plane.send(Packet(self.leader, replica, _ORDER_BITS,
+                                       kind=kind, created=created),
+                                lambda _message, replica=replica:
+                                then(replica))

@@ -66,15 +66,15 @@ def point_scenario(*, threads: int, duration: float,
                 for index in range(4)]
 
     def collect(system, until, clients):
-        stats = [client.stats for client in clients]
         return {
-            "throughput": sum(s.throughput(until) for s in stats),
-            "latency": _mean(sorted(latency for s in stats
-                                    for latency in s.all_latencies())),
-            "read_latency": _mean([latency for s in stats
-                                   for latency in s.read_latencies]),
-            "update_latency": _mean([latency for s in stats
-                                     for latency in s.update_latencies]),
+            "throughput": sum(client.stats.ops_per_s(until)
+                              for client in clients),
+            "latency": _mean(sorted(latency for client in clients
+                                    for latency in client.stats.latencies)),
+            "read_latency": _mean([latency for client in clients
+                                   for latency in client.reads.latencies]),
+            "update_latency": _mean([latency for client in clients
+                                     for latency in client.updates.latencies]),
         }
 
     return (aws_mesh(list(regions), services_per_region=8,

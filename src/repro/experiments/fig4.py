@@ -48,7 +48,7 @@ def point_scenario(*, hosts: int, connections: int,
         return clients
 
     def collect_ops(engine, until, clients) -> float:
-        return sum(client.stats.throughput(until) for client in clients)
+        return sum(client.stats.ops_per_s(until) for client in clients)
 
     def collect_metadata(engine, until, _state) -> float:
         return engine.total_metadata_wire_bytes() / until / hosts

@@ -49,7 +49,6 @@ every format (``down=`` is the reverse direction's capacity there too).
 from __future__ import annotations
 
 import contextlib
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -331,7 +330,8 @@ def compile_scenario(text: str, topology: Topology) -> EventSchedule:
         else:
             operations.append(_Operation(directive.time, directive,
                                          verb=directive.verb))
-    operations.sort(key=lambda operation: (operation.time, operation.order))
+    # A stable sort: simultaneous operations keep their script order.
+    operations.sort(key=lambda operation: operation.time)
 
     replay = _Replay(topology)
     for operation in operations:
@@ -421,22 +421,14 @@ def _compile(operation: "_Operation", replay: _Replay) -> None:
                                 directive.line_number)
 
 
-_operation_sequence = itertools.count()
-
-
 @dataclass
 class _Operation:
-    """One primitive, time-ordered step of a compiled scenario.
-
-    ``order`` makes the (time, order) sort total, so simultaneous
-    operations keep their script order deterministically.
-    """
+    """One primitive, time-ordered step of a compiled scenario."""
 
     time: float
     directive: _Directive
     verb: str
     slot: Optional[Dict[str, LinkProperties]] = None
-    order: int = field(default_factory=lambda: next(_operation_sequence))
 
 
 def _compile_partition(directive: _Directive, replay: _Replay) -> None:

@@ -260,7 +260,7 @@ class HttpLoadWorkload(Workload):
 
     Installs an :class:`~repro.apps.http.HttpServer` on ``server`` and a
     :class:`~repro.apps.http.Wrk2Client` on ``source``; the result is the
-    client's :class:`~repro.apps.http.HttpStats` (short-lived-flow
+    client's :class:`~repro.apps.rpc.Latencies` (short-lived-flow
     throughput, the Figure 5/7 workload).
     """
 
@@ -297,7 +297,7 @@ class HttpLoadWorkload(Workload):
         return max(end - self.start, 1e-9)
 
     def metrics(self, engine, until: float, result) -> Metrics:
-        mean = result.throughput(self._window(until))
+        mean = result.bits_per_s(self._window(until))
         return Metrics(key=self.key, kind=self.kind,
                        summary={"throughput_mean": mean,
                                 "requests": float(result.completed)},
@@ -334,7 +334,7 @@ class CurlSwarmWorkload(Workload):
         return self._stashed(engine).stats
 
     def metrics(self, engine, until: float, result) -> Metrics:
-        mean = result.throughput(max(until, 1e-9))
+        mean = result.bits_per_s(max(until, 1e-9))
         return Metrics(key=self.key, kind=self.kind,
                        summary={"throughput_mean": mean,
                                 "requests": float(result.completed)},

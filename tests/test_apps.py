@@ -100,7 +100,7 @@ class TestHttp:
                             connections=20)
         engine.run(until=10.0)
         assert client.stats.completed > 100
-        assert server.requests_served >= client.stats.completed
+        assert server.operations >= client.stats.completed
 
     def test_curl_slower_than_keepalive_per_request(self):
         """Fresh connections pay handshake + slow start every time."""
@@ -131,11 +131,34 @@ class TestHttp:
             swarm = CurlSwarm(engine.sim, engine.dataplane,
                               [f"c{i}" for i in range(client_count)], server)
             engine.run(until=10.0)
-            return swarm.stats.throughput(10.0)
+            return swarm.stats.bits_per_s(10.0)
 
         one = throughput(1)
         four = throughput(4)
         assert four == pytest.approx(4 * one, rel=0.25)
+
+    def test_curl_packet_kinds_are_per_run(self):
+        """The server numbers its own connections: a second swarm in the
+        same process tags its packets as a fresh process would, so a
+        full-state switch sees the same flows whatever ran before."""
+        def kinds():
+            engine = kollaps_engine(
+                point_to_point(100 * MBPS, latency=0.010).compile().topology)
+            plane = KindsPlane(engine.dataplane)
+            CurlSwarm(engine.sim, plane, ["client"],
+                      HttpServer(engine.sim, plane, "server"))
+            engine.run(until=1.0)
+            return plane.kinds
+
+        first = kinds()
+        assert first[:2] == ["syn:0", "syn:0"]
+        assert kinds() == first
+
+    def test_wrk2_connections_must_not_be_negative(self):
+        sim = Simulator()
+        server = HttpServer(sim, CapturePlane(), "server")
+        with pytest.raises(ValueError, match="connections"):
+            Wrk2Client(sim, CapturePlane(), "client", server, connections=-3)
 
 
 class TestKvStore:
@@ -183,6 +206,18 @@ class CapturePlane:
 
     def send(self, packet, deliver, on_drop=None, on_backpressure=None):
         self.sent.append(packet)
+
+
+class KindsPlane:
+    """``plane``, noting the kind of every packet sent through it."""
+
+    def __init__(self, plane):
+        self.plane = plane
+        self.kinds = []
+
+    def send(self, packet, deliver, on_drop=None, on_backpressure=None):
+        self.kinds.append(packet.kind)
+        self.plane.send(packet, deliver, on_drop, on_backpressure)
 
 
 class TestMemtierClient:
@@ -252,8 +287,8 @@ class TestCassandra:
                             read_fraction=0.0,
                             rng=RngRegistry(8).stream("ycsb"))
         engine.run(until=20.0)
-        mean_update = (sum(client.stats.update_latencies) /
-                       len(client.stats.update_latencies))
+        mean_update = (sum(client.updates.latencies) /
+                       len(client.updates.latencies))
         # Frankfurt <-> Sydney RTT is 290 ms; replica sets interleave the
         # regions, so every quorum write crosses the ocean.
         assert mean_update > 0.250
@@ -268,8 +303,8 @@ class TestCassandra:
                             read_fraction=1.0,
                             rng=RngRegistry(8).stream("ycsb"))
         engine.run(until=20.0)
-        mean_read = (sum(client.stats.read_latencies) /
-                     len(client.stats.read_latencies))
+        mean_read = (sum(client.reads.latencies) /
+                     len(client.reads.latencies))
         assert mean_read < 0.100
 
     def test_replica_placement_ring(self):
@@ -285,6 +320,32 @@ class TestCassandra:
         with pytest.raises(ValueError):
             CassandraCluster(engine.sim, engine.dataplane, self.replicas(),
                              replication_factor=2, write_consistency=3)
+
+    def test_zero_consistency_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            CassandraCluster(Simulator(), CapturePlane(), self.replicas(),
+                             replication_factor=2, write_consistency=0)
+
+    def ycsb(self, **options):
+        sim, plane = Simulator(), CapturePlane()
+        cluster = CassandraCluster(sim, plane, self.replicas())
+        return YcsbClient(sim, plane, "cas-frankfurt-4", cluster,
+                          "cas-frankfurt-0", rng=RngRegistry(8).stream("y"),
+                          **options)
+
+    @pytest.mark.parametrize("keyspace", [0, -1, 2.5, True])
+    def test_ycsb_keyspace_must_be_a_positive_int(self, keyspace):
+        with pytest.raises(ValueError, match="keyspace"):
+            self.ycsb(keyspace=keyspace)
+
+    @pytest.mark.parametrize("fraction", [-0.5, 2.0, float("nan")])
+    def test_ycsb_read_fraction_must_be_in_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="read_fraction"):
+            self.ycsb(read_fraction=fraction)
+
+    def test_ycsb_threads_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="threads"):
+            self.ycsb(threads=-1)
 
 
 class TestSmr:
@@ -321,3 +382,9 @@ class TestSmr:
         engine, smr, _ = self.deployment("bftsmart")
         with pytest.raises(ValueError):
             SmrDeployment(engine.sim, engine.dataplane, ["a"], protocol="pbft")
+
+    @pytest.mark.parametrize("operations", [-1, 2.5])
+    def test_operations_must_be_a_non_negative_int(self, operations):
+        smr = SmrDeployment(Simulator(), CapturePlane(), ["a"])
+        with pytest.raises(ValueError, match="operations"):
+            smr.run_client("client", operations=operations)

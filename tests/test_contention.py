@@ -95,7 +95,7 @@ class TestCongestionGating:
             server = HttpServer(engine.sim, engine.dataplane, "server")
             swarm = CurlSwarm(engine.sim, engine.dataplane, ["c0"], server)
             engine.run(until=10.0)
-            return swarm.stats.throughput(10.0)
+            return swarm.stats.bits_per_s(10.0)
 
         assert throughput(True) == pytest.approx(throughput(False),
                                                  rel=0.05)
@@ -161,7 +161,7 @@ class TestCrossPlaneContention:
         client = CurlSwarm(testbed.sim, testbed.dataplane, ["b"], server)
         testbed.run(until=10.0)
         bulk = testbed.fluid.mean_throughput("bulk", 5.0, 10.0)
-        http = client.stats.throughput(10.0)
+        http = client.stats.bits_per_s(10.0)
         # Both aggregates share a's 100 Mb/s uplink.
         assert bulk < 95 * MBPS
         assert bulk + http < 110 * MBPS

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from event_order import DURATION, SEED, kv_event_order
+from event_order import APP_CASES, DURATION, SEED, app_event_order, \
+    kv_event_order
 
 GOLDEN = Path(__file__).parent / "golden" / "kv_event_order.json"
 
@@ -51,3 +52,16 @@ def test_full_state_event_order_matches_the_golden(backend):
     pinned = golden["backends"][backend]
     assert kv_event_order(backend=backend) == (pinned["events"],
                                                pinned["digest"])
+
+
+APPS = Path(__file__).parent / "golden" / "app_event_order.json"
+
+
+@pytest.mark.parametrize("case", sorted(APP_CASES))
+def test_app_event_order_matches_the_golden(case):
+    """wrk2, curl, BFT-SMaRt, Wheat and YCSB dispatch the streams recorded
+    before their servers, clients and quorums became one substrate: an
+    application that sends, serves or counts a vote at another moment
+    lands here."""
+    pinned = json.loads(APPS.read_text())["cases"][case]
+    assert app_event_order(case) == (pinned["events"], pinned["digest"])

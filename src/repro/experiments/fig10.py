@@ -16,8 +16,6 @@ Figure 11's what-if is this same :func:`point_scenario` with another
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.experiments.base import ExperimentResult, experiment, get_runner, \
     grid_campaign
 from repro.scenario import custom
@@ -28,23 +26,18 @@ THREAD_SWEEP = [1, 4, 8, 16, 32]
 SYSTEMS = ("baremetal", "kollaps")
 _DURATION = 25.0
 
-# Independent YCSB request streams per backend, as the paper's two
-# deployments are independent runs: backend -> RNG stream prefix.
-_STREAM_TAGS = {"baremetal": "ycsb:e", "kollaps": "ycsb:k"}
-
-
 def _mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
 def point_scenario(*, threads: int, duration: float,
-                   seed: int, remote_region: str = "sydney",
-                   stream_tags: Mapping[str, str] = _STREAM_TAGS):
+                   seed: int, remote_region: str = "sydney"):
     """Frankfurt + ``remote_region``: 4 replicas each (RF = 2), 4 YCSB
-    clients on extra Frankfurt services.
+    clients on extra Frankfurt services sharing ``threads`` between them.
 
-    The YCSB request streams are ``RngRegistry(seed)`` streams named by
-    ``stream_tags[backend]`` plus the thread count and client index.
+    Client ``i`` runs ``threads // 4 + (i < threads % 4)`` threads and
+    draws its requests from the ``RngRegistry(seed)`` stream
+    ``ycsb:<client>``: every backend sees the same request streams.
     """
     regions = ("frankfurt", remote_region)
 
@@ -56,13 +49,13 @@ def point_scenario(*, threads: int, duration: float,
                                    replication_factor=2,
                                    write_consistency=2, read_consistency=1,
                                    service_time=2e-3)
-        tag = stream_tags[system.scenario_backend]
+        rng = RngRegistry(seed)
         return [YcsbClient(system.sim, system.dataplane,
                            f"cas-frankfurt-{4 + index}", cluster,
                            f"cas-frankfurt-{index}",
-                           threads=max(1, threads // 4), read_fraction=0.5,
-                           rng=RngRegistry(seed).stream(
-                               f"{tag}{threads}:{index}"))
+                           threads=threads // 4 + (index < threads % 4),
+                           read_fraction=0.5,
+                           rng=rng.stream(f"ycsb:cas-frankfurt-{4 + index}"))
                 for index in range(4)]
 
     def collect(system, until, clients):

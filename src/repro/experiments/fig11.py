@@ -20,9 +20,7 @@ from repro.experiments.base import ExperimentResult, experiment, get_runner, \
 THREAD_SWEEP = [4, 16, 32]
 _DURATION = 25.0
 
-# remote region -> YCSB RNG stream prefix (the two deployments draw
-# independent request streams).
-_STREAM_TAGS = {"sydney": "base:", "seoul": "whatif:"}
+REGIONS = ("sydney", "seoul")
 
 
 def point_scenario(*, remote_region: str, threads: int,
@@ -30,13 +28,12 @@ def point_scenario(*, remote_region: str, threads: int,
     """Figure 10's deployment with the remote replicas in ``remote_region``."""
     return fig10.point_scenario(
         threads=threads, duration=duration, seed=seed,
-        remote_region=remote_region,
-        stream_tags={"kollaps": _STREAM_TAGS[remote_region]})
+        remote_region=remote_region)
 
 
 # Remote region × offered load, on Kollaps.
 campaign = grid_campaign("fig11", point_scenario, seed=121,
-                         remote_region=list(_STREAM_TAGS),
+                         remote_region=list(REGIONS),
                          threads=THREAD_SWEEP, duration=_DURATION)
 
 
@@ -47,7 +44,7 @@ def report(sweep) -> ExperimentResult:
                                                threads=threads)
                         .metric("ycsb").summary
                         for threads in THREAD_SWEEP}
-               for region in _STREAM_TAGS}
+               for region in REGIONS}
     result = ExperimentResult(
         exp_id="fig11",
         title="What-if: original (Sydney) vs halved latency (Seoul)",

@@ -29,17 +29,24 @@ SCENARIO = (
     .deploy(machines=2, seed=7, duration=40.0))
 
 
-def main() -> None:
+def attach_dashboard(engine):
+    """A ``custom`` install hook: it runs before time advances, so it can
+    log the start and schedule a snapshot in the middle of the flap."""
     from repro.dashboard import Dashboard
 
-    compiled = SCENARIO.compile()
-    engine = compiled.start()   # workloads installed, run still deferred
     dashboard = Dashboard(engine)
-
     dashboard.log("experiment started")
     engine.sim.at(21.0, lambda: dashboard.log(
         "link is down — dashboard snapshot:\n" + dashboard.render_flows()))
-    engine.run(until=40.0)
+    return dashboard
+
+
+def main() -> None:
+    from repro.scenario import custom
+
+    run = (SCENARIO.workload(custom("dashboard", attach_dashboard, needs=()))
+           .compile().run())
+    engine, dashboard = run.engine, run["dashboard"]
 
     print("Throughput timeline (5-second windows):")
     for start in range(0, 40, 5):

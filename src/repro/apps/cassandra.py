@@ -120,9 +120,9 @@ class YcsbClient(ClosedLoop):
     _LOOPS = "threads"
 
     def __init__(self, sim: Simulator, plane, source: str,
-                 cluster: CassandraCluster, coordinator: str, *,
+                 cluster: CassandraCluster, coordinator: str, *, rng,
                  threads: int = 8, read_fraction: float = 0.5,
-                 keyspace: int = 10_000, rng=None,
+                 keyspace: int = 10_000,
                  start: float = 0.0, stop: float = float("inf")) -> None:
         require_int("keyspace", keyspace, 1)
         if not 0.0 <= read_fraction <= 1.0:
@@ -143,8 +143,8 @@ class YcsbClient(ClosedLoop):
         if now >= self.stop_time:
             return
         rng = self.rng
-        is_read = (rng.random() if rng else 0.5) < self.read_fraction
-        key_hash = rng.randrange(self.keyspace) if rng else 0
+        is_read = rng.random() < self.read_fraction
+        key_hash = rng.randrange(self.keyspace)
         operation = "read" if is_read else "update"
         request = Packet(
             self.source, self.coordinator,

@@ -73,10 +73,9 @@ class MemtierClient(ClosedLoop):
     _LOOPS = "connections"
 
     def __init__(self, sim: Simulator, plane, source: str, server: KvServer, *,
-                 connections: int = 1, set_fraction: float = 0.1,
-                 keyspace: int = 1000, rng=None,
-                 start: float = 0.0, stop: float = float("inf"),
-                 think_time: float = 0.0) -> None:
+                 rng, connections: int = 1, set_fraction: float = 0.1,
+                 keyspace: int = 1000,
+                 start: float = 0.0, stop: float = float("inf")) -> None:
         require_int("keyspace", keyspace, 1)
         if not 0.0 <= set_fraction <= 1.0:
             raise ValueError(
@@ -87,7 +86,6 @@ class MemtierClient(ClosedLoop):
         self._keys = _key_names(keyspace)
         self._key_bits = keyspace.bit_length()
         self.rng = rng
-        self.think_time = think_time
         super().__init__(sim, plane, source, loops=connections, start=start,
                          stop=stop)
 
@@ -96,18 +94,14 @@ class MemtierClient(ClosedLoop):
         if now >= self.stop_time:
             return
         rng = self.rng
-        if rng is None:
-            is_set = 0.5 < self.set_fraction
-            key = self._keys[0]
-        else:
-            is_set = rng.random() < self.set_fraction
-            # rng.randrange(keyspace) as CPython 3.10-3.13 runs it
-            # (Random._randbelow_with_getrandbits): the same draws and the
-            # same index, without randrange's three calls.
+        is_set = rng.random() < self.set_fraction
+        # rng.randrange(keyspace) as CPython 3.10-3.13 runs it
+        # (Random._randbelow_with_getrandbits): the same draws and the same
+        # index, without randrange's three calls.
+        index = rng.getrandbits(self._key_bits)
+        while index >= self.keyspace:
             index = rng.getrandbits(self._key_bits)
-            while index >= self.keyspace:
-                index = rng.getrandbits(self._key_bits)
-            key = self._keys[index]
+        key = self._keys[index]
         operation = "set" if is_set else "get"
         size = _SET_REQUEST_BITS if is_set else _GET_REQUEST_BITS
         # Positional on purpose, here and in KvServer.handle: one Packet per
@@ -124,7 +118,4 @@ class MemtierClient(ClosedLoop):
         stats = self.stats
         stats.completed += 1
         stats.latencies.append(self.sim.now - response.created)
-        if self.think_time > 0:
-            self.sim.after(self.think_time, self._issue)
-        else:
-            self._issue()
+        self._issue()

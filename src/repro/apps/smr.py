@@ -23,7 +23,7 @@ latency and jitter drive the distributions exactly as on EC2.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.apps.rpc import Latencies, Quorum, require_int
 from repro.netstack.packet import Packet
@@ -34,22 +34,22 @@ __all__ = ["SmrDeployment"]
 _REQUEST_BITS = 300 * 8.0
 _ORDER_BITS = 400 * 8.0
 _REPLY_BITS = 150 * 8.0
+_EXECUTION_TIME = 50e-6   # seconds the leader spends on its own share
 
 
 class SmrDeployment:
-    """One replicated-counter deployment (protocol = 'bftsmart' | 'wheat')."""
+    """One replicated-counter deployment (protocol = 'bftsmart' | 'wheat');
+    the leader is the first replica."""
 
     def __init__(self, sim: Simulator, plane, replicas: Sequence[str], *,
-                 protocol: str = "bftsmart", leader: Optional[str] = None,
-                 execution_time: float = 50e-6) -> None:
+                 protocol: str = "bftsmart") -> None:
         if protocol not in ("bftsmart", "wheat"):
             raise ValueError(f"unknown SMR protocol {protocol!r}")
         self.sim = sim
         self.plane = plane
         self.replicas = list(replicas)
         self.protocol = protocol
-        self.leader = leader or self.replicas[0]
-        self.execution_time = execution_time
+        self.leader = self.replicas[0]
         self.stats_by_client: Dict[str, Latencies] = {}
 
     # ----------------------------------------------------------- client side
@@ -115,10 +115,10 @@ class SmrDeployment:
     def _to_replicas(self, kind: str, created: float,
                      then: Callable[[str], None]) -> None:
         """The leader's fan-out: ``then(replica)`` once ``kind`` reaches
-        each replica, after ``execution_time`` on the leader itself."""
+        each replica, after ``_EXECUTION_TIME`` on the leader itself."""
         for replica in self.replicas:
             if replica == self.leader:
-                self.sim.after(self.execution_time, then, replica)
+                self.sim.after(_EXECUTION_TIME, then, replica)
             else:
                 self.plane.send(Packet(self.leader, replica, _ORDER_BITS,
                                        kind=kind, created=created),

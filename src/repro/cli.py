@@ -7,7 +7,8 @@ exposing ``SCENARIO``) to a runnable experiment.
 
 ``run``
     Parse an experiment description, deploy it on the simulated cluster,
-    run the emulation, and report the dashboard plus per-flow throughput::
+    run it on a backend, and report every workload's headline statistic
+    (plus, on Kollaps, the dashboard)::
 
         python -m repro.cli run experiment.yaml --machines 4 \
             --duration 60 --flow c1:sv.0 --flow sv.0:sv.1:5Mbps
@@ -70,7 +71,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.units import UnitError, format_rate, format_time, parse_rate
+from repro.units import UnitError, parse_rate
 
 __all__ = ["main", "build_parser"]
 
@@ -318,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ------------------------------------------------------------- subcommands
 def _command_run(args: argparse.Namespace) -> int:
-    from repro.dashboard import Dashboard
-    from repro.scenario import flow
+    from repro.scenario import BackendCompatibilityError, custom, flow, \
+        resolve_backend
 
     builder = _load_scenario(args)
     # Command-line knobs override the scenario's own deploy() settings
@@ -329,6 +330,15 @@ def _command_run(args: argparse.Namespace) -> int:
     for source, destination, rate in args.flow:
         builder.workload(flow(source, destination, rate=rate,
                               key=f"{source}->{destination}"))
+    if args.snapshot_every > 0:
+        if args.backend == "kollaps":
+            builder.workload(custom("snapshots",
+                                    _snapshots(args.snapshot_every),
+                                    needs=()))
+        else:
+            print(f"note: --snapshot-every renders the Kollaps dashboard "
+                  f"and is ignored on the {args.backend!r} backend",
+                  file=sys.stderr)
     compiled = builder.compile()
 
     # --duration (if given) was folded into compiled.duration by deploy();
@@ -336,60 +346,48 @@ def _command_run(args: argparse.Namespace) -> int:
     # historical 30 s default.
     duration = compiled.duration if compiled.duration is not None else 30.0
 
-    if args.backend != "kollaps":
-        from repro.scenario import BackendCompatibilityError, resolve_backend
-
-        try:
-            backend = resolve_backend(args.backend)
-        except ValueError as error:
-            print(f"cannot run on the {args.backend!r} backend: {error}",
-                  file=sys.stderr)
-            return 1
-        # Baseline backends have no Kollaps dashboard; report the unified
-        # per-workload metrics instead.  Only compatibility problems are
-        # caught — genuine workload failures still traceback, as with the
-        # default engine path.
-        try:
-            run = compiled.run(until=duration, backend=backend)
-        except BackendCompatibilityError as error:
-            print(f"cannot run on the {args.backend!r} backend: {error}",
-                  file=sys.stderr)
-            return 1
-        if args.snapshot_every > 0:
-            print(f"note: --snapshot-every renders the Kollaps dashboard "
-                  f"and is ignored on the {run.backend!r} backend",
-                  file=sys.stderr)
-        print(f"backend: {run.backend}, seed: {run.seed}, "
-              f"machines: {run.machines}, ran to t={run.until:g}s")
-        for key in sorted(run.metrics, key=str):
-            metrics = run.metrics[key]
-            if metrics.primary in metrics.summary:
-                print(f"workload {key}: {metrics.primary} = "
-                      f"{metrics.value:g}")
-            else:
-                print(f"workload {key}: collected ({metrics.kind}, "
-                      "no scalar summary)")
-        return 0
-
-    engine = compiled.start()
-    dashboard = Dashboard(engine)
-    if args.snapshot_every > 0:
-        from repro.sim import Process
-        Process(engine.sim, args.snapshot_every,
-                lambda: print(dashboard.render_flows(), file=sys.stderr),
-                start_after=args.snapshot_every)
-
-    engine.run(until=duration)
-
+    try:
+        backend = resolve_backend(args.backend)
+    except ValueError as error:
+        print(f"cannot run on the {args.backend!r} backend: {error}",
+              file=sys.stderr)
+        return 1
+    # Only compatibility problems are caught — genuine workload failures
+    # still traceback.
+    try:
+        run = compiled.run(until=duration, backend=backend)
+    except BackendCompatibilityError as error:
+        print(f"cannot run on the {args.backend!r} backend: {error}",
+              file=sys.stderr)
+        return 1
     # Run provenance: which backend/seed/cluster produced this output.
-    print(f"backend: kollaps, seed: {compiled.config.seed}, "
-          f"machines: {compiled.config.machines}, ran to t={duration:g}s")
-    print(dashboard.render())
-    for source, destination, _rate in args.flow:
-        key = f"{source}->{destination}"
-        mean = engine.fluid.mean_throughput(key, duration * 0.3, duration)
-        print(f"flow {key}: {format_rate(mean)} mean")
+    print(f"backend: {run.backend}, seed: {run.seed}, "
+          f"machines: {run.machines}, ran to t={run.until:g}s")
+    for key in sorted(run.metrics, key=str):
+        metrics = run.metrics[key]
+        if metrics.primary in metrics.summary:
+            print(f"workload {key}: {metrics.primary} = {metrics.value:g}")
+        else:
+            print(f"workload {key}: collected ({metrics.kind}, "
+                  "no scalar summary)")
+    if run.backend == "kollaps":
+        from repro.dashboard import Dashboard
+        print(Dashboard(run.engine).render())
     return 0
+
+
+def _snapshots(period: float):
+    """A ``custom`` install hook printing the flow table every ``period``
+    simulated seconds, to stderr."""
+    def install(engine):
+        from repro.dashboard import Dashboard
+        from repro.sim import Process
+        dashboard = Dashboard(engine)
+        return Process(engine.sim, period,
+                       lambda: print(dashboard.render_flows(),
+                                     file=sys.stderr),
+                       start_after=period)
+    return install
 
 
 def _command_validate(args: argparse.Namespace) -> int:

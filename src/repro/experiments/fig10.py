@@ -7,7 +7,7 @@ curves: flat latency until the replicas saturate, then a sharp climb.
 Here the "EC2" reference is the bare-metal run of the same workload over
 the full physical topology; Kollaps is the collapsed emulation.
 
-The Cassandra cluster and its YCSB clients ride a ``custom`` workload
+The Cassandra cluster and its YCSB clients are one ``ycsb`` workload
 collecting a mapping (throughput plus overall/read/update mean latency),
 so the threads × {baremetal, kollaps} grid is an ordinary campaign — and
 Figure 11's what-if is this same :func:`point_scenario` with another
@@ -18,61 +18,26 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, experiment, get_runner, \
     grid_campaign
-from repro.scenario import custom
+from repro.scenario import YcsbWorkload
 from repro.scenario.topologies import aws_mesh
-from repro.sim import RngRegistry
 
 THREAD_SWEEP = [1, 4, 8, 16, 32]
 SYSTEMS = ("baremetal", "kollaps")
 _DURATION = 25.0
 
-def _mean(values) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
 def point_scenario(*, threads: int, duration: float,
                    seed: int, remote_region: str = "sydney"):
     """Frankfurt + ``remote_region``: 4 replicas each (RF = 2), 4 YCSB
-    clients on extra Frankfurt services sharing ``threads`` between them.
-
-    Client ``i`` runs ``threads // 4 + (i < threads % 4)`` threads and
-    draws its requests from the ``RngRegistry(seed)`` stream
-    ``ycsb:<client>``: every backend sees the same request streams.
-    """
+    clients on extra Frankfurt services sharing ``threads`` between them,
+    each with its own Frankfurt coordinator."""
     regions = ("frankfurt", remote_region)
-
-    def install(system):
-        from repro.apps import CassandraCluster, YcsbClient
-        replicas = [f"cas-{region}-{index}" for index in range(4)
-                    for region in regions]
-        cluster = CassandraCluster(system.sim, system.dataplane, replicas,
-                                   replication_factor=2,
-                                   write_consistency=2, read_consistency=1,
-                                   service_time=2e-3)
-        rng = RngRegistry(seed)
-        return [YcsbClient(system.sim, system.dataplane,
-                           f"cas-frankfurt-{4 + index}", cluster,
-                           f"cas-frankfurt-{index}",
-                           threads=threads // 4 + (index < threads % 4),
-                           read_fraction=0.5,
-                           rng=rng.stream(f"ycsb:cas-frankfurt-{4 + index}"))
-                for index in range(4)]
-
-    def collect(system, until, clients):
-        return {
-            "throughput": sum(client.stats.ops_per_s(until)
-                              for client in clients),
-            "latency": _mean(sorted(latency for client in clients
-                                    for latency in client.stats.latencies)),
-            "read_latency": _mean([latency for client in clients
-                                   for latency in client.reads.latencies]),
-            "update_latency": _mean([latency for client in clients
-                                     for latency in client.updates.latencies]),
-        }
-
+    replicas = [f"cas-{region}-{index}" for index in range(4)
+                for region in regions]
+    clients = {f"cas-frankfurt-{4 + index}": f"cas-frankfurt-{index}"
+               for index in range(4)}
     return (aws_mesh(list(regions), services_per_region=8,
                      service_prefix="cas")
-            .workload(custom("ycsb", install, collect=collect))
+            .workload(YcsbWorkload(replicas, clients, threads=threads))
             .deploy(machines=4, seed=seed, duration=duration,
                     enforce_bandwidth_sharing=False))
 

@@ -22,17 +22,9 @@ _DURATION = 25.0
 
 REGIONS = ("sydney", "seoul")
 
-
-def point_scenario(*, remote_region: str, threads: int,
-                   duration: float, seed: int):
-    """Figure 10's deployment with the remote replicas in ``remote_region``."""
-    return fig10.point_scenario(
-        threads=threads, duration=duration, seed=seed,
-        remote_region=remote_region)
-
-
-# Remote region × offered load, on Kollaps.
-campaign = grid_campaign("fig11", point_scenario, seed=121,
+# Remote region × offered load, on Kollaps: Figure 10's deployment with
+# the remote replicas in each region.
+campaign = grid_campaign("fig11", fig10.point_scenario, seed=121,
                          remote_region=list(REGIONS),
                          threads=THREAD_SWEEP, duration=_DURATION)
 

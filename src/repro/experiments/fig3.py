@@ -8,17 +8,15 @@ decentralization claim.  Absolute volume stays in the hundreds of KB/s at
 the largest configuration (paper: ~493 KB/s at 160 containers, 4 hosts).
 
 The (containers, flows) × hosts grid is declared once — the
-configurations the paper never measured are ``exclude``\\ d — with the
-metadata rate collected by a ``custom`` workload (:func:`metadata_rate`,
-shared with the per-destination ablation) and read back by
-:func:`report`.
+configurations the paper never measured are ``exclude``\\ d — and
+:func:`report` reads each run's metadata rate off its provenance: the
+Emulation Managers' wire bytes over the run's length.
 """
 
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, experiment, get_runner
-from repro.netstack.plane import BULK_PLANE
-from repro.scenario import custom, flow
+from repro.scenario import flow
 from repro.scenario.topologies import dumbbell
 
 # (containers, flows) configurations of Figure 3 (scaled to half size so
@@ -29,11 +27,6 @@ _DURATION = 5.0
 _SEED = 41
 
 
-def metadata_rate(engine, until, _state) -> float:
-    """Total metadata wire traffic in bytes/s over the whole run."""
-    return engine.total_metadata_wire_bytes() / until
-
-
 def point_scenario(*, containers: int, flows: int, hosts: int,
                    duration: float = _DURATION, seed: int = _SEED):
     """One Figure-3 scenario builder — the campaign's point factory."""
@@ -41,8 +34,6 @@ def point_scenario(*, containers: int, flows: int, hosts: int,
     for index in range(flows):
         builder.workload(flow(f"client{index}", f"server{index}",
                               key=f"f{index}"))
-    builder.workload(custom("metadata", collect=metadata_rate,
-                            needs=(BULK_PLANE,)))
     return builder.deploy(machines=hosts, seed=seed, duration=duration)
 
 
@@ -64,11 +55,12 @@ def campaign(duration: float = _DURATION):
 
 @experiment("fig3", campaign, duration=2.0)
 def report(sweep) -> ExperimentResult:
-    # (containers, flows, hosts) -> metadata bytes/s
-    results = {(containers, flows, hosts):
-               sweep.run_for(containers=containers, flows=flows,
-                             hosts=hosts).metric("metadata").value
-               for containers, flows in CONFIGS for hosts in HOSTS}
+    # (containers, flows, hosts) -> metadata bytes/s over the whole run
+    runs = {(containers, flows, hosts):
+            sweep.run_for(containers=containers, flows=flows, hosts=hosts)
+            for containers, flows in CONFIGS for hosts in HOSTS}
+    results = {cell: run.metadata_bytes / run.until
+               for cell, run in runs.items()}
     result = ExperimentResult(
         exp_id="fig3",
         title="Metadata traffic (KB/s) by (containers, flows) x hosts",

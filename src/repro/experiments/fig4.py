@@ -6,19 +6,18 @@ deployed over 1, 2, 4, 8 and 16 physical hosts.  Aggregate client
 throughput stays flat as hosts are added (left plot), and per-host
 metadata traffic stays in the tens of KB/s (right plot).
 
-The hosts × connections fan-out is the campaign grid; the memtier
-cluster installs through a ``custom`` workload (the Figure 10 pattern)
-and :func:`report` reads the aggregate ops/s and per-host metadata rate
-off each point.
+The hosts × connections fan-out is the campaign grid; each region's
+server and clients are one ``memtier`` workload, and :func:`report` sums
+their ops/s and reads the per-host metadata rate off each run's
+provenance.
 """
 
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, experiment, get_runner, \
     grid_campaign
-from repro.scenario import custom
+from repro.scenario import MemtierWorkload
 from repro.scenario.topologies import aws_mesh
-from repro.sim import RngRegistry
 
 REGIONS = ["virginia", "oregon", "ireland", "saopaulo"]
 HOSTS = [1, 2, 4, 8, 16]
@@ -29,34 +28,15 @@ _SEED = 51
 def point_scenario(*, hosts: int, connections: int,
                    duration: float = _DURATION, seed: int = _SEED):
     """One Figure-4 scenario builder — the campaign's point factory."""
-
-    def install(engine):
-        from repro.apps import KvServer, MemtierClient
-        rng = RngRegistry(seed)
-        clients = []
-        for index, region in enumerate(REGIONS):
-            server = KvServer(engine.sim, engine.dataplane,
-                              f"node-{region}-0")
-            # Two local clients plus one from the next region over.
-            sources = [f"node-{region}-1", f"node-{region}-2",
-                       f"node-{REGIONS[(index + 1) % len(REGIONS)]}-3"]
-            for source in sources:
-                clients.append(MemtierClient(
-                    engine.sim, engine.dataplane, source, server,
-                    connections=connections,
-                    rng=rng.stream(f"memtier:{source}")))
-        return clients
-
-    def collect_ops(engine, until, clients) -> float:
-        return sum(client.stats.ops_per_s(until) for client in clients)
-
-    def collect_metadata(engine, until, _state) -> float:
-        return engine.total_metadata_wire_bytes() / until / hosts
-
-    return (aws_mesh(REGIONS, services_per_region=4, service_prefix="node")
-            .workload(custom("ops", install, collect=collect_ops))
-            .workload(custom("metadata", collect=collect_metadata))
-            .deploy(machines=hosts, seed=seed, duration=duration))
+    builder = aws_mesh(REGIONS, services_per_region=4, service_prefix="node")
+    for index, region in enumerate(REGIONS):
+        # Two local clients plus one from the next region over.
+        builder.workload(MemtierWorkload(
+            f"node-{region}-0",
+            [f"node-{region}-1", f"node-{region}-2",
+             f"node-{REGIONS[(index + 1) % len(REGIONS)]}-3"],
+            connections=connections))
+    return builder.deploy(machines=hosts, seed=seed, duration=duration)
 
 
 # Host counts × connections per client.
@@ -71,8 +51,10 @@ def report(sweep) -> ExperimentResult:
     for hosts in HOSTS:
         for connections in (1, 10):
             run = sweep.run_for(hosts=hosts, connections=connections)
-            results[(hosts, connections)] = (run.metric("ops").value,
-                                             run.metric("metadata").value)
+            ops = sum(run.metric(f"memtier:node-{region}-0").value
+                      for region in REGIONS)
+            results[(hosts, connections)] = (
+                ops, run.metadata_bytes / run.until / hosts)
     result = ExperimentResult(
         exp_id="fig4",
         title="memcached aggregate throughput and metadata per host",

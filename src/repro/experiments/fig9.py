@@ -9,16 +9,16 @@ Wheat beats BFT-SMaRt in every region, and remote clients (São Paulo,
 Sydney) pay the most.
 
 The protocol is the campaign's grid axis; each point deploys the replicas
-and the five regional clients through one ``custom`` workload that
-collects every client's percentiles as a mapping, which :func:`report`
-reads back region by region.
+and the five regional clients as one ``smr`` workload, which collects
+every client's percentiles as a mapping that :func:`report` reads back
+region by region.
 """
 
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, experiment, get_runner, \
     grid_campaign
-from repro.scenario import custom
+from repro.scenario import SmrWorkload
 from repro.scenario.topologies import aws_mesh
 
 REGIONS = ["virginia", "oregon", "ireland", "saopaulo", "sydney"]
@@ -27,29 +27,13 @@ _OPERATIONS = 60
 
 
 def point_scenario(*, protocol: str, operations: int, seed: int):
-    """One protocol's deployment: a replica and a client per region."""
-
-    def install(engine):
-        from repro.apps import SmrDeployment
-        deployment = SmrDeployment(
-            engine.sim, engine.dataplane,
-            [f"n-{region}-0" for region in REGIONS],
-            protocol=protocol, leader="n-virginia-0")
-        return {region: deployment.run_client(f"n-{region}-1",
-                                              operations=operations)
-                for region in REGIONS}
-
-    def collect(engine, until, stats):
-        summary = {}
-        for region in REGIONS:
-            summary[f"{region}_p50"] = stats[region].percentile(0.5)
-            summary[f"{region}_p90"] = stats[region].percentile(0.9)
-            summary[f"{region}_completed"] = len(stats[region].latencies)
-        return summary
-
+    """One protocol's deployment: a replica and a client per region,
+    the leader in Virginia."""
     return (aws_mesh(REGIONS, services_per_region=2, service_prefix="n",
                      jitter_ms=2.0)
-            .workload(custom("clients", install, collect=collect))
+            .workload(SmrWorkload([f"n-{region}-0" for region in REGIONS],
+                                  [f"n-{region}-1" for region in REGIONS],
+                                  protocol=protocol, operations=operations))
             .deploy(machines=5, seed=seed, duration=180.0,
                     enforce_bandwidth_sharing=False))
 
@@ -65,9 +49,12 @@ def report(sweep) -> ExperimentResult:
             for protocol in PROTOCOLS}
     operations = runs["bftsmart"].params["operations"]
 
+    def stat(protocol: str, region: str, name: str) -> float:
+        return runs[protocol].metric(f"smr:{protocol}").stat(
+            f"n-{region}-1_{name}")
+
     def latency(protocol: str, region: str, percentile: int) -> float:
-        return runs[protocol].metric("clients").stat(
-            f"{region}_p{percentile}")
+        return stat(protocol, region, f"p{percentile}")
 
     rows = [(region,
              f"{latency('bftsmart', region, 50) * 1e3:.0f}",
@@ -90,8 +77,7 @@ def report(sweep) -> ExperimentResult:
     for region in REGIONS:
         result.check(
             f"all {region} operations completed",
-            runs["bftsmart"].metric("clients").stat(f"{region}_completed")
-            == operations)
+            stat("bftsmart", region, "completed") == operations)
         result.check(f"Wheat beats BFT-SMaRt in {region}",
                      latency("wheat", region, 50)
                      < latency("bftsmart", region, 50))

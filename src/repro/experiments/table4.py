@@ -82,7 +82,7 @@ def point_scenario(*, size: int, pings: int = _PINGS,
     builder = scale_free(size, seed=size)
     for index, (a, b) in enumerate(pairs):
         builder.workload(ping(a, b, count=pings, interval=0.05,
-                              start=index * 0.001, key=(a, b)))
+                              start=index * 0.001))
     return builder.deploy(machines=4, seed=size + seed,
                           enforce_bandwidth_sharing=False,
                           duration=pings * 0.05 + 3.0)
@@ -109,7 +109,7 @@ def campaign(pings: int = _PINGS, pair_count: int = _PAIRS):
 def mse_of(run: ScenarioRun, theory: Dict) -> float:
     squared = []
     for (a, b), expected in theory.items():
-        probe = run.metric((a, b))
+        probe = run.metric(f"ping:{a}->{b}")
         if not probe.latency:
             continue
         # Median: the steady-state RTT, as the paper's 10-minute runs see

@@ -64,8 +64,11 @@ from repro.scenario.workloads import (
     FlowWorkload,
     HttpLoadWorkload,
     IperfWorkload,
+    MemtierWorkload,
     PingWorkload,
+    SmrWorkload,
     Workload,
+    YcsbWorkload,
     curl_swarm,
     custom,
     flow,
@@ -112,6 +115,9 @@ __all__ = [
     "PingWorkload",
     "HttpLoadWorkload",
     "CurlSwarmWorkload",
+    "MemtierWorkload",
+    "SmrWorkload",
+    "YcsbWorkload",
     "CustomWorkload",
     "flow",
     "iperf",

@@ -141,8 +141,6 @@ class ExecutionBackend:
             raise BackendCompatibilityError(self.name, problems)
         self.compiled = compiled
         self.system = self._build(compiled)
-        # Workloads (and telemetry) may adapt to the executing backend.
-        self.system.scenario_backend = self.name
         return self.system
 
     def _build(self, compiled):  # pragma: no cover - interface
@@ -440,9 +438,12 @@ def execute(compiled, backend: ExecutionBackend,
         with telemetry.span("backend.teardown", backend=name):
             backend.teardown()
     config = getattr(compiled, "config", None)
+    # Only Kollaps' Emulation Managers exchange metadata.
+    metadata = getattr(system, "total_metadata_wire_bytes", None)
     return ScenarioRun(engine=system, until=horizon, results=results,
                        backend=getattr(backend, "name",
                                        type(backend).__name__),
                        scenario=compiled.name, metrics=metrics,
                        seed=getattr(config, "seed", None),
-                       machines=getattr(config, "machines", None))
+                       machines=getattr(config, "machines", None),
+                       metadata_bytes=metadata() if metadata else None)

@@ -59,18 +59,6 @@ class CompiledScenario:
         return EmulationEngine(self.topology, self.schedule,
                                config=self.config, placement=self.placement)
 
-    def start(self):
-        """An engine with every workload installed, the run still deferred.
-
-        The hook point for callers that need to attach dashboards, loggers
-        or extra simulator events before time advances; :meth:`run` on the
-        default backend is ``start()`` + ``engine.run()`` + collection.
-        """
-        engine = self.engine()
-        for workload in self.workloads:
-            workload.install(engine)
-        return engine
-
     def run(self, until: Optional[float] = None, *,
             backend: Union[str, "object"] = "kollaps",
             **backend_options) -> ScenarioRun:

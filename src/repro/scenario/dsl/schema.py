@@ -36,7 +36,10 @@ from repro.scenario.workloads import (
     FlowWorkload,
     HttpLoadWorkload,
     IperfWorkload,
+    MemtierWorkload,
     PingWorkload,
+    SmrWorkload,
+    YcsbWorkload,
 )
 from repro.topology.model import LinkProperties
 from repro.units import UnitError, coerce_loss, coerce_rate, coerce_time
@@ -150,13 +153,16 @@ class Unit(NamedTuple):
     candidate (or returns None), ``load`` turns a valid one into the
     record's value, ``dump`` spells a record's value canonically.  ``key``
     renames the field in the document; ``aliases`` are further keys a
-    hand-written document may use (the canonical key wins over them)."""
+    hand-written document may use (the canonical key wins over them).
+    ``nodes``, when set, lists the containers a valid value names, which
+    the validator then looks up among the declared ones."""
 
     check: Callable
     load: Callable = _as_written
     dump: Callable = _as_written
     key: Optional[str] = None
     aliases: Tuple[str, ...] = ()
+    nodes: Optional[Callable] = None
 
     def spelled(self, key: str, *aliases: str) -> "Unit":
         return self._replace(key=key, aliases=aliases)
@@ -179,6 +185,12 @@ STR_MAP = Unit(_is_str_map, dump=dict)       # records keep sorted pairs
 STR_LIST = Unit(_is_str_list, tuple, list)
 DISTRIBUTION = Unit(_choice("normal", "uniform"))
 PROTOCOL = Unit(_choice("tcp", "udp"))
+SMR_PROTOCOL = Unit(_choice("bftsmart", "wheat"))
+#: A container, a list of them, and a container -> container mapping.
+NODE = STR._replace(nodes=lambda name: (name,))
+NODES = STR_LIST._replace(nodes=tuple)
+NODE_MAP = STR_MAP._replace(
+    nodes=lambda pairs: [name for pair in pairs.items() for name in pair])
 
 #: The one field → unit table.  Names, order, required-ness and defaults
 #: are the dataclass's; a field added there without a unit here fails at
@@ -196,19 +208,26 @@ _UNITS: Dict[type, Dict[str, Unit]] = {
         latency=TIME, bandwidth=RATE, jitter=TIME, loss=LOSS,
         jitter_distribution=DISTRIBUTION),
     FlowWorkload: dict(
-        source=STR, destination=STR, demand=RATE, protocol=PROTOCOL,
+        source=NODE, destination=NODE, demand=RATE, protocol=PROTOCOL,
         congestion_control=STR, start=TIME, stop=TIME.or_null(), key=STR),
     IperfWorkload: dict(
-        source=STR, destination=STR, duration=TIME, demand=RATE,
+        source=NODE, destination=NODE, duration=TIME, demand=RATE,
         protocol=PROTOCOL, congestion_control=STR, warmup=TIME, start=TIME,
         key=STR),
     PingWorkload: dict(
-        source=STR, destination=STR, count=COUNT, interval=TIME, start=TIME,
-        key=STR),
+        source=NODE, destination=NODE, count=COUNT, interval=TIME,
+        start=TIME, key=STR),
     HttpLoadWorkload: dict(
-        source=STR, server=STR, connections=COUNT, start=TIME,
+        source=NODE, server=NODE, connections=COUNT, start=TIME,
         stop=TIME.or_null(), key=STR),
-    CurlSwarmWorkload: dict(sources=STR_LIST, server=STR, key=STR),
+    CurlSwarmWorkload: dict(sources=NODES, server=NODE, key=STR),
+    MemtierWorkload: dict(
+        server=NODE, sources=NODES, connections=COUNT, key=STR),
+    SmrWorkload: dict(
+        replicas=NODES, sources=NODES, protocol=SMR_PROTOCOL,
+        operations=COUNT, key=STR),
+    YcsbWorkload: dict(
+        replicas=NODES, clients=NODE_MAP, threads=COUNT, key=STR),
 }
 
 
@@ -276,6 +295,17 @@ class Record:
             if field is None or (key != field.key and field.key in spec):
                 continue
             out[field.name] = field.unit.load(value)
+        return out
+
+    def nodes(self, spec: Dict) -> List[str]:
+        """Every container a candidate mapping names, field by field:
+        the valid values of the fields whose unit names nodes."""
+        out: List[str] = []
+        for field in self.fields:
+            unit = field.unit
+            if unit.nodes is not None and field.key in spec \
+                    and unit.check(spec[field.key]) is None:
+                out.extend(unit.nodes(spec[field.key]))
         return out
 
 
@@ -479,13 +509,8 @@ def validate_document(document) -> List[Diagnostic]:
                 + ", ".join(sorted(WORKLOADS)) + ")"))
             continue
         record.check(spec, path, out)
-        endpoints = [spec.get(end) for end in
-                     ("source", "destination", "server")]
-        endpoints += list(spec.get("sources", [])
-                          if isinstance(spec.get("sources"), list) else [])
-        for node in endpoints:
-            if isinstance(node, str) and node not in containers \
-                    and node not in declared:
+        for node in record.nodes(spec):
+            if node not in containers and node not in declared:
                 out.append(Diagnostic(
                     ERROR, path, f"workload endpoint {node!r} names no "
                                  "declared service or container"))

@@ -186,10 +186,12 @@ class RunComparison:
 class ScenarioRun:
     """Outcome of one :meth:`CompiledScenario.run` on some backend.
 
-    ``seed``, ``machines`` and ``params`` are run provenance: the
-    effective RNG seed and cluster size the executing backend saw, plus
-    the campaign grid parameters (empty outside a campaign).  They travel
-    through :meth:`to_dict` so any exported run is attributable.
+    ``seed``, ``machines``, ``params`` and ``metadata_bytes`` are run
+    provenance: the effective RNG seed and cluster size the executing
+    backend saw, the campaign grid parameters (empty outside a campaign)
+    and the bytes the Emulation Managers put on the wire (``None`` on
+    every comparator: only Kollaps has managers).  They travel through
+    :meth:`to_dict` so any exported run is attributable.
     """
 
     engine: object                       # the live system, fully run
@@ -201,6 +203,7 @@ class ScenarioRun:
     seed: Optional[int] = None
     machines: Optional[int] = None
     params: Mapping[str, object] = field(default_factory=dict)
+    metadata_bytes: Optional[int] = None
 
     def _lookup(self, table: Mapping, key: Hashable):
         """``table[key]``, falling back to ``str(key)``: a run rebuilt by
@@ -252,6 +255,7 @@ class ScenarioRun:
                 "until": self.until,
                 "seed": self.seed, "machines": self.machines,
                 "params": dict(self.params),
+                "metadata_bytes": self.metadata_bytes,
                 "workloads": {str(key): metrics.to_dict()
                               for key, metrics in self.metrics.items()}}
 
@@ -269,13 +273,16 @@ class ScenarioRun:
                    for key, record in data.get("workloads", {}).items()}
         seed = data.get("seed")
         machines = data.get("machines")
+        metadata_bytes = data.get("metadata_bytes")
         return cls(engine=None, until=float(data.get("until", 0.0)),
                    results={key: record for key, record in metrics.items()},
                    backend=data.get("backend", "kollaps"),
                    scenario=data.get("scenario", ""), metrics=metrics,
                    seed=None if seed is None else int(seed),
                    machines=None if machines is None else int(machines),
-                   params=dict(data.get("params", {})))
+                   params=dict(data.get("params", {})),
+                   metadata_bytes=(None if metadata_bytes is None
+                                   else int(metadata_bytes)))
 
     def to_csv(self) -> str:
         """Flat CSV: summary rows then series samples, per workload.

@@ -1,7 +1,9 @@
 """Declarative workload specs attached to a :class:`Scenario`.
 
 A workload is *what runs on the emulated network*: bulk flows, iperf
-measurements, ping probes, HTTP load generators.  Specs are plain data
+measurements, ping probes, HTTP load generators and the paper's
+request/response applications (memcached with memtier, BFT-SMaRt and
+Wheat, Cassandra with YCSB).  Specs are plain data
 until an :class:`~repro.scenario.backends.ExecutionBackend` installs them
 on a live system; afterwards each spec collects its own result and a
 backend-independent :class:`~repro.scenario.results.Metrics` record, so a
@@ -25,7 +27,8 @@ from repro.scenario.results import Metrics, series_summary
 from repro.units import coerce_rate, coerce_time
 
 __all__ = ["Workload", "FlowWorkload", "IperfWorkload", "PingWorkload",
-           "HttpLoadWorkload", "CurlSwarmWorkload", "CustomWorkload",
+           "HttpLoadWorkload", "CurlSwarmWorkload", "MemtierWorkload",
+           "SmrWorkload", "YcsbWorkload", "CustomWorkload",
            "flow", "iperf", "ping", "udp_blast", "http_load", "curl_swarm",
            "custom"]
 
@@ -341,14 +344,159 @@ class CurlSwarmWorkload(Workload):
                        primary="throughput_mean")
 
 
+def _mean(values) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+@dataclass(frozen=True)
+class MemtierWorkload(Workload):
+    """memcached with memtier clients (the Figure 4 workload).
+
+    Installs a :class:`~repro.apps.kvstore.KvServer` on ``server`` and, per
+    source, a :class:`~repro.apps.kvstore.MemtierClient` with
+    ``connections`` pipelines drawing from the system's
+    ``memtier:<source>`` stream; the result is the clients' aggregate
+    ops/s.
+    """
+
+    server: str
+    sources: Tuple[str, ...]
+    connections: int = 1
+    key: Hashable = None
+
+    kind = "memtier"
+    planes = frozenset({PACKET_PLANE})
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sources", tuple(self.sources))
+        if self.key is None:
+            object.__setattr__(self, "key", f"memtier:{self.server}")
+
+    def install(self, engine) -> None:
+        from repro.apps import KvServer, MemtierClient
+        server = KvServer(engine.sim, engine.dataplane, self.server)
+        self._stash(engine, [
+            MemtierClient(engine.sim, engine.dataplane, source, server,
+                          connections=self.connections,
+                          rng=engine.rng.stream(f"memtier:{source}"))
+            for source in self.sources])
+
+    def collect(self, engine, until: float) -> float:
+        return sum(client.stats.ops_per_s(until)
+                   for client in self._stashed(engine))
+
+    def metrics(self, engine, until: float, result) -> Metrics:
+        return Metrics(key=self.key, kind=self.kind,
+                       summary={"ops_per_s": result}, primary="ops_per_s")
+
+
+@dataclass(frozen=True)
+class SmrWorkload(Workload):
+    """A replicated counter under BFT-SMaRt or Wheat (the Figure 9
+    workload).
+
+    Installs one :class:`~repro.apps.smr.SmrDeployment` over ``replicas``
+    (the leader is ``replicas[0]``) and a client issuing ``operations``
+    increments on each source; the result maps ``<source>_p50``,
+    ``<source>_p90`` and ``<source>_completed`` per client.
+    """
+
+    replicas: Tuple[str, ...]
+    sources: Tuple[str, ...]
+    protocol: str = "bftsmart"
+    operations: int = 100
+    key: Hashable = None
+
+    kind = "smr"
+    planes = frozenset({PACKET_PLANE})
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "replicas", tuple(self.replicas))
+        object.__setattr__(self, "sources", tuple(self.sources))
+        if self.key is None:
+            object.__setattr__(self, "key", f"smr:{self.protocol}")
+
+    def install(self, engine) -> None:
+        from repro.apps import SmrDeployment
+        deployment = SmrDeployment(engine.sim, engine.dataplane,
+                                   self.replicas, protocol=self.protocol)
+        self._stash(engine, [
+            deployment.run_client(source, operations=self.operations)
+            for source in self.sources])
+
+    def collect(self, engine, until: float) -> dict:
+        summary = {}
+        for source, stats in zip(self.sources, self._stashed(engine)):
+            summary[f"{source}_p50"] = stats.percentile(0.5)
+            summary[f"{source}_p90"] = stats.percentile(0.9)
+            summary[f"{source}_completed"] = len(stats.latencies)
+        return summary
+
+
+@dataclass(frozen=True)
+class YcsbWorkload(Workload):
+    """Cassandra under a YCSB read/update mix (the Figure 10 workload).
+
+    Installs a :class:`~repro.apps.cassandra.CassandraCluster` over
+    ``replicas`` (RF 2, W 2, R 1, 2 ms per operation) and a
+    :class:`~repro.apps.cassandra.YcsbClient` per ``clients`` entry,
+    mapping its source to its coordinator.  The ``threads`` are dealt
+    over the clients — client ``i`` of ``n`` runs ``threads // n + (i <
+    threads % n)`` — and each draws from the system's ``ycsb:<source>``
+    stream.  The result maps ``throughput`` (ops/s) and the mean
+    ``latency``, ``read_latency`` and ``update_latency`` (s).
+    """
+
+    replicas: Tuple[str, ...]
+    clients: Tuple[Tuple[str, str], ...]
+    threads: int = 8
+    key: Hashable = None
+
+    kind = "ycsb"
+    planes = frozenset({PACKET_PLANE})
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "replicas", tuple(self.replicas))
+        object.__setattr__(self, "clients",
+                           tuple(dict(self.clients).items()))
+        if self.key is None:
+            object.__setattr__(self, "key", "ycsb")
+
+    def install(self, engine) -> None:
+        from repro.apps import CassandraCluster, YcsbClient
+        # The cluster's defaults are Figure 10's RF 2, W 2 and R 1.
+        cluster = CassandraCluster(engine.sim, engine.dataplane,
+                                   self.replicas, service_time=2e-3)
+        share, extra = divmod(self.threads, max(len(self.clients), 1))
+        self._stash(engine, [
+            YcsbClient(engine.sim, engine.dataplane, source, cluster,
+                       coordinator, threads=share + (index < extra),
+                       rng=engine.rng.stream(f"ycsb:{source}"))
+            for index, (source, coordinator) in enumerate(self.clients)])
+
+    def collect(self, engine, until: float) -> dict:
+        clients = self._stashed(engine)
+        return {
+            "throughput": sum(client.stats.ops_per_s(until)
+                              for client in clients),
+            "latency": _mean(sorted(latency for client in clients
+                                    for latency in client.stats.latencies)),
+            "read_latency": _mean([latency for client in clients
+                                   for latency in client.reads.latencies]),
+            "update_latency": _mean([latency for client in clients
+                                     for latency in client.updates.latencies]),
+        }
+
+
 @dataclass(frozen=True)
 class CustomWorkload(Workload):
     """An arbitrary application driven by caller-supplied callables.
 
     ``install_fn(system)`` may return state; ``collect_fn(system, until,
-    state)`` turns it into the result.  The escape hatch for workloads the
-    declarative vocabulary doesn't cover (e.g. the Figure 10 Cassandra
-    cluster) while still flowing through the one backend lifecycle.
+    state)`` turns it into the result.  The escape hatch for what the
+    declarative vocabulary does not say — an ablation that times or
+    inspects the engine's internals, a dashboard hook — while still
+    flowing through the one backend lifecycle.
     """
 
     key: Hashable

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 from repro.experiments import fig5, fig6, fig9, fig10
 from repro.experiments.fig4 import point_scenario
-from repro.scenario import resolve_backend
+from repro.scenario import dumps_scn, loads_scn, resolve_backend
 from repro.sim import Simulator
 
 SEED = 1
@@ -113,7 +113,11 @@ APP_CASES = {f"{app}-{backend}": (factory, backend, duration)
              for backend in backends}
 
 
-def app_event_order(case):
-    """:func:`event_order` of one of :data:`APP_CASES`."""
+def app_event_order(case, through_scn=False):
+    """:func:`event_order` of one of :data:`APP_CASES`; with
+    ``through_scn``, of its builder dumped to ``.scn`` and loaded back."""
     factory, backend, duration = APP_CASES[case]
-    return event_order(factory(), backend, duration)
+    builder = factory()
+    if through_scn:
+        builder = loads_scn(dumps_scn(builder))
+    return event_order(builder, backend, duration)

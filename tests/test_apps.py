@@ -225,6 +225,7 @@ class TestMemtierClient:
         sim = Simulator()
         plane = CapturePlane()
         server = KvServer(sim, plane, "server")
+        options.setdefault("rng", RngRegistry(11).stream("memtier"))
         return MemtierClient(sim, plane, "client", server, **options), plane
 
     @pytest.mark.parametrize("keyspace", [1, 2, 1000, 1024, 1025])
@@ -246,11 +247,6 @@ class TestMemtierClient:
         first, _ = self.client(keyspace=1000)
         second, _ = self.client(keyspace=1000)
         assert first._keys is second._keys
-
-    def test_without_rng_every_op_is_a_get_of_key_0(self):
-        client, plane = self.client(connections=0)
-        client._issue()
-        assert plane.sent[0].payload == ("get", "key-0")
 
     @pytest.mark.parametrize("keyspace", [0, -3, 2.5, True, "10"])
     def test_keyspace_must_be_a_positive_int(self, keyspace):
@@ -355,7 +351,7 @@ class TestSmr:
         engine = kollaps_engine(topology, machines=5, sharing=False)
         replicas = [f"n-{region}-0" for region in regions]
         smr = SmrDeployment(engine.sim, engine.dataplane, replicas,
-                            protocol=protocol, leader="n-virginia-0")
+                            protocol=protocol)
         return engine, smr, regions
 
     def test_bftsmart_latency_ordering(self):

@@ -75,7 +75,6 @@ class TestRegistry:
         try:
             run = bulk_scenario().run(backend="kollaps-tagged")
             assert run.backend == "kollaps-tagged"
-            assert run.engine.scenario_backend == "kollaps-tagged"
         finally:
             from repro.scenario import backends as backends_module
             del backends_module._REGISTRY["kollaps-tagged"]
@@ -128,7 +127,9 @@ class TestLifecycle:
     def test_kollaps_backend_matches_direct_engine_wiring(self):
         compiled = bulk_scenario()
         run = compiled.run(backend="kollaps")
-        engine = compiled.start()
+        engine = compiled.engine()
+        for workload in compiled.workloads:
+            workload.install(engine)
         engine.run(until=4.0)
         assert run.engine.fluid.mean_throughput("i", 1.0, 4.0) == \
             pytest.approx(engine.fluid.mean_throughput("i", 1.0, 4.0))
@@ -137,7 +138,7 @@ class TestLifecycle:
         state = {}
 
         def install(system):
-            state["backend"] = system.scenario_backend
+            state["system"] = system
             return 41
 
         def collect(system, until, installed):
@@ -148,7 +149,7 @@ class TestLifecycle:
                     .deploy(seed=1, duration=1.0).compile())
         run = compiled.run(backend="baremetal")
         assert run["probe"] == 42
-        assert state["backend"] == "baremetal"
+        assert state["system"] is run.engine
 
 
 class TestCapabilities:
@@ -339,6 +340,21 @@ class TestResultsApi:
             run.compare(run)["nope"]
         assert "available workload keys" in str(error.value)
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_metadata_bytes_are_kollaps_provenance(self, backend):
+        """The Emulation Managers' wire bytes ride on the run and through
+        its export; a comparator has no managers and says so."""
+        import json
+        run = bulk_scenario().run(backend=backend)
+        if backend == "kollaps":
+            assert run.metadata_bytes == \
+                run.engine.total_metadata_wire_bytes() > 0
+        else:
+            assert run.metadata_bytes is None
+        payload = json.loads(json.dumps(run.to_dict()))
+        assert ScenarioRun.from_dict(payload).metadata_bytes == \
+            run.metadata_bytes
+
     def test_to_dict_round_trips_through_json(self):
         import json
         run = probing_scenario().run(backend="kollaps")
@@ -366,7 +382,6 @@ class TestScenarioEngineHelper:
                                                     seed=3).compile()
         engine = resolve_backend("kollaps").prepare(compiled)
         assert isinstance(engine, EmulationEngine)
-        assert engine.scenario_backend == "kollaps"
 
     def test_baseline_system_via_registry(self):
         from repro.baselines import BareMetalTestbed

@@ -102,7 +102,7 @@ class TestRun:
         assert main(["run", description_file, "--duration", "5",
                      "--machines", "2", "--flow", "c1:sv"]) == 0
         out = capsys.readouterr().out
-        assert "flow c1->sv:" in out
+        assert "workload c1->sv: throughput_mean = " in out
 
     def test_run_with_scenario(self, description_file, scenario_file,
                                capsys):

@@ -80,6 +80,33 @@ class TestRegistry:
             assert campaign.points(), exp_id
 
 
+#: The ablations that time or inspect the engine's internals keep a
+#: ``custom`` workload, which carries Python callables no document holds.
+_NOT_DOCUMENTS = {"ablation-precompute", "ablation-sharing"}
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("exp_id", registered())
+    def test_first_point_round_trips_through_scn(self, exp_id):
+        """Every experiment is a ``.scn`` document plus a report: its
+        first campaign point dumps, and the dump loads back to the same
+        scenario and the same bytes."""
+        from repro.scenario import ScnError, dumps_scn, loads_scn
+        campaign = as_campaign(exp_id)
+        point = campaign.points()[0]
+        builder = campaign._factory(**point.params_dict(), seed=point.seed)
+        if exp_id in _NOT_DOCUMENTS:
+            with pytest.raises(ScnError, match="serializable"):
+                dumps_scn(builder)
+            return
+        compiled = builder.compile()
+        text = dumps_scn(compiled)
+        reloaded = loads_scn(text).compile()
+        assert dumps_scn(reloaded) == text
+        assert reloaded.describe() == compiled.describe()
+        assert reloaded.workloads == compiled.workloads
+
+
 class TestFormatting:
     def test_format_table_alignment(self):
         text = format_table(sample_result())

@@ -156,7 +156,7 @@ class TestSchema:
         expected = f"workloads[0].kind: unknown workload kind {kind!r}"
         assert [str(error) for error in _errors(document)] == [
             f"error: {expected} (expected one of: curl, flow, http, iperf, "
-            f"ping)"]
+            f"memtier, ping, smr, ycsb)"]
         path = tmp_path / "kind.scn"
         path.write_text(json.dumps(document))
         assert expected in "\n".join(map(str, lint_file(str(path))))
@@ -191,6 +191,27 @@ class TestSchema:
                                          "destination": "nobody"}])
         errors = _errors(document)
         assert any("nobody" in error.message for error in errors)
+
+    @pytest.mark.parametrize("spec, stranger", [
+        pytest.param({"kind": "ycsb", "replicas": ["a", "ghost"],
+                      "clients": {"b": "a"}}, "ghost", id="ycsb-replica"),
+        pytest.param({"kind": "ycsb", "replicas": ["a"],
+                      "clients": {"b": "ghost"}}, "ghost",
+                     id="ycsb-coordinator"),
+        pytest.param({"kind": "ycsb", "replicas": ["a"],
+                      "clients": {"ghost": "a"}}, "ghost", id="ycsb-client"),
+        pytest.param({"kind": "smr", "replicas": ["a", "ghost"],
+                      "sources": ["b"]}, "ghost", id="smr-replica"),
+        pytest.param({"kind": "memtier", "server": "a",
+                      "sources": ["ghost"]}, "ghost", id="memtier-source"),
+    ])
+    def test_every_node_a_workload_names_is_declared(self, spec, stranger):
+        """Whatever field names a container — an endpoint, a replica, a
+        coordinator — an undeclared one is an error on its workload."""
+        assert [(error.path, error.message)
+                for error in _errors(_document(workloads=[spec]))] == [
+            ("workloads[0]", f"workload endpoint {stranger!r} names no "
+                             "declared service or container")]
 
     def test_duplicate_workload_keys(self):
         spec = {"kind": "flow", "source": "a", "destination": "b",
@@ -265,7 +286,7 @@ class TestSchema:
 #: Document-side values a unit may accept, in canonical spelling; a field
 #: is probed with the first one its unit takes.
 _CANDIDATES = (1.25, 0.25, 7, False, True, "uniform", "udp", {"k": "v"},
-               ["x", "y"], ["z"])
+               ["x", "y"], ["z"], "wheat", {"k": "w"})
 
 
 def _candidates(field):
@@ -290,7 +311,8 @@ _ALL_RECORDS = [pytest.param(record, id=cls.__name__)
 class TestRecords:
     def test_the_table_covers_the_vocabulary(self):
         assert sorted(schema.WORKLOADS) == ["curl", "flow", "http", "iperf",
-                                            "ping"]
+                                            "memtier", "ping", "smr",
+                                            "ycsb"]
         assert [field.name for field in schema.CHANGES.fields] == [
             "latency", "bandwidth", "jitter", "loss"]
 
@@ -364,7 +386,7 @@ class TestRecords:
 
 
 def test_scn_corpus_matches_the_golden():
-    """The whole front door over 614 scenarios and 3 684 mutations, as it
+    """The whole front door over 613 scenarios and 3 678 mutations, as it
     was before the record table replaced the hand-written field lists
     (see tests/scn_corpus.py for what is digested and how to find what
     moved)."""

@@ -65,3 +65,12 @@ def test_app_event_order_matches_the_golden(case):
     lands here."""
     pinned = json.loads(APPS.read_text())["cases"][case]
     assert app_event_order(case) == (pinned["events"], pinned["digest"])
+
+
+@pytest.mark.parametrize("case", sorted(APP_CASES))
+def test_app_event_order_survives_the_scn_round_trip(case):
+    """Each application is a ``.scn`` workload: dumped and loaded back,
+    its scenario dispatches the same golden stream."""
+    pinned = json.loads(APPS.read_text())["cases"][case]
+    assert app_event_order(case, through_scn=True) == (pinned["events"],
+                                                       pinned["digest"])

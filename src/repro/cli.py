@@ -321,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_run(args: argparse.Namespace) -> int:
     from repro.scenario import BackendCompatibilityError, custom, flow, \
         resolve_backend
+    from repro.topology.model import TopologyError
 
     builder = _load_scenario(args)
     # Command-line knobs override the scenario's own deploy() settings
@@ -339,7 +340,11 @@ def _command_run(args: argparse.Namespace) -> int:
             print(f"note: --snapshot-every renders the Kollaps dashboard "
                   f"and is ignored on the {args.backend!r} backend",
                   file=sys.stderr)
-    compiled = builder.compile()
+    try:
+        compiled = builder.compile()
+    except TopologyError as error:      # say, a --flow to no container
+        print(error, file=sys.stderr)
+        return 1
 
     # --duration (if given) was folded into compiled.duration by deploy();
     # otherwise fall back to the scenario's own setting, else the

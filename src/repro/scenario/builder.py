@@ -10,10 +10,12 @@ generator, CLI, experiment runners) consumes the
 to.
 
 The builder is deliberately declaration-order-free: links may reference
-services declared later, because all cross-referencing is validated in
-:meth:`Scenario.compile`, which reports *every* undeclared endpoint and
-*every* duplicate name in one :class:`~repro.topology.model.TopologyError`
-instead of failing on the first.
+services declared later, because all cross-referencing is judged at
+:meth:`Scenario.compile` by :func:`scenario_findings`, the one rule book a
+well-formed scenario keeps, which ``.scn`` validation and linting read
+too; compile reports *every* broken rule in one
+:class:`~repro.topology.model.TopologyError` instead of failing on the
+first.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.units import coerce_loss, coerce_rate, coerce_time
 
 __all__ = [
     "Scenario",
+    "scenario_findings",
     "set_link",
     "link_down",
     "link_up",
@@ -347,17 +350,42 @@ class Scenario:
         return self
 
     # -------------------------------------------------------- compilation
+    def findings(self) -> List["Finding"]:
+        """What :func:`scenario_findings` says of the declarations so far,
+        pointed as in the ``.scn`` document they dump to (an event by its
+        place among the declared ones)."""
+        return scenario_findings(
+            services=[(f"services[{index}]", spec.name, spec.replicas)
+                      for index, spec in enumerate(self._services)],
+            bridges=[(f"bridges[{index}]", spec.name)
+                     for index, spec in enumerate(self._bridges)],
+            links=[(f"links[{index}]", (("orig", spec.source),
+                                        ("dest", spec.destination)))
+                   for index, spec in enumerate(self._links)],
+            events=[(f"events[{index}]", event.time, event.action.value,
+                     (("orig", event.origin), ("dest", event.destination),
+                      ("name", event.name)))
+                    for index, event in enumerate(self._events)],
+            workloads=[(f"workloads[{index}]", workload.key,
+                        workload.containers())
+                       for index, workload in enumerate(self._workloads)],
+            duration=self._duration)
+
     def compile(self) -> "CompiledScenario":
         """Validate everything and freeze into a :class:`CompiledScenario`.
 
-        Validation is whole-program: duplicate service/bridge names and
-        links whose endpoints were never declared are each reported as one
-        :class:`TopologyError` listing *all* offending names.
+        Validation is whole-program: every error :meth:`findings` reports
+        is listed, with its pointer, in one :class:`TopologyError`.
         """
         from repro.core.engine import EngineConfig
         from repro.scenario.compiled import CompiledScenario
 
-        self._validate_names()
+        errors = [f"{pointer}: {message}"
+                  for pointer, severity, message in self.findings()
+                  if severity == ERROR]
+        if errors:
+            raise TopologyError(f"scenario {self.name!r} is invalid:\n  "
+                                + "\n  ".join(errors))
         topology = Topology(self.name)
         for spec in self._services:
             topology.add_service(Service(
@@ -372,10 +400,7 @@ class Scenario:
                 down_properties=(spec.backward_properties()
                                  if spec.bidirectional else None),
                 network=spec.network)
-        topology.validate()
 
-        self._validate_events()
-        self._validate_workloads()
         schedule = EventSchedule(list(self._events))
         for text in self._scripts:
             from repro.scenario.thunderstorm import compile_scenario
@@ -392,54 +417,97 @@ class Scenario:
             services=tuple(self._services), bridge_specs=tuple(self._bridges),
             link_specs=tuple(self._links))
 
-    def _validate_names(self) -> None:
-        declared: Dict[str, int] = {}
-        for spec in list(self._services) + list(self._bridges):
-            declared[spec.name] = declared.get(spec.name, 0) + 1
-        duplicates = sorted(name for name, count in declared.items()
-                            if count > 1)
-        problems: List[str] = []
-        if duplicates:
-            problems.append(
-                f"duplicate service/bridge names: {', '.join(duplicates)}")
-        unknown = sorted({endpoint for spec in self._links
-                          for endpoint in (spec.source, spec.destination)
-                          if endpoint not in declared})
-        if unknown:
-            problems.append(
-                f"links reference undeclared nodes: {', '.join(unknown)}")
-        if problems:
-            raise TopologyError(
-                f"scenario {self.name!r} is invalid: " + "; ".join(problems))
 
-    def _validate_events(self) -> None:
-        """Cheap name-level check: every link event must reference nodes
-        that are declared or joined by an earlier event.  (Full semantic
-        validation — e.g. removing an already-removed link — still happens
-        in the engine's offline pre-computation, as before.)"""
-        known = {spec.name for spec in self._services}
-        known |= {spec.name for spec in self._bridges}
-        bad: List[str] = []
-        for event in sorted(self._events, key=lambda e: e.time):
-            if event.action is EventAction.JOIN_NODE and event.name:
-                known.add(event.name)
-                continue
-            if event.name is not None:
-                if event.name not in known:
-                    bad.append(event.name)
-                continue
-            for endpoint in (event.origin, event.destination):
-                if endpoint is not None and endpoint not in known:
-                    bad.append(endpoint)
-        if bad:
-            raise TopologyError(
-                f"scenario {self.name!r}: dynamic events reference "
-                f"undeclared nodes: {', '.join(sorted(set(bad)))}")
+# --------------------------------------------------------------------------
+# The rule book.
+# --------------------------------------------------------------------------
+ERROR = "error"
+WARNING = "warning"
+#: ``(pointer, severity, message)``: one broken rule, pointed into the
+#: scenario's ``.scn`` document (``links[2].dest``).
+Finding = Tuple[str, str, str]
 
-    def _validate_workloads(self) -> None:
-        keys = [workload.key for workload in self._workloads]
-        duplicates = sorted({str(key) for key in keys if keys.count(key) > 1})
-        if duplicates:
-            raise TopologyError(
-                f"scenario {self.name!r}: duplicate workload keys: "
-                f"{', '.join(duplicates)} (pass key=... to disambiguate)")
+
+def scenario_findings(*, services, bridges, links, events, workloads,
+                      duration: Optional[float] = None) -> List[Finding]:
+    """Every cross-reference rule a scenario's declarations break.
+
+    Each section lists its entries in order, each headed by its pointer:
+    ``services`` ``(pointer, name, replicas)``, ``bridges`` ``(pointer,
+    name)``, ``links`` ``(pointer, ends)``, ``events`` ``(pointer, time,
+    action, ends)`` and ``workloads`` ``(pointer, key, containers)``, where
+    ``ends`` are the ``(key, node)`` pairs an entry names (a node that is
+    not a string is left out) and a time nobody can read is ``None``
+    (taken as the start).  docs/scenarios.md tables the rules; what an
+    event does to a link (removing one twice, say) is judged when the
+    engine pre-computes the topology's states.
+    """
+    out: List[Finding] = []
+    declared: Dict[str, str] = {}       # node name -> its first pointer
+    containers, replicated = set(), {}
+    for pointer, name, replicas in services:
+        names = Service(name, replicas=replicas).container_names()
+        containers.update(names)
+        if replicas > 1:
+            replicated[name] = names
+    nodes = [(pointer, name) for pointer, name, _ in services] + list(bridges)
+    for pointer, name in nodes:
+        if name in declared:
+            out.append((pointer, ERROR, f"duplicate node name {name!r} (first "
+                                        f"declared at {declared[name]})"))
+        declared.setdefault(name, pointer)
+    if not services:
+        out.append(("services", ERROR,
+                    "a scenario needs at least one service"))
+
+    touched = set()                     # every node a link or an event names
+    for pointer, ends in links:
+        ends = [(end, node) for end, node in ends if isinstance(node, str)]
+        for end, node in ends:
+            touched.add(node)
+            if node not in declared:
+                out.append((f"{pointer}.{end}", ERROR,
+                            f"undeclared node {node!r} (declared: "
+                            + (", ".join(sorted(declared)) or "none") + ")"))
+        if len(ends) == 2 and ends[0][1] == ends[1][1]:
+            out.append((pointer, ERROR, f"self-loop on {ends[0][1]!r}"))
+
+    # A node exists from its declaration, or from the event joining it on.
+    known = set(declared)
+    for pointer, _, action, ends in sorted(
+            events, key=lambda entry: -1.0 if entry[1] is None else entry[1]):
+        for end, node in ends:
+            if not isinstance(node, str):
+                continue
+            touched.add(node)
+            if action == "join" and end == "name":
+                known.add(node)
+            elif node not in known:
+                out.append((f"{pointer}.{end}", ERROR,
+                            f"event references undeclared node {node!r}"))
+
+    keys: Dict = {}
+    for pointer, key, names in workloads:
+        for node in names:
+            if node in containers:
+                continue
+            what = (f"a service of containers {', '.join(replicated[node])}"
+                    if node in replicated else
+                    "a bridge" if node in declared else None)
+            out.append((pointer, ERROR, f"workload endpoint {node!r} " + (
+                f"is {what}, not a container" if what else
+                "names no declared service or container")))
+        keys[key] = keys.get(key, 0) + 1
+    out.extend(("workloads", ERROR, f"duplicate workload key {key!r} "
+                                    f"({count} declarations)")
+               for key, count in keys.items() if count > 1)
+
+    out.extend((declared[name], WARNING,
+                f"node {name!r} is declared but never linked")
+               for name in sorted(declared) if name not in touched)
+    out.extend((f"{pointer}.time", WARNING,
+                f"event at t={time:g}s never fires within the configured "
+                f"duration of {duration:g}s")
+               for pointer, time, _, _ in events
+               if None not in (time, duration) and time > duration)
+    return out

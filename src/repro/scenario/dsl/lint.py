@@ -2,17 +2,17 @@
 
 ``lint_file`` accepts any description format — ``.scn`` documents, the
 listing-style text language, Modelnet XML, ``.py`` modules — and returns
-every problem as a :class:`~repro.scenario.dsl.schema.Diagnostic`.  There
-is one path for every format: the file is lowered to its ``.scn``
-document (:func:`repro.scenario.frontends.load_description`), the
-document is schema-validated (every error, with a JSON-path pointer such
-as ``links[2].up``, plus semantic warnings: isolated nodes, events
-scheduled past the configured duration), then whole-program compiled,
-with :class:`~repro.topology.model.TopologyError` (a THUNDERSTORM
-script's errors included) / :class:`~repro.units.UnitError` surfaced as
-diagnostics instead of tracebacks.  A ``.py`` module is the one input that is a builder, not a
-document; it is compiled first and its canonical dump validated for the
-same warnings (:func:`lint_scenario`).
+every problem as a :class:`~repro.scenario.dsl.schema.Diagnostic`.  A
+document (every format but ``.py`` lowers to one through
+:func:`repro.scenario.frontends.load_description`) is schema-validated:
+every error, with a JSON-path pointer such as ``links[2].up``, plus the
+warnings.  A ``.py`` module's builder is judged by the same rule book
+(:meth:`~repro.scenario.builder.Scenario.findings`, :func:`lint_scenario`);
+docs/scenarios.md, "The rules of a well-formed scenario", tables what it
+checks.  Either is then whole-program compiled, with
+:class:`~repro.topology.model.TopologyError` (a THUNDERSTORM script's
+errors included) / :class:`~repro.units.UnitError` surfaced as
+diagnostics instead of tracebacks.
 
 ``repro scenario lint`` prints these to stderr and exits 1 on any
 error, 0 when only warnings (or nothing) were found.
@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.scenario.dsl.format import ScnError, scenario_from_scn, \
-    scn_document
-from repro.scenario.dsl.schema import ERROR, WARNING, Diagnostic, \
-    validate_document
+from repro.scenario.dsl.format import scenario_from_scn
+from repro.scenario.dsl.schema import ERROR, Diagnostic, validate_document
 from repro.topology.model import TopologyError
 from repro.units import UnitError
 
@@ -37,10 +35,11 @@ _COMPILE_ERRORS = (TopologyError, UnitError)
 def lint_scenario(builder) -> List[Diagnostic]:
     """Diagnostics for an in-memory :class:`Scenario` builder."""
     try:
-        compiled = builder.compile()
+        diagnostics = [Diagnostic(severity, pointer, message)
+                       for pointer, severity, message in builder.findings()]
     except _COMPILE_ERRORS as error:
         return [Diagnostic(ERROR, "compile", str(error))]
-    return _compiled_warnings(compiled)
+    return _compiled(builder, diagnostics)
 
 
 def lint_file(path: str, *, script: Optional[str] = None) -> List[Diagnostic]:
@@ -68,6 +67,14 @@ def lint_file(path: str, *, script: Optional[str] = None) -> List[Diagnostic]:
     problem = _attach_script(builder, script)
     if problem:
         return diagnostics + [problem]
+    return _compiled(builder, diagnostics)
+
+
+def _compiled(builder, diagnostics: List[Diagnostic]) -> List[Diagnostic]:
+    """``diagnostics``, plus what compiling ``builder`` refuses once the
+    rule book found no error."""
+    if any(item.severity == ERROR for item in diagnostics):
+        return diagnostics
     try:
         builder.compile()
     except _COMPILE_ERRORS as error:
@@ -84,26 +91,3 @@ def _attach_script(builder, script: Optional[str]) -> Optional[Diagnostic]:
     except OSError as error:
         return Diagnostic(ERROR, "", str(error))
     return None
-
-
-def _compiled_warnings(compiled) -> List[Diagnostic]:
-    """Semantic warnings for a compiled scenario, via the .scn schema.
-
-    Dumping our own compiled form must always produce a schema-clean
-    document — any *error* the validator reports here is an internal
-    inconsistency and is surfaced loudly rather than swallowed.  Custom
-    workloads cannot dump; those scenarios just skip the warning pass.
-    """
-    try:
-        document = scn_document(compiled)
-    except ScnError:
-        return []
-    out: List[Diagnostic] = []
-    for item in validate_document(document):
-        if item.severity == WARNING:
-            out.append(item)
-        else:
-            out.append(Diagnostic(ERROR, item.path,
-                                  f"internal: canonical dump failed "
-                                  f"validation: {item.message}"))
-    return out

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, \
     Tuple, Union
 
-from repro.scenario.builder import LinkSpec, ServiceSpec
+from repro.scenario.builder import ERROR, LinkSpec, ServiceSpec, \
+    scenario_findings
 from repro.scenario.workloads import (
     CurlSwarmWorkload,
     FlowWorkload,
@@ -48,10 +49,6 @@ __all__ = ["SCN_VERSION", "Diagnostic", "validate_document"]
 
 #: Version stamp every document carries; bumped on incompatible changes.
 SCN_VERSION = 1
-
-ERROR = "error"
-WARNING = "warning"
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -153,16 +150,13 @@ class Unit(NamedTuple):
     candidate (or returns None), ``load`` turns a valid one into the
     record's value, ``dump`` spells a record's value canonically.  ``key``
     renames the field in the document; ``aliases`` are further keys a
-    hand-written document may use (the canonical key wins over them).
-    ``nodes``, when set, lists the containers a valid value names, which
-    the validator then looks up among the declared ones."""
+    hand-written document may use (the canonical key wins over them)."""
 
     check: Callable
     load: Callable = _as_written
     dump: Callable = _as_written
     key: Optional[str] = None
     aliases: Tuple[str, ...] = ()
-    nodes: Optional[Callable] = None
 
     def spelled(self, key: str, *aliases: str) -> "Unit":
         return self._replace(key=key, aliases=aliases)
@@ -186,11 +180,6 @@ STR_LIST = Unit(_is_str_list, tuple, list)
 DISTRIBUTION = Unit(_choice("normal", "uniform"))
 PROTOCOL = Unit(_choice("tcp", "udp"))
 SMR_PROTOCOL = Unit(_choice("bftsmart", "wheat"))
-#: A container, a list of them, and a container -> container mapping.
-NODE = STR._replace(nodes=lambda name: (name,))
-NODES = STR_LIST._replace(nodes=tuple)
-NODE_MAP = STR_MAP._replace(
-    nodes=lambda pairs: [name for pair in pairs.items() for name in pair])
 
 #: The one field → unit table.  Names, order, required-ness and defaults
 #: are the dataclass's; a field added there without a unit here fails at
@@ -208,26 +197,26 @@ _UNITS: Dict[type, Dict[str, Unit]] = {
         latency=TIME, bandwidth=RATE, jitter=TIME, loss=LOSS,
         jitter_distribution=DISTRIBUTION),
     FlowWorkload: dict(
-        source=NODE, destination=NODE, demand=RATE, protocol=PROTOCOL,
+        source=STR, destination=STR, demand=RATE, protocol=PROTOCOL,
         congestion_control=STR, start=TIME, stop=TIME.or_null(), key=STR),
     IperfWorkload: dict(
-        source=NODE, destination=NODE, duration=TIME, demand=RATE,
+        source=STR, destination=STR, duration=TIME, demand=RATE,
         protocol=PROTOCOL, congestion_control=STR, warmup=TIME, start=TIME,
         key=STR),
     PingWorkload: dict(
-        source=NODE, destination=NODE, count=COUNT, interval=TIME,
+        source=STR, destination=STR, count=COUNT, interval=TIME,
         start=TIME, key=STR),
     HttpLoadWorkload: dict(
-        source=NODE, server=NODE, connections=COUNT, start=TIME,
+        source=STR, server=STR, connections=COUNT, start=TIME,
         stop=TIME.or_null(), key=STR),
-    CurlSwarmWorkload: dict(sources=NODES, server=NODE, key=STR),
+    CurlSwarmWorkload: dict(sources=STR_LIST, server=STR, key=STR),
     MemtierWorkload: dict(
-        server=NODE, sources=NODES, connections=COUNT, key=STR),
+        server=STR, sources=STR_LIST, connections=COUNT, key=STR),
     SmrWorkload: dict(
-        replicas=NODES, sources=NODES, protocol=SMR_PROTOCOL,
+        replicas=STR_LIST, sources=STR_LIST, protocol=SMR_PROTOCOL,
         operations=COUNT, key=STR),
     YcsbWorkload: dict(
-        replicas=NODES, clients=NODE_MAP, threads=COUNT, key=STR),
+        replicas=STR_LIST, clients=STR_MAP, threads=COUNT, key=STR),
 }
 
 
@@ -295,17 +284,6 @@ class Record:
             if field is None or (key != field.key and field.key in spec):
                 continue
             out[field.name] = field.unit.load(value)
-        return out
-
-    def nodes(self, spec: Dict) -> List[str]:
-        """Every container a candidate mapping names, field by field:
-        the valid values of the fields whose unit names nodes."""
-        out: List[str] = []
-        for field in self.fields:
-            unit = field.unit
-            if unit.nodes is not None and field.key in spec \
-                    and unit.check(spec[field.key]) is None:
-                out.extend(unit.nodes(spec[field.key]))
         return out
 
 
@@ -398,10 +376,10 @@ def _section_list(document: Dict, name: str,
     return value
 
 
-def _mappings(name: str, section: List, out: List[Diagnostic]):
+def _mappings(document: Dict, name: str, out: List[Diagnostic]):
     """``(path, entry)`` for each mapping of a list section; an entry
     that is anything else is reported instead."""
-    for index, spec in enumerate(section):
+    for index, spec in enumerate(_section_list(document, name, out)):
         if isinstance(spec, dict):
             yield f"{name}[{index}]", spec
         else:
@@ -414,7 +392,10 @@ def validate_document(document) -> List[Diagnostic]:
 
     Errors make the document unloadable; warnings (isolated nodes, events
     scheduled past the configured duration, ...) flag suspicious but
-    valid scenarios.  An empty list means the document is clean.
+    valid scenarios.  An empty list means the document is clean.  One
+    walk checks each entry's fields and gathers what it declares; the
+    cross-references between entries are the builder's rule book,
+    :func:`~repro.scenario.builder.scenario_findings`.
     """
     out: List[Diagnostic] = []
     if not isinstance(document, dict):
@@ -438,67 +419,44 @@ def validate_document(document) -> List[Diagnostic]:
     if "name" in document and _is_str(document["name"]):
         out.append(Diagnostic(ERROR, "name", "expected a string"))
 
-    # ----------------------------------------------------------- topology
-    declared: Dict[str, str] = {}   # node name -> where it is declared
-    services = _section_list(document, "services", out)
-    containers: set = set()
-    for path, spec in _mappings("services", services, out):
+    services = []
+    for path, spec in _mappings(document, "services", out):
         SERVICE.check(spec, path, out)
-        name = spec.get("name")
+        name, replicas = spec.get("name"), spec.get("replicas", 1)
         if isinstance(name, str):
-            declared.setdefault(name, path)
-            replicas = spec.get("replicas")
-            containers.add(name)
-            if isinstance(replicas, int) and not isinstance(replicas, bool) \
-                    and replicas > 1:
-                containers.update(f"{name}.{i}" for i in range(replicas))
+            services.append((path, name, 1 if COUNT.check(replicas)
+                             else replicas))
 
-    bridges = _section_list(document, "bridges", out)
-    for index, name in enumerate(bridges):
+    bridges = []
+    for index, name in enumerate(_section_list(document, "bridges", out)):
         if isinstance(name, str):
-            declared.setdefault(name, f"bridges[{index}]")
+            bridges.append((f"bridges[{index}]", name))
         else:
             out.append(Diagnostic(ERROR, f"bridges[{index}]",
                                   "expected a bridge name string"))
 
-    touched: set = set()            # every node a link or an event names
-
-    links = _section_list(document, "links", out)
-    for path, spec in _mappings("links", links, out):
+    links = []
+    for path, spec in _mappings(document, "links", out):
         LINK.check(spec, path, out)
-        for end in ("orig", "dest"):
-            node = spec.get(end)
-            if isinstance(node, str):
-                touched.add(node)
-                if node not in declared:
-                    out.append(Diagnostic(
-                        ERROR, f"{path}.{end}",
-                        f"undeclared node {node!r} (declared: "
-                        + (", ".join(sorted(declared)) or "none") + ")"))
+        links.append((path, tuple((end, spec.get(end))
+                                  for end in ("orig", "dest"))))
 
-    # ------------------------------------------------------------- events
-    events = _section_list(document, "events", out)
-    joinable = set(declared)
-    for spec in events:
-        if not isinstance(spec, dict):
-            continue
-        touched.update(spec[end] for end in ("orig", "dest", "name")
-                       if isinstance(spec.get(end), str))
-        if spec.get("action") == "join" and isinstance(spec.get("name"), str):
-            joinable.add(spec["name"])
-    for path, spec in _mappings("events", events, out):
-        _validate_event(spec, path, joinable, out)
+    events = []
+    for path, spec in _mappings(document, "events", out):
+        _validate_event(spec, path, out)
+        time = spec.get("time")
+        events.append((path, None if TIME.check(time) else coerce_time(time),
+                       spec.get("action"),
+                       tuple((end, spec.get(end))
+                             for end in ("orig", "dest", "name"))))
 
-    scripts = _section_list(document, "scripts", out)
-    for index, text in enumerate(scripts):
+    for index, text in enumerate(_section_list(document, "scripts", out)):
         if not isinstance(text, str):
             out.append(Diagnostic(ERROR, f"scripts[{index}]",
                                   "expected a THUNDERSTORM script string"))
 
-    # ---------------------------------------------------------- workloads
-    workloads = _section_list(document, "workloads", out)
-    keys_seen: Dict[str, int] = {}
-    for path, spec in _mappings("workloads", workloads, out):
+    workloads = []
+    for path, spec in _mappings(document, "workloads", out):
         kind = spec.get("kind")
         # Outside input: the key may hold anything, a list or a mapping too.
         record = WORKLOADS.get(kind) if isinstance(kind, str) else None
@@ -508,22 +466,12 @@ def validate_document(document) -> List[Diagnostic]:
                 f"unknown workload kind {kind!r} (expected one of: "
                 + ", ".join(sorted(WORKLOADS)) + ")"))
             continue
+        errors = len(out)
         record.check(spec, path, out)
-        for node in record.nodes(spec):
-            if node not in containers and node not in declared:
-                out.append(Diagnostic(
-                    ERROR, path, f"workload endpoint {node!r} names no "
-                                 "declared service or container"))
-        key = spec.get("key")
-        if isinstance(key, str):
-            keys_seen[key] = keys_seen.get(key, 0) + 1
-    for key, count in sorted(keys_seen.items()):
-        if count > 1:
-            out.append(Diagnostic(ERROR, "workloads",
-                                  f"duplicate workload key {key!r} "
-                                  f"({count} declarations)"))
+        if len(out) == errors:
+            workload = record.cls(**record.load(spec))
+            workloads.append((path, workload.key, workload.containers()))
 
-    # ------------------------------------------------------------- deploy
     deploy = document.get("deploy", {})
     duration = None
     if not isinstance(deploy, dict):
@@ -533,30 +481,14 @@ def validate_document(document) -> List[Diagnostic]:
         if "duration" in deploy and TIME.check(deploy["duration"]) is None:
             duration = coerce_time(deploy["duration"])
 
-    # ----------------------------------------------------------- warnings
-    for name in sorted(declared):
-        if name not in touched:
-            out.append(Diagnostic(
-                WARNING, declared[name],
-                f"node {name!r} is declared but never linked"))
-    if duration is not None:
-        for index, spec in enumerate(events):
-            if not isinstance(spec, dict):
-                continue
-            try:
-                time = coerce_time(spec.get("time", 0.0))
-            except (ValueError, UnitError):
-                continue
-            if time > duration:
-                out.append(Diagnostic(
-                    WARNING, f"events[{index}].time",
-                    f"event at t={time:g}s never fires within the "
-                    f"configured duration of {duration:g}s"))
+    out.extend(Diagnostic(severity, pointer, message)
+               for pointer, severity, message in scenario_findings(
+                   services=services, bridges=bridges, links=links,
+                   events=events, workloads=workloads, duration=duration))
     return out
 
 
-def _validate_event(spec: Dict, path: str, known: set,
-                    out: List[Diagnostic]) -> None:
+def _validate_event(spec: Dict, path: str, out: List[Diagnostic]) -> None:
     if "time" not in spec:
         out.append(Diagnostic(ERROR, path, "missing required key 'time'"))
     elif problem := TIME.check(spec["time"]):
@@ -581,9 +513,3 @@ def _validate_event(spec: Dict, path: str, known: set,
         out.append(Diagnostic(ERROR, path,
                               "set_link event changes nothing (give "
                               "'changes' or 'properties')"))
-    for end in ("orig", "dest", "name"):
-        node = spec.get(end)
-        if isinstance(node, str) and node not in known:
-            out.append(Diagnostic(
-                ERROR, f"{path}.{end}",
-                f"event references undeclared node {node!r}"))

@@ -57,6 +57,18 @@ class Workload:
     kind: str = "custom"
     #: Data planes this workload needs; backends validate against these.
     planes: frozenset = frozenset()
+    #: The fields that name containers: a name, a sequence of names or of
+    #: name pairs.  The scenario's rule book checks every one.
+    endpoints: Tuple[str, ...] = ()
+
+    def containers(self) -> Tuple[str, ...]:
+        """Every container this workload names, field by field."""
+        names = []
+        for field in self.endpoints:
+            value = getattr(self, field)
+            for item in (value,) if isinstance(value, str) else value:
+                names.extend((item,) if isinstance(item, str) else item)
+        return tuple(names)
 
     def install(self, engine) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -115,6 +127,7 @@ class FlowWorkload(Workload):
     key: Hashable = None
 
     kind = "flow"
+    endpoints = ("source", "destination")
     planes = frozenset({BULK_PLANE})
 
     def __post_init__(self) -> None:
@@ -161,6 +174,7 @@ class IperfWorkload(Workload):
     key: Hashable = None
 
     kind = "iperf"
+    endpoints = ("source", "destination")
     planes = frozenset({BULK_PLANE})
 
     def __post_init__(self) -> None:
@@ -210,6 +224,7 @@ class PingWorkload(Workload):
     key: Hashable = None
 
     kind = "ping"
+    endpoints = ("source", "destination")
     planes = frozenset({PACKET_PLANE})
 
     def __post_init__(self) -> None:
@@ -275,6 +290,7 @@ class HttpLoadWorkload(Workload):
     key: Hashable = None
 
     kind = "http"
+    endpoints = ("source", "server")
     planes = frozenset({PACKET_PLANE})
 
     def __post_init__(self) -> None:
@@ -319,6 +335,7 @@ class CurlSwarmWorkload(Workload):
     key: Hashable = None
 
     kind = "curl"
+    endpoints = ("sources", "server")
     planes = frozenset({PACKET_PLANE})
 
     def __post_init__(self) -> None:
@@ -365,6 +382,7 @@ class MemtierWorkload(Workload):
     key: Hashable = None
 
     kind = "memtier"
+    endpoints = ("server", "sources")
     planes = frozenset({PACKET_PLANE})
 
     def __post_init__(self) -> None:
@@ -408,6 +426,7 @@ class SmrWorkload(Workload):
     key: Hashable = None
 
     kind = "smr"
+    endpoints = ("replicas", "sources")
     planes = frozenset({PACKET_PLANE})
 
     def __post_init__(self) -> None:
@@ -453,6 +472,7 @@ class YcsbWorkload(Workload):
     key: Hashable = None
 
     kind = "ycsb"
+    endpoints = ("replicas", "clients")
     planes = frozenset({PACKET_PLANE})
 
     def __post_init__(self) -> None:

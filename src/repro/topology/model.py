@@ -275,16 +275,6 @@ class Topology:
             max((l.link_id for l in self._links.values()), default=-1) + 1)
         return clone
 
-    def validate(self) -> None:
-        """Check structural invariants; raises :class:`TopologyError`."""
-        if not self.services:
-            raise TopologyError("topology has no services")
-        for link in self._links.values():
-            for endpoint in (link.source, link.destination):
-                if not self.has_node(endpoint):
-                    raise TopologyError(
-                        f"link {link.key} references unknown node {endpoint!r}")
-
     def describe(self) -> str:
         lines = [f"topology {self.name!r}: "
                  f"{len(self.services)} services, {len(self.bridges)} bridges, "

@@ -21,10 +21,12 @@ Two halves:
   what loading does with the document, digested per kind of damage.
 
 To find what moved when a digest does, print :func:`corpus_lines` on
-both commits and diff the two listings.
+both commits and diff the two listings.  The same pass records where
+the document and the builder front doors disagree (:func:`observe`).
 """
 
 import copy
+import functools
 import hashlib
 import json
 import pathlib
@@ -32,7 +34,7 @@ import random
 
 from repro.scenario import Scenario
 from repro.scenario.dsl import (FuzzBudget, ScnError, dumps_scn,
-                                generate_scenario, loads_scn,
+                                generate_scenario, lint_scenario, loads_scn,
                                 scenario_from_scn, validate_document)
 from repro.topology.model import TopologyError
 from repro.units import UnitError
@@ -131,33 +133,61 @@ def load_outcome(document):
         return f"{type(error).__name__}: {error}"
 
 
-def corpus_lines():
-    """``(section, line)`` for every observation, in a fixed order."""
+def _observations():
+    """``(section, line, disagreement)`` for every observation, in a
+    fixed order.  ``disagreement`` names where the two front doors judge
+    a scenario differently — a mutation that :func:`validate_document`
+    passes and loading then refuses, or a compiling builder that
+    :func:`lint_scenario` reports an error for — and is None elsewhere."""
     for group, name, builder in valid_scenarios():
         compiled = builder.compile()
+        errors = [str(item) for item in lint_scenario(builder)
+                  if item.severity == "error"]
         text = dumps_scn(compiled)
         reloaded = loads_scn(text, source=name).compile()
-        yield f"dump/{group}", text
-        yield f"describe/{group}", compiled.describe()
-        yield f"redump/{group}", dumps_scn(reloaded)
+        yield (f"dump/{group}", text,
+               f"{name}: lint_scenario: {errors}" if errors else None)
+        yield f"describe/{group}", compiled.describe(), None
+        yield f"redump/{group}", dumps_scn(reloaded), None
         document = json.loads(text)
         for kind in MUTATIONS:
             rng = random.Random(f"scn-mutate:{name}:{kind}")
             damaged = mutate(document, kind, rng)
-            findings = "\n".join(str(item)
-                                 for item in validate_document(damaged))
-            yield f"mutation/{kind}", (f"{name}\n{findings}\n"
-                                       f"{load_outcome(damaged)}")
+            diagnostics = validate_document(damaged)
+            outcome = load_outcome(damaged)
+            passed = not any(item.severity == "error"
+                             for item in diagnostics)
+            findings = "\n".join(str(item) for item in diagnostics)
+            yield (f"mutation/{kind}", f"{name}\n{findings}\n{outcome}",
+                   f"{name}/{kind}: {outcome}"
+                   if passed and not outcome.startswith("{") else None)
 
 
-def corpus_digests():
-    """``{section: {"count": n, "digest": blake2b}}`` over the corpus."""
-    sections = {}
-    for section, line in corpus_lines():
+def corpus_lines():
+    """``(section, line)`` for every observation, in a fixed order."""
+    for section, line, _ in _observations():
+        yield section, line
+
+
+@functools.lru_cache(maxsize=None)
+def observe():
+    """``(digests, disagreements)``: :func:`corpus_digests` and every
+    disagreement between the front doors, from one pass kept for the
+    process."""
+    sections, disagreements = {}, []
+    for section, line, disagreement in _observations():
         entry = sections.setdefault(
             section, {"count": 0, "digest": hashlib.blake2b(digest_size=16)})
         entry["count"] += 1
         entry["digest"].update(line.encode("utf-8") + b"\x00")
-    return {section: {"count": entry["count"],
-                      "digest": entry["digest"].hexdigest()}
-            for section, entry in sorted(sections.items())}
+        if disagreement:
+            disagreements.append(disagreement)
+    digests = {section: {"count": entry["count"],
+                         "digest": entry["digest"].hexdigest()}
+               for section, entry in sorted(sections.items())}
+    return digests, tuple(disagreements)
+
+
+def corpus_digests():
+    """``{section: {"count": n, "digest": blake2b}}`` over the corpus."""
+    return observe()[0]

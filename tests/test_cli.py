@@ -104,6 +104,15 @@ class TestRun:
         out = capsys.readouterr().out
         assert "workload c1->sv: throughput_mean = " in out
 
+    def test_flow_to_no_container_exits_one(self, description_file,
+                                            capsys):
+        """``sv`` has one replica, so its container is ``sv``: a flow to
+        ``sv.0`` is refused before it runs, not read as 0 b/s."""
+        assert main(["run", description_file, "--duration", "1",
+                     "--flow", "c1:sv.0"]) == 1
+        assert "workload endpoint 'sv.0' names no declared service or " \
+            "container" in capsys.readouterr().err
+
     def test_run_with_scenario(self, description_file, scenario_file,
                                capsys):
         assert main(["run", description_file, "--duration", "5",
@@ -226,10 +235,10 @@ class TestScenarioLint:
     def test_aggregates_across_files(self, description_file, tmp_path,
                                      capsys):
         bad = tmp_path / "bad.scn"
-        bad.write_text('{"scn": 99}\n')
+        bad.write_text('{"scn": 99}\n')      # a bad version and no service
         assert main(["scenario", "lint", description_file, str(bad)]) == 1
         err = capsys.readouterr().err
-        assert "1 error(s) in 2 file(s)" in err
+        assert "2 error(s) in 2 file(s)" in err
 
 
 class TestScenarioDiff:

@@ -20,8 +20,11 @@ class TestFatTree:
         # k=4: 4 cores, 4 pods x (2 agg + 2 edge), 16 hosts.
         assert len(topology.bridges) == 4 + 4 * 4
         assert len(topology.services) == 16
-        # Each edge switch: 2 uplinks + 2 hosts; each agg: 2 up + 2 down.
-        topology.validate()
+        # Each edge switch: 2 uplinks + 2 hosts; each agg: 2 up + 2 down;
+        # each core: one link into every pod.
+        assert {len(topology.neighbours(name))
+                for name in topology.bridges} == {4}
+        assert topology.link_count() == 2 * 4 * (4 + 4 + 4)
 
     def test_every_host_pair_reachable(self):
         collapsed = collapse(fat_tree(4).compile().topology)

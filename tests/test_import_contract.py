@@ -42,6 +42,14 @@ run = (Scenario.build("pair").service("a").service("b").bridges("s")
        .deploy(machines=1, seed=1).compile().run({backend}))
 assert run["ping:a->b"].received == 3
 """
+# compile() judges a scenario by the builder's rule book, which the `.scn`
+# validator reads too: compiling loads no `.scn` module.
+COMPILE = """
+from repro.scenario import Scenario, flow, ping, set_link
+(Scenario.build("pair").service("a").service("b", replicas=2).bridges("s")
+ .link("a", "s").link("s", "b").at(1, set_link("a", "s", latency="1ms"))
+ .workload(ping("a", "b.0"), flow("a", "b.1")).compile())
+"""
 # A bare-metal run builds the full-state testbed and no other comparator.
 OTHER_COMPARATORS = ("repro.baselines.mininet", "repro.baselines.maxinet",
                      "repro.baselines.trickle")
@@ -62,6 +70,7 @@ CASES = {
     "cli-validate": (CLI.format(argv=["validate",
                                       "examples/quickstart.scn"]),
                      TOOLBOX + SCRIPTS),
+    "compile": (COMPILE, ("repro.scenario.dsl",) + TOOLBOX + SCRIPTS),
     "kollaps-ping-run": (PING_RUN.format(backend=""),
                          TOOLBOX + LINTER + SCRIPTS),
     "baremetal-ping-run": (

@@ -29,6 +29,7 @@ from repro.scenario.dsl import (Diagnostic, FuzzBudget, ScnError,
                                 scenario_from_scn, scn_document, schema,
                                 validate_document)
 from repro.scenario.workloads import PingWorkload
+from repro.topology.model import TopologyError
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 CORPUS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "scn_corpus.json"
@@ -396,6 +397,108 @@ def test_scn_corpus_matches_the_golden():
     assert scn_corpus.corpus_digests() == golden["sections"]
 
 
+def test_the_front_doors_agree_over_the_corpus():
+    """Over the same corpus and mutations: a document the validator
+    passes compiles, and a builder that compiles lints clean."""
+    assert scn_corpus.observe()[1] == ()
+
+
+# --------------------------------------------------------------------------
+# One rule book: every case where the validator and compile() once
+# disagreed, judged the same by compile(), validate_document and lint.
+# --------------------------------------------------------------------------
+def _with(**overrides):
+    """``_document()`` with ``c1`` and the replicated ``sv`` behind the
+    bridge ``s1``."""
+    base = _document(
+        services=[{"name": "c1"}, {"name": "sv", "replicas": 2}],
+        bridges=["s1"],
+        links=[{"orig": "c1", "dest": "s1"}, {"orig": "s1", "dest": "sv"}])
+    base.update(overrides)
+    return base
+
+
+RULE_CASES = [
+    pytest.param(_with(services=[{"name": "c1"}, {"name": "c1"},
+                                 {"name": "sv"}]),
+                 "services[1]",
+                 "duplicate node name 'c1' (first declared at services[0])",
+                 id="duplicate-service"),
+    pytest.param(_with(bridges=["s1", "c1"]), "bridges[1]",
+                 "duplicate node name 'c1' (first declared at services[0])",
+                 id="service-and-bridge"),
+    pytest.param(_with(links=[{"orig": "c1", "dest": "s1"},
+                              {"orig": "s1", "dest": "sv"},
+                              {"orig": "s1", "dest": "s1"}]),
+                 "links[2]", "self-loop on 's1'", id="self-loop"),
+    pytest.param(_with(services=[], links=[{"orig": "s1", "dest": "s2"}],
+                       bridges=["s1", "s2"]),
+                 "services", "a scenario needs at least one service",
+                 id="no-service"),
+    pytest.param(_with(events=[
+        {"time": 1.0, "action": "set_link", "orig": "s1", "dest": "late",
+         "changes": {"latency": "1ms"}},
+        {"time": 5.0, "action": "join", "name": "late"}]),
+                 "events[0].dest", "event references undeclared node 'late'",
+                 id="event-before-join"),
+    pytest.param(_with(workloads=[{"kind": "ping", "source": "ghost",
+                                   "destination": "c1"}]),
+                 "workloads[0]", "workload endpoint 'ghost' names no "
+                                 "declared service or container",
+                 id="ping-from-ghost"),
+    pytest.param(_with(workloads=[{"kind": "ping", "source": "c1",
+                                   "destination": "s1"}]),
+                 "workloads[0]", "workload endpoint 's1' is a bridge, not a "
+                                 "container", id="ping-to-bridge"),
+    pytest.param(_with(workloads=[{"kind": "flow", "source": "c1",
+                                   "destination": "s1"}]),
+                 "workloads[0]", "workload endpoint 's1' is a bridge, not a "
+                                 "container", id="flow-to-bridge"),
+    pytest.param(_with(workloads=[{"kind": "ping", "source": "c1",
+                                   "destination": "sv"}]),
+                 "workloads[0]", "workload endpoint 'sv' is a service of "
+                                 "containers sv.0, sv.1, not a container",
+                 id="ping-to-replicated-service"),
+    pytest.param(_with(workloads=[{"kind": "flow", "source": "c1",
+                                   "destination": "sv.0"}] * 2),
+                 "workloads", "duplicate workload key 'c1->sv.0' "
+                              "(2 declarations)", id="keyless-twins"),
+]
+
+
+class TestOneRuleBook:
+    @pytest.mark.parametrize("document, pointer, message", RULE_CASES)
+    def test_every_front_door_refuses_alike(self, tmp_path, document,
+                                            pointer, message):
+        """The validator, compile() and both lint entries report the one
+        broken rule, at the same pointer, in the same words.  (A ping
+        from ``ghost`` used to compile and then fail at run time with
+        ``KeyError: no TCAL attached``, one to a bridge or a replicated
+        service's bare name likewise, and a flow there read 0 b/s.)"""
+        assert [(error.path, error.message)
+                for error in _errors(document)] == [(pointer, message)]
+        builder = scenario_from_scn(document, validate=False)
+        with pytest.raises(TopologyError) as info:
+            builder.compile()
+        assert str(info.value).endswith(f"invalid:\n  {pointer}: {message}")
+        expected = [f"error: {pointer}: {message}"]
+        assert [str(item) for item in lint_scenario(builder)
+                if item.severity == "error"] == expected
+        path = tmp_path / "case.scn"
+        path.write_text(json.dumps(document))
+        assert [str(item) for item in lint_file(str(path))
+                if item.severity == "error"] == expected
+
+    def test_an_event_may_name_a_node_an_earlier_event_joins(self):
+        document = _with(events=[
+            {"time": 5.0, "action": "join", "name": "late"},
+            {"time": 1.0, "action": "join", "name": "early"},
+            {"time": 6.0, "action": "join_link", "orig": "s1",
+             "dest": "late"}])
+        assert _errors(document) == []
+        scenario_from_scn(document).compile()
+
+
 # --------------------------------------------------------------------------
 # The round-trip guarantee.
 # --------------------------------------------------------------------------
@@ -675,6 +778,14 @@ class TestLint:
         diagnostics = lint_scenario(builder)
         assert any(d.severity == "error" and "ghost" in d.message
                    for d in diagnostics)
+
+    def test_a_custom_workload_keeps_the_warnings(self):
+        """A builder whose workload cannot dump to ``.scn`` is still
+        judged by the rule book: its warnings are not skipped."""
+        builder = (_simple_builder().service("idle")
+                   .workload(custom("probe", lambda system: None)))
+        assert [str(item) for item in lint_scenario(builder)] == [
+            "warning: services[2]: node 'idle' is declared but never linked"]
 
     def test_diagnostic_renders_with_pointer(self):
         diagnostic = Diagnostic("error", "links[2].up", "bad rate")

@@ -73,9 +73,12 @@ class TestScenarioProperties:
         assert times_seen[0] == 0.0
         event_times = sorted({event.time for event in schedule})
         assert times_seen[1:] == event_times
-        # Every snapshot is structurally valid.
+        # Every snapshot is structurally valid: no link outlives a node.
         for _time, snapshot in snapshots:
-            snapshot.validate()
+            assert snapshot.services
+            assert all(snapshot.has_node(link.source)
+                       and snapshot.has_node(link.destination)
+                       for link in snapshot.links())
 
     @given(scenario_lines)
     @settings(max_examples=40, deadline=None)

@@ -187,10 +187,6 @@ class TestTopologyModel:
         clone_ids = sorted(link.link_id for link in topology.copy().links())
         assert original_ids == clone_ids
 
-    def test_validate_requires_services(self):
-        with pytest.raises(TopologyError):
-            Topology().validate()
-
 
 class TestDictParser:
     def test_parses_figure1(self):

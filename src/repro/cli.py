@@ -102,6 +102,22 @@ def _load_scenario(args: argparse.Namespace):
     return builder
 
 
+def _invalid(args: argparse.Namespace, *, warnings: bool = True) -> bool:
+    """Whether the description has an error.  Its diagnostics go to
+    stderr — when one is an error, or always with ``warnings`` — so a
+    command refusing it exits 1 with pointers, never a traceback."""
+    from repro.scenario.dsl import lint_file
+    diagnostics = lint_file(args.experiment,
+                            script=getattr(args, "scenario", None))
+    errors = sum(1 for d in diagnostics if d.severity == "error")
+    if errors or warnings:
+        for diagnostic in diagnostics:
+            print(f"{args.experiment}: {diagnostic}", file=sys.stderr)
+    if errors:
+        print(f"{args.experiment}: {errors} error(s)", file=sys.stderr)
+    return errors > 0
+
+
 def _add_description_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("experiment", help="scenario source: listing-style "
                         "text, Modelnet XML (by suffix), or a .py module "
@@ -323,6 +339,8 @@ def _command_run(args: argparse.Namespace) -> int:
         resolve_backend
     from repro.topology.model import TopologyError
 
+    if _invalid(args, warnings=False):
+        return 1
     builder = _load_scenario(args)
     # Command-line knobs override the scenario's own deploy() settings
     # only when explicitly given — a .py scenario keeps its seed/machines.
@@ -396,14 +414,7 @@ def _snapshots(period: float):
 
 
 def _command_validate(args: argparse.Namespace) -> int:
-    from repro.scenario.dsl import lint_file
-    diagnostics = lint_file(args.experiment,
-                            script=getattr(args, "scenario", None))
-    for diagnostic in diagnostics:
-        print(f"{args.experiment}: {diagnostic}", file=sys.stderr)
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    if errors:
-        print(f"{args.experiment}: {errors} error(s)", file=sys.stderr)
+    if _invalid(args):
         return 1
     compiled = _load_scenario(args).compile()
     print(f"{compiled.topology.describe()}")
@@ -416,6 +427,8 @@ def _command_validate(args: argparse.Namespace) -> int:
 def _command_plan(args: argparse.Namespace) -> int:
     from repro.orchestration import render_plan
 
+    if _invalid(args, warnings=False):
+        return 1
     compiled = _load_scenario(args).compile()
     try:
         problems = compiled.validate_backend(args.backend)
@@ -441,6 +454,8 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _scenario_script(args: argparse.Namespace) -> int:
+    if _invalid(args, warnings=False):
+        return 1
     compiled = _load_scenario(args).compile()
     with open(args.script, encoding="utf-8") as handle:
         schedule = compiled.compile_script(handle.read())

@@ -18,11 +18,11 @@ requirement for the fully decentralized design).
 What is kept, and what is derived
 ---------------------------------
 
-:func:`collapse` keeps the service graph (a snapshot: links are copied, so
-a later edit to the live topology cannot reach a tree built afterwards)
-and the topology's ``link_id -> LinkProperties`` map at that instant; it
-runs no Dijkstra.  A source *service*'s predecessor-link tree is built by
-the first :meth:`~CollapsedTopology.path` / :meth:`~CollapsedTopology.rtt`
+:func:`collapse` keeps the service graph (the topology's own link values,
+which are immutable: an edit to the live topology replaces a link and
+cannot reach a tree built afterwards) and the topology's ``link_id ->
+LinkProperties`` map at that instant; it runs no Dijkstra.  A source
+*service*'s predecessor-link tree is built by the first :meth:`~CollapsedTopology.path` / :meth:`~CollapsedTopology.rtt`
 / :meth:`~CollapsedTopology.reachable_from` that starts there and kept —
 a manager pays for the rows of its own containers that something talks
 over (§3), ``O(sources in use × nodes)`` memory.  A :class:`CollapsedPath`
@@ -52,14 +52,22 @@ by a structural topology hash (:func:`topology_signature`):
   trees it has and the ones either will still build — and only rebuilds
   the ``O(E)`` property map;
 * **miss** — anything else builds a new service graph and populates the
-  cache.
+  cache.  When that graph is the one of the routing the previous call
+  returned with some latencies raised — same nodes, link ids and ends,
+  no latency lower — each tree the previous routing has built that no
+  raised link is on is this routing's too, and is inherited instead of
+  rebuilt (:meth:`_Routing.tree` has the argument).
+
+A link value signed twice keeps its signature fragments, so signing a
+state of a dynamic plan formats only the links its events replaced.
 
 The LRU holds 128 entries; ``collapse(memo=False)`` bypasses it and
 :func:`clear_collapse_cache` drops everything (``repro campaign ...
 --fresh`` calls it).  Telemetry counters ``collapse.memo_hits`` /
 ``collapse.memo_misses`` / ``collapse.incremental_recomputes`` /
 ``collapse.memo_invalidations`` expose the cache's behaviour,
-``collapse.trees_built`` the Dijkstra runs and ``collapse.paths_built``
+``collapse.trees_built`` the Dijkstra runs, ``collapse.trees_inherited``
+the trees taken over across a latency rise and ``collapse.paths_built``
 the pairs actually derived; see ``docs/performance.md``.
 """
 
@@ -68,8 +76,10 @@ from __future__ import annotations
 import hashlib
 import heapq
 import threading
+import weakref
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -83,6 +93,9 @@ __all__ = ["CollapsedPath", "CollapsedTopology", "collapse",
 
 #: Entry bound of the memo LRU.
 _CACHE_CAPACITY = 128
+
+_BY_ENDS = attrgetter("source", "destination")
+_BY_DESTINATION = attrgetter("destination")
 
 
 @dataclass(frozen=True)
@@ -128,10 +141,11 @@ class _Routing:
     """
 
     __slots__ = ("graph", "containers", "service_of", "sources", "members",
-                 "trees", "loops")
+                 "trees", "loops", "parent", "rises", "__weakref__")
 
     def __init__(self, topology: Topology,
-                 sources: Optional[Sequence[str]]) -> None:
+                 sources: Optional[Sequence[str]],
+                 parent: Optional["_Routing"] = None) -> None:
         self.graph = _service_graph(topology)
         self.containers = topology.container_names()
         self.service_of = {name: name.split(".")[0]
@@ -143,20 +157,55 @@ class _Routing:
                         if name in self.service_of}
         #: Containers per service.
         self.members = Counter(self.service_of.values())
-        #: One Dijkstra per *service* (its containers share paths), run
-        #: on first use.
+        #: One tree per *service* (its containers share paths), made on
+        #: first use: inherited from ``parent`` or by a Dijkstra.
         self.trees: Dict[str, Dict[str, Link]] = {}
         self.loops = {service: _intra_service_path(self.graph, service)
                       for service in set(self.sources.values())
                       if self.members[service] > 1}
+        #: The links whose latency rose since ``parent`` (the routing the
+        #: previous memoized collapse returned) and a weak reference to
+        #: it — both ``None`` unless this graph is the parent's after a
+        #: pure latency rise (:meth:`tree`).
+        self.rises = (None if parent is None
+                      else _latency_rises(parent.graph, self.graph))
+        self.parent = None if self.rises is None else weakref.ref(parent)
 
     def tree(self, service: str) -> Dict[str, Link]:
-        """The shortest-path tree from ``service``, built on first use."""
+        """The shortest-path tree from ``service``, made on first use."""
         tree = self.trees.get(service)
         if tree is None:
-            tree = self.trees[service] = _dijkstra(self.graph, service)
+            tree = self._inherited(service)
+            if tree is not None:
+                name = "collapse.trees_inherited"
+            else:
+                tree = _dijkstra(self.graph, service)
+                name = "collapse.trees_built"
+            self.trees[service] = tree
             if telemetry.enabled():
-                telemetry.metrics.counter("collapse.trees_built").inc()
+                telemetry.metrics.counter(name).inc()
+        return tree
+
+    def _inherited(self, service: str) -> Optional[Dict[str, Link]]:
+        """The parent's tree from ``service``, when it has built one and
+        it is this graph's too: this graph is the parent's with some
+        latencies raised, and none of those links is on the tree.
+
+        :func:`_dijkstra` settles nodes in ``(latency, hops, names)``
+        order and a node keeps the first candidate strictly better than
+        the one it has.  On the tree every latency sum is what it was,
+        and float addition is monotone, so every other candidate is at
+        least as long as before: no node settles earlier or changes its
+        winner, and the run picks the same tree link by link.
+        """
+        parent = self.parent() if self.parent is not None else None
+        tree = parent.trees.get(service) if parent is not None else None
+        if tree is None:
+            return None
+        for link in self.rises:
+            entered = tree.get(link.destination)
+            if entered is not None and entered.link_id == link.link_id:
+                return None
         return tree
 
     def links(self, source: str, destination: str) -> Optional[List[Link]]:
@@ -323,25 +372,41 @@ def topology_signature(topology: Topology, *,
 
 
 def _signatures(topology: Topology) -> Tuple[str, str]:
-    """``(full, routing-only)`` signatures from one sorted walk."""
+    """``(full, routing-only)`` signatures from one sorted walk, over the
+    links' fragments (:func:`_sign`)."""
     nodes = "".join(
         [f"S{name}*{topology.services[name].replicas};"
          for name in sorted(topology.services)]
         + [f"B{name};" for name in sorted(topology.bridges)])
-    full, routing = [nodes], [nodes]
-    for link in sorted(topology.links(),
-                       key=lambda link: (link.source, link.destination)):
-        properties = link.properties
-        routed = (f"L{link.source}>{link.destination}#{link.link_id}"
-                  f"@{properties.latency!r}")
-        routing.append(f"{routed};")
-        full.append(
-            f"{routed}|{properties.bandwidth!r},{properties.jitter!r},"
-            f"{properties.loss!r},{properties.jitter_distribution},"
-            f"{link.network};")
+    fragments = [link.signature or _sign(link)
+                 for link in sorted(topology.links(), key=_BY_ENDS)]
     return tuple(
-        hashlib.blake2b("".join(parts).encode(), digest_size=16).hexdigest()
-        for parts in (full, routing))
+        hashlib.blake2b((nodes + "".join([pair[side] for pair in fragments])
+                         ).encode(), digest_size=16).hexdigest()
+        for side in (0, 1))
+
+
+def _sign(link: Link) -> Tuple[str, str]:
+    """``link``'s ``(full, routing-only)`` signature fragments, formatted.
+
+    The second signature that reads a link value keeps them on it
+    (``Link.signature``; the first leaves ``()`` there), and later ones
+    read them back: the states of a dynamic plan share every link their
+    events did not replace, so signing a state formats only the links
+    its events touched, while a link signed once — a topology collapsed
+    once — holds no text.
+    """
+    properties = link.properties
+    routed = (f"L{link.source}>{link.destination}#{link.link_id}"
+              f"@{properties.latency!r}")
+    fragments = (
+        f"{routed}|{properties.bandwidth!r},{properties.jitter!r},"
+        f"{properties.loss!r},{properties.jitter_distribution},"
+        f"{link.network};",
+        f"{routed};")
+    object.__setattr__(link, "signature",       # a cache on a frozen value
+                       () if link.signature is None else fragments)
+    return fragments
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +428,9 @@ _cache: "OrderedDict[tuple, _CacheEntry]" = OrderedDict()
 # (routing signature, sources key) -> cache key of an entry sharing that
 # routing — the donor for incremental property-only recomputes.
 _routing_index: Dict[tuple, tuple] = {}
+# The routing the last memoized collapse() returned, weakly: the parent of
+# the next routing a miss builds.
+_previous: Optional["weakref.ReferenceType[_Routing]"] = None
 
 
 def clear_collapse_cache() -> None:
@@ -371,10 +439,12 @@ def clear_collapse_cache() -> None:
     Counts the dropped entries into ``collapse.memo_invalidations`` when
     telemetry is enabled.
     """
+    global _previous
     with _cache_lock:
         dropped = len(_cache)
         _cache.clear()
         _routing_index.clear()
+        _previous = None
     if dropped and telemetry.enabled():
         telemetry.metrics.counter("collapse.memo_invalidations").inc(dropped)
 
@@ -447,6 +517,7 @@ def collapse(topology: Topology, *,
         if entry is not None:
             _cache.move_to_end(full_key)
     if entry is not None:
+        _follow(entry.routing)
         if recording:
             registry = telemetry.metrics
             registry.counter("collapse.memo_hits").inc()
@@ -467,6 +538,7 @@ def collapse(topology: Topology, *,
         result = CollapsedTopology(topology, donor.routing,
                                    _properties_by_id(topology), {})
         _cache_store(full_key, routing_key, result)
+        _follow(donor.routing)
         if recording:
             registry = telemetry.metrics
             registry.counter("collapse.incremental_recomputes").inc()
@@ -474,19 +546,30 @@ def collapse(topology: Topology, *,
                 telemetry.clock() - started)
         return result
 
-    result = _collapse_full(topology, sources)
+    with _cache_lock:
+        parent = _previous() if _previous is not None else None
+    result = _collapse_full(topology, sources, parent)
     _cache_store(full_key, routing_key, result)
+    _follow(result._routing)
     return result
 
 
-def _collapse_full(topology: Topology,
-                   sources: Optional[Sequence[str]]) -> CollapsedTopology:
-    """The from-scratch collapse: a new routing with no tree built yet."""
+def _follow(routing: _Routing) -> None:
+    """Make ``routing`` the parent of the next one a miss builds."""
+    global _previous
+    with _cache_lock:
+        _previous = weakref.ref(routing)
+
+
+def _collapse_full(topology: Topology, sources: Optional[Sequence[str]],
+                   parent: Optional[_Routing] = None) -> CollapsedTopology:
+    """The from-scratch collapse: a new routing with no tree built yet,
+    which may inherit ``parent``'s (see :meth:`_Routing.tree`)."""
     recording = telemetry.enabled()
     started = telemetry.clock() if recording else 0.0
     trace = telemetry.span("collapse.all_pairs",
                            containers=len(topology.container_names()))
-    routing = _Routing(topology, sources)
+    routing = _Routing(topology, sources, parent)
     result = CollapsedTopology(topology, routing,
                                _properties_by_id(topology), {})
     if recording:
@@ -505,21 +588,48 @@ def _properties_by_id(topology: Topology) -> Dict[int, LinkProperties]:
 
 
 def _service_graph(topology: Topology) -> Dict[str, List[Link]]:
-    """Adjacency list over service and bridge names.
-
-    The links are copies: ``Topology.update_link`` rewrites a live link's
-    properties in place, and a tree built from this graph later must see
-    the latencies of this instant.
+    """Adjacency list over service and bridge names, each node's links in
+    destination order.  The links are the topology's own immutable values:
+    an edit to the topology replaces a link and cannot reach this graph.
     """
     graph: Dict[str, List[Link]] = {name: [] for name in topology.node_names()}
     for link in topology.links():
         if link.source in graph and link.destination in graph:
-            graph[link.source].append(Link(
-                link.source, link.destination, link.properties, link.network,
-                link.link_id))
+            graph[link.source].append(link)
     for edges in graph.values():
-        edges.sort(key=lambda link: link.destination)
+        edges.sort(key=_BY_DESTINATION)
     return graph
+
+
+def _latency_rises(before: Dict[str, List[Link]],
+                   after: Dict[str, List[Link]]) -> Optional[List[Link]]:
+    """The links of graph ``after`` whose latency is higher than in
+    ``before``; ``None`` unless ``after`` is ``before`` with some
+    latencies raised and nothing else routing reads changed — the same
+    nodes, and at each the same link ids to the same destinations.
+
+    One pass over the nodes; the links both graphs share compare by
+    identity.
+    """
+    if before.keys() != after.keys():
+        return None
+    rises = []
+    for node, edges in after.items():
+        old = before[node]
+        if edges == old:
+            continue
+        if len(edges) != len(old):
+            return None
+        for link, was in zip(edges, old):
+            if link is was:
+                continue
+            if (link.link_id != was.link_id
+                    or link.destination != was.destination
+                    or link.properties.latency < was.properties.latency):
+                return None
+            if link.properties.latency > was.properties.latency:
+                rises.append(link)
+    return rises
 
 
 def _dijkstra(graph: Dict[str, List[Link]],

@@ -21,9 +21,16 @@ shares the previous state's routing — graph and trees — and only takes a
 fresh property map, an event that restores an earlier structure (a flap
 healing) is a cache hit, and only events that change the routing inputs —
 latencies, link ids, nodes — start a routing whose trees are yet to be
-built.  Links whose flow membership is unaffected therefore never trigger
-recomputation, and repeated campaign points over near-identical graphs
-share the whole table.
+built.  Even then, an event that only raises latencies keeps every tree
+the previous state built that no raised link is on: the new routing
+inherits it instead of running a Dijkstra.  Links whose flow membership
+is unaffected therefore never trigger recomputation, and repeated
+campaign points over near-identical graphs share the whole table.
+
+A state's snapshot shares every link value with the state before except
+those its events replaced (links are immutable), and its signatures
+format only those, so pre-computing a state costs what its events
+changed plus ``O(E)`` dict and list work.
 """
 
 from __future__ import annotations

@@ -191,9 +191,11 @@ class EmulationEngine:
         time — exact but slow for large graphs, which is the accuracy/
         interactivity trade-off the paper describes.  The collapse memo
         softens it considerably: a capacity-only event keeps the cached
-        shortest-path trees instead of re-running Dijkstra, and an event
-        that restores an earlier structure (a link flapping back up) is a
-        straight cache hit.  The new state is installed in every TCAL and
+        shortest-path trees instead of re-running Dijkstra, a latency rise
+        keeps those of the previous collapse that it is not on, and an
+        event that restores an earlier structure (a link flapping back up)
+        is a straight cache hit.  The copy shares every link the event
+        leaves alone.  The new state is installed in every TCAL and
         manager immediately.
         """
         with telemetry.span("engine.online_event",

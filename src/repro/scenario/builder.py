@@ -360,7 +360,8 @@ class Scenario:
             bridges=[(f"bridges[{index}]", spec.name)
                      for index, spec in enumerate(self._bridges)],
             links=[(f"links[{index}]", (("orig", spec.source),
-                                        ("dest", spec.destination)))
+                                        ("dest", spec.destination)),
+                    spec.bidirectional)
                    for index, spec in enumerate(self._links)],
             events=[(f"events[{index}]", event.time, event.action.value,
                      (("orig", event.origin), ("dest", event.destination),
@@ -434,13 +435,13 @@ def scenario_findings(*, services, bridges, links, events, workloads,
 
     Each section lists its entries in order, each headed by its pointer:
     ``services`` ``(pointer, name, replicas)``, ``bridges`` ``(pointer,
-    name)``, ``links`` ``(pointer, ends)``, ``events`` ``(pointer, time,
-    action, ends)`` and ``workloads`` ``(pointer, key, containers)``, where
-    ``ends`` are the ``(key, node)`` pairs an entry names (a node that is
-    not a string is left out) and a time nobody can read is ``None``
-    (taken as the start).  docs/scenarios.md tables the rules; what an
-    event does to a link (removing one twice, say) is judged when the
-    engine pre-computes the topology's states.
+    name)``, ``links`` ``(pointer, ends, bidirectional)``, ``events``
+    ``(pointer, time, action, ends)`` and ``workloads`` ``(pointer, key,
+    containers)``, where ``ends`` are the ``(key, node)`` pairs an entry
+    names (a node that is not a string is left out) and a time nobody can
+    read is ``None`` (taken as the start).  docs/scenarios.md tables the
+    rules; what an event does to a link (removing one twice, say) is
+    judged when the engine pre-computes the topology's states.
     """
     out: List[Finding] = []
     declared: Dict[str, str] = {}       # node name -> its first pointer
@@ -461,7 +462,8 @@ def scenario_findings(*, services, bridges, links, events, workloads,
                     "a scenario needs at least one service"))
 
     touched = set()                     # every node a link or an event names
-    for pointer, ends in links:
+    directed: Dict[Tuple[str, str], str] = {}   # (from, to) -> its pointer
+    for pointer, ends, bidirectional in links:
         ends = [(end, node) for end, node in ends if isinstance(node, str)]
         for end, node in ends:
             touched.add(node)
@@ -469,8 +471,21 @@ def scenario_findings(*, services, bridges, links, events, workloads,
                 out.append((f"{pointer}.{end}", ERROR,
                             f"undeclared node {node!r} (declared: "
                             + (", ".join(sorted(declared)) or "none") + ")"))
-        if len(ends) == 2 and ends[0][1] == ends[1][1]:
-            out.append((pointer, ERROR, f"self-loop on {ends[0][1]!r}"))
+        if len(ends) != 2:
+            continue
+        (_, source), (_, destination) = ends
+        if source == destination:
+            out.append((pointer, ERROR, f"self-loop on {source!r}"))
+            continue
+        ways = [(source, destination)]
+        if bidirectional:
+            ways.append((destination, source))
+        clash = next((way for way in ways if way in directed), None)
+        if clash is not None:
+            out.append((pointer, ERROR, f"duplicate link {clash} (first "
+                                        f"declared at {directed[clash]})"))
+        for way in ways:
+            directed.setdefault(way, pointer)
 
     # A node exists from its declaration, or from the event joining it on.
     known = set(declared)

@@ -439,7 +439,8 @@ def validate_document(document) -> List[Diagnostic]:
     for path, spec in _mappings(document, "links", out):
         LINK.check(spec, path, out)
         links.append((path, tuple((end, spec.get(end))
-                                  for end in ("orig", "dest"))))
+                                  for end in ("orig", "dest")),
+                      spec.get("bidirectional", True)))
 
     events = []
     for path, spec in _mappings(document, "events", out):

@@ -104,15 +104,24 @@ class Bridge:
     name: str
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Link:
-    """A unidirectional link ``source -> destination``."""
+    """A unidirectional link ``source -> destination``: an immutable value.
+
+    A :class:`Topology` changes a link by replacing it, so the copies of a
+    topology share every link value neither has changed since.
+    """
 
     source: str
     destination: str
     properties: LinkProperties
     network: str = "default"
     link_id: int = -1
+    #: The link's text in the ``(full, routing-only)`` topology
+    #: signatures once a second signature has read it, ``()`` after the
+    #: first (:func:`repro.core.collapse.topology_signature`).
+    signature: Optional[Tuple[str, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -127,7 +136,8 @@ class Topology:
 
     The emulation engine snapshots topologies (:meth:`copy`) when
     pre-computing the dynamic graph sequence, so mutation here never races
-    with a running experiment.
+    with a running experiment.  A copy costs a dict per node and link
+    table: links are immutable values, shared until one side replaces one.
     """
 
     def __init__(self, name: str = "experiment") -> None:
@@ -191,19 +201,20 @@ class Topology:
                 raise TopologyError(f"link endpoint {endpoint!r} is not declared")
         if source == destination:
             raise TopologyError(f"self-loop on {source!r}")
-        created = [self._install(Link(source, destination, properties,
-                                      network=network))]
+        created = [self._install(source, destination, properties, network)]
         if bidirectional:
-            reverse = down_properties or properties
-            created.append(self._install(Link(destination, source, reverse,
-                                              network=network)))
+            created.append(self._install(destination, source,
+                                         down_properties or properties,
+                                         network))
         return created
 
-    def _install(self, link: Link) -> Link:
-        if link.key in self._links:
-            raise TopologyError(f"duplicate link {link.key}")
-        link.link_id = next(self._link_ids)
-        self._links[link.key] = link
+    def _install(self, source: str, destination: str,
+                 properties: LinkProperties, network: str) -> Link:
+        key = (source, destination)
+        if key in self._links:
+            raise TopologyError(f"duplicate link {key}")
+        link = self._links[key] = Link(source, destination, properties,
+                                       network, next(self._link_ids))
         return link
 
     def remove_link(self, source: str, destination: str, *,
@@ -225,15 +236,23 @@ class Topology:
     def set_link_properties(self, source: str, destination: str,
                             properties: LinkProperties, *,
                             bidirectional: bool = False) -> None:
-        self.get_link(source, destination).properties = properties
+        self._reproperty(self.get_link(source, destination), properties)
         if bidirectional:
-            self.get_link(destination, source).properties = properties
+            self._reproperty(self.get_link(destination, source), properties)
 
     def update_link(self, source: str, destination: str, **changes) -> Link:
-        """Replace selected properties of an existing link (e.g. jitter only)."""
+        """Replace selected properties of an existing link (e.g. jitter
+        only); returns the link that now stands in its place."""
         link = self.get_link(source, destination)
-        link.properties = replace(link.properties, **changes)
-        return link
+        return self._reproperty(link, replace(link.properties, **changes))
+
+    def _reproperty(self, link: Link, properties: LinkProperties) -> Link:
+        """Put a link with ``link``'s ends, id and network and
+        ``properties`` in its place."""
+        new = self._links[link.key] = Link(
+            link.source, link.destination, properties, link.network,
+            link.link_id)
+        return new
 
     def links(self) -> Iterator[Link]:
         return iter(self._links.values())
@@ -262,17 +281,15 @@ class Topology:
                 for link in self._links.values() if link.source == node]
 
     def copy(self) -> "Topology":
-        """Deep-enough copy: nodes are shared metadata, links are re-created."""
+        """An independent topology sharing this one's nodes and link values;
+        its next link takes the id after the highest one present."""
         clone = Topology(self.name)
         clone.services = dict(self.services)
         clone.bridges = dict(self.bridges)
-        for link in self._links.values():
-            copied = Link(link.source, link.destination, link.properties,
-                          network=link.network)
-            copied.link_id = link.link_id
-            clone._links[copied.key] = copied
+        clone._links = dict(self._links)
         clone._link_ids = itertools.count(
-            max((l.link_id for l in self._links.values()), default=-1) + 1)
+            max((link.link_id for link in self._links.values()),
+                default=-1) + 1)
         return clone
 
     def describe(self) -> str:

@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import json
+
 import pytest
 from test_scenario_dsl import MALFORMED_DESCRIPTIONS
 
@@ -95,6 +97,29 @@ class TestValidate:
         bad.write_text(content)
         assert main(verb + [str(bad)]) == 1
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "{}"], ["run", "{}", "--duration", "1"],
+        ["scenario", "script", "{}", "unread.storm"]],
+        ids=["plan", "run", "scenario-script"])
+    @pytest.mark.parametrize("links, pointer", [
+        ([{"orig": "a", "dest": "ghost"}],
+         "links[0].dest: undeclared node 'ghost'"),
+        ([{"orig": "a", "dest": "b"}, {"orig": "b", "dest": "a"}],
+         "links[1]: duplicate link ('b', 'a') (first declared at links[0])"),
+    ], ids=["undeclared-node", "duplicate-link"])
+    def test_every_verb_refuses_with_diagnostics(self, tmp_path, capsys,
+                                                 argv, links, pointer):
+        """An invalid description gets its diagnostics and exit 1 from
+        every verb that loads it, as from ``validate``."""
+        bad = tmp_path / "bad.scn"
+        bad.write_text(json.dumps({"scn": 1, "services": [{"name": "a"},
+                                                          {"name": "b"}],
+                                   "links": links}))
+        assert main([word.format(bad) for word in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {pointer}" in err
+        assert "Traceback" not in err
 
 
 class TestRun:

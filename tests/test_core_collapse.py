@@ -1,5 +1,6 @@
 """Network collapsing: shortest paths, determinism, restricted sources."""
 
+import dataclasses
 import heapq
 import sys
 import threading
@@ -7,7 +8,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import clear_collapse_cache, collapse
+from repro.core import clear_collapse_cache, collapse, topology_signature
 from repro.core.collapse import (CollapsedPath, _dijkstra, _links_to,
                                  _service_graph)
 from repro.core.properties import compose_path
@@ -570,3 +571,174 @@ def test_signatures_are_what_they_were_when_each_was_a_separate_pass():
     for topology, full, routing in pinned:
         assert topology_signature(topology) == full
         assert topology_signature(topology, routing_only=True) == routing
+
+
+# ---------------------------------------------------------------------------
+# Links are values: a copy shares them, an edit replaces one.
+# ---------------------------------------------------------------------------
+
+def _fresh(topology):
+    """``topology`` rebuilt from scratch: equal, and sharing no link value
+    (so no signature fragment a signature already formatted)."""
+    rebuilt = Topology(topology.name)
+    rebuilt.services = dict(topology.services)
+    rebuilt.bridges = dict(topology.bridges)
+    rebuilt._links = {link.key: dataclasses.replace(link)
+                      for link in topology.links()}
+    return rebuilt
+
+
+def _signs(topology):
+    return (topology_signature(topology),
+            topology_signature(topology, routing_only=True))
+
+
+class TestLinksAreValues:
+    def test_a_link_field_cannot_be_assigned(self):
+        link = next(iter(figure1_topology().links()))
+        for name in ("source", "destination", "properties", "network",
+                     "link_id"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(link, name, getattr(link, name))
+
+    @pytest.mark.parametrize("edit", ["update_link", "set_link_properties"])
+    def test_editing_a_copy_leaves_the_original_alone(self, edit,
+                                                       empty_memo):
+        topology = figure1_topology()
+        links = list(topology.links())
+        signs = _signs(topology)
+        oracle = eager_table(topology)
+        collapsed = collapse(topology)
+        clone = topology.copy()
+        for link in links:
+            if edit == "update_link":
+                clone.update_link(link.source, link.destination,
+                                  latency=0.5, bandwidth=1e3)
+            else:
+                clone.set_link_properties(
+                    link.source, link.destination,
+                    LinkProperties(latency=0.5, bandwidth=1e3))
+        assert all(clone.get_link(*link.key).link_id == link.link_id
+                   and clone.get_link(*link.key) != link for link in links)
+        assert all(now is link for now, link in zip(topology.links(), links))
+        assert _signs(topology) == signs != _signs(clone)
+        assert collapsed.paths() == list(oracle.values())
+        assert collapse(topology).paths() == list(oracle.values())
+        assert_matches_oracle(collapse(clone), clone)
+
+    def test_every_plan_state_signs_as_if_built_from_scratch(self,
+                                                             empty_memo):
+        """Every state shares the link values its events left alone, and
+        with them their formatted fragments: each must sign as the same
+        topology whose every link is new."""
+        from repro.core.dynamic import DynamicTopologyPlan
+        from repro.topology import DynamicEvent, EventAction, EventSchedule
+        flap = LinkProperties(latency=0.007, bandwidth=20e6)
+        schedule = EventSchedule([
+            DynamicEvent(1.0, EventAction.SET_LINK, "s1", "s2",
+                         changes={"latency": 0.04}),
+            DynamicEvent(2.0, EventAction.SET_LINK, "c1", "s1",
+                         changes={"bandwidth": 5e6}, bidirectional=False),
+            DynamicEvent(3.0, EventAction.LEAVE_LINK, "sv", "s2"),
+            DynamicEvent(4.0, EventAction.JOIN_LINK, "sv", "s2",
+                         properties=flap),
+            DynamicEvent(5.0, EventAction.LEAVE_NODE, name="c1"),
+            DynamicEvent(6.0, EventAction.JOIN_NODE, name="c1"),
+            DynamicEvent(6.0, EventAction.JOIN_LINK, "c1", "s1",
+                         properties=flap),
+            DynamicEvent(7.0, EventAction.SET_LINK, "s1", "s2",
+                         properties=flap),
+        ])
+        plan = DynamicTopologyPlan(figure1_topology(), schedule)
+        assert len(plan) == 8
+        signs = [_signs(state.topology) for state in plan.states]
+        assert len(set(signs)) == len(signs)
+        for state, sign in zip(plan.states, signs):
+            assert _signs(_fresh(state.topology)) == sign
+
+
+# ---------------------------------------------------------------------------
+# Trees inherited across a pure latency rise are the Dijkstra's.
+# ---------------------------------------------------------------------------
+
+def assert_inherits_exactly(topology, latencies):
+    """Collapse ``topology`` and build every tree, then collapse a copy
+    with ``latencies`` (``{link: new latency}``) applied.  Each tree of
+    the copy must equal a fresh ``_dijkstra``, and be the first
+    topology's own tree exactly when no latency fell and no risen link is
+    on it.  Returns how many trees were inherited and how many rebuilt."""
+    clear_collapse_cache()
+    parent = collapse(topology)._routing
+    services = sorted(topology.services)
+    for service in services:
+        parent.tree(service)
+    changed = topology.copy()
+    for link, latency in latencies.items():
+        changed.update_link(link.source, link.destination, latency=latency)
+    child = collapse(changed)._routing
+    graph = _service_graph(changed)
+    fell = any(latency < link.properties.latency
+               for link, latency in latencies.items())
+    risen = [link for link, latency in latencies.items()
+             if latency > link.properties.latency]
+    inherited = rebuilt = 0
+    for service in services:
+        tree = child.tree(service)
+        assert tree == _dijkstra(graph, service)
+        kept = parent.trees[service]
+        expected = child is parent or not fell and not any(
+            kept.get(link.destination) is link for link in risen)
+        assert (tree is kept) == expected, (service, latencies)
+        if child is not parent:
+            inherited += expected
+            rebuilt += not expected
+    return inherited, rebuilt
+
+
+def _tie_heavy_shape(name):
+    from repro.scenario import topologies
+    builder = {
+        "dumbbell": lambda: topologies.dumbbell(3),
+        "tree": lambda: topologies.tree(3, 2),
+        "aws_mesh": lambda: topologies.aws_mesh(
+            ["virginia", "oregon", "ireland", "saopaulo", "sydney"], 2),
+        "fat_tree": lambda: topologies.fat_tree(4),
+    }[name]()
+    return builder.compile().topology
+
+
+class TestTreeInheritance:
+    @pytest.mark.parametrize("name", ["dumbbell", "tree", "aws_mesh",
+                                      "fat_tree"])
+    def test_uniform_latency_shapes(self, name, empty_memo):
+        """Rises on and off every tree, ties everywhere, and a decrease,
+        which must always fall back to Dijkstra."""
+        topology = _tie_heavy_shape(name)
+        links = sorted(topology.links(), key=lambda link: link.link_id)
+        totals = [0, 0]
+        for link in links[::3]:
+            for rise in (link.properties.latency, 1e-3, 1e-12):
+                counts = assert_inherits_exactly(
+                    topology, {link: link.properties.latency + rise})
+                totals = [total + count
+                          for total, count in zip(totals, counts)]
+        assert totals[0] > 0 and totals[1] > 0, totals
+        fallen = next(link for link in links if link.properties.latency)
+        assert assert_inherits_exactly(
+            topology, {fallen: fallen.properties.latency / 2})[0] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(topology=routed_topologies(), data=st.data())
+    def test_generated_graphs(self, topology, data):
+        links = sorted(topology.links(), key=lambda link: link.link_id)
+        chosen = data.draw(st.lists(st.sampled_from(links), min_size=1,
+                                    max_size=3, unique=True))
+        try:
+            latencies = {link: link.properties.latency
+                         + data.draw(st.sampled_from([0.001, 0.002, 1e-9]))
+                         for link in chosen}
+            if data.draw(st.booleans()):
+                latencies[chosen[0]] = chosen[0].properties.latency / 2
+            assert_inherits_exactly(topology, latencies)
+        finally:
+            clear_collapse_cache()

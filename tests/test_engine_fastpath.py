@@ -10,8 +10,9 @@ Two families of guarantees from docs/performance.md are pinned here:
 * the collapse memo's three tiers (hit / incremental: shared trees, fresh
   property map / full recompute) trigger exactly when the structural topology signature says
   they should, and a shortest-path tree is built by the first lookup from
-  its source and by nothing else, observed through the telemetry counters
-  the production code maintains.
+  its source and by nothing else — or, after a pure latency rise off it,
+  inherited from the routing before — observed through the telemetry
+  counters the production code maintains.
 """
 
 import sys
@@ -261,6 +262,47 @@ class TestCollapseMemo:
         sources = {name.split(".")[0] for pair in pairs for name in pair}
         assert counter("collapse.trees_built") == len(sources) <= 60
         assert counter("collapse.pairs") == 287 * 286
+
+    def test_a_latency_rise_keeps_the_trees_it_is_not_on(self, traced):
+        """``dynamic_churn``'s shape, smaller: 12 changes to distinct
+        backbone links, every third a latency rise, 4 ping pairs.  Each
+        of the 5 routings needs a tree per pinging service; 17 of the 40
+        are the previous routing's, the rise being off them."""
+        import random
+        from repro.scenario import ping, set_link
+        rng = random.Random(1)
+        bare = scale_free(60, seed=1).compile()
+        backbone = [link for link in bare.topology.links()
+                    if link.source.startswith("sw")
+                    and link.destination.startswith("sw")
+                    and link.source < link.destination]
+        builder = scale_free(60, seed=1)
+        for index, link in enumerate(rng.sample(backbone, 12)):
+            if index % 3 == 2:
+                change = set_link(link.source, link.destination,
+                                  latency=link.properties.latency * 2.0)
+            else:
+                change = set_link(link.source, link.destination,
+                                  up=link.properties.bandwidth / 2.0)
+            builder.at(0.5 * (index + 1), change)
+        containers = bare.topology.container_names()
+        pairs = []
+        while len(pairs) < 4:
+            pair = tuple(rng.sample(containers, 2))
+            if pair not in pairs:
+                pairs.append(pair)
+        for index, (a, b) in enumerate(pairs):
+            builder.workload(ping(a, b, count=110, interval=0.05,
+                                  start=index * 0.001, key=(a, b)))
+        run = builder.deploy(machines=4, seed=1, duration=7.0,
+                             enforce_bandwidth_sharing=False).compile().run()
+        assert all(len(run.metric(pair).latency) == 110 for pair in pairs)
+        services = {name.split(".")[0] for pair in pairs for name in pair}
+        assert counter("collapse.recomputes") == 5
+        assert counter("collapse.incremental_recomputes") == 8
+        assert counter("collapse.trees_built") == 23
+        assert counter("collapse.trees_inherited") == 17
+        assert 23 + 17 == 5 * len(services)
 
     def test_bandwidth_only_change_recomposes_incrementally(self, traced):
         topology = small_topology()

@@ -431,6 +431,17 @@ RULE_CASES = [
                               {"orig": "s1", "dest": "sv"},
                               {"orig": "s1", "dest": "s1"}]),
                  "links[2]", "self-loop on 's1'", id="self-loop"),
+    pytest.param(_with(links=[{"orig": "c1", "dest": "s1"},
+                              {"orig": "s1", "dest": "sv"},
+                              {"orig": "s1", "dest": "c1"}]),
+                 "links[2]", "duplicate link ('s1', 'c1') (first declared "
+                             "at links[0])", id="mirrored-link"),
+    pytest.param(_with(links=[{"orig": "c1", "dest": "s1"},
+                              {"orig": "s1", "dest": "sv"},
+                              {"orig": "c1", "dest": "s1",
+                               "bidirectional": False}]),
+                 "links[2]", "duplicate link ('c1', 's1') (first declared "
+                             "at links[0])", id="one-way-twice"),
     pytest.param(_with(services=[], links=[{"orig": "s1", "dest": "s2"}],
                        bridges=["s1", "s2"]),
                  "services", "a scenario needs at least one service",
@@ -488,6 +499,14 @@ class TestOneRuleBook:
         path.write_text(json.dumps(document))
         assert [str(item) for item in lint_file(str(path))
                 if item.severity == "error"] == expected
+
+    def test_two_one_way_links_make_one_pair(self):
+        document = _with(links=[
+            {"orig": "c1", "dest": "s1", "bidirectional": False},
+            {"orig": "s1", "dest": "c1", "bidirectional": False},
+            {"orig": "s1", "dest": "sv"}])
+        assert _errors(document) == []
+        scenario_from_scn(document).compile()
 
     def test_an_event_may_name_a_node_an_earlier_event_joins(self):
         document = _with(events=[

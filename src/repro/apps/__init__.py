@@ -25,7 +25,7 @@ The rest measure the network itself:
 from repro._lazy import lazy_exports
 
 _LAZY = {
-    "iperf": ("IperfResult", "run_iperf_pair"),
+    "iperf": ("IperfResult",),
     "ping": ("PingStats", "Pinger"),
     "http": ("CurlSwarm", "HttpServer", "Wrk2Client"),
     "kvstore": ("KvServer", "MemtierClient"),
@@ -36,7 +36,6 @@ _LAZY = {
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
-    "run_iperf_pair",
     "IperfResult",
     "Pinger",
     "PingStats",

@@ -1,20 +1,20 @@
 """iPerf3-like bulk throughput measurement.
 
-``run_iperf_pair`` launches a saturating flow on any system exposing the
-``start_flow``/``run``/``fluid`` surface (the Kollaps engine, the bare-metal
-testbed or the emulator baselines) and reports the *application goodput*:
-like the real iPerf3, what it measures is payload bytes, so the wire rate is
-discounted by the TCP/IP framing overhead (1448 payload bytes per 1514-byte
-Ethernet frame — about 4.4 %, the bulk of the systematic "-5 %" rows of
-Table 2).
+The ``iperf`` workload kind (:class:`~repro.scenario.workloads.IperfWorkload`)
+drives a saturating flow on any backend and reports an :class:`IperfResult`:
+like the real iPerf3, what it measures is *application goodput* — payload
+bytes — so the wire rate is discounted by the TCP/IP framing overhead (1448
+payload bytes per 1514-byte Ethernet frame — about 4.4 %, the bulk of the
+systematic "-5 %" rows of Table 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
 
-__all__ = ["IperfResult", "run_iperf_pair", "GOODPUT_FACTOR"]
+from repro.sim.series import Series
+
+__all__ = ["IperfResult", "GOODPUT_FACTOR"]
 
 # 1448 bytes of payload per 1514-byte frame (MSS over Ethernet + headers).
 GOODPUT_FACTOR = 1448.0 / 1514.0
@@ -27,34 +27,8 @@ class IperfResult:
     mean_goodput: float            # application-visible bits/s
     mean_wire_rate: float          # shaped on-the-wire bits/s
     duration: float
-    series: Tuple[Tuple[float, float], ...]  # (time, goodput) samples
+    series: Series                 # (time, goodput) samples
 
     def relative_error(self, target_rate: float) -> float:
         """Deviation of goodput from a target link rate (Table 2 metric)."""
         return self.mean_goodput / target_rate - 1.0
-
-
-def run_iperf_pair(system, source: str, destination: str, *,
-                   duration: float = 60.0, protocol: str = "tcp",
-                   congestion_control: str = "cubic",
-                   demand: float = float("inf"),
-                   warmup: float = 2.0,
-                   key: Optional[Hashable] = None) -> IperfResult:
-    """Drive one client/server pair for ``duration`` seconds.
-
-    ``system`` is any engine exposing ``start_flow(key, src, dst, ...)``,
-    ``run(until)`` and a ``fluid`` engine; the measurement window excludes
-    the first ``warmup`` seconds (slow-start ramp), like iPerf3's omit flag.
-    """
-    flow_key = key if key is not None else f"iperf:{source}->{destination}"
-    system.start_flow(flow_key, source, destination, protocol=protocol,
-                      congestion_control=congestion_control, demand=demand)
-    start = system.sim.now
-    system.run(until=start + duration)
-    wire = system.fluid.mean_throughput(flow_key, start + warmup,
-                                        start + duration)
-    series = tuple((time, rate * GOODPUT_FACTOR)
-                   for time, rate in system.fluid.series(flow_key))
-    return IperfResult(mean_goodput=wire * GOODPUT_FACTOR,
-                       mean_wire_rate=wire,
-                       duration=duration, series=series)

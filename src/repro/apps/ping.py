@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import partial
+from typing import Sequence
 
 from repro.netstack.packet import Packet
 from repro.sim import Simulator
@@ -29,12 +31,13 @@ class PingStats:
     ``mean_rtt`` and ``jitter`` exclude the first sample when more than one
     was collected — the first echo pays one-off resolution work on any real
     network (ARP, neighbour discovery, flow-table setup on SDN switches),
-    and the paper's long ping runs amortize it to nothing.
+    and the paper's long ping runs amortize it to nothing.  ``rtts`` and
+    ``times`` are ``array('d')`` columns, eight bytes a sample.
     """
 
-    rtts: List[float] = field(default_factory=list)
+    rtts: array = field(default_factory=partial(array, "d"))
     #: Send time of each successful echo, parallel to ``rtts``.
-    times: List[float] = field(default_factory=list)
+    times: array = field(default_factory=partial(array, "d"))
     sent: int = 0
     lost: int = 0
 
@@ -42,7 +45,7 @@ class PingStats:
     def received(self) -> int:
         return len(self.rtts)
 
-    def _steady_samples(self) -> List[float]:
+    def _steady_samples(self) -> Sequence[float]:
         return self.rtts[1:] if len(self.rtts) > 1 else self.rtts
 
     @property

@@ -17,8 +17,10 @@ a send for the others — see ``docs/api.md``, "Applications").
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, List
+from functools import partial
+from typing import Callable
 
 from repro.netstack.packet import Packet
 from repro.sim import Simulator
@@ -57,11 +59,12 @@ class FifoServer:
 
 @dataclass
 class Latencies:
-    """One client's record: completed operations, their latencies (s) and
-    the payload bits they brought back."""
+    """One client's record: completed operations, their latencies (s, an
+    ``array('d')``: eight bytes an operation) and the payload bits they
+    brought back."""
 
     completed: int = 0
-    latencies: List[float] = field(default_factory=list)
+    latencies: array = field(default_factory=partial(array, "d"))
     bits_received: float = 0.0
 
     def record(self, latency: float, bits: float = 0.0) -> None:

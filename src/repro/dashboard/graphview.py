@@ -100,7 +100,7 @@ def render_flow_history(fluid, key, *, width: int = 60) -> str:
     series = fluid.series(key)
     if not series:
         return f"{key}: (no history)"
-    rates = [rate for _time, rate in series]
+    rates = series.values
     peak = max(rates)
     return (f"{key}: {sparkline(rates, width=width)} "
             f"peak={format_rate(peak)} last={format_rate(rates[-1])}")

@@ -22,21 +22,21 @@ per-packet from a seeded stream.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import zip_longest
+from array import array
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.core.collapse import collapse
 from repro.core.sharing import FlowDemand, rtt_aware_max_min
 from repro.netstack.fluid.flow import FluidFlow
-from repro.sim import Process, RngRegistry, Simulator
+from repro.sim import Process, RngRegistry, Series, Simulator
 from repro.topology.model import Topology
 
 __all__ = ["FluidEngine", "FlowEntry", "ConstraintProvider",
            "GroundTruthConstraints", "ShapedConstraints"]
 
 _INFINITY = float("inf")
+_ZERO = array("d", (0.0,))
 # A sender holding at least this share of what it offers is at the TSQ
 # equilibrium behind its shaper and exerts no back-pressure worth reporting.
 _CONTENT_SHARE = 0.70
@@ -55,8 +55,8 @@ class FlowEntry:
     The entry is also the flow's :class:`~repro.core.sharing.FlowDemand`
     as far as the solver can tell (``key``, ``rtt``, ``links``, ``demand``,
     ``path_bandwidth``, ``weight``); ``demand`` is the one field a step
-    writes.  ``rates`` is the flow key's column of delivered rates, one
-    value per step from the engine's first.
+    writes.  ``rates`` is the flow key's ``array('d')`` column of
+    delivered rates, one value per step from the engine's first.
     """
 
     __slots__ = ("flow", "key", "links", "rtt", "loss", "shaping", "demand",
@@ -65,7 +65,7 @@ class FlowEntry:
     path_bandwidth = _INFINITY
     weight = FlowDemand.weight
 
-    def __init__(self, flow: FluidFlow, rates: List[float]) -> None:
+    def __init__(self, flow: FluidFlow, rates: "array") -> None:
         self.flow = flow
         self.key = flow.key
         self.links: Optional[Tuple[int, ...]] = None    # None: unresolved
@@ -232,9 +232,10 @@ class FluidEngine:
     A step costs what the flows it integrates cost: which flows those are
     is decided when one is added, removed, finishes or reaches its start
     time; how the network constrains each is resolved once per provider
-    epoch (:class:`FlowEntry`).  Every step appends its time to one list
-    and each integrated flow's delivered rate to that key's column — the
-    history :meth:`mean_throughput` and :meth:`series` read.
+    epoch (:class:`FlowEntry`).  Every step appends its time to one
+    ``array('d')`` column and each integrated flow's delivered rate to
+    that key's — the history :meth:`mean_throughput` and :meth:`series`
+    read, eight bytes a sample.
     """
 
     def __init__(self, sim: Simulator, provider: ConstraintProvider, *,
@@ -259,8 +260,8 @@ class FluidEngine:
         self._epoch = provider.epoch
         # Step times, and per flow key the delivered rate of each step (a
         # column ends with the last step that integrated its key).
-        self._times: List[float] = []
-        self._rates: Dict[Hashable, List[float]] = {}
+        self._times = array("d")
+        self._rates: Dict[Hashable, array] = {}
         # Allocated bits/s per link id last step — what the packet plane
         # reads to model bulk traffic occupying shared wires.
         self._link_rates: Dict[int, float] = {}
@@ -278,7 +279,7 @@ class FluidEngine:
         self.flows[flow.key] = flow
         # A key that was used before continues its column.
         self._entries[flow.key] = FlowEntry(
-            flow, self._rates.setdefault(flow.key, []))
+            flow, self._rates.setdefault(flow.key, array("d")))
         self._recheck_at = -_INFINITY
         return flow
 
@@ -322,7 +323,7 @@ class FluidEngine:
                 provider.resolve(entry)
                 entry.rtt = flow.rtt = max(provider.rtt_for(flow), 1e-4)
             # Steps that went by without this key delivered nothing.
-            entry.rates.extend([0.0] * (steps - len(entry.rates)))
+            entry.rates.extend(_ZERO * (steps - len(entry.rates)))
             active.append(entry)
         self._active = active
         self._recheck_at = recheck_at
@@ -448,19 +449,13 @@ class FluidEngine:
     # ------------------------------------------------------------ telemetry
     def mean_throughput(self, key: Hashable, start: float = 0.0,
                         end: float = float("inf")) -> float:
-        """Average delivered rate of ``key`` over the steps in [start, end).
+        """Average delivered rate of ``key`` over the steps in [start, end)
+        (:meth:`Series.mean <repro.sim.series.Series.mean>`)."""
+        return self.series(key).mean(start, end)
 
-        The window is found by bisection; the rates in it are summed left
-        to right, as written, so the mean is the one a scan of every step
-        would compute, to the bit.
-        """
-        first = bisect_left(self._times, start)
-        last = bisect_left(self._times, end)
-        if last <= first:
-            return 0.0
-        return sum(self._rates.get(key, ())[first:last]) / (last - first)
-
-    def series(self, key: Hashable) -> List[Tuple[float, float]]:
-        """``(step time, delivered rate)`` of every step so far."""
-        return list(zip_longest(self._times, self._rates.get(key, ()),
-                                fillvalue=0.0))
+    def series(self, key: Hashable) -> Series:
+        """``(step time, delivered rate)`` of every step so far: a copy of
+        the columns, the rates padded with 0.0 past the key's last step."""
+        rates = array("d", self._rates.get(key, ()))
+        rates.extend(_ZERO * (len(self._times) - len(rates)))
+        return Series.of(self._times[:], rates)

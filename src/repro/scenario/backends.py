@@ -335,7 +335,7 @@ class TrickleBackend(ExecutionBackend):
     def collect(self, until: float):
         from repro.apps.iperf import IperfResult
         from repro.baselines.trickle import TrickleShaper
-        from repro.scenario.results import Metrics
+        from repro.scenario.results import Metrics, Series
         results: Dict[Hashable, object] = {}
         metrics: Dict[Hashable, object] = {}
         for workload in self.compiled.workloads:
@@ -349,7 +349,7 @@ class TrickleBackend(ExecutionBackend):
                                    send_buffer_bytes=self.send_buffer_bytes,
                                    link_rate=self.physical_link_rate)
             achieved = shaper.achieved_rate()
-            series = ((0.0, achieved), (until, achieved))
+            series = Series(((0.0, achieved), (until, achieved)))
             if getattr(workload, "kind", None) == "iperf":
                 results[workload.key] = IperfResult(
                     mean_goodput=achieved, mean_wire_rate=achieved,
@@ -425,7 +425,10 @@ def execute(compiled, backend: ExecutionBackend,
     with telemetry.span("backend.prepare", backend=name,
                         scenario=compiled.name):
         system = backend.prepare(compiled)
-    horizon = until if until is not None else compiled.default_duration()
+    # A float, as every sample time is: an int horizon would export as
+    # ``5`` beside series times of ``5.0``.
+    horizon = (float(until) if until is not None
+               else compiled.default_duration())
     try:
         with telemetry.span("backend.start_workloads", backend=name):
             backend.start_workloads()

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, \
+    Optional, Tuple
+
+from repro.sim.series import Series
 
 __all__ = ["Metrics", "ScenarioRun", "RunComparison", "WorkloadDelta",
-           "series_summary"]
-
-Series = Tuple[Tuple[float, float], ...]
+           "Series", "series_summary"]
 
 
 def _unknown_key(what: str, key, available, where: str) -> KeyError:
@@ -30,7 +31,7 @@ def _unknown_key(what: str, key, available, where: str) -> KeyError:
                     f"available {what} keys: {names}")
 
 
-def series_summary(series: Series, *,
+def series_summary(series: Iterable[Tuple[float, float]], *,
                    workload: Optional[Hashable] = None) -> Dict[str, float]:
     """Mean/min/max over the values of a ``(time, value)`` series.
 
@@ -39,7 +40,8 @@ def series_summary(series: Series, *,
     points at the measurement that produced nothing instead of surfacing
     as a bare ``min()/max()`` error deep in a caller.
     """
-    values = [value for _time, value in series]
+    values = (series.values if isinstance(series, Series)
+              else [value for _time, value in series])
     if not values:
         where = (f"workload {workload!r}" if workload is not None
                  else "an unnamed workload")
@@ -56,6 +58,8 @@ def series_summary(series: Series, *,
 class Metrics:
     """One workload's measurements, backend-independent.
 
+    ``throughput`` and ``latency`` are always :class:`Series`; any
+    iterable of ``(time, value)`` pairs passed in is packed into one.
     ``summary`` holds the scalar statistics (``throughput_mean``,
     ``latency_mean``, ``loss_rate``, ...); ``primary`` names the headline
     statistic comparisons use (throughput for flows, latency for probes).
@@ -63,11 +67,17 @@ class Metrics:
 
     key: Hashable
     kind: str                        # "flow" | "iperf" | "ping" | "http" | ...
-    throughput: Series = ()          # (time s, bits/s) samples
-    latency: Series = ()             # (time s, round-trip s) samples
+    throughput: Series = field(default_factory=Series)  # (s, bits/s)
+    latency: Series = field(default_factory=Series)     # (s, round-trip s)
     drops: int = 0
     summary: Mapping[str, float] = field(default_factory=dict)
     primary: str = "throughput_mean"
+
+    def __post_init__(self) -> None:
+        for name in ("throughput", "latency"):
+            series = getattr(self, name)
+            if not isinstance(series, Series):
+                object.__setattr__(self, name, Series(series))
 
     @property
     def value(self) -> float:
@@ -85,9 +95,7 @@ class Metrics:
                         end: float = float("inf")) -> float:
         """Average of the throughput samples in [start, end) — the fluid
         plane's own window mean, recomputed from the stored series."""
-        samples = [rate for time, rate in self.throughput
-                   if start <= time < end]
-        return sum(samples) / len(samples) if samples else 0.0
+        return self.throughput.mean(start, end)
 
     def to_dict(self) -> Dict[str, object]:
         return {"key": str(self.key), "kind": self.kind,
@@ -104,11 +112,8 @@ class Metrics:
         what campaign stores and cross-process runs operate on.
         """
         return cls(key=data["key"], kind=data.get("kind", "custom"),
-                   throughput=tuple((float(time), float(value))
-                                    for time, value
-                                    in data.get("throughput", ())),
-                   latency=tuple((float(time), float(value))
-                                 for time, value in data.get("latency", ())),
+                   throughput=Series(data.get("throughput", ())),
+                   latency=Series(data.get("latency", ())),
                    drops=int(data.get("drops", 0)),
                    summary=dict(data.get("summary", {})),
                    primary=data.get("primary", "throughput_mean"))

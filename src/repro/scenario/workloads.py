@@ -18,12 +18,13 @@ declarations against their capabilities before anything runs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Sequence, Tuple, \
     Union
 
 from repro.netstack.plane import BULK_PLANE, PACKET_PLANE
-from repro.scenario.results import Metrics, series_summary
+from repro.scenario.results import Metrics, Series, series_summary
 from repro.units import coerce_rate, coerce_time
 
 __all__ = ["Workload", "FlowWorkload", "IperfWorkload", "PingWorkload",
@@ -149,7 +150,7 @@ class FlowWorkload(Workload):
         return engine.fluid.mean_throughput(self.key, self.start, end)
 
     def metrics(self, engine, until: float, result) -> Metrics:
-        series = tuple(engine.fluid.series(self.key))
+        series = engine.fluid.series(self.key)
         return Metrics(key=self.key, kind=self.kind, throughput=series,
                        summary=_throughput_summary(series, float(result),
                                                    workload=self.key),
@@ -192,20 +193,21 @@ class IperfWorkload(Workload):
 
     def collect(self, engine, until: float) -> "IperfResult":
         from repro.apps.iperf import GOODPUT_FACTOR, IperfResult
-        wire = engine.fluid.mean_throughput(
-            self.key, self.start + self.warmup, self.start + self.duration)
-        series = tuple((time, rate * GOODPUT_FACTOR)
-                       for time, rate in engine.fluid.series(self.key))
+        series = engine.fluid.series(self.key)
+        wire = series.mean(self.start + self.warmup,
+                           self.start + self.duration)
+        goodput = array("d", (rate * GOODPUT_FACTOR
+                              for rate in series.values))
         return IperfResult(mean_goodput=wire * GOODPUT_FACTOR,
                            mean_wire_rate=wire, duration=self.duration,
-                           series=series)
+                           series=Series.of(series.times, goodput))
 
     def metrics(self, engine, until: float, result) -> Metrics:
         summary = _throughput_summary(result.series, result.mean_goodput,
                                       workload=self.key)
         summary["wire_rate_mean"] = result.mean_wire_rate
         return Metrics(key=self.key, kind=self.kind,
-                       throughput=tuple(result.series), summary=summary,
+                       throughput=result.series, summary=summary,
                        primary="throughput_mean")
 
     def horizon(self) -> float:
@@ -248,12 +250,13 @@ class PingWorkload(Workload):
 
     def metrics(self, engine, until: float, result) -> Metrics:
         if getattr(result, "times", None):
-            series = tuple(zip(result.times, result.rtts))
+            series = Series.of(array("d", result.times),
+                               array("d", result.rtts))
         else:
             # Stats without send stamps: space samples by the probe
             # interval (exact only when nothing was lost).
-            series = tuple((self.start + index * self.interval, rtt)
-                           for index, rtt in enumerate(result.rtts))
+            series = Series((self.start + index * self.interval, rtt)
+                            for index, rtt in enumerate(result.rtts))
         summary = {}
         if series:
             summary = {f"latency_{name}": value

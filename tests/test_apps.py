@@ -12,12 +12,11 @@ from repro.apps import (
     SmrDeployment,
     Wrk2Client,
     YcsbClient,
-    run_iperf_pair,
 )
 from repro.apps.iperf import GOODPUT_FACTOR
-from repro.baselines import BareMetalTestbed
 from repro.core import EmulationEngine, EngineConfig
 from repro.sim import RngRegistry, Simulator
+from repro.scenario import iperf
 from repro.scenario.topologies import (
     aws_mesh,
     point_to_point,
@@ -32,26 +31,31 @@ def kollaps_engine(topology, *, machines=1, sharing=True, seed=3):
         machines=machines, seed=seed, enforce_bandwidth_sharing=sharing))
 
 
+def run_iperf(bandwidth, backend, *, seed, duration, **options):
+    """One ``iperf`` workload from client to server, run to its end."""
+    run = (point_to_point(bandwidth)
+           .workload(iperf("client", "server", duration=duration,
+                           key="i", **options))
+           .deploy(machines=1, seed=seed, duration=duration)
+           .compile().run(backend=backend))
+    return run["i"]
+
+
 class TestIperf:
     def test_goodput_below_wire_rate(self):
-        testbed = BareMetalTestbed(
-            point_to_point(100 * MBPS).compile().topology, seed=1)
-        result = run_iperf_pair(testbed, "client", "server", duration=10.0)
+        result = run_iperf(100 * MBPS, "baremetal", seed=1, duration=10.0)
         assert result.mean_goodput == \
             pytest.approx(result.mean_wire_rate * GOODPUT_FACTOR)
 
     def test_table2_style_accuracy(self):
         """Goodput lands ~4-5 % under the provisioned rate, like Table 2."""
-        engine = kollaps_engine(point_to_point(100 * MBPS).compile().topology)
-        result = run_iperf_pair(engine, "client", "server", duration=10.0)
+        result = run_iperf(100 * MBPS, "kollaps", seed=3, duration=10.0)
         error = result.relative_error(100 * MBPS)
         assert -0.09 < error < 0.0
 
     def test_udp_mode(self):
-        testbed = BareMetalTestbed(
-            point_to_point(10 * MBPS).compile().topology, seed=1)
-        result = run_iperf_pair(testbed, "client", "server", duration=5.0,
-                                protocol="udp", demand=5 * MBPS)
+        result = run_iperf(10 * MBPS, "baremetal", seed=1, duration=5.0,
+                           protocol="udp", rate=5 * MBPS)
         assert result.mean_wire_rate == pytest.approx(5 * MBPS, rel=0.02)
 
 

@@ -1,12 +1,18 @@
 """Shared helpers for the reproduction benchmarks.
 
-Every benchmark regenerates one table or figure of the paper: it runs the
-experiment inside the ``benchmark`` fixture (so ``pytest benchmarks/
---benchmark-only`` times the harness) and prints the same rows/series the
-paper reports, annotated with the paper's own numbers where they exist.
-Assertions check the *shape* — who wins, by roughly what factor, where the
-crossovers fall — not absolute values, since the substrate is a simulator
-rather than the authors' testbed.
+Every ``test_<figure>`` module holds one table, figure or ablation of the
+paper's evaluation to its shape checks and its pinned rows, and prints
+the rows.  Shape checks ask who wins, by roughly what factor and where
+the crossovers fall, not for absolute values: the substrate is a
+simulator, not the authors' testbed.
+
+No test runs its experiment.  A test marked
+``@pytest.mark.experiment(exp_id, ...)`` reads its sweep from
+:func:`paper_sweeps`: one ``run_campaigns`` call over the experiments of
+every collected test (``repro campaign run paper``, restricted to them),
+in one pool with a worker per CPU this process may use, into a temporary
+store.  So ``pytest benchmarks`` runs the evaluation once, and ``pytest
+benchmarks/test_fig8_throttling.py`` runs Figure 8 alone.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, List, Sequence
+
+import pytest
 
 GOLDEN_ROWS = Path(__file__).parent.parent / "tests" / "golden" / "experiments"
 # ablation-precompute's three wall-clock rows differ run to run; every
@@ -70,25 +78,70 @@ def round_tripped(sweep):
         for result in sweep])
 
 
+def mask_wall_clock(markdown: str) -> str:
+    """``markdown`` with ablation-precompute's wall-clock cells masked."""
+    return _WALL_CLOCK_ROW.sub(r"\1 (wall-clock) |", markdown)
+
+
 def rows_markdown(result) -> str:
     """``result``'s measured table as the report renders it, wall-clock
     cells masked."""
     from repro.experiments.base import _markdown_table
-    return _WALL_CLOCK_ROW.sub(r"\1 (wall-clock) |",
-                               _markdown_table(result)) + "\n"
+    return mask_wall_clock(_markdown_table(result)) + "\n"
 
 
-def reproduce(benchmark, module):
-    """Run one experiment module's full-scale campaign once (timed), then
-    report over it — and hold the report to the two things that make it
-    rebuildable from a store: it is the same over the round-tripped
-    sweep, and its rows match ``tests/golden/experiments/<exp_id>.md``
-    (``REPRO_BENCH_WRITE=1`` refreshes the fixture instead).
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "experiment(exp_id, ...): the test reads these "
+                   "experiments' sweeps from the session's campaign run")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.fixture(scope="session")
+def paper_store(tmp_path_factory) -> Path:
+    """The campaigns root the session's evaluation run stores into."""
+    return tmp_path_factory.mktemp("campaigns")
+
+
+@pytest.fixture(scope="session")
+def paper_sweeps(request, paper_store):
+    """exp_id -> full-scale sweep of every experiment a collected test is
+    marked with, all run by one :func:`run_campaigns` call."""
+    from repro.campaign import run_campaigns
+    from repro.experiments import as_campaign, registered
+    wanted = {exp_id for item in request.session.items
+              for marker in item.iter_markers("experiment")
+              for exp_id in marker.args}
+    campaigns = [as_campaign(exp_id) for exp_id in registered()
+                 if exp_id in wanted]
+    sweeps = run_campaigns(campaigns, jobs=_usable_cpus(),
+                           store=str(paper_store))
+    return {sweep.campaign: sweep for sweep in sweeps}
+
+
+@pytest.fixture
+def sweep(request, paper_sweeps):
+    """The sweep of the one experiment the test is marked with."""
+    (exp_id,) = request.node.get_closest_marker("experiment").args
+    return paper_sweeps[exp_id]
+
+
+def reproduce(sweep):
+    """Report over one experiment's sweep — and hold the report to the two
+    things that make it rebuildable from a store: it is the same over the
+    round-tripped sweep, and its rows match
+    ``tests/golden/experiments/<exp_id>.md`` (``REPRO_BENCH_WRITE=1``
+    refreshes the fixture instead).
     """
-    sweep = run_once(benchmark, lambda: module.campaign().run(jobs=1))
-    result = module.report(sweep)
+    from repro.experiments import report_sweep
+    result = report_sweep(sweep)
     print_result(result)
-    assert module.report(round_tripped(sweep)) == result, \
+    assert report_sweep(round_tripped(sweep)) == result, \
         f"{result.exp_id}: report depends on more than the stored metrics"
     golden = GOLDEN_ROWS / f"{result.exp_id}.md"
     if os.environ.get("REPRO_BENCH_WRITE"):

@@ -9,9 +9,11 @@ record per TCP connection), for a memcached-style workload where clients
 hold many connections to one server.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import ablation_perdest
 
 
-def test_ablation_per_destination_aggregation(benchmark):
-    reproduce(benchmark, ablation_perdest).assert_all()
+@pytest.mark.experiment("ablation-perdest")
+def test_ablation_per_destination_aggregation(sweep):
+    reproduce(sweep).assert_all()

@@ -9,9 +9,11 @@ per-destination TCAL-update overhead per dynamic event (micro-benchmark of
 the engine's swap path).
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import ablation_precompute
 
 
-def test_ablation_precompute_vs_online(benchmark):
-    reproduce(benchmark, ablation_precompute).assert_all()
+@pytest.mark.experiment("ablation-precompute")
+def test_ablation_precompute_vs_online(sweep):
+    reproduce(sweep).assert_all()

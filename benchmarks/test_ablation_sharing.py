@@ -14,9 +14,11 @@ Three knobs the paper's design fixes, evaluated on the §5.4 topology:
    congestion-control algorithm nothing to react to.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import ablation_sharing
 
 
-def test_ablation_sharing_design_choices(benchmark):
-    reproduce(benchmark, ablation_sharing).assert_all()
+@pytest.mark.experiment("ablation-sharing")
+def test_ablation_sharing_design_choices(sweep):
+    reproduce(sweep).assert_all()

@@ -8,9 +8,11 @@ Here the "EC2" reference is the bare-metal run of the same workload over
 the full physical topology; Kollaps is the collapsed emulation.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig10
 
 
-def test_fig10_cassandra_curve(benchmark):
-    reproduce(benchmark, fig10).assert_all()
+@pytest.mark.experiment("fig10")
+def test_fig10_cassandra_curve(sweep):
+    reproduce(sweep).assert_all()

@@ -7,9 +7,11 @@ move) and the saturation point shifts to higher throughput.  In Kollaps
 this is a one-line change to the topology description.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig11
 
 
-def test_fig11_halved_latency(benchmark):
-    reproduce(benchmark, fig11).assert_all()
+@pytest.mark.experiment("fig11")
+def test_fig11_halved_latency(sweep):
+    reproduce(sweep).assert_all()

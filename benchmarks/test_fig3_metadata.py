@@ -7,9 +7,11 @@ essentially flat in the number of *containers* — the decentralization
 claim.  Absolute volume stays in the hundreds of KB/s at (160, 80, 4).
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig3
 
 
-def test_fig3_metadata_traffic(benchmark):
-    reproduce(benchmark, fig3).assert_all()
+@pytest.mark.experiment("fig3")
+def test_fig3_metadata_traffic(sweep):
+    reproduce(sweep).assert_all()

@@ -7,9 +7,11 @@ throughput stays flat as hosts are added (left plot), and per-host metadata
 traffic stays in the tens of KB/s (right plot).
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig4
 
 
-def test_fig4_memcached_distribution(benchmark):
-    reproduce(benchmark, fig4).assert_all()
+@pytest.mark.experiment("fig4")
+def test_fig4_memcached_distribution(sweep):
+    reproduce(sweep).assert_all()

@@ -7,9 +7,11 @@ the bare-metal baseline stays below ~10 % (long-lived) and ~2 %
 (short-lived), with Kollaps generally at least as close as Mininet.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig5
 
 
-def test_fig5_long_and_short_flows(benchmark):
-    reproduce(benchmark, fig5).assert_all()
+@pytest.mark.experiment("fig5")
+def test_fig5_long_and_short_flows(sweep):
+    reproduce(sweep).assert_all()

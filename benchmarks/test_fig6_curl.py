@@ -6,9 +6,11 @@ Bare metal and Kollaps scale near-linearly with client count; Mininet's
 throughput falls behind as its switches buckle under per-connection state.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig6
 
 
-def test_fig6_curl_clients(benchmark):
-    reproduce(benchmark, fig6).assert_all()
+@pytest.mark.experiment("fig6")
+def test_fig6_curl_clients(sweep):
+    reproduce(sweep).assert_all()

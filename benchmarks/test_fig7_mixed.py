@@ -7,9 +7,11 @@ middle third.  Kollaps and Mininet both stay within a few percent of bare
 metal on each host's measured bandwidth, with a spike at the transitions.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig7
 
 
-def test_fig7_mixed_flows(benchmark):
-    reproduce(benchmark, fig7).assert_all()
+@pytest.mark.experiment("fig7")
+def test_fig7_mixed_flows(sweep):
+    reproduce(sweep).assert_all()

@@ -8,9 +8,11 @@ those values within a few percent, re-converging at every arrival and
 departure.  Time is scaled 6x (10 s per stage).
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig8
 
 
-def test_fig8_decentralized_throttling(benchmark):
-    reproduce(benchmark, fig8).assert_all()
+@pytest.mark.experiment("fig8")
+def test_fig8_decentralized_throttling(sweep):
+    reproduce(sweep).assert_all()

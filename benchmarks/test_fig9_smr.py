@@ -9,9 +9,11 @@ Wheat beats BFT-SMaRt in every region, and remote clients (São Paulo,
 Sydney) pay the most.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import fig9
 
 
-def test_fig9_smr_reproduction(benchmark):
-    reproduce(benchmark, fig9).assert_all()
+@pytest.mark.experiment("fig9")
+def test_fig9_smr_reproduction(sweep):
+    reproduce(sweep).assert_all()

@@ -6,9 +6,11 @@ shape above 1 Gb/s at all (N/A rows); Trickle with default buffers
 overshoots wildly, and only tracks the target after tuning (~±2 %).
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import table2
 
 
-def test_table2_bandwidth_shaping(benchmark):
-    reproduce(benchmark, table2).assert_all()
+@pytest.mark.experiment("table2")
+def test_table2_bandwidth_shaping(sweep):
+    reproduce(sweep).assert_all()

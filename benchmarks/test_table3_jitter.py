@@ -7,9 +7,11 @@ between observed and emulated jitter is 0.2029 ms^2, emulated slightly
 above measured due to container networking noise).
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import table3
 
 
-def test_table3_jitter_accuracy(benchmark):
-    reproduce(benchmark, table3).assert_all()
+@pytest.mark.experiment("table3")
+def test_table3_jitter_accuracy(sweep):
+    reproduce(sweep).assert_all()

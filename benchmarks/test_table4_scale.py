@@ -15,9 +15,11 @@ Run at the paper's sizes: a point builds the shortest-path trees of its
 probe pairs' endpoints, not of every service.
 """
 
+import pytest
+
 from conftest import reproduce
-from repro.experiments import table4
 
 
-def test_table4_large_scale_rtt(benchmark):
-    reproduce(benchmark, table4).assert_all()
+@pytest.mark.experiment("table4")
+def test_table4_large_scale_rtt(sweep):
+    reproduce(sweep).assert_all()

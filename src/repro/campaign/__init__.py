@@ -21,11 +21,14 @@ hash, so an interrupted campaign resumes exactly where it stopped) and an
 
 The CLI front end is ``repro campaign run|status|report|compact``; every
 table, figure and ablation of the paper's evaluation is a campaign too,
-via :func:`repro.experiments.base.as_campaign`.
+via :func:`repro.experiments.base.as_campaign`, and
+:func:`~repro.campaign.builder.run_campaigns` runs several in one pool —
+``repro campaign run paper`` is all of them.
 """
 
 from repro.campaign.aggregate import Aggregate
-from repro.campaign.builder import Campaign, CampaignResult, load_campaign
+from repro.campaign.builder import Campaign, CampaignResult, \
+    load_campaign, run_campaigns
 from repro.campaign.executor import (
     CampaignEvent,
     PointResult,
@@ -49,5 +52,6 @@ __all__ = [
     "execute_points",
     "expand_grid",
     "load_campaign",
+    "run_campaigns",
     "run_point",
 ]

@@ -35,18 +35,13 @@ from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.campaign.aggregate import Aggregate
-from repro.campaign.executor import (
-    CampaignEvent,
-    ExecutionReport,
-    PointResult,
-    execute_points,
-    run_point,
-)
+from repro.campaign.executor import CampaignEvent, PointResult, \
+    execute_points
 from repro.campaign.grid import BackendEntry, CampaignError, Point, \
     expand_grid
 from repro.campaign.store import ResultStore
 
-__all__ = ["Campaign", "CampaignResult", "load_campaign"]
+__all__ = ["Campaign", "CampaignResult", "load_campaign", "run_campaigns"]
 
 
 class CampaignResult:
@@ -310,7 +305,8 @@ class Campaign:
             resume: bool = True,
             progress: Optional[Callable[[CampaignEvent], None]] = None
             ) -> CampaignResult:
-        """Execute the sweep: expand, skip stored points, run the rest.
+        """Execute the sweep: expand, skip stored points, run the rest —
+        :func:`run_campaigns` of this campaign alone.
 
         ``store`` is a campaigns root directory (the campaign writes under
         ``<store>/<name>/``), a ready :class:`ResultStore`, or None for a
@@ -319,25 +315,8 @@ class Campaign:
         in-process collapse memo, so a ``--fresh`` run measures cold-path
         costs rather than inheriting cached shortest paths.
         """
-        if not resume:
-            from repro.core.collapse import clear_collapse_cache
-            clear_collapse_cache()
-        points = self.points()
-        store_obj = self._store(store)
-        if store_obj is not None:
-            store_obj.write_manifest(self.spec())
-        report: ExecutionReport = execute_points(
-            self._factory, points, jobs=jobs, store=store_obj,
-            resume=resume, until=self._until, progress=progress)
-        return CampaignResult(self.name, report.sorted_results(),
-                              skipped=report.skipped)
-
-    def run_point(self, point: Point) -> PointResult:
-        """Execute one already-expanded point in this process."""
-        if self._factory is None:
-            raise CampaignError(
-                f"campaign {self.name!r} has no scenario factory")
-        return run_point(self._factory, point, self._until)
+        return run_campaigns([self], jobs=jobs, store=store, resume=resume,
+                             progress=progress)[0]
 
     def load(self, store: Union[str, ResultStore]) -> CampaignResult:
         """This campaign's stored results, without executing anything.
@@ -355,17 +334,60 @@ class Campaign:
         return CampaignResult(self.name, results, skipped=len(results))
 
 
+def run_campaigns(campaigns: Sequence[Campaign], *, jobs: int = 1,
+                  store: Union[None, str, ResultStore] = None,
+                  resume: bool = True,
+                  progress: Optional[Callable[[CampaignEvent], None]] = None
+                  ) -> List[CampaignResult]:
+    """Execute several sweeps as one: every campaign's points through one
+    executor (one process pool at ``jobs > 1``), submitted campaign by
+    campaign in grid order, each campaign's records in its own store.
+
+    ``store``, ``resume`` and ``progress`` mean what they mean to
+    :meth:`Campaign.run`; the results come back one
+    :class:`CampaignResult` per campaign, in the order given.
+    """
+    names = [campaign.name for campaign in campaigns]
+    if len(set(names)) != len(names):
+        raise CampaignError(f"campaign names must be distinct: {names}")
+    if not resume:
+        from repro.core.collapse import clear_collapse_cache
+        clear_collapse_cache()
+    tasks = []
+    stores = {}
+    for campaign in campaigns:
+        tasks += [(campaign._factory, point) for point in campaign.points()]
+        store_obj = campaign._store(store)
+        if store_obj is not None:
+            store_obj.write_manifest(campaign.spec())
+            stores[campaign.name] = store_obj
+    grouped: Dict[str, List[PointResult]] = {name: [] for name in names}
+    for result in execute_points(tasks, jobs=jobs, stores=stores,
+                                 resume=resume, progress=progress):
+        grouped[result.point.campaign].append(result)
+    return [CampaignResult(name, results,
+                           skipped=sum(result.source == "store"
+                                       for result in results))
+            for name, results in grouped.items()]
+
+
 # ---------------------------------------------------------------------------
 # Loading campaigns from files and experiment ids (the CLI's entry point).
 # ---------------------------------------------------------------------------
-def load_campaign(source: str) -> Campaign:
+def load_campaign(source: str, *, quick: bool = False) -> Campaign:
     """A campaign from a ``.py`` file exposing ``CAMPAIGN``, or a
-    registered experiment id (``fig5``, ``table2``, ``table4``, ...).
+    registered experiment id (``fig5``, ``table2``, ``table4``, ...) —
+    at its smoke-test scale with ``quick``.
 
     The module is registered in :data:`sys.modules` under a stable name so
-    its factory functions survive pickling into worker processes.
+    its factory functions survive pickling into worker processes; a module
+    that fails to load, or exposes no campaign, is unregistered again.
     """
     if source.endswith(".py"):
+        if quick:
+            raise CampaignError(
+                f"{source!r}: the quick scale belongs to registered "
+                "experiments, not to campaign files")
         stem = os.path.splitext(os.path.basename(source))[0]
         module_name = f"repro_campaign_{stem}"
         spec = importlib.util.spec_from_file_location(module_name, source)
@@ -373,21 +395,25 @@ def load_campaign(source: str) -> Campaign:
             raise CampaignError(f"cannot import campaign module {source!r}")
         module = importlib.util.module_from_spec(spec)
         sys.modules[module_name] = module
-        spec.loader.exec_module(module)
-        candidate = getattr(module, "CAMPAIGN", None)
-        if candidate is None:
-            raise CampaignError(
-                f"{source!r} defines no CAMPAIGN (a Campaign or a "
-                "zero-argument callable returning one)")
-        if callable(candidate) and not isinstance(candidate, Campaign):
-            candidate = candidate()
-        if not isinstance(candidate, Campaign):
-            raise CampaignError(
-                f"{source!r}: CAMPAIGN is {type(candidate).__name__}, "
-                "expected repro.campaign.Campaign")
+        try:
+            spec.loader.exec_module(module)
+            candidate = getattr(module, "CAMPAIGN", None)
+            if candidate is None:
+                raise CampaignError(
+                    f"{source!r} defines no CAMPAIGN (a Campaign or a "
+                    "zero-argument callable returning one)")
+            if callable(candidate) and not isinstance(candidate, Campaign):
+                candidate = candidate()
+            if not isinstance(candidate, Campaign):
+                raise CampaignError(
+                    f"{source!r}: CAMPAIGN is {type(candidate).__name__}, "
+                    "expected repro.campaign.Campaign")
+        except BaseException:
+            sys.modules.pop(module_name, None)
+            raise
         return candidate
     from repro.experiments.base import as_campaign
     try:
-        return as_campaign(source)
+        return as_campaign(source, quick=quick)
     except KeyError as error:
         raise CampaignError(error.args[0]) from None

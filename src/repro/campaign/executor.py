@@ -7,10 +7,11 @@ a deterministic :class:`~repro.scenario.backends.BackendCompatibilityError`
 (the sweep's N/A cells) or an arbitrary crash — so one broken point never
 kills the sweep.
 
-``jobs > 1`` fans points across a :class:`concurrent.futures
-.ProcessPoolExecutor`.  Workers hand back the *serialized* run
-(:meth:`ScenarioRun.to_dict`) because a live engine does not cross a
-process boundary; the parent reconstructs a metrics-only
+:func:`execute_points` runs ``(factory, point)`` pairs — one campaign's
+grid or several campaigns' at once — and ``jobs > 1`` fans them across
+one :class:`concurrent.futures.ProcessPoolExecutor`.  Workers hand back
+the *serialized* run (:meth:`ScenarioRun.to_dict`) because a live engine
+does not cross a process boundary; the parent reconstructs a metrics-only
 :class:`ScenarioRun` via :meth:`ScenarioRun.from_dict`.  A point that
 kills its worker process (``os._exit``, a signal, the OOM killer) breaks
 the pool; the points it took down rerun one at a time in fresh processes,
@@ -28,9 +29,9 @@ import sys
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from inspect import Parameter, signature
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.campaign.grid import Point
@@ -109,15 +110,15 @@ def _accepts_seed(factory: Callable) -> bool:
         Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY)
 
 
-def run_point(factory: Callable, point: Point,
-              until: Optional[float] = None) -> PointResult:
+def run_point(factory: Callable, point: Point) -> PointResult:
     """Execute one grid point in this process, capturing every outcome.
 
     The factory is called with the point's grid parameters (plus ``seed``
     when its signature takes one); a returned
     :class:`~repro.scenario.builder.Scenario` builder gets the point's
     seed via ``deploy(seed=...)`` before compiling, so every point is
-    attributable even when the factory ignores seeding.
+    attributable even when the factory ignores seeding.  The run stops at
+    the point's own ``until`` (None: the scenario's horizon).
     """
     from repro.scenario import BackendCompatibilityError, Scenario
     watch = telemetry.Stopwatch()
@@ -151,7 +152,7 @@ def run_point(factory: Callable, point: Point,
                 f"a compiled scenario with seed {config_seed} but takes no "
                 f"'seed' parameter, so point seed {point.seed} cannot be "
                 "applied; accept seed= or return an uncompiled Scenario")
-        run = compiled.run(until=until, backend=point.backend,
+        run = compiled.run(until=point.until, backend=point.backend,
                            **point.options_dict())
     except BackendCompatibilityError as error:
         return failed("incompatible", str(error))
@@ -239,96 +240,101 @@ def resolve_factory(factory: Optional[Callable],
 
 
 def _pool_task(factory: Optional[Callable], ref: Optional[FactoryRef],
-               point_data: Dict, until: Optional[float]) -> Dict:
-    point = Point.from_dict(point_data)
-    record = run_point(resolve_factory(factory, ref), point,
-                       until).to_record()
+               point_data: Dict) -> Dict:
+    record = run_point(resolve_factory(factory, ref),
+                       Point.from_dict(point_data)).to_record()
     # Pool workers are long-lived: push their span buffer to disk after
     # every point so a killed worker loses at most the in-flight point.
     telemetry.flush()
     return record
 
 
-def _poolable(factory: Callable) -> bool:
+def _shipment(factory: Callable
+              ) -> Optional[Tuple[Optional[Callable], Optional[FactoryRef]]]:
+    """How a worker gets ``factory`` — ``(factory, None)`` by pickle,
+    ``(None, ref)`` by file reference — or None when it cannot."""
+    ref = factory_ref(factory)
+    if ref is not None:
+        return None, ref
     try:
         pickle.dumps(factory)
-        return True
     except Exception:  # noqa: BLE001 — any pickling failure means "no"
-        return False
+        return None
+    return factory, None
 
 
-@dataclass
-class ExecutionReport:
-    """What :func:`execute_points` did: results in shard order + tallies."""
-
-    results: List[PointResult] = field(default_factory=list)
-    executed: int = 0
-    skipped: int = 0
-    failures: int = 0
-
-    def sorted_results(self) -> List[PointResult]:
-        return sorted(self.results, key=lambda result: result.point.index)
-
-
-def execute_points(factory: Callable, points: Sequence[Point], *,
-                   jobs: int = 1, store: Optional[ResultStore] = None,
-                   resume: bool = True, until: Optional[float] = None,
+def execute_points(tasks: Sequence[Tuple[Callable, Point]], *,
+                   jobs: int = 1,
+                   stores: Optional[Mapping[str, ResultStore]] = None,
+                   resume: bool = True,
                    progress: Optional[Callable[[CampaignEvent], None]] = None
-                   ) -> ExecutionReport:
-    """Run every point, skipping stored ones, fanning across processes.
+                   ) -> List[PointResult]:
+    """Run every ``(factory, point)`` task, skipping stored ones, fanning
+    across processes; the results come back in task order.
 
-    Deterministic shard ordering: points are submitted (and results
-    returned) in grid-expansion order regardless of completion order or
-    ``jobs``.  Each completed point is appended to ``store`` before the
-    next result is awaited, so an interrupt preserves all finished work.
+    ``stores`` maps a campaign name to its store: each point is resumed
+    from, and its record appended to, ``stores[point.campaign]``; a
+    campaign without one runs in memory only.  Points are submitted in task order regardless of
+    ``jobs``, and each completed point is appended to its store before
+    the next result is awaited, so an interrupt preserves all finished
+    work.  Each distinct factory is resolved for shipping to workers
+    once; one that cannot be shipped runs its points serially in-process.
     """
     notify = progress if progress is not None else (lambda event: None)
-    report = ExecutionReport()
+    stores = stores or {}
+    results: List[Optional[PointResult]] = [None] * len(tasks)
 
     completed = {}
-    if store is not None and resume:
-        completed = store.completed(RESUMABLE_STATUSES)
-    pending: List[Point] = []
-    for point in points:
-        record = completed.get(point.digest())
+    if resume:
+        completed = {name: store.completed(RESUMABLE_STATUSES)
+                     for name, store in stores.items()}
+    pending: List[int] = []
+    for position, (_factory, point) in enumerate(tasks):
+        record = completed.get(point.campaign, {}).get(point.digest())
         if record is not None:
             result = PointResult.from_record(record, point, source="store")
-            report.results.append(result)
-            report.skipped += 1
+            results[position] = result
             notify(CampaignEvent(kind="skip", point=point,
                                  elapsed=result.elapsed))
         else:
-            pending.append(point)
+            pending.append(position)
 
-    parallel = jobs > 1 and len(pending) > 1
-    ref = factory_ref(factory) if parallel else None
-    if parallel and ref is None and not _poolable(factory):
-        notify(CampaignEvent(
-            kind="fallback",
-            detail=f"factory {getattr(factory, '__name__', factory)!r} is "
-                   "not picklable; running serially in-process"))
-        parallel = False
+    shipments: Dict[int, Optional[tuple]] = {}     # id(factory) -> shipment
+    local, pooled = pending, []
+    if jobs > 1 and len(pending) > 1:
+        local = []
+        for position in pending:
+            factory = tasks[position][0]
+            if id(factory) not in shipments:
+                shipments[id(factory)] = _shipment(factory)
+                if shipments[id(factory)] is None:
+                    notify(CampaignEvent(
+                        kind="fallback",
+                        detail=f"factory "
+                               f"{getattr(factory, '__name__', factory)!r} "
+                               "is not picklable; running its points "
+                               "serially in-process"))
+            (pooled if shipments[id(factory)] else local).append(position)
 
-    def finish(result: PointResult) -> None:
-        report.results.append(result)
-        report.executed += 1
-        if not result.ok:
-            report.failures += 1
+    def finish(position: int, result: PointResult) -> None:
+        results[position] = result
+        store = stores.get(result.point.campaign)
         if store is not None:
             store.append(result.to_record())
         notify(CampaignEvent(kind=result.status, point=result.point,
                              error=result.error, elapsed=result.elapsed))
 
-    if not parallel:
-        for point in pending:
-            notify(CampaignEvent(kind="start", point=point))
-            finish(run_point(factory, point, until))
-        report.results = report.sorted_results()
-        return report
+    for position in local:
+        factory, point = tasks[position]
+        notify(CampaignEvent(kind="start", point=point))
+        finish(position, run_point(factory, point))
+    if not pooled:
+        return results
 
-    def submit(pool: ProcessPoolExecutor, point: Point):
-        return pool.submit(_pool_task, None if ref else factory, ref,
-                           point.to_dict(), until)
+    def submit(pool: ProcessPoolExecutor, position: int):
+        factory, point = tasks[position]
+        shipped, ref = shipments[id(factory)]
+        return pool.submit(_pool_task, shipped, ref, point.to_dict())
 
     def collect(future, point: Point) -> PointResult:
         try:
@@ -342,25 +348,26 @@ def execute_points(factory: Callable, points: Sequence[Point], *,
                 point=point, status="error",
                 error=f"{cause}: {type(error).__name__}: {error}")
 
-    orphaned: List[Point] = []
+    orphaned: List[int] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {}
-        for point in pending:
-            notify(CampaignEvent(kind="start", point=point))
-            futures[submit(pool, point)] = point
+        for position in pooled:
+            notify(CampaignEvent(kind="start", point=tasks[position][1]))
+            futures[submit(pool, position)] = position
         remaining = set(futures)
         while remaining:
             done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
             for future in done:
+                position = futures[future]
                 if isinstance(future.exception(), BrokenProcessPool):
-                    orphaned.append(futures[future])
+                    orphaned.append(position)
                 else:
-                    finish(collect(future, futures[future]))
+                    finish(position, collect(future, tasks[position][1]))
     # A dying worker breaks the whole pool and fails every unfinished
     # point with it.  Each of those reruns alone in a fresh process, so
     # only the point that kills its own worker is recorded as an error.
-    for point in sorted(orphaned, key=lambda point: point.index):
+    for position in sorted(orphaned):
         with ProcessPoolExecutor(max_workers=1) as pool:
-            finish(collect(submit(pool, point), point))
-    report.results = report.sorted_results()
-    return report
+            finish(position, collect(submit(pool, position),
+                                     tasks[position][1]))
+    return results

@@ -41,10 +41,6 @@ exposing ``SCENARIO``) to a runnable experiment.
     ``--differential`` runs every generated scenario across backends and
     fails on divergence; ``--bench`` writes a BENCH_dsl.json baseline.
 
-``reproduce``
-    Run the paper's tables/figures and (re)write EXPERIMENTS.md — a thin
-    alias for ``python -m repro.experiments``.
-
 ``campaign``
     Parallel sweep orchestration (:mod:`repro.campaign`): ``run`` a
     campaign grid across a process pool with a persistent, resumable
@@ -57,6 +53,16 @@ exposing ``SCENARIO``) to a runnable experiment.
         python -m repro.cli campaign status fig5
         python -m repro.cli campaign report fig5 --baseline baremetal
         python -m repro.cli campaign compact fig5
+
+    A source is a ``.py`` file exposing ``CAMPAIGN``, an experiment id,
+    or ``paper``: every experiment of the evaluation (§5), its points in
+    one pool and each experiment's records in its own store.  This is the
+    one way to run the evaluation; ``report paper`` writes EXPERIMENTS.md
+    (exit 1 when a shape check fails), and ``--quick`` selects the
+    experiments' smoke-test scale::
+
+        python -m repro.cli campaign run paper --jobs 2
+        python -m repro.cli campaign report paper -o EXPERIMENTS.md
 
     Every sweep runs on this host; ``--jobs N`` is the only scale-out
     knob (docs/campaigns.md, "The evaluation on one host").
@@ -237,12 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_description_argument(scenario_script)
     scenario_script.add_argument("script", help="THUNDERSTORM scenario file")
 
-    reproduce = commands.add_parser(
-        "reproduce", help="reproduce the paper's tables/figures")
-    reproduce.add_argument("--only", nargs="+", metavar="EXP")
-    reproduce.add_argument("--quick", action="store_true")
-    reproduce.add_argument("-o", "--output", default="EXPERIMENTS.md")
-
     campaign = commands.add_parser(
         "campaign", help="parallel sweep orchestration with a resumable "
                          "result store")
@@ -252,12 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_campaign_source(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
             "campaign_source",
-            help="a .py file exposing CAMPAIGN, or a registered "
-                 "experiment id (fig5, table2, table4, ...)")
+            help="a .py file exposing CAMPAIGN, a registered experiment "
+                 "id (fig5, table2, table4, ...), or 'paper' for all of "
+                 "them")
         subparser.add_argument(
             "--store", default="campaigns",
             help="campaigns root directory (results land under "
                  "<store>/<name>/, default: campaigns)")
+        subparser.add_argument(
+            "--quick", action="store_true",
+            help="the experiments' smoke-test scale (shorter runs)")
 
     campaign_run = campaign_commands.add_parser(
         "run", help="execute the sweep (skipping stored points)")
@@ -290,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "backend (with --format csv the "
                                       "deviation table is the whole report)")
     campaign_report.add_argument("-o", "--output", default=None,
-                                 help="write the report here instead of "
-                                      "stdout")
+                                 help="write the report here ('-': "
+                                      "stdout, the default)")
 
     campaign_compact = campaign_commands.add_parser(
         "compact", help="garbage-collect a store: drop superseded records")
@@ -610,55 +614,125 @@ def _command_scenario(args: argparse.Namespace) -> int:
     return handlers[args.scenario_command](args)
 
 
-def _load_campaign(args: argparse.Namespace):
-    from repro.campaign import CampaignError, load_campaign
+def _load_campaigns(args: argparse.Namespace):
+    """The source's campaigns (``paper``: every experiment's, in paper
+    order), or None after printing why they cannot be loaded."""
+    from repro.campaign import load_campaign
+    source = args.campaign_source
     try:
-        return load_campaign(args.campaign_source)
-    except (CampaignError, FileNotFoundError) as error:
-        print(f"cannot load campaign {args.campaign_source!r}: {error}",
-              file=sys.stderr)
+        if source == "paper":
+            from repro.experiments import registered
+            return [load_campaign(exp_id, quick=args.quick)
+                    for exp_id in registered()]
+        return [load_campaign(source, quick=args.quick)]
+    except Exception as error:  # noqa: BLE001 — any load failure is input
+        print(f"cannot load campaign {source!r}: "
+              f"{type(error).__name__}: {error}", file=sys.stderr)
         return None
 
 
 def _campaign_run(args: argparse.Namespace) -> int:
+    from repro.campaign import CampaignResult, run_campaigns
     from repro.dashboard import CampaignMonitor
 
-    campaign = _load_campaign(args)
-    if campaign is None:
+    campaigns = _load_campaigns(args)
+    if campaigns is None:
         return 1
-    points = campaign.points()
-    print(campaign.describe(points), file=sys.stderr)
+    total = 0
+    for campaign in campaigns:
+        points = campaign.points()
+        total += len(points)
+        print(campaign.describe(points), file=sys.stderr)
     monitor = CampaignMonitor(
-        total=len(points),
-        stream=None if args.quiet else sys.stderr)
-    result = campaign.run(jobs=args.jobs, store=args.store,
-                          resume=args.resume, progress=monitor)
-    return _print_campaign_outcome(result, monitor)
+        total=total, stream=None if args.quiet else sys.stderr)
+    results = run_campaigns(campaigns, jobs=args.jobs, store=args.store,
+                            resume=args.resume, progress=monitor)
+    print(monitor.render(), file=sys.stderr)
+    if len(results) == 1:
+        result = results[0]
+        print(result.describe())
+        print()
+        print(result.aggregate().to_markdown())
+    else:
+        for result in results:
+            print(result.describe())
+        result = CampaignResult(
+            args.campaign_source,
+            [point for each in results for point in each],
+            skipped=sum(each.skipped for each in results))
+        print(result.describe())
+    for failure in result.failed():
+        print(f"FAILED {failure.point.describe()}: "
+              f"{failure.error.splitlines()[0]}", file=sys.stderr)
+    return 1 if result.failed() else 0
 
 
 def _campaign_status(args: argparse.Namespace) -> int:
-    campaign = _load_campaign(args)
-    if campaign is None:
+    campaigns = _load_campaigns(args)
+    if campaigns is None:
         return 1
-    points = campaign.points()
-    store = _campaign_store(args, campaign)
-    records = store.load()
-    counts = store.status_counts(points, records)
-    print(campaign.describe())
-    print(f"store: {store.directory}")
-    for status in ("ok", "incompatible", "error", "missing"):
-        print(f"  {status}: {counts.get(status, 0)}/{len(points)}")
-    orphans = store.orphans(points, records)
-    if orphans:
-        print(f"  orphaned records (grid no longer claims them): "
-              f"{len(orphans)}")
+    for campaign in campaigns:
+        points = campaign.points()
+        store = _campaign_store(args, campaign)
+        records = store.load()
+        counts = store.status_counts(points, records)
+        print(campaign.describe(points))
+        print(f"store: {store.directory}")
+        for status in ("ok", "incompatible", "error", "missing"):
+            print(f"  {status}: {counts.get(status, 0)}/{len(points)}")
+        orphans = store.orphans(points, records)
+        if orphans:
+            print(f"  orphaned records (grid no longer claims them): "
+                  f"{len(orphans)}")
     return 0
 
 
-def _campaign_report(args: argparse.Namespace) -> int:
-    campaign = _load_campaign(args)
-    if campaign is None:
+def _write_report(args: argparse.Namespace, report: str) -> None:
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(report)
+        print(f"wrote {args.output}", file=sys.stderr)
+    else:
+        print(report, end="" if report.endswith("\n") else "\n")
+
+
+def _paper_report(args: argparse.Namespace, campaigns) -> int:
+    """EXPERIMENTS.md from the stored sweeps of every experiment."""
+    from repro.experiments import render_markdown, report_sweep
+
+    if args.format != "markdown" or args.baseline is not None:
+        print("--format csv and --baseline report one campaign, not "
+              "'paper'", file=sys.stderr)
         return 1
+    results = []
+    for campaign in campaigns:
+        sweep = campaign.load(args.store)
+        missing = len(campaign.points()) - len(sweep)
+        if missing:
+            print(f"campaign {campaign.name!r} has {missing} point(s) "
+                  f"missing under {args.store!r}; run `repro campaign run "
+                  f"paper{' --quick' * args.quick}` first", file=sys.stderr)
+            return 1
+        results.append(report_sweep(sweep))
+    report = render_markdown(results)
+    if args.output in (None, "-"):
+        print(report)       # then a blank line, as the quick golden pins
+    else:
+        _write_report(args, report)
+    failures = [(result.exp_id, check) for result in results
+                for check in result.failures()]
+    for exp_id, check in failures:
+        print(f"FAILED {exp_id}: {check.description}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _campaign_report(args: argparse.Namespace) -> int:
+    campaigns = _load_campaigns(args)
+    if campaigns is None:
+        return 1
+    if args.campaign_source == "paper":
+        return _paper_report(args, campaigns)
+    campaign = campaigns[0]
     result = campaign.load(args.store)
     if not len(result):
         print(f"no stored results for campaign {campaign.name!r} under "
@@ -692,25 +766,8 @@ def _campaign_report(args: argparse.Namespace) -> int:
             sections += ["", "## Failures", "",
                          aggregate.to_markdown(failures)]
         report = "\n".join(sections) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(report, end="" if report.endswith("\n") else "\n")
+    _write_report(args, report)
     return 0
-
-
-def _print_campaign_outcome(result, monitor=None) -> int:
-    if monitor is not None:
-        print(monitor.render(), file=sys.stderr)
-    print(result.describe())
-    print()
-    print(result.aggregate().to_markdown())
-    for failure in result.failed():
-        print(f"FAILED {failure.point.describe()}: "
-              f"{failure.error.splitlines()[0]}", file=sys.stderr)
-    return 1 if result.failed() else 0
 
 
 def _campaign_store(args: argparse.Namespace, campaign):
@@ -720,14 +777,16 @@ def _campaign_store(args: argparse.Namespace, campaign):
 
 
 def _campaign_compact(args: argparse.Namespace) -> int:
-    campaign = _load_campaign(args)
-    if campaign is None:
+    campaigns = _load_campaigns(args)
+    if campaigns is None:
         return 1
-    store = _campaign_store(args, campaign)
-    report = store.compact()
-    print(f"compacted {store.directory}: kept {report['records_kept']} "
-          f"record(s), dropped {report['records_dropped']} superseded "
-          f"line(s), reclaimed {report['bytes_reclaimed']} bytes")
+    for campaign in campaigns:
+        store = _campaign_store(args, campaign)
+        report = store.compact()
+        print(f"compacted {store.directory}: kept "
+              f"{report['records_kept']} record(s), dropped "
+              f"{report['records_dropped']} superseded line(s), reclaimed "
+              f"{report['bytes_reclaimed']} bytes")
     return 0
 
 
@@ -804,17 +863,6 @@ def _command_trace(args: argparse.Namespace) -> int:
     return handlers[args.trace_command](args)
 
 
-def _command_reproduce(args: argparse.Namespace) -> int:
-    from repro.experiments.__main__ import main as experiments_main
-
-    argv: List[str] = ["-o", args.output]
-    if args.quick:
-        argv.append("--quick")
-    if args.only:
-        argv.extend(["--only", *args.only])
-    return experiments_main(argv)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     from repro import telemetry         # after parsing: --help loads none
@@ -828,7 +876,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "validate": _command_validate,
         "plan": _command_plan,
         "scenario": _command_scenario,
-        "reproduce": _command_reproduce,
         "campaign": _command_campaign,
         "trace": _command_trace,
     }

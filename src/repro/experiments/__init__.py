@@ -1,7 +1,8 @@
 """The paper's evaluation (§5): one module per table, figure and ablation,
 each a campaign plus a report over its stored metrics (the shape is
-described in :mod:`repro.experiments.base`).  ``python -m
-repro.experiments`` runs any subset and regenerates ``EXPERIMENTS.md``.
+described in :mod:`repro.experiments.base`).  ``repro campaign run paper``
+runs them all as one campaign, and ``repro campaign report paper`` writes
+``EXPERIMENTS.md`` from its store.
 """
 
 from repro.experiments.base import (
@@ -10,10 +11,9 @@ from repro.experiments.base import (
     as_campaign,
     experiment,
     format_table,
-    get_runner,
     registered,
     render_markdown,
-    run_experiments,
+    report_sweep,
 )
 
 __all__ = [
@@ -22,8 +22,7 @@ __all__ = [
     "as_campaign",
     "experiment",
     "format_table",
-    "get_runner",
     "registered",
     "render_markdown",
-    "run_experiments",
+    "report_sweep",
 ]

@@ -17,8 +17,7 @@ hypothetical per-flow encoding of the same instant is priced in
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.metadata.encoding import FlowRecord, MetadataMessage, encoded_size
 from repro.scenario import flow
 from repro.scenario.topologies import star
@@ -83,5 +82,3 @@ def report(sweep) -> ExperimentResult:
                  results["measured_rate"] > 0)
     return result
 
-
-run = get_runner("ablation-perdest")

@@ -17,8 +17,7 @@ wall-clock figures.
 from __future__ import annotations
 
 from repro.core import collapse
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import custom
 from repro.scenario.topologies import scale_free
 from repro.telemetry import Stopwatch
@@ -99,5 +98,3 @@ def report(sweep) -> ExperimentResult:
                  results["states"] == results["expected_states"])
     return result
 
-
-run = get_runner("ablation-precompute")

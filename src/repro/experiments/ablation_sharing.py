@@ -27,8 +27,7 @@ from repro.core import (
     paper_two_step_shares,
     rtt_aware_max_min,
 )
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.netstack.plane import BULK_PLANE
 from repro.scenario import custom, flow
 from repro.scenario.topologies import throttling
@@ -165,5 +164,3 @@ def report(sweep) -> ExperimentResult:
                  > 2 * loss["with-loss"]["final_cwnd"])
     return result
 
-
-run = get_runner("ablation-sharing")

@@ -14,22 +14,23 @@ package with the same three parts:
   through a process pool or a result store reports exactly as a live one
   does.
 
-:func:`experiment` registers the three under an id; the serial runner is
-derived — ``report(campaign(**quick_scale).run(jobs=1))`` — so
-``python -m repro.experiments``, the benchmarks under ``benchmarks/`` and
-``repro campaign run|status|report <id>`` all execute the same grid, and
-:func:`render_markdown` turns a set of results into ``EXPERIMENTS.md``.
+:func:`experiment` registers the three under an id.  There is one way
+to run them: as campaigns.  ``repro campaign run paper [--quick]`` runs
+every registered experiment's points in one pool into one store
+(``repro campaign run <id>`` one of them), ``repro campaign report
+paper`` applies each :func:`report_sweep` to its stored sweep and
+:func:`render_markdown` turns the results into ``EXPERIMENTS.md``; the
+tests under ``benchmarks/`` read the same campaign run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
-    Sequence
+from typing import Callable, Dict, List, Mapping, Sequence
 
 __all__ = ["Check", "ExperimentResult", "Experiment", "experiment",
-           "grid_campaign", "registered", "get_runner", "run_experiments",
-           "as_campaign", "run_or_na", "format_table", "render_markdown"]
+           "grid_campaign", "registered", "as_campaign", "report_sweep",
+           "run_or_na", "format_table", "render_markdown"]
 
 
 @dataclass
@@ -79,12 +80,6 @@ class Experiment:
     campaign: Callable                      # campaign(**scale) -> Campaign
     report: Callable[..., ExperimentResult]     # report(sweep)
     quick: Mapping[str, object]             # campaign kwargs of --quick
-
-    def run(self, quick: bool = False) -> ExperimentResult:
-        """The serial reproduction: the campaign in-process, then the
-        report over it."""
-        scale = self.quick if quick else {}
-        return self.report(self.campaign(**scale).run(jobs=1))
 
 
 _REGISTRY: Dict[str, Experiment] = {}
@@ -145,35 +140,22 @@ def registered() -> List[str]:
     return [exp_id for exp_id in _ORDER if exp_id in _REGISTRY] + extras
 
 
-def get_runner(exp_id: str) -> Callable[..., ExperimentResult]:
-    """``run(quick=False) -> ExperimentResult`` of a registered experiment."""
-    return _lookup(exp_id).run
+def as_campaign(exp_id: str, *, quick: bool = False):
+    """The campaign of a registered experiment (any of :func:`registered`),
+    at its smoke-test scale with ``quick``."""
+    entry = _lookup(exp_id)
+    return entry.campaign(**(entry.quick if quick else {}))
 
 
-def as_campaign(exp_id: str, **scale):
-    """The campaign of a registered experiment (any of :func:`registered`)."""
-    return _lookup(exp_id).campaign(**scale)
-
-
-def run_experiments(only: Optional[Iterable[str]] = None, *,
-                    quick: bool = False,
-                    progress: Optional[Callable[[str], None]] = None
-                    ) -> List[ExperimentResult]:
-    """Run the selected (default: all) experiments in paper order."""
-    wanted = list(only) if only is not None else registered()
-    runners = {exp_id: get_runner(exp_id) for exp_id in wanted}
-    results = []
-    for exp_id in registered():
-        if exp_id not in runners:
-            continue
-        if progress is not None:
-            progress(exp_id)
-        results.append(runners[exp_id](quick=quick))
-    return results
+def report_sweep(sweep) -> ExperimentResult:
+    """The registered report over an experiment's sweep (a
+    :class:`~repro.campaign.CampaignResult`, live or loaded from a store;
+    the campaign's name is the experiment id)."""
+    return _lookup(sweep.campaign).report(sweep)
 
 
 def _load_all() -> None:
-    """Import every runner module so the registry is populated."""
+    """Import every experiment module so the registry is populated."""
     from repro.experiments import (  # noqa: F401
         ablation_perdest, ablation_precompute, ablation_sharing,
         fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11,
@@ -228,8 +210,8 @@ def render_markdown(results: Sequence[ExperimentResult]) -> str:
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Generated by `python -m repro.experiments` (also exercised, with",
-        "identical code paths, by `pytest benchmarks/ --benchmark-only`).",
+        "Generated by `repro campaign report paper` from the store of `repro",
+        "campaign run paper` (the tests under `benchmarks/` run that campaign).",
         "Absolute numbers come from the simulated substrate and are not",
         "expected to match the authors' testbed; each experiment instead",
         "records *shape checks* — who wins, by what factor, where the",

@@ -16,8 +16,7 @@ Figure 11's what-if is this same :func:`point_scenario` with another
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import YcsbWorkload
 from repro.scenario.topologies import aws_mesh
 
@@ -88,5 +87,3 @@ def report(sweep) -> ExperimentResult:
                  curve[("kollaps", 32)][1] >= curve[("kollaps", 1)][1] * 0.9)
     return result
 
-
-run = get_runner("fig10")

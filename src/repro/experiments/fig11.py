@@ -14,8 +14,7 @@ swept over Sydney and Seoul.
 from __future__ import annotations
 
 from repro.experiments import fig10
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 
 THREAD_SWEEP = [4, 16, 32]
 _DURATION = 25.0
@@ -71,5 +70,3 @@ def report(sweep) -> ExperimentResult:
                      <= 0.10 * original["read_latency"])
     return result
 
-
-run = get_runner("fig11")

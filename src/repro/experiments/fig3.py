@@ -15,7 +15,7 @@ Emulation Managers' wire bytes over the run's length.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner
+from repro.experiments.base import ExperimentResult, experiment
 from repro.scenario import flow
 from repro.scenario.topologies import dumbbell
 
@@ -90,5 +90,3 @@ def report(sweep) -> ExperimentResult:
                  max(results.values()) < 500e3)
     return result
 
-
-run = get_runner("fig3")

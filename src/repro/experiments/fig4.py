@@ -14,8 +14,7 @@ provenance.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import MemtierWorkload
 from repro.scenario.topologies import aws_mesh
 
@@ -85,5 +84,3 @@ def report(sweep) -> ExperimentResult:
                      results[(hosts, 10)][1] < 50e3)
     return result
 
-
-run = get_runner("fig4")

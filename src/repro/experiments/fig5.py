@@ -14,8 +14,7 @@ bare-metal run of the same cell.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import http_load, iperf
 from repro.scenario.topologies import star
 
@@ -93,5 +92,3 @@ def report(sweep) -> ExperimentResult:
                  deviation("wrk2", "mininet") < 0.15)
     return result
 
-
-run = get_runner("fig5")

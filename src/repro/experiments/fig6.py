@@ -13,8 +13,7 @@ pinned by a golden fixture in ``tests/golden/fig6_aggregate.md``, and
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import curl_swarm
 from repro.scenario.topologies import star
 
@@ -74,5 +73,3 @@ def report(sweep) -> ExperimentResult:
                  gap_high < gap_low)
     return result
 
-
-run = get_runner("fig6")

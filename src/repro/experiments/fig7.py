@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import ScenarioRun, flow, http_load
 from repro.scenario.topologies import star
 
@@ -89,5 +88,3 @@ def report(sweep) -> ExperimentResult:
                  results["baremetal"]["long_phase2"] > 0.5 * GBPS)
     return result
 
-
-run = get_runner("fig7")

@@ -14,8 +14,7 @@ means over the flows' stored throughput series.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import flow
 from repro.scenario.topologies import throttling
 
@@ -88,5 +87,3 @@ def report(sweep) -> ExperimentResult:
     result.check("all flows quiet after teardown", teardown == 0.0)
     return result
 
-
-run = get_runner("fig8")

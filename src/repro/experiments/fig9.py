@@ -16,8 +16,7 @@ region by region.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import SmrWorkload
 from repro.scenario.topologies import aws_mesh
 
@@ -92,5 +91,3 @@ def report(sweep) -> ExperimentResult:
                  0.05 < latency("bftsmart", "virginia", 50) < 0.6)
     return result
 
-
-run = get_runner("fig9")

@@ -23,8 +23,7 @@ from repro.baselines.trickle import (
     TRICKLE_DEFAULT_BUFFER_BYTES,
     TRICKLE_TUNED_BUFFER_BYTES,
 )
-from repro.experiments.base import ExperimentResult, experiment, \
-    get_runner, run_or_na
+from repro.experiments.base import ExperimentResult, experiment, run_or_na
 from repro.scenario import iperf
 from repro.scenario.topologies import point_to_point
 from repro.units import format_rate
@@ -135,5 +134,3 @@ def report(sweep) -> ExperimentResult:
                      abs(tuned - 0.02) <= 0.01)
     return result
 
-
-run = get_runner("table2")

@@ -13,8 +13,7 @@ statistic.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, experiment, get_runner, \
-    grid_campaign
+from repro.experiments.base import ExperimentResult, experiment, grid_campaign
 from repro.scenario import ping
 from repro.scenario.topologies import (
     AWS_REGION_LATENCY_FROM_US_EAST_1,
@@ -73,5 +72,3 @@ def report(sweep) -> ExperimentResult:
                  mse < 0.25)
     return result
 
-
-run = get_runner("table3")

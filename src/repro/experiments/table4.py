@@ -27,8 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from repro.experiments.base import ExperimentResult, experiment, \
-    get_runner, run_or_na
+from repro.experiments.base import ExperimentResult, experiment, run_or_na
 from repro.scenario import CompiledScenario, ScenarioRun, ping
 from repro.scenario.topologies import scale_free
 from repro.sim import RngRegistry
@@ -167,5 +166,3 @@ def report(sweep) -> ExperimentResult:
                  results[("maxinet", SIZES[2])] is None)
     return result
 
-
-run = get_runner("table4")

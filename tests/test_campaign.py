@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -28,8 +29,9 @@ from repro.campaign import (
     load_campaign,
 )
 from repro.dashboard import CampaignMonitor
-from repro.scenario import Scenario, ScenarioRun, flow, ping
+from repro.scenario import Scenario, ScenarioRun, flow, ping, set_link
 from repro.scenario.results import series_summary
+from repro.scenario.topologies import scale_free
 
 RATES = [1e6, 2e6, 4e6, 8e6]
 
@@ -99,6 +101,28 @@ def interruptible(*, rate, seed=0):
             raise KeyboardInterrupt
         _INTERRUPT["after"] = remaining - 1
     return pair(rate=rate, seed=seed)
+
+
+def rising(*, seed=0):
+    """Pings across a scale-free topology whose backbone latencies rise
+    mid-run: each later routing may take over the trees of the one
+    before it (``collapse._previous``)."""
+    bare = scale_free(40, seed=1).compile().topology
+    backbone = sorted((link for link in bare.links()
+                       if link.source.startswith("sw")
+                       and link.destination.startswith("sw")),
+                      key=lambda link: link.link_id)[:3]
+    builder = scale_free(40, seed=1)
+    for index, link in enumerate(backbone):
+        builder.at(0.3 * (index + 1),
+                   set_link(link.source, link.destination,
+                            latency=link.properties.latency * 2.0))
+    containers = bare.container_names()
+    for a, b in zip(containers[:4], containers[-4:]):
+        builder.workload(ping(a, b, count=25, interval=0.05,
+                              key=f"{a}->{b}"))
+    return builder.deploy(machines=2, seed=seed, duration=1.5,
+                          enforce_bandwidth_sharing=False)
 
 
 def sweep(factory=pair, name="sweep") -> Campaign:
@@ -238,6 +262,26 @@ class TestExecution:
                 == parallel_aggregate.to_csv(
                     parallel_aggregate.compare("baremetal")))
 
+    def test_campaigns_in_one_pool_store_and_report_as_alone(
+            self, tmp_path):
+        from repro.campaign import run_campaigns
+        store = str(tmp_path / "campaigns")
+        pings = (Campaign("pings").scenario(pinger).grid(rate=RATES[:2])
+                 .backends("kollaps").until(1.0))
+        together = run_campaigns([sweep(), pings], jobs=2, store=store)
+        assert [result.campaign for result in together] == ["sweep", "pings"]
+        for result, alone in zip(together, (sweep().run(),
+                                            pings.run())):
+            assert (result.aggregate().to_markdown()
+                    == alone.aggregate().to_markdown())
+        assert all(result.run.until == 1.0 for result in together[1])
+        assert [len(ResultStore(os.path.join(store, name)).load())
+                for name in ("sweep", "pings")] == [24, 2]
+        resumed = run_campaigns([sweep(), pings], jobs=2, store=store)
+        assert [result.skipped for result in resumed] == [24, 2]
+        with pytest.raises(CampaignError, match="distinct"):
+            run_campaigns([pings, pings])
+
     def test_crashed_point_never_kills_the_sweep(self):
         result = (Campaign("flaky").scenario(flaky)
                   .grid(rate=[0, 1e6]).backends("kollaps").run(jobs=1))
@@ -316,6 +360,56 @@ class TestExecution:
                   .run(jobs=4, progress=events.append))
         assert not result.failed()
         assert any(event.kind == "fallback" for event in events)
+
+
+class TestWorkerIndependence:
+    """A point's record does not depend on what its process ran before:
+    the property one pool shared by every experiment rests on.  The
+    points reach each process-wide cache — ``apps/kvstore._KEY_NAMES``
+    (memtier), ``table4.probe_plan``'s ``lru_cache`` and the collapse
+    memo, whose last routing lends its trees across a latency rise."""
+
+    def test_records_do_not_depend_on_run_order(self):
+        from repro import telemetry
+        from repro.apps import kvstore
+        from repro.campaign import run_point
+        from repro.core import clear_collapse_cache
+        from repro.experiments import ablation_sharing, fig4, table4
+        campaigns = [
+            fig4.campaign(duration=0.5, hosts=[1, 2], connections=[1]),
+            table4.campaign(pings=3, pair_count=4).grid(size=[120]),
+            ablation_sharing.campaign(duration=2.0),
+            Campaign("rising").scenario(rising).seeds(2)]
+        in_grid_order = [(campaign._factory, point) for campaign in campaigns
+                         for point in campaign.points()]
+        shuffled = list(in_grid_order)
+        random.Random(5).shuffle(shuffled)
+
+        def records(tasks):
+            by_hash = {}
+            for factory, point in tasks:
+                record = run_point(factory, point).to_record()
+                assert record["status"] == "ok", record["error"]
+                del record["elapsed"]
+                by_hash[record["hash"]] = record
+            return by_hash
+
+        clear_collapse_cache()
+        telemetry.metrics.clear()
+        telemetry.enable()
+        try:
+            first = records(in_grid_order)
+            inherited = telemetry.metrics.counter(
+                "collapse.trees_inherited").value
+            plans_reused = table4.probe_plan.cache_info().hits
+            assert records(shuffled) == first
+        finally:
+            telemetry.disable()
+            telemetry.metrics.clear()
+        assert len(first) == 9
+        assert inherited > 0
+        assert kvstore._KEY_NAMES
+        assert table4.probe_plan.cache_info().hits > plans_reused
 
 
 # --------------------------------------------------------------------------
@@ -870,6 +964,51 @@ class TestCampaignCli:
         assert main(["campaign", "status", "fig99"]) == 1
         err = capsys.readouterr().err
         assert "fig99" in err and "fig5" in err
+
+    @pytest.mark.parametrize("verb", ["run", "status", "report", "compact"])
+    @pytest.mark.parametrize("source, text, error", [
+        ("broken.py", "def factory(:\n", "SyntaxError"),
+        ("needs_dep.py", "import repro_no_such_module\n",
+         "ModuleNotFoundError"),
+        ("empty.py", "x = 1\n", "CampaignError"),
+        ("absent.py", None, "FileNotFoundError"),
+        ("fig99", None, "CampaignError"),
+    ], ids=["syntax-error", "import-error", "no-campaign", "missing-file",
+            "unknown-id"])
+    def test_a_source_that_cannot_load_is_a_diagnostic(
+            self, verb, source, text, error, tmp_path, capsys):
+        from repro.cli import main
+        if source.endswith(".py"):
+            source = str(tmp_path / source)
+            if text is not None:
+                Path(source).write_text(text)
+        assert main(["campaign", verb, source,
+                     "--store", str(tmp_path / "campaigns")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load campaign {source!r}: {error}: ")
+        assert "Traceback" not in err
+        stem = Path(source).stem
+        assert f"repro_campaign_{stem}" not in sys.modules
+
+    def test_paper_is_every_experiment_in_its_own_store(self, tmp_path,
+                                                         capsys):
+        from repro.cli import main
+        from repro.experiments import registered
+        store = str(tmp_path / "campaigns")
+        assert main(["campaign", "status", "paper", "--quick",
+                     "--store", store]) == 0
+        stores = [line.split(os.sep)[-1] for line
+                  in capsys.readouterr().out.splitlines()
+                  if line.startswith("store: ")]
+        assert stores == registered()
+        assert main(["campaign", "report", "paper", "--quick",
+                     "--store", store]) == 1
+        err = capsys.readouterr().err
+        assert "campaign 'table2' has 36 point(s) missing" in err
+        assert "repro campaign run paper --quick" in err
+        assert main(["campaign", "run", str(tmp_path / "sweep.py"),
+                     "--quick"]) == 1
+        assert "quick scale" in capsys.readouterr().err
 
     def test_compact_cli(self, campaign_file, tmp_path, capsys):
         from repro.cli import main

@@ -7,9 +7,9 @@ from repro.experiments import (
     ExperimentResult,
     as_campaign,
     format_table,
-    get_runner,
     registered,
     render_markdown,
+    report_sweep,
 )
 from repro.experiments.base import _ORDER
 
@@ -62,14 +62,6 @@ class TestRegistry:
         ids = registered()
         positions = [ids.index(exp_id) for exp_id in _ORDER]
         assert positions == sorted(positions)
-
-    def test_get_runner_known(self):
-        runner = get_runner("fig8")
-        assert callable(runner)
-
-    def test_get_runner_unknown(self):
-        with pytest.raises(KeyError, match="unknown experiment"):
-            get_runner("fig99")
 
     def test_every_experiment_is_a_campaign(self):
         from repro.campaign import Campaign
@@ -140,16 +132,16 @@ class TestFormatting:
 
 
 class TestRunnersSmoke:
-    """One fast runner end-to-end: registry -> result -> checks."""
+    """One fast experiment end-to-end: registry -> campaign -> report."""
 
     def test_fig8_quick_reproduces(self):
-        result = get_runner("fig8")(quick=True)
+        result = report_sweep(as_campaign("fig8", quick=True).run())
         assert result.exp_id == "fig8"
         assert result.rows
         result.assert_all()
 
     def test_fig3_quick_reproduces(self):
-        result = get_runner("fig3")(quick=True)
+        result = report_sweep(as_campaign("fig3", quick=True).run())
         result.assert_all()
         # The decentralization claim is visible in the quick run too.
         assert any("zero network metadata" in check.description

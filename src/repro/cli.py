@@ -58,8 +58,8 @@ exposing ``SCENARIO``) to a runnable experiment.
     or ``paper``: every experiment of the evaluation (§5), its points in
     one pool and each experiment's records in its own store.  This is the
     one way to run the evaluation; ``report paper`` writes EXPERIMENTS.md
-    (exit 1 when a shape check fails), and ``--quick`` selects the
-    experiments' smoke-test scale::
+    (exit 1 when a shape check fails), and ``--quick`` (on ``run``,
+    ``status`` and ``report``) selects the experiments' smoke-test scale::
 
         python -m repro.cli campaign run paper --jobs 2
         python -m repro.cli campaign report paper -o EXPERIMENTS.md
@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_commands = campaign.add_subparsers(dest="campaign_command",
                                                 required=True)
 
-    def _add_campaign_source(subparser: argparse.ArgumentParser) -> None:
+    def _add_campaign_source(subparser: argparse.ArgumentParser, *,
+                             quick: bool = True) -> None:
         subparser.add_argument(
             "campaign_source",
             help="a .py file exposing CAMPAIGN, a registered experiment "
@@ -259,9 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--store", default="campaigns",
             help="campaigns root directory (results land under "
                  "<store>/<name>/, default: campaigns)")
-        subparser.add_argument(
-            "--quick", action="store_true",
-            help="the experiments' smoke-test scale (shorter runs)")
+        if quick:
+            subparser.add_argument(
+                "--quick", action="store_true",
+                help="the experiments' smoke-test scale (shorter runs)")
+        else:
+            subparser.set_defaults(quick=False)
 
     campaign_run = campaign_commands.add_parser(
         "run", help="execute the sweep (skipping stored points)")
@@ -299,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_compact = campaign_commands.add_parser(
         "compact", help="garbage-collect a store: drop superseded records")
-    _add_campaign_source(campaign_compact)
+    # Both scales share <store>/<exp_id>/, so compaction has no --quick.
+    _add_campaign_source(campaign_compact, quick=False)
 
     trace = commands.add_parser(
         "trace", help="inspect telemetry traces recorded with --trace / "
@@ -714,11 +719,7 @@ def _paper_report(args: argparse.Namespace, campaigns) -> int:
                   f"paper{' --quick' * args.quick}` first", file=sys.stderr)
             return 1
         results.append(report_sweep(sweep))
-    report = render_markdown(results)
-    if args.output in (None, "-"):
-        print(report)       # then a blank line, as the quick golden pins
-    else:
-        _write_report(args, report)
+    _write_report(args, render_markdown(results))
     failures = [(result.exp_id, check) for result in results
                 for check in result.failures()]
     for exp_id, check in failures:

@@ -81,4 +81,3 @@ def report(sweep) -> ExperimentResult:
     result.check("per-destination metadata flows on the wire",
                  results["measured_rate"] > 0)
     return result
-

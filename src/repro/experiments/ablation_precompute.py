@@ -97,4 +97,3 @@ def report(sweep) -> ExperimentResult:
     result.check("one state per distinct event time plus the base",
                  results["states"] == results["expected_states"])
     return result
-

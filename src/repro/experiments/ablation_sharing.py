@@ -163,4 +163,3 @@ def report(sweep) -> ExperimentResult:
                  loss["without-loss"]["final_cwnd"]
                  > 2 * loss["with-loss"]["final_cwnd"])
     return result
-

@@ -246,4 +246,5 @@ def render_markdown(results: Sequence[ExperimentResult]) -> str:
             marker = "x" if check.passed else " "
             lines.append(f"- [{marker}] {check.description}")
         lines.append("")
+    lines.append("")    # the document ends in two blank lines
     return "\n".join(lines) + "\n"

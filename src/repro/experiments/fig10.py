@@ -86,4 +86,3 @@ def report(sweep) -> ExperimentResult:
     result.check("latency eventually climbs (the hockey stick)",
                  curve[("kollaps", 32)][1] >= curve[("kollaps", 1)][1] * 0.9)
     return result
-

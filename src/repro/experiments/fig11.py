@@ -69,4 +69,3 @@ def report(sweep) -> ExperimentResult:
                      abs(whatif["read_latency"] - original["read_latency"])
                      <= 0.10 * original["read_latency"])
     return result
-

@@ -89,4 +89,3 @@ def report(sweep) -> ExperimentResult:
     result.check("modest absolute volume (< 500 KB/s everywhere)",
                  max(results.values()) < 500e3)
     return result
-

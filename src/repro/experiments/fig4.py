@@ -83,4 +83,3 @@ def report(sweep) -> ExperimentResult:
         result.check(f"metadata per host modest at {hosts} hosts",
                      results[(hosts, 10)][1] < 50e3)
     return result
-

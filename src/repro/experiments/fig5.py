@@ -91,4 +91,3 @@ def report(sweep) -> ExperimentResult:
     result.check("Mininet close on short-lived wrk2 flows",
                  deviation("wrk2", "mininet") < 0.15)
     return result
-

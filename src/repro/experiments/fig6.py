@@ -72,4 +72,3 @@ def report(sweep) -> ExperimentResult:
     result.check("the Mininet gap widens with load (collapse signature)",
                  gap_high < gap_low)
     return result
-

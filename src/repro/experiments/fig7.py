@@ -87,4 +87,3 @@ def report(sweep) -> ExperimentResult:
     result.check("the long flow keeps most of the gigabit in phase 2",
                  results["baremetal"]["long_phase2"] > 0.5 * GBPS)
     return result
-

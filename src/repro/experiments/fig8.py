@@ -86,4 +86,3 @@ def report(sweep) -> ExperimentResult:
                 abs(got - want) <= 0.15 * want)
     result.check("all flows quiet after teardown", teardown == 0.0)
     return result
-

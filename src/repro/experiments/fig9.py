@@ -90,4 +90,3 @@ def report(sweep) -> ExperimentResult:
     result.check("latencies in the figure's range (50-600 ms)",
                  0.05 < latency("bftsmart", "virginia", 50) < 0.6)
     return result
-

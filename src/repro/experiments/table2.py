@@ -133,4 +133,3 @@ def report(sweep) -> ExperimentResult:
         result.check(f"Trickle tuned within ~2 % at {label}",
                      abs(tuned - 0.02) <= 0.01)
     return result
-

@@ -71,4 +71,3 @@ def report(sweep) -> ExperimentResult:
     result.check("overall MSE in the paper's ballpark (< 0.25 ms^2)",
                  mse < 0.25)
     return result
-

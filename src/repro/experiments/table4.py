@@ -165,4 +165,3 @@ def report(sweep) -> ExperimentResult:
     result.check("Maxinet gives up at the largest size",
                  results[("maxinet", SIZES[2])] is None)
     return result
-

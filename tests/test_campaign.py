@@ -1009,6 +1009,9 @@ class TestCampaignCli:
         assert main(["campaign", "run", str(tmp_path / "sweep.py"),
                      "--quick"]) == 1
         assert "quick scale" in capsys.readouterr().err
+        # Both scales share one store directory: compact has no --quick.
+        with pytest.raises(SystemExit):
+            main(["campaign", "compact", "paper", "--quick"])
 
     def test_compact_cli(self, campaign_file, tmp_path, capsys):
         from repro.cli import main

@@ -1,7 +1,12 @@
 """Tests for the experiment harness (registry, results, reporting)."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from repro.campaign import CampaignResult
 from repro.experiments import (
     Check,
     ExperimentResult,
@@ -12,6 +17,13 @@ from repro.experiments import (
     report_sweep,
 )
 from repro.experiments.base import _ORDER
+from repro.scenario import ScenarioRun
+
+GOLDEN_QUICK = Path(__file__).parent / "golden" / "experiments_quick.md"
+# ablation-precompute's wall-clock rows, masked as the golden has them.
+_WALL_CLOCK_ROW = re.compile(
+    r"^(\| (?:offline pre-computation|runtime cost per event|"
+    r"online collapse per event)[^|]*\|) [0-9.]+ ms \|$", re.M)
 
 
 def sample_result(passed: bool = True) -> ExperimentResult:
@@ -131,8 +143,36 @@ class TestFormatting:
         assert "| a | 1.0 |" in text
 
 
+def round_tripped(sweep) -> CampaignResult:
+    """The sweep as a store or pool worker hands it back: every run
+    through ``ScenarioRun.from_dict(run.to_dict())`` (no engine, no raw
+    results, stringified workload keys)."""
+    return CampaignResult(sweep.campaign, [
+        result if result.run is None else replace(
+            result, run=ScenarioRun.from_dict(result.run.to_dict()))
+        for result in sweep])
+
+
+def quick_section(markdown: str, exp_id: str) -> str:
+    """``exp_id``'s section of an EXPERIMENTS.md, wall-clock cells masked."""
+    section = markdown.split(f"\n## {exp_id}: ", 1)[1].split("\n## ", 1)[0]
+    return _WALL_CLOCK_ROW.sub(r"\1 (wall-clock) |", section).rstrip("\n")
+
+
 class TestRunnersSmoke:
-    """One fast experiment end-to-end: registry -> campaign -> report."""
+    """Experiments end-to-end in this process: registry -> campaign ->
+    report, over live runs (``benchmarks/`` reads its sweeps back from a
+    pool, so only here does a report see engines and raw results)."""
+
+    @pytest.mark.parametrize("exp_id", registered())
+    def test_live_quick_report_is_the_stored_one_and_the_golden(
+            self, exp_id):
+        live = as_campaign(exp_id, quick=True).run(jobs=1)
+        result = report_sweep(live)
+        assert report_sweep(round_tripped(live)) == result, \
+            f"{exp_id}: report depends on more than the stored metrics"
+        assert quick_section(render_markdown([result]), exp_id) == \
+            quick_section(GOLDEN_QUICK.read_text(encoding="utf-8"), exp_id)
 
     def test_fig8_quick_reproduces(self):
         result = report_sweep(as_campaign("fig8", quick=True).run())

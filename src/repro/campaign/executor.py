@@ -24,11 +24,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import pickle
 import sys
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from inspect import Parameter, signature
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -157,6 +153,7 @@ def run_point(factory: Callable, point: Point) -> PointResult:
     except BackendCompatibilityError as error:
         return failed("incompatible", str(error))
     except Exception as error:  # noqa: BLE001 — the whole job is capture
+        import traceback
         trace = traceback.format_exc(limit=8)
         return failed("error", f"{type(error).__name__}: {error}\n{trace}")
     span.set(status="ok").finish()
@@ -256,6 +253,7 @@ def _shipment(factory: Callable
     ref = factory_ref(factory)
     if ref is not None:
         return None, ref
+    import pickle
     try:
         pickle.dumps(factory)
     except Exception:  # noqa: BLE001 — any pickling failure means "no"
@@ -330,6 +328,9 @@ def execute_points(tasks: Sequence[Tuple[Callable, Point]], *,
         finish(position, run_point(factory, point))
     if not pooled:
         return results
+    # Only a pool run pays for the pool's stack (about 2 MB of modules).
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
 
     def submit(pool: ProcessPoolExecutor, position: int):
         factory, point = tasks[position]

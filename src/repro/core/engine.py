@@ -109,7 +109,7 @@ class EmulationEngine:
         self.tcals: Dict[str, Tcal] = {}
         for container in containers:
             tcal = Tcal(container, self.allocator,
-                        rng=self.rng.stream(f"netem:{container}"))
+                        rng=partial(self.rng.stream, f"netem:{container}"))
             self.tcals[container] = tcal
             self.dataplane.attach_tcal(container, tcal)
 

@@ -248,7 +248,9 @@ class FluidEngine:
         self.sim = sim
         self.provider = provider
         self.dt = dt
-        self.rng = (rng or RngRegistry(0)).stream("fluid-loss")
+        self._streams = rng or RngRegistry(0)
+        # The "fluid-loss" stream, made by the first step that draws.
+        self._loss_rng = None
         self.buffer_bits = buffer_bits
         self.flows: Dict[Hashable, FluidFlow] = {}
         self._entries: Dict[Hashable, FlowEntry] = {}
@@ -386,7 +388,9 @@ class FluidEngine:
                 if not lost and explicit_loss > 0.0 and achieved > 0.0:
                     packets = max(1.0, achieved * dt / flow.mss_bits)
                     event_probability = 1.0 - (1.0 - explicit_loss) ** packets
-                    lost = self.rng.random() < event_probability
+                    if self._loss_rng is None:
+                        self._loss_rng = self._streams.stream("fluid-loss")
+                    lost = self._loss_rng.random() < event_probability
                 # Delivered goodput is reduced by explicit link loss.
                 delivered = achieved * (1.0 - explicit_loss)
                 flow.advance(now, dt, delivered, lost)

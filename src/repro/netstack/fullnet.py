@@ -105,9 +105,14 @@ class FullStateNetwork:
         self.topology = topology
         self._links = {}
         for link in topology.links():
-            stream = self.rng.stream(f"link:{link.link_id}")
+            # A link's properties are fixed until the next rebuild: only a
+            # lossy or jittery one ever draws, so only it gets its stream.
+            properties = link.properties
+            stream = (self.rng.stream(f"link:{link.link_id}")
+                      if properties.loss > 0.0 or properties.jitter > 0.0
+                      else None)
             self._links[link.link_id] = PacketLink(
-                self.sim, link.properties, buffer_bits=self.buffer_bits,
+                self.sim, properties, buffer_bits=self.buffer_bits,
                 rng=stream, name=f"{link.source}->{link.destination}")
         #: The forwarding tables: ``collapsed.path(a, b)`` is the route.
         self.collapsed = collapse(topology)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro import telemetry
 from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
@@ -95,11 +95,16 @@ class Tcal:
     """Per-container egress shaping facade."""
 
     def __init__(self, container: str, allocator: IpAllocator, *,
-                 rng: Optional[random.Random] = None,
+                 rng: Union[random.Random, Callable[[], random.Random],
+                            None] = None,
                  default_rate: float = 10e9) -> None:
         self.container = container
         self.allocator = allocator
-        self.rng = rng
+        #: The one stream every chain of this container draws from.  When
+        #: ``rng`` is a function making it, it is made for the first chain
+        #: that can draw (jitter or loss above 0), and is ``None`` before.
+        self.rng: Optional[random.Random] = None if callable(rng) else rng
+        self._make_rng = rng if callable(rng) else None
         self.filter = U32Filter()
         self.qdisc = HtbQdisc(default_rate)
         #: destination -> chain, for the chains that exist.  The data plane
@@ -150,6 +155,7 @@ class Tcal:
         if existing is not None:
             existing.netem.configure(latency=latency, jitter=jitter,
                                      loss=loss, distribution=distribution)
+            self._arm(existing.netem)
             existing.htb.set_rate(bandwidth)
             return existing
         # Everything that can refuse the request runs before any state
@@ -159,6 +165,7 @@ class Tcal:
         htb_class = self.qdisc.ensure_class(class_id, bandwidth)
         netem = NetemQdisc(latency=latency, jitter=jitter, loss=loss,
                            distribution=distribution, rng=self.rng)
+        self._arm(netem)
         self._next_class += 1
         self.filter.add_match(address, class_id)
         shaping = PathShaping(class_id, netem, htb_class, destination)
@@ -166,6 +173,13 @@ class Tcal:
         if telemetry.enabled():
             telemetry.metrics.counter("tc.chains_built").inc()
         return shaping
+
+    def _arm(self, netem: NetemQdisc) -> None:
+        """Hand ``netem`` the container's stream once it can draw."""
+        if netem.rng is None and (netem.loss > 0.0 or netem.jitter > 0.0):
+            if self.rng is None and self._make_rng is not None:
+                self.rng = self._make_rng()
+            netem.rng = self.rng
 
     def remove_destination(self, destination: str) -> None:
         shaping = self.chains.pop(destination, None)
@@ -214,8 +228,9 @@ class Tcal:
     def set_netem(self, destination: str, *, latency: Optional[float] = None,
                   jitter: Optional[float] = None,
                   loss: Optional[float] = None) -> None:
-        self.shaping_for(destination).netem.configure(
-            latency=latency, jitter=jitter, loss=loss)
+        netem = self.shaping_for(destination).netem
+        netem.configure(latency=latency, jitter=jitter, loss=loss)
+        self._arm(netem)
         self._count_write()
 
     def _count_write(self) -> None:

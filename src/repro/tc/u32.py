@@ -10,24 +10,33 @@ constant-lookup property is structural, not accidental.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.tc.ip import Ipv4Address
 
 __all__ = ["U32Filter"]
 
 
+#: The first level of every filter that holds no rule yet: shared and
+#: read-only, so a container that never sends owns no table.
+_NO_BUCKETS = (None,) * 256
+
+
 class U32Filter:
     """Maps destination IPv4 addresses to class identifiers."""
 
     def __init__(self) -> None:
-        # First level: indexed by third octet; entries are lazily created
-        # 256-slot second-level tables indexed by the fourth octet.
-        self._level_one: List[Optional[List[Optional[int]]]] = [None] * 256
+        # First level: indexed by third octet; made by the first rule, its
+        # entries lazily created 256-slot second-level tables indexed by
+        # the fourth octet.
+        self._level_one: Sequence[Optional[List[Optional[int]]]] = \
+            _NO_BUCKETS
         self.rules = 0
 
     def add_match(self, address: Ipv4Address, class_id: int) -> None:
         """Install ``address -> class_id``; replaces an existing rule."""
+        if self._level_one is _NO_BUCKETS:
+            self._level_one = [None] * 256
         bucket = self._level_one[address.third_octet]
         if bucket is None:
             bucket = self._level_one[address.third_octet] = [None] * 256

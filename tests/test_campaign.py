@@ -29,7 +29,8 @@ from repro.campaign import (
     load_campaign,
 )
 from repro.dashboard import CampaignMonitor
-from repro.scenario import Scenario, ScenarioRun, flow, ping, set_link
+from repro.scenario import Scenario, ScenarioRun, dumps_scn, flow, \
+    loads_scn, ping, set_link
 from repro.scenario.results import series_summary
 from repro.scenario.topologies import scale_free
 
@@ -123,6 +124,26 @@ def rising(*, seed=0):
                               key=f"{a}->{b}"))
     return builder.deploy(machines=2, seed=seed, duration=1.5,
                           enforce_bandwidth_sharing=False)
+
+
+def lossy(*, seed=0):
+    """Pings and a flow over lossy, jittery links: every netem, link and
+    fluid-loss stream is made on its first draw."""
+    return (Scenario.build("lossy")
+            .service("a").service("b").bridge("s")
+            .link("a", "s", latency="2ms", jitter="1ms", loss="5%",
+                  up="10Mbps")
+            .link("s", "b", latency="2ms", jitter="1ms", loss="2%",
+                  up="10Mbps")
+            .workload(ping("a", "b", count=30, interval=0.02),
+                      flow("a", "b", key="bulk"))
+            .deploy(machines=2, seed=seed, duration=1.0))
+
+
+def from_scn(*, seed=0):
+    """A point loaded from its ``.scn`` document: validation reads the
+    schema's cached ``_deploy_checks``."""
+    return loads_scn(dumps_scn(lossy(seed=seed)))
 
 
 def sweep(factory=pair, name="sweep") -> Campaign:
@@ -366,8 +387,10 @@ class TestWorkerIndependence:
     """A point's record does not depend on what its process ran before:
     the property one pool shared by every experiment rests on.  The
     points reach each process-wide cache — ``apps/kvstore._KEY_NAMES``
-    (memtier), ``table4.probe_plan``'s ``lru_cache`` and the collapse
-    memo, whose last routing lends its trees across a latency rise."""
+    (memtier), ``table4.probe_plan``'s ``lru_cache``, the collapse
+    memo, whose last routing lends its trees across a latency rise, and
+    the ``.scn`` schema's ``_deploy_checks`` — and the random streams a
+    run makes on their first draw."""
 
     def test_records_do_not_depend_on_run_order(self):
         from repro import telemetry
@@ -375,11 +398,15 @@ class TestWorkerIndependence:
         from repro.campaign import run_point
         from repro.core import clear_collapse_cache
         from repro.experiments import ablation_sharing, fig4, table4
+        from repro.scenario.dsl import schema
         campaigns = [
             fig4.campaign(duration=0.5, hosts=[1, 2], connections=[1]),
             table4.campaign(pings=3, pair_count=4).grid(size=[120]),
             ablation_sharing.campaign(duration=2.0),
-            Campaign("rising").scenario(rising).seeds(2)]
+            Campaign("rising").scenario(rising).seeds(2),
+            Campaign("lossy").scenario(lossy).seeds(2)
+            .backends("kollaps", "baremetal"),
+            Campaign("scn").scenario(from_scn).seeds(2)]
         in_grid_order = [(campaign._factory, point) for campaign in campaigns
                          for point in campaign.points()]
         shuffled = list(in_grid_order)
@@ -406,10 +433,14 @@ class TestWorkerIndependence:
         finally:
             telemetry.disable()
             telemetry.metrics.clear()
-        assert len(first) == 9
+        assert len(first) == 15
         assert inherited > 0
         assert kvstore._KEY_NAMES
         assert table4.probe_plan.cache_info().hits > plans_reused
+        assert schema._deploy_checks.cache_info().hits > 0
+        lossy_runs = [record["run"] for record in first.values()
+                      if record["point"]["campaign"] in ("lossy", "scn")]
+        assert len(lossy_runs) == 6
 
 
 # --------------------------------------------------------------------------

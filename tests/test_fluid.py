@@ -167,3 +167,36 @@ class TestFlowMechanics:
         engine = FluidEngine(sim, GroundTruthConstraints(topology))
         flow = engine.add_flow(FluidFlow("f", "client", "server"))
         assert flow.rtt == pytest.approx(0.060)
+
+
+class TestLossStream:
+    """The ``fluid-loss`` stream is made on the first step that draws."""
+
+    @staticmethod
+    def run(loss, *, eager=False):
+        sim = Simulator()
+        topology = point_to_point(10e6, latency=0.020,
+                                  loss=loss).compile().topology
+        registry = RngRegistry(3)
+        if eager:
+            registry.stream("fluid-loss")
+        engine = FluidEngine(sim, GroundTruthConstraints(topology),
+                             rng=registry)
+        engine.add_flow(FluidFlow("f", "client", "server"))
+        sim.run(until=5.0)
+        return registry, engine
+
+    def test_an_engine_that_never_draws_makes_no_stream(self):
+        registry, engine = self.run(0.0)
+        assert engine.mean_throughput("f", 2.0, 5.0) > 0
+        assert registry._streams == {}
+
+    def test_a_stream_made_on_the_first_draw_draws_what_an_eager_one_does(
+            self):
+        registry, engine = self.run(0.01)
+        eager_registry, eager = self.run(0.01, eager=True)
+        assert list(registry._streams) == ["fluid-loss"]
+        assert engine.series("f") == eager.series("f")
+        assert registry.stream("fluid-loss").getstate() == \
+            eager_registry.stream("fluid-loss").getstate() != \
+            RngRegistry(3).stream("fluid-loss").getstate()

@@ -20,7 +20,8 @@ import pytest
 ROOT = Path(__file__).parent.parent
 
 # Never needed to import the front door, print help, validate a file or
-# run one ping on the Kollaps backend.  A name covers its submodules.
+# run one ping on the Kollaps backend.  A name — of ``repro`` or of the
+# standard library — covers its submodules.
 TOOLBOX = (
     "repro.scenario.dsl.fuzz", "repro.scenario.dsl.differential",
     "repro.scenario.dsl.diff", "repro.telemetry.export",
@@ -63,6 +64,23 @@ except SystemExit as exit:          # argparse leaves --help this way
 assert not status, status
 """
 
+# A serial campaign runs its points in this process: the pool's stack
+# loads where a pool starts, and nothing is pickled.
+POOL = ("concurrent.futures", "multiprocessing", "pickle")
+SERIAL_CAMPAIGN = """
+from repro.campaign import Campaign
+from repro.scenario import Scenario, flow
+
+def pair(rate):
+    return (Scenario.build("pair").service("a").service("b").bridges("s")
+            .link("a", "s", latency="1ms", up=rate)
+            .link("s", "b", latency="1ms", up=rate)
+            .workload(flow("a", "b")).deploy(machines=2, duration=1.0))
+
+result = Campaign("pair").scenario(pair).grid(rate=[1e6, 2e6]).run(jobs=1)
+assert len(result.ok()) == 2
+"""
+
 CASES = {
     "import-scenario": ("import repro.scenario", TOOLBOX + LINTER + SCRIPTS),
     "cli-help": (CLI.format(argv=["--help"]), TOOLBOX + LINTER + SCRIPTS
@@ -78,17 +96,20 @@ CASES = {
         tuple(name for name in TOOLBOX if not name.startswith(
             ("repro.netstack.fullnet", "repro.baselines")))
         + LINTER + SCRIPTS + OTHER_COMPARATORS),
+    "import-campaign": ("import repro.campaign", TOOLBOX + SCRIPTS + POOL),
+    "serial-campaign-run": (SERIAL_CAMPAIGN,
+                            TOOLBOX + LINTER + SCRIPTS + POOL),
 }
 
 LIST_MODULES = """
 import json, sys
-print(json.dumps(sorted(name for name in sys.modules
-                        if name.partition(".")[0] == "repro")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
 def loaded_modules(code: str) -> list:
-    """The ``repro`` modules a fresh interpreter holds after *code*."""
+    """The modules — ``repro``'s and the standard library's — a fresh
+    interpreter holds after *code*."""
     environment = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     environment.pop("REPRO_TRACE", None)
     done = subprocess.run([sys.executable, "-c", code + LIST_MODULES],
@@ -104,7 +125,8 @@ def test_a_process_loads_the_modules_it_uses(case):
     modules = loaded_modules(code)
     assert "repro.units" in modules     # the list is real, not empty
     unused = [name for name in modules
-              if name.startswith(tuple(forbidden))
+              if any(name == prefix or name.startswith(prefix + ".")
+                     for prefix in forbidden)
               or (name.startswith("repro.apps.")
                   and name != "repro.apps.ping")]
     assert not unused, f"{case} loaded {unused}"

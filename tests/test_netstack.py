@@ -140,6 +140,31 @@ class TestFullStateNetwork:
         sim.run()
         assert arrivals[0] == pytest.approx(0.055, rel=1e-3)
 
+    def test_only_a_link_that_can_draw_gets_its_stream(self):
+        """A link's properties hold until ``install_topology`` rebuilds
+        every link, so only a lossy or jittery one is handed its
+        ``link:<id>`` stream, and it draws what an eager stream would."""
+        sim = Simulator()
+        topology = point_to_point(1e9, latency=0.010).compile().topology
+        registry = RngRegistry(2)
+        network = FullStateNetwork(sim, topology, rng=registry)
+        assert registry._streams == {}
+        changed = topology.copy()
+        lossy = changed.update_link("client", "s0", loss=0.25)
+        network.install_topology(changed)
+        name = f"link:{lossy.link_id}"
+        assert list(registry._streams) == [name]
+        assert [link_id for link_id, link in network._links.items()
+                if link.rng is not None] == [lossy.link_id]
+        drops = []
+        for index in range(200):
+            network.send(Packet("client", "server", 800), lambda p: None,
+                         on_drop=lambda p, index=index: drops.append(index))
+        sim.run()
+        mirror = RngRegistry(2).stream(name)
+        assert drops == [index for index in range(200)
+                         if mirror.random() < 0.25]
+
 
 @pytest.mark.parametrize("plane", [KollapsDataPlane, FullStateNetwork,
                                    MaxinetEmulator])

@@ -1,12 +1,14 @@
 """Simulator determinism per seed, pinned on the packet-mode kv mesh."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from event_order import APP_CASES, DURATION, SEED, app_event_order, \
-    kv_event_order
+    event_order, kv_event_order
+from repro.scenario import Scenario, flow, ping
 
 GOLDEN = Path(__file__).parent / "golden" / "kv_event_order.json"
 
@@ -74,3 +76,39 @@ def test_app_event_order_survives_the_scn_round_trip(case):
     pinned = json.loads(APPS.read_text())["cases"][case]
     assert app_event_order(case, through_scn=True) == (pinned["events"],
                                                        pinned["digest"])
+
+
+def lossy_jittery_pair():
+    """A point whose packets and flow draw netem, link and fluid-loss
+    values on every backend."""
+    return (Scenario.build("lossy").service("a").service("b").bridges("s")
+            .link("a", "s", latency="5ms", jitter="1ms", loss="5%",
+                  up="10Mbps")
+            .link("s", "b", latency="5ms", jitter="2ms", loss="2%",
+                  up="10Mbps", jitter_distribution="uniform")
+            .workload(ping("a", "b", count=40, interval=0.01),
+                      flow("a", "b"))
+            .deploy(machines=1, seed=SEED))
+
+
+def test_global_random_cannot_reach_a_run():
+    """Every draw comes from the run's own seeded streams, which are made
+    on their first draw: reseeding the module-global ``random`` and
+    drawing from it moves no event.  A netem or link that drew before it
+    got its stream would fall back to the global generator
+    (``self.rng or random``) and land here."""
+    def orders():
+        return (kv_event_order(),
+                event_order(lossy_jittery_pair(), "kollaps", duration=1.0),
+                event_order(lossy_jittery_pair(), "baremetal",
+                            duration=1.0))
+
+    state = random.getstate()
+    try:
+        random.seed(1)
+        first = orders()
+        random.seed(2)
+        [random.random() for _ in range(7)]
+        assert orders() == first
+    finally:
+        random.setstate(state)

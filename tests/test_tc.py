@@ -2,6 +2,7 @@
 
 import random
 import statistics
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.core.properties import PathProperties
+from repro.sim import RngRegistry
 from repro.tc import IpAllocator, Ipv4Address, NetemQdisc, Tcal, U32Filter
 from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
 from repro.tc.tcal import PathShaping
@@ -548,3 +550,93 @@ class TestTcalRow:
             telemetry.disable()
             telemetry.metrics.clear()
         assert built == 2
+
+
+class TestTcalStream:
+    """An engine hands each TCAL a function making its ``netem:<c>``
+    stream, made on the first chain that can draw.  A stream's seed is
+    the root seed and its name, so making it late draws what making it
+    at build drew."""
+
+    SEED = 11
+
+    def build(self, **row):
+        registry = RngRegistry(self.SEED)
+        allocator = IpAllocator()
+        for name in ("client", "server", "other"):
+            allocator.assign(name)
+        tcal = Tcal("client", allocator,
+                    rng=partial(registry.stream, "netem:client"))
+        tcal.install_row(row.get)
+        return registry, tcal
+
+    def mirror(self):
+        return RngRegistry(self.SEED).stream("netem:client")
+
+    @pytest.mark.parametrize("how", ["set_netem", "install_row"])
+    def test_a_chain_given_loss_later_drops_what_the_stream_predicts(
+            self, how):
+        registry, tcal = self.build(server=TestTcalRow.path())
+        for step in range(50):
+            assert tcal.egress(float(step), "server", 8000) is not None
+        assert tcal.rng is None and registry._streams == {}
+        if how == "set_netem":
+            tcal.set_netem("server", loss=0.3)
+        else:
+            assert tcal.install_row(
+                {"server": TestTcalRow.path(loss=0.3)}.get) == 1
+        dropped = [tcal.egress(float(step), "server", 8000) is None
+                   for step in range(50, 350)]
+        mirror = self.mirror()
+        assert dropped == [mirror.random() < 0.3 for _ in range(300)]
+        assert 50 < sum(dropped) < 130
+        assert tcal.shaping_for("server").netem.rng is tcal.rng \
+            is registry.stream("netem:client")
+
+    def test_two_chains_of_one_container_share_the_one_stream(self):
+        registry, tcal = self.build(
+            server=TestTcalRow.path(jitter=0.002, loss=0.1),
+            other=TestTcalRow.path(latency=0.030, jitter=0.004, loss=0.2))
+        stream = self.mirror()
+        mirrors = {"server": NetemQdisc(latency=0.010, jitter=0.002,
+                                        loss=0.1, rng=stream),
+                   "other": NetemQdisc(latency=0.030, jitter=0.004,
+                                       loss=0.2, rng=stream)}
+        for step in range(200):
+            destination = ("server", "other")[step % 3 == 0]
+            release = tcal.egress(float(step), destination, 8000)
+            delay = mirrors[destination].process()
+            if delay is None:
+                assert release is None
+            else:
+                assert release == float(step) + 8000 / 1e6 + delay
+        assert tcal.shaping_for("server").netem.rng is \
+            tcal.shaping_for("other").netem.rng is tcal.rng
+        assert list(registry._streams) == ["netem:client"]
+        assert tcal.rng.getstate() == stream.getstate()
+
+    def test_a_container_that_never_draws_makes_no_stream(self):
+        registry, tcal = self.build(server=TestTcalRow.path(),
+                                    other=TestTcalRow.path())
+        tcal.install_destination("other", latency=0.002, jitter=0.0,
+                                 loss=0.0, bandwidth=1e6)
+        for step in range(20):
+            tcal.egress(float(step), "server", 8000)
+        tcal.set_bandwidth("server", 2e6)
+        tcal.set_netem("server", latency=0.020, loss=0.0)
+        tcal.install_row({"server": TestTcalRow.path(latency=0.005)}.get)
+        tcal.poll_active()
+        assert tcal.rng is None and registry._streams == {}
+        assert tcal.shaping_for("server").netem.rng is None
+
+    def test_a_run_makes_the_streams_of_the_containers_that_draw(self):
+        from repro.scenario import Scenario, ping
+        run = (Scenario.build("streams").service("a").service("b")
+               .service("c").bridges("s")
+               .link("a", "s", latency="1ms", loss="10%", up="10Mbps")
+               .link("s", "b", latency="1ms", up="10Mbps")
+               .link("c", "s", latency="1ms", up="10Mbps")
+               .workload(ping("a", "b", count=20), ping("c", "b", count=20))
+               .deploy(machines=2, seed=4).compile().run())
+        assert run["ping:a->b"].received < 20 == run["ping:c->b"].received
+        assert sorted(run.engine.rng._streams) == ["netem:a", "netem:b"]

@@ -41,7 +41,7 @@ class BareMetalTestbed:
         self.network = FullStateNetwork(self.sim, topology, rng=self.rng,
                                         switch_model_factory=switch_model)
         self.constraints = GroundTruthConstraints(
-            topology, packet_rate=self.network.packet_rate)
+            topology, packet_rates=self.network.packet_rates)
         self.fluid = FluidEngine(self.sim, self.constraints, dt=fluid_dt,
                                  rng=self.rng)
         # Both planes ride the same physical wires: packets see capacity

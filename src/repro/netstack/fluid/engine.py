@@ -114,8 +114,10 @@ class ConstraintProvider:
 class GroundTruthConstraints(ConstraintProvider):
     """Physical links along each flow's route (bare-metal behaviour).
 
-    ``packet_rate`` optionally reports the packet plane's recent bits/s on
-    a link id; bulk flows then see that share of the wire as occupied.
+    ``packet_rates`` optionally maps a link id to the packet plane's
+    recent bits/s on it, holding non-zero rates only (the live table of
+    :attr:`~repro.netstack.fullnet.FullStateNetwork.packet_rates`); bulk
+    flows then see that share of the wire as occupied.
     The two planes arbitrate max-min style: the fluid aggregate never gets
     pushed below half the wire while the packet plane is active (and the
     packet plane is throttled symmetrically, see
@@ -124,9 +126,9 @@ class GroundTruthConstraints(ConstraintProvider):
     """
 
     def __init__(self, topology: Topology, *,
-                 packet_rate: Optional[Callable[[int], float]] = None
+                 packet_rates: Optional[Mapping[int, float]] = None
                  ) -> None:
-        self.packet_rate = packet_rate
+        self.packet_rates = packet_rates
         self.install_topology(topology)
 
     def install_topology(self, topology: Topology) -> None:
@@ -147,9 +149,10 @@ class GroundTruthConstraints(ConstraintProvider):
             entry.loss = path.properties.loss
 
     def capacities(self, active: List[FlowEntry]) -> Mapping[int, float]:
-        packet_rate = self.packet_rate
+        rates = self.packet_rates
         static = self._capacities
-        if packet_rate is None:
+        if not rates:
+            # No wire carries packets: every capacity is the static one.
             return static
         # Only the wires in use: the result is looked up by link id, never
         # iterated, so neither its order nor the other links matter.
@@ -162,7 +165,7 @@ class GroundTruthConstraints(ConstraintProvider):
                 if capacity != _INFINITY:
                     # What the packet plane leaves, at least half the wire.
                     half = capacity / 2.0
-                    capacity -= packet_rate(link_id)
+                    capacity -= rates.get(link_id, 0.0)
                     if half > capacity:
                         capacity = half
                 effective[link_id] = capacity
@@ -264,6 +267,9 @@ class FluidEngine:
         # column ends with the last step that integrated its key).
         self._times = array("d")
         self._rates: Dict[Hashable, array] = {}
+        # Whether ``series`` handed these columns out: the next step then
+        # writes to copies, so a series never changes once taken.
+        self._lent = False
         # Allocated bits/s per link id last step — what the packet plane
         # reads to model bulk traffic occupying shared wires.
         self._link_rates: Dict[int, float] = {}
@@ -337,6 +343,8 @@ class FluidEngine:
         trace = telemetry.span("fluid.step") if telemetry.enabled() else None
         now = self.sim.now
         provider = self.provider
+        if self._lent:
+            self._unlend()
         if now >= self._recheck_at or provider.epoch != self._epoch:
             self._refresh(now)
         self._times.append(now)
@@ -458,8 +466,28 @@ class FluidEngine:
         return self.series(key).mean(start, end)
 
     def series(self, key: Hashable) -> Series:
-        """``(step time, delivered rate)`` of every step so far: a copy of
-        the columns, the rates padded with 0.0 past the key's last step."""
-        rates = array("d", self._rates.get(key, ()))
-        rates.extend(_ZERO * (len(self._times) - len(rates)))
-        return Series.of(self._times[:], rates)
+        """``(step time, delivered rate)`` of every step so far, the rates
+        padded with 0.0 past the key's last step.
+
+        The series shares the engine's columns (a finished run keeps one
+        copy of its samples, not two), except a rate column that needs
+        padding; a later step copies them before it writes, so the series
+        never changes."""
+        times = self._times
+        rates = self._rates.get(key)
+        if rates is None:
+            rates = array("d")
+        if len(rates) < len(times):
+            rates = rates + _ZERO * (len(times) - len(rates))
+        self._lent = True
+        return Series.of(times, rates)
+
+    def _unlend(self) -> None:
+        """Give the engine its own columns again (see :meth:`series`)."""
+        self._lent = False
+        self._times = self._times[:]
+        rates = self._rates
+        for key, column in rates.items():
+            rates[key] = column[:]
+        for key, entry in self._entries.items():
+            entry.rates = rates[key]

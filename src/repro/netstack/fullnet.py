@@ -93,9 +93,11 @@ class FullStateNetwork:
         self._links: Dict[int, PacketLink] = {}
         self.switches: Dict[str, SwitchModel] = {}
         self._background_lookup: Optional[Callable[[int], float]] = None
-        # Windowed per-link packet rates (EWMA), maintained by the usage
-        # monitor; what the fluid plane reads as occupied capacity.
-        self._packet_rates: Dict[int, float] = {}
+        #: Windowed per-link packet rates (EWMA), maintained by the usage
+        #: monitor; what the fluid plane reads as occupied capacity.  It
+        #: holds only non-zero rates, and stays the same dict for the
+        #: network's life.
+        self.packet_rates: Dict[int, float] = {}
         self._monitor_baseline: Dict[int, float] = {}
         self._monitor: Optional[object] = None
         self.install_topology(topology)
@@ -113,7 +115,8 @@ class FullStateNetwork:
                       else None)
             self._links[link.link_id] = PacketLink(
                 self.sim, properties, buffer_bits=self.buffer_bits,
-                rng=stream, name=f"{link.source}->{link.destination}")
+                rng=stream, name=f"{link.source}->{link.destination}",
+                link_id=link.link_id)
         #: The forwarding tables: ``collapsed.path(a, b)`` is the route.
         self.collapsed = collapse(topology)
         for name in topology.bridges:
@@ -134,9 +137,8 @@ class FullStateNetwork:
         self._apply_background_load()
 
     def _apply_background_load(self) -> None:
-        for link_id, link in self._links.items():
-            link.background_load = (
-                lambda lid=link_id: self._background_lookup(lid))
+        for link in self._links.values():
+            link.background_load = self._background_lookup
 
     def start_usage_monitor(self, period: float = 0.05,
                             alpha: float = 0.5) -> None:
@@ -149,17 +151,23 @@ class FullStateNetwork:
         """
         if self._monitor is not None:
             return
+        rates = self.packet_rates
 
         def sample() -> None:
+            baseline = self._monitor_baseline
             for link_id, link in self._links.items():
-                previous = self._monitor_baseline.get(link_id, 0.0)
-                delta = link.bits_sent - previous
-                self._monitor_baseline[link_id] = link.bits_sent
-                rate = max(delta, 0.0) / period
-                smoothed = (alpha * rate
-                            + (1.0 - alpha) * self._packet_rates.get(link_id,
-                                                                     0.0))
-                self._packet_rates[link_id] = smoothed
+                sent = link.bits_sent
+                previous = baseline.get(link_id, 0.0)
+                smoothed = rates.get(link_id, 0.0)
+                if sent == previous and not smoothed:
+                    continue        # idle: its rate would be 0.0 again
+                baseline[link_id] = sent
+                rate = max(sent - previous, 0.0) / period
+                smoothed = alpha * rate + (1.0 - alpha) * smoothed
+                if smoothed:
+                    rates[link_id] = smoothed
+                else:
+                    rates.pop(link_id, None)
 
         from repro.sim import Process
         self._monitor = Process(self.sim, period, sample,
@@ -167,7 +175,7 @@ class FullStateNetwork:
 
     def packet_rate(self, link_id: int) -> float:
         """Recent packet-plane bits/s on ``link_id`` (0 before monitoring)."""
-        return self._packet_rates.get(link_id, 0.0)
+        return self.packet_rates.get(link_id, 0.0)
 
     def reachable(self, source: str, destination: str) -> bool:
         return self.collapsed.path(source, destination) is not None

@@ -23,34 +23,30 @@ class PacketLink:
     def __init__(self, sim: Simulator, properties: LinkProperties, *,
                  buffer_bits: float = 1500 * 8.0 * 100,
                  rng: Optional[random.Random] = None,
-                 name: str = "") -> None:
+                 name: str = "", link_id: int = -1) -> None:
         self.sim = sim
         self.properties = properties
         self.buffer_bits = buffer_bits
         self.rng = rng
         self.name = name
+        self.link_id = link_id
         self._horizon = 0.0  # when the transmitter frees up
         self.packets_sent = 0
         self.packets_dropped = 0
         self.bits_sent = 0.0
-        # Bulk (fluid-plane) traffic currently occupying this wire, bits/s;
-        # packets serialize into what is left.  The packet aggregate keeps
-        # at least half the wire — the fair equilibrium against an equally
-        # greedy bulk aggregate (mirrors GroundTruthConstraints).
-        self.background_load: Optional[Callable[[], float]] = None
+        # Bulk (fluid-plane) traffic currently occupying a wire, bits/s by
+        # link id, looked up with this link's ``link_id``; packets
+        # serialize into what is left.  The packet aggregate keeps at least
+        # half the wire — the fair equilibrium against an equally greedy
+        # bulk aggregate (mirrors GroundTruthConstraints).
+        self.background_load: Optional[Callable[[int], float]] = None
 
     def effective_bandwidth(self) -> float:
         bandwidth = self.properties.bandwidth
         if bandwidth == float("inf") or self.background_load is None:
             return bandwidth
-        occupied = self.background_load()
+        occupied = self.background_load(self.link_id)
         return max(bandwidth - occupied, bandwidth / 2.0)
-
-    def backlog_bits(self, now: float) -> float:
-        bandwidth = self.effective_bandwidth()
-        if bandwidth == float("inf"):
-            return 0.0
-        return max(0.0, (self._horizon - now) * bandwidth)
 
     def _sample_delay(self) -> float:
         properties = self.properties
@@ -72,15 +68,18 @@ class PacketLink:
         random link loss), ``True`` when delivery was scheduled.
         """
         now = self.sim.now
-        if self.properties.bandwidth != float("inf") and \
-                self.backlog_bits(now) + packet.size_bits > self.buffer_bits:
+        # One lookup of the bulk load per packet: nothing moves it before
+        # this returns.
+        bandwidth = self.effective_bandwidth()
+        if bandwidth != float("inf") and \
+                max(0.0, (self._horizon - now) * bandwidth) \
+                + packet.size_bits > self.buffer_bits:
             self.packets_dropped += 1
             return False
         loss = self.properties.loss
         if loss > 0.0 and (self.rng or random).random() < loss:
             self.packets_dropped += 1
             return False
-        bandwidth = self.effective_bandwidth()
         if bandwidth == float("inf"):
             finish = now
         else:

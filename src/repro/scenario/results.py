@@ -54,6 +54,13 @@ def series_summary(series: Iterable[Tuple[float, float]], *,
             "samples": float(len(values))}
 
 
+def _stored_series(data) -> Series:
+    """A record's series: packed columns, or a list of pairs."""
+    if isinstance(data, Mapping):
+        return Series.unpacked(data)
+    return Series(data)
+
+
 @dataclass(frozen=True)
 class Metrics:
     """One workload's measurements, backend-independent.
@@ -98,22 +105,26 @@ class Metrics:
         return self.throughput.mean(start, end)
 
     def to_dict(self) -> Dict[str, object]:
+        """A JSON-ready record; each series is packed
+        (:meth:`Series.packed <repro.sim.series.Series.packed>`)."""
         return {"key": str(self.key), "kind": self.kind,
                 "primary": self.primary, "drops": self.drops,
                 "summary": dict(self.summary),
-                "throughput": [list(sample) for sample in self.throughput],
-                "latency": [list(sample) for sample in self.latency]}
+                "throughput": self.throughput.packed(),
+                "latency": self.latency.packed()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Metrics":
         """Rebuild a record exported by :meth:`to_dict` (JSON round-trip).
 
         Keys come back as strings (``to_dict`` stringifies them), which is
-        what campaign stores and cross-process runs operate on.
+        what campaign stores and cross-process runs operate on.  A series
+        stored as a list of ``[time, value]`` pairs, the form records had
+        before series were packed, still loads.
         """
         return cls(key=data["key"], kind=data.get("kind", "custom"),
-                   throughput=Series(data.get("throughput", ())),
-                   latency=Series(data.get("latency", ())),
+                   throughput=_stored_series(data.get("throughput", ())),
+                   latency=_stored_series(data.get("latency", ())),
                    drops=int(data.get("drops", 0)),
                    summary=dict(data.get("summary", {})),
                    primary=data.get("primary", "throughput_mean"))

@@ -12,15 +12,39 @@ same pairs.
 One difference from a tuple of pairs: array equality compares floats by
 value, so a NaN sample never equals itself, where tuples holding the
 same NaN object compare equal.  No measurement carries a NaN.
+
+A store record carries a series packed (:meth:`Series.packed`): each
+column as base64 text of its little-endian float64 bytes, so every
+sample, ``-0.0``, infinities and NaN included, reads back to the bit.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
+from binascii import a2b_base64, b2a_base64
 from bisect import bisect_left
-from typing import Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 __all__ = ["Series"]
+
+# Packed columns are little-endian whatever the host's byte order.
+_SWAP = sys.byteorder == "big"
+
+
+def _pack(column: "array") -> str:
+    if _SWAP:
+        column = array("d", column)
+        column.byteswap()
+    return b2a_base64(column.tobytes(), newline=False).decode("ascii")
+
+
+def _unpack(text: str) -> "array":
+    column = array("d")
+    column.frombytes(a2b_base64(text))
+    if _SWAP:
+        column.byteswap()
+    return column
 
 
 class Series:
@@ -52,6 +76,16 @@ class Series:
         series.times = times
         series.values = values
         return series
+
+    def packed(self) -> Dict[str, str]:
+        """``{"times": ..., "values": ...}``, each column as base64 text
+        of its little-endian float64 bytes: the store record's form."""
+        return {"times": _pack(self.times), "values": _pack(self.values)}
+
+    @classmethod
+    def unpacked(cls, data: Mapping[str, str]) -> "Series":
+        """The series :meth:`packed` wrote, bit for bit."""
+        return cls.of(_unpack(data["times"]), _unpack(data["values"]))
 
     def __len__(self) -> int:
         return len(self.times)

@@ -28,10 +28,11 @@ from repro.campaign import (
     ResultStore,
     load_campaign,
 )
+from repro.campaign.store import encode_record, read_records
 from repro.dashboard import CampaignMonitor
 from repro.scenario import Scenario, ScenarioRun, dumps_scn, flow, \
     loads_scn, ping, set_link
-from repro.scenario.results import series_summary
+from repro.scenario.results import Series, series_summary
 from repro.scenario.topologies import scale_free
 
 RATES = [1e6, 2e6, 4e6, 8e6]
@@ -454,6 +455,33 @@ class TestStoreResume:
         again = sweep().run(jobs=1, store=store)
         assert again.skipped == 24
         assert (first.aggregate().to_csv() == again.aggregate().to_csv())
+
+    def test_a_store_of_pair_form_series_resumes_the_same(self, tmp_path):
+        """Records written before series were packed hold each series as
+        ``[time, value]`` pairs: every point resumes from them, and the
+        sweep aggregates as it did."""
+        store_root = str(tmp_path)
+        first = sweep().run(jobs=1, store=store_root)
+        path = os.path.join(store_root, "sweep", "results.jsonl")
+        records = list(read_records(path).values())
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in records:
+                for metrics in record["run"]["workloads"].values():
+                    for name in ("throughput", "latency"):
+                        metrics[name] = [
+                            list(pair)
+                            for pair in Series.unpacked(metrics[name])]
+                handle.write(encode_record(record))
+        assert '"throughput": [[' in Path(path).read_text(encoding="utf-8")
+        again = sweep().run(jobs=1, store=store_root)
+        assert again.skipped == len(again) == 24 and not again.failed()
+        assert again.aggregate().to_csv() == first.aggregate().to_csv()
+        assert again.aggregate().to_markdown() == \
+            first.aggregate().to_markdown()
+        for was, now in zip(first.results, again.results):
+            assert now.source == "store"
+            assert now.run.metric("bulk").throughput == \
+                was.run.metric("bulk").throughput
 
     def test_interrupted_campaign_resumes_exactly(self, tmp_path):
         store_root = str(tmp_path)

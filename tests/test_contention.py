@@ -14,10 +14,13 @@ Covers the behaviours behind Figures 6 and 7:
 import pytest
 
 from repro.apps import CurlSwarm, HttpServer, Pinger
-from repro.baselines import BareMetalTestbed
+from repro.baselines import BareMetalTestbed, baremetal
 from repro.core import EmulationEngine, EngineConfig
+from repro.netstack.fullnet import FullStateNetwork
 from repro.netstack.packet import Packet
+from repro.scenario import Scenario
 from repro.scenario.topologies import dumbbell, point_to_point, star
+from repro.sim import Process
 
 MBPS = 1e6
 
@@ -194,6 +197,83 @@ class TestCrossPlaneContention:
         rates = [testbed.network.packet_rate(link.link_id)
                  for link in testbed.topology.links()]
         assert max(rates) > 1 * MBPS
+
+
+class WalkingNetwork(FullStateNetwork):
+    """The usage monitor as it was: every link, every sample, zero rates
+    kept in the table (so the ground truth always derives capacities)."""
+
+    def start_usage_monitor(self, period=0.05, alpha=0.5):
+        if self._monitor is not None:
+            return
+
+        def sample():
+            for link_id, link in self._links.items():
+                previous = self._monitor_baseline.get(link_id, 0.0)
+                delta = link.bits_sent - previous
+                self._monitor_baseline[link_id] = link.bits_sent
+                rate = max(delta, 0.0) / period
+                self.packet_rates[link_id] = (
+                    alpha * rate
+                    + (1.0 - alpha) * self.packet_rates.get(link_id, 0.0))
+
+        self._monitor = Process(self.sim, period, sample,
+                                name="packet-usage-monitor", priority=9)
+
+
+def shared_and_lossy(walking: bool, monkeypatch):
+    """A bulk flow shares ``a``'s uplink with echo traffic that stops at
+    2 s; a second echo crosses a lossy link.  After every monitor sample:
+    each link's packet rate, and the capacity each active link gets."""
+    topology = (Scenario.build("shared").bridge("hub")
+                .service("a").service("b").service("c").service("d")
+                .link("a", "hub", latency=0.002, up=100 * MBPS)
+                .link("b", "hub", latency=0.002, up=100 * MBPS)
+                .link("c", "hub", latency=0.002, up=100 * MBPS)
+                .link("d", "hub", latency=0.002, up=100 * MBPS, loss=0.05)
+                .compile().topology)
+    with monkeypatch.context() as patch:
+        if walking:
+            patch.setattr(baremetal, "FullStateNetwork", WalkingNetwork)
+        testbed = BareMetalTestbed(topology, seed=7)
+    assert (type(testbed.network) is WalkingNetwork) == walking
+    testbed.start_flow("bulk", "a", "b")
+    Pinger(testbed.sim, testbed.dataplane, "a", "c", count=1800,
+           interval=0.001, size_bits=12000.0).start(at=0.2)
+    Pinger(testbed.sim, testbed.dataplane, "c", "d", count=200,
+           interval=0.01, size_bits=12000.0).start(at=0.5)
+    links = [link.link_id for link in topology.links()]
+    seen = []
+
+    def observe():
+        capacities = testbed.constraints.capacities(testbed.fluid._active)
+        seen.append((
+            [testbed.network.packet_rate(link_id) for link_id in links],
+            [capacities[link_id] for entry in testbed.fluid._active
+             for link_id in entry.links],
+            len(testbed.network.packet_rates)))
+
+    # Made after the monitor, with its period and priority: each
+    # observation follows one sample.
+    Process(testbed.sim, 0.05, observe, priority=9)
+    testbed.run(until=60.0)
+    return seen, list(testbed.fluid.series("bulk"))
+
+
+class TestUsageMonitor:
+    def test_skipping_idle_wires_is_walking_every_wire(self, monkeypatch):
+        skipping, bulk = shared_and_lossy(False, monkeypatch)
+        walking, walked_bulk = shared_and_lossy(True, monkeypatch)
+        assert len(skipping) == len(walking) > 1000
+        for index, (seen, reference) in enumerate(zip(skipping, walking)):
+            assert seen[:2] == reference[:2], f"sample {index}"
+        assert bulk == walked_bulk
+        # The echoes really loaded the wires, and once every rate decayed
+        # to 0.0 the table was empty, where the walk kept a zero per link.
+        assert max(max(rates) for rates, _caps, _size in skipping) > MBPS
+        assert min(size for _rates, _caps, size in walking) == 8
+        assert skipping[0][2] == 0 and skipping[-1][2] == 0
+        assert max(size for _rates, _caps, size in skipping) > 0
 
 
 class TestPingStatistics:

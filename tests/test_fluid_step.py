@@ -116,6 +116,33 @@ class TestInvalidation:
         assert all(49 <= steps <= 51 for _rate, steps in stretches)
         assert engine.fluid.mean_throughput("f", 0.6, 0.9) == 0.0
 
+    def test_a_series_taken_mid_run_does_not_change_as_the_run_advances(
+            self):
+        engine = shaped_pair()
+        engine.start_flow("f", "client", "server", protocol="udp",
+                          demand=4 * MBPS)
+        engine.start_flow("g", "client", "server", protocol="udp",
+                          demand=2 * MBPS, start_time=0.2)
+        engine.sim.at(0.5, engine.stop_flow, "f")
+        engine.run(until=0.3)
+        fluid = engine.fluid
+        taken = {key: fluid.series(key) for key in ("f", "g", "nobody")}
+        before = {key: (series.times.tobytes(), series.values.tobytes())
+                  for key, series in taken.items()}
+        engine.run(until=1.0)
+        for key, series in taken.items():
+            assert (series.times.tobytes(),
+                    series.values.tobytes()) == before[key], key
+            later = fluid.series(key)
+            assert len(later) > len(series)
+            assert list(later)[:len(series)] == list(series)
+        # Once the run stops stepping, a series is the engine's columns,
+        # padded ones excepted.
+        assert fluid.series("g").times is fluid._times
+        assert fluid.series("g").values is fluid._rates["g"]
+        assert fluid.series("f").values is not fluid._rates["f"]
+        assert len(fluid._rates["f"]) < len(fluid._times)
+
     def test_unknown_key_reads_as_silence(self):
         engine = shaped_pair()
         engine.run(until=0.1)

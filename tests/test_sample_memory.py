@@ -54,6 +54,13 @@ def _get(owner, name):
     return owner[name] if isinstance(owner, dict) else getattr(owner, name)
 
 
+def _columns(container):
+    """A series' two columns, or the container itself."""
+    if hasattr(container, "values"):
+        return (container.times, container.values)
+    return (container,)
+
+
 def _release(owner, name) -> None:
     """Free a container's samples: a column is emptied in place, which
     reaches every alias of it; a tuple is replaced by ``()``."""
@@ -61,15 +68,15 @@ def _release(owner, name) -> None:
     if isinstance(container, tuple):
         object.__setattr__(owner, name, ())
         return
-    columns = ((container.times, container.values)
-               if hasattr(container, "values") else (container,))
-    for column in columns:
+    for column in _columns(container):
         del column[:]
 
 
 def bytes_per_float(execute):
     """Traced bytes released by emptying every sample container the runs
-    ``execute()`` returns kept, per float those containers held."""
+    ``execute()`` returns kept, per float those containers held.  A
+    column two containers share (a flow's series shares the fluid
+    engine's) counts once."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -77,8 +84,12 @@ def bytes_per_float(execute):
         for run in execute():
             for owner, name in _containers(run):
                 container = _get(owner, name)
-                floats[id(container)] = len(container) * (
-                    2 if name in _SERIES else 1)
+                if isinstance(container, tuple):
+                    floats[id(container)] = len(container) * (
+                        2 if name in _SERIES else 1)
+                else:
+                    for column in _columns(container):
+                        floats[id(column)] = len(column)
                 containers.append((owner, name))
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
@@ -120,7 +131,7 @@ def _shaped_pair(*, rate, seed=0):
 def flow_campaign():
     result = (Campaign("sample-memory").scenario(_shaped_pair)
               .grid(rate=[1e6, 5e6, 25e6, 100e6]).seeds(1)
-              .backends("kollaps").until(4.0)).run(jobs=1)
+              .backends("kollaps").until(8.0)).run(jobs=1)
     return [point.run for point in result.results]
 
 

@@ -66,6 +66,56 @@ class TestShape:
             hash(Series(PAIRS))
 
 
+def _bits(series):
+    return series.times.tobytes(), series.values.tobytes()
+
+
+class TestPacking:
+    """A store record's series: base64 of little-endian float64 columns."""
+
+    def test_a_known_vector_pins_the_byte_order(self):
+        assert Series([(1.0, 2.0)]).packed() == {"times": "AAAAAAAA8D8=",
+                                                 "values": "AAAAAAAAAEA="}
+
+    def test_random_doubles_round_trip_to_the_bit(self):
+        # Any 64-bit pattern, NaN payloads and subnormals included.
+        rng = random.Random(11)
+        times = array("Q", (rng.getrandbits(64) for _ in range(500)))
+        values = array("Q", (rng.getrandbits(64) for _ in range(500)))
+        series = Series.of(array("d", times.tobytes()),
+                           array("d", values.tobytes()))
+        assert _bits(Series.unpacked(series.packed())) == _bits(series)
+
+    def test_special_values_round_trip_to_the_bit(self):
+        specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan,
+                    5e-324, -5e-324, 2.2250738585072e-308,
+                    2.2250738585072014e-308, 1.7976931348623157e308]
+        series = Series(zip(specials, reversed(specials)))
+        again = Series.unpacked(series.packed())
+        assert _bits(again) == _bits(series)
+        assert math.copysign(1.0, again.times[0]) == -1.0
+        assert math.isnan(again.times[4]) and math.isinf(again.values[-3])
+
+    def test_an_empty_series_packs_to_empty_columns(self):
+        assert Series().packed() == {"times": "", "values": ""}
+        again = Series.unpacked(Series().packed())
+        assert len(again) == 0 and again == ()
+
+    def test_metrics_store_packed_and_load_either_form(self):
+        metrics = Metrics(key="f", kind="flow", throughput=PAIRS,
+                          latency=[(0.5, -0.0)])
+        record = metrics.to_dict()
+        assert record["throughput"] == Series(PAIRS).packed()
+        packed = Metrics.from_dict(record)
+        pairs = Metrics.from_dict(dict(
+            record, throughput=[list(pair) for pair in PAIRS],
+            latency=[[0.5, -0.0]]))
+        for loaded in (packed, pairs):
+            assert _bits(loaded.throughput) == _bits(metrics.throughput)
+            assert _bits(loaded.latency) == _bits(metrics.latency)
+        assert Metrics.from_dict({"key": "k"}).throughput == ()
+
+
 def _engine_mean(times, rates, start, end):
     """``FluidEngine.mean_throughput`` before ``Series.mean``."""
     first = bisect_left(times, start)

@@ -1,12 +1,18 @@
 """Store records keep their bytes: ``ScenarioRun.to_dict`` is a format.
 
-``tests/golden/run_records.json`` holds the ``to_dict()`` JSON
-(``sort_keys``) of one tiny run per series-carrying workload kind, pinned
-before measurement series became packed columns.  A run must encode to
-those bytes, and ``from_dict(to_dict(run))`` must re-encode to them too:
-a campaign store rewritten through the results API stays byte-identical.
+``tests/golden/run_records.json`` holds, under ``"packed"``, the
+``to_dict()`` JSON (``sort_keys``) of one tiny run per series-carrying
+workload kind, each series packed into base64 float64 columns.  A run
+must encode to those bytes, and ``from_dict(to_dict(run))`` must
+re-encode to them too: a campaign store rewritten through the results
+API stays byte-identical.
 
-Refresh (only for a change meant to move a record)::
+Under ``"pairs"`` it keeps the same runs as records were written before
+series were packed, each series a list of ``[time, value]`` pairs.  Such
+a record must still load, to the very samples of its packed form.
+
+Refresh the packed records (only for a change meant to move a record;
+the pair-form ones are history and stay)::
 
     PYTHONPATH=src:tests python -c "import test_store_format as t; t.write()"
 """
@@ -17,7 +23,7 @@ import pathlib
 import pytest
 
 from repro.scenario import flow, iperf, ping
-from repro.scenario.results import ScenarioRun
+from repro.scenario.results import ScenarioRun, Series
 from repro.scenario.topologies import point_to_point
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "run_records.json"
@@ -58,13 +64,19 @@ def records():
 
 
 def write() -> None:
-    GOLDEN.write_text(json.dumps(records(), indent=1, sort_keys=True)
-                      + "\n")
+    pinned = json.loads(GOLDEN.read_text())
+    pinned["packed"] = records()
+    GOLDEN.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return json.loads(GOLDEN.read_text())["packed"]
+
+
+@pytest.fixture(scope="module")
+def pair_form():
+    return json.loads(GOLDEN.read_text())["pairs"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -79,3 +91,21 @@ def test_a_run_encodes_to_the_pinned_bytes(golden, name):
 def test_a_stored_record_reencodes_to_the_same_bytes(golden, name):
     stored = json.loads(golden[name])
     assert encode(ScenarioRun.from_dict(stored)) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_pair_form_record_loads_to_the_packed_samples(golden, pair_form,
+                                                         name):
+    old = ScenarioRun.from_dict(json.loads(pair_form[name]))
+    new = ScenarioRun.from_dict(json.loads(golden[name]))
+    assert old.metrics.keys() == new.metrics.keys()
+    for key, metrics in old.metrics.items():
+        for series_name in ("throughput", "latency"):
+            was = getattr(metrics, series_name)
+            now = getattr(new.metrics[key], series_name)
+            assert isinstance(was, Series) and was == now
+            assert was.times.tobytes() == now.times.tobytes()
+            assert was.values.tobytes() == now.values.tobytes()
+    # Only the series encoding moved: re-encoded, the old record is the
+    # packed one to the byte.
+    assert encode(old) == golden[name]

@@ -318,7 +318,9 @@ def execute_points(tasks: Sequence[Tuple[Callable, Point]], *,
         results[position] = result
         store = stores.get(result.point.campaign)
         if store is not None:
-            store.append(result.to_record())
+            with telemetry.span("campaign.store",
+                                hash=result.point.digest()):
+                store.append(result.to_record())
         notify(CampaignEvent(kind=result.status, point=result.point,
                              error=result.error, elapsed=result.elapsed))
 

@@ -108,13 +108,15 @@ def _load_scenario(args: argparse.Namespace):
     return builder
 
 
-def _invalid(args: argparse.Namespace, *, warnings: bool = True) -> bool:
-    """Whether the description has an error.  Its diagnostics go to
+def _invalid(args: argparse.Namespace, *, warnings: bool = True,
+             script: Optional[str] = None) -> bool:
+    """Whether the description, with ``script`` (by default its
+    ``--scenario``) attached, has an error.  Its diagnostics go to
     stderr — when one is an error, or always with ``warnings`` — so a
     command refusing it exits 1 with pointers, never a traceback."""
     from repro.scenario.dsl import lint_file
-    diagnostics = lint_file(args.experiment,
-                            script=getattr(args, "scenario", None))
+    diagnostics = lint_file(
+        args.experiment, script=script or getattr(args, "scenario", None))
     errors = sum(1 for d in diagnostics if d.severity == "error")
     if errors or warnings:
         for diagnostic in diagnostics:
@@ -463,7 +465,7 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _scenario_script(args: argparse.Namespace) -> int:
-    if _invalid(args, warnings=False):
+    if _invalid(args, warnings=False, script=args.script):
         return 1
     compiled = _load_scenario(args).compile()
     with open(args.script, encoding="utf-8") as handle:

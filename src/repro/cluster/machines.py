@@ -10,17 +10,13 @@ __all__ = ["Machine", "Cluster"]
 
 @dataclass
 class Machine:
-    """One physical server.
+    """One physical server and the containers placed on it.
 
-    ``cores`` and ``memory_gb`` bound how many containers the placement
-    will co-locate (the paper's R630s run 64 cores / 128 GB); the network
-    figures describe the machine's NIC on the cluster interconnect.
+    It has no capacity of its own: placement is round-robin, and the
+    cluster's network is modelled as fixed delays (``docs/scenarios.md``).
     """
 
     name: str
-    cores: int = 64
-    memory_gb: int = 128
-    nic_rate: float = 40e9
     containers: List[str] = field(default_factory=list)
 
     def host(self, container: str) -> None:

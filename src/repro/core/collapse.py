@@ -22,14 +22,15 @@ What is kept, and what is derived
 which are immutable: an edit to the live topology replaces a link and
 cannot reach a tree built afterwards) and the topology's ``link_id ->
 LinkProperties`` map at that instant; it runs no Dijkstra.  A source
-*service*'s predecessor-link tree is built by the first :meth:`~CollapsedTopology.path` / :meth:`~CollapsedTopology.rtt`
-/ :meth:`~CollapsedTopology.reachable_from` that starts there and kept —
-a manager pays for the rows of its own containers that something talks
-over (§3), ``O(sources in use × nodes)`` memory.  A :class:`CollapsedPath`
-is derived the first time someone asks for the pair (a walk up the tree
-composing the links in traversal order, ``O(path length)``) and
-remembered; an experiment that pings 30 pairs of an 82 082-pair table
-builds at most 60 trees and 60 paths.
+*service*'s predecessor-link tree is built by the first
+:meth:`~CollapsedTopology.path` / :meth:`~CollapsedTopology.rtt` that
+starts there and kept — a manager's local view (§3) is the full table
+asked only for the rows of its own containers, and pays for those that
+something talks over, ``O(sources in use × nodes)`` memory.  A
+:class:`CollapsedPath` is derived the first time someone asks for the
+pair (a walk up the tree composing the links in traversal order,
+``O(path length)``) and remembered; an experiment that pings 30 pairs of
+an 82 082-pair table builds at most 60 trees and 60 paths.
 :meth:`~CollapsedTopology.pair_count` counts reachable containers over
 the graph without building a tree; :meth:`~CollapsedTopology.paths`
 builds whatever is still missing — every tree and every pair.
@@ -37,32 +38,29 @@ builds whatever is still missing — every tree and every pair.
 Memoization
 -----------
 
-Campaign grid sweeps re-collapse near-identical graphs constantly: every
-point of a bandwidth sweep shares one routing structure, and every dynamic
-state that only changes link capacities keeps its shortest paths.  The
-module therefore memoizes :func:`collapse` results in a bounded LRU keyed
-by a structural topology hash (:func:`topology_signature`):
+Campaign grid sweeps re-collapse identical graphs constantly, and the
+states of a dynamic plan mostly differ from the one before in a few link
+capacities.  :func:`collapse` therefore reuses work in two tiers:
 
-* **hit** — a structurally identical topology (same nodes, links, ids and
-  *all* properties) shares the cached routing, property map and every
-  tree and path built so far: ``O(signature)`` = ``O(V + E)``;
-* **incremental** — a topology whose *routing* inputs (nodes, link ids,
-  latencies) match a cached entry but whose non-routing properties
-  (bandwidth, jitter, loss) differ shares the donor's routing — the
-  trees it has and the ones either will still build — and only rebuilds
-  the ``O(E)`` property map;
-* **miss** — anything else builds a new service graph and populates the
-  cache.  When that graph is the one of the routing the previous call
-  returned with some latencies raised — same nodes, link ids and ends,
-  no latency lower — each tree the previous routing has built that no
-  raised link is on is this routing's too, and is inherited instead of
-  rebuilt (:meth:`_Routing.tree` has the argument).
+* **hit** — a bounded LRU keyed by a structural topology hash
+  (:func:`topology_signature`: same nodes, links, ids and *all*
+  properties) hands back the cached routing, property map and every tree
+  and path built so far: ``O(signature)`` = ``O(V + E)``;
+* **miss** — builds the service graph and compares it with the one of
+  the routing the previous call returned.  Same nodes, link ids, ends
+  and latencies, and the same containers: only bandwidth, jitter or loss
+  differ, so the new view *shares* that routing — the trees it has and
+  the ones either will still build — with a fresh ``O(E)`` property map
+  (an incremental recompute).  Some latencies raised and nothing else
+  that routing reads changed: a new routing inherits each tree of the
+  previous one that no raised link is on instead of rebuilding it
+  (:meth:`_Routing.tree`).  Anything else builds a new routing.
 
-A link value signed twice keeps its signature fragments, so signing a
+A link value signed twice keeps its signature fragment, so signing a
 state of a dynamic plan formats only the links its events replaced.
 
-The LRU holds 128 entries; ``collapse(memo=False)`` bypasses it and
-:func:`clear_collapse_cache` drops everything (``repro campaign ...
+The LRU holds 128 entries; ``collapse(memo=False)`` bypasses both tiers
+and :func:`clear_collapse_cache` drops everything (``repro campaign ...
 --fresh`` calls it).  Telemetry counters ``collapse.memo_hits`` /
 ``collapse.memo_misses`` / ``collapse.incremental_recomputes`` /
 ``collapse.memo_invalidations`` expose the cache's behaviour,
@@ -80,7 +78,7 @@ import weakref
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.core.properties import PathProperties, compose_path
@@ -133,43 +131,38 @@ class _Routing:
     the first time a path from that service is asked for;
     ``loops[service]`` is the two-link path between replicas of one
     service.  Only names, endpoints, ids and latencies are read from the
-    graph's links, so every topology with the same routing signature can
-    share one instance — the other link *properties* belong to the
-    :class:`CollapsedTopology`.  Nothing here changes once set: a tree is
-    a function of the graph, so two threads filling the same one store
-    equal values.
+    graph's links, so every topology that differs from this one only in
+    the other link *properties* can share the instance — those belong to
+    the :class:`CollapsedTopology`.  Nothing here changes once set: a
+    tree is a function of the graph, so two threads filling the same one
+    store equal values.
     """
 
-    __slots__ = ("graph", "containers", "service_of", "sources", "members",
-                 "trees", "loops", "parent", "rises", "__weakref__")
+    __slots__ = ("graph", "containers", "service_of", "members", "trees",
+                 "loops", "parent", "rises", "__weakref__")
 
-    def __init__(self, topology: Topology,
-                 sources: Optional[Sequence[str]],
-                 parent: Optional["_Routing"] = None) -> None:
-        self.graph = _service_graph(topology)
+    def __init__(self, topology: Topology, graph: Dict[str, List[Link]],
+                 parent: Optional["_Routing"] = None,
+                 rises: Optional[List[Link]] = None) -> None:
+        self.graph = graph
         self.containers = topology.container_names()
+        #: Container -> service, in table (source-major) order.
         self.service_of = {name: name.split(".")[0]
                            for name in self.containers}
-        wanted = self.containers if sources is None else sources
-        #: Container -> service for the containers paths originate at, in
-        #: table (source-major) order.
-        self.sources = {name: self.service_of[name] for name in wanted
-                        if name in self.service_of}
         #: Containers per service.
         self.members = Counter(self.service_of.values())
         #: One tree per *service* (its containers share paths), made on
         #: first use: inherited from ``parent`` or by a Dijkstra.
         self.trees: Dict[str, Dict[str, Link]] = {}
-        self.loops = {service: _intra_service_path(self.graph, service)
-                      for service in set(self.sources.values())
-                      if self.members[service] > 1}
+        self.loops = {service: _intra_service_path(graph, service)
+                      for service, count in self.members.items()
+                      if count > 1}
         #: The links whose latency rose since ``parent`` (the routing the
-        #: previous memoized collapse returned) and a weak reference to
-        #: it — both ``None`` unless this graph is the parent's after a
-        #: pure latency rise (:meth:`tree`).
-        self.rises = (None if parent is None
-                      else _latency_rises(parent.graph, self.graph))
-        self.parent = None if self.rises is None else weakref.ref(parent)
+        #: previous memoized collapse returned, see :func:`_latency_rises`)
+        #: and a weak reference to it — both ``None`` unless this graph is
+        #: the parent's after a pure latency rise (:meth:`tree`).
+        self.rises = rises
+        self.parent = None if rises is None else weakref.ref(parent)
 
     def tree(self, service: str) -> Dict[str, Link]:
         """The shortest-path tree from ``service``, made on first use."""
@@ -211,26 +204,13 @@ class _Routing:
     def links(self, source: str, destination: str) -> Optional[List[Link]]:
         """The links from ``source`` to ``destination`` in traversal
         order, ``None`` when there is no such path in this table."""
-        service = self.sources.get(source)
+        service = self.service_of.get(source)
         target = self.service_of.get(destination)
         if service is None or target is None or source == destination:
             return None
         if target == service:
             return self.loops.get(service)
         return _links_to(self.tree(service), target)
-
-    def reachable_from(self, source: str) -> List[str]:
-        """The containers ``source`` has a path to, in container order."""
-        service = self.sources.get(source)
-        if service is None:
-            return []
-        tree = self.tree(service)
-        looped = self.loops.get(service) is not None
-        service_of = self.service_of
-        return [name for name in self.containers
-                if service_of[name] in tree
-                or (looped and service_of[name] == service
-                    and name != source)]
 
     def pair_count(self) -> int:
         """Ordered pairs with a path, from reachability over the graph —
@@ -250,7 +230,7 @@ class _Routing:
                 behind[neighbour].append(node)
         members = self.members          # a Counter: 0 for a bridge
         reach: Dict[str, int] = {}
-        for service in self.sources.values():
+        for service in members:
             if service in reach:
                 continue
             reached = _reachable(ahead, service)
@@ -260,7 +240,7 @@ class _Routing:
         for service, loop in self.loops.items():
             if loop is not None:
                 reach[service] += members[service] - 1
-        return sum(reach[service] for service in self.sources.values())
+        return sum(reach[service] for service in self.service_of.values())
 
 
 class CollapsedTopology:
@@ -332,7 +312,7 @@ class CollapsedTopology:
         ``O(pairs)``)."""
         routing = self._routing
         found = []
-        for source in routing.sources:
+        for source in routing.containers:
             for destination in routing.containers:
                 path = self.path(source, destination)
                 if path is not None:
@@ -344,69 +324,50 @@ class CollapsedTopology:
         a path nor a tree."""
         return self._routing.pair_count()
 
-    def reachable_from(self, source: str) -> List[str]:
-        return self._routing.reachable_from(source)
-
 
 # ---------------------------------------------------------------------------
 # Structural topology hashing.
 # ---------------------------------------------------------------------------
 
-def topology_signature(topology: Topology, *,
-                       routing_only: bool = False) -> str:
+def topology_signature(topology: Topology) -> str:
     """A structural hash of ``topology`` (hex digest, 32 chars).
 
     Two topologies with equal signatures collapse identically: the hash
     covers services (name, replicas), bridges, and every link's endpoints,
-    id and properties.  With ``routing_only=True`` only the inputs of the
-    shortest-path computation are hashed — nodes, link ids and latencies —
-    so two topologies differing only in bandwidth/jitter/loss share a
-    routing signature (they have the same paths, with different composed
-    properties).  The topology *name* is deliberately excluded: renames
-    don't change behaviour.
+    id and properties, over the links' fragments (:func:`_sign`).  The
+    topology *name* is deliberately excluded: renames don't change
+    behaviour.
 
     Complexity ``O(V log V + E log E)`` (sorting for order independence).
     """
-    full, routing = _signatures(topology)
-    return routing if routing_only else full
-
-
-def _signatures(topology: Topology) -> Tuple[str, str]:
-    """``(full, routing-only)`` signatures from one sorted walk, over the
-    links' fragments (:func:`_sign`)."""
     nodes = "".join(
         [f"S{name}*{topology.services[name].replicas};"
          for name in sorted(topology.services)]
         + [f"B{name};" for name in sorted(topology.bridges)])
     fragments = [link.signature or _sign(link)
                  for link in sorted(topology.links(), key=_BY_ENDS)]
-    return tuple(
-        hashlib.blake2b((nodes + "".join([pair[side] for pair in fragments])
-                         ).encode(), digest_size=16).hexdigest()
-        for side in (0, 1))
+    return hashlib.blake2b((nodes + "".join(fragments)).encode(),
+                           digest_size=16).hexdigest()
 
 
-def _sign(link: Link) -> Tuple[str, str]:
-    """``link``'s ``(full, routing-only)`` signature fragments, formatted.
+def _sign(link: Link) -> str:
+    """``link``'s signature fragment, formatted.
 
-    The second signature that reads a link value keeps them on it
-    (``Link.signature``; the first leaves ``()`` there), and later ones
-    read them back: the states of a dynamic plan share every link their
+    The second signature that reads a link value keeps it on it
+    (``Link.signature``; the first leaves ``""`` there), and later ones
+    read it back: the states of a dynamic plan share every link their
     events did not replace, so signing a state formats only the links
     its events touched, while a link signed once — a topology collapsed
     once — holds no text.
     """
     properties = link.properties
-    routed = (f"L{link.source}>{link.destination}#{link.link_id}"
-              f"@{properties.latency!r}")
-    fragments = (
-        f"{routed}|{properties.bandwidth!r},{properties.jitter!r},"
-        f"{properties.loss!r},{properties.jitter_distribution},"
-        f"{link.network};",
-        f"{routed};")
+    fragment = (f"L{link.source}>{link.destination}#{link.link_id}"
+                f"@{properties.latency!r}|{properties.bandwidth!r},"
+                f"{properties.jitter!r},{properties.loss!r},"
+                f"{properties.jitter_distribution},{link.network};")
     object.__setattr__(link, "signature",       # a cache on a frozen value
-                       () if link.signature is None else fragments)
-    return fragments
+                       "" if link.signature is None else fragment)
+    return fragment
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +385,9 @@ class _CacheEntry:
 
 
 _cache_lock = threading.RLock()
-_cache: "OrderedDict[tuple, _CacheEntry]" = OrderedDict()
-# (routing signature, sources key) -> cache key of an entry sharing that
-# routing — the donor for incremental property-only recomputes.
-_routing_index: Dict[tuple, tuple] = {}
-# The routing the last memoized collapse() returned, weakly: the parent of
-# the next routing a miss builds.
+_cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
+# The routing the last memoized collapse() returned, weakly: the one the
+# next miss shares or inherits trees from.
 _previous: Optional["weakref.ReferenceType[_Routing]"] = None
 
 
@@ -443,7 +401,6 @@ def clear_collapse_cache() -> None:
     with _cache_lock:
         dropped = len(_cache)
         _cache.clear()
-        _routing_index.clear()
         _previous = None
     if dropped and telemetry.enabled():
         telemetry.metrics.counter("collapse.memo_invalidations").inc(dropped)
@@ -455,20 +412,19 @@ def collapse_cache_stats() -> Dict[str, int]:
         return {"entries": len(_cache), "capacity": _CACHE_CAPACITY}
 
 
-def _cache_store(key: tuple, routing_key: tuple,
-                 result: CollapsedTopology) -> None:
+def _cache_store(key: str, result: CollapsedTopology) -> None:
+    """Remember ``result`` under ``key`` and make its routing the one the
+    next miss is compared with."""
+    global _previous
     entry = _CacheEntry(result._routing, result._properties, result._built)
     evicted = 0
     with _cache_lock:
         _cache[key] = entry
         _cache.move_to_end(key)
-        _routing_index[routing_key] = key
+        _previous = weakref.ref(result._routing)
         while len(_cache) > _CACHE_CAPACITY:
-            old_key, _ = _cache.popitem(last=False)
+            _cache.popitem(last=False)
             evicted += 1
-            for routing, target in list(_routing_index.items()):
-                if target == old_key:
-                    del _routing_index[routing]
     if evicted and telemetry.enabled():
         telemetry.metrics.counter("collapse.memo_invalidations").inc(evicted)
 
@@ -477,22 +433,18 @@ def _cache_store(key: tuple, routing_key: tuple,
 # collapse() — the public entry point.
 # ---------------------------------------------------------------------------
 
-def collapse(topology: Topology, *,
-             sources: Optional[Sequence[str]] = None,
-             memo: bool = True) -> CollapsedTopology:
+def collapse(topology: Topology, *, memo: bool = True) -> CollapsedTopology:
     """Collapse ``topology`` into end-to-end virtual links.
 
-    ``sources`` restricts the table to paths originating at the given
-    containers — each Emulation Manager only answers for the part of the
-    topology affecting its local containers (§3), which this parameter
-    models.  With the default, all ordered container pairs are answered.
-    It says which rows exist, not which are computed: a row nobody reads
-    costs nothing either way.
+    Every ordered container pair is answered; a row nobody reads costs
+    nothing, so an Emulation Manager that only asks for the paths of its
+    local containers (§3) pays for those alone.
 
-    ``memo=False`` bypasses the module cache entirely (neither read nor
-    populated) — used by the precompute ablation and the cold-path
-    benchmark, which must measure a genuine from-scratch collapse (and
-    ask for ``.paths()`` to make it the all-pairs one).
+    ``memo=False`` bypasses the module cache and the previous routing
+    entirely (neither read nor populated) — used by the precompute
+    ablation and the cold-path benchmark, which must measure a genuine
+    from-scratch collapse (and ask for ``.paths()`` to make it the
+    all-pairs one).
 
     Determinism: the same topology always yields the same path table —
     Dijkstra ties break on hop count then lexicographic node order, so
@@ -501,23 +453,22 @@ def collapse(topology: Topology, *,
     ``O(V + E)`` service graph and property map here; one Dijkstra
     (``O((V + E) log V)``) on the first lookup from each source *service*;
     ``O(path length)`` on the first lookup of each pair.  Memo hits are
-    ``O(signature)`` = ``O(V + E)``, incremental reuses ``O(V + E)`` as
-    well.
+    ``O(signature)`` = ``O(V + E)``, and so is sharing the previous
+    routing.
     """
+    global _previous
     if not memo:
-        return _collapse_full(topology, sources)
+        return _collapse_full(topology, _service_graph(topology))
 
     recording = telemetry.enabled()
     started = telemetry.clock() if recording else 0.0
-    sources_key = tuple(sources) if sources is not None else None
-    full_signature, routing_signature = _signatures(topology)
-    full_key = (full_signature, sources_key)
+    signature = topology_signature(topology)
     with _cache_lock:
-        entry = _cache.get(full_key)
+        entry = _cache.get(signature)
         if entry is not None:
-            _cache.move_to_end(full_key)
+            _cache.move_to_end(signature)
+            _previous = weakref.ref(entry.routing)
     if entry is not None:
-        _follow(entry.routing)
         if recording:
             registry = telemetry.metrics
             registry.counter("collapse.memo_hits").inc()
@@ -528,48 +479,37 @@ def collapse(topology: Topology, *,
 
     if recording:
         telemetry.metrics.counter("collapse.memo_misses").inc()
-    routing_key = (routing_signature, sources_key)
     with _cache_lock:
-        donor_key = _routing_index.get(routing_key)
-        donor = _cache.get(donor_key) if donor_key is not None else None
-    if donor is not None:
-        # Same nodes, link ids and latencies: the donor's graph and trees
-        # are this topology's, only the composed properties differ.
-        result = CollapsedTopology(topology, donor.routing,
+        parent = _previous() if _previous is not None else None
+    graph = _service_graph(topology)
+    rises = None if parent is None else _latency_rises(parent.graph, graph)
+    if rises == [] and parent.containers == topology.container_names():
+        # Same nodes, link ids, ends, latencies and containers: the
+        # previous routing's graph and trees are this topology's, only
+        # the composed properties differ.
+        result = CollapsedTopology(topology, parent,
                                    _properties_by_id(topology), {})
-        _cache_store(full_key, routing_key, result)
-        _follow(donor.routing)
         if recording:
             registry = telemetry.metrics
             registry.counter("collapse.incremental_recomputes").inc()
             registry.counter("collapse.incremental_seconds").inc(
                 telemetry.clock() - started)
-        return result
-
-    with _cache_lock:
-        parent = _previous() if _previous is not None else None
-    result = _collapse_full(topology, sources, parent)
-    _cache_store(full_key, routing_key, result)
-    _follow(result._routing)
+    else:
+        result = _collapse_full(topology, graph, parent, rises)
+    _cache_store(signature, result)
     return result
 
 
-def _follow(routing: _Routing) -> None:
-    """Make ``routing`` the parent of the next one a miss builds."""
-    global _previous
-    with _cache_lock:
-        _previous = weakref.ref(routing)
-
-
-def _collapse_full(topology: Topology, sources: Optional[Sequence[str]],
-                   parent: Optional[_Routing] = None) -> CollapsedTopology:
-    """The from-scratch collapse: a new routing with no tree built yet,
-    which may inherit ``parent``'s (see :meth:`_Routing.tree`)."""
+def _collapse_full(topology: Topology, graph: Dict[str, List[Link]],
+                   parent: Optional[_Routing] = None,
+                   rises: Optional[List[Link]] = None) -> CollapsedTopology:
+    """A new routing over ``graph`` with no tree built yet, which may
+    inherit ``parent``'s (see :meth:`_Routing.tree`)."""
     recording = telemetry.enabled()
     started = telemetry.clock() if recording else 0.0
     trace = telemetry.span("collapse.all_pairs",
                            containers=len(topology.container_names()))
-    routing = _Routing(topology, sources, parent)
+    routing = _Routing(topology, graph, parent, rises)
     result = CollapsedTopology(topology, routing,
                                _properties_by_id(topology), {})
     if recording:
@@ -578,7 +518,7 @@ def _collapse_full(topology: Topology, sources: Optional[Sequence[str]],
         registry.counter("collapse.recomputes").inc()
         registry.counter("collapse.pairs").inc(pairs)
         registry.counter("collapse.seconds").inc(telemetry.clock() - started)
-        trace.set(pairs=pairs, services=len(set(routing.sources.values())))
+        trace.set(pairs=pairs, services=len(routing.members))
     trace.finish()
     return result
 

@@ -190,11 +190,11 @@ class EmulationEngine:
         Unlike the pre-computed plan this recomputes the collapse at event
         time — exact but slow for large graphs, which is the accuracy/
         interactivity trade-off the paper describes.  The collapse memo
-        softens it considerably: a capacity-only event keeps the cached
-        shortest-path trees instead of re-running Dijkstra, a latency rise
-        keeps those of the previous collapse that it is not on, and an
-        event that restores an earlier structure (a link flapping back up)
-        is a straight cache hit.  The copy shares every link the event
+        softens it considerably: a capacity-only event shares the previous
+        collapse's routing and its shortest-path trees instead of
+        re-running Dijkstra, a latency rise keeps those of the previous
+        collapse that it is not on, and an event that restores an earlier
+        structure (a link flapping back up) is a straight cache hit.  The copy shares every link the event
         leaves alone.  The new state is installed in every TCAL and
         manager immediately.
         """

@@ -117,10 +117,10 @@ class Link:
     properties: LinkProperties
     network: str = "default"
     link_id: int = -1
-    #: The link's text in the ``(full, routing-only)`` topology
-    #: signatures once a second signature has read it, ``()`` after the
-    #: first (:func:`repro.core.collapse.topology_signature`).
-    signature: Optional[Tuple[str, ...]] = field(
+    #: The link's text in the topology signature once a second signature
+    #: has read it, ``""`` after the first
+    #: (:func:`repro.core.collapse.topology_signature`).
+    signature: Optional[str] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property

@@ -456,6 +456,28 @@ class TestStoreResume:
         assert again.skipped == 24
         assert (first.aggregate().to_csv() == again.aggregate().to_csv())
 
+    def test_each_executed_point_traces_one_store_span(self, tmp_path):
+        """``repro trace summary`` attributes the store's time: one
+        ``campaign.store`` span per point appended, none for a point
+        resumed from the store."""
+        from repro import telemetry
+        store = str(tmp_path)
+        (Campaign("sweep").scenario(pair).grid(rate=RATES[:2]).seeds(3)
+         .backends("kollaps", "baremetal").run(jobs=1, store=store))
+        telemetry.enable()
+        try:
+            result = sweep().run(jobs=1, store=store)
+            spans = telemetry.tracer().spans
+        finally:
+            telemetry.disable()
+            telemetry.metrics.clear()
+        assert result.skipped == 12
+        stored = [span["attrs"]["hash"] for span in spans
+                  if span["name"] == "campaign.store"]
+        executed = [item.point.digest() for item in result.results
+                    if item.source != "store"]
+        assert len(executed) == 12 and stored == executed
+
     def test_a_store_of_pair_form_series_resumes_the_same(self, tmp_path):
         """Records written before series were packed hold each series as
         ``[time, value]`` pairs: every point resumes from them, and the

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 from test_scenario_dsl import MALFORMED_DESCRIPTIONS
@@ -8,6 +9,8 @@ from test_scenario_dsl import MALFORMED_DESCRIPTIONS
 from repro.cli import main
 from repro.scenario import Scenario, ping
 from repro.scenario.dsl import dump_scn
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 DESCRIPTION = """\
 experiment:
@@ -223,12 +226,31 @@ class TestScenario:
         assert "s1->s2" in out
         assert out.count("t=") == 2
 
-    def test_bad_scenario_fails(self, description_file, tmp_path):
+    def test_bad_scenario_fails(self, description_file, tmp_path, capsys):
         bad = tmp_path / "bad.storm"
         bad.write_text("at 1 leave link s1--missing\n")
-        from repro.scenario.thunderstorm import ThunderstormError
-        with pytest.raises(ThunderstormError):
-            main(["scenario", "script", description_file, str(bad)])
+        assert main(["scenario", "script", description_file, str(bad)]) == 1
+        assert "no such link: ('s1', 'missing')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("script, pointer", [
+        ("at 1 set link nope--s1 latency=5ms\n",
+         "error: compile: line 1: no such link: ('nope', 's1')"),
+        ("hello world\n", "error: compile: line 1: directives start with "
+                          "'at' or 'from', got 'hello'"),
+        (None, "error: document: [Errno 2] No such file or directory"),
+    ], ids=["unknown-link", "bad-directive", "missing-file"])
+    def test_bad_script_reports_a_pointer(self, tmp_path, capsys, script,
+                                          pointer):
+        """A bad script gets the diagnostics ``validate --scenario`` prints
+        for it, and exit 1, never a traceback."""
+        description = str(EXAMPLES / "quickstart.scn")
+        path = tmp_path / "script.storm"
+        if script is not None:
+            path.write_text(script)
+        assert main(["scenario", "script", description, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{description}: {pointer}" in err
+        assert "Traceback" not in err
 
 
 class TestScenarioLint:

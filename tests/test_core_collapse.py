@@ -1,4 +1,4 @@
-"""Network collapsing: shortest paths, determinism, restricted sources."""
+"""Network collapsing: shortest paths, determinism, local views."""
 
 import dataclasses
 import heapq
@@ -114,18 +114,23 @@ class TestShortestPathSelection:
 
 class TestRestrictedSources:
     def test_sources_limits_computation(self):
-        """Each EM only collapses paths from its local containers (§3)."""
-        collapsed = collapse(figure1_topology(), sources=["c1"])
+        """Each EM only collapses paths from its local containers (§3):
+        asking the table for ``c1``'s row builds ``c1``'s tree alone."""
+        collapsed = collapse(figure1_topology(), memo=False)
         assert collapsed.path("c1", "sv.0") is not None
-        assert collapsed.path("sv.0", "c1") is None
+        assert collapsed.path("c1", "sv.1") is not None
+        assert list(collapsed._routing.trees) == ["c1"]
 
     def test_restricted_matches_full(self):
-        full = collapse(figure1_topology())
-        restricted = collapse(figure1_topology(), sources=["c1"])
-        full_path = full.require_path("c1", "sv.0")
-        restricted_path = restricted.require_path("c1", "sv.0")
-        assert full_path.link_ids == restricted_path.link_ids
-        assert full_path.properties == restricted_path.properties
+        """A local view — a table asked only for one row — answers that
+        row as the table whose every row was built."""
+        full = collapse(figure1_topology(), memo=False)
+        full.paths()
+        local = collapse(figure1_topology(), memo=False)
+        for destination in ("sv.0", "sv.1"):
+            assert local.require_path("c1", destination) == \
+                full.require_path("c1", destination)
+        assert list(local._routing.trees) == ["c1"]
 
 
 class TestDirectionality:
@@ -250,8 +255,8 @@ def eager_table(topology, sources=None):
     return table
 
 
-def assert_matches_oracle(collapsed, topology, sources=None):
-    oracle = eager_table(topology, sources)
+def assert_matches_oracle(collapsed, topology):
+    oracle = eager_table(topology)
     # Point lookups first — in reverse, so the order paths were built in
     # cannot be what orders paths() — then the whole table.
     for (source, destination), expected in reversed(list(oracle.items())):
@@ -260,9 +265,6 @@ def assert_matches_oracle(collapsed, topology, sources=None):
     assert collapsed.pair_count() == len(oracle) == len(collapsed.paths())
     containers = topology.container_names()
     for source in containers:
-        assert collapsed.reachable_from(source) == [
-            destination for destination in containers
-            if (source, destination) in oracle]
         for destination in containers:
             if (source, destination) not in oracle:
                 assert collapsed.path(source, destination) is None
@@ -322,13 +324,21 @@ class TestAgainstEagerOracle:
         assert_matches_oracle(collapse(topology, memo=False), topology)
 
     def test_restricted_sources(self, build):
+        """The rows of a few sources, asked of the full table, are the
+        oracle's, and build no tree of another service."""
         topology = build()
         containers = topology.container_names()
         # Out of table order, one named twice, one that does not exist.
         sources = [containers[-1], containers[0], containers[-1], "ghost.9"]
-        restricted = collapse(topology, sources=sources, memo=False)
-        assert_matches_oracle(restricted, topology, sources)
-        assert restricted.path(containers[1], containers[0]) is None
+        oracle = eager_table(topology, sources)
+        local = collapse(topology, memo=False)
+        for source in sources:
+            for destination in containers + ["ghost.9"]:
+                assert local.path(source, destination) == \
+                    oracle.get((source, destination))
+        service_of = local._routing.service_of
+        assert set(local._routing.trees) <= {
+            service_of[source] for source in sources if source in service_of}
 
     def test_every_memo_tier(self, build, empty_memo):
         topology = build()
@@ -367,13 +377,13 @@ class TestAgainstEagerOracle:
         containers = topology.container_names()
         for machine in range(3):
             local = containers[machine::3]
-            view = collapse(topology, sources=local, memo=False)
-            assert view.paths() == [path for path in full.paths()
-                                    if path.source in local]
-            for source in local:
-                for destination in containers:
-                    assert view.path(source, destination) == \
-                        full.path(source, destination)
+            view = collapse(topology, memo=False)
+            rows = [view.path(source, destination) for source in local
+                    for destination in containers]
+            assert [path for path in rows if path is not None] == [
+                path for path in full.paths() if path.source in local]
+            assert set(view._routing.trees) <= {
+                source.split(".")[0] for source in local}
 
     def test_table_is_a_snapshot(self, build):
         """Later edits to the live topology do not reach a collapse."""
@@ -499,16 +509,17 @@ class TestTreesOnFirstUse:
             for _ in range(data.draw(st.integers(1, 12))):
                 view, oracle = data.draw(st.sampled_from(views))
                 question = data.draw(st.sampled_from(
-                    ["path", "reachable_from", "pair_count", "paths"]))
+                    ["path", "row", "pair_count", "paths"]))
                 if question == "path":
                     source, destination = data.draw(names), data.draw(names)
                     assert view.path(source, destination) == \
                         oracle.get((source, destination))
-                elif question == "reachable_from":
+                elif question == "row":
                     source = data.draw(names)
-                    assert view.reachable_from(source) == [
-                        destination for destination in containers
-                        if (source, destination) in oracle]
+                    assert [view.path(source, destination)
+                            for destination in containers] == [
+                        oracle.get((source, destination))
+                        for destination in containers]
                 elif question == "pair_count":
                     assert view.pair_count() == len(oracle)
                 else:
@@ -558,19 +569,17 @@ class TestTreesOnFirstUse:
 
 
 def test_signatures_are_what_they_were_when_each_was_a_separate_pass():
-    """Recorded at 3fc02a0, before one walk fed both digests."""
-    from repro.core import topology_signature
+    """Recorded at 3fc02a0, when the signature had a pass of its own."""
     from repro.scenario.topologies import scale_free
     pinned = [
-        (figure1_topology(), "d17dd2acfec1c18b1129632276677501",
-         "0086d2bca0a55c8e092d5ad675bfc735"),
+        (figure1_topology(), "d17dd2acfec1c18b1129632276677501"),
         (scale_free(110, seed=11).compile().topology,
-         "0d29a6af2904df69191cbe89ab076811",
-         "0c1b7c686f26e46b806fafe01cff7370"),
+         "0d29a6af2904df69191cbe89ab076811"),
     ]
-    for topology, full, routing in pinned:
-        assert topology_signature(topology) == full
-        assert topology_signature(topology, routing_only=True) == routing
+    for topology, full in pinned:
+        # The third reads the link text the second kept.
+        for _ in range(3):
+            assert topology_signature(topology) == full
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +597,6 @@ def _fresh(topology):
     return rebuilt
 
 
-def _signs(topology):
-    return (topology_signature(topology),
-            topology_signature(topology, routing_only=True))
-
-
 class TestLinksAreValues:
     def test_a_link_field_cannot_be_assigned(self):
         link = next(iter(figure1_topology().links()))
@@ -606,7 +610,7 @@ class TestLinksAreValues:
                                                        empty_memo):
         topology = figure1_topology()
         links = list(topology.links())
-        signs = _signs(topology)
+        sign = topology_signature(topology)
         oracle = eager_table(topology)
         collapsed = collapse(topology)
         clone = topology.copy()
@@ -621,7 +625,8 @@ class TestLinksAreValues:
         assert all(clone.get_link(*link.key).link_id == link.link_id
                    and clone.get_link(*link.key) != link for link in links)
         assert all(now is link for now, link in zip(topology.links(), links))
-        assert _signs(topology) == signs != _signs(clone)
+        assert topology_signature(topology) == sign \
+            != topology_signature(clone)
         assert collapsed.paths() == list(oracle.values())
         assert collapse(topology).paths() == list(oracle.values())
         assert_matches_oracle(collapse(clone), clone)
@@ -651,10 +656,10 @@ class TestLinksAreValues:
         ])
         plan = DynamicTopologyPlan(figure1_topology(), schedule)
         assert len(plan) == 8
-        signs = [_signs(state.topology) for state in plan.states]
+        signs = [topology_signature(state.topology) for state in plan.states]
         assert len(set(signs)) == len(signs)
         for state, sign in zip(plan.states, signs):
-            assert _signs(_fresh(state.topology)) == sign
+            assert topology_signature(_fresh(state.topology)) == sign
 
 
 # ---------------------------------------------------------------------------
@@ -742,3 +747,103 @@ class TestTreeInheritance:
             assert_inherits_exactly(topology, latencies)
         finally:
             clear_collapse_cache()
+
+
+# ---------------------------------------------------------------------------
+# Names only break ties: relabelling services and bridges.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def named_shapes(draw):
+    """A small scale-free, fat-tree or AWS-mesh topology."""
+    from repro.scenario import topologies
+    shape = draw(st.sampled_from(["scale_free", "fat_tree", "aws_mesh"]))
+    if shape == "scale_free":
+        builder = topologies.scale_free(draw(st.integers(9, 36)),
+                                        seed=draw(st.integers(0, 50)))
+    elif shape == "fat_tree":
+        builder = topologies.fat_tree(draw(st.sampled_from([2, 4])))
+    else:
+        regions = draw(st.lists(
+            st.sampled_from(["virginia", "oregon", "ireland", "saopaulo",
+                             "sydney"]),
+            min_size=2, max_size=4, unique=True))
+        builder = topologies.aws_mesh(regions, draw(st.integers(1, 2)))
+    return builder.compile().topology
+
+
+def relabelled(topology, rename):
+    """``topology`` with every service and bridge renamed by ``rename``;
+    each link keeps its id and properties."""
+    twin = Topology(topology.name)
+    for name, service in topology.services.items():
+        twin.services[rename[name]] = dataclasses.replace(
+            service, name=rename[name])
+    twin.bridges = {rename[name]: Bridge(rename[name])
+                    for name in topology.bridges}
+    twin._links = {
+        (rename[link.source], rename[link.destination]): dataclasses.replace(
+            link, source=rename[link.source],
+            destination=rename[link.destination])
+        for link in topology.links()}
+    return twin
+
+
+def container_rename(rename):
+    """Container -> container under the service renaming ``rename``."""
+    def renamed(container):
+        service, dot, replica = container.partition(".")
+        return rename[service] + dot + replica
+    return renamed
+
+
+def relabelled_tables(topology, labels):
+    """The cold tables of ``topology`` and of its relabelling that gives
+    the ``i``-th node in name order the ``i``-th of ``labels``."""
+    rename = dict(zip(sorted(topology.node_names()), labels))
+    twin = relabelled(topology, rename)
+    return (rename, collapse(topology, memo=False),
+            collapse(twin, memo=False))
+
+
+class TestRelabelling:
+    @settings(max_examples=12, deadline=None)
+    @given(topology=named_shapes(), data=st.data())
+    def test_any_relabelling_keeps_latency_and_hops(self, topology, data):
+        nodes = len(topology.node_names())
+        order = data.draw(st.permutations(range(nodes)))
+        rename, table, twin = relabelled_tables(
+            topology, [f"n{index}" for index in order])
+        renamed = container_rename(rename)
+        assert twin.pair_count() == table.pair_count()
+        for source in topology.container_names():
+            for destination in topology.container_names():
+                path = table.path(source, destination)
+                other = twin.path(renamed(source), renamed(destination))
+                if path is None:
+                    assert other is None
+                else:
+                    assert (other.latency, other.properties.hops) == \
+                        (path.latency, path.properties.hops)
+
+    @settings(max_examples=12, deadline=None)
+    @given(topology=named_shapes(), data=st.data())
+    def test_an_order_preserving_relabelling_keeps_every_path(self, topology,
+                                                              data):
+        """The tie-break is the lexicographic order of the names, and
+        nothing else about them: keep the order, keep the paths."""
+        nodes = len(topology.node_names())
+        labels = sorted(data.draw(st.sets(st.integers(0, 10 * nodes),
+                                          min_size=nodes, max_size=nodes)))
+        rename, table, twin = relabelled_tables(
+            topology, [f"n{label:04d}" for label in labels])
+        renamed = container_rename(rename)
+        assert twin.pair_count() == table.pair_count()
+        for path in table.paths():
+            other = twin.require_path(renamed(path.source),
+                                      renamed(path.destination))
+            assert other.link_ids == path.link_ids
+            assert other.node_path == (renamed(path.source),) + tuple(
+                rename[node] for node in path.node_path[1:-1]) + (
+                    renamed(path.destination),)
+            assert other.properties == path.properties

@@ -7,12 +7,14 @@ Two families of guarantees from docs/performance.md are pinned here:
   are listed in — on hypothesis-generated problems and whole fuzz-corpus
   scenarios (the filler's exact floats are pinned separately, by
   ``tests/golden/fair_share_allocations.json``);
-* the collapse memo's three tiers (hit / incremental: shared trees, fresh
-  property map / full recompute) trigger exactly when the structural topology signature says
-  they should, and a shortest-path tree is built by the first lookup from
-  its source and by nothing else — or, after a pure latency rise off it,
-  inherited from the routing before — observed through the telemetry
-  counters the production code maintains.
+* the collapse memo's two tiers trigger exactly when they should — a hit
+  when the structural topology signature matches, an incremental
+  recompute (the previous routing shared, a fresh property map) when only
+  bandwidth, jitter or loss changed since the previous collapse — and a
+  shortest-path tree is built by the first lookup from its source and by
+  nothing else — or, after a pure latency rise off it, inherited from the
+  routing before — observed through the telemetry counters the
+  production code maintains.
 """
 
 import sys
@@ -230,7 +232,8 @@ class TestCollapseMemo:
         a, b, c = topology.container_names()[:3]
         first.path(a, b)
         first.path(a, c)
-        first.reachable_from(a)
+        for other in topology.container_names():
+            first.path(a, other)
         assert counter("collapse.trees_built") == 1
         # A hit and an incremental view share the trees, and add to them.
         second = collapse(topology.copy())
@@ -373,10 +376,36 @@ class TestCollapseMemo:
         assert counter("collapse.memo_hits") == 0
         assert counter("collapse.recomputes") == 2
 
-    def test_sources_restriction_keyed_separately(self, traced):
-        """A restricted collapse must not satisfy an unrestricted one."""
+    def test_a_local_view_is_the_full_table_asked_for_its_rows(self,
+                                                               traced):
+        """§3: a manager asks the one table for its own containers' rows,
+        which builds their trees alone; a manager after it shares them."""
         topology = small_topology()
-        source = topology.container_names()[0]
-        partial = collapse(topology, sources=[source])
-        full = collapse(topology)
-        assert full.pair_count() > partial.pair_count()
+        containers = topology.container_names()
+        source = containers[0]
+        local = collapse(topology)
+        row = [local.path(source, other) for other in containers]
+        assert counter("collapse.trees_built") == 1
+        twin = collapse(topology.copy())
+        assert all(shared is path for shared, path in zip(
+            [twin.path(source, other) for other in containers], row))
+        assert counter("collapse.memo_hits") == 1
+        assert counter("collapse.trees_built") == 1
+        assert len(twin.paths()) == local.pair_count()
+
+    def test_only_the_previous_routing_is_shared(self, traced):
+        """A capacity change shares the routing of the collapse just
+        before it, and no older one."""
+        topology = small_topology()
+        collapse(topology)
+        collapse(small_topology(seed=4))
+        shaped = topology.copy()
+        link = next(iter(shaped.links()))
+        shaped.update_link(link.source, link.destination, loss=0.25)
+        collapse(shaped)
+        assert counter("collapse.incremental_recomputes") == 0
+        assert counter("collapse.recomputes") == 3
+        reshaped = shaped.copy()
+        reshaped.update_link(link.source, link.destination, loss=0.5)
+        assert collapse(reshaped)._routing is collapse(shaped)._routing
+        assert counter("collapse.incremental_recomputes") == 1

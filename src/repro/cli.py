@@ -1,71 +1,37 @@
 """Command-line front end for the Kollaps reproduction.
 
-Every subcommand assembles its experiment through the unified Scenario
-API (:mod:`repro.scenario`) — the single validated path from any
-description form (listing text, Modelnet XML, or an example module
-exposing ``SCENARIO``) to a runnable experiment.
+Every scenario verb reads its description — listing-style text, Modelnet
+XML (``.xml``), a ``.scn`` document or an ``examples/*.py`` module
+exposing ``SCENARIO`` — through one loader
+(:mod:`repro.scenario.dsl.lint`: load, then compile), once, and prints
+what it refuses to stderr as ``path: severity: pointer: message``::
 
-``run``
-    Parse an experiment description, deploy it on the simulated cluster,
-    run it on a backend, and report every workload's headline statistic
-    (plus, on Kollaps, the dashboard)::
+    repro run experiment.txt --machines 4 --duration 60 \
+        --flow c1:sv.0 --flow sv.0:sv.1:5Mbps  # run, report each workload
+    repro validate FILE [--scenario S]        # collapsed end-to-end paths
+    repro plan FILE --orchestrator swarm      # deployment document (§4)
+    repro scenario lint FILE...               # every diagnostic, aggregated
+    repro scenario diff A B                   # semantic diff, compiled form
+    repro scenario export FILE -o F.scn       # canonical .scn export
+    repro scenario script FILE SCRIPT         # THUNDERSTORM -> events
+    repro scenario fuzz --seed 1 --count 200 --check \
+        --differential kollaps,trickle        # seeded property-based corpus
 
-        python -m repro.cli run experiment.yaml --machines 4 \
-            --duration 60 --flow c1:sv.0 --flow sv.0:sv.1:5Mbps
+``campaign run|status|report|compact SOURCE`` drive a sweep across a
+process pool with a resumable result store (:mod:`repro.campaign`); a
+source is a ``.py`` file exposing ``CAMPAIGN``, an experiment id, or
+``paper``: every experiment of the evaluation (§5), the one way to run it
+(``campaign report paper -o EXPERIMENTS.md``; ``--quick`` selects the
+smoke-test scale).  ``trace export|summary|top DIR`` read the telemetry a
+``--trace DIR`` run recorded.
 
-``validate``
-    Compile a description (and optional scenario script) without running
-    anything; prints the collapsed end-to-end paths.  Also accepts
-    ``examples/*.py`` files exposing a module-level ``SCENARIO`` and
-    ``.scn`` documents.  Diagnostics go to stderr; exit 1 on any error,
-    exit 0 when only warnings were found.
-
-``plan``
-    Emit the Docker-Compose / Kubernetes-manifest deployment document for
-    a description (the Deployment Generator's output, §4).
-
-``scenario``
-    The declarative scenario DSL toolbox (:mod:`repro.scenario.dsl`)::
-
-        repro scenario lint FILE...          # aggregated diagnostics
-        repro scenario diff A B              # semantic diff, compiled form
-        repro scenario export FILE -o F.scn  # canonical .scn export
-        repro scenario fuzz --seed 1 --count 200 --check \
-            --differential kollaps,trickle   # property-based corpus
-        repro scenario script DESC SCRIPT    # THUNDERSTORM -> events
-
-    ``lint`` exits 1 on any error and 0 with warnings; ``diff`` exits 0
-    when semantically identical, 1 when different, 2 on load failure;
-    ``fuzz --check`` enforces the round-trip guarantee (byte-identical
-    ``describe()``/``path_table()`` after dump → reload → recompile) and
-    ``--differential`` runs every generated scenario across backends and
-    fails on divergence; ``--bench`` writes a BENCH_dsl.json baseline.
-
-``campaign``
-    Parallel sweep orchestration (:mod:`repro.campaign`): ``run`` a
-    campaign grid across a process pool with a persistent, resumable
-    result store; ``status`` a store against the grid; ``report`` the
-    stored aggregate as Markdown or CSV; ``compact`` garbage-collects a
-    long-lived store::
-
-        python -m repro.cli campaign run examples/campaign_sweep.py \
-            --jobs 4 --store campaigns
-        python -m repro.cli campaign status fig5
-        python -m repro.cli campaign report fig5 --baseline baremetal
-        python -m repro.cli campaign compact fig5
-
-    A source is a ``.py`` file exposing ``CAMPAIGN``, an experiment id,
-    or ``paper``: every experiment of the evaluation (§5), its points in
-    one pool and each experiment's records in its own store.  This is the
-    one way to run the evaluation; ``report paper`` writes EXPERIMENTS.md
-    (exit 1 when a shape check fails), and ``--quick`` (on ``run``,
-    ``status`` and ``report``) selects the experiments' smoke-test scale::
-
-        python -m repro.cli campaign run paper --jobs 2
-        python -m repro.cli campaign report paper -o EXPERIMENTS.md
-
-    Every sweep runs on this host; ``--jobs N`` is the only scale-out
-    knob (docs/campaigns.md, "The evaluation on one host").
+Exit codes: 0 on success and when ``lint`` or ``validate`` finds only
+warnings; 1 on any refusal — a description or script that does not load
+or compile, a backend that cannot run it, a failed campaign point or
+shape check, a missing store or trace; 2 on usage errors (argparse).
+``scenario diff`` exits 0 when the two are semantically identical, 1
+when they differ and 2 when either does not load; ``scenario fuzz``
+exits 1 on a round-trip mismatch or a cross-backend divergence.
 """
 
 from __future__ import annotations
@@ -96,40 +62,38 @@ def _parse_flow(spec: str):
         f"flow must be src:dst or src:dst:rate, got {spec!r}")
 
 
-def _load_scenario(args: argparse.Namespace):
-    """The description file as a builder, with any scenario script merged."""
-    from repro.scenario import Scenario
-
-    builder = Scenario.from_file(args.experiment)
-    script_path = getattr(args, "scenario", None)
-    if script_path is not None:
-        with open(script_path, encoding="utf-8") as handle:
-            builder.script(handle.read())
-    return builder
-
-
-def _invalid(args: argparse.Namespace, *, warnings: bool = True,
-             script: Optional[str] = None) -> bool:
-    """Whether the description, with ``script`` (by default its
-    ``--scenario``) attached, has an error.  Its diagnostics go to
-    stderr — when one is an error, or always with ``warnings`` — so a
-    command refusing it exits 1 with pointers, never a traceback."""
-    from repro.scenario.dsl import lint_file
-    diagnostics = lint_file(
-        args.experiment, script=script or getattr(args, "scenario", None))
-    errors = sum(1 for d in diagnostics if d.severity == "error")
+def _report(path: str, diagnostics, *, warnings: bool = True) -> int:
+    """The one printer: ``path``'s diagnostics to stderr, as ``path:
+    severity: pointer: message`` — all of them when one is an error, or
+    always with ``warnings`` — and how many are errors."""
+    errors = sum(1 for item in diagnostics if item.severity == "error")
     if errors or warnings:
         for diagnostic in diagnostics:
-            print(f"{args.experiment}: {diagnostic}", file=sys.stderr)
+            print(f"{path}: {diagnostic}", file=sys.stderr)
+    return errors
+
+
+def _load(path: str, *, script: Optional[str] = None, adjust=None,
+          warnings: bool = False):
+    """``path`` through the one loader (:mod:`repro.scenario.dsl.lint`):
+    loaded with ``script`` attached, adjusted by ``adjust(builder)``,
+    compiled.  None once the diagnostics refusing it are printed."""
+    from repro.scenario.dsl.lint import compile_builder, load_file
+    builder, diagnostics = load_file(path, script=script)
+    compiled = None
+    if builder is not None:
+        compiled, refusals = compile_builder(builder, adjust)
+        diagnostics += refusals
+    errors = _report(path, diagnostics, warnings=warnings)
     if errors:
-        print(f"{args.experiment}: {errors} error(s)", file=sys.stderr)
-    return errors > 0
+        print(f"{path}: {errors} error(s)", file=sys.stderr)
+    return compiled
 
 
 def _add_description_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("experiment", help="scenario source: listing-style "
-                        "text, Modelnet XML (by suffix), or a .py module "
-                        "exposing SCENARIO")
+    parser.add_argument("experiment", help="scenario source, by suffix: a "
+                        ".scn document, Modelnet XML (.xml), a .py module "
+                        "exposing SCENARIO, else listing-style text")
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -155,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: the scenario's own setting, else 1)")
     run.add_argument("--duration", type=float, default=None,
                      help="simulated seconds to run (default: the "
-                          "scenario's own deploy(duration=...), else 30)")
+                          "scenario's own deploy(duration=...), else past its "
+                          "last event and timed workload, at least 30)")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--flow", action="append", type=_parse_flow,
                      default=[], metavar="SRC:DST[:RATE]",
@@ -225,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_fuzz.add_argument("--out", default=None, metavar="DIR",
                                help="write <name>.scn files here")
     scenario_fuzz.add_argument("--check", action="store_true",
-                               help="lint every scenario and enforce the "
-                                    "round-trip guarantee")
+                               help="enforce the round-trip guarantee "
+                                    "(dump, reload, recompile) on every "
+                                    "scenario")
     scenario_fuzz.add_argument("--differential", default=None,
                                metavar="BACKENDS",
                                help="comma-separated backends to run each "
@@ -321,12 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "a single trace file")
 
     trace_export = trace_commands.add_parser(
-        "export", help="convert a trace for external viewers")
+        "export", help="convert a trace to Chrome trace_event JSON "
+                       "(about:tracing, Perfetto)")
     _add_trace_source(trace_export)
-    trace_export.add_argument("--chrome", action="store_true", default=True,
-                              help="Chrome trace_event JSON for "
-                                   "about:tracing / Perfetto (the default "
-                                   "and currently only format)")
     trace_export.add_argument("-o", "--output", default=None,
                               help="write here instead of stdout")
 
@@ -348,52 +311,37 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_run(args: argparse.Namespace) -> int:
     from repro.scenario import BackendCompatibilityError, custom, flow, \
         resolve_backend
-    from repro.topology.model import TopologyError
 
-    if _invalid(args, warnings=False):
-        return 1
-    builder = _load_scenario(args)
-    # Command-line knobs override the scenario's own deploy() settings
-    # only when explicitly given — a .py scenario keeps its seed/machines.
-    builder.deploy(machines=args.machines, seed=args.seed,
-                   duration=args.duration)
-    for source, destination, rate in args.flow:
-        builder.workload(flow(source, destination, rate=rate,
-                              key=f"{source}->{destination}"))
-    if args.snapshot_every > 0:
-        if args.backend == "kollaps":
+    def adjust(builder) -> None:
+        # Command-line knobs override the scenario's own deploy() settings
+        # only when given — a .py scenario keeps its seed/machines.
+        builder.deploy(machines=args.machines, seed=args.seed,
+                       duration=args.duration)
+        for source, destination, rate in args.flow:
+            builder.workload(flow(source, destination, rate=rate,
+                                  key=f"{source}->{destination}"))
+        if args.snapshot_every > 0 and args.backend == "kollaps":
             builder.workload(custom("snapshots",
                                     _snapshots(args.snapshot_every),
                                     needs=()))
-        else:
-            print(f"note: --snapshot-every renders the Kollaps dashboard "
-                  f"and is ignored on the {args.backend!r} backend",
-                  file=sys.stderr)
-    try:
-        compiled = builder.compile()
-    except TopologyError as error:      # say, a --flow to no container
-        print(error, file=sys.stderr)
+
+    compiled = _load(args.experiment, script=args.scenario, adjust=adjust)
+    if compiled is None:
         return 1
-
-    # --duration (if given) was folded into compiled.duration by deploy();
-    # otherwise fall back to the scenario's own setting, else the
-    # historical 30 s default.
-    duration = compiled.duration if compiled.duration is not None else 30.0
-
+    if args.snapshot_every > 0 and args.backend != "kollaps":
+        print(f"note: --snapshot-every renders the Kollaps dashboard "
+              f"and is ignored on the {args.backend!r} backend",
+              file=sys.stderr)
     try:
         backend = resolve_backend(args.backend)
-    except ValueError as error:
-        print(f"cannot run on the {args.backend!r} backend: {error}",
-              file=sys.stderr)
-        return 1
-    # Only compatibility problems are caught — genuine workload failures
+    except ValueError as error:             # an unknown backend name
+        return _refused_by_backend(args, [str(error)])
+    # Only refusals of the backend are caught — genuine workload failures
     # still traceback.
     try:
-        run = compiled.run(until=duration, backend=backend)
+        run = compiled.run(backend=backend)
     except BackendCompatibilityError as error:
-        print(f"cannot run on the {args.backend!r} backend: {error}",
-              file=sys.stderr)
-        return 1
+        return _refused_by_backend(args, error.problems)
     # Run provenance: which backend/seed/cluster produced this output.
     print(f"backend: {run.backend}, seed: {run.seed}, "
           f"machines: {run.machines}, ran to t={run.until:g}s")
@@ -408,6 +356,15 @@ def _command_run(args: argparse.Namespace) -> int:
         from repro.dashboard import Dashboard
         print(Dashboard(run.engine).render())
     return 0
+
+
+def _refused_by_backend(args: argparse.Namespace, problems) -> int:
+    from repro.scenario.dsl import Diagnostic
+    _report(args.experiment, [
+        Diagnostic("error", "backend", f"cannot run on the {args.backend!r} "
+                                       f"backend: {problem}")
+        for problem in problems])
+    return 1
 
 
 def _snapshots(period: float):
@@ -425,9 +382,9 @@ def _snapshots(period: float):
 
 
 def _command_validate(args: argparse.Namespace) -> int:
-    if _invalid(args):
+    compiled = _load(args.experiment, script=args.scenario, warnings=True)
+    if compiled is None:
         return 1
-    compiled = _load_scenario(args).compile()
     print(f"{compiled.topology.describe()}")
     print(f"dynamic events: {len(compiled.schedule)}")
     for line in compiled.path_table().splitlines():
@@ -438,23 +395,17 @@ def _command_validate(args: argparse.Namespace) -> int:
 def _command_plan(args: argparse.Namespace) -> int:
     from repro.orchestration import render_plan
 
-    if _invalid(args, warnings=False):
+    compiled = _load(args.experiment, adjust=lambda builder: builder.deploy(
+        machines=args.machines))
+    if compiled is None:
         return 1
-    compiled = _load_scenario(args).compile()
     try:
         problems = compiled.validate_backend(args.backend)
-    except ValueError as error:
-        print(f"# {error}", file=sys.stderr)
-        return 1
+    except ValueError as error:             # an unknown backend name
+        problems = [str(error)]
     if problems:
-        print(f"# NOT deployable on the {args.backend!r} backend:",
-              file=sys.stderr)
-        for problem in problems:
-            print(f"#   - {problem}", file=sys.stderr)
-        return 1
-    machines = None if args.machines is None else \
-        [f"host-{index}" for index in range(args.machines)]
-    plan = compiled.plan(orchestrator=args.orchestrator, machines=machines)
+        return _refused_by_backend(args, problems)
+    plan = compiled.plan(orchestrator=args.orchestrator)
     print(f"# deployment plan ({plan.orchestrator}), "
           f"backend={args.backend}, "
           f"bootstrapper={'yes' if plan.needs_bootstrapper else 'no'}")
@@ -465,11 +416,13 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _scenario_script(args: argparse.Namespace) -> int:
-    if _invalid(args, warnings=False, script=args.script):
+    from repro.scenario.dsl.lint import script_schedule
+    compiled = _load(args.experiment)
+    if compiled is None:
         return 1
-    compiled = _load_scenario(args).compile()
-    with open(args.script, encoding="utf-8") as handle:
-        schedule = compiled.compile_script(handle.read())
+    schedule, diagnostics = script_schedule(compiled, args.script)
+    if _report(args.experiment, diagnostics):
+        return 1
     for event in schedule:
         target = (event.name if event.name is not None
                   else f"{event.origin}->{event.destination}")
@@ -485,13 +438,9 @@ def _scenario_script(args: argparse.Namespace) -> int:
 
 
 def _scenario_lint(args: argparse.Namespace) -> int:
-    from repro.scenario.dsl import lint_file
-    errors = 0
-    for path in args.files:
-        diagnostics = lint_file(path, script=args.scenario)
-        for diagnostic in diagnostics:
-            print(f"{path}: {diagnostic}", file=sys.stderr)
-        errors += sum(1 for d in diagnostics if d.severity == "error")
+    from repro.scenario.dsl.lint import lint_file
+    errors = sum(_report(path, lint_file(path, script=args.scenario))
+                 for path in args.files)
     if errors:
         print(f"{errors} error(s) in {len(args.files)} file(s)",
               file=sys.stderr)
@@ -500,17 +449,10 @@ def _scenario_lint(args: argparse.Namespace) -> int:
 
 
 def _scenario_diff(args: argparse.Namespace) -> int:
-    from repro.scenario import Scenario
-    from repro.scenario.dsl import ScnError, diff_scenarios
-    from repro.topology.model import TopologyError
-    compiled = []
-    for path in (args.before, args.after):
-        try:
-            compiled.append(Scenario.from_file(path).compile())
-        except (ScnError, TopologyError, UnitError, OSError,
-                SyntaxError) as error:
-            print(f"cannot load {path!r}: {error}", file=sys.stderr)
-            return 2
+    from repro.scenario.dsl import diff_scenarios
+    compiled = [_load(path) for path in (args.before, args.after)]
+    if None in compiled:
+        return 2
     difference = diff_scenarios(*compiled)
     if args.json:
         print(json.dumps(difference.to_dict(), indent=2))
@@ -520,14 +462,15 @@ def _scenario_diff(args: argparse.Namespace) -> int:
 
 
 def _scenario_export(args: argparse.Namespace) -> int:
-    from repro.scenario.dsl import ScnError, dumps_scn
-    from repro.topology.model import TopologyError
+    from repro.scenario.dsl import Diagnostic, ScnError, dumps_scn
+    compiled = _load(args.experiment, script=args.scenario)
+    if compiled is None:
+        return 1
     try:
-        compiled = _load_scenario(args).compile()
         text = dumps_scn(compiled)
-    except (ScnError, TopologyError, UnitError, OSError,
-            SyntaxError) as error:
-        print(f"cannot export {args.experiment!r}: {error}", file=sys.stderr)
+    except ScnError as error:               # a workload .scn cannot spell
+        _report(args.experiment, [Diagnostic("error", "workloads",
+                                             str(error))])
         return 1
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -370,6 +370,7 @@ class Scenario:
             workloads=[(f"workloads[{index}]", workload.key,
                         workload.containers())
                        for index, workload in enumerate(self._workloads)],
+            deploy=dict(self._deploy_kwargs, placement=self._placement),
             duration=self._duration)
 
     def compile(self) -> "CompiledScenario":
@@ -430,6 +431,7 @@ Finding = Tuple[str, str, str]
 
 
 def scenario_findings(*, services, bridges, links, events, workloads,
+                      deploy: Optional[Dict[str, object]] = None,
                       duration: Optional[float] = None) -> List[Finding]:
     """Every cross-reference rule a scenario's declarations break.
 
@@ -439,9 +441,12 @@ def scenario_findings(*, services, bridges, links, events, workloads,
     ``(pointer, time, action, ends)`` and ``workloads`` ``(pointer, key,
     containers)``, where ``ends`` are the ``(key, node)`` pairs an entry
     names (a node that is not a string is left out) and a time nobody can
-    read is ``None`` (taken as the start).  docs/scenarios.md tables the
-    rules; what an event does to a link (removing one twice, say) is
-    judged when the engine pre-computes the topology's states.
+    read is ``None`` (taken as the start).  ``deploy`` maps the deployment
+    settings whose type is right (``machines``, ``placement`` and any
+    :class:`~repro.core.engine.EngineConfig` tunable) to their values.
+    docs/scenarios.md tables the rules; what an event does to a link
+    (removing one twice, say) is judged when the engine pre-computes the
+    topology's states.
     """
     out: List[Finding] = []
     declared: Dict[str, str] = {}       # node name -> its first pointer
@@ -516,6 +521,7 @@ def scenario_findings(*, services, bridges, links, events, workloads,
     out.extend(("workloads", ERROR, f"duplicate workload key {key!r} "
                                     f"({count} declarations)")
                for key, count in keys.items() if count > 1)
+    out.extend(_deploy_findings(deploy or {}, containers))
 
     out.extend((declared[name], WARNING,
                 f"node {name!r} is declared but never linked")
@@ -525,4 +531,38 @@ def scenario_findings(*, services, bridges, links, events, workloads,
                 f"duration of {duration:g}s")
                for pointer, time, _, _ in events
                if None not in (time, duration) and time > duration)
+    return out
+
+
+def _deploy_findings(deploy: Dict[str, object], containers) -> List[Finding]:
+    """The deployment values the engine would refuse at construction."""
+    out: List[Finding] = []
+    for key in ("loop_period", "fluid_dt"):
+        value = deploy.get(key)
+        if isinstance(value, (int, float)) and not value > 0:
+            out.append((f"deploy.{key}", ERROR,
+                        f"expected a period > 0 seconds, got {value}"))
+    dilation = deploy.get("time_dilation")
+    if isinstance(dilation, (int, float)) and not dilation >= 1:
+        out.append(("deploy.time_dilation", ERROR,
+                    f"expected a dilation factor >= 1, got {dilation}"))
+    machines = deploy.get("machines", 1)
+    if machines < 1:
+        out.append(("deploy.machines", ERROR,
+                    f"expected an integer >= 1, got {machines}"))
+    placement = deploy.get("placement")
+    if placement is None or machines < 1:
+        return out
+    from repro.cluster import Cluster
+    names = Cluster(machines).machine_names()
+    out.extend(("deploy.placement", ERROR,
+                f"{container!r} is placed on {machine!r}, which is no "
+                f"machine of the cluster ({', '.join(names)})")
+               for container, machine in placement.items()
+               if machine not in names)
+    unplaced = sorted(containers - set(placement))
+    if unplaced:
+        out.append(("deploy.placement", ERROR,
+                    f"leaves {', '.join(unplaced)} unplaced (a placement "
+                    "names a machine for every container)"))
     return out

@@ -474,18 +474,22 @@ def validate_document(document) -> List[Diagnostic]:
             workloads.append((path, workload.key, workload.containers()))
 
     deploy = document.get("deploy", {})
-    duration = None
     if not isinstance(deploy, dict):
         out.append(Diagnostic(ERROR, "deploy", "expected a mapping"))
-    else:
-        _check_fields(deploy, _deploy_checks(), (), "deploy", out)
-        if "duration" in deploy and TIME.check(deploy["duration"]) is None:
-            duration = coerce_time(deploy["duration"])
+        deploy = {}
+    checks = _deploy_checks()
+    _check_fields(deploy, checks, (), "deploy", out)
+    # The rule book judges the values whose type is right.
+    deploy = {key: value for key, value in deploy.items()
+              if key in checks and checks[key](value) is None}
+    duration = deploy.pop("duration", None)
 
     out.extend(Diagnostic(severity, pointer, message)
                for pointer, severity, message in scenario_findings(
                    services=services, bridges=bridges, links=links,
-                   events=events, workloads=workloads, duration=duration))
+                   events=events, workloads=workloads, deploy=deploy,
+                   duration=None if duration is None
+                   else coerce_time(duration)))
     return out
 
 

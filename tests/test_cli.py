@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 from test_scenario_dsl import MALFORMED_DESCRIPTIONS
@@ -168,6 +169,18 @@ class TestRun:
                      "sharing.closed_form", "fluid.steps"):
             assert name in out
 
+    def test_run_reaches_an_event_past_thirty_seconds(self, tmp_path,
+                                                      capsys):
+        """With no --duration a run lasts as long as ``compiled.run()``
+        makes it: past the last event, at least 30 s."""
+        path = tmp_path / "late.txt"
+        path.write_text(DESCRIPTION + "dynamic:\n  orig: s1\n  dest: s2\n"
+                                      "  latency: 80\n  time: 45\n")
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "ran to t=46s" in out
+        assert "state from t=45.000s" in out
+
     def test_run_on_baseline_backend_reports_metrics(self, description_file,
                                                      capsys):
         assert main(["run", description_file, "--duration", "5",
@@ -312,9 +325,10 @@ class TestScenarioDiff:
 
     def test_load_failure_exits_two(self, description_file, tmp_path,
                                     capsys):
-        assert main(["scenario", "diff", description_file,
-                     str(tmp_path / "gone.scn")]) == 2
-        assert "cannot load" in capsys.readouterr().err
+        gone = tmp_path / "gone.scn"
+        assert main(["scenario", "diff", description_file, str(gone)]) == 2
+        assert f"{gone}: error: document: [Errno 2] No such file" in \
+            capsys.readouterr().err
 
     def test_workload_field_back_at_its_default_exits_one(self, tmp_path,
                                                           capsys):
@@ -345,12 +359,11 @@ class TestScenarioDiff:
                        '"scripts": ["at 1 leave link a--missing\\n"]}\n')
         assert main(["validate", str(bad)]) == 1
         assert "missing" in capsys.readouterr().err
+        pointer = f"{bad}: error: compile: line 1: no such link"
         assert main(["scenario", "diff", str(bad), str(bad)]) == 2
-        assert "cannot load" in capsys.readouterr().err
+        assert pointer in capsys.readouterr().err
         assert main(["scenario", "export", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "cannot export" in err
-        assert "line 1" in err
+        assert pointer in capsys.readouterr().err
 
 
 class TestScenarioExport:
@@ -372,9 +385,10 @@ class TestScenarioExport:
         assert '"orig": "c1"' in out
 
     def test_export_failure_exits_one(self, tmp_path, capsys):
-        assert main(["scenario", "export",
-                     str(tmp_path / "gone.txt")]) == 1
-        assert "cannot export" in capsys.readouterr().err
+        gone = tmp_path / "gone.txt"
+        assert main(["scenario", "export", str(gone)]) == 1
+        assert f"{gone}: error: document: [Errno 2] No such file" in \
+            capsys.readouterr().err
 
 
 class TestScenarioFuzz:
@@ -456,3 +470,201 @@ class TestValidatePython:
         assert main(["run", str(module)]) == 0
         out = capsys.readouterr().out
         assert "host-1" in out   # the module's machines=2 was honoured
+
+
+# --------------------------------------------------------------------------
+# The malformed-input matrix: every door that reads a description, every
+# kind of bad input.  Each cell expects its exit code and a pointer line,
+# never a traceback.
+# --------------------------------------------------------------------------
+class Bad(NamedTuple):
+    file: str
+    content: Optional[str]      # None: the file does not exist
+    pointer: str
+    message: str                # the start of it; {path} is the file
+    refused_by: Optional[str]   # "from_file" or "compile"; None: neither
+
+
+def _scn(**document):
+    return json.dumps({"scn": 1, **document})
+
+
+_PAIR = {"services": [{"name": "a"}, {"name": "b"}],
+         "links": [{"orig": "a", "dest": "b"}]}
+_TRIO = {"services": [{"name": "c1"}, {"name": "sv", "replicas": 2}],
+         "bridges": ["s1"],
+         "links": [{"orig": "c1", "dest": "s1"}, {"orig": "s1", "dest": "sv"}]}
+_MODULE = ("from repro.scenario import Scenario, custom, flow, ping\n"
+           "SCENARIO = (Scenario.build('pair').service('a').service('b')\n"
+           "            .link('a', 'b', latency='1ms', up='1Mbps'){})\n")
+
+MALFORMED = {
+    "unreadable": Bad("gone.scn", None, "document",
+                      "[Errno 2] No such file or directory", "from_file"),
+    "bad-json": Bad("bad.scn", '{"scn": 1,', "document", "{path}: ",
+                    "from_file"),
+    "bad-xml": Bad("bad.xml", "<topology><vertex", "document",
+                   "malformed XML topology: unclosed token", "from_file"),
+    "bad-py-syntax": Bad("bad.py", "SCENARIO = (\n", "line 1",
+                         "'(' was never closed", "from_file"),
+    "no-scn-stamp": Bad("stamp.scn", json.dumps(_PAIR), "scn",
+                        "missing version stamp (expected scn: 1)",
+                        "from_file"),
+    "unknown-key": Bad("key.scn", _scn(**_PAIR, bogus=1), "bogus",
+                       "unknown top-level key", "from_file"),
+    "unit-error": Bad("unit.scn", _scn(services=_PAIR["services"], links=[
+        {"orig": "a", "dest": "b", "latency": "10 parsecs"}]),
+                      "links[0].latency", "unknown time unit 'parsecs'",
+                      "from_file"),
+    "rule-book": Bad("ghost.scn", _scn(services=_PAIR["services"], links=[
+        {"orig": "a", "dest": "ghost"}]), "links[0].dest",
+                     "undeclared node 'ghost'", "from_file"),
+    "rule-book-py": Bad("ghost.py", _MODULE.format(
+        ".workload(ping('a', 'ghost'))"), "workloads[0]",
+                        "workload endpoint 'ghost' names no declared "
+                        "service or container", "compile"),
+    "py-body-raises": Bad("raises.py", "x = undefined_name\n", "document",
+                          "NameError: name 'undefined_name' is not defined",
+                          "from_file"),
+    "py-without-scenario": Bad("empty.py", "x = 1\n", "document",
+                               "'{path}' defines no SCENARIO", "from_file"),
+    "time-dilation": Bad("dilation.scn", _scn(**_TRIO, deploy={
+        "time_dilation": 0.5}), "deploy.time_dilation",
+                         "expected a dilation factor >= 1", "from_file"),
+    "loop-period": Bad("period.scn", _scn(**_TRIO, deploy={
+        "loop_period": 0}), "deploy.loop_period",
+                       "expected a period > 0 seconds", "from_file"),
+    "fluid-dt": Bad("dt.scn", _scn(**_TRIO, deploy={"fluid_dt": 0}),
+                    "deploy.fluid_dt", "expected a period > 0 seconds",
+                    "from_file"),
+    "placed-on-no-machine": Bad("host9.scn", _scn(**_TRIO, deploy={
+        "placement": {"c1": "host-0", "sv.0": "host-9", "sv.1": "host-0"}}),
+                                "deploy.placement",
+                                "'sv.0' is placed on 'host-9'", "from_file"),
+    "container-unplaced": Bad("unplaced.scn", _scn(**_TRIO, deploy={
+        "placement": {"c1": "host-0", "sv.0": "host-0"}}),
+                              "deploy.placement", "leaves sv.1 unplaced",
+                              "from_file"),
+    "deploy-rule-py": Bad("dilated.py", _MODULE.format(
+        ".deploy(time_dilation=0.5)"), "deploy.time_dilation",
+                          "expected a dilation factor >= 1", "compile"),
+    # Valid scenarios that one door cannot take.
+    "custom-workload": Bad("custom.py", _MODULE.format(
+        ".workload(custom('probe', needs=()))"), "workloads",
+                           "workload 'probe' of type CustomWorkload is not "
+                           ".scn-serializable", None),
+    "mininet-budget": Bad("big.scn", _scn(services=[
+        {"name": "a", "replicas": 1701}]), "backend",
+                          "cannot run on the 'mininet' backend: 1701 "
+                          "emulated elements exceed", None),
+}
+
+#: door -> (argv, exit code on a refusal)
+DOORS = {
+    "run": (["run", "{path}", "--duration", "1"], 1),
+    "validate": (["validate", "{path}"], 1),
+    "plan": (["plan", "{path}"], 1),
+    "scenario-lint": (["scenario", "lint", "{path}"], 1),
+    "scenario-diff": (["scenario", "diff", "{good}", "{path}"], 2),
+    "scenario-export": (["scenario", "export", "{path}", "-o", "{out}"], 1),
+    "scenario-script": (["scenario", "script", "{path}", "{script}"], 1),
+}
+
+
+def _cli_cells():
+    for name, bad in MALFORMED.items():
+        if bad.refused_by is None:
+            continue
+        for door, (argv, code) in DOORS.items():
+            yield pytest.param(argv, code, name, id=f"{door}:{name}")
+    argv, code = DOORS["scenario-export"]
+    yield pytest.param(argv, code, "custom-workload",
+                       id="scenario-export:custom-workload")
+    for door in ("run", "plan"):
+        argv, code = DOORS[door]
+        yield pytest.param(argv + ["--backend", "mininet"], code,
+                           "mininet-budget", id=f"{door}:mininet-budget")
+
+
+def _write(tmp_path, bad: Bad) -> str:
+    path = tmp_path / bad.file
+    if bad.content is not None:
+        path.write_text(bad.content)
+    return str(path)
+
+
+class TestMalformedInputMatrix:
+    @pytest.mark.parametrize("argv, code, name", _cli_cells())
+    def test_cli_door(self, tmp_path, capsys, description_file,
+                      scenario_file, argv, code, name):
+        bad = MALFORMED[name]
+        path = _write(tmp_path, bad)
+        assert main([word.format(path=path, good=description_file,
+                                 script=scenario_file,
+                                 out=tmp_path / "out.scn")
+                     for word in argv]) == code
+        err = capsys.readouterr().err
+        message = bad.message.format(path=path)
+        assert f"{path}: error: {bad.pointer}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("door", ["from_file", "compile"])
+    @pytest.mark.parametrize("name", [name for name, bad in MALFORMED.items()
+                                      if bad.refused_by])
+    def test_library_door(self, tmp_path, door, name):
+        """``Scenario.from_file`` refuses what cannot be loaded and
+        ``compile()`` the rest, each with an exception naming the
+        problem."""
+        bad = MALFORMED[name]
+        path = _write(tmp_path, bad)
+        if door == "from_file" and bad.refused_by == "compile":
+            assert isinstance(Scenario.from_file(path), Scenario)
+            return
+        with pytest.raises(Exception) as info:
+            Scenario.from_file(path).compile()
+        assert bad.message.format(path=path) in \
+            f"{info.type.__name__}: {info.value}"
+
+
+COUNTED = """\
+import pathlib
+tally = pathlib.Path(__file__).with_suffix(".runs")
+tally.write_text((tally.read_text() if tally.exists() else "") + "x")
+""" + _MODULE.format(".workload(flow('a', 'b', key='t'))")
+
+
+@pytest.mark.parametrize("argv, reads_script", [
+    (["run", "{module}", "--duration", "1", "--scenario", "{script}"], True),
+    (["validate", "{module}", "--scenario", "{script}"], True),
+    (["plan", "{module}"], False),
+    (["scenario", "lint", "{module}", "--scenario", "{script}"], True),
+    (["scenario", "diff", "{module}", "{module}.scn"], False),
+    (["scenario", "export", "{module}", "--scenario", "{script}"], True),
+    (["scenario", "script", "{module}", "{script}"], True),
+], ids=["run", "validate", "plan", "scenario-lint", "scenario-diff",
+        "scenario-export", "scenario-script"])
+def test_each_command_loads_its_description_once(tmp_path, monkeypatch,
+                                                 capsys, argv, reads_script):
+    """A .py description's body runs once per command, and its script is
+    read once, whatever the verb."""
+    module = tmp_path / "counted.py"
+    module.write_text(COUNTED)
+    script = tmp_path / "slow.storm"
+    script.write_text("at 1 set link a--b latency=5ms\n")
+    dump_scn(Scenario.build("pair").service("a").service("b")
+             .link("a", "b", latency="1ms", up="1Mbps"),
+             tmp_path / "counted.py.scn")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    status = main([word.format(module=module, script=script)
+                   for word in argv])
+    capsys.readouterr()
+    assert status in (0, 1)         # diff: the two scenarios differ
+    assert (tmp_path / "counted.runs").read_text() == "x"
+    assert opened.count(str(script)) == (1 if reads_script else 0)

@@ -474,6 +474,28 @@ RULE_CASES = [
                                    "destination": "sv.0"}] * 2),
                  "workloads", "duplicate workload key 'c1->sv.0' "
                               "(2 declarations)", id="keyless-twins"),
+    # Deployment values the engine refuses at construction.
+    pytest.param(_with(deploy={"time_dilation": 0.5}),
+                 "deploy.time_dilation",
+                 "expected a dilation factor >= 1, got 0.5",
+                 id="time-dilation-below-one"),
+    pytest.param(_with(deploy={"loop_period": 0}), "deploy.loop_period",
+                 "expected a period > 0 seconds, got 0",
+                 id="loop-period-zero"),
+    pytest.param(_with(deploy={"fluid_dt": 0}), "deploy.fluid_dt",
+                 "expected a period > 0 seconds, got 0", id="fluid-dt-zero"),
+    pytest.param(_with(deploy={"machines": 0}), "deploy.machines",
+                 "expected an integer >= 1, got 0", id="no-machine"),
+    pytest.param(_with(deploy={"placement": {
+        "c1": "host-0", "sv.0": "host-9", "sv.1": "host-0"}}),
+                 "deploy.placement", "'sv.0' is placed on 'host-9', which is "
+                                     "no machine of the cluster (host-0)",
+                 id="placed-on-no-machine"),
+    pytest.param(_with(deploy={"machines": 2, "placement": {
+        "c1": "host-0", "sv.0": "host-1"}}),
+                 "deploy.placement", "leaves sv.1 unplaced (a placement "
+                                     "names a machine for every container)",
+                 id="container-unplaced"),
 ]
 
 

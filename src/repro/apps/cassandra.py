@@ -122,14 +122,12 @@ class YcsbClient(ClosedLoop):
     def __init__(self, sim: Simulator, plane, source: str,
                  cluster: CassandraCluster, coordinator: str, *, rng,
                  threads: int = 8, read_fraction: float = 0.5,
-                 keyspace: int = 10_000,
-                 start: float = 0.0, stop: float = float("inf")) -> None:
+                 keyspace: int = 10_000) -> None:
         require_int("keyspace", keyspace, 1)
         if not 0.0 <= read_fraction <= 1.0:
             raise ValueError(
                 f"read_fraction must be in [0, 1], got {read_fraction!r}")
-        super().__init__(sim, plane, source, loops=threads, start=start,
-                         stop=stop)
+        super().__init__(sim, plane, source, loops=threads)
         self.cluster = cluster
         self.coordinator = coordinator
         self.read_fraction = read_fraction

@@ -29,6 +29,7 @@ _REQUEST_BITS = 200 * 8.0
 _MSS_BITS = 1448 * 8.0
 _HANDSHAKE_PACKET_BITS = 66 * 8.0
 _INITIAL_WINDOW_BITS = 10 * _MSS_BITS
+_SERVICE_TIME = 100e-6
 
 
 class HttpServer(FifoServer):
@@ -40,9 +41,8 @@ class HttpServer(FifoServer):
     """
 
     def __init__(self, sim: Simulator, plane, name: str, *,
-                 response_bits: float = 64 * 1024 * 8.0,
-                 service_time: float = 100e-6) -> None:
-        super().__init__(sim, plane, name, service_time)
+                 response_bits: float = 64 * 1024 * 8.0) -> None:
+        super().__init__(sim, plane, name, _SERVICE_TIME)
         self.response_bits = response_bits
         self._connections = itertools.count()
 
@@ -102,12 +102,11 @@ class CurlSwarm:
     """
 
     def __init__(self, sim: Simulator, plane, sources: List[str],
-                 server: HttpServer, *, start: float = 0.0,
-                 stop: float = float("inf")) -> None:
+                 server: HttpServer) -> None:
         self.server = server
         self.stats = Latencies()
-        self.clients = [_Curl(sim, plane, source, server, self.stats,
-                              start=start, stop=stop) for source in sources]
+        self.clients = [_Curl(sim, plane, source, server, self.stats)
+                        for source in sources]
 
 
 class _Curl(ClosedLoop):
@@ -120,9 +119,8 @@ class _Curl(ClosedLoop):
     backoff = 0.100
 
     def __init__(self, sim: Simulator, plane, source: str,
-                 server: HttpServer, stats: Latencies, *, start: float,
-                 stop: float) -> None:
-        super().__init__(sim, plane, source, loops=1, start=start, stop=stop)
+                 server: HttpServer, stats: Latencies) -> None:
+        super().__init__(sim, plane, source, loops=1)
         self.server = server
         self.stats = stats
 

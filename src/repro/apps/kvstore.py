@@ -25,6 +25,7 @@ _SET_REQUEST_BITS = 1084 * 8.0   # key + 1 KB value
 _GET_RESPONSE_BITS = 1054 * 8.0
 _SET_RESPONSE_BITS = 30 * 8.0
 _VALUE = b"x" * 1024
+_SERVICE_TIME = 20e-6
 # keyspace -> its key strings, built once and shared by every client.
 _KEY_NAMES: Dict[int, Tuple[str, ...]] = {}
 
@@ -45,9 +46,8 @@ class KvServer(FifoServer):
     else sends from its container while a response waits for service.
     """
 
-    def __init__(self, sim: Simulator, plane, name: str, *,
-                 service_time: float = 20e-6) -> None:
-        super().__init__(sim, plane, name, service_time)
+    def __init__(self, sim: Simulator, plane, name: str) -> None:
+        super().__init__(sim, plane, name, _SERVICE_TIME)
         self.store: Dict[str, bytes] = {}
 
     def handle(self, request: Packet,
@@ -74,8 +74,7 @@ class MemtierClient(ClosedLoop):
 
     def __init__(self, sim: Simulator, plane, source: str, server: KvServer, *,
                  rng, connections: int = 1, set_fraction: float = 0.1,
-                 keyspace: int = 1000,
-                 start: float = 0.0, stop: float = float("inf")) -> None:
+                 keyspace: int = 1000) -> None:
         require_int("keyspace", keyspace, 1)
         if not 0.0 <= set_fraction <= 1.0:
             raise ValueError(
@@ -86,8 +85,7 @@ class MemtierClient(ClosedLoop):
         self._keys = _key_names(keyspace)
         self._key_bits = keyspace.bit_length()
         self.rng = rng
-        super().__init__(sim, plane, source, loops=connections, start=start,
-                         stop=stop)
+        super().__init__(sim, plane, source, loops=connections)
 
     def _issue(self) -> None:
         now = self.sim.now

@@ -40,12 +40,8 @@ class UdpStats:
     def mean_delay(self) -> float:
         return sum(self.delays) / len(self.delays) if self.delays else 0.0
 
-    def delivered_bits(self, datagram_bits: float = _DATAGRAM_BITS) -> float:
-        return self.received * datagram_bits
-
-    def delivery_rate(self, duration: float,
-                      datagram_bits: float = _DATAGRAM_BITS) -> float:
-        return self.delivered_bits(datagram_bits) / duration \
+    def delivery_rate(self, duration: float) -> float:
+        return self.received * _DATAGRAM_BITS / duration \
             if duration > 0 else 0.0
 
 
@@ -58,25 +54,23 @@ class UdpBlaster:
     """
 
     def __init__(self, sim: Simulator, plane, source: str, destination: str,
-                 *, rate: float, datagram_bits: float = _DATAGRAM_BITS,
-                 start: float = 0.0, stop: float = float("inf")) -> None:
+                 *, rate: float, stop: float = float("inf")) -> None:
         if rate <= 0:
             raise ValueError(f"rate must be positive: {rate}")
         self.sim = sim
         self.plane = plane
         self.source = source
         self.destination = destination
-        self.datagram_bits = datagram_bits
-        self.interval = datagram_bits / rate
+        self.interval = _DATAGRAM_BITS / rate
         self.stop_time = stop
         self.stats = UdpStats()
-        self.sim.at(max(start, sim.now), self._send_next)
+        self.sim.at(sim.now, self._send_next)
 
     def _send_next(self) -> None:
         if self.sim.now >= self.stop_time:
             return
         self.stats.sent += 1
-        datagram = Packet(self.source, self.destination, self.datagram_bits,
+        datagram = Packet(self.source, self.destination, _DATAGRAM_BITS,
                           kind="udp", created=self.sim.now)
         self.plane.send(datagram, self._on_delivered, self._on_dropped,
                         self._on_blocked)

@@ -568,6 +568,7 @@ def _load_campaigns(args: argparse.Namespace):
     """The source's campaigns (``paper``: every experiment's, in paper
     order), or None after printing why they cannot be loaded."""
     from repro.campaign import load_campaign
+    from repro.scenario.dsl import Diagnostic
     source = args.campaign_source
     try:
         if source == "paper":
@@ -576,8 +577,8 @@ def _load_campaigns(args: argparse.Namespace):
                     for exp_id in registered()]
         return [load_campaign(source, quick=args.quick)]
     except Exception as error:  # noqa: BLE001 — any load failure is input
-        print(f"cannot load campaign {source!r}: "
-              f"{type(error).__name__}: {error}", file=sys.stderr)
+        _report(source, [Diagnostic("error", "",
+                                    f"{type(error).__name__}: {error}")])
         return None
 
 

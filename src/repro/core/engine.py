@@ -21,12 +21,12 @@ what the kernel's netlink counters would report.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro import telemetry
-from repro.cluster import Cluster
+from repro.cluster.machines import INTERCONNECT_LATENCY, Cluster, infeasibility
 from repro.core.collapse import collapse
 from repro.core.dynamic import DynamicTopologyPlan, TopologyState
 from repro.core.emucore import EmulationCore
@@ -51,23 +51,15 @@ class EngineConfig:
     loop_period: float = 0.050
     seed: int = 0
     congestion_sensitivity: float = 1.0
-    container_network_delay: float = 35e-6
-    physical_network_delay: float = 80e-6
     fluid_dt: float = 0.010
     # When False, no emulation loop runs: shaping stays at the collapsed
     # path properties (useful for latency-only experiments and ablations).
     enforce_bandwidth_sharing: bool = True
-    # §7 future work: publish metadata only when flow state changes,
-    # rather than every loop period.
-    metadata_on_change_only: bool = False
     # §7 future work: time dilation.  A factor of N means virtual time
     # runs N times slower than the cluster, so emulated link capacities up
     # to N x the physical interconnect are feasible (§6's "beyond the
-    # physical links" limitation).  Checked at construction.
+    # physical links" limitation), as ``infeasibility`` judges it.
     time_dilation: float = 1.0
-    # When False, skip the physical-feasibility check entirely (pure
-    # simulation studies that don't model a concrete cluster).
-    enforce_physical_limits: bool = True
 
 
 class EmulationEngine:
@@ -78,8 +70,6 @@ class EmulationEngine:
                  config: Optional[EngineConfig] = None,
                  placement: Optional[Dict[str, str]] = None) -> None:
         self.config = config or EngineConfig()
-        if self.config.time_dilation < 1.0:
-            raise ValueError("time dilation factor must be >= 1")
         self.sim = Simulator()
         self.rng = RngRegistry(self.config.seed)
         self.plan = DynamicTopologyPlan(topology, schedule)
@@ -103,8 +93,6 @@ class EmulationEngine:
             self.allocator.assign(container)
         self.dataplane = KollapsDataPlane(
             self.sim, placement=self.placement,
-            container_network_delay=self.config.container_network_delay,
-            physical_network_delay=self.config.physical_network_delay,
             next_control=self._next_control)
         self.tcals: Dict[str, Tcal] = {}
         for container in containers:
@@ -121,13 +109,12 @@ class EmulationEngine:
         for index, machine in enumerate(machine_names):
             driver = MediaDriver(
                 self.sim, machine, wide_ids=wide,
-                network_delay=self.cluster.interconnect_latency)
+                network_delay=INTERCONNECT_LATENCY)
             self.drivers[machine] = driver
             self.managers[machine] = EmulationManager(
                 self.sim, machine, driver, index, self.container_indices,
                 period=self.config.loop_period,
-                congestion_sensitivity=self.config.congestion_sensitivity,
-                update_on_change_only=self.config.metadata_on_change_only)
+                congestion_sensitivity=self.config.congestion_sensitivity)
         for i, first in enumerate(machine_names):
             for second in machine_names[i + 1:]:
                 self.drivers[first].connect(self.drivers[second])
@@ -145,8 +132,7 @@ class EmulationEngine:
             dt=self.config.fluid_dt, rng=self.rng)
 
         # --- initial state + dynamic swaps + loops ------------------------
-        if self.config.enforce_physical_limits:
-            self._validate_physical_feasibility()
+        self._validate_physical_feasibility()
         self._apply_state(self.plan.initial())
         self._change_times = self.plan.change_times()
         for change_time in self._change_times:
@@ -164,25 +150,20 @@ class EmulationEngine:
 
     # ------------------------------------------------------------ plumbing
     def _validate_physical_feasibility(self) -> None:
-        """§6: emulated capacity must fit the cluster, unless dilated.
-
-        "It is impossible to emulate a link of 10 Gb/s if Kollaps is
-        running on a cluster with 1 Gb/s connections."  Time dilation (§7)
-        relaxes the bound by its factor: virtual time runs slower, so a
-        dilated 100 Gb/s link only needs 100/TDF Gb/s of real capacity.
-        """
-        budget = self.cluster.interconnect_rate * self.config.time_dilation
+        """§6, for engines built directly: the dilation, then each distinct
+        capacity of every pre-computed state, judged by the function the
+        rule book reads (:func:`~repro.cluster.machines.infeasibility`)."""
+        dilation = self.config.time_dilation
+        refusal = infeasibility(dilation)
+        if refusal is not None:
+            raise ValueError(f"time_dilation: {refusal}")
         for state in self.plan.states:
-            for link in state.topology.links():
-                bandwidth = link.properties.bandwidth
-                if bandwidth != float("inf") and bandwidth > budget:
-                    raise ValueError(
-                        f"link {link.key} asks for {bandwidth / 1e9:.1f} Gb/s"
-                        f" but the cluster interconnect provides "
-                        f"{self.cluster.interconnect_rate / 1e9:.1f} Gb/s"
-                        f" (time dilation {self.config.time_dilation:g}x);"
-                        " raise EngineConfig.time_dilation or disable"
-                        " enforce_physical_limits")
+            for capacity in set(state.capacities.values()):
+                refusal = infeasibility(dilation, capacity)
+                if refusal is not None:
+                    link = next(link for link in state.topology.links()
+                                if link.properties.bandwidth == capacity)
+                    raise ValueError(f"link {link.key} {refusal}")
 
     def apply_event_online(self, event) -> None:
         """§6 "Interactivity": apply a dynamic event *now*, online.

@@ -76,8 +76,11 @@ from repro.sim import Simulator
 __all__ = ["EmulationManager"]
 
 # Remote flow reports older than this many loop periods are discarded
-# (their sender stopped reporting, so the flows are gone).
-_REMOTE_EXPIRY_PERIODS = 2.5
+# (their sender stopped reporting, so the flows are gone).  A peer
+# publishes every period, so 3.5 lets three of its publications go missing
+# or arrive late before its flows leave the view; the half period keeps
+# the deadline off the instants at which the loops tick.
+_REMOTE_EXPIRY_PERIODS = 3.5
 
 # A non-saturating flow may grow this much above its measured usage before
 # the next loop iteration re-evaluates it (paper: the maximization step
@@ -121,26 +124,13 @@ class EmulationManager:
     def __init__(self, sim: Simulator, machine: str, driver: MediaDriver,
                  manager_index: int, container_indices: Dict[str, int], *,
                  period: float = 0.050,
-                 congestion_sensitivity: float = 1.0,
-                 update_on_change_only: bool = False,
-                 change_tolerance: float = 0.10,
-                 keepalive_periods: int = 2) -> None:
-        """``update_on_change_only`` enables the §7 future-work optimization:
-        a manager republishes only when a flow's rate moved by more than
-        ``change_tolerance`` (relative) or the flow set changed, with a
-        keepalive every ``keepalive_periods`` so peers' expiry never
-        misfires for stable long-lived flows."""
+                 congestion_sensitivity: float = 1.0) -> None:
         self.sim = sim
         self.machine = machine
         self.driver = driver
         self.manager_index = manager_index
         self.period = period
         self.congestion_sensitivity = congestion_sensitivity
-        self.update_on_change_only = update_on_change_only
-        self.change_tolerance = change_tolerance
-        self.keepalive_periods = keepalive_periods
-        self._last_published: Optional[Tuple[FlowRecord, ...]] = None
-        self._loops_since_publish = 0
         # Last period's records and publication, handed out again while
         # they compare equal to this period's.
         self._records: Dict[Tuple[str, str], FlowRecord] = {}
@@ -288,12 +278,6 @@ class EmulationManager:
     # Step 3.
     def _disseminate(self, local: Dict[Tuple[str, str], FlowRecord]) -> None:
         flows = tuple(local.values())
-        if self.update_on_change_only and \
-                not self._publication_due(flows):
-            self._loops_since_publish += 1
-            return
-        self._last_published = flows
-        self._loops_since_publish = 0
         # Peers always receive the report (even when empty: it clears their
         # view of our finished flows).
         message = self._message
@@ -301,27 +285,6 @@ class EmulationManager:
             message = self._message = MetadataMessage(
                 sender=self.manager_index, flows=flows)
         self.driver.publish_remote(message)
-
-    def _publication_due(self, flows: Tuple[FlowRecord, ...]) -> bool:
-        """Change detection for the update-on-change optimization."""
-        if self._loops_since_publish >= self.keepalive_periods:
-            return True
-        previous = self._last_published
-        if previous is None:
-            return True
-        if len(previous) != len(flows):
-            return True
-        before = {(record.source_index, record.destination_index):
-                  record.used_bandwidth for record in previous}
-        for record in flows:
-            key = (record.source_index, record.destination_index)
-            if key not in before:
-                return True
-            reference = max(before[key], 1.0)
-            if abs(record.used_bandwidth - before[key]) / reference > \
-                    self.change_tolerance:
-                return True
-        return False
 
     # Step 4 (first half): assemble the global flow view.
     def _merge_global_view(
@@ -346,8 +309,7 @@ class EmulationManager:
 
     def _expiry(self) -> float:
         """How long a peer's report stands without being renewed."""
-        return self.period * max(_REMOTE_EXPIRY_PERIODS,
-                                 self.keepalive_periods + 1.5)
+        return self.period * _REMOTE_EXPIRY_PERIODS
 
     def _report_expiring(self) -> bool:
         """Whether ``_merge_global_view`` would drop a report now."""

@@ -40,6 +40,11 @@ _ZERO = array("d", (0.0,))
 # A sender holding at least this share of what it offers is at the TSQ
 # equilibrium behind its shaper and exerts no back-pressure worth reporting.
 _CONTENT_SHARE = 0.70
+# The bottleneck queue a flow may occupy before overflow: a window-limited
+# flow only receives a loss signal once its standing queue (``cwnd -
+# achieved * RTT``) exceeds it, which is what lets a single TCP flow hold a
+# link near 100 % utilisation.
+_BUFFER_BITS = 1500 * 8.0 * 400
 
 
 class FlowEntry:
@@ -242,19 +247,13 @@ class FluidEngine:
     """
 
     def __init__(self, sim: Simulator, provider: ConstraintProvider, *,
-                 dt: float = 0.010, rng: Optional[RngRegistry] = None,
-                 buffer_bits: float = 1500 * 8.0 * 400) -> None:
-        """``buffer_bits`` models the bottleneck queue a flow may occupy
-        before overflow: a window-limited flow only receives a loss signal
-        once its standing queue (``cwnd - achieved * RTT``) exceeds it, which
-        is what lets a single TCP flow hold a link near 100 % utilisation."""
+                 dt: float = 0.010, rng: Optional[RngRegistry] = None) -> None:
         self.sim = sim
         self.provider = provider
         self.dt = dt
         self._streams = rng or RngRegistry(0)
         # The "fluid-loss" stream, made by the first step that draws.
         self._loss_rng = None
-        self.buffer_bits = buffer_bits
         self.flows: Dict[Hashable, FluidFlow] = {}
         self._entries: Dict[Hashable, FlowEntry] = {}
         # The entries being integrated, in ``flows`` order, and when that
@@ -377,7 +376,7 @@ class FluidEngine:
             self._link_rates = link_usage
 
             dt = self.dt
-            buffer_bits = self.buffer_bits
+            buffer_bits = _BUFFER_BITS
             drops = provider.saturation_drops
             for entry in active:
                 flow = entry.flow

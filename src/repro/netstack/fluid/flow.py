@@ -27,8 +27,7 @@ class FluidFlow:
                  protocol: str = "tcp", congestion_control: str = "cubic",
                  demand: float = float("inf"),
                  size_bits: Optional[float] = None,
-                 rtt: float = 0.05, mss_bits: float = _MSS_BITS,
-                 start_time: float = 0.0) -> None:
+                 rtt: float = 0.05, start_time: float = 0.0) -> None:
         if protocol not in ("tcp", "udp"):
             raise ValueError(f"unknown protocol {protocol!r}")
         if congestion_control not in ("reno", "cubic"):
@@ -41,12 +40,12 @@ class FluidFlow:
         self.demand = demand
         self.size_bits = size_bits  # None = open-ended (iperf style)
         self.rtt = max(rtt, 1e-4)
-        self.mss_bits = mss_bits
+        self.mss_bits = _MSS_BITS
         self.start_time = start_time
         # TCP state.  The window cap models the socket buffer limit
         # (net.core.rmem_max-scale): relevant under pure back-pressure,
         # where nothing else bounds growth.
-        self.cwnd = 10 * mss_bits  # RFC 6928 initial window
+        self.cwnd = 10 * _MSS_BITS  # RFC 6928 initial window
         self.max_cwnd = 1e9
         self.ssthresh = float("inf")
         self.in_slow_start = True

@@ -83,12 +83,11 @@ class FullStateNetwork:
 
     def __init__(self, sim: Simulator, topology: Topology, *,
                  rng: Optional[RngRegistry] = None,
-                 switch_model_factory: Optional[Callable[[str], SwitchModel]] = None,
-                 buffer_bits: float = 1500 * 8.0 * 100) -> None:
+                 switch_model_factory: Optional[
+                     Callable[[str], SwitchModel]] = None) -> None:
         self.sim = sim
         self.rng = rng or RngRegistry(0)
         self.switch_model_factory = switch_model_factory
-        self.buffer_bits = buffer_bits
         self.topology: Optional[Topology] = None
         self._links: Dict[int, PacketLink] = {}
         self.switches: Dict[str, SwitchModel] = {}
@@ -114,8 +113,8 @@ class FullStateNetwork:
                       if properties.loss > 0.0 or properties.jitter > 0.0
                       else None)
             self._links[link.link_id] = PacketLink(
-                self.sim, properties, buffer_bits=self.buffer_bits,
-                rng=stream, name=f"{link.source}->{link.destination}",
+                self.sim, properties, rng=stream,
+                name=f"{link.source}->{link.destination}",
                 link_id=link.link_id)
         #: The forwarding tables: ``collapsed.path(a, b)`` is the route.
         self.collapsed = collapse(topology)

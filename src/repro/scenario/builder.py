@@ -371,7 +371,15 @@ class Scenario:
                         workload.containers())
                        for index, workload in enumerate(self._workloads)],
             deploy=dict(self._deploy_kwargs, placement=self._placement),
-            duration=self._duration)
+            duration=self._duration,
+            capacities=[
+                *((f"links[{index}].{end}", capacity)
+                  for index, spec in enumerate(self._links)
+                  for end, capacity in (("up", spec.up), ("down", spec.down))
+                  if capacity is not None),
+                *((f"events[{index}].{field}", capacity)
+                  for index, event in enumerate(self._events)
+                  for field, capacity in _event_capacities(event))])
 
     def compile(self) -> "CompiledScenario":
         """Validate everything and freeze into a :class:`CompiledScenario`.
@@ -404,12 +412,11 @@ class Scenario:
                 network=spec.network)
 
         schedule = EventSchedule(list(self._events))
+        config = EngineConfig(**self._deploy_kwargs)
         for text in self._scripts:
-            from repro.scenario.thunderstorm import compile_scenario
-            for event in compile_scenario(text, topology):
+            for event in script_events(text, topology, config.time_dilation):
                 schedule.add(event)
 
-        config = EngineConfig(**self._deploy_kwargs)
         return CompiledScenario(
             name=self.name, topology=topology, schedule=schedule,
             workloads=tuple(self._workloads), config=config,
@@ -418,6 +425,31 @@ class Scenario:
             duration=self._duration,
             services=tuple(self._services), bridge_specs=tuple(self._bridges),
             link_specs=tuple(self._links))
+
+
+def script_events(text: str, topology: Topology,
+                  time_dilation: float) -> EventSchedule:
+    """A THUNDERSTORM script compiled against ``topology``; a
+    :class:`TopologyError` when it is malformed or sets a capacity §6
+    refuses."""
+    from repro.scenario.thunderstorm import compile_scenario
+    events = compile_scenario(text, topology)
+    for event in events:
+        for pointer, _, refusal in _feasibility(time_dilation, [
+                (f"script event at t={event.time:g}s on {event.origin}--"
+                 f"{event.destination}", capacity)
+                for _, capacity in _event_capacities(event)]):
+            raise TopologyError(f"{pointer}: {refusal}")
+    return events
+
+
+def _event_capacities(event: DynamicEvent):
+    """``(field, bits/s)`` for each capacity an event sets, keyed as in
+    its ``.scn`` form."""
+    if "bandwidth" in event.changes:
+        yield "changes.bandwidth", event.changes["bandwidth"]
+    if event.properties is not None:
+        yield "properties.bandwidth", event.properties.bandwidth
 
 
 # --------------------------------------------------------------------------
@@ -432,7 +464,8 @@ Finding = Tuple[str, str, str]
 
 def scenario_findings(*, services, bridges, links, events, workloads,
                       deploy: Optional[Dict[str, object]] = None,
-                      duration: Optional[float] = None) -> List[Finding]:
+                      duration: Optional[float] = None,
+                      capacities=()) -> List[Finding]:
     """Every cross-reference rule a scenario's declarations break.
 
     Each section lists its entries in order, each headed by its pointer:
@@ -443,7 +476,9 @@ def scenario_findings(*, services, bridges, links, events, workloads,
     names (a node that is not a string is left out) and a time nobody can
     read is ``None`` (taken as the start).  ``deploy`` maps the deployment
     settings whose type is right (``machines``, ``placement`` and any
-    :class:`~repro.core.engine.EngineConfig` tunable) to their values.
+    :class:`~repro.core.engine.EngineConfig` tunable) to their values, and
+    ``capacities`` every ``(pointer, bits/s)`` a link or an event names:
+    no topology state holds another, so §6 is judged without building one.
     docs/scenarios.md tables the rules; what an event does to a link
     (removing one twice, say) is judged when the engine pre-computes the
     topology's states.
@@ -521,7 +556,7 @@ def scenario_findings(*, services, bridges, links, events, workloads,
     out.extend(("workloads", ERROR, f"duplicate workload key {key!r} "
                                     f"({count} declarations)")
                for key, count in keys.items() if count > 1)
-    out.extend(_deploy_findings(deploy or {}, containers))
+    out.extend(_deploy_findings(deploy or {}, containers, capacities))
 
     out.extend((declared[name], WARNING,
                 f"node {name!r} is declared but never linked")
@@ -534,7 +569,8 @@ def scenario_findings(*, services, bridges, links, events, workloads,
     return out
 
 
-def _deploy_findings(deploy: Dict[str, object], containers) -> List[Finding]:
+def _deploy_findings(deploy: Dict[str, object], containers,
+                     capacities) -> List[Finding]:
     """The deployment values the engine would refuse at construction."""
     out: List[Finding] = []
     for key in ("loop_period", "fluid_dt"):
@@ -542,10 +578,9 @@ def _deploy_findings(deploy: Dict[str, object], containers) -> List[Finding]:
         if isinstance(value, (int, float)) and not value > 0:
             out.append((f"deploy.{key}", ERROR,
                         f"expected a period > 0 seconds, got {value}"))
-    dilation = deploy.get("time_dilation")
-    if isinstance(dilation, (int, float)) and not dilation >= 1:
-        out.append(("deploy.time_dilation", ERROR,
-                    f"expected a dilation factor >= 1, got {dilation}"))
+    dilation = deploy.get("time_dilation", 1.0)
+    if isinstance(dilation, (int, float)):
+        out.extend(_feasibility(dilation, capacities))
     machines = deploy.get("machines", 1)
     if machines < 1:
         out.append(("deploy.machines", ERROR,
@@ -566,3 +601,14 @@ def _deploy_findings(deploy: Dict[str, object], containers) -> List[Finding]:
                     f"leaves {', '.join(unplaced)} unplaced (a placement "
                     "names a machine for every container)"))
     return out
+
+
+def _feasibility(dilation: float, capacities) -> List[Finding]:
+    """§6 (:func:`~repro.cluster.machines.infeasibility`, which the engine
+    reads too) over ``(pointer, bits/s)`` capacities."""
+    from repro.cluster.machines import infeasibility
+    refusal = infeasibility(dilation)
+    if refusal is not None:
+        return [("deploy.time_dilation", ERROR, refusal)]
+    return [(pointer, ERROR, refusal) for pointer, capacity in capacities
+            if (refusal := infeasibility(dilation, capacity)) is not None]

@@ -141,11 +141,6 @@ class CompiledScenario:
             lines.append(line)
         return "\n".join(lines)
 
-    def compile_script(self, text: str) -> EventSchedule:
-        """Compile a THUNDERSTORM script against this scenario's topology."""
-        from repro.scenario.thunderstorm import compile_scenario
-        return compile_scenario(text, self.topology)
-
     # ------------------------------------------------------------ describe
     def describe(self) -> str:
         """Round-trip to the listing-style text DSL (Listings 1 and 2).

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.scenario.builder import script_events
 from repro.scenario.dsl.format import scenario_from_scn
 from repro.scenario.dsl.schema import ERROR, Diagnostic, validate_document
 from repro.topology.model import TopologyError
@@ -104,7 +105,8 @@ def script_schedule(compiled, script: str):
     ``script`` compiled against ``compiled``; the schedule is None when it
     is refused."""
     try:
-        return compiled.compile_script(_read(script)), []
+        return script_events(_read(script), compiled.topology,
+                             compiled.config.time_dilation), []
     except _UNREADABLE as error:
         return None, [Diagnostic(ERROR, "", str(error))]
     except _COMPILE_ERRORS as error:

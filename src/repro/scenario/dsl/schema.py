@@ -435,12 +435,15 @@ def validate_document(document) -> List[Diagnostic]:
             out.append(Diagnostic(ERROR, f"bridges[{index}]",
                                   "expected a bridge name string"))
 
-    links = []
+    links, capacities = [], []
     for path, spec in _mappings(document, "links", out):
         LINK.check(spec, path, out)
         links.append((path, tuple((end, spec.get(end))
                                   for end in ("orig", "dest")),
                       spec.get("bidirectional", True)))
+        # The canonical key wins over its alias, as the loader reads it.
+        capacities += _rates(spec, ("up" if "up" in spec else "bandwidth",
+                                    "down"), path)
 
     events = []
     for path, spec in _mappings(document, "events", out):
@@ -450,6 +453,10 @@ def validate_document(document) -> List[Diagnostic]:
                        spec.get("action"),
                        tuple((end, spec.get(end))
                              for end in ("orig", "dest", "name"))))
+        for field in ("changes", "properties"):
+            if isinstance(spec.get(field), dict):
+                capacities += _rates(spec[field], ("bandwidth",),
+                                     f"{path}.{field}")
 
     for index, text in enumerate(_section_list(document, "scripts", out)):
         if not isinstance(text, str):
@@ -489,8 +496,15 @@ def validate_document(document) -> List[Diagnostic]:
                    services=services, bridges=bridges, links=links,
                    events=events, workloads=workloads, deploy=deploy,
                    duration=None if duration is None
-                   else coerce_time(duration)))
+                   else coerce_time(duration), capacities=capacities))
     return out
+
+
+def _rates(spec: Dict, keys: Sequence[str], path: str) -> List:
+    """``(pointer, bits/s)`` of the valid rates ``spec`` holds under
+    ``keys`` (an invalid one is the schema's finding)."""
+    return [(f"{path}.{key}", coerce_rate(spec[key])) for key in keys
+            if key in spec and RATE.check(spec[key]) is None]
 
 
 def _validate_event(spec: Dict, path: str, out: List[Diagnostic]) -> None:

@@ -137,9 +137,6 @@ class HtbQdisc:
         except KeyError:
             raise KeyError(f"no htb class {class_id}") from None
 
-    def set_rate(self, class_id: int, rate: float) -> None:
-        self.ensure_class(class_id).set_rate(rate)
-
     def classes(self) -> Dict[int, HtbClass]:
         return dict(self._classes)
 

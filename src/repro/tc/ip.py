@@ -1,9 +1,9 @@
 """IPv4 addressing for emulated containers.
 
 The u32 filter hashes on the third and fourth octets of the destination
-address (§3), so containers receive addresses from a /16 (default
-``10.1.0.0/16``) with the low 16 bits allocated sequentially — mirroring how
-Docker overlay networks hand out addresses.
+address (§3), so containers receive addresses from ``10.1.0.0/16`` with
+the low 16 bits allocated sequentially — mirroring how Docker overlay
+networks hand out addresses.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ class Ipv4Address:
 
 
 class IpAllocator:
-    """Sequential allocation inside a /16 network."""
+    """Sequential allocation inside the 10.1.0.0/16 network."""
 
-    def __init__(self, network: str = "10.1.0.0") -> None:
-        base = Ipv4Address.parse(network)
-        self._base = base.value & 0xFFFF0000
+    def __init__(self) -> None:
+        self._base = Ipv4Address.parse("10.1.0.0").value
         self._next = 1  # .0.0 is the network address
         self._assigned: Dict[str, Ipv4Address] = {}
 

@@ -96,8 +96,7 @@ class Tcal:
 
     def __init__(self, container: str, allocator: IpAllocator, *,
                  rng: Union[random.Random, Callable[[], random.Random],
-                            None] = None,
-                 default_rate: float = 10e9) -> None:
+                            None] = None) -> None:
         self.container = container
         self.allocator = allocator
         #: The one stream every chain of this container draws from.  When
@@ -106,7 +105,7 @@ class Tcal:
         self.rng: Optional[random.Random] = None if callable(rng) else rng
         self._make_rng = rng if callable(rng) else None
         self.filter = U32Filter()
-        self.qdisc = HtbQdisc(default_rate)
+        self.qdisc = HtbQdisc()
         #: destination -> chain, for the chains that exist.  The data plane
         #: reads it once per packet; only this class writes it.
         self.chains: Dict[str, PathShaping] = {}

@@ -7,6 +7,7 @@ from repro.baselines import (
     BareMetalTestbed,
     MaxinetEmulator,
     TrickleShaper,
+    maxinet,
     mininet,
 )
 from repro.baselines.trickle import (
@@ -90,7 +91,7 @@ class TestMaxinet:
             Packet("client", "server", 800, kind="flow-a"),
             lambda p: arrivals.append(emulator.sim.now))
         # Stay within the installed rule's lifetime for the second packet.
-        emulator.run(until=emulator.controller.rule_timeout * 0.5)
+        emulator.run(until=maxinet.RULE_TIMEOUT * 0.5)
         sent_at = emulator.sim.now
         emulator.dataplane.send(
             Packet("client", "server", 800, kind="flow-a"),
@@ -99,7 +100,7 @@ class TestMaxinet:
         first_delay = arrivals[0]
         second_delay = arrivals[1] - sent_at
         # First packet consults the controller; the second hits the rule.
-        assert first_delay > 0.005 + emulator.controller.base_rtt * 0.9
+        assert first_delay > 0.005 + maxinet.CONTROLLER_RTT * 0.9
         assert second_delay < first_delay
         assert emulator.controller.packet_ins == 1
 
@@ -116,7 +117,8 @@ class TestMaxinet:
         emulator.run(until=2.0)
         assert emulator.controller.packet_ins == 8
         # Shared controller serializes: the last arrival waited on others.
-        assert max(arrivals) - min(arrivals) > emulator.controller.service_time * 4
+        assert max(arrivals) - min(arrivals) > \
+            maxinet.CONTROLLER_SERVICE_TIME * 4
 
     def test_rtt_error_larger_than_kollaps_scale(self):
         """Maxinet's deviation is milliseconds, not microseconds (Table 4)."""

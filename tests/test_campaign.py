@@ -1066,7 +1066,7 @@ class TestCampaignCli:
         assert main(["campaign", verb, source,
                      "--store", str(tmp_path / "campaigns")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"cannot load campaign {source!r}: {error}: ")
+        assert err.startswith(f"{source}: error: document: {error}: ")
         assert "Traceback" not in err
         stem = Path(source).stem
         assert f"repro_campaign_{stem}" not in sys.modules

@@ -494,6 +494,23 @@ _PAIR = {"services": [{"name": "a"}, {"name": "b"}],
 _TRIO = {"services": [{"name": "c1"}, {"name": "sv", "replicas": 2}],
          "bridges": ["s1"],
          "links": [{"orig": "c1", "dest": "s1"}, {"orig": "s1", "dest": "sv"}]}
+_FAST = {"services": [{"name": "a"}, {"name": "b"}],
+         "links": [{"orig": "a", "dest": "b", "up": "50Gbps"}]}
+_FAST_TEXT = """\
+experiment:
+  services:
+    name: a
+    name: b
+  links:
+    orig: a
+    dest: b
+    latency: 1
+    up: 50Gbps
+"""
+_RAISED = {"services": [{"name": "a"}, {"name": "b"}],
+           "links": [{"orig": "a", "dest": "b", "up": "1Gbps"}],
+           "events": [{"time": 1, "action": "set_link", "orig": "a",
+                       "dest": "b", "changes": {"bandwidth": "50Gbps"}}]}
 _MODULE = ("from repro.scenario import Scenario, custom, flow, ping\n"
            "SCENARIO = (Scenario.build('pair').service('a').service('b')\n"
            "            .link('a', 'b', latency='1ms', up='1Mbps'){})\n")
@@ -548,6 +565,15 @@ MALFORMED = {
     "deploy-rule-py": Bad("dilated.py", _MODULE.format(
         ".deploy(time_dilation=0.5)"), "deploy.time_dilation",
                           "expected a dilation factor >= 1", "compile"),
+    # §6: no link may outrun the 40 Gb/s interconnect times the dilation.
+    "infeasible-link": Bad("fast.scn", _scn(**_FAST), "links[0].up",
+                           "asks for 50.0 Gb/s but the cluster interconnect "
+                           "provides 40.0 Gb/s", "from_file"),
+    "infeasible-link-text": Bad("fast.txt", _FAST_TEXT, "links[0].up",
+                                "asks for 50.0 Gb/s", "from_file"),
+    "infeasible-event": Bad("raise.scn", _scn(**_RAISED),
+                            "events[0].changes.bandwidth",
+                            "asks for 50.0 Gb/s", "from_file"),
     # Valid scenarios that one door cannot take.
     "custom-workload": Bad("custom.py", _MODULE.format(
         ".workload(custom('probe', needs=()))"), "workloads",
@@ -624,6 +650,58 @@ class TestMalformedInputMatrix:
             Scenario.from_file(path).compile()
         assert bad.message.format(path=path) in \
             f"{info.type.__name__}: {info.value}"
+
+
+    @pytest.mark.parametrize("door", ["run", "validate", "scenario-lint",
+                                      "scenario-export", "scenario-script"])
+    def test_script_capacity_door(self, tmp_path, capsys, door):
+        """A capacity set by a THUNDERSTORM script is judged at compile
+        time, on every door that takes a script (``plan`` takes none)."""
+        path = _write(tmp_path, Bad("pair.scn", _scn(**_PAIR), "", "",
+                                    None))
+        script = tmp_path / "fast.storm"
+        script.write_text("at 1 set link a--b up=50Gbps\n")
+        argv, code = DOORS[door]
+        if door != "scenario-script":
+            argv = argv + ["--scenario", "{script}"]
+        assert main([word.format(path=path, script=script,
+                                 out=tmp_path / "out.scn")
+                     for word in argv]) == code
+        err = capsys.readouterr().err
+        assert f"{path}: error: compile: script event at t=1s on a--b: " \
+               "asks for 50.0 Gb/s" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("door", ["run", "validate", "plan",
+                                      "scenario-lint"])
+    @pytest.mark.parametrize("name", ["infeasible-link", "infeasible-event",
+                                      "script"])
+    def test_dilation_admits_it(self, tmp_path, capsys, door, name):
+        """The same inputs under ``deploy.time_dilation: 2`` run (the
+        listing-style text has no deploy section)."""
+        script = tmp_path / "fast.storm"
+        script.write_text("at 1 set link a--b up=50Gbps\n")
+        document = {"infeasible-link": _FAST, "infeasible-event": _RAISED,
+                    "script": _PAIR}[name]
+        path = tmp_path / "dilated.scn"
+        path.write_text(_scn(**document, deploy={"time_dilation": 2}))
+        argv = [word.format(path=path) for word in DOORS[door][0]]
+        if name == "script" and door != "plan":
+            argv += ["--scenario", str(script)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "status", "report", "compact"])
+    def test_campaign_door(self, tmp_path, capsys, verb):
+        """A campaign source without ``CAMPAIGN`` is refused as the
+        scenario doors refuse a description."""
+        source = tmp_path / "empty.py"
+        source.write_text("x = 1\n")
+        assert main(["campaign", verb, str(source),
+                     "--store", str(tmp_path / "campaigns")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{source}: error: document: CampaignError: ")
+        assert "Traceback" not in err
 
 
 COUNTED = """\

@@ -263,7 +263,7 @@ def test_managers_with_one_view_hold_one_model(topology, view, drift):
     outright gives, whether the maximization pass was run or recognised
     as unable to differ from the floor."""
     engine = _TOPOLOGIES[topology]().deploy(
-        machines=4, seed=1, enforce_physical_limits=False).compile().engine()
+        machines=4, seed=1).compile().engine()
     names = sorted(engine.container_indices)
     factors = {}
     for source, destination, factor in view:
@@ -311,7 +311,7 @@ def test_no_flow_is_enforced_below_its_floor_share(topology, view):
     up to the path bandwidth can round a hair above it, and a chain off
     contention carries the path bandwidth itself."""
     engine = _TOPOLOGIES[topology]().deploy(
-        machines=4, seed=1, enforce_physical_limits=False).compile().engine()
+        machines=4, seed=1).compile().engine()
     names = sorted(engine.container_indices)
     collapsed = engine.current_state.collapsed
     flows, carried = {}, {}

@@ -57,8 +57,7 @@ class TestFatTree:
     def test_runs_under_emulation(self):
         engine = EmulationEngine(
             fat_tree(4, bandwidth=1e9).compile().topology,
-            config=EngineConfig(machines=4, seed=6,
-                                enforce_physical_limits=False))
+            config=EngineConfig(machines=4, seed=6))
         engine.start_flow("f", "h0", "h15")
         engine.run(until=2.0)
         assert engine.fluid.mean_throughput("f", 1.0, 2.0) == \

@@ -160,40 +160,21 @@ class TestManagerLoop:
         assert manager._view_version == version
 
 
-class TestChangeOnlyPublication:
-    def test_first_report_always_published(self):
-        sim, manager, _ = build_manager(update_on_change_only=True)
-        flows = (FlowRecord(0, 1, 10 * MBPS, (0,)),)
-        assert manager._publication_due(flows)
-
-    def test_unchanged_report_suppressed(self):
-        sim, manager, _ = build_manager(update_on_change_only=True)
-        flows = (FlowRecord(0, 1, 10 * MBPS, (0,)),)
-        manager._last_published = flows
-        manager._loops_since_publish = 0
-        assert not manager._publication_due(flows)
-
-    def test_rate_change_triggers_publication(self):
-        sim, manager, _ = build_manager(update_on_change_only=True)
-        manager._last_published = (FlowRecord(0, 1, 10 * MBPS, (0,)),)
-        manager._loops_since_publish = 0
-        changed = (FlowRecord(0, 1, 20 * MBPS, (0,)),)
-        assert manager._publication_due(changed)
-
-    def test_flow_set_change_triggers_publication(self):
-        sim, manager, _ = build_manager(update_on_change_only=True)
-        manager._last_published = (FlowRecord(0, 1, 10 * MBPS, (0,)),)
-        manager._loops_since_publish = 0
-        different_flow = (FlowRecord(2, 3, 10 * MBPS, (0,)),)
-        assert manager._publication_due(different_flow)
-
-    def test_keepalive_forces_publication(self):
-        sim, manager, _ = build_manager(update_on_change_only=True,
-                                        keepalive_periods=2)
-        flows = (FlowRecord(0, 1, 10 * MBPS, (0,)),)
-        manager._last_published = flows
-        manager._loops_since_publish = 2
-        assert manager._publication_due(flows)
+class TestReportExpiry:
+    @pytest.mark.parametrize("after, merged", [(0.0, True), (1e-9, False)],
+                             ids=["at-3.5-periods", "just-after"])
+    def test_a_report_stands_three_and_a_half_periods(self, after, merged):
+        sim, manager, _ = build_manager(period=0.05)
+        path = manager.collapsed.path("client1", "server1")
+        manager._on_message(MetadataMessage(sender=1, flows=(FlowRecord(
+            source_index=manager.container_indices["client1"],
+            destination_index=manager.container_indices["server1"],
+            used_bandwidth=25 * MBPS, link_ids=path.link_ids),)))
+        seen = []
+        sim.at(0.05 * 3.5 + after,
+               lambda: seen.append(manager._merge_global_view({})))
+        sim.run()
+        assert (("client1", "server1") in seen[0]) is merged
 
 
 # --------------------------------------------------------------------------

@@ -240,6 +240,17 @@ class TestSchema:
         errors = _errors(_document(deploy={"warp_speed": 9}))
         assert any("warp_speed" in str(error) for error in errors)
 
+    @pytest.mark.parametrize("key", ["metadata_on_change_only",
+                                     "enforce_physical_limits"])
+    def test_retired_deploy_key(self, key):
+        """Change-only publication and the §6 opt-out are gone: a document
+        naming either is refused, as the builder refuses the keyword."""
+        assert [str(error).split(" (")[0] for error in _errors(
+            _document(deploy={key: False}))] == [
+                f"error: deploy.{key}: unknown key"]
+        with pytest.raises(TypeError, match=key):
+            Scenario.build().deploy(**{key: False})
+
     def test_isolated_node_is_a_warning_not_error(self):
         document = _document(services=[{"name": "a"}, {"name": "b"},
                                        {"name": "lonely"}])

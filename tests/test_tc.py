@@ -32,7 +32,7 @@ class TestIpv4:
             Ipv4Address.from_octets(10, 1, 300, 1)
 
     def test_allocator_sequential_within_slash16(self):
-        allocator = IpAllocator("10.1.0.0")
+        allocator = IpAllocator()
         first = allocator.assign("a")
         second = allocator.assign("b")
         assert str(first) == "10.1.0.1"

@@ -17,9 +17,7 @@ latency record and a quorum.
 The rest measure the network itself:
 
 * :mod:`repro.apps.iperf` — bulk TCP/UDP throughput (§5.1–5.4);
-* :mod:`repro.apps.ping` — ICMP echo RTT/jitter probes (§5.1, §5.5);
-* :mod:`repro.apps.udpgen` — a constant-bit-rate UDP blaster that never
-  backs off (§3's loss-insensitive traffic).
+* :mod:`repro.apps.ping` — ICMP echo RTT/jitter probes (§5.1, §5.5).
 """
 
 from repro._lazy import lazy_exports
@@ -31,7 +29,6 @@ _LAZY = {
     "kvstore": ("KvServer", "MemtierClient"),
     "cassandra": ("CassandraCluster", "YcsbClient"),
     "smr": ("SmrDeployment",),
-    "udpgen": ("UdpBlaster", "UdpStats"),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
@@ -47,6 +44,4 @@ __all__ = [
     "CassandraCluster",
     "YcsbClient",
     "SmrDeployment",
-    "UdpBlaster",
-    "UdpStats",
 ]

@@ -60,14 +60,6 @@ class PingStats:
         return statistics.median(samples) if samples else math.nan
 
     @property
-    def min_rtt(self) -> float:
-        return min(self.rtts) if self.rtts else math.nan
-
-    @property
-    def max_rtt(self) -> float:
-        return max(self.rtts) if self.rtts else math.nan
-
-    @property
     def jitter(self) -> float:
         """Standard deviation of RTT samples (the paper's jitter metric)."""
         samples = self._steady_samples()

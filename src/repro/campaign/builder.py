@@ -67,10 +67,6 @@ class CampaignResult:
         return [result for result in self.results
                 if result.status == "error"]
 
-    def incompatible(self) -> List[PointResult]:
-        return [result for result in self.results
-                if result.status == "incompatible"]
-
     def result_for(self, *, backend: Optional[str] = None,
                    seed: Optional[int] = None,
                    **params) -> Optional[PointResult]:

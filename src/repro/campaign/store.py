@@ -13,9 +13,11 @@ One directory per campaign (``campaigns/<name>/`` by default) holding:
   are matched by hash, so editing the grid simply makes the new points
   run while untouched ones still resume).
 
-A half-written trailing line (the in-flight point at kill time) is
-skipped on load rather than poisoning the resume, and the next append
-starts a fresh line after it; :meth:`ResultStore.compact` drops it.
+A half-written trailing line (the in-flight point at kill time), or a
+record whose run does not decode, is skipped on load rather than
+poisoning the resume: its point counts as missing and runs again.  The
+next append starts a fresh line after a torn one, and
+:meth:`ResultStore.compact` drops both.
 """
 
 from __future__ import annotations
@@ -40,11 +42,28 @@ def encode_record(record: Mapping) -> str:
     return json.dumps(record, sort_keys=True, default=repr) + "\n"
 
 
+def _readable(record) -> bool:
+    """Whether a parsed store line is a record: a mapping with the point
+    ``hash`` whose ``run``, if any, decodes."""
+    if not isinstance(record, dict) or "hash" not in record:
+        return False
+    if record.get("run") is None:
+        return True
+    from repro.scenario.results import ScenarioRun
+    try:
+        ScenarioRun.from_dict(record["run"])
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
 def read_records(path: str) -> Dict[str, dict]:
     """hash -> latest record from one JSONL file, last-wins.
 
-    Corrupt lines — the half-written tail of a killed campaign process —
-    are skipped rather than poisoning the load.
+    Lines that are no :func:`_readable` record — the half-written tail of
+    a killed campaign process, a record whose run does not decode — are
+    skipped rather than poisoning the load: their point is missing, runs
+    again, and its new record supersedes them.
     """
     records: Dict[str, dict] = {}
     if not os.path.exists(path):
@@ -58,7 +77,7 @@ def read_records(path: str) -> Dict[str, dict]:
                 record = json.loads(line)
             except ValueError:
                 continue        # the interrupted writer's partial line
-            if isinstance(record, dict) and "hash" in record:
+            if _readable(record):
                 records[record["hash"]] = record
     return records
 
@@ -106,12 +125,6 @@ class ResultStore:
     def load(self) -> Dict[str, dict]:
         """hash -> latest record; corrupt (half-written) lines are skipped."""
         return read_records(self.results_path)
-
-    def manifest(self) -> Optional[dict]:
-        if not os.path.exists(self.manifest_path):
-            return None
-        with open(self.manifest_path, encoding="utf-8") as handle:
-            return json.load(handle)
 
     def completed(self, statuses: Iterable[str] = RESUMABLE_STATUSES
                   ) -> Dict[str, dict]:

@@ -64,12 +64,6 @@ class Cluster:
     def machine_names(self) -> List[str]:
         return list(self.machines)
 
-    def machine_of(self, container: str) -> Optional[str]:
-        for machine in self.machines.values():
-            if container in machine.containers:
-                return machine.name
-        return None
-
     def placement(self) -> Dict[str, str]:
         """Container -> machine map."""
         mapping: Dict[str, str] = {}

@@ -31,7 +31,6 @@ from repro.core.collapse import (
     CollapsedTopology,
     clear_collapse_cache,
     collapse,
-    collapse_cache_stats,
     topology_signature,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "CollapsedTopology",
     "collapse",
     "clear_collapse_cache",
-    "collapse_cache_stats",
     "topology_signature",
     "FlowDemand",
     "LinkUsage",

@@ -86,8 +86,7 @@ from repro.topology.model import (Link, LinkProperties, Topology,
                                   TopologyError)
 
 __all__ = ["CollapsedPath", "CollapsedTopology", "collapse",
-           "topology_signature", "clear_collapse_cache",
-           "collapse_cache_stats"]
+           "topology_signature", "clear_collapse_cache"]
 
 #: Entry bound of the memo LRU.
 _CACHE_CAPACITY = 128
@@ -404,12 +403,6 @@ def clear_collapse_cache() -> None:
         _previous = None
     if dropped and telemetry.enabled():
         telemetry.metrics.counter("collapse.memo_invalidations").inc(dropped)
-
-
-def collapse_cache_stats() -> Dict[str, int]:
-    """Current memo occupancy: ``{"entries": n, "capacity": max}``."""
-    with _cache_lock:
-        return {"entries": len(_cache), "capacity": _CACHE_CAPACITY}
 
 
 def _cache_store(key: str, result: CollapsedTopology) -> None:

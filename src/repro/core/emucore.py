@@ -40,11 +40,6 @@ class UsageSample:
         """Offered load: carried plus refused."""
         return self.rate + self.refused_rate
 
-    @property
-    def saturating(self) -> bool:
-        """Whether the application pushed (close to) its whole allocation."""
-        return self.rate >= 0.9 * self.htb_rate
-
 
 class EmulationCore:
     """Monitor + enforcement agent for a single container."""

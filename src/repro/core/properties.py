@@ -37,19 +37,6 @@ class PathProperties:
     hops: int
     jitter_distribution: str = "normal"
 
-    def merge_serial(self, other: "PathProperties") -> "PathProperties":
-        """Compose two path segments traversed one after the other."""
-        uniform = {segment.jitter_distribution for segment in (self, other)
-                   if segment.jitter} == {"uniform"}
-        return PathProperties(
-            latency=self.latency + other.latency,
-            jitter=math.sqrt(self.jitter ** 2 + other.jitter ** 2),
-            loss=1.0 - (1.0 - self.loss) * (1.0 - other.loss),
-            bandwidth=min(self.bandwidth, other.bandwidth),
-            hops=self.hops + other.hops,
-            jitter_distribution="uniform" if uniform else "normal",
-        )
-
 
 _EMPTY = PathProperties(latency=0.0, jitter=0.0, loss=0.0,
                         bandwidth=float("inf"), hops=0)

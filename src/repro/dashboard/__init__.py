@@ -1,18 +1,11 @@
 """Textual experiment monitor (the web dashboard's terminal stand-in)."""
 
 from repro.dashboard.monitor import CampaignMonitor, Dashboard
-from repro.dashboard.graphview import (
-    render_adjacency,
-    render_collapsed_matrix,
-    render_flow_history,
-    sparkline,
-)
+from repro.dashboard.graphview import render_flow_history, sparkline
 
 __all__ = [
     "CampaignMonitor",
     "Dashboard",
-    "render_adjacency",
-    "render_collapsed_matrix",
     "render_flow_history",
     "sparkline",
 ]

@@ -76,30 +76,6 @@ class Dashboard:
                          f"contended-links={contended}")
         return "\n".join(lines)
 
-    def render_graph(self) -> str:
-        """ASCII adjacency + collapsed matrix (the web UI's graph pane)."""
-        from repro.dashboard.graphview import (
-            render_adjacency,
-            render_collapsed_matrix,
-        )
-
-        state = self.engine.current_state
-        return (render_adjacency(state.topology) + "\n\n"
-                + render_collapsed_matrix(state.collapsed))
-
-    def render_flow_histories(self, *, width: int = 60) -> str:
-        """Sparkline per tracked flow (delivered-rate history)."""
-        from repro.dashboard.graphview import render_flow_history
-
-        keys = sorted(self.engine.fluid.flows, key=str)
-        if not keys:
-            return "flow histories:\n  (none)"
-        lines = ["flow histories:"]
-        for key in keys:
-            lines.append("  " + render_flow_history(self.engine.fluid, key,
-                                                    width=width))
-        return "\n".join(lines)
-
     def render(self) -> str:
         sections = [self.render_topology(), self.render_services(),
                     self.render_flows(), self.render_managers(),

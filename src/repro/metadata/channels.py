@@ -1,10 +1,11 @@
 """Aeron-like metadata transport: shared memory intra-host, UDP inter-host.
 
-One :class:`MediaDriver` runs per physical machine (§4.2).  Publications to
-a subscriber on the same machine travel through shared memory and cost no
-network bytes; publications to remote machines are encoded into UDP
-datagrams, accounted against the sending and receiving machines' counters,
-and delivered after the physical network delay.  These counters are what
+One :class:`MediaDriver` runs per physical machine (§4.2).  The containers
+of one machine share its Emulation Manager, which reads their usage
+directly, so intra-host exchange costs no network bytes; publications to
+remote machines are encoded into UDP datagrams, accounted against the
+sending and receiving machines' counters, and delivered after the
+physical network delay.  These counters are what
 the Figure 3/4 metadata-traffic benchmarks read.
 """
 
@@ -35,6 +36,8 @@ class UdpStats:
     bytes_received: int = 0
     datagrams_sent: int = 0
     datagrams_received: int = 0
+    # Intra-host exchange never goes through the driver; kept at 0 for the
+    # readers of the counters.
     shared_memory_messages: int = 0
 
     def wire_bytes_sent(self) -> int:
@@ -77,16 +80,6 @@ class MediaDriver:
         return sorted(self._peers)
 
     # ----------------------------------------------------------- publishing
-    def publish(self, message: MetadataMessage) -> None:
-        """Deliver to local subscribers (shared memory) and all peers (UDP)."""
-        self.publish_local(message)
-        self.publish_remote(message)
-
-    def publish_local(self, message: MetadataMessage) -> None:
-        self.stats.shared_memory_messages += 1
-        for subscriber in self._local_subscribers:
-            subscriber(message)
-
     def publish_remote(self, message: MetadataMessage) -> None:
         """Ship one UDP publication to every peer, in machine-name order.
 
@@ -100,13 +93,6 @@ class MediaDriver:
         ones connected at send time; with none, nothing is scheduled.
         """
         self._ship(self._peer_order, message)
-
-    def publish_to(self, machine: str, message: MetadataMessage) -> None:
-        """Encode and ship one UDP publication to a specific peer."""
-        peer = self._peers.get(machine)
-        if peer is None:
-            raise KeyError(f"{self.machine}: unknown peer machine {machine!r}")
-        self._ship((peer,), message)
 
     def _ship(self, peers: Tuple["MediaDriver", ...],
               message: MetadataMessage) -> None:

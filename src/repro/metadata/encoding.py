@@ -110,10 +110,3 @@ def encoded_size(message: MetadataMessage, *, wide: bool = False) -> int:
     for flow in message.flows:
         size += 4 + 3 * id_size + len(flow.link_ids) * id_size
     return size
-
-
-def datagram_count(size_bytes: int) -> int:
-    """UDP datagrams needed for a payload of ``size_bytes``."""
-    if size_bytes <= 0:
-        return 0
-    return -(-size_bytes // DATAGRAM_PAYLOAD_BYTES)

@@ -172,10 +172,6 @@ class FullStateNetwork:
         self._monitor = Process(self.sim, period, sample,
                                 name="packet-usage-monitor", priority=9)
 
-    def packet_rate(self, link_id: int) -> float:
-        """Recent packet-plane bits/s on ``link_id`` (0 before monitoring)."""
-        return self.packet_rates.get(link_id, 0.0)
-
     def reachable(self, source: str, destination: str) -> bool:
         return self.collapsed.path(source, destination) is not None
 

@@ -24,6 +24,3 @@ class Packet:
     payload: Any = None
     created: float = 0.0
     hops: int = 0
-
-    def age(self, now: float) -> float:
-        return now - self.created

@@ -30,9 +30,6 @@ class DeploymentPlan:
     placement: Dict[str, str]            # container -> machine
     needs_bootstrapper: bool
 
-    def emulated_containers(self) -> List[str]:
-        return sorted(self.placement)
-
 
 class DeploymentGenerator:
     """Generates Swarm or Kubernetes deployment plans for a topology."""

@@ -83,7 +83,7 @@ from repro.scenario.workloads import (
 _LAZY = {"dsl": (
     "Diagnostic", "ScnError", "load_scn", "loads_scn", "dump_scn",
     "dumps_scn", "lint_file", "lint_scenario", "diff_scenarios",
-    "generate_scenario", "fuzz_corpus", "fuzz_campaign",
+    "generate_scenario",
     "DifferentialReport", "run_differential")}
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
@@ -136,8 +136,6 @@ __all__ = [
     "lint_scenario",
     "diff_scenarios",
     "generate_scenario",
-    "fuzz_corpus",
-    "fuzz_campaign",
     "DifferentialReport",
     "run_differential",
 ]

@@ -269,15 +269,6 @@ class Scenario:
             bidirectional=bool(bidirectional), network=network))
         return self
 
-    def unlink(self, source: str, destination: str) -> "Scenario":
-        """Withdraw a previously declared link (either direction)."""
-        for index, spec in enumerate(self._links):
-            if {spec.source, spec.destination} == {source, destination}:
-                del self._links[index]
-                return self
-        raise TopologyError(
-            f"no declared link between {source!r} and {destination!r}")
-
     # -------------------------------------------------------------- events
     def at(self, time: Number, *events: DynamicEvent) -> "Scenario":
         """Schedule dynamic events at ``time`` (seconds or ``"90s"``-style).

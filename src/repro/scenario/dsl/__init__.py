@@ -22,8 +22,7 @@ _LAZY = {
                      "run_differential"),
     "format": ("ScnError", "dump_scn", "dumps_scn", "load_scn", "loads_scn",
                "scenario_from_scn", "scn_document"),
-    "fuzz": ("FuzzBudget", "fuzz_campaign", "fuzz_corpus", "fuzz_point",
-             "generate_scenario"),
+    "fuzz": ("FuzzBudget", "generate_scenario"),
     "lint": ("lint_file", "lint_scenario"),
     "schema": ("SCN_VERSION", "Diagnostic", "validate_document"),
 }
@@ -35,8 +34,7 @@ __all__ = [
     "loads_scn", "load_scn", "scenario_from_scn",
     "lint_file", "lint_scenario",
     "DiffEntry", "ScenarioDiff", "diff_scenarios",
-    "FuzzBudget", "generate_scenario", "fuzz_corpus", "fuzz_point",
-    "fuzz_campaign",
+    "FuzzBudget", "generate_scenario",
     "Divergence", "DifferentialReport", "project_common",
     "run_differential",
 ]

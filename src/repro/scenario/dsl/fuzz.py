@@ -9,13 +9,11 @@ the contract: the generator draws from ``random.Random`` keyed on the
 ``.scn`` dumps on any machine and any Python process (string seeding is
 hash-randomization-independent).
 
-Three consumers:
+Two consumers:
 
-* ``repro scenario fuzz --seed S --count N`` — write/check a corpus;
-* the round-trip property test, which holds over thousands of these;
-* :func:`fuzz_campaign` — a :class:`~repro.campaign.Campaign` whose
-  ``case`` axis indexes the corpus, so fuzz scenarios drive sweeps and
-  the differential harness at campaign scale.
+* ``repro scenario fuzz --seed S --count N`` — write/check a corpus, and
+  with ``--differential`` run it on several backends;
+* the round-trip property test, which holds over thousands of these.
 
 Generation invariants (what makes every output valid *and* portable):
 
@@ -37,12 +35,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.scenario.builder import Scenario, link_down, link_up, set_link
 
-__all__ = ["FuzzBudget", "generate_scenario", "fuzz_corpus", "fuzz_point",
-           "fuzz_campaign"]
+__all__ = ["FuzzBudget", "generate_scenario"]
 
 # Plausible "nice" values the generator draws from (SI base units).
 _BANDWIDTHS = [1e6, 2e6, 5e6, 10e6, 20e6, 50e6, 100e6, 200e6, 500e6, 1e9]
@@ -195,41 +192,3 @@ def _random_events(rng: random.Random, builder: Scenario,
             else:
                 builder.at(start, set_link(
                     orig, dest, bandwidth=rng.choice(_BANDWIDTHS)))
-
-
-def fuzz_corpus(seed: int, count: int,
-                budget: FuzzBudget = FuzzBudget()) -> Iterator[Scenario]:
-    """``count`` deterministic scenario builders for one seed."""
-    for index in range(count):
-        yield generate_scenario(seed, index, budget)
-
-
-# --------------------------------------------------------------------------
-# Campaign integration.
-# --------------------------------------------------------------------------
-def fuzz_point(*, case: int, fuzz_seed: int = 0, scale: str = "small",
-               seed: int = 0) -> Scenario:
-    """Campaign point factory: grid axis ``case`` indexes the corpus.
-
-    Module-level (hence picklable) so ``Campaign.run(jobs=N)`` can ship
-    it to worker processes; ``seed`` comes from the campaign's
-    ``.seeds()`` axis and overrides the generator's random engine seed.
-    """
-    builder = generate_scenario(fuzz_seed, case, FuzzBudget.scaled(scale))
-    return builder.deploy(seed=seed)
-
-
-def fuzz_campaign(name: str = "fuzz", *, seed: int = 0, count: int = 20,
-                  scale: str = "small", backends=("kollaps", "trickle"),
-                  seeds=(0,)):
-    """A ready :class:`~repro.campaign.Campaign` over a fuzz corpus.
-
-    ``count`` scenarios × ``backends`` × ``seeds``; run it like any other
-    campaign (``.run(jobs=N)`` or via ``repro campaign``) and compare
-    per-backend aggregates."""
-    from repro.campaign import Campaign
-    return (Campaign(name)
-            .scenario(fuzz_point)
-            .grid(case=list(range(count)), fuzz_seed=[seed], scale=[scale])
-            .seeds(list(seeds))
-            .backends(*backends))

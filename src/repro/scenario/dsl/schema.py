@@ -198,11 +198,10 @@ _UNITS: Dict[type, Dict[str, Unit]] = {
         jitter_distribution=DISTRIBUTION),
     FlowWorkload: dict(
         source=STR, destination=STR, demand=RATE, protocol=PROTOCOL,
-        congestion_control=STR, start=TIME, stop=TIME.or_null(), key=STR),
+        start=TIME, stop=TIME.or_null(), key=STR),
     IperfWorkload: dict(
-        source=STR, destination=STR, duration=TIME, demand=RATE,
-        protocol=PROTOCOL, congestion_control=STR, warmup=TIME, start=TIME,
-        key=STR),
+        source=STR, destination=STR, duration=TIME, congestion_control=STR,
+        warmup=TIME, start=TIME, key=STR),
     PingWorkload: dict(
         source=STR, destination=STR, count=COUNT, interval=TIME,
         start=TIME, key=STR),

@@ -120,14 +120,15 @@ class Metrics:
         Keys come back as strings (``to_dict`` stringifies them), which is
         what campaign stores and cross-process runs operate on.  A series
         stored as a list of ``[time, value]`` pairs, the form records had
-        before series were packed, still loads.
+        before series were packed, still loads.  Every key ``to_dict``
+        writes is required: a record missing one raises ``KeyError``.
         """
-        return cls(key=data["key"], kind=data.get("kind", "custom"),
-                   throughput=_stored_series(data.get("throughput", ())),
-                   latency=_stored_series(data.get("latency", ())),
-                   drops=int(data.get("drops", 0)),
-                   summary=dict(data.get("summary", {})),
-                   primary=data.get("primary", "throughput_mean"))
+        return cls(key=data["key"], kind=data["kind"],
+                   throughput=_stored_series(data["throughput"]),
+                   latency=_stored_series(data["latency"]),
+                   drops=int(data["drops"]),
+                   summary=dict(data["summary"]),
+                   primary=data["primary"])
 
 
 @dataclass(frozen=True)
@@ -283,20 +284,21 @@ class ScenarioRun:
         identity.  The live ``engine`` and raw per-workload ``results``
         are gone — this is the form campaign stores and worker processes
         hand back, good for aggregation and :meth:`compare` but not for
-        poking at application state.
+        poking at application state.  Every key ``to_dict`` writes is
+        required: a record missing one raises ``KeyError``.
         """
         metrics = {key: Metrics.from_dict(record)
-                   for key, record in data.get("workloads", {}).items()}
-        seed = data.get("seed")
-        machines = data.get("machines")
-        metadata_bytes = data.get("metadata_bytes")
-        return cls(engine=None, until=float(data.get("until", 0.0)),
+                   for key, record in data["workloads"].items()}
+        seed = data["seed"]
+        machines = data["machines"]
+        metadata_bytes = data["metadata_bytes"]
+        return cls(engine=None, until=float(data["until"]),
                    results={key: record for key, record in metrics.items()},
-                   backend=data.get("backend", "kollaps"),
-                   scenario=data.get("scenario", ""), metrics=metrics,
+                   backend=data["backend"],
+                   scenario=data["scenario"], metrics=metrics,
                    seed=None if seed is None else int(seed),
                    machines=None if machines is None else int(machines),
-                   params=dict(data.get("params", {})),
+                   params=dict(data["params"]),
                    metadata_bytes=(None if metadata_bytes is None
                                    else int(metadata_bytes)))
 

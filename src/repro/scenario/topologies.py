@@ -27,7 +27,6 @@ __all__ = [
     "aws_mesh",
     "throttling",
     "fat_tree",
-    "jellyfish",
     "AWS_REGION_LATENCY_FROM_US_EAST_1",
     "INTER_REGION_RTT_MS",
     "CLIENT_ACCESS_PROFILE",
@@ -363,84 +362,4 @@ def fat_tree(k: int, *, bandwidth: float = 10e9, latency: float = 25e-6,
                 host_index += 1
                 builder.service(host, image="workload")
                 builder.link(host, edge, latency=latency, up=bandwidth)
-    return builder
-
-
-def jellyfish(switches: int, degree: int, hosts_per_switch: int = 1, *,
-              bandwidth: float = 10e9, latency: float = 25e-6,
-              seed: int = 0) -> Scenario:
-    """A jellyfish [Singla et al., NSDI'12]: random ``degree``-regular
-    switch graph, hosts attached; deterministic for a given ``seed``.
-
-    Uses the standard incremental construction: repeatedly join random
-    pairs of switches with free ports; when stuck, break an existing link
-    to free ports up.
-    """
-    if switches < degree + 1:
-        raise ValueError("need more switches than the degree")
-    if degree < 2:
-        raise ValueError(f"degree must be >= 2, got {degree}")
-    rng = random.Random(seed)
-    builder = Scenario.build(f"jellyfish-s{switches}-d{degree}")
-
-    names = [f"sw{index}" for index in range(switches)]
-    for name in names:
-        builder.bridge(name)
-
-    free = {name: degree for name in names}
-    edges = set()
-
-    def connect(first: str, second: str) -> None:
-        edges.add((min(first, second), max(first, second)))
-        builder.link(first, second, latency=latency, up=bandwidth)
-        free[first] -= 1
-        free[second] -= 1
-
-    def disconnect(first: str, second: str) -> None:
-        edges.discard((min(first, second), max(first, second)))
-        builder.unlink(first, second)
-        free[first] += 1
-        free[second] += 1
-
-    stuck = 0
-    while True:
-        candidates = [name for name in names if free[name] > 0]
-        open_pairs = [(a, b) for i, a in enumerate(candidates)
-                      for b in candidates[i + 1:]
-                      if (a, b) not in edges and (b, a) not in edges]
-        if not open_pairs:
-            # Fewer than two joinable port owners left: rewire if a node
-            # still has 2+ free ports, else done.
-            rich = [name for name in candidates if free[name] >= 2]
-            if not rich or not edges or stuck > switches * degree:
-                break
-            stuck += 1
-            node = rng.choice(rich)
-
-            def undirected(first: str, second: str):
-                return (min(first, second), max(first, second))
-
-            # Rewire an edge neither endpoint of which already touches
-            # the node (otherwise reconnecting would duplicate a link).
-            rewirable = [edge for edge in sorted(edges)
-                         if node not in edge
-                         and undirected(node, edge[0]) not in edges
-                         and undirected(node, edge[1]) not in edges]
-            if not rewirable:
-                continue
-            victim = rng.choice(rewirable)
-            disconnect(*victim)
-            connect(node, victim[0])
-            connect(node, victim[1])
-            continue
-        stuck = 0
-        connect(*rng.choice(sorted(open_pairs)))
-
-    host_index = 0
-    for name in names:
-        for _ in range(hosts_per_switch):
-            host = f"h{host_index}"
-            host_index += 1
-            builder.service(host, image="workload")
-            builder.link(host, name, latency=latency, up=bandwidth)
     return builder

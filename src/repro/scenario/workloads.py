@@ -122,7 +122,6 @@ class FlowWorkload(Workload):
     destination: str
     demand: float = float("inf")
     protocol: str = "tcp"
-    congestion_control: str = "cubic"
     start: float = 0.0
     stop: Optional[float] = None
     key: Hashable = None
@@ -138,9 +137,8 @@ class FlowWorkload(Workload):
 
     def install(self, engine) -> None:
         engine.start_flow(self.key, self.source, self.destination,
-                          protocol=self.protocol,
-                          congestion_control=self.congestion_control,
-                          demand=self.demand, start_time=self.start)
+                          protocol=self.protocol, demand=self.demand,
+                          start_time=self.start)
         if self.stop is not None:
             engine.sim.at(self.stop,
                           lambda: engine.stop_flow(self.key))
@@ -167,8 +165,6 @@ class IperfWorkload(Workload):
     source: str
     destination: str
     duration: float = 60.0
-    demand: float = float("inf")
-    protocol: str = "tcp"
     congestion_control: str = "cubic"
     warmup: float = 2.0
     start: float = 0.0
@@ -185,9 +181,8 @@ class IperfWorkload(Workload):
 
     def install(self, engine) -> None:
         engine.start_flow(self.key, self.source, self.destination,
-                          protocol=self.protocol,
                           congestion_control=self.congestion_control,
-                          demand=self.demand, start_time=self.start)
+                          start_time=self.start)
         engine.sim.at(self.start + self.duration,
                       lambda: engine.stop_flow(self.key))
 
@@ -526,7 +521,6 @@ class CustomWorkload(Workload):
     install_fn: Callable = None
     collect_fn: Callable = None
     needs: Tuple[str, ...] = (PACKET_PLANE,)
-    duration: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "planes", frozenset(self.needs))
@@ -541,33 +535,24 @@ class CustomWorkload(Workload):
             return state
         return self.collect_fn(engine, until, state)
 
-    def horizon(self) -> float:
-        return self.duration
-
 
 def flow(source: str, destination: str, *, rate: Optional[Number] = None,
-         protocol: str = "tcp", congestion_control: str = "cubic",
-         start: Number = 0.0, stop: Optional[Number] = None,
-         key: Hashable = None) -> FlowWorkload:
+         protocol: str = "tcp", start: Number = 0.0,
+         stop: Optional[Number] = None, key: Hashable = None) -> FlowWorkload:
     """A long-lived bulk flow; ``rate`` caps its demand (default: greedy)."""
     return FlowWorkload(source, destination,
                         demand=_GREEDY if rate is None else coerce_rate(rate),
-                        protocol=protocol,
-                        congestion_control=congestion_control,
-                        start=coerce_time(start),
+                        protocol=protocol, start=coerce_time(start),
                         stop=None if stop is None else coerce_time(stop),
                         key=key)
 
 
 def iperf(source: str, destination: str, *, duration: Number = 60.0,
-          rate: Optional[Number] = None, protocol: str = "tcp",
           congestion_control: str = "cubic", warmup: Number = 2.0,
           start: Number = 0.0, key: Hashable = None) -> IperfWorkload:
-    """An iperf3-like timed throughput measurement."""
+    """An iperf3-like timed TCP throughput measurement."""
     return IperfWorkload(source, destination,
                          duration=coerce_time(duration),
-                         demand=_GREEDY if rate is None else coerce_rate(rate),
-                         protocol=protocol,
                          congestion_control=congestion_control,
                          warmup=coerce_time(warmup),
                          start=coerce_time(start), key=key)
@@ -609,9 +594,9 @@ def curl_swarm(sources: Sequence[str], server: str, *,
 
 
 def custom(key: Hashable, install: Callable = None, *,
-           collect: Callable = None, needs: Sequence[str] = (PACKET_PLANE,),
-           duration: Number = 0.0) -> CustomWorkload:
+           collect: Callable = None, needs: Sequence[str] = (PACKET_PLANE,)
+           ) -> CustomWorkload:
     """An arbitrary workload: ``install(system) -> state`` then
     ``collect(system, until, state) -> result``."""
     return CustomWorkload(key=key, install_fn=install, collect_fn=collect,
-                          needs=tuple(needs), duration=coerce_time(duration))
+                          needs=tuple(needs))

@@ -36,8 +36,3 @@ class RngRegistry:
             self._streams[name] = random.Random(
                 int.from_bytes(digest[:8], "big"))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per emulated host)."""
-        digest = hashlib.sha256(f"{self.root_seed}:fork:{name}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))

@@ -136,7 +136,6 @@ class Process:
         self._priority = priority
         self._stopped = False
         self._event: Optional[list] = None
-        self.ticks = 0
         self._event = sim.after(start_after, self._run, priority=priority,
                                 label=self.name)
 
@@ -150,7 +149,6 @@ class Process:
         if self._stopped:
             return
         result = self.tick()
-        self.ticks += 1
         if result is False or self._stopped:
             self._stopped = True
             return
@@ -162,10 +160,6 @@ class Process:
         self._stopped = True
         if self._event is not None:
             self.sim.cancel(self._event)
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
     @property
     def next_tick(self) -> float:

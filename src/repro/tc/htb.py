@@ -52,10 +52,6 @@ class HtbClass:
             raise ValueError(f"htb rate must be positive: {rate}")
         self.rate = rate
 
-    def backlog_bits(self, now: float) -> float:
-        """Bits queued but not yet transmitted at simulated time ``now``."""
-        return max(0.0, (self._horizon - now) * self.rate)
-
     def admits(self, now: float, size_bits: float) -> bool:
         """Whether :meth:`enqueue` at ``now`` would take the packet — its
         admission test, with nothing counted and nothing raised."""
@@ -71,8 +67,8 @@ class HtbClass:
         """
         horizon = self._horizon
         rate = self.rate
-        # Same arithmetic as :meth:`backlog_bits`, kept inline: this runs
-        # once per packet.
+        # Same arithmetic as :meth:`admits`, kept inline: this runs once
+        # per packet.
         backlog = (horizon - now) * rate if horizon > now else 0.0
         # The admission test carries a one-micro-bit tolerance, and the
         # retry delay a 1 ns floor: ``backlog`` is reconstructed from the
@@ -92,10 +88,6 @@ class HtbClass:
         self.bits_sent += size_bits
         self.packets_sent += 1
         return finish
-
-    def reset_counters(self) -> None:
-        self.bits_sent = 0.0
-        self.packets_sent = 0
 
 
 class HtbQdisc:
@@ -130,15 +122,3 @@ class HtbQdisc:
             del self._classes[class_id]
         except KeyError:
             raise KeyError(f"no htb class {class_id}") from None
-
-    def get_class(self, class_id: int) -> HtbClass:
-        try:
-            return self._classes[class_id]
-        except KeyError:
-            raise KeyError(f"no htb class {class_id}") from None
-
-    def classes(self) -> Dict[int, HtbClass]:
-        return dict(self._classes)
-
-    def total_bits_sent(self) -> float:
-        return sum(cls.bits_sent for cls in self._classes.values())

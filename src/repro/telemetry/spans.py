@@ -56,9 +56,6 @@ class Stopwatch:
         self.elapsed = clock() - self.started
         return self.elapsed
 
-    def restart(self) -> None:
-        self.started = clock()
-
 
 class Span:
     """One in-flight traced region; finished spans become plain dicts."""

@@ -81,9 +81,6 @@ class Service:
     replicas: int = 1
     command: Optional[str] = None
     tags: Dict[str, str] = field(default_factory=dict)
-    # Set by the emulation engine: whether Kollaps manages this service's
-    # network (the paper's injected tag distinguishing emulated containers).
-    supervised: bool = True
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -267,13 +264,6 @@ class Topology:
         for service in self.services.values():
             names.extend(service.container_names())
         return names
-
-    def service_of_container(self, container: str) -> Service:
-        base = container.split(".")[0]
-        try:
-            return self.services[base]
-        except KeyError:
-            raise TopologyError(f"no service for container {container!r}") from None
 
     # ------------------------------------------------------------- utilities
     def neighbours(self, node: str) -> List[Tuple[str, Link]]:

@@ -1,12 +1,12 @@
-"""Unit parsing and formatting for rates, durations and sizes.
+"""Unit parsing and formatting for rates and durations.
 
 The topology description language (Listing 1 in the paper) expresses link
-properties as human-readable strings such as ``"10Mbps"``, ``"50ms"`` or
-``"64KB"``.  Internally the whole code base works in SI base units:
+properties as human-readable strings such as ``"10Mbps"`` or ``"50ms"``.
+Internally the whole code base works in SI base units:
 
 * bandwidth — bits per second (``float``)
 * time — seconds (``float``)
-* data — bits (``float``), with byte helpers where natural
+* data — bits (``float``)
 
 The ``coerce_*`` functions are the value checks every front end shares:
 a bare number is already in SI base units, a string carries its unit,
@@ -25,10 +25,8 @@ from repro.units.rates import (
     coerce_rate,
     coerce_time,
     format_rate,
-    format_size,
     format_time,
     parse_rate,
-    parse_size,
     parse_time,
 )
 
@@ -36,11 +34,9 @@ __all__ = [
     "UnitError",
     "parse_rate",
     "parse_time",
-    "parse_size",
     "coerce_time",
     "coerce_rate",
     "coerce_loss",
     "format_rate",
     "format_time",
-    "format_size",
 ]

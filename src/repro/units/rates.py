@@ -1,4 +1,4 @@
-"""Parsers and formatters for bandwidth, time and size unit strings."""
+"""Parsers and formatters for bandwidth and time unit strings."""
 
 from __future__ import annotations
 
@@ -8,13 +8,11 @@ __all__ = [
     "UnitError",
     "parse_rate",
     "parse_time",
-    "parse_size",
     "coerce_time",
     "coerce_rate",
     "coerce_loss",
     "format_rate",
     "format_time",
-    "format_size",
 ]
 
 
@@ -45,21 +43,6 @@ _TIME_MULTIPLIERS = {
     "ns": 1e-9,
     "min": 60.0,
     "h": 3600.0,
-}
-
-_SIZE_MULTIPLIERS = {
-    # bits
-    "b": 1.0,
-    "kb": 1e3,
-    "mb": 1e6,
-    "gb": 1e9,
-    # bytes (uppercase B by convention); parsing is case-insensitive so the
-    # byte-forms must be spelled with a trailing "yte" marker internally.
-    "byte": 8.0,
-    "bytes": 8.0,
-    "kib": 8 * 1024.0,
-    "mib": 8 * 1024.0 ** 2,
-    "gib": 8 * 1024.0 ** 3,
 }
 
 _NUMBER_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([a-zA-Z/]*)\s*$")
@@ -101,33 +84,6 @@ def parse_time(value: "str | float | int", default_unit: str = "s") -> float:
     if unit not in _TIME_MULTIPLIERS:
         raise UnitError(f"unknown time unit {unit!r} in {value!r}")
     return number * _TIME_MULTIPLIERS[unit]
-
-
-def parse_size(value: "str | float | int", default_unit: str = "byte") -> float:
-    """Parse a data size into bits.
-
-    Byte units: ``KB``/``MB``/``GB`` are *decimal bytes* here (the paper's
-    "64KB requests"); ``KiB``-style units are binary bytes.  Bare ``b`` is a
-    bit, ``B``-suffixed strings are routed to byte units by case.
-    """
-    if isinstance(value, (int, float)):
-        return float(value) * _SIZE_MULTIPLIERS[default_unit.lower()]
-    number, unit = _split(value)
-    if not unit:
-        return number * _SIZE_MULTIPLIERS[default_unit.lower()]
-    # Case-sensitive byte/bit distinction before lowercasing: "KB" means
-    # kilobytes, "Kb" / "kb" means kilobits.
-    if unit.endswith("B"):
-        prefix = unit[:-1].lower()
-        scale = {"": 1.0, "k": 1e3, "m": 1e6, "g": 1e9,
-                 "ki": 1024.0, "mi": 1024.0 ** 2, "gi": 1024.0 ** 3}.get(prefix)
-        if scale is None:
-            raise UnitError(f"unknown size unit {unit!r} in {value!r}")
-        return number * scale * 8.0
-    unit_l = unit.lower()
-    if unit_l in _SIZE_MULTIPLIERS:
-        return number * _SIZE_MULTIPLIERS[unit_l]
-    raise UnitError(f"unknown size unit {unit!r} in {value!r}")
 
 
 def coerce_time(value) -> float:
@@ -185,11 +141,3 @@ def format_time(seconds: float) -> str:
         return f"{seconds * 1e6:.4g}us"
     return f"{seconds * 1e9:.4g}ns"
 
-
-def format_size(bits: float) -> str:
-    """Render a size in bytes with an auto-selected unit."""
-    size_bytes = bits / 8.0
-    for unit, factor in (("GB", 1e9), ("MB", 1e6), ("KB", 1e3)):
-        if abs(size_bytes) >= factor:
-            return f"{size_bytes / factor:.4g}{unit}"
-    return f"{size_bytes:.4g}B"

@@ -99,7 +99,7 @@ def baremetal_trajectories():
     occupied = []
     uplink = testbed.constraints.collapsed.path("a", "c").link_ids[0]
     testbed.sim.at(1.0, lambda: occupied.append(
-        testbed.network.packet_rate(uplink)))
+        testbed.network.packet_rates.get(uplink, 0.0)))
     recorded = _record(testbed, flows, 2.0)
     assert occupied[0] > 1 * MBPS      # the packet plane really was there
     return recorded

@@ -53,11 +53,6 @@ class TestIperf:
         error = result.relative_error(100 * MBPS)
         assert -0.09 < error < 0.0
 
-    def test_udp_mode(self):
-        result = run_iperf(10 * MBPS, "baremetal", seed=1, duration=5.0,
-                           protocol="udp", rate=5 * MBPS)
-        assert result.mean_wire_rate == pytest.approx(5 * MBPS, rel=0.02)
-
 
 class TestPing:
     def test_rtt_matches_collapsed_path(self):

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import shutil
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -612,6 +613,30 @@ def _cli_cells():
                            "mininet-budget", id=f"{door}:mininet-budget")
 
 
+#: A two-point campaign small enough to run inside a matrix cell.
+TINY_CAMPAIGN = """\
+from repro.campaign import Campaign
+from repro.scenario import Scenario, flow
+
+
+def pair(*, rate, seed=0):
+    return (Scenario.build("pair").service("a").service("b")
+            .link("a", "b", latency="1ms", up=rate)
+            .workload(flow("a", "b", key="t"))
+            .deploy(seed=seed, duration=0.5))
+
+
+CAMPAIGN = (Campaign("tiny").scenario(pair).grid(rate=[1e6, 2e6])
+            .backends("kollaps"))
+"""
+
+
+def _spoil_last_record(store: Path, spoil) -> None:
+    path = store / "tiny" / "results.jsonl"
+    *kept, last = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(kept) + spoil(last))
+
+
 def _write(tmp_path, bad: Bad) -> str:
     path = tmp_path / bad.file
     if bad.content is not None:
@@ -690,6 +715,36 @@ class TestMalformedInputMatrix:
             argv += ["--scenario", str(script)]
         assert main(argv) == 0, capsys.readouterr().err
         assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["status", "run", "report"])
+    def test_garbled_record_is_a_torn_line(self, tmp_path, capsys, verb):
+        """A stored record whose run does not decode is read as a torn
+        tail line is: its point is missing, runs again, and its new record
+        supersedes it."""
+        source = tmp_path / "tiny.py"
+        source.write_text(TINY_CAMPAIGN)
+        garbled, torn = tmp_path / "garbled", tmp_path / "torn"
+        assert main(["campaign", "run", str(source), "--store", str(garbled),
+                     "--quiet"]) == 0
+        shutil.copytree(garbled, torn)
+        _spoil_last_record(garbled, lambda line: json.dumps(
+            dict(json.loads(line), run={"garbage": 1}), sort_keys=True)
+            + "\n")
+        _spoil_last_record(torn, lambda line: line[:len(line) // 2])
+        capsys.readouterr()
+        outputs = []
+        for store in (garbled, torn):
+            assert main(["campaign", verb, str(source), "--store",
+                         str(store)]) == 0
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            outputs.append(captured.out.replace(str(store), "<store>"))
+        assert outputs[0] == outputs[1]
+        assert {"status": "missing: 1/2", "run": "1 resumed from store",
+                "report": "1 points, 1 ok"}[verb] in outputs[0]
+        if verb == "run":
+            main(["campaign", "status", str(source), "--store", str(garbled)])
+            assert "ok: 2/2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("verb", ["run", "status", "report", "compact"])
     def test_campaign_door(self, tmp_path, capsys, verb):

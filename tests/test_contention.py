@@ -194,7 +194,7 @@ class TestCrossPlaneContention:
         server = HttpServer(testbed.sim, testbed.dataplane, "server")
         CurlSwarm(testbed.sim, testbed.dataplane, ["client"], server)
         testbed.run(until=5.0)
-        rates = [testbed.network.packet_rate(link.link_id)
+        rates = [testbed.network.packet_rates.get(link.link_id, 0.0)
                  for link in testbed.topology.links()]
         assert max(rates) > 1 * MBPS
 
@@ -248,7 +248,8 @@ def shared_and_lossy(walking: bool, monkeypatch):
     def observe():
         capacities = testbed.constraints.capacities(testbed.fluid._active)
         seen.append((
-            [testbed.network.packet_rate(link_id) for link_id in links],
+            [testbed.network.packet_rates.get(link_id, 0.0)
+             for link_id in links],
             [capacities[link_id] for entry in testbed.fluid._active
              for link_id in entry.links],
             len(testbed.network.packet_rates)))

@@ -58,8 +58,6 @@ class TestComposePath:
         links = [link(jitter=jitter, jitter_distribution=distribution)
                  for distribution, jitter in hops]
         assert compose_path(links).jitter_distribution == expected
-        merged = compose_path(links[:1]).merge_serial(compose_path(links[1:]))
-        assert merged.jitter_distribution == expected
 
     def test_loss_complement_product(self):
         properties = compose_path([link(loss=0.1), link(loss=0.2)])
@@ -76,19 +74,6 @@ class TestComposePath:
 
     def test_hops_counted(self):
         assert compose_path([link(), link(), link()]).hops == 3
-
-
-class TestMergeSerial:
-    def test_merge_matches_full_composition(self):
-        links = [link(latency=0.01, bandwidth=5e6, jitter=0.001, loss=0.01),
-                 link(latency=0.02, bandwidth=8e6, jitter=0.002, loss=0.02)]
-        merged = compose_path(links[:1]).merge_serial(compose_path(links[1:]))
-        full = compose_path(links)
-        assert merged.latency == pytest.approx(full.latency)
-        assert merged.jitter == pytest.approx(full.jitter)
-        assert merged.loss == pytest.approx(full.loss)
-        assert merged.bandwidth == full.bandwidth
-        assert merged.hops == full.hops
 
 
 # --------------------------------------------------------------------------
@@ -131,7 +116,12 @@ def test_adding_a_hop_never_reduces_loss(links):
 @given(st.lists(link_strategy, min_size=1, max_size=6),
        st.lists(link_strategy, min_size=1, max_size=6))
 def test_composition_is_associative(first, second):
-    merged = compose_path(first).merge_serial(compose_path(second))
+    """Two segments composed first, then as two links, make the path."""
+    segments = [compose_path(part) for part in (first, second)]
+    merged = compose_path([link(latency=segment.latency,
+                                bandwidth=segment.bandwidth,
+                                jitter=segment.jitter, loss=segment.loss)
+                           for segment in segments])
     full = compose_path(first + second)
     assert merged.latency == pytest.approx(full.latency)
     assert merged.jitter == pytest.approx(full.jitter, abs=1e-9)

@@ -8,9 +8,9 @@ the dashboard.
 
 import pytest
 
-from repro.apps import Pinger, UdpBlaster
+from repro.apps import Pinger
 from repro.core import EmulationEngine, EngineConfig
-from repro.dashboard import Dashboard, render_collapsed_matrix
+from repro.dashboard import Dashboard, render_flow_history
 from repro.orchestration import DeploymentGenerator, render_plan
 from repro.scenario import Scenario
 from repro.scenario.thunderstorm import compile_scenario
@@ -96,13 +96,17 @@ class TestJourney:
 
     def test_udp_sees_outage_as_loss(self, deployment):
         _topology, engine = deployment
-        blaster = UdpBlaster(engine.sim, engine.dataplane, "cache", "edge",
-                             rate=5e6)
+        # The flow ``udp_blast("cache", "edge", "5Mbps")`` runs: constant
+        # bit rate, never backing off.
+        engine.start_flow("blast", "cache", "edge", protocol="udp",
+                          demand=5e6)
         engine.run(until=16.0)
-        assert blaster.stats.dropped > 0
-        assert blaster.stats.received > 0
+        mean = engine.fluid.mean_throughput
+        assert mean("blast", 8.5, 10.0) == 0.0
+        assert mean("blast", 10.5, 16.0) == pytest.approx(5e6)
         # Overall loss is roughly the outage fraction (2 s of 16 s).
-        assert blaster.stats.loss_rate == pytest.approx(2 / 16, abs=0.06)
+        assert 1 - mean("blast", 0.0, 16.0) / 5e6 == \
+            pytest.approx(2 / 16, abs=0.06)
 
     def test_dashboard_reports_the_run(self, deployment):
         _topology, engine = deployment
@@ -111,10 +115,9 @@ class TestJourney:
         dashboard = Dashboard(engine)
         text = dashboard.render()
         assert "api" in text and "edge" in text
-        assert "sync" in dashboard.render_flow_histories()
-        matrix = render_collapsed_matrix(engine.current_state.collapsed)
-        # The degraded trunk shows in the collapsed matrix (52 ms e2e).
-        assert "52ms" in matrix
+        # The degraded trunk shows in the topology pane.
+        assert "rack1->rack2 [100Mbps 50ms]" in text
+        assert render_flow_history(engine.fluid, "sync").startswith("sync:")
 
     def test_plans_render_for_the_same_description(self, deployment):
         topology, _engine = deployment

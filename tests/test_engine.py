@@ -183,7 +183,7 @@ class TestDynamicTopology:
                     engine.dataplane.send(Packet(source, destination, 800),
                                           delivered.append)
             for tcal in engine.tcals.values():
-                assert len(tcal.qdisc.classes()) == \
+                assert len(tcal.qdisc._classes) == \
                     len(tcal.destinations()) == tcal.filter.rules
                 assert len(tcal.destinations()) == (1 if up else 0)
         engine.run(until=6.5)
@@ -282,7 +282,7 @@ class TestChainLifecycle:
         first = engine.tcals["client"].shaping_for("server")
         engine.run(until=5.0)                   # the link left at t=4
         assert self.chains(engine) == {"client": (), "server": ()}
-        assert engine.tcals["client"].qdisc.classes() == {}
+        assert engine.tcals["client"].qdisc._classes == {}
         assert not engine.tcals["client"].has_destination("server")
         assert not engine.dataplane.reachable("client", "server")
         send("client", "server")

@@ -1,4 +1,4 @@
-"""Every module and every knob is reached through the front door, or it
+"""Every module, name and knob is reached through the front door, or it
 goes.
 
 A module under ``src/repro`` that defines public names must have at
@@ -10,12 +10,17 @@ something one of those reads or deleted.
 
 Names are matched as names, wherever they were imported from.  An
 import statement, ``__all__``, a ``_LAZY`` table or a docstring is not a
-use: they are all either import machinery or strings, and only a loaded
-``Name`` or ``Attribute`` counts.
+use: they are all either import machinery or strings.  A loaded ``Name``
+or ``Attribute`` counts, and so does a constant string passed to
+``getattr`` or ``hasattr``.
 
-The same holds one level down, for knobs: a defaulted ``__init__``
-parameter of a public class, or an ``EngineConfig`` field, that no caller
-outside its own module ever passes has one value in every run, and is a
+The same holds one level down, for every public function and class and
+every public method or property of a public class: one that no caller
+loads — its own module counts, tests do not — goes, or
+:data:`NAMES_ALLOWED` names who reads it.  And for knobs: a defaulted
+``__init__`` parameter of a public class, a defaulted parameter of a
+workload helper, or an ``EngineConfig`` field, that no caller outside
+its own module ever passes has one value in every run, and is a
 constant.  It goes, or :data:`ALLOWED` names who reads it.
 """
 
@@ -25,8 +30,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "repro"
-CALLERS = sorted([*PACKAGE.rglob("*.py"), *(ROOT / "examples").glob("*.py"),
-                  *(ROOT / "bench").glob("*.py")])
+
+
+def callers(root: Path) -> list:
+    """The files whose uses count: the package, the examples, the
+    benchmark ledger."""
+    return sorted([*(root / "src" / "repro").rglob("*.py"),
+                   *(root / "examples").glob("*.py"),
+                   *(root / "bench").glob("*.py")])
+
+
+CALLERS = callers(ROOT)
 
 
 def defined_names(tree: ast.Module) -> set:
@@ -45,7 +59,8 @@ def defined_names(tree: ast.Module) -> set:
 
 
 def used_names(tree: ast.Module) -> set:
-    """Every name a module reads, as a bare name or an attribute."""
+    """Every name a module reads: a bare name, an attribute, or a constant
+    string passed to ``getattr``/``hasattr``."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -53,6 +68,12 @@ def used_names(tree: ast.Module) -> set:
         elif isinstance(node, ast.Attribute) \
                 and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("getattr", "hasattr") \
+                and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant) \
+                and isinstance(node.args[1].value, str):
+            used.add(node.args[1].value)
     return used
 
 
@@ -81,12 +102,118 @@ def test_every_module_is_used_outside_its_tests():
 
 
 # --------------------------------------------------------------------------
+# Names.
+# --------------------------------------------------------------------------
+#: Public names no caller loads, each with its reader.
+NAMES_ALLOWED = {
+    "core/engine.py::EmulationEngine.apply_event_online": "§6 "
+    "interactivity; tests/test_extensions.py and tests/fluid_trajectories.py "
+    "(fluid_trajectories.json) change a running emulation through it",
+    "experiments/base.py::ExperimentResult.assert_all": "every "
+    "benchmarks/test_*.py paper experiment asserts its checks through it",
+    "experiments/base.py::format_table": "benchmarks/conftest.py prints "
+    "the paper tables with it",
+    "telemetry/metrics.py::MetricsRegistry.delta_since": "benchmarks/"
+    "test_engine_baseline.py reads counter deltas through it",
+    "scenario/backends.py::register_backend": "tests substitute fake "
+    "backends through it",
+    "scenario/builder.py::Scenario.from_file": "a documented loader and a "
+    "door of tests/test_cli.py::TestMalformedInputMatrix",
+    "scenario/builder.py::Scenario.from_xml": "a documented loader "
+    "(docs/api.md)",
+    "scenario/dsl/format.py::load_scn": "a documented loader "
+    "(docs/scenarios.md)",
+    "scenario/dsl/format.py::dump_scn": "a documented writer "
+    "(docs/scenarios.md)",
+    "scenario/dsl/lint.py::lint_scenario": "documented lint of a builder "
+    "(docs/api.md, docs/scenarios.md)",
+    "scenario/builder.py::node_join": "the builder's spelling of .scn's "
+    "join action",
+    "scenario/builder.py::node_leave": "the builder's spelling of .scn's "
+    "leave action",
+    "netstack/plane.py::DataPlane": "the protocol both data planes "
+    "implement",
+}
+
+
+def public_names(tree: ast.Module) -> dict:
+    """``"name"`` or ``"Class.member"`` -> the name a caller loads, for
+    every public top-level function and class and every public method or
+    property of a public class."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not item.name.startswith("_"):
+                    found[f"{node.name}.{item.name}"] = item.name
+    return found
+
+
+def unread_names(root: Path = ROOT) -> list:
+    """``"module/path.py::name"`` for every public name under
+    ``root/src/repro`` that no caller loads."""
+    package = root / "src" / "repro"
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in callers(root)}
+    loaded = set().union(*map(used_names, trees.values()))
+    return sorted(
+        f"{path.relative_to(package).as_posix()}::{name}"
+        for path, tree in trees.items() if package in path.parents
+        for name, bare in public_names(tree).items() if bare not in loaded)
+
+
+def test_every_public_name_is_read_outside_its_tests():
+    unread = [name for name in unread_names() if name not in NAMES_ALLOWED]
+    assert not unread, f"only their own tests read {unread}"
+
+
+def test_every_allowed_name_exists_and_is_unread():
+    """An entry goes when its name does, or once a caller reads it."""
+    stale = sorted(set(NAMES_ALLOWED) - set(unread_names()))
+    assert not stale, f"NAMES_ALLOWED names gone or read names: {stale}"
+
+
+def test_the_name_audit_flags_what_only_a_test_reads(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "shapes.py").write_text(
+        "class Square:\n"
+        "    def area(self):\n        return 4\n"
+        "    def unread(self):\n        return 0\n"
+        "    def tested(self):\n        return 1\n"
+        "    def looked_up(self):\n        return 2\n"
+        "    def _private(self):\n        return 3\n"
+        "\n\n"
+        "def report(square):\n"
+        "    return square.area(), getattr(square, 'looked_up')()\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.shapes import Square, report\nreport(Square())\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_shapes.py").write_text(
+        "from repro.shapes import Square\n"
+        "def test_tested():\n    assert Square().tested() == 1\n")
+    assert unread_names(tmp_path) == ["shapes.py::Square.tested",
+                                      "shapes.py::Square.unread"]
+
+
+# --------------------------------------------------------------------------
 # Knobs.
 # --------------------------------------------------------------------------
 #: Where knobs are audited, relative to ``repro``.
 KNOB_SCOPE = ("apps", "baselines", "campaign", "cluster", "core",
-              "metadata", "netstack", "tc", "scenario/backends.py")
+              "metadata", "netstack", "tc", "scenario/backends.py",
+              "scenario/workloads.py")
 CONFIG = "EngineConfig"
+#: Whose public functions' defaulted parameters are knobs too: the
+#: workload helpers (``flow``, ``iperf``, ...), which an ``examples/*.scn``
+#: workload also sets, by the key of the field the parameter feeds.
+HELPERS = PACKAGE / "scenario" / "workloads.py"
 
 #: Knobs no caller outside their module passes, each with its reader.
 ALLOWED = {
@@ -110,8 +237,6 @@ ALLOWED = {
     "Pinger.size_bits": "tests/test_contention.py and "
     "tests/fluid_trajectories.py (fluid_trajectories.json) send "
     "MTU-sized probes",
-    "UdpBlaster.stop": "tests/test_datacenter_udp.py stops a stream "
-    "mid-run",
     "HttpServer.response_bits": "tests/test_contention.py::"
     "TestCrossPlaneContention serves 512 KB objects",
     "MemtierClient.set_fraction": "tests/test_apps.py (TestKvStore, "
@@ -141,31 +266,69 @@ def _in_knob_scope(path: Path) -> bool:
                for scope in KNOB_SCOPE)
 
 
+def _defaulted(name: str, args: ast.arguments, path: Path,
+               skip: int = 0) -> dict:
+    """``"name.param"`` -> ``(path, positional index or None)`` for each
+    defaulted parameter; ``skip`` leading parameters are never passed."""
+    found = {}
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index in range(first, len(positional)):
+        found[f"{name}.{positional[index].arg}"] = (path, index - skip)
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            found[f"{name}.{arg.arg}"] = (path, None)
+    return found
+
+
 def knobs() -> dict:
-    """``"Class.param"`` -> ``(module path, positional index or None)``."""
+    """``"Class.param"`` or ``"helper.param"`` -> ``(module path,
+    positional index or None)``."""
     found = {}
     for path in PACKAGE.rglob("*.py"):
         if not _in_knob_scope(path):
             continue
         for node in ast.parse(path.read_text(), str(path)).body:
-            if not isinstance(node, ast.ClassDef) \
-                    or node.name.startswith("_"):
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef) and path == HELPERS:
+                found.update(_defaulted(node.name, node.args, path))
+            if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
                 if node.name == CONFIG and isinstance(item, ast.AnnAssign):
                     found[f"{CONFIG}.{item.target.id}"] = (path, None)
-                if not (isinstance(item, ast.FunctionDef)
-                        and item.name == "__init__"):
-                    continue
-                args = item.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                for index in range(first, len(positional)):
-                    found[f"{node.name}.{positional[index].arg}"] = \
-                        (path, index - 1)       # self is not passed
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        found[f"{node.name}.{arg.arg}"] = (path, None)
+                if isinstance(item, ast.FunctionDef) \
+                        and item.name == "__init__":
+                    # self is not passed
+                    found.update(_defaulted(node.name, item.args, path, 1))
+    return found
+
+
+def helper_fields() -> dict:
+    """``"helper.param"`` -> ``(kind, field)``: the workload kind a helper
+    returns and the field of it the parameter feeds, which is the key a
+    ``.scn`` workload of that kind sets it with."""
+    tree = ast.parse(HELPERS.read_text(), str(HELPERS))
+    kinds = {node.name: item.value.value for node in tree.body
+             if isinstance(node, ast.ClassDef) for item in node.body
+             if isinstance(item, ast.Assign)
+             and [getattr(target, "id", None) for target in item.targets]
+             == ["kind"]}
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        params = {arg.arg for arg in node.args.args + node.args.kwonlyargs}
+        for ret in ast.walk(node):
+            if not (isinstance(ret, ast.Return)
+                    and isinstance(ret.value, ast.Call)):
+                continue
+            for keyword in ret.value.keywords:
+                for fed in ast.walk(keyword.value):
+                    if isinstance(fed, ast.Name) and fed.id in params:
+                        found[f"{node.name}.{fed.id}"] = (
+                            kinds.get(_callee(ret.value)), keyword.arg)
     return found
 
 
@@ -219,9 +382,15 @@ def unused_knobs() -> list:
     for path in CALLERS:
         for use in knob_uses(ast.parse(path.read_text(), str(path)), doors):
             callers.setdefault(use, set()).add(path)
+    fields = helper_fields()
     for document in (ROOT / "examples").glob("*.scn"):
-        for key in json.loads(document.read_text()).get("deploy", {}):
+        spec = json.loads(document.read_text())
+        for key in spec.get("deploy", {}):
             callers.setdefault(f"{CONFIG}.{key}", set()).add(document)
+        for workload in spec.get("workloads", ()):
+            for name, (kind, field) in fields.items():
+                if workload.get("kind") == kind and field in workload:
+                    callers.setdefault(name, set()).add(document)
     return sorted(
         name for name, (home, index) in found.items()
         if not (callers.get(name, set())

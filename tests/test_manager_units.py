@@ -66,12 +66,6 @@ class TestUsageSampling:
         samples = core.sample_usage(0.05, now=0.05)
         assert samples["server0"].rate <= 10 * MBPS * 1.05
 
-    def test_saturating_flag(self):
-        sample = UsageSample("d", rate=9.5 * MBPS, htb_rate=10 * MBPS)
-        assert sample.saturating
-        assert not UsageSample("d", rate=5 * MBPS,
-                               htb_rate=10 * MBPS).saturating
-
     def test_enforce_ignores_unknown_destination(self):
         sim, manager, _ = build_manager()
         core = attach_core(sim, manager, "client0", "server0")

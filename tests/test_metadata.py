@@ -10,7 +10,7 @@ from repro.metadata import (
     encode_message,
     encoded_size,
 )
-from repro.metadata.encoding import datagram_count
+from repro.metadata.encoding import DATAGRAM_PAYLOAD_BYTES
 from repro.sim import Simulator
 
 
@@ -73,7 +73,7 @@ class TestEncoding:
     def test_fits_single_datagram_at_scale(self):
         """A 40-flow report (§5.2 scale) still fits one UDP datagram."""
         message = sample_message(flow_count=40, links_per_flow=6)
-        assert datagram_count(encoded_size(message)) == 1
+        assert encoded_size(message) <= DATAGRAM_PAYLOAD_BYTES
 
 
 class TestMediaDriver:
@@ -84,21 +84,11 @@ class TestMediaDriver:
         left.connect(right)
         return sim, left, right
 
-    def test_local_publish_costs_no_network(self):
-        sim = Simulator()
-        driver = MediaDriver(sim, "m0")
-        seen = []
-        driver.subscribe(seen.append)
-        driver.publish_local(sample_message())
-        assert len(seen) == 1
-        assert driver.stats.bytes_sent == 0
-        assert driver.stats.shared_memory_messages == 1
-
     def test_remote_publish_delivers_after_delay(self):
         sim, left, right = self.build_pair()
         seen = []
         right.subscribe(lambda m: seen.append((sim.now, m)))
-        left.publish_to("m1", sample_message(sender=0))
+        left.publish_remote(sample_message(sender=0))
         sim.run()
         assert len(seen) == 1
         assert seen[0][0] == pytest.approx(1e-3)
@@ -108,7 +98,7 @@ class TestMediaDriver:
         sim, left, right = self.build_pair()
         right.subscribe(lambda m: None)
         message = sample_message()
-        left.publish_to("m1", message)
+        left.publish_remote(message)
         sim.run()
         payload = encoded_size(message)
         assert left.stats.bytes_sent == payload
@@ -126,18 +116,18 @@ class TestMediaDriver:
         received = {i: [] for i in range(3)}
         for i, driver in enumerate(drivers):
             driver.subscribe(received[i].append)
-        drivers[0].publish(sample_message(sender=0))
+        drivers[0].publish_remote(sample_message(sender=0))
         sim.run()
-        assert len(received[0]) == 1  # shared memory
-        assert len(received[1]) == 1  # UDP
+        assert len(received[0]) == 0  # a publisher does not hear itself
+        assert len(received[1]) == 1
         assert len(received[2]) == 1
 
     def test_publish_remote_is_publish_to_every_peer_for_one_encode(
             self, monkeypatch):
         """One wire image per distinct publication: every peer of it, and
         every identical publication after it, is handed the same decoded
-        message at the same instant and in the same order as a
-        ``publish_to`` per peer would hand it, with bytes and datagrams
+        message at the same instant and in the same order as one
+        shipment per peer would hand it, with bytes and datagrams
         still accounted per peer — and one delivery event per
         publication, whatever the number of peers."""
         from repro.metadata import channels
@@ -167,14 +157,14 @@ class TestMediaDriver:
                     sim.events_dispatched)
 
         one_by_one = triad(lambda driver, message: [
-            driver.publish_to(peer, message) for peer in driver.peers()])
+            driver._ship((peer,), message) for peer in driver._peer_order])
         assert len(encodes) == 1
         at_once = triad(lambda driver, message:
                         driver.publish_remote(message))
         assert len(encodes) == 2
         assert at_once[:2] == one_by_one[:2]
         assert [name for name, _, _ in at_once[0]] == ["m1", "m2"]
-        # One event per publish_to, one per publish_remote.
+        # One event per shipment, one per publish_remote.
         assert (one_by_one[2], at_once[2]) == (2, 1)
 
         seen, stats, events = triad(
@@ -211,11 +201,6 @@ class TestMediaDriver:
         left.publish_remote(sample_message())
         sim.run()
         assert seen == ["m1", "m1", "m2"]
-
-    def test_unknown_peer_raises(self):
-        sim, left, _right = self.build_pair()
-        with pytest.raises(KeyError):
-            left.publish_to("m9", sample_message())
 
     def test_self_connect_rejected(self):
         sim = Simulator()

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from repro.baselines.maxinet import MaxinetEmulator
+from repro.core import EmulationEngine, EngineConfig
 from repro.netstack import (
     DataPlane,
     FullStateNetwork,
@@ -352,6 +353,70 @@ class TestKollapsDataPlane:
         _, plane = self.build()
         assert plane.reachable("a", "b")
         assert not plane.reachable("a", "ghost")
+
+
+class TestConstantRateStream:
+    """A constant-rate datagram stream through an engine's Kollaps plane,
+    sent with raw ``dataplane.send`` and never backing off: a datagram
+    the sender's htb refuses is abandoned, like a non-blocking ``sendto``
+    seeing ``EAGAIN``."""
+
+    DATAGRAM_BITS = 1400 * 8.0
+
+    def stream(self, rate, *, bandwidth=10e6, loss=0.0, until=10.0):
+        engine = EmulationEngine(
+            point_to_point(bandwidth, latency=0.010,
+                           loss=loss).compile().topology,
+            config=EngineConfig(machines=1, seed=8,
+                                enforce_bandwidth_sharing=False))
+        sim, plane = engine.sim, engine.dataplane
+        counts = dict.fromkeys(("sent", "delivered", "dropped", "refused"),
+                               0)
+        delays = []
+
+        def delivered(datagram):
+            counts["delivered"] += 1
+            delays.append(sim.now - datagram.created)
+
+        def dropped(_datagram):
+            counts["dropped"] += 1
+
+        def refused(_datagram, _retry_at):
+            counts["refused"] += 1
+
+        def send():
+            counts["sent"] += 1
+            plane.send(Packet("client", "server", self.DATAGRAM_BITS,
+                              kind="udp", created=sim.now),
+                       delivered, dropped, refused)
+            sim.after(self.DATAGRAM_BITS / rate, send)
+
+        sim.at(0.0, send)
+        engine.run(until=until)
+        return counts, delays
+
+    def test_delivers_at_configured_rate(self):
+        counts, _ = self.stream(2e6)
+        assert counts["delivered"] * self.DATAGRAM_BITS / 10.0 == \
+            pytest.approx(2e6, rel=0.05)
+        assert counts["dropped"] == counts["refused"] == 0
+
+    def test_oversubscription_is_refused_not_slowed(self):
+        # Four times the wire: the sender never slows down; the excess is
+        # refused at its own qdisc and delivery caps at the link.
+        counts, _ = self.stream(20e6, bandwidth=5e6)
+        assert counts["delivered"] * self.DATAGRAM_BITS / 10.0 \
+            <= 5e6 * 1.05
+        assert counts["refused"] > 0.5 * counts["sent"]
+
+    def test_netem_loss_ratio(self):
+        counts, _ = self.stream(1e6, loss=0.2, until=20.0)
+        assert counts["dropped"] / counts["sent"] == \
+            pytest.approx(0.2, abs=0.05)
+
+    def test_one_way_delay(self):
+        _, delays = self.stream(1e6, until=5.0)
+        assert sum(delays) / len(delays) == pytest.approx(0.010, rel=0.2)
 
 
 @pytest.mark.parametrize("plane", [KollapsDataPlane, FullStateNetwork,

@@ -76,7 +76,7 @@ class TestKubernetesPlan:
 
     def test_emulated_containers_listed(self):
         plan = DeploymentGenerator(sample_topology()).kubernetes_plan(["m0"])
-        assert set(plan.emulated_containers()) == \
+        assert set(plan.placement) == \
             {"web.0", "web.1", "web.2", "db"}
 
 
@@ -93,9 +93,7 @@ class TestCluster:
     def test_machine_of(self):
         cluster = Cluster(2)
         cluster.place_round_robin(["a", "b"])
-        assert cluster.machine_of("a") == "host-0"
-        assert cluster.machine_of("b") == "host-1"
-        assert cluster.machine_of("ghost") is None
+        assert cluster.placement() == {"a": "host-0", "b": "host-1"}
 
     def test_double_placement_rejected(self):
         machine = Machine("m")

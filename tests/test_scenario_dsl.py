@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+from functools import partial
 
 import pytest
 import scn_corpus
@@ -22,8 +23,7 @@ import test_topology
 from repro.scenario import Scenario, custom, flow, ping, set_link
 from repro.scenario.backends import BareMetalBackend, register_backend
 from repro.scenario.dsl import (Diagnostic, FuzzBudget, ScnError,
-                                diff_scenarios, dumps_scn, fuzz_campaign,
-                                fuzz_corpus, fuzz_point, generate_scenario,
+                                diff_scenarios, dumps_scn, generate_scenario,
                                 lint_file, lint_scenario, loads_scn,
                                 project_common, run_differential,
                                 scenario_from_scn, scn_document, schema,
@@ -644,7 +644,8 @@ class TestFuzzer:
 
     def test_distinct_indices_differ(self):
         corpus = {dumps_scn(builder.compile())
-                  for builder in fuzz_corpus(seed=11, count=10)}
+                  for builder in map(partial(generate_scenario, 11),
+                                     range(10))}
         assert len(corpus) == 10
 
     def test_thousand_fuzzed_scenarios_roundtrip(self):
@@ -665,20 +666,10 @@ class TestFuzzer:
             assert reparsed.path_table() == compiled.path_table()
 
     def test_fuzzed_scenarios_lint_clean(self):
-        for builder in fuzz_corpus(seed=5, count=50):
+        for builder in map(partial(generate_scenario, 5), range(50)):
             diagnostics = lint_scenario(builder)
             assert not [d for d in diagnostics if d.severity == "error"], \
                 f"{builder}: {[str(d) for d in diagnostics]}"
-
-    def test_fuzz_point_is_picklable_and_seeded(self):
-        import pickle
-        pickle.dumps(fuzz_point)
-        builder = fuzz_point(case=2, fuzz_seed=9, seed=123)
-        assert builder._deploy_kwargs["seed"] == 123
-
-    def test_fuzz_campaign_grid_shape(self):
-        campaign = fuzz_campaign(count=4, backends=("kollaps", "trickle"))
-        assert len(campaign.points()) == 8
 
 
 # --------------------------------------------------------------------------

@@ -184,7 +184,7 @@ class TestProcess:
         process = Process(sim, period=1.0, tick=tick)
         sim.run()
         assert len(count) == 3
-        assert process.stopped
+        assert process.next_tick == float("inf")
 
     def test_stop_cancels_future_ticks(self):
         sim = Simulator()
@@ -220,10 +220,3 @@ class TestRngRegistry:
         a = RngRegistry(1).stream("x").random()
         b = RngRegistry(2).stream("x").random()
         assert a != b
-
-    def test_fork_is_deterministic(self):
-        a = RngRegistry(9).fork("host-1").stream("s").random()
-        b = RngRegistry(9).fork("host-1").stream("s").random()
-        c = RngRegistry(9).fork("host-2").stream("s").random()
-        assert a == b
-        assert a != c

@@ -39,15 +39,6 @@ class TestStopwatch:
             pass
         assert watch.elapsed >= 0.0
 
-    def test_restart_resets_origin(self):
-        watch = Stopwatch()
-        watch.stop()
-        first = watch.elapsed
-        watch.restart()
-        watch.stop()
-        assert watch.elapsed >= 0.0
-        assert first >= 0.0
-
 
 class TestSpans:
     def test_disabled_returns_shared_null_span(self):

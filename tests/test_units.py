@@ -5,10 +5,8 @@ import pytest
 from repro.units import (
     UnitError,
     format_rate,
-    format_size,
     format_time,
     parse_rate,
-    parse_size,
     parse_time,
 )
 
@@ -70,27 +68,6 @@ class TestParseTime:
             parse_time("10 fortnights")
 
 
-class TestParseSize:
-    def test_kilobytes_are_decimal_bytes(self):
-        assert parse_size("64KB") == 64e3 * 8
-
-    def test_kibibytes_are_binary(self):
-        assert parse_size("64KiB") == 64 * 1024 * 8
-
-    def test_bits_lowercase(self):
-        assert parse_size("100kb") == 100e3
-
-    def test_bare_number_is_bytes(self):
-        assert parse_size(100) == 800.0
-
-    def test_single_byte(self):
-        assert parse_size("1B") == 8.0
-
-    def test_unknown_raises(self):
-        with pytest.raises(UnitError):
-            parse_size("10XB")
-
-
 class TestFormatting:
     def test_format_rate_picks_unit(self):
         assert format_rate(50e6) == "50Mbps"
@@ -102,9 +79,6 @@ class TestFormatting:
         assert format_time(0.010) == "10ms"
         assert format_time(2.0) == "2s"
         assert format_time(5e-6) == "5us"
-
-    def test_format_size_picks_unit(self):
-        assert format_size(8 * 64e3) == "64KB"
 
     def test_round_trip(self):
         for value in (128e3, 50e6, 1e9, 2.5e9):

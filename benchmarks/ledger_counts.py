@@ -7,13 +7,17 @@ Usage (from the repository root)::
 Runs ``python3 -m bench --workload W --seed 1 --seconds 0 --trace 1``
 once for every workload the table names, then checks that the run says
 ``"correct": true``, that every ``exact`` count matches and that no count
-exceeds its ``ceiling``.  Prints each workload's checked counts and exits
+exceeds its ``ceiling``.  Where a workload has ``modules``, a fresh
+interpreter imports what the workload loads and the ``repro`` modules it
+then holds may not exceed ``modules.ceiling``, nor may it hold a module
+``modules.absent`` names.  Prints each workload's checked counts and exits
 non-zero naming every count that moved.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,8 +35,26 @@ def measure(workload: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def check(workload: str, rows: dict, result: dict) -> list:
-    """What moved, one line per count."""
+# What a workload's import list loads, printed by a fresh interpreter.
+_LOADED = ("import json, sys\n"
+           "from bench.workloads import WORKLOADS\n"
+           "WORKLOADS[sys.argv[1]].load()\n"
+           "print(json.dumps(sorted(sys.modules)))\n")
+
+
+def loaded(workload: str) -> list:
+    """Every module a fresh interpreter holds once the workload loaded."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)]))
+    out = subprocess.run([sys.executable, "-c", _LOADED, workload],
+                         cwd=ROOT, env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return json.loads(out)
+
+
+def check(workload: str, rows: dict, result: dict, modules: list) -> list:
+    """What moved, one line per count; ``modules`` is :func:`loaded`'s
+    answer."""
     counts = {name: doc["value"] for name, doc in result["metrics"].items()}
     moved = [] if result["correct"] is True else [f"{workload}: not correct"]
     for name, value in rows.get("exact", {}).items():
@@ -43,15 +65,27 @@ def check(workload: str, rows: dict, result: dict) -> list:
         if name not in counts or counts[name] > ceiling:
             moved.append(f"{workload}: {name} = {counts.get(name)}, "
                          f"ceiling {ceiling}")
-    print(workload, {name: counts.get(name) for name in
-                     [*rows.get("exact", {}), *rows.get("ceiling", {})]})
+    checked = {name: counts.get(name) for name in
+               [*rows.get("exact", {}), *rows.get("ceiling", {})]}
+    if "modules" in rows:
+        bound = rows["modules"]
+        repro = [name for name in modules
+                 if name.partition(".")[0] == "repro"]
+        if len(repro) > bound["ceiling"]:
+            moved.append(f"{workload}: {len(repro)} repro modules loaded, "
+                         f"ceiling {bound['ceiling']}: {repro}")
+        moved.extend(f"{workload}: loads {name}"
+                     for name in bound.get("absent", ()) if name in modules)
+        checked["modules"] = len(repro)
+    print(workload, checked)
     return moved
 
 
 def main(argv: list) -> int:
     table = json.loads(Path(argv[0] if argv else TABLE).read_text())
     moved = [line for workload, rows in table["workloads"].items()
-             for line in check(workload, rows, measure(workload))]
+             for line in check(workload, rows, measure(workload),
+                               loaded(workload))]
     for line in moved:
         print(f"MOVED {line}", file=sys.stderr)
     return 1 if moved else 0

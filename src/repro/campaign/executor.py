@@ -70,11 +70,12 @@ class PointResult:
     @classmethod
     def from_record(cls, record: Dict, point: Point,
                     source: str = "store") -> "PointResult":
-        run = record.get("run")
-        return cls(point=point, status=record.get("status", "error"),
+        """The result a :meth:`to_record` record holds."""
+        run = record["run"]
+        return cls(point=point, status=record["status"],
                    run=None if run is None else ScenarioRun.from_dict(run),
-                   error=record.get("error", ""),
-                   elapsed=float(record.get("elapsed", 0.0)), source=source)
+                   error=record["error"], elapsed=float(record["elapsed"]),
+                   source=source)
 
 
 @dataclass(frozen=True)

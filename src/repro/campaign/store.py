@@ -14,10 +14,10 @@ One directory per campaign (``campaigns/<name>/`` by default) holding:
   run while untouched ones still resume).
 
 A half-written trailing line (the in-flight point at kill time), or a
-record whose run does not decode, is skipped on load rather than
-poisoning the resume: its point counts as missing and runs again.  The
-next append starts a fresh line after a torn one, and
-:meth:`ResultStore.compact` drops both.
+record that lacks a key, carries an unknown status or has a run that does
+not decode, is skipped on load rather than poisoning the resume: its point
+counts as missing and runs again.  The next append starts a fresh line
+after a torn one, and :meth:`ResultStore.compact` drops both.
 """
 
 from __future__ import annotations
@@ -42,12 +42,21 @@ def encode_record(record: Mapping) -> str:
     return json.dumps(record, sort_keys=True, default=repr) + "\n"
 
 
+#: The keys :meth:`~repro.campaign.executor.PointResult.to_record` writes,
+#: and the statuses it can write.
+_RECORD_KEYS = ("hash", "point", "status", "error", "elapsed", "run")
+_STATUSES = ("ok", "incompatible", "error")
+
+
 def _readable(record) -> bool:
-    """Whether a parsed store line is a record: a mapping with the point
-    ``hash`` whose ``run``, if any, decodes."""
-    if not isinstance(record, dict) or "hash" not in record:
+    """Whether a parsed store line is a record: a mapping with every key a
+    record is written with, a known ``status``, and a ``run`` that, if
+    any, decodes."""
+    if not isinstance(record, dict) or \
+            any(key not in record for key in _RECORD_KEYS) or \
+            record["status"] not in _STATUSES:
         return False
-    if record.get("run") is None:
+    if record["run"] is None:
         return True
     from repro.scenario.results import ScenarioRun
     try:
@@ -131,7 +140,7 @@ class ResultStore:
         """hash -> record for every point a resumed run may skip."""
         wanted = set(statuses)
         return {digest: record for digest, record in self.load().items()
-                if record.get("status") in wanted}
+                if record["status"] in wanted}
 
     # --------------------------------------------------------------- status
     def status_counts(self, points,
@@ -150,8 +159,7 @@ class ResultStore:
             if record is None:
                 counts["missing"] += 1
             else:
-                status = record.get("status", "error")
-                counts[status] = counts.get(status, 0) + 1
+                counts[record["status"]] += 1
         return counts
 
     def orphans(self, points,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro import telemetry
 from repro.core.collapse import CollapsedTopology, collapse

@@ -10,7 +10,7 @@ Emulation Manager aggregates and disseminates on their behalf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.tc.tcal import Tcal
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro import telemetry
 from repro.cluster.machines import INTERCONNECT_LATENCY, Cluster, infeasibility

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TextIO
 
-from repro.units import format_rate, format_time
-
 __all__ = ["Dashboard", "CampaignMonitor"]
 
 

@@ -11,7 +11,7 @@ the Figure 3/4 metadata-traffic benchmarks read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metadata.encoding import (

@@ -111,6 +111,14 @@ class ConstraintProvider:
         a new one, or one that is never changed after it is returned."""
         raise NotImplementedError
 
+    def unchanged(self, active: List[FlowEntry],
+                  capacities: Mapping[int, float]) -> bool:
+        """Whether :meth:`capacities` would answer ``capacities`` again for
+        ``active`` — entries whose ``loss`` is 0.0 — and leave every loss
+        at 0.0.  The engine asks before it repeats a step; ``False`` is
+        always a safe answer."""
+        return False
+
     def rtt_for(self, flow: FluidFlow) -> float:
         """Base round-trip time the flow currently experiences."""
         raise NotImplementedError
@@ -176,6 +184,11 @@ class GroundTruthConstraints(ConstraintProvider):
                 effective[link_id] = capacity
         return effective
 
+    def unchanged(self, active: List[FlowEntry],
+                  capacities: Mapping[int, float]) -> bool:
+        # Loss is fixed per epoch; capacities move only with packet rates.
+        return capacities is self._capacities and not self.packet_rates
+
     def rtt_for(self, flow: FluidFlow) -> float:
         forward = self.collapsed.path(flow.source, flow.destination)
         backward = self.collapsed.path(flow.destination, flow.source)
@@ -230,6 +243,16 @@ class ShapedConstraints(ConstraintProvider):
                 entry.loss = shaping.netem.loss
         return capacities
 
+    def unchanged(self, active: List[FlowEntry],
+                  capacities: Mapping[int, float]) -> bool:
+        # Asked about entries with loss 0.0 only: each has its chain.
+        for entry in active:
+            shaping = entry.shaping
+            if shaping.netem.loss or \
+                    shaping.htb.rate != capacities[entry.links[0]]:
+                return False
+        return True
+
     def rtt_for(self, flow: FluidFlow) -> float:
         return self.rtt_lookup(flow.source, flow.destination)
 
@@ -244,6 +267,16 @@ class FluidEngine:
     ``array('d')`` column and each integrated flow's delivered rate to
     that key's — the history :meth:`mean_throughput` and :meth:`series`
     read, eight bytes a sample.
+
+    A step that reused the last solve, over flows with no explicit loss
+    whose :meth:`~FluidFlow.advance` each moved nothing but its transfer
+    counters, leaves a *repeat plan*: per entry, the rate it delivered,
+    the bits it carried and the bits it refused.
+    Its inputs are then all unchanged for the next step — the same
+    entries, windows and demands — except the constraints, so while the
+    provider reports those :meth:`~ConstraintProvider.unchanged` each
+    step replays the plan instead of integrating: the same samples,
+    counters and finishes, none of the work.
     """
 
     def __init__(self, sim: Simulator, provider: ConstraintProvider, *,
@@ -275,6 +308,9 @@ class FluidEngine:
         # The last solve: (active, capacities, demands, allocation, the
         # allocated bits/s per link).
         self._solved: Optional[Tuple] = None
+        # The repeat plan, when the last step left one: (flow, entry,
+        # shaping, delivered, carried bits, refused bits) per active entry.
+        self._plan: Optional[List[Tuple]] = None
         self._process = Process(sim, dt, self._step, name="fluid-engine",
                                 priority=10)
 
@@ -334,9 +370,11 @@ class FluidEngine:
             active.append(entry)
         self._active = active
         self._recheck_at = recheck_at
+        self._plan = None
 
     def _step(self) -> None:
-        """One tick of the grid: integrate the active flows over ``dt``."""
+        """One tick of the grid: integrate the active flows over ``dt``,
+        or replay the repeat plan the last step left."""
         # Not a ``with``: a step that raises ends the run, and the span
         # around the run is the one that reports it.
         trace = telemetry.span("fluid.step") if telemetry.enabled() else None
@@ -348,7 +386,23 @@ class FluidEngine:
             self._refresh(now)
         self._times.append(now)
         active = self._active
-        if active:
+        plan = self._plan
+        repeated = plan is not None and \
+            provider.unchanged(active, self._solved[1])
+        if repeated:
+            for flow, entry, shaping, delivered, carried, refused in plan:
+                entry.rates.append(delivered)
+                if shaping is not None:
+                    shaping.bits_since_poll += carried
+                    if refused:
+                        shaping.refused_since_poll += refused
+                # What ``advance`` does when it moves only its counters.
+                flow.bits_transferred += carried
+                size = flow.size_bits
+                if size is not None and flow.bits_transferred >= size:
+                    flow.finished = True
+                    self._recheck_at = -_INFINITY
+        elif active:
             capacities = provider.capacities(active)
             demands = []
             for entry in active:
@@ -359,9 +413,10 @@ class FluidEngine:
             # their demands and the capacities: when none moved, neither
             # has the allocation, nor what it puts on each link.
             solved = self._solved
-            if solved is not None and solved[0] is active and \
-                    solved[2] == demands and (solved[1] is capacities
-                                              or solved[1] == capacities):
+            reused = solved is not None and solved[0] is active and \
+                solved[2] == demands and (solved[1] is capacities
+                                          or solved[1] == capacities)
+            if reused:
                 allocation, link_usage = solved[3], solved[4]
             else:
                 allocation = rtt_aware_max_min(active, capacities)
@@ -378,6 +433,7 @@ class FluidEngine:
             dt = self.dt
             buffer_bits = _BUFFER_BITS
             drops = provider.saturation_drops
+            plan = [] if reused else None
             for entry in active:
                 flow = entry.flow
                 achieved = allocation[entry.key]
@@ -400,28 +456,40 @@ class FluidEngine:
                     lost = self._loss_rng.random() < event_probability
                 # Delivered goodput is reduced by explicit link loss.
                 delivered = achieved * (1.0 - explicit_loss)
-                flow.advance(now, dt, delivered, lost)
+                counters_only = flow.advance(now, dt, delivered, lost)
                 entry.rates.append(delivered)
                 if flow.finished:
                     self._recheck_at = -_INFINITY
+                carried = delivered * dt
+                refused = 0.0
                 shaping = entry.shaping
                 if shaping is not None:
                     # What the kernel's counters would show the Emulation
                     # Manager: the bits the chain carried and, when the
                     # sender offered well past them, the excess.
-                    shaping.record(delivered * dt)
+                    shaping.record(carried)
                     if achieved < _CONTENT_SHARE * desired:
-                        self._report_pressure(shaping, flow, desired,
-                                              achieved)
+                        refused = self._report_pressure(shaping, flow,
+                                                        desired, achieved)
+                if plan is not None:
+                    if counters_only and not explicit_loss:
+                        plan.append((flow, entry, shaping, delivered,
+                                     carried, refused))
+                    else:
+                        plan = None
+            self._plan = plan
         elif self._link_rates:
             self._link_rates = {}
         if trace is not None:
             trace.set(flows=len(active), t=round(now, 6)).finish()
             telemetry.metrics.counter("fluid.steps").inc()
+            if repeated:
+                telemetry.metrics.counter("fluid.steps_repeated").inc()
 
     def _report_pressure(self, shaping, flow: FluidFlow, offered: float,
-                         achieved: float) -> None:
-        """Report gross offered-over-achieved excess as back-pressure.
+                         achieved: float) -> float:
+        """Report gross offered-over-achieved excess as back-pressure; the
+        bits reported, 0.0 for none.
 
         This is the "requested bandwidth surpasses the available" signal
         of §3's congestion model, with two guards shaped by how a real
@@ -443,12 +511,14 @@ class FluidEngine:
             # stays proportional, not infinite.
             offered = achieved * 4.0
         if offered <= 0.0 or achieved >= _CONTENT_SHARE * offered:
-            return
+            return 0.0
         if flow.protocol == "tcp":
             inflation = flow.cwnd - achieved * flow.rtt
             if inflation <= 16 * flow.mss_bits:
-                return
-        shaping.record_refused((offered - achieved) * self.dt)
+                return 0.0
+        refused = (offered - achieved) * self.dt
+        shaping.record_refused(refused)
+        return refused
 
     def stop(self) -> None:
         self._process.stop()

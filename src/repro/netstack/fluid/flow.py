@@ -71,26 +71,34 @@ class FluidFlow:
 
     # ---------------------------------------------------------- dynamics
     def advance(self, now: float, dt: float, achieved: float,
-                lost: bool) -> None:
-        """Integrate one step: account transfer, grow or shrink the window."""
+                lost: bool) -> bool:
+        """Integrate one step: account transfer, grow or shrink the window.
+
+        Returns whether the step moved nothing but the transfer counters
+        (``achieved_rate``, ``bits_transferred``): the flow did not finish
+        and, for TCP, saw no loss and left its window alone, so the same
+        inputs would make the next step do the same again.
+        """
         self.achieved_rate = achieved
         self.bits_transferred += achieved * dt
         if self.size_bits is not None and \
                 self.bits_transferred >= self.size_bits:
             self.finished = True
-            return
+            return False
         if self.protocol == "udp":
-            return
+            return True
         # One multiplicative decrease per congestion *event*: a loss train
         # within one reaction window (a few RTTs; floor of one emulation
         # period, the granularity of injected netem loss) collapses into a
         # single backoff, as fast recovery does.
         if lost and now - self._last_backoff >= max(4.0 * self.rtt, 0.04):
             self._backoff(now)
-            return
-        self._grow(now, dt, achieved)
+            return False
+        grew = self._grow(now, dt, achieved)
         if self.cwnd > self.max_cwnd:
             self.cwnd = self.max_cwnd
+            return False
+        return not (grew or lost)
 
     def _backoff(self, now: float) -> None:
         self.loss_events += 1
@@ -104,11 +112,12 @@ class FluidFlow:
             self.cwnd = max(2 * self.mss_bits, self.cwnd * _CUBIC_BETA)
             self._epoch_start = now
 
-    def _grow(self, now: float, dt: float, achieved: float) -> None:
+    def _grow(self, now: float, dt: float, achieved: float) -> bool:
+        """Grow the window if the flow may; whether it tried."""
         # Application-limited flows do not inflate their window (RFC 7661):
         # only a window-limited one, offering cwnd/RTT, grows.
         if not self.cwnd / self.rtt < self.demand:
-            return
+            return False
         # Shaper-limited flows do not either: when the achieved rate sits
         # well below cwnd/RTT the qdisc, not the window, is the binding
         # constraint — cwnd only grows on ACKs of delivered data, and TSQ
@@ -118,7 +127,7 @@ class FluidFlow:
         # freezes where it is — it deflates only on loss.
         shaper_limit = achieved * self.rtt / 0.85
         if self.cwnd >= shaper_limit:
-            return
+            return False
         before = self.cwnd
         if self.in_slow_start and self.cwnd < self.ssthresh:
             # Doubling per RTT: dW/dt = W * ln2 / RTT (fluid form).
@@ -135,6 +144,7 @@ class FluidFlow:
                 self._grow_cubic(now, dt)
         if self.cwnd > shaper_limit:
             self.cwnd = max(before, shaper_limit)
+        return True
 
     def _grow_cubic(self, now: float, dt: float) -> None:
         if self._epoch_start is None:

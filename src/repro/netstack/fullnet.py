@@ -15,7 +15,6 @@ Routing is static shortest-path, recomputed whenever the topology changes
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.collapse import collapse

@@ -9,10 +9,10 @@ PID namespace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.topology.model import Service, Topology
+from repro.topology.model import Topology
 
 __all__ = ["DeploymentGenerator", "DeploymentPlan", "KOLLAPS_TAG"]
 

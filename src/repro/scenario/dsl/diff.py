@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.scenario.dsl.format import ScnError, _deploy_out, _event_out, \
     _workload_out

@@ -116,39 +116,33 @@ class Simulator:
 
 
 class Process:
-    """A periodic activity: calls :meth:`tick` every ``period`` seconds.
+    """A periodic activity: calls ``tick()`` every ``period`` seconds.
 
-    Subclasses override :meth:`tick`; alternatively a callable can be passed
-    directly.  The process stops when :meth:`stop` is called or when
-    :meth:`tick` returns ``False``.
+    ``tick`` is any callable taking no arguments; the process calls it
+    directly from its scheduled event, so an activity costs one frame per
+    period on top of its own.  The process stops when :meth:`stop` is
+    called or when ``tick`` returns ``False``.
     """
 
     def __init__(self, sim: Simulator, period: float,
-                 tick: Optional[Callable[[], Any]] = None, *,
-                 name: str = "", start_after: float = 0.0,
-                 priority: int = 0) -> None:
+                 tick: Callable[[], Any], *, name: str = "",
+                 start_after: float = 0.0, priority: int = 0) -> None:
         if period <= 0:
             raise SimError(f"process period must be positive, got {period}")
         self.sim = sim
         self.period = period
         self.name = name or type(self).__name__
-        self._tick_fn = tick
+        self._tick = tick
         self._priority = priority
         self._stopped = False
         self._event: Optional[list] = None
         self._event = sim.after(start_after, self._run, priority=priority,
                                 label=self.name)
 
-    def tick(self) -> Any:
-        """One iteration of the activity; override or pass ``tick=`` at init."""
-        if self._tick_fn is None:
-            raise NotImplementedError
-        return self._tick_fn()
-
     def _run(self) -> None:
         if self._stopped:
             return
-        result = self.tick()
+        result = self._tick()
         if result is False or self._stopped:
             self._stopped = True
             return

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro import telemetry
-from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
+from repro.tc.htb import HtbClass, HtbQdisc
 from repro.tc.ip import IpAllocator, Ipv4Address
 from repro.tc.netem import NetemQdisc
 from repro.tc.u32 import U32Filter

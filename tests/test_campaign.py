@@ -147,6 +147,12 @@ def from_scn(*, seed=0):
     return loads_scn(dumps_scn(lossy(seed=seed)))
 
 
+def stored(digest, status, **fields):
+    """A store record with every key ``PointResult.to_record`` writes."""
+    return {"hash": digest, "point": {}, "status": status, "error": "",
+            "elapsed": 0.0, "run": None, **fields}
+
+
 def sweep(factory=pair, name="sweep") -> Campaign:
     """The acceptance grid: 4 rates x 3 seeds x 2 backends = 24 points."""
     return (Campaign(name)
@@ -550,15 +556,15 @@ class TestStoreResume:
 
     def test_fresh_run_supersedes_last_wins(self, tmp_path):
         store = ResultStore(str(tmp_path / "c"))
-        store.append({"hash": "h1", "status": "error", "error": "old"})
-        store.append({"hash": "h1", "status": "ok", "run": None})
+        store.append(stored("h1", "error", error="old"))
+        store.append(stored("h1", "ok"))
         assert store.load()["h1"]["status"] == "ok"
 
     def test_error_points_are_retried_on_resume(self, tmp_path):
         store = ResultStore(str(tmp_path / "c"))
-        store.append({"hash": "h1", "status": "error", "error": "boom"})
-        store.append({"hash": "h2", "status": "incompatible", "error": "na"})
-        store.append({"hash": "h3", "status": "ok", "run": None})
+        store.append(stored("h1", "error", error="boom"))
+        store.append(stored("h2", "incompatible", error="na"))
+        store.append(stored("h3", "ok"))
         assert set(store.completed()) == {"h2", "h3"}
 
     def test_non_json_axis_values_store_and_resume(self, tmp_path):
@@ -593,16 +599,16 @@ class TestStoreResume:
 class TestCompaction:
     def test_compact_drops_superseded_and_reports(self, tmp_path):
         store = ResultStore(str(tmp_path / "c"))
-        store.append({"hash": "a", "status": "error", "try": 1})
-        store.append({"hash": "a", "status": "ok", "try": 2})
-        store.append({"hash": "b", "status": "ok"})
+        store.append(stored("a", "error", elapsed=1.0))
+        store.append(stored("a", "ok", elapsed=2.0))
+        store.append(stored("b", "ok"))
         report = store.compact()
         assert set(report) == {"records_kept", "records_dropped",
                                "bytes_reclaimed"}
         assert report["records_kept"] == 2
         assert report["records_dropped"] == 1
         assert report["bytes_reclaimed"] > 0
-        assert store.load()["a"]["try"] == 2
+        assert store.load()["a"]["elapsed"] == 2.0
 
     def test_compact_is_idempotent_and_preserves_aggregate(self, tmp_path):
         store_root = str(tmp_path)

@@ -631,10 +631,36 @@ CAMPAIGN = (Campaign("tiny").scenario(pair).grid(rate=[1e6, 2e6])
 """
 
 
-def _spoil_last_record(store: Path, spoil) -> None:
+def _spoil_record(store: Path, index: int, spoil) -> None:
     path = store / "tiny" / "results.jsonl"
-    *kept, last = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(kept) + spoil(last))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[index] = spoil(lines[index])
+    path.write_text("".join(lines))
+
+
+def _torn(line):
+    return line[:len(line) // 2]
+
+
+# Cell -> (which record is spoiled, how, and how the reference store
+# spoils that record): a store reads each spoiled record as it reads the
+# record torn by a killed writer — or, in the middle of the store, as if
+# the line were not there.
+_SPOILED = {
+    "garbled": (-1, lambda line: json.dumps(
+        dict(json.loads(line), run={"garbage": 1}), sort_keys=True) + "\n",
+        _torn),
+    "no-status": (-1, lambda line: json.dumps(
+        {name: value for name, value in json.loads(line).items()
+         if name != "status"}, sort_keys=True) + "\n", _torn),
+    "torn-middle": (0, lambda line: _torn(line) + "\n", lambda line: ""),
+}
+
+
+def _garbled_cells():
+    return [pytest.param(verb, spoiled, id=verb if spoiled == "garbled"
+                         else f"{verb}-{spoiled}")
+            for spoiled in _SPOILED for verb in ("status", "run", "report")]
 
 
 def _write(tmp_path, bad: Bad) -> str:
@@ -716,21 +742,22 @@ class TestMalformedInputMatrix:
         assert main(argv) == 0, capsys.readouterr().err
         assert "error" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["status", "run", "report"])
-    def test_garbled_record_is_a_torn_line(self, tmp_path, capsys, verb):
-        """A stored record whose run does not decode is read as a torn
-        tail line is: its point is missing, runs again, and its new record
-        supersedes it."""
+    @pytest.mark.parametrize("verb, spoiled", _garbled_cells())
+    def test_garbled_record_is_a_torn_line(self, tmp_path, capsys, verb,
+                                           spoiled):
+        """A stored record whose run does not decode, or that lacks its
+        ``status``, is read as a torn tail line is, and a torn line in the
+        middle of the store as a missing one: its point is missing, runs
+        again, and its new record supersedes it."""
         source = tmp_path / "tiny.py"
         source.write_text(TINY_CAMPAIGN)
         garbled, torn = tmp_path / "garbled", tmp_path / "torn"
         assert main(["campaign", "run", str(source), "--store", str(garbled),
                      "--quiet"]) == 0
         shutil.copytree(garbled, torn)
-        _spoil_last_record(garbled, lambda line: json.dumps(
-            dict(json.loads(line), run={"garbage": 1}), sort_keys=True)
-            + "\n")
-        _spoil_last_record(torn, lambda line: line[:len(line) // 2])
+        index, spoil, reference = _SPOILED[spoiled]
+        _spoil_record(garbled, index, spoil)
+        _spoil_record(torn, index, reference)
         capsys.readouterr()
         outputs = []
         for store in (garbled, torn):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fluid_trajectories import MBPS, trajectories
 
+from repro import telemetry
 from repro.netstack.fluid import (
     FluidEngine,
     FluidFlow,
@@ -150,6 +151,39 @@ class TestInvalidation:
         series = engine.fluid.series("nobody")
         assert len(series) >= 10
         assert all(rate == 0.0 for _time, rate in series)
+
+
+class TestRepeatedSteps:
+    """A step that repeats the last one's outputs is counted as such."""
+
+    @pytest.fixture(autouse=True)
+    def counting(self):
+        telemetry.metrics.clear()
+        telemetry.enable()
+        yield
+        telemetry.disable()
+        telemetry.metrics.clear()
+
+    @staticmethod
+    def steps(*flows, until=1.0):
+        engine = shaped_pair()
+        for key, options in flows:
+            engine.start_flow(key, "client", "server", **options)
+        engine.run(until=until - DT / 2)
+        return (telemetry.metrics.counter("fluid.steps").value,
+                telemetry.metrics.counter("fluid.steps_repeated").value)
+
+    def test_no_active_flow_repeats_nothing(self):
+        assert self.steps() == (100, 0)
+
+    def test_a_converged_flow_repeats_from_its_third_step(self):
+        # Step 0 solves, step 1 reuses that solve and leaves the plan.
+        assert self.steps(("f", {"protocol": "udp", "demand": 5 * MBPS})) \
+            == (100, 98)
+
+    def test_a_growing_window_repeats_once_it_meets_the_chain_rate(self):
+        assert self.steps(("f", {"congestion_control": "reno"}),
+                          until=2.0) == (200, 189)
 
 
 @pytest.fixture(scope="module")

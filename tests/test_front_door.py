@@ -406,3 +406,82 @@ def test_every_allowed_knob_exists_and_is_unused():
     """An entry goes when its knob does, or once a caller passes it."""
     stale = sorted(set(ALLOWED) - set(unused_knobs()))
     assert not stale, f"ALLOWED names knobs that are gone or used: {stale}"
+
+
+# --------------------------------------------------------------------------
+# Imports.
+# --------------------------------------------------------------------------
+def _annotations(tree: ast.Module):
+    """Every annotation expression in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def read_names(tree: ast.Module) -> set:
+    """The bare names a module loads, string annotations included."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= read_names(ast.parse(node.value, mode="eval"))
+    return read
+
+
+def exported(tree: ast.Module) -> set:
+    """The names ``__all__`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(package: Path = PACKAGE) -> list:
+    """``"module/path.py: name"`` for every name a top-level import binds
+    that its module never reads.  A package ``__init__`` re-exports what
+    it imports, and a name in ``__all__`` is exported: neither counts."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = read_names(tree) | exported(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in read:
+                    found.append(f"{path.relative_to(package).as_posix()}: "
+                                 f"{name}")
+    return found
+
+
+def test_every_import_is_read():
+    unused = unused_imports()
+    assert not unused, f"imported and never read: {unused}"
+
+
+def test_the_import_audit_flags_what_nothing_reads(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text(
+        "from pkg.shapes import Square\n")
+    (tmp_path / "pkg" / "shapes.py").write_text(
+        "from __future__ import annotations\n"
+        "import os, random\n"
+        "from typing import Dict, List, Tuple\n"
+        "from pkg.other import Public\n"
+        "__all__ = ['Square', 'Public']\n\n"
+        "def square(side: 'Dict[str, int]') -> List[int]:\n"
+        "    return os.sep\n")
+    assert unused_imports(tmp_path / "pkg") == ["shapes.py: random",
+                                                 "shapes.py: Tuple"]

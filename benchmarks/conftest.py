@@ -58,11 +58,14 @@ def run_once(benchmark, function):
 
 
 def print_result(result) -> None:
-    """Render an :class:`repro.experiments.ExperimentResult` to stderr."""
-    from repro.experiments import format_table
+    """Print an :class:`repro.experiments.ExperimentResult`'s section of
+    the EXPERIMENTS.md report to stderr."""
+    from repro.experiments import render_markdown
 
+    document = render_markdown([result])
+    section = document[document.index(f"## {result.exp_id}:"):]
     print(file=sys.stderr)
-    print(format_table(result), file=sys.stderr)
+    print(section.rstrip("\n"), file=sys.stderr)
 
 
 def mask_wall_clock(markdown: str) -> str:

@@ -23,14 +23,13 @@ and deploys it on two simulated machines::
 endpoints, duplicate names, malformed units) and freezes it; ``run()``
 returns the collected application measurements — ping RTTs matching the
 collapsed 35 ms one-way path and iperf goodput matching the 10 Mb/s
-bottleneck.  The same compiled scenario also yields ``describe()`` (the
-paper's listing-style text form) and ``plan()`` (the §4 deployment
-document).
+bottleneck.  The same compiled scenario also yields ``dumps_scn()`` (its
+canonical ``.scn`` document) and ``plan()`` (the §4 deployment document).
 
 Run:  python examples/quickstart.py
 """
 
-from repro.scenario import Scenario, iperf, ping
+from repro.scenario import Scenario, dumps_scn, iperf, loads_scn, ping
 
 SCENARIO = (Scenario.build("figure1")
             .service("c1", image="iperf")
@@ -69,10 +68,12 @@ def main() -> None:
     print(f"iperf sv.0 -> sv.1: {result.mean_goodput / 1e6:.2f} Mb/s goodput "
           f"(path capacity 50 Mb/s)")
 
-    # The scenario round-trips to the paper's text description language.
-    reparsed = Scenario.from_text(compiled.describe()).compile()
-    assert reparsed.path_table() == compiled.path_table()
-    print("\ndescribe() round-trips through the text DSL: identical paths")
+    # The scenario round-trips through its canonical .scn document.
+    text = dumps_scn(compiled)
+    reloaded = loads_scn(text).compile()
+    assert dumps_scn(reloaded) == text
+    assert reloaded.path_table() == compiled.path_table()
+    print("\nthe .scn document round-trips: identical dump and paths")
 
 
 if __name__ == "__main__":

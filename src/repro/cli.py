@@ -517,7 +517,7 @@ def _scenario_fuzz(args: argparse.Namespace) -> int:
             started = time.perf_counter()
             reloaded = loads_scn(text, source=compiled.name).compile()
             roundtrip_time += time.perf_counter() - started
-            if (reloaded.describe() != compiled.describe()
+            if (dumps_scn(reloaded) != text
                     or reloaded.path_table() != compiled.path_table()):
                 print(f"{compiled.name}: round-trip mismatch",
                       file=sys.stderr)

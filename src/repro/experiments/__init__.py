@@ -10,7 +10,6 @@ from repro.experiments.base import (
     ExperimentResult,
     as_campaign,
     experiment,
-    format_table,
     registered,
     render_markdown,
     report_sweep,
@@ -21,7 +20,6 @@ __all__ = [
     "ExperimentResult",
     "as_campaign",
     "experiment",
-    "format_table",
     "registered",
     "render_markdown",
     "report_sweep",

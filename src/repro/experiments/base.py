@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Mapping, Sequence
 
 __all__ = ["Check", "ExperimentResult", "Experiment", "experiment",
            "grid_campaign", "registered", "as_campaign", "report_sweep",
-           "run_or_na", "format_table", "render_markdown"]
+           "run_or_na", "render_markdown"]
 
 
 @dataclass
@@ -178,23 +178,6 @@ def run_or_na(sweep, **selector):
 
 
 # ------------------------------------------------------------- presentation
-def format_table(result: ExperimentResult) -> str:
-    """Aligned plain-text rendering (what the benchmarks print)."""
-    rows = [[str(cell) for cell in row] for row in result.rows]
-    widths = [len(header) for header in result.headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [f"=== {result.title} ==="]
-    lines.append("  ".join(header.ljust(width)
-                           for header, width in zip(result.headers, widths)))
-    lines.append("-" * len(lines[-1]))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(width)
-                               for cell, width in zip(row, widths)))
-    return "\n".join(lines)
-
-
 def _markdown_table(result: ExperimentResult) -> str:
     def row_text(cells: Sequence[object]) -> str:
         return "| " + " | ".join(str(cell) for cell in cells) + " |"

@@ -29,7 +29,10 @@ Kollaps and the paper's §5 comparator systems through
 "trickle")``, each run returning the unified
 :class:`~repro.scenario.results.ScenarioRun` results API
 (per-workload :class:`~repro.scenario.results.Metrics`,
-``compare()`` deltas, ``to_dict()``/``to_csv()`` export).
+``compare()`` deltas, and ``to_dict()``: the record a campaign store
+keeps).  A compiled scenario's one text form is its canonical ``.scn``
+document (``dumps_scn``); dumped, loaded and dumped again it comes back
+byte-identical, with an equal ``path_table()``.
 
 See ``docs/api.md`` for the full quickstart and the backend guide.
 """

@@ -56,12 +56,10 @@ class BackendCapabilities:
     bulk_plane: bool = True          # can it carry fluid bulk flows?
     dynamic_events: bool = False     # can it apply the dynamic schedule?
     max_link_rate: Optional[float] = None   # bits/s shaping ceiling
-    element_budget: Optional[int] = None    # max hosts+switches
-    # Whether the system spans a cluster.  Informational, not validated:
-    # EngineConfig.machines is a Kollaps deployment hint that
-    # single-machine systems simply ignore — their real scale limit is
-    # element_budget (Table 4's N/A rows), which IS validated.
-    multi_machine: bool = True
+    # Max hosts+switches: a single-machine system's scale limit (Table 4's
+    # N/A rows).  EngineConfig.machines is a Kollaps deployment hint such
+    # a system ignores.
+    element_budget: Optional[int] = None
 
 
 class BackendCompatibilityError(TopologyError):
@@ -216,8 +214,7 @@ class MininetBackend(ExecutionBackend):
         self.capabilities = BackendCapabilities(
             max_link_rate=mininet.MAX_LINK_RATE,
             element_budget=(element_budget if element_budget is not None
-                            else mininet.ELEMENT_BUDGET),
-            multi_machine=False)
+                            else mininet.ELEMENT_BUDGET))
 
     def _build(self, compiled):
         from repro.baselines import BareMetalTestbed, mininet

@@ -10,7 +10,12 @@ toolchain is built from:
   baseline), install the workloads, run, collect one
   :class:`~repro.scenario.results.ScenarioRun`;
 * :meth:`plan` — the Deployment Generator's orchestrator document (§4);
-* :meth:`describe` — round-trip back to the listing-style text DSL.
+* :meth:`path_table` — the collapsed end-to-end paths, byte-identical
+  for equal topologies however they were written.
+
+Its one text form is the canonical ``.scn`` document
+(:func:`~repro.scenario.dsl.format.dumps_scn`), which the declaration
+specs below exist for.
 """
 
 from __future__ import annotations
@@ -19,26 +24,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.scenario.results import ScenarioRun
-from repro.topology.events import DynamicEvent, EventAction, EventSchedule
-from repro.topology.model import LinkProperties, Topology
+from repro.topology.events import EventSchedule
+from repro.topology.model import Topology
 from repro.units import format_rate, format_time
 
 __all__ = ["CompiledScenario", "ScenarioRun"]
 
 
-def _number(value: float) -> str:
-    """Shortest decimal that round-trips; never scientific notation."""
-    text = repr(float(value))
-    if "e" in text or "E" in text:
-        text = f"{value:.20f}".rstrip("0")
-        if text.endswith("."):
-            text += "0"
-    return text
-
-
 @dataclass(frozen=True)
 class CompiledScenario:
-    """A validated, frozen scenario ready to run, plan or describe."""
+    """A validated, frozen scenario ready to run, plan or dump."""
 
     name: str
     topology: Topology
@@ -47,7 +42,7 @@ class CompiledScenario:
     config: object                       # EngineConfig
     placement: Optional[Dict[str, str]] = None
     duration: Optional[float] = None
-    # Declaration specs retained for describe(); front-ends fill these.
+    # Declaration specs the .scn dump writes; front-ends fill these.
     services: Tuple[object, ...] = ()
     bridge_specs: Tuple[object, ...] = ()
     link_specs: Tuple[object, ...] = ()
@@ -140,117 +135,3 @@ class CompiledScenario:
                 line += f", loss {properties.loss:.2%}"
             lines.append(line)
         return "\n".join(lines)
-
-    # ------------------------------------------------------------ describe
-    def describe(self) -> str:
-        """Round-trip to the listing-style text DSL (Listings 1 and 2).
-
-        ``Scenario.from_text(compiled.describe())`` reconstructs an
-        equivalent topology and schedule.
-        """
-        lines: List[str] = ["experiment:"]
-        lines.append("  services:")
-        for spec in self.services:
-            lines.append(f"    name: {spec.name}")
-            lines.append(f"    image: \"{spec.image}\"")
-            if spec.replicas != 1:
-                lines.append(f"    replicas: {spec.replicas}")
-            if spec.command:
-                lines.append(f"    command: \"{spec.command}\"")
-        if self.bridge_specs:
-            lines.append("  bridges:")
-            for spec in self.bridge_specs:
-                lines.append(f"    name: {spec.name}")
-        if self.link_specs:
-            lines.append("  links:")
-            for spec in self.link_specs:
-                lines.extend(self._describe_link(spec))
-        if len(self.schedule):
-            lines.append("dynamic:")
-            for event in self.schedule:
-                lines.extend(_describe_event(event))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _describe_link(spec) -> List[str]:
-        lines = [f"    orig: {spec.source}", f"    dest: {spec.destination}"]
-        lines.append(f"    latency: {_number(spec.latency)}s")
-        if spec.up != float("inf"):
-            lines.append(f"    up: {_number(spec.up)}bps")
-        down = spec.up if spec.down is None else spec.down
-        if spec.bidirectional and down != float("inf"):
-            lines.append(f"    down: {_number(down)}bps")
-        if spec.jitter:
-            lines.append(f"    jitter: {_number(spec.jitter)}s")
-        if spec.loss:
-            lines.append(f"    loss: {_number(spec.loss)}")
-        if spec.jitter_distribution != "normal":
-            lines.append(
-                f"    jitter_distribution: {spec.jitter_distribution}")
-        if not spec.bidirectional:
-            lines.append("    bidirectional: false")
-        if spec.network != "default":
-            lines.append(f"    network: {spec.network}")
-        return lines
-
-
-def _describe_event(event: DynamicEvent) -> List[str]:
-    """One dynamic stanza; the terminating ``time:`` key closes it."""
-    lines: List[str] = []
-    if event.action is EventAction.JOIN_NODE:
-        lines += ["  action: join", f"  name: {event.name}"]
-    elif event.action is EventAction.LEAVE_NODE:
-        lines += ["  action: leave", f"  name: {event.name}"]
-    elif event.action is EventAction.LEAVE_LINK:
-        lines += ["  action: leave", f"  orig: {event.origin}",
-                  f"  dest: {event.destination}"]
-        if not event.bidirectional:
-            lines.append("  bidirectional: false")
-    elif event.action is EventAction.JOIN_LINK:
-        lines += ["  action: join", f"  orig: {event.origin}",
-                  f"  dest: {event.destination}"]
-        lines += _property_lines(event.properties)
-        if not event.bidirectional:
-            lines.append("  bidirectional: false")
-    elif event.action is EventAction.SET_LINK:
-        lines += [f"  orig: {event.origin}", f"  dest: {event.destination}"]
-        changes = dict(event.changes)
-        if event.properties is not None:
-            # Full-property sets become per-field changes in the text form.
-            changes = {"latency": event.properties.latency,
-                       "jitter": event.properties.jitter,
-                       "loss": event.properties.loss,
-                       "bandwidth": event.properties.bandwidth}
-        if "latency" in changes:
-            lines.append(f"  latency: {_number(changes['latency'])}s")
-        if "jitter" in changes:
-            lines.append(f"  jitter: {_number(changes['jitter'])}s")
-        if "loss" in changes:
-            lines.append(f"  loss: {_number(changes['loss'])}")
-        if "bandwidth" in changes:
-            lines.append("  up: unlimited" if changes["bandwidth"]
-                         == float("inf")
-                         else f"  up: {_number(changes['bandwidth'])}bps")
-        if not event.bidirectional:
-            lines.append("  bidirectional: false")
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unhandled action {event.action}")
-    lines.append(f"  time: {_number(event.time)}s")
-    return lines
-
-
-def _property_lines(properties: Optional[LinkProperties]) -> List[str]:
-    if properties is None:
-        return []
-    lines = [f"  latency: {_number(properties.latency)}s"]
-    if properties.bandwidth != float("inf"):
-        lines.append(f"  up: {_number(properties.bandwidth)}bps")
-        lines.append(f"  down: {_number(properties.bandwidth)}bps")
-    if properties.jitter:
-        lines.append(f"  jitter: {_number(properties.jitter)}s")
-    if properties.loss:
-        lines.append(f"  loss: {_number(properties.loss)}")
-    if properties.jitter_distribution != "normal":
-        lines.append(
-            f"  jitter_distribution: {properties.jitter_distribution}")
-    return lines

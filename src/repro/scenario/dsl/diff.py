@@ -21,6 +21,7 @@ from typing import Dict, List
 
 from repro.scenario.dsl.format import ScnError, _deploy_out, _event_out, \
     _workload_out
+from repro.scenario.dsl.schema import PROPERTIES, SERVICE
 
 __all__ = ["DiffEntry", "ScenarioDiff", "diff_scenarios"]
 
@@ -81,25 +82,22 @@ def _value(item) -> str:
 
 
 def _services_model(compiled) -> Dict[str, Dict]:
-    return {service.name: {"image": service.image,
-                           "replicas": service.replicas,
-                           "command": service.command,
-                           "tags": dict(service.tags)}
+    """Every service field the schema's record names, keyed by name."""
+    return {service.name: {field.name: getattr(service, field.name)
+                           for field in SERVICE.fields
+                           if field.name != "name"}
             for service in compiled.topology.services.values()}
 
 
 def _links_model(compiled) -> Dict[str, Dict]:
+    """Every directed link's properties, as the schema's record names
+    them, and its network."""
     model: Dict[str, Dict] = {}
     for link in compiled.topology.links():
-        properties = link.properties
-        model[f"{link.source}->{link.destination}"] = {
-            "latency": properties.latency,
-            "bandwidth": properties.bandwidth,
-            "jitter": properties.jitter,
-            "loss": properties.loss,
-            "jitter_distribution": properties.jitter_distribution,
-            "network": getattr(link, "network", "default"),
-        }
+        fields = {field.name: getattr(link.properties, field.name)
+                  for field in PROPERTIES.fields}
+        fields["network"] = link.network
+        model[f"{link.source}->{link.destination}"] = fields
     return model
 
 

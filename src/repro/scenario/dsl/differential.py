@@ -13,7 +13,7 @@ projection on each backend, and compares:
   exceeds ``tolerance``.
 
 Every discrepancy is a structured :class:`Divergence` finding inside a
-:class:`DifferentialReport` (``report.ok`` / ``report.to_dict()``), so
+:class:`DifferentialReport` (``report.ok`` / ``report.summary()``), so
 fuzz campaigns and CI can assert "kollaps and trickle agree on
 thousands of generated scenarios" and point at exactly what broke when
 they don't.
@@ -58,11 +58,6 @@ class Divergence:
                     f"{self.detail}")
         return f"{self.kind} [{self.backend}]: {self.detail}"
 
-    def to_dict(self) -> Dict:
-        return {name: value for name, value
-                in dataclasses.asdict(self).items() if value not in
-                (None, "")}
-
 
 @dataclass
 class DifferentialReport:
@@ -97,15 +92,6 @@ class DifferentialReport:
         lines = ["; ".join(parts)]
         lines += [f"  {finding}" for finding in self.findings]
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict:
-        return {"scenario": self.scenario, "backends": list(self.backends),
-                "ok": self.ok, "tolerance": self.tolerance,
-                "compared": list(self.compared),
-                "events_dropped": self.events_dropped,
-                "dropped_workloads": self.dropped_workloads,
-                "findings": [finding.to_dict()
-                             for finding in self.findings]}
 
 
 # --------------------------------------------------------------------------

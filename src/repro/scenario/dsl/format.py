@@ -7,8 +7,8 @@ versioned JSON document; ``load_scn`` turns such a document back into a
 ``tests/test_scenario_dsl.py`` over every example and thousands of
 fuzzed scenarios:
 
-    compile → dump → reload → recompile
-    ⇒ byte-identical ``describe()`` and ``path_table()``
+    compile → dump → reload → recompile → dump
+    ⇒ byte-identical dump and ``path_table()``
 
 which makes the ``.scn`` file a faithful, reviewable artifact of the
 experiment — and the choke point every description format passes

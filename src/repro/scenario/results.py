@@ -6,13 +6,13 @@ Whatever system executed a scenario — the Kollaps engine or any of the
 counts and summary statistics, all in SI base units.  Runs from different
 backends compare with :meth:`ScenarioRun.compare`, which is how the
 cross-system experiments (Figures 5-7, Tables 2 and 4) measure deviation
-from bare metal, and export with :meth:`ScenarioRun.to_dict` /
-:meth:`ScenarioRun.to_csv`.
+from bare metal.  :meth:`ScenarioRun.to_dict` is a run's one export:
+the record a campaign store keeps, which :meth:`ScenarioRun.from_dict`
+reads back.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, \
     Optional, Tuple
@@ -141,10 +141,6 @@ class WorkloadDelta:
     other: float
 
     @property
-    def delta(self) -> float:
-        return self.other - self.baseline
-
-    @property
     def relative(self) -> float:
         """(other - baseline) / baseline; 0 when both are zero."""
         if self.baseline == 0.0:
@@ -179,24 +175,6 @@ class RunComparison:
     def deviation(self, key: Hashable) -> float:
         """|relative delta| of one workload's headline statistic."""
         return self[key].deviation
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"baseline": self.baseline_backend,
-                "other": self.other_backend,
-                "workloads": {str(delta.key): {
-                    "metric": delta.metric,
-                    "baseline": delta.baseline,
-                    "other": delta.other,
-                    "delta": delta.delta,
-                    "relative": delta.relative}
-                    for delta in self.deltas}}
-
-    def __str__(self) -> str:
-        lines = [f"{self.baseline_backend} vs {self.other_backend}"]
-        for delta in self.deltas:
-            lines.append(f"  {delta.key}: {delta.baseline:g} -> "
-                         f"{delta.other:g} ({delta.relative:+.2%})")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -301,24 +279,3 @@ class ScenarioRun:
                    params=dict(data["params"]),
                    metadata_bytes=(None if metadata_bytes is None
                                    else int(metadata_bytes)))
-
-    def to_csv(self) -> str:
-        """Flat CSV: summary rows then series samples, per workload.
-
-        Columns are ``workload,series,time,value``; summary statistics
-        appear as ``summary.<name>`` rows with an empty time column.
-        """
-        out = io.StringIO()
-        out.write("workload,series,time,value\n")
-        for key in sorted(self.metrics, key=str):
-            metrics = self.metrics[key]
-            name = str(key).replace(",", ";")
-            for stat in sorted(metrics.summary):
-                out.write(f"{name},summary.{stat},,"
-                          f"{metrics.summary[stat]!r}\n")
-            out.write(f"{name},summary.drops,,{metrics.drops}\n")
-            for series_name, series in (("throughput", metrics.throughput),
-                                        ("latency", metrics.latency)):
-                for time, value in series:
-                    out.write(f"{name},{series_name},{time!r},{value!r}\n")
-        return out.getvalue()

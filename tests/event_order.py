@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from repro.experiments import fig5, fig6, fig9, fig10
 from repro.experiments.fig4 import point_scenario
 from repro.scenario import dumps_scn, loads_scn, resolve_backend
-from repro.sim import Simulator
+from repro.sim import simulator
 
 SEED = 1
 DURATION = 0.3
@@ -31,33 +31,24 @@ DURATION = 0.3
 def recorded_dispatch(record):
     """Call ``record(time, priority, seq)`` as each event is dispatched.
 
-    Scheduling is intercepted at the two public entry points, so nothing
-    here depends on how the kernel stores or orders its queue.
+    The kernel's own pop is intercepted, where ``Simulator.run`` and
+    ``Simulator.step`` take the next entry off the queue, so an event
+    counts however it was queued; a cancelled entry (callback cleared)
+    is popped and skipped, and is not recorded.
     """
-    originals = {name: getattr(Simulator, name) for name in ("at", "after")}
+    original = simulator.heappop
 
-    def recording(original):
-        def schedule(self, when, callback, *args, **options):
-            # ``after`` may be built on ``at``: wrap a callback only once.
-            if getattr(callback, "recorded", False):
-                return original(self, when, callback, *args, **options)
+    def popping(queue):
+        entry = original(queue)
+        if entry[3] is not None:
+            record(entry[0], entry[1], entry[2])
+        return entry
 
-            def fire(*arguments):
-                record(event[0], event[1], event[2])
-                callback(*arguments)
-
-            fire.recorded = True
-            event = original(self, when, fire, *args, **options)
-            return event
-        return schedule
-
-    for name, original in originals.items():
-        setattr(Simulator, name, recording(original))
+    simulator.heappop = popping
     try:
         yield
     finally:
-        for name, original in originals.items():
-            setattr(Simulator, name, original)
+        simulator.heappop = original
 
 
 def event_order(builder, backend="kollaps", duration=DURATION):

@@ -13,7 +13,7 @@ Two halves:
 
 * *valid scenarios* — ``generate_scenario(1, 0..299)`` at the small and
   the medium budget plus every ``examples/*.py|*.scn``: the canonical
-  dump, ``describe()`` and the dump after a reload, digested per group;
+  dump and the dump after a reload, digested per group;
 * *mutations* — each of those documents damaged six seeded ways (a
   value of the wrong type, a missing key, an unknown key, a unit string
   good or bad, a hostile ``changes``/``properties`` payload, another
@@ -147,7 +147,6 @@ def _observations():
         reloaded = loads_scn(text, source=name).compile()
         yield (f"dump/{group}", text,
                f"{name}: lint_scenario: {errors}" if errors else None)
-        yield f"describe/{group}", compiled.describe(), None
         yield f"redump/{group}", dumps_scn(reloaded), None
         document = json.loads(text)
         for kind in MUTATIONS:

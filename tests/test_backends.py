@@ -247,7 +247,7 @@ class TestDeterminism:
         first = compiled.run(backend=backend)
         second = compiled.run(backend=backend)
         assert first.metrics == second.metrics
-        assert first.to_csv() == second.to_csv()
+        assert first.to_dict() == second.to_dict()
 
     def test_trickle_is_deterministic(self):
         compiled = bulk_scenario(seed=13)
@@ -363,16 +363,6 @@ class TestResultsApi:
         assert set(payload["workloads"]) == {"i", "ping:c2->server"}
         assert payload["workloads"]["i"]["primary"] == "throughput_mean"
         assert payload["workloads"]["ping:c2->server"]["latency"]
-
-    def test_to_csv_has_summaries_and_series(self):
-        run = probing_scenario().run(backend="kollaps")
-        lines = run.to_csv().splitlines()
-        assert lines[0] == "workload,series,time,value"
-        assert any(line.startswith("i,summary.throughput_mean,")
-                   for line in lines)
-        assert any(line.startswith("i,throughput,") for line in lines)
-        assert any(line.startswith("ping:c2->server,latency,")
-                   for line in lines)
 
 
 class TestScenarioEngineHelper:

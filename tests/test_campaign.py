@@ -754,43 +754,6 @@ class TestResultsRoundTrips:
         with pytest.raises(KeyError, match=r"\('a', 'b'\)"):
             clone.metric(("a", "c"))
 
-    def test_run_comparison_to_dict_round_trips(self):
-        run = probing_run()
-        comparison = run.compare(run)
-        payload = json.loads(json.dumps(comparison.to_dict()))
-        assert payload["baseline"] == payload["other"] == "kollaps"
-        for key, record in payload["workloads"].items():
-            delta = comparison[key]
-            assert record["baseline"] == delta.baseline
-            assert record["other"] == delta.other
-            assert record["delta"] == delta.delta
-            assert record["relative"] == delta.relative
-
-    def test_to_csv_round_trips_summaries_and_series(self):
-        run = probing_run()
-        summaries: dict = {}
-        series: dict = {}
-        lines = run.to_csv().splitlines()
-        assert lines[0] == "workload,series,time,value"
-        for line in lines[1:]:
-            workload, column, time, value = line.split(",")
-            if column.startswith("summary."):
-                summaries.setdefault(workload, {})[
-                    column[len("summary."):]] = float(value)
-            else:
-                series.setdefault((workload, column), []).append(
-                    (float(time), float(value)))
-        for key in ("p", "f"):
-            metrics = run.metric(key)
-            for stat, value in metrics.summary.items():
-                assert summaries[key][stat] == value     # repr round-trip
-            assert summaries[key]["drops"] == metrics.drops
-            if metrics.latency:
-                assert series[(key, "latency")] == list(metrics.latency)
-            if metrics.throughput:
-                assert series[(key, "throughput")] == \
-                    list(metrics.throughput)
-
     def test_series_summary_empty_names_the_workload(self):
         with pytest.raises(ValueError, match="workload 'wrk2'"):
             series_summary((), workload="wrk2")

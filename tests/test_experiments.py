@@ -11,7 +11,6 @@ from repro.experiments import (
     Check,
     ExperimentResult,
     as_campaign,
-    format_table,
     registered,
     render_markdown,
     report_sweep,
@@ -107,19 +106,10 @@ class TestDocuments:
         text = dumps_scn(compiled)
         reloaded = loads_scn(text).compile()
         assert dumps_scn(reloaded) == text
-        assert reloaded.describe() == compiled.describe()
         assert reloaded.workloads == compiled.workloads
 
 
 class TestFormatting:
-    def test_format_table_alignment(self):
-        text = format_table(sample_result())
-        lines = text.splitlines()
-        assert lines[0].startswith("=== A sample experiment")
-        assert "config" in lines[1] and "value" in lines[1]
-        assert set(lines[2]) == {"-"}
-        assert lines[3].startswith("a")
-
     def test_render_markdown_summary(self):
         text = render_markdown([sample_result()])
         assert "| fig0 | A sample experiment | 2/2 | reproduced |" in text

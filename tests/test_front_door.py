@@ -111,8 +111,6 @@ NAMES_ALLOWED = {
     "(fluid_trajectories.json) change a running emulation through it",
     "experiments/base.py::ExperimentResult.assert_all": "every "
     "benchmarks/test_*.py paper experiment asserts its checks through it",
-    "experiments/base.py::format_table": "benchmarks/conftest.py prints "
-    "the paper tables with it",
     "telemetry/metrics.py::MetricsRegistry.delta_since": "benchmarks/"
     "test_engine_baseline.py reads counter deltas through it",
     "scenario/backends.py::register_backend": "tests substitute fake "

@@ -13,6 +13,7 @@ from repro.scenario import (
     ping,
     set_link,
 )
+from repro.scenario.dsl import scn_document
 from repro.topology import (DynamicEvent, EventAction, LinkProperties,
                             TopologyError)
 from repro.units import UnitError
@@ -142,7 +143,7 @@ class TestBuilderParity:
         built = sequence_builder().compile()
         compiled = spelled().compile()
         assert compiled.schedule.events == built.schedule.events
-        assert compiled.describe() == built.describe()
+        assert compiled.path_table() == built.path_table()
 
     def test_declaration_order_is_free(self):
         """Links may precede the nodes they reference; compile() resolves."""
@@ -153,69 +154,140 @@ class TestBuilderParity:
         assert compiled.topology.link_count() == 2
 
 
-class TestDescribeRoundTrip:
-    def test_figure1_round_trips(self):
-        built = figure1_builder().compile()
-        reparsed = Scenario.from_text(built.describe()).compile()
-        assert reparsed.path_table() == built.path_table()
-        assert set(reparsed.topology.services) == {"c1", "sv"}
-        assert reparsed.topology.services["sv"].replicas == 2
+#: Two services and one symmetric link, in the listing syntax and as its
+#: builder twin; the listing cases below add a ``dynamic:`` section.
+PAIR_TEXT = """
+experiment:
+  services:
+    name: a
+    name: b
+  links:
+    orig: a
+    dest: b
+    latency: 1
+    up: 10Mbps
+    down: 10Mbps
+"""
 
-    def test_events_round_trip(self):
-        built = (figure1_builder()
-                 .at(30, set_link("s1", "s2", latency="80ms"))
-                 .at(40, link_down("c1", "s1"))
-                 .at(42, link_up("c1", "s1", latency="10ms", up="10Mbps"))
-                 .at(50, node_leave("sv"))
-                 .compile())
-        reparsed = Scenario.from_text(built.describe()).compile()
-        assert len(reparsed.schedule) == len(built.schedule) == 4
-        assert ([e.action for e in reparsed.schedule]
-                == [e.action for e in built.schedule])
-        assert ([e.time for e in reparsed.schedule]
-                == [30.0, 40.0, 42.0, 50.0])
-        assert reparsed.schedule.events[0].changes == \
-            pytest.approx({"latency": 0.080})
 
-    def test_uncapping_event_round_trips(self):
-        """A set_link lifting the cap (bandwidth=inf) survives describe()."""
-        built = (Scenario.build("t").service("a").service("b")
-                 .link("a", "b", latency="1ms", up="10Mbps")
-                 .at(5, set_link("a", "b", bandwidth=float("inf")))
-                 .compile())
-        reparsed = Scenario.from_text(built.describe()).compile()
-        assert reparsed.schedule.events[0].changes["bandwidth"] \
-            == float("inf")
+def pair_builder() -> Scenario:
+    return (Scenario.build().service("a").service("b")
+            .link("a", "b", latency="1ms", up="10Mbps", down="10Mbps"))
 
-    def test_flapped_uniform_jitter_link_round_trips(self):
-        """A link that comes back with uniform jitter keeps it in text."""
-        built = (Scenario.build("t").service("a").service("b")
-                 .link("a", "b", latency="1ms", up="10Mbps", jitter="1ms",
-                       jitter_distribution="uniform")
-                 .at(5, link_down("a", "b"))
-                 .at(6, DynamicEvent(0.0, EventAction.JOIN_LINK, origin="a",
-                                     destination="b",
-                                     properties=LinkProperties(
-                                         latency=0.001, bandwidth=10e6,
-                                         jitter=0.001,
-                                         jitter_distribution="uniform")))
-                 .compile())
-        reparsed = Scenario.from_text(built.describe()).compile()
-        assert reparsed.schedule.events[1].properties.jitter_distribution \
-            == "uniform"
-        assert reparsed.schedule.events == built.schedule.events
-        assert reparsed.describe() == built.describe()
 
-    def test_unidirectional_link_round_trips(self):
-        built = (Scenario.build().service("a").service("b")
-                 .link("a", "b", up="5Mbps", bidirectional=False).compile())
-        reparsed = Scenario.from_text(built.describe()).compile()
-        assert reparsed.topology.link_count() == 1
+#: One listing text per construct the listing language spells, each with
+#: the builder that says the same.
+LISTINGS = {
+    "replicated-service": ("""
+experiment:
+  services:
+    name: c1
+    image: "iperf"
+    name: sv
+    image: "nginx"
+    replicas: 2
+  bridges:
+    name: s1
+  links:
+    orig: c1
+    dest: s1
+    latency: 10
+    up: 10Mbps
+    down: 10Mbps
+    orig: sv
+    dest: s1
+    latency: 5
+    up: 50Mbps
+    down: 50Mbps
+""", lambda: (Scenario.build()
+              .service("c1", image="iperf")
+              .service("sv", image="nginx", replicas=2)
+              .bridges("s1")
+              .link("c1", "s1", latency="10ms", up="10Mbps", down="10Mbps")
+              .link("sv", "s1", latency="5ms", up="50Mbps", down="50Mbps"))),
+    "set-link-latency": (PAIR_TEXT + """
+dynamic:
+  orig: a
+  dest: b
+  latency: 80
+  time: 30
+""", lambda: pair_builder().at(30, set_link("a", "b", latency="80ms"))),
+    "link-leave-and-join": (PAIR_TEXT + """
+dynamic:
+  action: leave
+  orig: a
+  dest: b
+  time: 5
+  action: join
+  orig: a
+  dest: b
+  latency: 1
+  up: 10Mbps
+  down: 10Mbps
+  jitter: 1
+  jitter_distribution: uniform
+  time: 6
+""", lambda: (pair_builder()
+              .at(5, link_down("a", "b"))
+              .at(6, DynamicEvent(0.0, EventAction.JOIN_LINK, origin="a",
+                                  destination="b",
+                                  properties=LinkProperties(
+                                      latency=0.001, bandwidth=10e6,
+                                      jitter=0.001,
+                                      jitter_distribution="uniform"))))),
+    "node-leave": (PAIR_TEXT + """
+dynamic:
+  action: leave
+  name: b
+  time: 50
+""", lambda: pair_builder().at(50, node_leave("b"))),
+    "up-unlimited": (PAIR_TEXT + """
+dynamic:
+  orig: a
+  dest: b
+  up: unlimited
+  time: 5
+""", lambda: pair_builder().at(5, set_link("a", "b",
+                                            bandwidth=float("inf")))),
+    "one-way": ("""
+experiment:
+  services:
+    name: a
+    name: b
+  links:
+    orig: a
+    dest: b
+    up: 5Mbps
+    bidirectional: false
+dynamic:
+  action: leave
+  orig: a
+  dest: b
+  bidirectional: false
+  time: 3
+""", lambda: (Scenario.build().service("a").service("b")
+              .link("a", "b", up="5Mbps", bidirectional=False)
+              .at(3, link_down("a", "b", bidirectional=False)))),
+}
 
-    def test_legacy_parser_reads_describe_output(self):
-        built = figure1_builder().compile()
-        topology = Scenario.from_text(built.describe()).compile().topology
-        assert topology.link_count() == 6
+
+def listing_sections(scenario) -> tuple:
+    """The services, bridges, links and events of ``scenario``'s ``.scn``
+    document, and its path table: what a listing text says, without the
+    name, workloads and deploy settings the listing has no words for."""
+    compiled = scenario.compile()
+    document = scn_document(compiled)
+    return ({section: document.get(section)
+             for section in ("services", "bridges", "links", "events")},
+            compiled.path_table())
+
+
+class TestListingReader:
+    @pytest.mark.parametrize("construct", sorted(LISTINGS))
+    def test_reads_what_its_builder_twin_says(self, construct):
+        text, twin = LISTINGS[construct]
+        assert listing_sections(Scenario.from_text(text)) == \
+            listing_sections(twin())
 
 
 class TestValidation:

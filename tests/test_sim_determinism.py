@@ -2,13 +2,15 @@
 
 import json
 import random
+from heapq import heappush
 from pathlib import Path
 
 import pytest
 
 from event_order import APP_CASES, DURATION, SEED, app_event_order, \
-    event_order, kv_event_order
+    event_order, kv_event_order, recorded_dispatch
 from repro.scenario import Scenario, flow, ping
+from repro.sim import Simulator
 
 GOLDEN = Path(__file__).parent / "golden" / "kv_event_order.json"
 
@@ -22,6 +24,23 @@ def reference():
 def test_same_seed_dispatches_the_same_event_stream(reference):
     assert kv_event_order() == reference
     assert reference[0] > 10_000    # a real packet-mode run, not a stub
+
+
+def test_an_event_the_kernel_queues_itself_is_recorded():
+    """The fingerprint is taken where the kernel dispatches: an entry
+    pushed straight onto the queue, not through ``at`` or ``after``,
+    is recorded like any other, and a cancelled one is not."""
+    sim = Simulator()
+    fired, recorded = [], []
+    with recorded_dispatch(lambda *key: recorded.append(key)):
+        sim.at(1.0, fired.append, "scheduled")
+        heappush(sim._queue, [2.0, 0, next(sim._seq), fired.append,
+                              ("pushed",), ""])
+        sim.cancel(sim.after(3.0, fired.append, "cancelled"))
+        sim.run()
+    assert fired == ["scheduled", "pushed"]
+    assert recorded == [(1.0, 0, 0), (2.0, 0, 1)]
+    assert sim.events_dispatched == len(recorded)
 
 
 def test_another_seed_dispatches_another_stream(reference):

@@ -48,6 +48,8 @@ import os
 import random
 import sys
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import print_table, run_once
 
 from repro import telemetry
@@ -144,14 +146,18 @@ def solver_checksum(clients=SMALL_CLIENTS):
     return digest.hexdigest()
 
 
-def collapse_checksum(size=COLLAPSE_SIZE, seed=11):
+def collapse_checksum(size=COLLAPSE_SIZE, seed=11, asks=()):
     """Digest of the collapsed path table on the benchmark topology.
 
     Covers every pair's composed properties and constituent link ids,
     so it pins both Dijkstra's tie-breaking and property composition.
+    The ``(source, destination)`` pairs of ``asks`` are looked up first,
+    one by one, so searches stopped part-way begin the table's trees.
     """
     topology = scale_free(size, seed=seed).compile().topology
     collapsed = collapse(topology, memo=False)
+    for source, destination in asks:
+        collapsed.path(source, destination)
     digest = hashlib.blake2b(digest_size=8)
     paths = sorted(collapsed.paths(),
                    key=lambda path: (path.source, path.destination))
@@ -425,6 +431,20 @@ def test_checked_in_baseline_is_current():
     assert checked_in["collapse_checksum"] == collapse_checksum()
     # ... or the kernel or packet path reordered an event.
     assert checked_in["event_order_checksum"] == event_order_checksum()
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_partial_asks_keep_the_collapse_checksum(data):
+    """Whatever a run asked for first — stopped searches, completed
+    ones — the table digests as the checked-in one."""
+    with open(BENCH_PATH, encoding="utf-8") as handle:
+        checked_in = json.load(handle)
+    names = st.sampled_from(
+        scale_free(COLLAPSE_SIZE, seed=11).compile().topology
+        .container_names())
+    asks = data.draw(st.lists(st.tuples(names, names), max_size=40))
+    assert collapse_checksum(asks=asks) == checked_in["collapse_checksum"]
 
 
 def test_disabled_overhead_budget(benchmark):

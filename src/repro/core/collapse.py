@@ -22,15 +22,19 @@ What is kept, and what is derived
 which are immutable: an edit to the live topology replaces a link and
 cannot reach a tree built afterwards) and the topology's ``link_id ->
 LinkProperties`` map at that instant; it runs no Dijkstra.  A source
-*service*'s predecessor-link tree is built by the first
+*service*'s predecessor-link tree is searched by the first
 :meth:`~CollapsedTopology.path` / :meth:`~CollapsedTopology.rtt` that
 starts there and kept — a manager's local view (§3) is the full table
 asked only for the rows of its own containers, and pays for those that
-something talks over, ``O(sources in use × nodes)`` memory.  A
+something talks over, ``O(sources in use × nodes)`` memory.  That first
+search stops once the destination asked for is settled and keeps the
+tree's *settled prefix* (:class:`_Prefix`); a later destination inside
+it walks the prefix, one outside it builds the complete tree, once.  A
 :class:`CollapsedPath` is derived the first time someone asks for the
 pair (a walk up the tree composing the links in traversal order,
 ``O(path length)``) and remembered; an experiment that pings 30 pairs of
-an 82 082-pair table builds at most 60 trees and 60 paths.
+an 82 082-pair table runs at most 60 searches, most of them stopped
+part-way, and builds 60 paths.
 :meth:`~CollapsedTopology.pair_count` counts reachable containers over
 the graph without building a tree; :meth:`~CollapsedTopology.paths`
 builds whatever is still missing — every tree and every pair.
@@ -52,9 +56,10 @@ capacities.  :func:`collapse` therefore reuses work in two tiers:
   differ, so the new view *shares* that routing — the trees it has and
   the ones either will still build — with a fresh ``O(E)`` property map
   (an incremental recompute).  Some latencies raised and nothing else
-  that routing reads changed: a new routing inherits each tree of the
-  previous one that no raised link is on instead of rebuilding it
-  (:meth:`_Routing.tree`).  Anything else builds a new routing.
+  that routing reads changed: a new routing inherits each tree (or
+  prefix) of the previous one that no raised link is on instead of
+  rebuilding it (:meth:`_Routing._inherited`).  Anything else builds a
+  new routing.
 
 A link value signed twice keeps its signature fragment, so signing a
 state of a dynamic plan formats only the links its events replaced.
@@ -64,9 +69,11 @@ and :func:`clear_collapse_cache` drops everything (``repro campaign ...
 --fresh`` calls it).  Telemetry counters ``collapse.memo_hits`` /
 ``collapse.memo_misses`` / ``collapse.incremental_recomputes`` /
 ``collapse.memo_invalidations`` expose the cache's behaviour,
-``collapse.trees_built`` the Dijkstra runs, ``collapse.trees_inherited``
-the trees taken over across a latency rise and ``collapse.paths_built``
-the pairs actually derived; see ``docs/performance.md``.
+``collapse.trees_built`` the first search per service and routing,
+``collapse.searches_stopped`` those of them that stopped at their
+destination, ``collapse.trees_inherited`` the trees taken over across a
+latency rise and ``collapse.paths_built`` the pairs actually derived; see
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -121,20 +128,34 @@ class CollapsedPath:
         return self.properties.bandwidth
 
 
+class _Prefix(dict):
+    """The settled part of a shortest-path tree: the entries of the nodes
+    a search settled before it stopped at the destination it was asked
+    for.  Each entry is final — a settled node's path runs through
+    settled nodes only — so a destination inside the prefix reads the
+    same path the complete tree would give; one outside it (not yet
+    settled, or unreachable) needs the complete tree."""
+
+    __slots__ = ()
+
+
 class _Routing:
     """The service graph of one routing structure and the shortest-path
-    trees built over it so far — nothing per pair.
+    trees searched over it so far — nothing per pair.
 
     ``trees[service][node]`` is the link the shortest path from ``service``
-    enters ``node`` by (the origin has no entry), filled by :meth:`tree`
-    the first time a path from that service is asked for;
+    enters ``node`` by (the origin has no entry), filled by the first
+    lookup of a path from that service: a :class:`_Prefix` when that
+    search stopped at its destination, replaced by the complete tree
+    when a later lookup needs it (:meth:`tree`);
     ``loops[service]`` is the two-link path between replicas of one
     service.  Only names, endpoints, ids and latencies are read from the
     graph's links, so every topology that differs from this one only in
     the other link *properties* can share the instance — those belong to
-    the :class:`CollapsedTopology`.  Nothing here changes once set: a
-    tree is a function of the graph, so two threads filling the same one
-    store equal values.
+    the :class:`CollapsedTopology`.  A tree or prefix is a function of the
+    graph (and of the destination a prefix stopped at), and any of them
+    answers every lookup it holds the destination of identically, so two
+    threads filling the same entry store values that answer alike.
     """
 
     __slots__ = ("graph", "containers", "service_of", "members", "trees",
@@ -150,8 +171,9 @@ class _Routing:
                            for name in self.containers}
         #: Containers per service.
         self.members = Counter(self.service_of.values())
-        #: One tree per *service* (its containers share paths), made on
-        #: first use: inherited from ``parent`` or by a Dijkstra.
+        #: One tree (or prefix) per *service* (its containers share
+        #: paths), made on first use: inherited from ``parent`` or by a
+        #: Dijkstra.
         self.trees: Dict[str, Dict[str, Link]] = {}
         self.loops = {service: _intra_service_path(graph, service)
                       for service, count in self.members.items()
@@ -159,29 +181,45 @@ class _Routing:
         #: The links whose latency rose since ``parent`` (the routing the
         #: previous memoized collapse returned, see :func:`_latency_rises`)
         #: and a weak reference to it — both ``None`` unless this graph is
-        #: the parent's after a pure latency rise (:meth:`tree`).
+        #: the parent's after a pure latency rise (:meth:`_search`).
         self.rises = rises
         self.parent = None if rises is None else weakref.ref(parent)
 
     def tree(self, service: str) -> Dict[str, Link]:
-        """The shortest-path tree from ``service``, made on first use."""
+        """The complete shortest-path tree from ``service``, made on first
+        use (after a prefix, if the first lookup stopped early)."""
         tree = self.trees.get(service)
         if tree is None:
-            tree = self._inherited(service)
-            if tree is not None:
-                name = "collapse.trees_inherited"
-            else:
-                tree = _dijkstra(self.graph, service)
-                name = "collapse.trees_built"
-            self.trees[service] = tree
-            if telemetry.enabled():
-                telemetry.metrics.counter(name).inc()
+            tree = self._search(service)
+        if type(tree) is _Prefix:
+            tree = self.trees[service] = _dijkstra(self.graph, service)
+        return tree
+
+    def _search(self, service: str,
+                target: Optional[str] = None) -> Dict[str, Link]:
+        """The first search from ``service`` in this routing: the
+        parent's tree or prefix when it is this graph's too, else a
+        Dijkstra that stops once ``target`` is settled.  Counted once per
+        service, however many lookups later complete it."""
+        tree = self._inherited(service)
+        if tree is not None:
+            name = "collapse.trees_inherited"
+        else:
+            tree = _dijkstra(self.graph, service, target)
+            name = "collapse.trees_built"
+        self.trees[service] = tree
+        if telemetry.enabled():
+            registry = telemetry.metrics
+            registry.counter(name).inc()
+            if type(tree) is _Prefix and name == "collapse.trees_built":
+                registry.counter("collapse.searches_stopped").inc()
         return tree
 
     def _inherited(self, service: str) -> Optional[Dict[str, Link]]:
-        """The parent's tree from ``service``, when it has built one and
-        it is this graph's too: this graph is the parent's with some
-        latencies raised, and none of those links is on the tree.
+        """The parent's tree (or prefix) from ``service``, when it has
+        searched one and it is this graph's too: this graph is the
+        parent's with some latencies raised, and none of those links
+        enters a node of the tree.
 
         :func:`_dijkstra` settles nodes in ``(latency, hops, names)``
         order and a node keeps the first candidate strictly better than
@@ -189,6 +227,19 @@ class _Routing:
         and float addition is monotone, so every other candidate is at
         least as long as before: no node settles earlier or changes its
         winner, and the run picks the same tree link by link.
+
+        A prefix holds the nodes the parent's search settled before it
+        stopped at some destination ``d``.  The heap pops in key order,
+        so every node it had not settled has a ``(latency, hops)`` at
+        least ``d``'s, which is at least that of every prefix node; raising
+        latencies only increases the sums, so here too.  A candidate
+        through a node has one hop more than the node, so only a prefix
+        node can offer a prefix node a candidate that beats or ties its
+        best.  The prefix's own paths keep their sums, every other
+        candidate among prefix nodes is at least as long as before, and
+        prefix nodes relax in the same order (their keys are their paths'):
+        each prefix node keeps its winner, and the prefix is this graph's
+        complete tree restricted to those nodes.
         """
         parent = self.parent() if self.parent is not None else None
         tree = parent.trees.get(service) if parent is not None else None
@@ -209,7 +260,12 @@ class _Routing:
             return None
         if target == service:
             return self.loops.get(service)
-        return _links_to(self.tree(service), target)
+        tree = self.trees.get(service)
+        if tree is None:
+            tree = self._search(service, target)
+        if target not in tree and type(tree) is _Prefix:
+            tree = self.tree(service)
+        return _links_to(tree, target)
 
     def pair_count(self) -> int:
         """Ordered pairs with a path, from reachability over the graph —
@@ -268,8 +324,10 @@ class CollapsedTopology:
         """The collapsed path, or ``None`` when unreachable.
 
         A dict hit once the pair has been asked for; the first lookup
-        walks the source's tree, ``O(path length)`` — after one Dijkstra
-        if it is also the first from that source's service.
+        walks the source's tree, ``O(path length)`` — after a Dijkstra
+        if it is also the first from that source's service (stopped at
+        this destination), or if the destination lies outside the prefix
+        that first search kept (the complete tree, once).
         """
         key = (source, destination)
         path = self._built.get(key)
@@ -310,6 +368,9 @@ class CollapsedTopology:
         all-pairs computation (one Dijkstra per source service, then
         ``O(pairs)``)."""
         routing = self._routing
+        if len(routing.members) > 1:        # every source has a row
+            for service in routing.members:
+                routing.tree(service)
         found = []
         for source in routing.containers:
             for destination in routing.containers:
@@ -497,7 +558,7 @@ def _collapse_full(topology: Topology, graph: Dict[str, List[Link]],
                    parent: Optional[_Routing] = None,
                    rises: Optional[List[Link]] = None) -> CollapsedTopology:
     """A new routing over ``graph`` with no tree built yet, which may
-    inherit ``parent``'s (see :meth:`_Routing.tree`)."""
+    inherit ``parent``'s (see :meth:`_Routing._inherited`)."""
     recording = telemetry.enabled()
     started = telemetry.clock() if recording else 0.0
     trace = telemetry.span("collapse.all_pairs",
@@ -565,8 +626,8 @@ def _latency_rises(before: Dict[str, List[Link]],
     return rises
 
 
-def _dijkstra(graph: Dict[str, List[Link]],
-              origin: str) -> Dict[str, Link]:
+def _dijkstra(graph: Dict[str, List[Link]], origin: str,
+              target: Optional[str] = None) -> Dict[str, Link]:
     """Latency-weighted shortest-path tree from ``origin``.
 
     Maps every reached node to the link its shortest path arrives by
@@ -575,6 +636,11 @@ def _dijkstra(graph: Dict[str, List[Link]],
     traversed node names so every Emulation Manager independently derives an
     identical collapse; among candidates equal in latency and hops the
     first one relaxed stays.
+
+    With ``target``, the search stops as soon as ``target`` is settled
+    and returns the :class:`_Prefix` of the nodes settled so far — the
+    complete tree's entries for those nodes.  A search that never settles
+    ``target`` (it is unreachable) runs to the end: the complete tree.
     """
     if origin not in graph:
         return {}
@@ -589,6 +655,9 @@ def _dijkstra(graph: Dict[str, List[Link]],
         if node in done:
             continue
         done.add(node)
+        if node == target:
+            done.discard(origin)
+            return _Prefix([(settled, tree[settled]) for settled in done])
         for link in graph[node]:
             neighbour = link.destination
             if neighbour in done:

@@ -6,7 +6,9 @@ generator) drives:
 * builds the cluster and places containers,
 * assigns IP addresses and hands every container's TCAL its row of the
   pre-computed collapsed topology (chains are built from it on first use),
-* starts one Emulation Manager per machine, connected by media drivers,
+* starts one Emulation Manager per machine, connected by media drivers
+  (only when bandwidth sharing is enforced: a latency-only engine runs no
+  emulation loop, so it builds none and loads neither module),
 * schedules the dynamic topology swaps,
 * exposes the two data planes applications run on — the packet plane
   (:class:`~repro.netstack.kollapsnet.KollapsDataPlane`) and the fluid bulk
@@ -30,9 +32,7 @@ from repro.cluster.machines import INTERCONNECT_LATENCY, Cluster, infeasibility
 from repro.core.collapse import collapse
 from repro.core.dynamic import DynamicTopologyPlan, TopologyState
 from repro.core.emucore import EmulationCore
-from repro.core.manager import EmulationManager
-from repro.metadata.channels import MediaDriver
-from repro.netstack.fluid import FluidEngine, FluidFlow, ShapedConstraints
+from repro.netstack.fluid.engine import FluidEngine, ShapedConstraints
 from repro.netstack.kollapsnet import KollapsDataPlane
 from repro.sim import Process, RngRegistry, Simulator
 from repro.tc.ip import IpAllocator
@@ -53,7 +53,8 @@ class EngineConfig:
     congestion_sensitivity: float = 1.0
     fluid_dt: float = 0.010
     # When False, no emulation loop runs: shaping stays at the collapsed
-    # path properties (useful for latency-only experiments and ablations).
+    # path properties (useful for latency-only experiments and ablations),
+    # and the engine builds no Emulation Manager and no media driver.
     enforce_bandwidth_sharing: bool = True
     # §7 future work: time dilation.  A factor of N means virtual time
     # runs N times slower than the cluster, so emulated link capacities up
@@ -101,29 +102,14 @@ class EmulationEngine:
             self.tcals[container] = tcal
             self.dataplane.attach_tcal(container, tcal)
 
-        # --- managers, drivers, cores ------------------------------------
-        wide = self._needs_wide_ids()
-        self.drivers: Dict[str, MediaDriver] = {}
-        self.managers: Dict[str, EmulationManager] = {}
-        machine_names = self.cluster.machine_names()
-        for index, machine in enumerate(machine_names):
-            driver = MediaDriver(
-                self.sim, machine, wide_ids=wide,
-                network_delay=INTERCONNECT_LATENCY)
-            self.drivers[machine] = driver
-            self.managers[machine] = EmulationManager(
-                self.sim, machine, driver, index, self.container_indices,
-                period=self.config.loop_period,
-                congestion_sensitivity=self.config.congestion_sensitivity)
-        for i, first in enumerate(machine_names):
-            for second in machine_names[i + 1:]:
-                self.drivers[first].connect(self.drivers[second])
-        self.cores: Dict[str, EmulationCore] = {}
-        for container in containers:
-            machine = self.placement[container]
-            core = EmulationCore(container, self.tcals[container])
-            self.cores[container] = core
-            self.managers[machine].add_core(core)
+        # --- cores, and the loop's managers and drivers ------------------
+        self.cores: Dict[str, EmulationCore] = {
+            container: EmulationCore(container, self.tcals[container])
+            for container in containers}
+        self.drivers: Dict[str, "MediaDriver"] = {}
+        self.managers: Dict[str, "EmulationManager"] = {}
+        if self.config.enforce_bandwidth_sharing:
+            self._build_loop()
 
         # --- fluid bulk plane --------------------------------------------
         self.fluid = FluidEngine(
@@ -140,15 +126,36 @@ class EmulationEngine:
                         lambda t=change_time: self._apply_state(
                             self.plan.state_at(t)),
                         priority=-10, label="topology-swap")
-        self._loop_processes: List[Process] = []
-        if self.config.enforce_bandwidth_sharing:
-            for manager in self.managers.values():
-                self._loop_processes.append(Process(
-                    self.sim, self.config.loop_period,
+        self._loop_processes: List[Process] = [
+            Process(self.sim, self.config.loop_period,
                     manager.run_loop_iteration, name=f"em:{manager.machine}",
-                    start_after=self.config.loop_period, priority=5))
+                    start_after=self.config.loop_period, priority=5)
+            for manager in self.managers.values()]
 
     # ------------------------------------------------------------ plumbing
+    def _build_loop(self) -> None:
+        """One Emulation Manager per machine, each with its media driver
+        connected to every other, and every core under its machine's
+        manager."""
+        from repro.core.manager import EmulationManager
+        from repro.metadata.channels import MediaDriver
+        wide = self._needs_wide_ids()
+        machine_names = self.cluster.machine_names()
+        for index, machine in enumerate(machine_names):
+            driver = MediaDriver(
+                self.sim, machine, wide_ids=wide,
+                network_delay=INTERCONNECT_LATENCY)
+            self.drivers[machine] = driver
+            self.managers[machine] = EmulationManager(
+                self.sim, machine, driver, index, self.container_indices,
+                period=self.config.loop_period,
+                congestion_sensitivity=self.config.congestion_sensitivity)
+        for i, first in enumerate(machine_names):
+            for second in machine_names[i + 1:]:
+                self.drivers[first].connect(self.drivers[second])
+        for container, core in self.cores.items():
+            self.managers[self.placement[container]].add_core(core)
+
     def _validate_physical_feasibility(self) -> None:
         """§6, for engines built directly: the dilation, then each distinct
         capacity of every pre-computed state, judged by the function the
@@ -247,8 +254,9 @@ class EmulationEngine:
                    protocol: str = "tcp", congestion_control: str = "cubic",
                    demand: float = float("inf"),
                    size_bits: Optional[float] = None,
-                   start_time: float = 0.0) -> FluidFlow:
+                   start_time: float = 0.0) -> "FluidFlow":
         """Launch a bulk flow (iperf-style) on the fluid plane."""
+        from repro.netstack.fluid.flow import FluidFlow
         flow = FluidFlow(key, source, destination, protocol=protocol,
                          congestion_control=congestion_control,
                          demand=demand, size_bits=size_bits,

@@ -10,13 +10,17 @@ saturated links, or injected by netem) trigger multiplicative back-off, and
 the whole system is integrated with a fixed step (default 10 ms).
 """
 
-from repro.netstack.fluid.flow import FluidFlow
-from repro.netstack.fluid.engine import (
-    ConstraintProvider,
-    FluidEngine,
-    GroundTruthConstraints,
-    ShapedConstraints,
-)
+from repro._lazy import lazy_exports
+
+# The integrator and the flow model load on first use: an engine with no
+# bulk flow never builds a FluidFlow, and one that never solves never
+# loads the fair-share solver.
+_LAZY = {
+    "flow": ("FluidFlow",),
+    "engine": ("FluidEngine", "ConstraintProvider", "GroundTruthConstraints",
+               "ShapedConstraints"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "FluidFlow",

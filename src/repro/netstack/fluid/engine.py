@@ -27,8 +27,6 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.core.collapse import collapse
-from repro.core.sharing import FlowDemand, rtt_aware_max_min
-from repro.netstack.fluid.flow import FluidFlow
 from repro.sim import Process, RngRegistry, Series, Simulator
 from repro.topology.model import Topology
 
@@ -68,9 +66,8 @@ class FlowEntry:
                  "rates")
 
     path_bandwidth = _INFINITY
-    weight = FlowDemand.weight
 
-    def __init__(self, flow: FluidFlow, rates: "array") -> None:
+    def __init__(self, flow: "FluidFlow", rates: "array") -> None:
         self.flow = flow
         self.key = flow.key
         self.links: Optional[Tuple[int, ...]] = None    # None: unresolved
@@ -79,6 +76,11 @@ class FlowEntry:
         self.shaping = None
         self.demand = 0.0
         self.rates = rates
+
+    @property
+    def weight(self) -> float:
+        """RTT-fairness weight, as ``FlowDemand.weight`` reads it."""
+        return 1.0 / max(self.rtt, 1e-6)
 
 
 class ConstraintProvider:
@@ -119,7 +121,7 @@ class ConstraintProvider:
         always a safe answer."""
         return False
 
-    def rtt_for(self, flow: FluidFlow) -> float:
+    def rtt_for(self, flow: "FluidFlow") -> float:
         """Base round-trip time the flow currently experiences."""
         raise NotImplementedError
 
@@ -189,7 +191,7 @@ class GroundTruthConstraints(ConstraintProvider):
         # Loss is fixed per epoch; capacities move only with packet rates.
         return capacities is self._capacities and not self.packet_rates
 
-    def rtt_for(self, flow: FluidFlow) -> float:
+    def rtt_for(self, flow: "FluidFlow") -> float:
         forward = self.collapsed.path(flow.source, flow.destination)
         backward = self.collapsed.path(flow.destination, flow.source)
         if forward is None or backward is None:
@@ -253,7 +255,7 @@ class ShapedConstraints(ConstraintProvider):
                 return False
         return True
 
-    def rtt_for(self, flow: FluidFlow) -> float:
+    def rtt_for(self, flow: "FluidFlow") -> float:
         return self.rtt_lookup(flow.source, flow.destination)
 
 
@@ -287,7 +289,7 @@ class FluidEngine:
         self._streams = rng or RngRegistry(0)
         # The "fluid-loss" stream, made by the first step that draws.
         self._loss_rng = None
-        self.flows: Dict[Hashable, FluidFlow] = {}
+        self.flows: Dict[Hashable, "FluidFlow"] = {}
         self._entries: Dict[Hashable, FlowEntry] = {}
         # The entries being integrated, in ``flows`` order, and when that
         # may next change: -inf after an add/remove/finish, else the
@@ -315,7 +317,7 @@ class FluidEngine:
                                 priority=10)
 
     # ----------------------------------------------------------- flow admin
-    def add_flow(self, flow: FluidFlow) -> FluidFlow:
+    def add_flow(self, flow: "FluidFlow") -> "FluidFlow":
         if flow.key in self.flows:
             raise ValueError(f"duplicate flow key {flow.key!r}")
         flow.rtt = max(self.provider.rtt_for(flow), 1e-4)
@@ -331,7 +333,7 @@ class FluidEngine:
             del self._entries[key]
             self._recheck_at = -_INFINITY
 
-    def active_flows(self) -> List[FluidFlow]:
+    def active_flows(self) -> List["FluidFlow"]:
         now = self.sim.now
         return [flow for flow in self.flows.values()
                 if not flow.finished and flow.start_time <= now]
@@ -419,6 +421,7 @@ class FluidEngine:
             if reused:
                 allocation, link_usage = solved[3], solved[4]
             else:
+                from repro.core.sharing import rtt_aware_max_min
                 allocation = rtt_aware_max_min(active, capacities)
                 link_usage = {}
                 for entry in active:
@@ -486,7 +489,7 @@ class FluidEngine:
             if repeated:
                 telemetry.metrics.counter("fluid.steps_repeated").inc()
 
-    def _report_pressure(self, shaping, flow: FluidFlow, offered: float,
+    def _report_pressure(self, shaping, flow: "FluidFlow", offered: float,
                          achieved: float) -> float:
         """Report gross offered-over-achieved excess as back-pressure; the
         bits reported, 0.0 for none.

@@ -61,33 +61,23 @@ from repro.scenario.builder import (
 )
 from repro.scenario.compiled import CompiledScenario
 from repro.scenario.results import Metrics, RunComparison, ScenarioRun
-from repro.scenario.workloads import (
-    CurlSwarmWorkload,
-    CustomWorkload,
-    FlowWorkload,
-    HttpLoadWorkload,
-    IperfWorkload,
-    MemtierWorkload,
-    PingWorkload,
-    SmrWorkload,
-    Workload,
-    YcsbWorkload,
-    curl_swarm,
-    custom,
-    flow,
-    http_load,
-    iperf,
-    ping,
-    udp_blast,
-)
+from repro.scenario.workloads import Workload
 
-# The declarative DSL toolbox (repro.scenario.dsl) loads on first use: a
-# run that never lints, diffs or fuzzes does not compile it.
-_LAZY = {"dsl": (
-    "Diagnostic", "ScnError", "load_scn", "loads_scn", "dump_scn",
-    "dumps_scn", "lint_file", "lint_scenario", "diff_scenarios",
-    "generate_scenario",
-    "DifferentialReport", "run_differential")}
+# Each workload kind loads the first time one of its names is used (see
+# repro.scenario.workloads), and the declarative DSL toolbox
+# (repro.scenario.dsl) on first use too: a run that never lints, diffs or
+# fuzzes does not compile it.
+_LAZY = {
+    "workloads": (
+        "FlowWorkload", "IperfWorkload", "PingWorkload", "HttpLoadWorkload",
+        "CurlSwarmWorkload", "MemtierWorkload", "SmrWorkload",
+        "YcsbWorkload", "CustomWorkload", "flow", "iperf", "ping",
+        "udp_blast", "http_load", "curl_swarm", "custom"),
+    "dsl": (
+        "Diagnostic", "ScnError", "load_scn", "loads_scn", "dump_scn",
+        "dumps_scn", "lint_file", "lint_scenario", "diff_scenarios",
+        "generate_scenario", "DifferentialReport", "run_differential"),
+}
 __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [

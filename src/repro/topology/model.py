@@ -254,9 +254,6 @@ class Topology:
     def links(self) -> Iterator[Link]:
         return iter(self._links.values())
 
-    def link_count(self) -> int:
-        return len(self._links)
-
     # ----------------------------------------------------------- containers
     def container_names(self) -> List[str]:
         """All concrete container names across all services."""
@@ -266,10 +263,6 @@ class Topology:
         return names
 
     # ------------------------------------------------------------- utilities
-    def neighbours(self, node: str) -> List[Tuple[str, Link]]:
-        return [(link.destination, link)
-                for link in self._links.values() if link.source == node]
-
     def copy(self) -> "Topology":
         """An independent topology sharing this one's nodes and link values;
         its next link takes the id after the highest one present."""

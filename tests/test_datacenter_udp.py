@@ -14,9 +14,10 @@ class TestFatTree:
         assert len(topology.services) == 16
         # Each edge switch: 2 uplinks + 2 hosts; each agg: 2 up + 2 down;
         # each core: one link into every pod.
-        assert {len(topology.neighbours(name))
+        assert {sum(link.source == name
+                 for link in topology.links())
                 for name in topology.bridges} == {4}
-        assert topology.link_count() == 2 * 4 * (4 + 4 + 4)
+        assert len(list(topology.links())) == 2 * 4 * (4 + 4 + 4)
 
     def test_every_host_pair_reachable(self):
         collapsed = collapse(fat_tree(4).compile().topology)

@@ -16,7 +16,9 @@ or ``Attribute`` counts, and so does a constant string passed to
 
 The same holds one level down, for every public function and class and
 every public method or property of a public class: one that no caller
-loads — its own module counts, tests do not — goes, or
+loads — its own module counts, tests do not; a method or property is
+loaded only as an attribute or a ``getattr`` string, never as a bare
+name, which would be some local of the same spelling — goes, or
 :data:`NAMES_ALLOWED` names who reads it.  And for knobs: a defaulted
 ``__init__`` parameter of a public class, a defaulted parameter of a
 workload helper, or an ``EngineConfig`` field, that no caller outside
@@ -58,23 +60,24 @@ def defined_names(tree: ast.Module) -> set:
     return {name for name in names if not name.startswith("_")}
 
 
-def used_names(tree: ast.Module) -> set:
-    """Every name a module reads: a bare name, an attribute, or a constant
-    string passed to ``getattr``/``hasattr``."""
-    used = set()
+def used_names(tree: ast.Module) -> tuple:
+    """Every name a module reads, as ``(bare, attributes)``: the loaded
+    bare names, and the loaded attributes plus the constant strings
+    passed to ``getattr``/``hasattr``."""
+    bare, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute) \
                 and isinstance(node.ctx, ast.Load):
-            used.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id in ("getattr", "hasattr") \
                 and len(node.args) > 1 \
                 and isinstance(node.args[1], ast.Constant) \
                 and isinstance(node.args[1].value, str):
-            used.add(node.args[1].value)
-    return used
+            attributes.add(node.args[1].value)
+    return bare, attributes
 
 
 def side_doors() -> list:
@@ -82,7 +85,8 @@ def side_doors() -> list:
     other caller uses."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in CALLERS}
-    uses = {path: used_names(tree) for path, tree in trees.items()}
+    uses = {path: set().union(*used_names(tree))
+            for path, tree in trees.items()}
     found = []
     for path, tree in trees.items():
         if PACKAGE not in path.parents \
@@ -131,6 +135,11 @@ NAMES_ALLOWED = {
     "leave action",
     "netstack/plane.py::DataPlane": "the protocol both data planes "
     "implement",
+    "sim/simulator.py::Simulator.step": "tests/test_sim_model.py drives "
+    "the kernel and its sorted-list model one event at a time through it",
+    "sim/simulator.py::Simulator.pending": "tests/test_sim_model.py, "
+    "tests/test_sim.py and tests/test_metadata.py read the live queue "
+    "length through it",
 }
 
 
@@ -158,11 +167,16 @@ def unread_names(root: Path = ROOT) -> list:
     package = root / "src" / "repro"
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in callers(root)}
-    loaded = set().union(*map(used_names, trees.values()))
+    bare, attributes = (set().union(*uses)
+                        for uses in zip(*map(used_names, trees.values())))
+    # A method or property is read through its object; a bare name that
+    # matches it is some local of the same spelling.
+    loaded = {False: bare | attributes, True: attributes}
     return sorted(
         f"{path.relative_to(package).as_posix()}::{name}"
         for path, tree in trees.items() if package in path.parents
-        for name, bare in public_names(tree).items() if bare not in loaded)
+        for name, member in public_names(tree).items()
+        if member not in loaded["." in name])
 
 
 def test_every_public_name_is_read_outside_its_tests():
@@ -200,18 +214,43 @@ def test_the_name_audit_flags_what_only_a_test_reads(tmp_path):
                                       "shapes.py::Square.unread"]
 
 
+def test_a_local_of_the_same_name_does_not_read_a_method(tmp_path):
+    """``Simulator.step`` and ``Simulator.pending`` once passed on a
+    ``step`` local in ``scenario/thunderstorm.py`` and a ``pending`` one in
+    ``campaign/executor.py``: a method is read through its object."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "kernel.py").write_text(
+        "class Kernel:\n"
+        "    def step(self):\n        return True\n"
+        "    def pending(self):\n        return 0\n"
+        "    def run(self):\n        return 1\n")
+    storm = ("from repro.kernel import Kernel\n\n\n"
+             "def script(pending):\n"
+             "    step = Kernel().run()\n    return step, pending\n")
+    (package / "storm.py").write_text(storm)
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.storm import script\nscript(0)\n")
+    bare, attributes = used_names(ast.parse(storm))
+    assert {"step", "pending"} <= bare - attributes     # the old rule's
+    assert unread_names(tmp_path) == ["kernel.py::Kernel.pending",
+                                      "kernel.py::Kernel.step"]
+
+
 # --------------------------------------------------------------------------
 # Knobs.
 # --------------------------------------------------------------------------
 #: Where knobs are audited, relative to ``repro``.
 KNOB_SCOPE = ("apps", "baselines", "campaign", "cluster", "core",
               "metadata", "netstack", "tc", "scenario/backends.py",
-              "scenario/workloads.py")
+              "scenario/workloads")
 CONFIG = "EngineConfig"
 #: Whose public functions' defaulted parameters are knobs too: the
 #: workload helpers (``flow``, ``iperf``, ...), which an ``examples/*.scn``
-#: workload also sets, by the key of the field the parameter feeds.
-HELPERS = PACKAGE / "scenario" / "workloads.py"
+#: workload also sets, by the key of the field the parameter feeds.  Each
+#: kind's module holds its spec class and its helpers.
+HELPERS = sorted((PACKAGE / "scenario" / "workloads").glob("*.py"))
 
 #: Knobs no caller outside their module passes, each with its reader.
 ALLOWED = {
@@ -289,7 +328,7 @@ def knobs() -> dict:
         for node in ast.parse(path.read_text(), str(path)).body:
             if getattr(node, "name", "_").startswith("_"):
                 continue
-            if isinstance(node, ast.FunctionDef) and path == HELPERS:
+            if isinstance(node, ast.FunctionDef) and path in HELPERS:
                 found.update(_defaulted(node.name, node.args, path))
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -307,14 +346,15 @@ def helper_fields() -> dict:
     """``"helper.param"`` -> ``(kind, field)``: the workload kind a helper
     returns and the field of it the parameter feeds, which is the key a
     ``.scn`` workload of that kind sets it with."""
-    tree = ast.parse(HELPERS.read_text(), str(HELPERS))
-    kinds = {node.name: item.value.value for node in tree.body
+    trees = [ast.parse(path.read_text(), str(path)) for path in HELPERS]
+    kinds = {node.name: item.value.value for tree in trees
+             for node in tree.body
              if isinstance(node, ast.ClassDef) for item in node.body
              if isinstance(item, ast.Assign)
              and [getattr(target, "id", None) for target in item.targets]
              == ["kind"]}
     found = {}
-    for node in tree.body:
+    for node in (node for tree in trees for node in tree.body):
         if not isinstance(node, ast.FunctionDef):
             continue
         params = {arg.arg for arg in node.args.args + node.args.kwonlyargs}

@@ -40,9 +40,18 @@ run = (Scenario.build("pair").service("a").service("b").bridges("s")
        .link("a", "s", latency="5ms", up="10Mbps")
        .link("s", "b", latency="5ms", up="10Mbps")
        .workload(ping("a", "b", count=3))
-       .deploy(machines=1, seed=1).compile().run({backend}))
+       .deploy(machines={machines}, seed=1{deploy}).compile().run({backend}))
 assert run["ping:a->b"].received == 3
 """
+# A run loads the workload kinds it uses: a ping run, the ping kind.
+OTHER_KINDS = tuple(
+    f"repro.scenario.workloads.{path.stem}" for path in sorted(
+        (ROOT / "src" / "repro" / "scenario" / "workloads").glob("_[a-z]*.py"))
+    if path.stem != "_ping")
+# A latency-only run (no bandwidth sharing) runs no emulation loop: no
+# Emulation Manager, media driver, fair-share solve or bulk flow.
+LOOP = ("repro.core.manager", "repro.core.sharing", "repro.core.congestion",
+        "repro.metadata", "repro.netstack.fluid.flow")
 # compile() judges a scenario by the builder's rule book, which the `.scn`
 # validator reads too: compiling loads no `.scn` module.
 COMPILE = """
@@ -89,13 +98,18 @@ CASES = {
                                       "examples/quickstart.scn"]),
                      TOOLBOX + SCRIPTS),
     "compile": (COMPILE, ("repro.scenario.dsl",) + TOOLBOX + SCRIPTS),
-    "kollaps-ping-run": (PING_RUN.format(backend=""),
-                         TOOLBOX + LINTER + SCRIPTS),
+    "kollaps-ping-run": (PING_RUN.format(machines=1, deploy="", backend=""),
+                         TOOLBOX + LINTER + SCRIPTS + OTHER_KINDS),
+    "latency-only-ping-run": (
+        PING_RUN.format(machines=2, deploy=", enforce_bandwidth_sharing=False",
+                        backend=""),
+        TOOLBOX + LINTER + SCRIPTS + OTHER_KINDS + LOOP),
     "baremetal-ping-run": (
-        PING_RUN.format(backend="backend='baremetal'"),
+        PING_RUN.format(machines=1, deploy="",
+                        backend="backend='baremetal'"),
         tuple(name for name in TOOLBOX if not name.startswith(
             ("repro.netstack.fullnet", "repro.baselines")))
-        + LINTER + SCRIPTS + OTHER_COMPARATORS),
+        + LINTER + SCRIPTS + OTHER_COMPARATORS + OTHER_KINDS),
     "import-campaign": ("import repro.campaign", TOOLBOX + SCRIPTS + POOL),
     "serial-campaign-run": (SERIAL_CAMPAIGN,
                             TOOLBOX + LINTER + SCRIPTS + POOL),

@@ -2,7 +2,8 @@
 
 import pytest
 
-import repro.core.engine as engine_module
+import repro.core.manager as manager_module
+import repro.metadata.channels as channels_module
 from repro.core.collapse import collapse
 from repro.core.emucore import EmulationCore, UsageSample
 from repro.core.manager import EmulationManager
@@ -379,7 +380,7 @@ class TestFixedPoint:
         scenario, drive = _RUNS[run]
         skipping = scenario().compile().engine()
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, "EmulationManager", FullLoop)
+            patch.setattr(manager_module, "EmulationManager", FullLoop)
             full = scenario().compile().engine()
         assert all(type(manager) is FullLoop
                    for manager in full.managers.values())
@@ -485,7 +486,7 @@ class TestLazySolve:
         scenario, drive = _LAZY_RUNS[run]
         lazy = prepared(scenario())
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, "EmulationManager", EagerSolve)
+            patch.setattr(manager_module, "EmulationManager", EagerSolve)
             eager = prepared(scenario())
         assert all(type(manager) is EagerSolve
                    for manager in eager.managers.values())
@@ -620,7 +621,7 @@ class TestBatchedDelivery:
         scenario, drive = _DELIVERY_RUNS[run]
         batched = prepared(scenario())
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, "MediaDriver", PerPeerDelivery)
+            patch.setattr(channels_module, "MediaDriver", PerPeerDelivery)
             per_peer = prepared(scenario())
         assert all(type(driver) is PerPeerDelivery
                    for driver in per_peer.drivers.values())

@@ -59,8 +59,7 @@ class Dashboard:
             lines.append(
                 f"  {machine}: tx={stats.wire_bytes_sent()}B "
                 f"({stats.datagrams_sent} datagrams), "
-                f"rx={stats.bytes_received}B, "
-                f"shm={stats.shared_memory_messages}")
+                f"rx={stats.bytes_received}B")
         return "\n".join(lines)
 
     def render_managers(self) -> str:

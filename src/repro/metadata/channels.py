@@ -36,8 +36,8 @@ class UdpStats:
     bytes_received: int = 0
     datagrams_sent: int = 0
     datagrams_received: int = 0
-    # Intra-host exchange never goes through the driver; kept at 0 for the
-    # readers of the counters.
+    # Intra-host exchange never goes through the driver; kept at 0 for its
+    # one reader, ``bench.workloads.engine_counts``.
     shared_memory_messages: int = 0
 
     def wire_bytes_sent(self) -> int:

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.core.collapse import collapse
-from repro.sim import Process, RngRegistry, Series, Simulator
+from repro.sim import RngRegistry, Series, Simulator
 from repro.topology.model import Topology
 
 __all__ = ["FluidEngine", "FlowEntry", "ConstraintProvider",
@@ -279,6 +279,18 @@ class FluidEngine:
     provider reports those :meth:`~ConstraintProvider.unchanged` each
     step replays the plan instead of integrating: the same samples,
     counters and finishes, none of the work.
+
+    A repeat needs no event of its own while nothing else can run before
+    it.  The step event that leaves a plan replays the steps after it in
+    the same event, ``t += dt`` as each event would have scheduled the
+    next, and queues its next event at the first step it did not take: one
+    not before the earliest queued event
+    (:attr:`~repro.sim.Simulator.head_time`), past the run's
+    :attr:`~repro.sim.Simulator.horizon`, or at which the active flows may
+    change (a start time, a flow that finished).  As no event runs between
+    those steps, the provider is asked once for them all, and each writes
+    what its own event would have, in the same order.  A step with no flow
+    integrated, or none to replay, keeps its own event.
     """
 
     def __init__(self, sim: Simulator, provider: ConstraintProvider, *,
@@ -313,8 +325,9 @@ class FluidEngine:
         # The repeat plan, when the last step left one: (flow, entry,
         # shaping, delivered, carried bits, refused bits) per active entry.
         self._plan: Optional[List[Tuple]] = None
-        self._process = Process(sim, dt, self._step, name="fluid-engine",
-                                priority=10)
+        # The queued step event; None once stopped.
+        self._event: Optional[list] = sim.after(
+            0.0, self._dispatch, priority=10, label="fluid-engine")
 
     # ----------------------------------------------------------- flow admin
     def add_flow(self, flow: "FluidFlow") -> "FluidFlow":
@@ -374,13 +387,72 @@ class FluidEngine:
         self._recheck_at = recheck_at
         self._plan = None
 
-    def _step(self) -> None:
+    def _dispatch(self) -> None:
+        """The step event: the step at ``now`` then, while it leaves a
+        repeat plan, the steps after it that no event can come between;
+        the next event is the first step it did not take."""
+        sim = self.sim
+        now = sim.now
+        repeated = self._step(now)
+        now += self.dt
+        if self._plan is not None:
+            now = self._replay_ahead(now, repeated)
+        self._event = sim.at(now, self._dispatch, priority=10,
+                             label="fluid-engine")
+
+    def _replay_ahead(self, now: float, checked: bool) -> float:
+        """Replay the plan as the steps at ``now``, ``now + dt``, ... and
+        return the first step time it did not replay: one not before the
+        earliest queued event, past the run's horizon or at which the
+        active flows may change (a start time, a flow that finished).
+
+        No event runs between the steps replayed, so the provider, asked
+        once (``checked``: the last step asked it), answers for them all,
+        and each writes what its own event would have."""
+        if not checked and not self.provider.unchanged(self._active,
+                                                       self._solved[1]):
+            return now
+        end = self.sim.head_time
+        horizon = self.sim.horizon
+        dt = self.dt
+        times = self._times
+        tracing = telemetry.enabled()
+        while now < end and now <= horizon and now < self._recheck_at:
+            if tracing:
+                trace = telemetry.span("fluid.step")
+            times.append(now)
+            self._repeat()
+            if tracing:
+                trace.set(flows=len(self._active), t=round(now, 6)).finish()
+                for name in ("fluid.steps", "fluid.steps_repeated",
+                             "fluid.steps_inline"):
+                    telemetry.metrics.counter(name).inc()
+            now += dt
+        return now
+
+    def _repeat(self) -> None:
+        """Replay the repeat plan's samples, counters and finishes as this
+        step's, once the step's time is appended."""
+        for flow, entry, shaping, delivered, carried, refused in self._plan:
+            entry.rates.append(delivered)
+            if shaping is not None:
+                shaping.bits_since_poll += carried
+                if refused:
+                    shaping.refused_since_poll += refused
+            # What ``advance`` does when it moves only its counters.
+            flow.bits_transferred += carried
+            size = flow.size_bits
+            if size is not None and flow.bits_transferred >= size:
+                flow.finished = True
+                self._recheck_at = -_INFINITY
+
+    def _step(self, now: float) -> bool:
         """One tick of the grid: integrate the active flows over ``dt``,
-        or replay the repeat plan the last step left."""
+        or replay the repeat plan the last step left; whether it
+        replayed."""
         # Not a ``with``: a step that raises ends the run, and the span
         # around the run is the one that reports it.
         trace = telemetry.span("fluid.step") if telemetry.enabled() else None
-        now = self.sim.now
         provider = self.provider
         if self._lent:
             self._unlend()
@@ -388,22 +460,10 @@ class FluidEngine:
             self._refresh(now)
         self._times.append(now)
         active = self._active
-        plan = self._plan
-        repeated = plan is not None and \
+        repeated = self._plan is not None and \
             provider.unchanged(active, self._solved[1])
         if repeated:
-            for flow, entry, shaping, delivered, carried, refused in plan:
-                entry.rates.append(delivered)
-                if shaping is not None:
-                    shaping.bits_since_poll += carried
-                    if refused:
-                        shaping.refused_since_poll += refused
-                # What ``advance`` does when it moves only its counters.
-                flow.bits_transferred += carried
-                size = flow.size_bits
-                if size is not None and flow.bits_transferred >= size:
-                    flow.finished = True
-                    self._recheck_at = -_INFINITY
+            self._repeat()
         elif active:
             capacities = provider.capacities(active)
             demands = []
@@ -488,6 +548,7 @@ class FluidEngine:
             telemetry.metrics.counter("fluid.steps").inc()
             if repeated:
                 telemetry.metrics.counter("fluid.steps_repeated").inc()
+        return repeated
 
     def _report_pressure(self, shaping, flow: "FluidFlow", offered: float,
                          achieved: float) -> float:
@@ -524,11 +585,15 @@ class FluidEngine:
         return refused
 
     def stop(self) -> None:
-        self._process.stop()
+        if self._event is not None:
+            self.sim.cancel(self._event)
+            self._event = None
 
     def next_step(self) -> float:
-        """When the integrator ticks next; infinity once stopped."""
-        return self._process.next_tick
+        """When the integrator's next step event fires; infinity once
+        stopped."""
+        event = self._event
+        return _INFINITY if event is None else event[0]
 
     # ------------------------------------------------------------ telemetry
     def mean_throughput(self, key: Hashable, start: float = 0.0,

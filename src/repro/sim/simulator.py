@@ -14,8 +14,10 @@ dispatcher skips a cleared entry, as ns-2's ``Scheduler::cancel`` and ns-3's
 ``Simulator::Cancel`` do.
 
 Callbacks are plain callables.  Periodic activities (the Kollaps emulation
-loop, application request generators, the fluid-engine integrator) are
-modelled as :class:`Process` objects which reschedule themselves.
+loop, the packet usage monitor, snapshot hooks) are
+modelled as :class:`Process` objects which reschedule themselves; the
+fluid integrator queues its own step event, since one event may run
+several of its steps.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class Simulator:
         #: every callback reads it; only the kernel writes it.
         self.now = 0.0
         self.events_dispatched = 0
+        # The latest time the ``run`` or ``step`` in progress dispatches.
+        self._horizon = 0.0
 
     def at(self, time: float, callback: Callable[..., None], *args: Any,
            priority: int = 0, label: str = "") -> list:
@@ -86,7 +90,7 @@ class Simulator:
         compose naturally.  Returns the final simulated time.
         """
         queue = self._queue
-        horizon = _INF if until is None else until
+        self._horizon = horizon = _INF if until is None else until
         while queue and queue[0][0] <= horizon:
             time, _priority, _seq, callback, args, _label = heappop(queue)
             if callback is None:                # cancelled
@@ -104,11 +108,28 @@ class Simulator:
         while queue:
             time, _priority, _seq, callback, args, _label = heappop(queue)
             if callback is not None:            # else cancelled: next
-                self.now = time
+                self.now = self._horizon = time
                 self.events_dispatched += 1
                 callback(*args)
                 return True
         return False
+
+    @property
+    def horizon(self) -> float:
+        """The latest time the ``run`` or ``step`` in progress dispatches:
+        ``run``'s ``until`` (infinity without one), or the time of the one
+        event ``step`` dispatches.  A callback may act early for any
+        instant up to this and before :attr:`head_time`, since no other
+        event can run before it."""
+        return self._horizon
+
+    @property
+    def head_time(self) -> float:
+        """Time of the earliest queued entry, infinity on an empty queue.
+        A cancelled entry counts until the dispatcher skips it, which
+        makes the answer early, never late."""
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""

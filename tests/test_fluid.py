@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import telemetry
+from repro.baselines.baremetal import BareMetalTestbed
 from repro.netstack.fluid import (
     FluidEngine,
     FluidFlow,
     GroundTruthConstraints,
 )
+from repro.netstack.packet import Packet
 from repro.sim import RngRegistry, Simulator
 from repro.scenario.topologies import dumbbell, point_to_point
 
@@ -200,3 +203,126 @@ class TestLossStream:
         assert registry.stream("fluid-loss").getstate() == \
             eager_registry.stream("fluid-loss").getstate() != \
             RngRegistry(3).stream("fluid-loss").getstate()
+
+
+class StepwiseSimulator(Simulator):
+    """A kernel whose horizon is always the event being dispatched: the
+    fluid engine then replays no step ahead, and each has its own event."""
+
+    @property
+    def horizon(self):
+        return self.now
+
+
+class TestInlineReplay:
+    """Steps replayed inline, up to the next event, write exactly what
+    dispatching every step writes."""
+
+    DT = 0.010
+
+    @staticmethod
+    def system(kind):
+        if kind == "baremetal":
+            return BareMetalTestbed(
+                dumbbell(2, shared_bandwidth=20e6).compile().topology, seed=3)
+        return dumbbell(2, shared_bandwidth=20e6).deploy(
+            machines=2, seed=3,
+            enforce_bandwidth_sharing=kind == "kollaps").compile().engine()
+
+    def drive(self, kind):
+        """Flows that converge, one that finishes, one that starts off the
+        grid and one stopped on it, pings through the first flow's chain
+        (on Kollaps), and runs that end off the grid, exactly on a step
+        time, and between two series."""
+        system = self.system(kind)
+        sim, fluid = system.sim, system.fluid
+        system.start_flow("udp", "client0", "server0", protocol="udp",
+                          demand=5e6)
+        system.start_flow("tcp", "client1", "server1")
+        system.start_flow("sized", "client0", "server0", protocol="udp",
+                          demand=3e6, size_bits=3e6 * 0.7371)
+        system.start_flow("late", "client1", "server1", protocol="udp",
+                          demand=2e6, start_time=0.5373)
+        system.start_flow("stopped", "client1", "server1", protocol="udp",
+                          demand=1e6)
+        # Stopped by an event falling exactly on a step time, which runs
+        # before that step (priority 0 against the step's 10).
+        on_a_step = 0.0
+        for _ in range(113):
+            on_a_step += self.DT
+        sim.at(on_a_step, system.stop_flow, "stopped")
+        delivered = []
+        # On bare metal a ping leaves the wire a packet rate that decays
+        # for tens of seconds, and every step integrates meanwhile.
+        for index in range(0 if kind == "baremetal" else 12):
+            sim.at(0.0413 + 0.0997 * index, system.dataplane.send,
+                   Packet("client0", "server0", 480.0, kind="probe"),
+                   lambda packet: delivered.append(sim.now))
+        observed = []
+
+        def observe():
+            chains = [] if kind == "baremetal" else [
+                (container, destination, chain.bits_since_poll,
+                 chain.refused_since_poll)
+                for container, tcal in system.tcals.items()
+                for destination, chain in tcal.chains.items()]
+            flows = [(key, flow.bits_transferred, flow.finished)
+                     for key, flow in fluid.flows.items()]
+            series = {key: fluid.series(key) for key in
+                      ("udp", "tcp", "sized", "late", "stopped", "nobody")}
+            observed.append((sim.now, fluid.next_step(), flows, chains,
+                             list(delivered), series))
+
+        system.run(until=0.3047)
+        observe()
+        on_a_step = fluid.next_step()
+        for _ in range(37):
+            on_a_step += self.DT
+        system.run(until=on_a_step)
+        observe()
+        system.run(until=1.5)
+        observe()
+        return observed, sim.events_dispatched, len(fluid.series("udp"))
+
+    def drive_stepwise(self, kind, monkeypatch):
+        """:meth:`drive` with every fluid step its own event."""
+        monkeypatch.setattr("repro.core.engine.Simulator", StepwiseSimulator)
+        monkeypatch.setattr("repro.baselines.baremetal.Simulator",
+                            StepwiseSimulator)
+        return self.drive(kind)
+
+    @pytest.mark.parametrize("kind",
+                             ["kollaps", "latency-only", "baremetal"])
+    def test_inline_replay_is_every_step_dispatched(self, kind, monkeypatch):
+        inline, inline_events, steps = self.drive(kind)
+        stepwise, stepwise_events, stepwise_steps = self.drive_stepwise(
+            kind, monkeypatch)
+        assert steps == stepwise_steps == 150
+        for at, (batched, single) in enumerate(zip(inline, stepwise)):
+            assert batched == single, at
+        # The same steps in fewer events; the finite flow finished.
+        assert inline_events < stepwise_events
+        assert dict((key, done) for key, _bits, done in inline[-1][2]) \
+            == {"udp": False, "tcp": False, "sized": True, "late": False}
+        # The second run ended exactly on a step, which it took.
+        assert inline[1][5]["udp"].times[-1] == inline[1][0]
+        assert inline[1][1] == inline[1][0] + self.DT
+
+    @pytest.mark.parametrize("kind",
+                             ["kollaps", "latency-only", "baremetal"])
+    def test_steps_inline_counts_the_events_it_saved(self, kind,
+                                                     monkeypatch):
+        telemetry.metrics.clear()
+        telemetry.enable()
+        try:
+            _observed, inline_events, steps = self.drive(kind)
+            counted = {name: telemetry.metrics.counter(name).value
+                       for name in ("fluid.steps", "fluid.steps_inline")}
+        finally:
+            telemetry.disable()
+            telemetry.metrics.clear()
+        _observed, stepwise_events, _steps = self.drive_stepwise(
+            kind, monkeypatch)
+        assert counted["fluid.steps"] == steps
+        assert counted["fluid.steps_inline"] == \
+            stepwise_events - inline_events > 0

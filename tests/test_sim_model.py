@@ -6,9 +6,9 @@ callbacks, equal times and equal priorities on purpose — is interpreted on
 :class:`repro.sim.Simulator` and on :class:`SortedListKernel`, which keeps
 its queue as a sorted list and nothing else.  Everything a caller can see
 must agree: what fired and in which order, the clock, ``pending()`` and
-``events_dispatched`` after every step, and what each handle — the list
-``[time, priority, seq, callback, args, label]`` — reports, also after it
-fired.
+``events_dispatched`` after every step, ``head_time`` and ``horizon`` there
+and inside every callback, and what each handle — the list ``[time,
+priority, seq, callback, args, label]`` — reports, also after it fired.
 """
 
 import bisect
@@ -26,8 +26,13 @@ class SortedListKernel:
     def __init__(self):
         self.now = 0.0
         self.events_dispatched = 0
+        self.horizon = 0.0
         self._seq = 0
         self._entries = []
+
+    @property
+    def head_time(self):
+        return self._entries[0][0] if self._entries else _INF
 
     def at(self, time, callback, *args, priority=0):
         handle = [time, priority, self._seq, callback, args, ""]
@@ -53,7 +58,7 @@ class SortedListKernel:
         return False
 
     def run(self, until=None):
-        horizon = _INF if until is None else until
+        self.horizon = horizon = _INF if until is None else until
         while self._dispatch_one(horizon):
             pass
         if until is not None and until > self.now:
@@ -61,6 +66,11 @@ class SortedListKernel:
         return self.now
 
     def step(self):
+        # The horizon is the one event that fires: the first live one.
+        while self._entries and self._entries[0][3][3] is None:
+            self._entries.pop(0)
+        if self._entries:
+            self.horizon = self._entries[0][0]
         return self._dispatch_one(_INF)
 
     def pending(self):
@@ -108,7 +118,8 @@ def interpret(kernel, program):
 
     def fire(index, inner):
         handle = handles[index]
-        fired.append((kernel.now, *handle[:3]))
+        fired.append((kernel.now, *handle[:3], kernel.head_time,
+                      kernel.horizon))
         for verb, *rest in inner:
             if verb == "cancel":
                 cancel(*rest)
@@ -126,7 +137,8 @@ def interpret(kernel, program):
         else:
             schedule(verb, *rest)
         trace.append((kernel.now, kernel.pending(),
-                      kernel.events_dispatched))
+                      kernel.events_dispatched, kernel.head_time,
+                      kernel.horizon))
     reports = [(*handle[:3], handle[3] is None) for handle in handles]
     return fired, trace, reports
 
@@ -141,8 +153,13 @@ def test_kernel_agrees_with_the_sorted_list_reference(program):
     times = [now for now, *_ in fired]
     assert times == sorted(times)
     assert all(now == time for now, time, *_ in fired)
-    assert len({seq for *_, seq in fired}) == len(fired)
-    assert trace[-1][1:] == (0, len(fired))
+    assert len({seq for _now, _time, _priority, seq, *_ in fired}) == \
+        len(fired)
+    assert trace[-1][1:] == (0, len(fired), _INF, _INF)
+    # Inside a callback, nothing else may run before both the head entry
+    # and the horizon, and an event never fires past the horizon.
+    assert all(now <= horizon and now <= head
+               for now, *_, head, horizon in fired)
 
 
 def test_handle_reports_its_key_after_it_fired_and_after_cancel():
@@ -174,3 +191,26 @@ def test_cancel_is_idempotent_and_a_no_op_on_a_fired_event():
     sim.run()
     assert seen == ["fired", "kept"]
     assert sim.events_dispatched == 2 and sim.now == 3.0
+
+
+def test_step_sets_the_horizon_to_its_own_event():
+    sim = Simulator()
+    seen = []
+
+    def look():
+        seen.append((sim.now, sim.horizon, sim.head_time))
+
+    assert (sim.horizon, sim.head_time) == (0.0, _INF)
+    sim.at(1.0, look)
+    sim.at(2.0, look)
+    sim.cancel(sim.at(3.0, look))
+    sim.run(until=0.5)
+    assert (sim.now, sim.horizon, sim.head_time) == (0.5, 0.5, 1.0)
+    assert sim.step()
+    assert seen == [(1.0, 1.0, 2.0)]
+    sim.run()
+    # The cancelled entry still heads the queue while the last live event
+    # runs; the drained queue then has no head.
+    assert seen[-1] == (2.0, _INF, 3.0)
+    assert (sim.horizon, sim.head_time) == (_INF, _INF)
+    assert not sim.step()

@@ -103,8 +103,7 @@ class MaxinetEmulator(BareMetalTestbed):
     def reachable(self, source: str, destination: str) -> bool:
         return self.network.reachable(source, destination)
 
-    def send(self, packet: Packet, deliver, on_drop=None,
-             on_backpressure=None) -> None:
+    def send(self, packet: Packet, deliver, on_drop=None) -> None:
         """Forward with tunnelling delay added per cross-worker hop
         (:meth:`DataPlane.send`; nothing here pushes back)."""
         path = self.network.collapsed.path(packet.source, packet.destination)

@@ -26,6 +26,11 @@ from repro.topology.model import Topology
 
 __all__ = ["FullStateNetwork", "SwitchModel"]
 
+#: The usage monitor's sampling period (s) and EWMA weight of the newest
+#: sample.
+_MONITOR_PERIOD = 0.05
+_MONITOR_ALPHA = 0.5
+
 
 class SwitchModel:
     """Per-switch processing costs for full-state emulation baselines.
@@ -138,9 +143,9 @@ class FullStateNetwork:
         for link in self._links.values():
             link.background_load = self._background_lookup
 
-    def start_usage_monitor(self, period: float = 0.05,
-                            alpha: float = 0.5) -> None:
-        """Sample per-link packet rates every ``period`` seconds (EWMA).
+    def start_usage_monitor(self) -> None:
+        """Sample per-link packet rates every 50 ms (an EWMA weighting
+        the newest sample 0.5).
 
         The counterpart of the Emulation Manager's usage polling, but for
         the ground-truth systems: it feeds
@@ -160,22 +165,22 @@ class FullStateNetwork:
                 if sent == previous and not smoothed:
                     continue        # idle: its rate would be 0.0 again
                 baseline[link_id] = sent
-                rate = max(sent - previous, 0.0) / period
-                smoothed = alpha * rate + (1.0 - alpha) * smoothed
+                rate = max(sent - previous, 0.0) / _MONITOR_PERIOD
+                smoothed = (_MONITOR_ALPHA * rate
+                            + (1.0 - _MONITOR_ALPHA) * smoothed)
                 if smoothed:
                     rates[link_id] = smoothed
                 else:
                     rates.pop(link_id, None)
 
         from repro.sim import Process
-        self._monitor = Process(self.sim, period, sample,
+        self._monitor = Process(self.sim, _MONITOR_PERIOD, sample,
                                 name="packet-usage-monitor", priority=9)
 
     def reachable(self, source: str, destination: str) -> bool:
         return self.collapsed.path(source, destination) is not None
 
-    def send(self, packet: Packet, deliver, on_drop=None,
-             on_backpressure=None) -> None:
+    def send(self, packet: Packet, deliver, on_drop=None) -> None:
         """:meth:`DataPlane.send`; links drop, they never push back."""
         path = self.collapsed.path(packet.source, packet.destination)
         if path is None:

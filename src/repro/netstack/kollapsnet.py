@@ -91,15 +91,12 @@ class KollapsDataPlane:
         return delay
 
     def send(self, packet: Packet, deliver: Callable[[Packet], None],
-             on_drop: Optional[Callable[[Packet], None]] = None,
-             on_backpressure: Optional[Callable[[Packet, float], None]] = None
-             ) -> None:
+             on_drop: Optional[Callable[[Packet], None]] = None) -> None:
         """Shape and deliver ``packet``.
 
-        netem drops invoke ``on_drop``; a full htb queue invokes
-        ``on_backpressure`` with the earliest retry time (mirroring a
-        blocked/zero-byte socket write) or, absent that handler, silently
-        retries at that time — matching blocking-I/O semantics.
+        netem drops invoke ``on_drop``; a full htb queue blocks the packet
+        until it drains, behind the packets already blocked on that chain
+        — a blocking socket write.
         """
         source = packet.source
         destination = packet.destination
@@ -115,29 +112,21 @@ class KollapsDataPlane:
                 return
         chain = (source, destination)
         blocked = self._blocked
-        if blocked and on_backpressure is None and blocked.get(chain):
+        if blocked and blocked.get(chain):
             # Writers already blocked on this chain go first (FIFO order,
-            # like writers queued on a socket).  A non-blocking sender
-            # never joins them: it gets admission or EAGAIN, below.
+            # like writers queued on a socket).
             self.backpressure_events += 1
             blocked[chain].append((packet, deliver, on_drop))
             return
         try:
             release = shaping.egress(self.sim.now, packet.size_bits)
         except BackPressure as pressure:
+            # The packet waits and is carried later, so it is queueing
+            # delay, not refused demand.
             self.backpressure_events += 1
-            if on_backpressure is not None:
-                # Non-blocking semantics: the sender is told EAGAIN and
-                # may abandon the datagram — that unmet offered load is
-                # what the congestion model reads as "requested" (§3).
-                shaping.record_refused(packet.size_bits)
-                on_backpressure(packet, pressure.retry_at)
-            else:
-                # Blocking semantics: the packet waits and is carried
-                # later, so it is queueing delay, not refused demand.
-                blocked.setdefault(chain, deque()).append(
-                    (packet, deliver, on_drop))
-                self._schedule_drain(chain, pressure.retry_at)
+            blocked.setdefault(chain, deque()).append(
+                (packet, deliver, on_drop))
+            self._schedule_drain(chain, pressure.retry_at)
             return
         self._forward(chain, packet, release, deliver, on_drop)
 

@@ -13,7 +13,6 @@ PACKET_PLANE = "packet"
 BULK_PLANE = "bulk"
 
 DeliveryCallback = Callable[[Packet], None]
-BackpressureCallback = Callable[[Packet, float], None]
 
 
 class DataPlane(Protocol):
@@ -28,15 +27,13 @@ class DataPlane(Protocol):
     """
 
     def send(self, packet: Packet, deliver: DeliveryCallback,
-             on_drop: Optional[DeliveryCallback] = None,
-             on_backpressure: Optional[BackpressureCallback] = None) -> None:
+             on_drop: Optional[DeliveryCallback] = None) -> None:
         """Inject ``packet``; ``deliver`` fires at the destination.
 
-        ``on_drop`` fires instead when the network loses it.  A plane whose
-        sender-side queue can refuse a packet calls ``on_backpressure``
-        with the earliest retry time, or — given none — holds the packet
-        until the queue drains; planes that never refuse ignore it.  Both
-        may be passed positionally.
+        ``on_drop`` fires instead when the network loses it, and may be
+        passed positionally.  A plane whose sender-side queue is full holds
+        the packet until it drains, behind the packets already waiting
+        there (a blocking socket write).
         """
         ...
 

@@ -1,15 +1,15 @@
 """IPv4 addressing for emulated containers.
 
-The u32 filter hashes on the third and fourth octets of the destination
-address (§3), so containers receive addresses from ``10.1.0.0/16`` with
-the low 16 bits allocated sequentially — mirroring how Docker overlay
-networks hand out addresses.
+Containers receive addresses from ``10.1.0.0/16`` with the low 16 bits
+allocated sequentially — mirroring how Docker overlay networks hand out
+addresses.  A TCAL builds a chain only towards a container that holds
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Dict
 
 __all__ = ["Ipv4Address", "IpAllocator"]
 
@@ -38,14 +38,6 @@ class Ipv4Address:
     def octets(self) -> tuple:
         return ((self.value >> 24) & 0xFF, (self.value >> 16) & 0xFF,
                 (self.value >> 8) & 0xFF, self.value & 0xFF)
-
-    @property
-    def third_octet(self) -> int:
-        return (self.value >> 8) & 0xFF
-
-    @property
-    def fourth_octet(self) -> int:
-        return self.value & 0xFF
 
     def __str__(self) -> str:
         return ".".join(str(octet) for octet in self.octets)
@@ -76,14 +68,3 @@ class IpAllocator:
         except KeyError:
             raise KeyError(f"no address assigned to {container!r}") from None
 
-    def reverse(self, address: Ipv4Address) -> str:
-        for container, assigned in self._assigned.items():
-            if assigned == address:
-                return container
-        raise KeyError(f"no container with address {address}")
-
-    def items(self) -> Iterator:
-        return iter(self._assigned.items())
-
-    def __len__(self) -> int:
-        return len(self._assigned)

@@ -1,9 +1,11 @@
 """The TC Abstraction Layer (TCAL).
 
 One TCAL instance is attached to each emulated container's network
-namespace.  It owns the egress shaping chain for that container: a u32
-filter classifying by destination address into per-destination netem + htb
-stages, and it exposes the three operations the Emulation Core needs (§4.1):
+namespace.  It owns the egress shaping of that container: one netem + htb
+chain per destination, which a packet finds by its destination in
+:attr:`Tcal.chains` (the lookup the real system's two-level u32 hash on
+the address's third and fourth octets makes constant-time, §3), and it
+exposes the three operations the Emulation Core needs (§4.1):
 
 * ``init`` — take the container's row of the collapsed topology
   (:meth:`Tcal.install_row`); the per-destination chain is built from it
@@ -30,10 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro import telemetry
-from repro.tc.htb import HtbClass, HtbQdisc
-from repro.tc.ip import IpAllocator, Ipv4Address
+from repro.tc.htb import HtbClass
+from repro.tc.ip import IpAllocator
 from repro.tc.netem import NetemQdisc
-from repro.tc.u32 import U32Filter
 
 __all__ = ["Tcal", "PathShaping"]
 
@@ -43,15 +44,15 @@ class PathShaping:
     """The netem + htb pair shaping traffic towards one destination.
 
     ``bits_since_poll`` counts traffic the chain carried;
-    ``refused_since_poll`` counts offered load that was *abandoned* at a
-    full queue (a non-blocking sender seeing EAGAIN — UDP-style traffic).
-    Their sum is the *requested* bandwidth of §3's congestion model.
-    Blocking senders are deliberately not counted here: their packets are
-    queued and carried later, so counting the refusal too would double the
+    ``refused_since_poll`` counts offered load the chain could not carry:
+    the bulk demand above the enforced rate that
+    ``FluidEngine._report_pressure`` records.  Their sum is the
+    *requested* bandwidth of §3's congestion model.  A packet the htb
+    queue pushes back is not counted here: its sender blocks and the
+    packet is carried later, so counting the refusal too would double the
     apparent demand of a merely flow-controlled TCP stream.
     """
 
-    class_id: int
     netem: NetemQdisc
     htb: HtbClass
     destination: str
@@ -104,14 +105,11 @@ class Tcal:
         #: that can draw (jitter or loss above 0), and is ``None`` before.
         self.rng: Optional[random.Random] = None if callable(rng) else rng
         self._make_rng = rng if callable(rng) else None
-        self.filter = U32Filter()
-        self.qdisc = HtbQdisc()
         #: destination -> chain, for the chains that exist.  The data plane
         #: reads it once per packet; only this class writes it.
         self.chains: Dict[str, PathShaping] = {}
         # destination -> collapsed path (or None) in the state in force.
         self._row: Callable[[str], Optional[object]] = _no_row
-        self._next_class = 1
         self.netlink_calls = 0
 
     # ----------------------------------------------------------------- setup
@@ -159,15 +157,12 @@ class Tcal:
             return existing
         # Everything that can refuse the request runs before any state
         # changes, so a rejected install leaves no half-built chain.
-        address = self.allocator.lookup(destination)
-        class_id = self._next_class
-        htb_class = self.qdisc.ensure_class(class_id, bandwidth)
+        self.allocator.lookup(destination)      # KeyError: no container
+        htb = HtbClass(bandwidth)               # ValueError: rate <= 0
         netem = NetemQdisc(latency=latency, jitter=jitter, loss=loss,
                            distribution=distribution, rng=self.rng)
         self._arm(netem)
-        self._next_class += 1
-        self.filter.add_match(address, class_id)
-        shaping = PathShaping(class_id, netem, htb_class, destination)
+        shaping = PathShaping(netem, htb, destination)
         self.chains[destination] = shaping
         if telemetry.enabled():
             telemetry.metrics.counter("tc.chains_built").inc()
@@ -181,11 +176,8 @@ class Tcal:
             netem.rng = self.rng
 
     def remove_destination(self, destination: str) -> None:
-        shaping = self.chains.pop(destination, None)
-        if shaping is None:
+        if self.chains.pop(destination, None) is None:
             raise KeyError(f"no shaping chain towards {destination!r}")
-        self.filter.remove_match(self.allocator.lookup(destination))
-        self.qdisc.remove_class(shaping.class_id)
 
     def destinations(self) -> Tuple[str, ...]:
         """The destinations whose chain exists, in creation order."""
@@ -215,20 +207,16 @@ class Tcal:
         """:meth:`PathShaping.egress` on the chain towards ``destination``."""
         return self.shaping_for(destination).egress(now, size_bits)
 
-    def classify(self, address: Ipv4Address) -> Optional[int]:
-        return self.filter.classify(address)
-
     # ----------------------------------------------------------- enforcement
     def set_bandwidth(self, destination: str, rate: float) -> None:
         """netlink-style rate update on the destination's htb class."""
         self.shaping_for(destination).htb.set_rate(rate)
         self._count_write()
 
-    def set_netem(self, destination: str, *, latency: Optional[float] = None,
-                  jitter: Optional[float] = None,
-                  loss: Optional[float] = None) -> None:
+    def set_netem(self, destination: str, *, loss: float) -> None:
+        """netlink-style loss update on the destination's netem stage."""
         netem = self.shaping_for(destination).netem
-        netem.configure(latency=latency, jitter=jitter, loss=loss)
+        netem.configure(loss=loss)
         self._arm(netem)
         self._count_write()
 

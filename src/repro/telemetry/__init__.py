@@ -8,7 +8,7 @@ The observability layer of the reproduction.  Three pieces:
   spans in memory and, when tracing into a directory, appends each to
   ``trace-<pid>.jsonl`` — multiple campaign worker processes share one
   directory safely.
-* **Metrics** (:mod:`.metrics`): counters / gauges / fixed-bucket
+* **Metrics** (:mod:`.metrics`): counters and fixed-bucket
   histograms in a :class:`.MetricsRegistry` whose snapshots are
   deterministic plain dicts — picklable, mergeable and written beside
   the trace as ``metrics-<pid>.json``.
@@ -30,8 +30,7 @@ from typing import Any, Optional
 
 from repro._lazy import lazy_exports
 from .spans import NULL_SPAN, NullSpan, Span, Stopwatch, Tracer, clock
-from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
-                      MetricsRegistry)
+from .metrics import Counter, DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
 # The trace readers load on first use: a run that traces nothing does not
 # pay for them.
@@ -44,7 +43,7 @@ __getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 __all__ = [
     "span", "enable", "disable", "enabled", "tracer", "flush",
     "Span", "NullSpan", "Tracer", "Stopwatch", "clock",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
+    "Counter", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
     "metrics",
     "load_trace", "load_metrics", "to_chrome", "summarize", "top_spans",
     "format_summary", "format_top",

@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges, and fixed-bucket histograms.
+"""Metrics: counters and fixed-bucket histograms.
 
 A :class:`MetricsRegistry` is a named bag of instruments whose
 :meth:`~MetricsRegistry.snapshot` is a plain, deterministically ordered
@@ -21,8 +21,7 @@ import bisect
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_BUCKETS"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
 
 #: Default histogram bucket upper bounds, in seconds: spans the range
 #: from one fluid step (~1 ms) to a long campaign point (minutes).
@@ -47,28 +46,6 @@ class Counter:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A point-in-time value (queue depth, active workers)."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str, lock: threading.Lock) -> None:
-        self.name = name
-        self.value = 0.0
-        self._lock = lock
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -132,9 +109,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         with self._lock:
@@ -170,16 +144,13 @@ class MetricsRegistry:
     def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
         """Fold another registry's snapshot into this one.
 
-        Counters and histograms add; gauges take the incoming value
-        (last writer wins — a gauge describes one process anyway).
+        Counters and histograms add.
         """
         for name in sorted(snapshot):
             doc = snapshot[name]
             kind = doc.get("type")
             if kind == "counter":
                 self.counter(name).inc(doc.get("value", 0.0))
-            elif kind == "gauge":
-                self.gauge(name).set(doc.get("value", 0.0))
             elif kind == "histogram":
                 hist = self.histogram(name, doc.get("buckets",
                                                     DEFAULT_BUCKETS))

@@ -203,7 +203,7 @@ class CapturePlane:
     def __init__(self):
         self.sent = []
 
-    def send(self, packet, deliver, on_drop=None, on_backpressure=None):
+    def send(self, packet, deliver, on_drop=None):
         self.sent.append(packet)
 
 
@@ -214,9 +214,9 @@ class KindsPlane:
         self.plane = plane
         self.kinds = []
 
-    def send(self, packet, deliver, on_drop=None, on_backpressure=None):
+    def send(self, packet, deliver, on_drop=None):
         self.kinds.append(packet.kind)
-        self.plane.send(packet, deliver, on_drop, on_backpressure)
+        self.plane.send(packet, deliver, on_drop)
 
 
 class TestMemtierClient:

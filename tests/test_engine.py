@@ -172,8 +172,8 @@ class TestDynamicTopology:
             config=EngineConfig(enforce_bandwidth_sharing=False))
         delivered = []
         # down, up, down, up again.  Chains are built by traffic, so every
-        # up-phase sends a packet each way: a leave that forgot the htb
-        # class or the filter rule would leave more of them than chains.
+        # up-phase sends a packet each way: a leave that forgot a chain
+        # would leave it behind for the next up-phase.
         for until, up in ((1.2, False), (1.7, True), (3.2, False),
                           (6.0, True)):
             engine.run(until=until)
@@ -183,8 +183,7 @@ class TestDynamicTopology:
                     engine.dataplane.send(Packet(source, destination, 800),
                                           delivered.append)
             for tcal in engine.tcals.values():
-                assert len(tcal.qdisc._classes) == \
-                    len(tcal.destinations()) == tcal.filter.rules
+                assert tuple(tcal.chains) == tcal.destinations()
                 assert len(tcal.destinations()) == (1 if up else 0)
         engine.run(until=6.5)
         assert len(delivered) == 4
@@ -282,7 +281,7 @@ class TestChainLifecycle:
         first = engine.tcals["client"].shaping_for("server")
         engine.run(until=5.0)                   # the link left at t=4
         assert self.chains(engine) == {"client": (), "server": ()}
-        assert engine.tcals["client"].qdisc._classes == {}
+        assert engine.tcals["client"].chains == {}
         assert not engine.tcals["client"].has_destination("server")
         assert not engine.dataplane.reachable("client", "server")
         send("client", "server")

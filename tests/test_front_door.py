@@ -266,8 +266,6 @@ ALLOWED = {
     "two delays apart",
     "PacketLink.buffer_bits": "the drop-tail queue; tests/test_netstack.py "
     "shrinks it to make a link drop",
-    "HtbQdisc.default_rate": "tests/test_tc.py::test_qdisc_default_rate_"
-    "only_when_no_rate_is_given reads it",
     "FluidFlow.rtt": "the RTT before the first step measures one; "
     "tests/test_fluid.py holds Reno's and Cubic's window rules at a "
     "known RTT",

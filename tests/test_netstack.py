@@ -171,22 +171,11 @@ class TestFullStateNetwork:
                                    MaxinetEmulator])
 def test_every_plane_has_the_protocol_send_signature(plane):
     """One ``send`` everywhere, so an application never probes a plane
-    for what it accepts; the optional callbacks may go positionally."""
+    for what it accepts; the optional ``on_drop`` may go positionally."""
     expected = inspect.signature(DataPlane.send).parameters
     actual = inspect.signature(plane.send).parameters
     assert list(actual) == list(expected)
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in actual.values())
-
-
-def test_full_state_network_accepts_and_ignores_on_backpressure():
-    sim = Simulator()
-    topology = point_to_point(1e9, latency=0.020).compile().topology
-    network = FullStateNetwork(sim, topology)
-    arrivals, refused = [], []
-    network.send(Packet("client", "server", 8000), arrivals.append, None,
-                 lambda p, retry_at: refused.append(p))
-    sim.run()
-    assert len(arrivals) == 1 and refused == []
 
 
 class TestKollapsDataPlane:
@@ -279,64 +268,6 @@ class TestKollapsDataPlane:
         assert delivered == [0] and dropped == [1, 2]
         assert plane.packets_delivered == 1 and plane.packets_dropped == 2
 
-    def test_non_blocking_sender_is_refused_not_queued(self):
-        sim, plane = self.build()
-        tcal = plane.tcal_for("a")
-        tcal.set_bandwidth("b", 1e4)
-        shaping = tcal.shaping_for("b")
-        shaping.htb.queue_bits = 1000.0
-        refused = []
-        for _ in range(2):
-            plane.send(Packet("a", "b", 800), lambda p: None,
-                       on_backpressure=lambda p, retry_at:
-                       refused.append(retry_at))
-        sim.run()
-        assert len(refused) == 1 and refused[0] > 0.0
-        assert shaping.refused_since_poll == 800
-        assert plane.packets_delivered == 1
-
-    def test_non_blocking_sender_behind_blocked_writers_gets_eagain(self):
-        """A sender that passed ``on_backpressure`` never takes a place in
-        the blocked writers' FIFO: it tries the queue and is refused, and
-        the congestion model sees the load it offered."""
-        sim, plane = self.build()
-        tcal = plane.tcal_for("a")
-        tcal.set_bandwidth("b", 1e6)
-        shaping = tcal.shaping_for("b")
-        delivered, refused = [], []
-        for _ in range(200):                # blocking writers fill the queue
-            plane.send(Packet("a", "b", 12000, kind="tcp"),
-                       lambda p: delivered.append(p.kind))
-        assert plane.backpressure_events > 0
-        plane.send(Packet("a", "b", 11200, kind="udp"),
-                   lambda p: delivered.append(p.kind),
-                   on_backpressure=lambda p, retry_at:
-                   refused.append((p.kind, retry_at)))
-        assert [kind for kind, _ in refused] == ["udp"]
-        assert refused[0][1] > sim.now
-        assert shaping.refused_since_poll == 11200
-        sim.run()
-        assert delivered == ["tcp"] * 200   # abandoned, not carried later
-
-    def test_non_blocking_sender_is_admitted_when_the_queue_has_room(self):
-        sim, plane = self.build()
-        tcal = plane.tcal_for("a")
-        tcal.set_bandwidth("b", 1e4)
-        tcal.shaping_for("b").htb.queue_bits = 1000.0
-        delivered, refused = [], []
-        for tag in range(3):                # 0 admitted, 1 and 2 block
-            plane.send(Packet("a", "b", 800, payload=tag),
-                       lambda p: delivered.append(p.payload))
-        # Just after the first drain admitted writer 1 the queue is full
-        # again; once that packet is out there is room until the next drain.
-        sim.run(until=0.081)
-        plane.send(Packet("a", "b", 100, payload="udp"),
-                   lambda p: delivered.append(p.payload), None,
-                   lambda p, retry_at: refused.append(p.payload))
-        sim.run()
-        assert refused == []
-        assert delivered == [0, 1, "udp", 2]    # ahead of blocked writer 2
-
     def test_unknown_source_raises(self):
         _, plane = self.build()
         with pytest.raises(KeyError, match="no TCAL attached"):
@@ -358,8 +289,8 @@ class TestKollapsDataPlane:
 class TestConstantRateStream:
     """A constant-rate datagram stream through an engine's Kollaps plane,
     sent with raw ``dataplane.send`` and never backing off: a datagram
-    the sender's htb refuses is abandoned, like a non-blocking ``sendto``
-    seeing ``EAGAIN``."""
+    the sender's htb refuses waits behind the chain's blocked writers
+    while the stream keeps its pace."""
 
     DATAGRAM_BITS = 1400 * 8.0
 
@@ -381,18 +312,16 @@ class TestConstantRateStream:
         def dropped(_datagram):
             counts["dropped"] += 1
 
-        def refused(_datagram, _retry_at):
-            counts["refused"] += 1
-
         def send():
             counts["sent"] += 1
             plane.send(Packet("client", "server", self.DATAGRAM_BITS,
                               kind="udp", created=sim.now),
-                       delivered, dropped, refused)
+                       delivered, dropped)
             sim.after(self.DATAGRAM_BITS / rate, send)
 
         sim.at(0.0, send)
         engine.run(until=until)
+        counts["refused"] = plane.backpressure_events
         return counts, delays
 
     def test_delivers_at_configured_rate(self):
@@ -402,8 +331,8 @@ class TestConstantRateStream:
         assert counts["dropped"] == counts["refused"] == 0
 
     def test_oversubscription_is_refused_not_slowed(self):
-        # Four times the wire: the sender never slows down; the excess is
-        # refused at its own qdisc and delivery caps at the link.
+        # Four times the wire: the sender never slows down; its own qdisc
+        # refuses the excess, which queues, and delivery caps at the link.
         counts, _ = self.stream(20e6, bandwidth=5e6)
         assert counts["delivered"] * self.DATAGRAM_BITS / 10.0 \
             <= 5e6 * 1.05

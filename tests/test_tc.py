@@ -1,4 +1,4 @@
-"""Traffic-control substrate: htb, netem, u32 and the TCAL facade."""
+"""Traffic-control substrate: htb, netem and the TCAL facade."""
 
 import random
 import statistics
@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro import telemetry
 from repro.core.properties import PathProperties
 from repro.sim import RngRegistry
-from repro.tc import IpAllocator, Ipv4Address, NetemQdisc, Tcal, U32Filter
-from repro.tc.htb import BackPressure, HtbClass, HtbQdisc
+from repro.tc import IpAllocator, Ipv4Address, NetemQdisc, Tcal
+from repro.tc.htb import BackPressure, HtbClass
 from repro.tc.tcal import PathShaping
 
 
@@ -21,11 +21,6 @@ class TestIpv4:
         address = Ipv4Address.parse("10.1.3.7")
         assert str(address) == "10.1.3.7"
         assert address.octets == (10, 1, 3, 7)
-
-    def test_third_and_fourth_octets(self):
-        address = Ipv4Address.parse("10.1.200.45")
-        assert address.third_octet == 200
-        assert address.fourth_octet == 45
 
     def test_octet_out_of_range(self):
         with pytest.raises(ValueError):
@@ -41,56 +36,18 @@ class TestIpv4:
     def test_allocator_idempotent(self):
         allocator = IpAllocator()
         assert allocator.assign("a") == allocator.assign("a")
-        assert len(allocator) == 1
-
-    def test_reverse_lookup(self):
-        allocator = IpAllocator()
-        address = allocator.assign("svc.0")
-        assert allocator.reverse(address) == "svc.0"
+        assert str(allocator.assign("b")) == "10.1.0.2"
+        assert allocator.lookup("a") == allocator.assign("a")
 
     def test_lookup_unassigned_raises(self):
         with pytest.raises(KeyError):
             IpAllocator().lookup("ghost")
 
 
-class TestU32Filter:
-    def test_classify_after_add(self):
-        filter_ = U32Filter()
-        filter_.add_match(Ipv4Address.parse("10.1.2.3"), class_id=7)
-        assert filter_.classify(Ipv4Address.parse("10.1.2.3")) == 7
-
-    def test_no_rule_returns_none(self):
-        assert U32Filter().classify(Ipv4Address.parse("10.1.2.3")) is None
-
-    def test_same_third_octet_no_collision(self):
-        """The two-level table distinguishes .x.1 from .x.2 (no collisions)."""
-        filter_ = U32Filter()
-        filter_.add_match(Ipv4Address.parse("10.1.5.1"), 1)
-        filter_.add_match(Ipv4Address.parse("10.1.5.2"), 2)
-        assert filter_.classify(Ipv4Address.parse("10.1.5.1")) == 1
-        assert filter_.classify(Ipv4Address.parse("10.1.5.2")) == 2
-
-    def test_remove_match(self):
-        filter_ = U32Filter()
-        address = Ipv4Address.parse("10.1.0.9")
-        filter_.add_match(address, 3)
-        filter_.remove_match(address)
-        assert filter_.classify(address) is None
-        with pytest.raises(KeyError):
-            filter_.remove_match(address)
-
-    def test_rule_count(self):
-        filter_ = U32Filter()
-        filter_.add_match(Ipv4Address.parse("10.1.0.1"), 1)
-        filter_.add_match(Ipv4Address.parse("10.1.0.2"), 2)
-        filter_.add_match(Ipv4Address.parse("10.1.0.1"), 9)  # replace
-        assert filter_.rules == 2
-
-
 class TestHtb:
     def test_rate_paces_long_run_throughput(self):
         """Sending 100 x 10 kbit packets at 1 Mb/s takes ~1 s."""
-        htb = HtbClass(rate=1e6, burst=0.0, queue_bits=1e9)
+        htb = HtbClass(rate=1e6, queue_bits=1e9)
         finish = 0.0
         for _ in range(100):
             finish = htb.enqueue(0.0, 10e3)
@@ -124,7 +81,7 @@ class TestHtb:
         htb.enqueue(0.02, 10e3)
 
     def test_set_rate_applies_to_new_packets(self):
-        htb = HtbClass(rate=1e6, burst=0.0, queue_bits=1e9)
+        htb = HtbClass(rate=1e6, queue_bits=1e9)
         htb.enqueue(0.0, 1e6)  # occupies the wire until t=1.0
         htb.set_rate(2e6)
         finish = htb.enqueue(0.0, 1e6)
@@ -133,22 +90,8 @@ class TestHtb:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             HtbClass(rate=1e6).set_rate(0.0)
-
-    def test_qdisc_default_rate_only_when_no_rate_is_given(self):
-        qdisc = HtbQdisc(default_rate=5e6)
-        assert qdisc.ensure_class(1).rate == 5e6
-        assert qdisc.ensure_class(2, 1e6).rate == 1e6
         with pytest.raises(ValueError):
-            qdisc.ensure_class(3, 0.0)
-        assert sorted(qdisc._classes) == [1, 2]
-
-    def test_qdisc_remove_class(self):
-        qdisc = HtbQdisc()
-        qdisc.ensure_class(1)
-        qdisc.remove_class(1)
-        assert qdisc._classes == {}
-        with pytest.raises(KeyError):
-            qdisc.remove_class(1)
+            HtbClass(rate=0.0)
 
     def test_counters(self):
         htb = HtbClass(rate=1e9)
@@ -248,7 +191,7 @@ class TestPathShapingEgress:
                                           packets):
         rng, twin_rng = random.Random(11), random.Random(11)
         shaping = PathShaping(
-            1, NetemQdisc(latency=latency, jitter=jitter, loss=loss, rng=rng),
+            NetemQdisc(latency=latency, jitter=jitter, loss=loss, rng=rng),
             HtbClass(rate), "destination")
         netem = NetemQdisc(latency=latency, jitter=jitter, loss=loss,
                            rng=twin_rng)
@@ -312,11 +255,6 @@ class TestTcal:
         release = tcal.egress(0.0, "server", 8000)
         assert release == pytest.approx(0.010 + 8000 / 2e6)
 
-    def test_classify_via_u32(self):
-        tcal = self.build()
-        address = tcal.allocator.lookup("server")
-        assert tcal.classify(address) is not None
-
     def test_install_is_idempotent_reconfigure(self):
         tcal = self.build()
         shaping_before = tcal.shaping_for("server")
@@ -343,11 +281,13 @@ class TestTcal:
         tcal = self.build()
         for _ in range(3):
             tcal.remove_destination("server")
-            assert tcal.qdisc._classes == {}
-            assert tcal.filter.rules == 0
+            assert tcal.chains == {} and tcal.destinations() == ()
+            with pytest.raises(KeyError):
+                tcal.remove_destination("server")
             tcal.install_destination("server", latency=0.010, jitter=0.0,
                                      loss=0.0, bandwidth=1e6)
-            assert len(tcal.qdisc._classes) == len(tcal.destinations()) == 1
+            assert list(tcal.chains) == list(tcal.destinations()) == \
+                ["server"]
 
     @pytest.mark.parametrize("bandwidth", [0.0, -1e6])
     def test_non_positive_bandwidth_rejected_on_first_install(self, bandwidth):
@@ -359,8 +299,14 @@ class TestTcal:
                                      loss=0.0, bandwidth=bandwidth)
         # A refused install leaves nothing behind.
         assert tcal.destinations() == ()
-        assert tcal.qdisc._classes == {}
-        assert tcal.filter.rules == 0
+        assert tcal.chains == {}
+
+    def test_unknown_container_rejected_on_first_install(self):
+        tcal = Tcal("client", IpAllocator())
+        with pytest.raises(KeyError, match="no address assigned"):
+            tcal.install_destination("ghost", latency=0.010, jitter=0.0,
+                                     loss=0.0, bandwidth=0.0)
+        assert tcal.chains == {}
 
     def test_non_positive_bandwidth_rejected_on_reconfigure(self):
         tcal = self.build()
@@ -418,8 +364,7 @@ class TestTcalRow:
 
     def test_a_row_builds_nothing_by_itself(self):
         tcal = self.build(server=self.path(), other=self.path())
-        assert tcal.destinations() == ()
-        assert tcal.qdisc._classes == {} and tcal.filter.rules == 0
+        assert tcal.destinations() == () and tcal.chains == {}
         assert tcal.has_destination("server")
         assert tcal.has_destination("other")
         assert not tcal.has_destination("third")
@@ -436,13 +381,12 @@ class TestTcalRow:
                 shaping.netem.loss, shaping.htb.rate) == \
             (0.020, 0.003, 0.25, 4e6)
         assert tcal.shaping_for("server") is shaping
-        assert tcal.classify(tcal.allocator.lookup("server")) == \
-            shaping.class_id
+        assert tcal.chains["server"] is shaping
         # egress is a first use too.
         assert tcal.egress(0.0, "other", 8000) == \
             pytest.approx(0.010 + 8000 / 1e6)
-        assert tcal.destinations() == ("server", "other")
-        assert len(tcal.qdisc._classes) == tcal.filter.rules == 2
+        assert tcal.destinations() == ("server", "other") == \
+            tuple(tcal.chains)
 
     def test_building_a_chain_draws_nothing(self):
         tcal = self.build(server=self.path(jitter=0.002, loss=0.2))
@@ -498,8 +442,7 @@ class TestTcalRow:
         assert tcal.install_row({"other": self.path()}.get) == 2
         assert tcal.destinations() == ("other",)
         assert not tcal.has_destination("server")
-        assert len(tcal.qdisc._classes) == tcal.filter.rules == 1
-        assert tcal.classify(tcal.allocator.lookup("server")) is None
+        assert "server" not in tcal.chains
         with pytest.raises(KeyError):
             tcal.egress(0.0, "server", 8000)
         # It comes back: reachable at once, a fresh chain on first use.
@@ -510,9 +453,9 @@ class TestTcalRow:
         again = tcal.shaping_for("server")
         assert again is not first
         assert again.bits_since_poll == 0.0 and again.netem.latency == 0.050
-        assert again.class_id not in (first.class_id,
-                                      tcal.shaping_for("other").class_id)
-        assert len(tcal.qdisc._classes) == tcal.filter.rules == 2
+        assert again.htb is not first.htb
+        assert tcal.chains == {"other": tcal.shaping_for("other"),
+                               "server": again}
 
     def test_polls_list_the_chains_that_exist(self):
         tcal = self.build(server=self.path(), other=self.path())
@@ -624,7 +567,7 @@ class TestTcalStream:
         for step in range(20):
             tcal.egress(float(step), "server", 8000)
         tcal.set_bandwidth("server", 2e6)
-        tcal.set_netem("server", latency=0.020, loss=0.0)
+        tcal.set_netem("server", loss=0.0)
         tcal.install_row({"server": TestTcalRow.path(latency=0.005)}.get)
         tcal.poll_active()
         assert tcal.rng is None and registry._streams == {}

@@ -315,13 +315,6 @@ class TestMetrics:
         assert snap["sharing.solver_calls"] == {"type": "counter",
                                                 "value": 3.5}
 
-    def test_gauge_sets_and_incs(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("fleet.workers")
-        gauge.set(3)
-        gauge.inc(-1)
-        assert registry.snapshot()["fleet.workers"]["value"] == 2.0
-
     def test_histogram_buckets_and_stats(self):
         registry = MetricsRegistry()
         hist = registry.histogram("point_seconds", buckets=(0.1, 1.0))
@@ -349,22 +342,21 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.counter("thing")
         with pytest.raises(TypeError, match="already registered"):
-            registry.gauge("thing")
-        with pytest.raises(TypeError, match="already registered"):
             registry.histogram("thing")
+        registry.histogram("other")
+        with pytest.raises(TypeError, match="already registered"):
+            registry.counter("other")
 
     def test_merge_adds_counters_and_histograms(self):
         worker_a, worker_b = MetricsRegistry(), MetricsRegistry()
         for registry, n in ((worker_a, 2), (worker_b, 3)):
             registry.counter("worker.points").inc(n)
-            registry.gauge("worker.queue").set(n)
             registry.histogram("worker.point_seconds").observe(float(n))
         fleet = MetricsRegistry()
         fleet.merge(worker_a.snapshot())
         fleet.merge(worker_b.snapshot())
         snap = fleet.snapshot()
         assert snap["worker.points"]["value"] == 5.0
-        assert snap["worker.queue"]["value"] == 3.0      # last writer wins
         hist = snap["worker.point_seconds"]
         assert hist["count"] == 2
         assert hist["sum"] == 5.0
@@ -381,7 +373,7 @@ class TestMetrics:
     def test_delta_since_counters_only(self):
         registry = MetricsRegistry()
         registry.counter("sharing.solver_seconds").inc(1.0)
-        registry.gauge("queue").set(9)
+        registry.histogram("queue").observe(9)
         before = registry.snapshot()
         registry.counter("sharing.solver_seconds").inc(0.5)
         registry.counter("collapse.recomputes").inc(2)
